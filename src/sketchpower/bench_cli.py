@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg as la
 
 from . import guidance, metrics, synthetic
 from .approximators import (
@@ -131,15 +132,14 @@ def _dataset_spec(cfg: RunConfig) -> Optional[synthetic.SyntheticSpec]:
     )
 
 
-def _spectrum_class(cfg: RunConfig, file_matrix: Optional[np.ndarray]) -> guidance.SpectrumClass:
+def _spectrum_class(cfg: RunConfig, file_sv: Optional[np.ndarray]) -> guidance.SpectrumClass:
     if cfg.data == "lowrank":
         return guidance.SpectrumClass(guidance.DecayKind.FLAT)
     if cfg.data == "poly":
         return guidance.SpectrumClass(guidance.DecayKind.POLY, cfg.alpha)
     if cfg.data == "exp":
         return guidance.SpectrumClass(guidance.DecayKind.EXP, cfg.alpha)
-    sv = np.linalg.svd(file_matrix, compute_uv=False)
-    return guidance.classify_spectrum(sv[sv > sv[0] * 1e-14])
+    return guidance.classify_spectrum(file_sv[file_sv > file_sv[0] * 1e-14])
 
 
 def _two_sided_budget_s(t_hat: float, n: int, c: float, words_per_side: float) -> int:
@@ -152,10 +152,10 @@ def _two_sided_budget_s(t_hat: float, n: int, c: float, words_per_side: float) -
     return max(s, 1)
 
 
-def _auto_sizes(cfg: RunConfig, kind: PipelineKind, plan: PrecisionPlan, file_matrix) -> tuple[int, int, int]:
+def _auto_sizes(cfg: RunConfig, kind: PipelineKind, plan: PrecisionPlan, file_sv) -> tuple[int, int, int]:
     if cfg.budget is None:
         raise SystemExit("--guidance auto requires --budget")
-    cls = _spectrum_class(cfg, file_matrix)
+    cls = _spectrum_class(cfg, file_sv)
     c = cfg.m / cfg.n
     t = float(cfg.budget)
     try:
@@ -190,9 +190,9 @@ def _auto_sizes_inner(cfg, kind, plan, cls, c, t) -> tuple[int, int, int]:
     return s, 2 * s, 2 * s
 
 
-def _resolve_sizes(cfg: RunConfig, kind: PipelineKind, plan: PrecisionPlan, file_matrix) -> tuple[int, int, int]:
+def _resolve_sizes(cfg: RunConfig, kind: PipelineKind, plan: PrecisionPlan, file_sv) -> tuple[int, int, int]:
     if cfg.guidance_mode == "auto":
-        return _auto_sizes(cfg, kind, plan, file_matrix)
+        return _auto_sizes(cfg, kind, plan, file_sv)
     if cfg.s is None:
         raise SystemExit("manual guidance requires --s (and --d/--l as the algorithm needs)")
     s = cfg.s
@@ -243,7 +243,7 @@ def _run_one_trial(cfg, kind, plan, sizes, trial, shared_a, shared_base):
     if shared_a is None:
         spec = _dataset_spec(cfg).with_trial(trial)
         a = synthetic.generate(spec).data
-        base = metrics._baselines(a, cfg.rank)
+        base = metrics.spec_baselines(spec, a, cfg.rank)
     else:
         a, base = shared_a, shared_base
     stream = open_stream(
@@ -262,26 +262,16 @@ def _run_one_trial(cfg, kind, plan, sizes, trial, shared_a, shared_base):
         range_f, range_s, extra_f, extra_s = re.range_f, re.range_s, re.extra_f, re.extra_s
     except metrics.MetricUnsupportedError:
         range_f = range_s = extra_f = extra_s = None
-    report = metrics.ErrorReport(
-        s_f=rel.s_f,
-        s_inf=rel.s_inf,
-        range_err_f=range_f,
-        range_err_s=range_s,
-        extra_err_f=extra_f,
-        extra_err_s=extra_s,
-        wall_ms=wall_ms if cfg.timing else None,
-        flags=rel.flags,
-    )
     return {
         "trial": trial,
         "seed": stream_seed(SeedSpec(cfg.base_seed, Stream.OMEGA, trial)),
-        "S_F": report.s_f,
-        "S_inf": report.s_inf,
-        "range_err_F": report.range_err_f,
-        "range_err_S": report.range_err_s,
-        "extra_err_F": report.extra_err_f,
-        "extra_err_S": report.extra_err_s,
-        "wall_ms": report.wall_ms,
+        "S_F": rel.s_f,
+        "S_inf": rel.s_inf,
+        "range_err_F": range_f,
+        "range_err_S": range_s,
+        "extra_err_F": extra_f,
+        "extra_err_S": extra_s,
+        "wall_ms": wall_ms if cfg.timing else None,
     }
 
 
@@ -297,16 +287,16 @@ def run(cfg: RunConfig, out=None) -> int:
     kind = _pipeline_kind(cfg.algo)
     plan = _plan_of(cfg, kind)
 
-    shared_a = shared_base = None
-    file_matrix = None
+    shared_a = shared_base = file_sv = None
     if cfg.data == "file":
         if not cfg.file:
             raise SystemExit("--data file requires --file PATH")
-        file_matrix = read_matrix(cfg.file).data
-        shared_a = file_matrix
-        shared_base = metrics._baselines(shared_a, cfg.rank)
+        shared_a = read_matrix(cfg.file).data
+        # One SVD of the file serves both the baselines and the guidance.
+        file_sv = la.svdvals(shared_a, check_finite=False)
+        shared_base = metrics.baselines_from_spectrum(file_sv, cfg.rank)
 
-    sizes = _resolve_sizes(cfg, kind, plan, file_matrix)
+    sizes = _resolve_sizes(cfg, kind, plan, file_sv)
     dataset, param, alpha_or_gamma = _dataset_columns(cfg)
     prefix = [cfg.algo, dataset, param, alpha_or_gamma, cfg.budget, cfg.rank,
               sizes[0], sizes[1] or None, sizes[2] or None, cfg.q]

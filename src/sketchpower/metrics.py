@@ -3,7 +3,12 @@ subspace angles, tail energies, distortion ratios, oracle sweeps, and
 computable evaluators for the probabilistic error bounds.
 
 All evaluators here materialize the data matrix; they are meant for
-desk-scale validation, not for the streaming path.
+desk-scale validation, not for the streaming path.  Per-trial evaluation
+takes no full SVD of an m x n matrix: the spectral norm of a residual comes
+from a k=1 Lanczos solve (ARPACK on the Gram operator, fixed start vector
+and restart seed), the ExtraError norms from an r x n reduction, and the
+best-rank-r baselines of noise-free synthetic data from the spectrum the
+generator prescribes.  The values match a dense SVD to roundoff.
 """
 from __future__ import annotations
 
@@ -15,6 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse.linalg as spla
 
 from . import guidance, synthetic
 from .approximators import (
@@ -31,10 +37,11 @@ from .precision_model import PrecisionPlan
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "ErrorReport",
     "RelativeErrors",
     "RangeExtraErrors",
     "MetricUnsupportedError",
+    "baselines_from_spectrum",
+    "spec_baselines",
     "relative_error",
     "range_extra_errors",
     "canonical_angle_sines",
@@ -60,21 +67,6 @@ class MetricUnsupportedError(ValueError):
 
 
 @dataclass
-class ErrorReport:
-    """Per-trial metrics; None marks a metric unavailable for the pipeline."""
-
-    s_f: Optional[float] = None
-    s_inf: Optional[float] = None
-    range_err_f: Optional[float] = None
-    range_err_s: Optional[float] = None
-    extra_err_f: Optional[float] = None
-    extra_err_s: Optional[float] = None
-    canon_angle_sines: Optional[np.ndarray] = None
-    wall_ms: Optional[float] = None
-    flags: frozenset = frozenset()
-
-
-@dataclass
 class RelativeErrors:
     s_f: float
     s_inf: float
@@ -90,12 +82,60 @@ class RangeExtraErrors:
     flags: frozenset = frozenset()
 
 
+def baselines_from_spectrum(singular_values, r: int) -> tuple[float, float]:
+    """(Frobenius, spectral) distance to the best rank-r approximation of a
+    matrix with the given singular values (descending); 0 beyond the end."""
+    sv = np.asarray(singular_values, dtype=np.float64).ravel()
+    return tail_energy(sv, r + 1), float(sv[r]) if r < sv.size else 0.0
+
+
 def _baselines(a: np.ndarray, r: int) -> tuple[float, float]:
     """(Frobenius, spectral) distance of A to its best rank-r approximation."""
-    sv = la.svdvals(a, check_finite=False)
-    bf = float(np.sqrt(np.sum(sv[r:] ** 2))) if r < sv.size else 0.0
-    bs = float(sv[r]) if r < sv.size else 0.0
-    return bf, bs
+    return baselines_from_spectrum(la.svdvals(a, check_finite=False), r)
+
+
+def spec_baselines(spec: synthetic.SyntheticSpec, a: np.ndarray, r: int) -> tuple[float, float]:
+    """Baselines of ``a = synthetic.generate(spec).data``.
+
+    When the generator adds no noise the spectrum of A is the prescribed one
+    (to roundoff), so no SVD is taken; noisy data goes through the computed
+    path.  Both share :func:`baselines_from_spectrum`, so zero baselines are
+    detected alike.
+    """
+    if synthetic.adds_noise(spec):
+        return _baselines(a, r)
+    return baselines_from_spectrum(synthetic.prescribed_spectrum(spec), r)
+
+
+def _fro_and_spectral(x: np.ndarray) -> tuple[float, float]:
+    """(Frobenius, spectral) norm of a matrix without a full SVD.
+
+    x is first scaled by the power of two nearest its largest entry, which
+    is exact, so the Frobenius norm has the bits of ``np.linalg.norm(x)``
+    and neither norm under- or overflows.  sigma_1 is ``||x v||`` for the
+    leading eigenvector v of the smaller Gram matrix, found by ARPACK's
+    Lanczos solver (the computation ``svds(k=1)`` does).  ARPACK is called
+    directly so that its restart vectors, not only its start vector, come
+    from a fixed seed: repeated calls give identical bits.  Zero matrices
+    and vectors, which ARPACK rejects, are answered directly; non-finite
+    entries give non-finite norms.
+    """
+    amax = float(np.max(np.abs(x)))
+    if amax == 0.0 or not math.isfinite(amax):
+        return amax, amax
+    e = math.frexp(amax)[1]
+    y = np.ldexp(x, -e)
+    f = float(np.linalg.norm(y))
+    if min(y.shape) == 1:
+        return math.ldexp(f, e), math.ldexp(f, e)
+    if y.shape[0] < y.shape[1]:
+        y = y.T
+    k = y.shape[1]
+    gram = spla.LinearOperator((k, k), matvec=lambda v: y.T @ (y @ v), dtype=y.dtype)
+    v0 = np.random.default_rng(0).standard_normal(k)
+    _, vec = spla.eigsh(gram, k=1, v0=v0, tol=0, rng=np.random.default_rng(0))
+    s = float(np.linalg.norm(y @ vec) / np.linalg.norm(vec))
+    return math.ldexp(f, e), math.ldexp(s, e)
 
 
 def relative_error(
@@ -110,12 +150,12 @@ def relative_error(
     If A is itself (numerically) rank <= r the ratio is undefined: absolute
     errors are returned with a ``zero_baseline`` flag.  A reconstruction that
     fits A to roundoff while the baseline is positive is reported as zero
-    error with an ``exact_fit`` flag.
+    error with an ``exact_fit`` flag.  The spectral norm of the residual is a
+    Lanczos estimate that matches a dense SVD to roundoff; without
+    ``baselines`` they are computed from a dense SVD of A.
     """
     a = as_f64(a)
-    resid = a - result.reconstruct()
-    num_f = float(np.linalg.norm(resid))
-    num_s = float(la.svdvals(resid, check_finite=False)[0])
+    num_f, num_s = _fro_and_spectral(a - result.reconstruct())
     base_f, base_s = baselines if baselines is not None else _baselines(a, r)
     scale = float(np.linalg.norm(a))
     if base_f <= _ZERO_BASELINE_RTOL * max(scale, 1e-300):
@@ -138,7 +178,10 @@ def range_extra_errors(
     ``||U U-tilde^T (Q^T A - (Psi Q)^+ Psi A)|| / ||A - [A]_r||`` (no
     subtraction of one).  The orthogonal-projection pipeline has no second
     source, so its ExtraError is exactly zero.  Undefined for the two-sided
-    pipelines.
+    pipelines.  The RangeError spectral norm is a Lanczos estimate; the
+    ExtraError norms are taken of the r x n matrix ``R_U M`` (U = Q_U R_U,
+    M the core above), which has the norms of ``U M`` whether or not U is
+    orthonormal.  Both match a dense SVD to roundoff.
     """
     if result.kind in (PipelineKind.TYUC19, PipelineKind.TYUC19_SPI):
         raise MetricUnsupportedError(
@@ -147,9 +190,7 @@ def range_extra_errors(
     a = as_f64(a)
     base_f, base_s = baselines if baselines is not None else _baselines(a, r)
     flags = set()
-    proj_resid = a - result.u @ (result.u.T @ a)
-    range_f = float(np.linalg.norm(proj_resid))
-    range_s = float(la.svdvals(proj_resid, check_finite=False)[0])
+    range_f, range_s = _fro_and_spectral(a - result.u @ (result.u.T @ a))
     if result.kind is PipelineKind.RSVD_ONEPASS:
         extra_f = extra_s = 0.0
     else:
@@ -157,7 +198,8 @@ def range_extra_errors(
             raise MetricUnsupportedError("result lacks the corange test matrix needed for ExtraError")
         psi = result.psi
         fitted = lstsq(psi @ result.q_factor, psi @ a).x
-        e = result.u @ (result.u_tilde.T @ (result.q_factor.T @ a - fitted))
+        core = result.u_tilde.T @ (result.q_factor.T @ a - fitted)
+        e = np.linalg.qr(result.u, mode="r") @ core
         extra_f = float(np.linalg.norm(e))
         extra_s = float(la.svdvals(e, check_finite=False)[0])
     scale = float(np.linalg.norm(a))
@@ -463,8 +505,9 @@ def oracle_sweep(
         (s, q): np.zeros(2) for (s, _, _) in grid for q in q_list
     }
     for trial in range(trials):
-        a = synthetic.generate(data_spec.with_trial(trial)).data
-        base = _baselines(a, r)
+        spec = data_spec.with_trial(trial)
+        a = synthetic.generate(spec).data
+        base = spec_baselines(spec, a, r)
         for s, d, l in grid:
             stream = open_stream(
                 algo, data_spec.m, data_spec.n, s, d, l,

@@ -276,10 +276,19 @@ class SketchStream:
 
     def _ingest_rowwise(self, upd: LinearUpdate) -> "SketchStream":
         # The corange sketch here is quadratic in the data (sum of per-row
-        # outer products), so the stream must deliver whole rows: row blocks
-        # may not overlap, and rank-one terms must have mutually orthogonal
-        # left vectors (e.g. distinct standard basis vectors).
+        # outer products), so the stream must deliver whole rows: each row
+        # arrives once, in a row block or as a rank-one term whose left
+        # vector has exactly one nonzero entry.
         omega = self._t["omega"]
+        if upd.kind == "rank_one":
+            rows = np.flatnonzero(upd.u)
+            if rows.size != 1:
+                raise ValueError(
+                    "row-wise sketching accepts a rank-one term only when its left vector "
+                    f"has exactly one nonzero entry (one whole row); got {rows.size}"
+                )
+            i = int(rows[0])
+            return self._ingest_rowwise(LinearUpdate.row_block(i, upd.u[i] * upd.v))
         if upd.kind == "row_block":
             a, b = upd.start, upd.start + upd.h.shape[0]
             if self._rows_seen[a:b].any():
@@ -288,10 +297,6 @@ class SketchStream:
             yo = upd.h @ omega
             self._add("y", slice(a, b), yo)
             self._add("w", slice(None), upd.h.T @ yo)
-        elif upd.kind == "rank_one":
-            vo = upd.v @ omega
-            self._add("y", slice(None), np.outer(upd.u, vo))
-            self._add("w", slice(None), float(upd.u @ upd.u) * np.outer(upd.v, vo))
         else:
             raise ValueError(
                 "row-wise sketching accepts only row_block or rank_one updates"

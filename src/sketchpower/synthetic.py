@@ -26,6 +26,7 @@ __all__ = [
     "Family",
     "SyntheticSpec",
     "prescribed_spectrum",
+    "adds_noise",
     "generate",
     "stream_row_blocks",
     "write_spim",
@@ -72,6 +73,11 @@ def prescribed_spectrum(spec: SyntheticSpec) -> np.ndarray:
     return sv
 
 
+def adds_noise(spec: SyntheticSpec) -> bool:
+    """Whether generate(spec) adds noise on top of the prescribed spectrum."""
+    return spec.family is Family.LOWRANK_NOISE and spec.snr > 0.0
+
+
 def _orthonormal(rows: int, cols: int, seed: SeedSpec) -> np.ndarray:
     g = rng_for(seed).standard_normal((rows, cols))
     q, _ = np.linalg.qr(g)
@@ -89,7 +95,7 @@ def _factors(spec: SyntheticSpec):
 def generate(spec: SyntheticSpec) -> DenseMatrix:
     u, sv, v = _factors(spec)
     a = (u * sv) @ v.T
-    if spec.family is Family.LOWRANK_NOISE and spec.snr > 0.0:
+    if adds_noise(spec):
         noise = rng_for(SeedSpec(spec.base_seed, Stream.DATA_NOISE, spec.trial))
         a = a + (spec.snr * spec.plateau / spec.n**2) * noise.standard_normal((spec.m, spec.n))
     return DenseMatrix.from_array(a, check_finite=False)
@@ -106,7 +112,7 @@ def stream_row_blocks(spec: SyntheticSpec, block_rows: int) -> Iterator[tuple[in
         raise ValueError("block_rows must be >= 1")
     u, sv, v = _factors(spec)
     noise = None
-    if spec.family is Family.LOWRANK_NOISE and spec.snr > 0.0:
+    if adds_noise(spec):
         rng = rng_for(SeedSpec(spec.base_seed, Stream.DATA_NOISE, spec.trial))
         noise = (spec.snr * spec.plateau / spec.n**2) * rng.standard_normal((spec.m, spec.n))
     vt = v.T

@@ -139,6 +139,30 @@ def test_file_dataset_run(tmp_path):
     assert float(rows[0]["S_F"]) >= -1e-10
 
 
+def test_file_run_with_auto_guidance_takes_one_svd(tmp_path, monkeypatch):
+    import scipy.linalg
+
+    spec = SyntheticSpec(Family.POLY_DECAY, m=60, n=45, plateau=5, alpha=1.0, base_seed=8)
+    path = tmp_path / "d.spim"
+    write_spim(path, generate(spec))
+    full_svds = []
+
+    def counting(fn):
+        def wrapper(a, *args, **kwargs):
+            if np.shape(a) == (60, 45):
+                full_svds.append(fn.__name__)
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for mod, name in ((scipy.linalg, "svdvals"), (scipy.linalg, "svd"), (np.linalg, "svd")):
+        monkeypatch.setattr(mod, name, counting(getattr(mod, name)))
+    args = ["run", "--data", "file", "--file", str(path), "--rank", "5", "--algo", "tyuc17_spi",
+            "--budget", "20", "--guidance", "auto", "--trials", "2"]
+    rc, _ = _run_cli(args, tmp_path / "f.csv")
+    assert rc == 0
+    assert len(full_svds) == 1
+
+
 def test_config_file_defaults_and_flag_override(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sketchpower import metrics
 from sketchpower.approximators import rsvd_onepass, tyuc17, tyuc19
+from sketchpower.matrix_core import lstsq
 from sketchpower.metrics import (
     BoundInputsFro,
     BoundInputsSpec,
@@ -18,10 +21,11 @@ from sketchpower.metrics import (
     oracle_sweep,
     range_extra_errors,
     relative_error,
+    spec_baselines,
     tail_energy,
 )
 from sketchpower.stream_ingest import LinearUpdate, PipelineKind, open_stream
-from sketchpower.synthetic import Family, SyntheticSpec
+from sketchpower.synthetic import Family, SyntheticSpec, generate
 
 
 def _noisy_lowrank(m, n, r, seed, noise=0.02):
@@ -280,3 +284,109 @@ def test_oracle_sweep_row_count_and_flat_argmin():
     assert len(table.rows) == len(feasible_s) * 2
     best = table.best()
     assert abs(best.s - 8) <= 2  # flat data: oracle s stays at the target rank
+
+
+# -- evaluation without full SVDs ----------------------------------------------
+
+
+def _clustered_residual(m, n, r, seed):
+    # Low rank plus noise, with its dominant rank-r part projected out: the
+    # remaining spectrum is the noise's, whose top singular values cluster.
+    a = _noisy_lowrank(m, n, r, seed)
+    u = np.linalg.svd(a, full_matrices=False)[0][:, :r]
+    return a - u @ (u.T @ a)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.random.default_rng(30).standard_normal((120, 90)),
+        np.random.default_rng(31).standard_normal((40, 150)),
+        _clustered_residual(150, 110, 5, seed=32),
+    ],
+    ids=["random-tall", "random-wide", "clustered"],
+)
+def test_sigma1_helper_matches_dense_svd(x):
+    fro, spec = metrics._fro_and_spectral(x)
+    assert fro == np.linalg.norm(x)
+    want = la.svdvals(x)[0]
+    assert abs(spec - want) <= 1e-12 * want
+
+
+def test_sigma1_helper_zero_matrix_is_exactly_zero():
+    assert metrics._fro_and_spectral(np.zeros((30, 20))) == (0.0, 0.0)
+
+
+def test_sigma1_helper_tiny_scale():
+    x = 1e-300 * np.random.default_rng(33).standard_normal((40, 30))
+    fro, spec = metrics._fro_and_spectral(x)
+    assert math.isfinite(spec) and spec > 0.0
+    want = la.svdvals(x)[0]
+    assert abs(spec - want) <= 1e-12 * want
+    assert abs(fro - 1e-300 * np.linalg.norm(x / 1e-300)) <= 1e-12 * fro
+
+
+@pytest.mark.parametrize("shape", [(25, 1), (1, 25)])
+def test_sigma1_helper_vectors_give_two_norm(shape):
+    x = np.random.default_rng(34).standard_normal(shape)
+    assert metrics._fro_and_spectral(x) == (np.linalg.norm(x), np.linalg.norm(x))
+
+
+def test_sigma1_helper_is_deterministic():
+    x = _clustered_residual(90, 70, 4, seed=35)
+    first = metrics._fro_and_spectral(x)
+    assert all(metrics._fro_and_spectral(x.copy()) == first for _ in range(3))
+
+
+def test_extra_error_reduction_matches_dense_product():
+    a = _noisy_lowrank(60, 45, 4, seed=36)
+    res = _run_tyuc17(a, 8, 19, 4, seed=37)
+    res.u = res.u @ np.random.default_rng(38).standard_normal((4, 4))  # not orthonormal
+    base_f, base_s = metrics._baselines(a, 4)
+    rex = range_extra_errors(a, res, 4)
+    fitted = lstsq(res.psi @ res.q_factor, res.psi @ a).x
+    e = res.u @ (res.u_tilde.T @ (res.q_factor.T @ a - fitted))
+    assert rex.extra_f * base_f == pytest.approx(np.linalg.norm(e), rel=1e-12)
+    assert rex.extra_s * base_s == pytest.approx(la.svdvals(e)[0], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec, r",
+    [
+        (SyntheticSpec(Family.POLY_DECAY, m=90, n=70, plateau=5, alpha=1.0, base_seed=40), 5),
+        (SyntheticSpec(Family.POLY_DECAY, m=70, n=90, plateau=5, alpha=2.0, base_seed=41), 8),
+        (SyntheticSpec(Family.EXP_DECAY, m=80, n=80, plateau=5, alpha=0.5, base_seed=42), 6),
+        (SyntheticSpec(Family.LOWRANK_NOISE, m=80, n=60, plateau=6, snr=0.0, base_seed=43), 4),
+    ],
+    ids=["poly", "poly-wide", "exp", "lowrank-noise-free"],
+)
+def test_spec_baselines_match_computed(spec, r, monkeypatch):
+    a = generate(spec).data
+    want = metrics._baselines(a, r)
+    calls = []
+    monkeypatch.setattr(metrics, "_baselines", lambda *args: calls.append(args))
+    got = spec_baselines(spec, a, r)
+    assert calls == []  # no SVD taken
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_spec_baselines_zero_baseline_semantics_kept():
+    spec = SyntheticSpec(Family.LOWRANK_NOISE, m=50, n=40, plateau=5, snr=0.0, base_seed=44)
+    a = generate(spec).data
+    assert spec_baselines(spec, a, 5) == (0.0, 0.0)
+    res = _run_tyuc17(a, 9, 20, 5, seed=45)
+    exact = relative_error(a, res, 5, baselines=spec_baselines(spec, a, 5))
+    computed = relative_error(a, res, 5)
+    assert exact.flags == computed.flags == frozenset({"zero_baseline"})
+    assert exact.s_f == computed.s_f
+
+
+def test_spec_baselines_noisy_lowrank_takes_computed_path(monkeypatch):
+    spec = SyntheticSpec(Family.LOWRANK_NOISE, m=50, n=40, plateau=5, snr=1e-2, base_seed=46)
+    a = generate(spec).data
+    want = metrics._baselines(a, 5)
+    calls = []
+    real = metrics._baselines
+    monkeypatch.setattr(metrics, "_baselines", lambda *args: calls.append(args) or real(*args))
+    assert spec_baselines(spec, a, 5) == want
+    assert len(calls) == 1

@@ -128,6 +128,48 @@ def test_rowwise_restrictions():
         st.ingest(LinearUpdate.row_block(3, np.zeros((2, 5))))  # row 3 delivered twice
 
 
+def test_rowwise_rejects_rank_one_spanning_several_rows():
+    # Non-orthogonal left vectors used to give S_F = 0.16 on exact rank-3 data.
+    rng = np.random.default_rng(21)
+    st = open_stream(PipelineKind.RSVD_ONEPASS, 40, 30, s=6, base_seed=3)
+    with pytest.raises(ValueError, match="exactly one nonzero entry"):
+        st.ingest(LinearUpdate.rank_one(rng.standard_normal(40), rng.standard_normal(30)))
+    with pytest.raises(ValueError, match="exactly one nonzero entry"):
+        st.ingest(LinearUpdate.rank_one(np.zeros(40), rng.standard_normal(30)))
+
+
+def test_rowwise_rank_one_repeated_row_rejected():
+    st = open_stream(PipelineKind.RSVD_ONEPASS, 8, 5, s=2, base_seed=4)
+    e3 = np.eye(8)[3]
+    st.ingest(LinearUpdate.rank_one(e3, np.ones(5)))
+    with pytest.raises(ValueError, match="twice"):
+        st.ingest(LinearUpdate.rank_one(2.0 * e3, np.ones(5)))
+
+
+def test_rowwise_rank_one_and_row_block_overlap_rejected():
+    st = open_stream(PipelineKind.RSVD_ONEPASS, 8, 5, s=2, base_seed=5)
+    st.ingest(LinearUpdate.row_block(2, np.ones((3, 5))))
+    with pytest.raises(ValueError, match="twice"):
+        st.ingest(LinearUpdate.rank_one(np.eye(8)[4], np.ones(5)))
+    st = open_stream(PipelineKind.RSVD_ONEPASS, 8, 5, s=2, base_seed=5)
+    st.ingest(LinearUpdate.rank_one(np.eye(8)[4], np.ones(5)))
+    with pytest.raises(ValueError, match="twice"):
+        st.ingest(LinearUpdate.row_block(2, np.ones((3, 5))))
+
+
+def test_rowwise_single_row_rank_one_terms_match_one_shot():
+    a = _random(30, 20, 22)
+    one = open_stream(PipelineKind.RSVD_ONEPASS, 30, 20, s=5, base_seed=6)
+    sk_one = one.ingest(LinearUpdate.row_block(0, a)).finalize()
+    mixed = open_stream(PipelineKind.RSVD_ONEPASS, 30, 20, s=5, base_seed=6)
+    mixed.ingest(LinearUpdate.row_block(0, a[:10]))
+    for i in range(10, 30):
+        mixed.ingest(LinearUpdate.rank_one(-3.0 * np.eye(30)[i], a[i] / -3.0))
+    sk = mixed.finalize()
+    assert np.linalg.norm(sk.y.data - sk_one.y.data) <= 1e-12 * np.linalg.norm(sk_one.y.data)
+    assert np.linalg.norm(sk.w.data - sk_one.w.data) <= 1e-12 * np.linalg.norm(sk_one.w.data)
+
+
 def test_mixed_precision_storage_and_accumulation():
     a = _random(50, 40, 14)
     st = open_stream(PipelineKind.TYUC17_SPI, 50, 40, s=5, d=12, l=10,
