@@ -14,8 +14,8 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as la
 
-from .matrix_core import lstsq, qr_economy, svd_truncated
-from .precision_model import PrecisionPlan
+from .matrix_core import as_f64, lstsq, qr_economy, svd_truncated
+from .precision_model import PIPELINES, PrecisionPlan
 from .spi import SpiParams, spi_plain, spi_stabilized, spi_variant
 from .stream_ingest import PipelineKind, SketchSet
 
@@ -44,18 +44,6 @@ class SketchConfig:
     q: int = 0
     plan: PrecisionPlan = PrecisionPlan.ALL_DOUBLE
 
-    def validate(self, kind: PipelineKind) -> None:
-        if self.r < 1 or self.s < self.r:
-            raise ValueError(f"need 1 <= r <= s, got r={self.r}, s={self.s}")
-        if kind in (PipelineKind.TYUC17, PipelineKind.TYUC17_SPI, PipelineKind.TYUC17_SPI_VARIANT):
-            if self.d < self.s:
-                raise ValueError(f"corange sketch size d={self.d} must be >= s={self.s}")
-        if kind in (PipelineKind.TYUC17_SPI, PipelineKind.TYUC17_SPI_VARIANT, PipelineKind.TYUC19_SPI):
-            if self.l <= self.s:
-                raise ValueError(f"power sketch size l={self.l} must exceed s={self.s}")
-        if kind in (PipelineKind.TYUC19, PipelineKind.TYUC19_SPI) and self.d <= self.s:
-            raise ValueError(f"core sketch size d={self.d} must exceed s={self.s}")
-
 
 @dataclass
 class ApproxResult:
@@ -82,11 +70,16 @@ class ApproxResult:
         return (self.u * self.sv) @ self.v.T
 
 
-def _require(sk: SketchSet, kinds, *names) -> None:
+def _require(sk: SketchSet, r: int, kinds, *names) -> None:
+    """Check the one-pass certificate, the kind, the size rules of the
+    pipeline table, 1 <= r <= s, and the presence of the named sketches."""
     if sk.pass_count != 1:
         raise ValueError(f"sketches must come from exactly one pass, got pass_count={sk.pass_count}")
     if sk.kind not in kinds:
         raise ValueError(f"sketch set of kind {sk.kind.value} not usable here")
+    PIPELINES[sk.kind.value].check_sizes(sk.m, sk.n, sk.s, sk.d, sk.l)
+    if not 1 <= r <= sk.s:
+        raise ValueError(f"target rank must satisfy 1 <= r <= s, got r={r}, s={sk.s}")
     for name in names:
         if getattr(sk, name) is None:
             raise ValueError(f"sketch set lacks required sketch {name!r}")
@@ -130,13 +123,13 @@ def _qb_finish(kind, y_hat, w, psi, r, flags) -> ApproxResult:
 
 def tyuc17(sk: SketchSet, r: int) -> ApproxResult:
     """Rangefinder QR plus corange least squares: A ~ Q ((Psi Q)^+ W)."""
-    _require(sk, _TYUC17_FAMILY, "y", "w", "psi")
+    _require(sk, r, _TYUC17_FAMILY, "y", "w", "psi")
     return _qb_finish(PipelineKind.TYUC17, sk.y.as_f64(), sk.w.as_f64(), sk.psi.as_f64(), r, set())
 
 
 def tyuc17_spi(sk: SketchSet, params: SpiParams, r: int) -> ApproxResult:
     """TYUC17 with the rangefinder powered through the wide sketch Z."""
-    _require(sk, (PipelineKind.TYUC17_SPI,), "y", "w", "z", "psi")
+    _require(sk, r, (PipelineKind.TYUC17_SPI,), "y", "w", "z", "psi")
     y = sk.y.as_f64()
     flags = set()
     if params.q == 0:
@@ -153,11 +146,10 @@ def tyuc17_spi(sk: SketchSet, params: SpiParams, r: int) -> ApproxResult:
     return _qb_finish(PipelineKind.TYUC17_SPI, y_hat, sk.w.as_f64(), sk.psi.as_f64(), r, flags)
 
 
-def tyuc17_spi_variant(sk: SketchSet, omega_tilde, q: int, r: int, force: bool = False) -> ApproxResult:
+def tyuc17_spi_variant(sk: SketchSet, omega_tilde, q: int, r: int) -> ApproxResult:
     """Storage-reduced SPI: the rangefinder is synthesized as Z (Z^T Z)^q O."""
-    _require(sk, _TYUC17_FAMILY, "w", "z", "psi")
-    o = omega_tilde.as_f64() if hasattr(omega_tilde, "as_f64") else np.asarray(omega_tilde, dtype=np.float64)
-    y_hat = _stored(spi_variant(sk.z.as_f64(), o, q, force=force), sk)
+    _require(sk, r, _TYUC17_FAMILY, "w", "z", "psi")
+    y_hat = _stored(spi_variant(sk.z.as_f64(), as_f64(omega_tilde), q), sk)
     return _qb_finish(PipelineKind.TYUC17_SPI_VARIANT, y_hat, sk.w.as_f64(), sk.psi.as_f64(), r, set())
 
 
@@ -167,9 +159,7 @@ def rsvd_onepass(sk: SketchSet, r: int) -> ApproxResult:
     With W = A^T A Omega, the triangular solve R^-T W^T equals Q^T A exactly,
     so the approximation has no sketch-and-solve error source.
     """
-    _require(sk, (PipelineKind.RSVD_ONEPASS,), "y", "w")
-    if sk.s < r:
-        raise ValueError(f"sketch size s={sk.s} must be >= target rank r={r}")
+    _require(sk, r, (PipelineKind.RSVD_ONEPASS,), "y", "w")
     flags = set()
     qres = qr_economy(sk.y.as_f64())
     wt = sk.w.as_f64().T
@@ -222,9 +212,7 @@ def _two_sided_finish(kind, y_hat, x_hat, k, phi, psi, r, flags) -> ApproxResult
 
 def tyuc19(sk: SketchSet, r: int) -> ApproxResult:
     """Two-sided pipeline: range and corange bases plus a d x d core sketch."""
-    _require(sk, (PipelineKind.TYUC19,), "y", "x", "k", "phi", "psi")
-    if sk.d <= sk.s:
-        raise ValueError(f"core sketch size d={sk.d} must exceed s={sk.s}")
+    _require(sk, r, (PipelineKind.TYUC19,), "y", "x", "k", "phi", "psi")
     return _two_sided_finish(
         PipelineKind.TYUC19,
         sk.y.as_f64(),
@@ -243,17 +231,9 @@ def tyuc19_spi(sk: SketchSet, omega_tilde, gamma_tilde, q: int, r: int) -> Appro
     Y-hat = Z (Z^T Z)^q O and X-hat = G (W W^T)^q W, where O (l x s) and
     G (s x l) are small test matrices; the rest follows the two-sided solve.
     """
-    _require(sk, (PipelineKind.TYUC19_SPI,), "z", "w", "k", "phi", "psi")
-    if sk.d <= sk.s:
-        raise ValueError(f"core sketch size d={sk.d} must exceed s={sk.s}")
-    if sk.l < 2 * sk.s:
-        raise ValueError(f"conversion storage contract requires l >= 2s, got l={sk.l}, s={sk.s}")
-    o = omega_tilde.as_f64() if hasattr(omega_tilde, "as_f64") else np.asarray(omega_tilde, dtype=np.float64)
-    g = gamma_tilde.as_f64() if hasattr(gamma_tilde, "as_f64") else np.asarray(gamma_tilde, dtype=np.float64)
-    z = sk.z.as_f64()
-    w = sk.w.as_f64()
-    y_hat = _stored(spi_variant(z, o, q), sk)
-    x_hat = _stored(spi_variant(w.T, g.T, q).T, sk)
+    _require(sk, r, (PipelineKind.TYUC19_SPI,), "z", "w", "k", "phi", "psi")
+    y_hat = _stored(spi_variant(sk.z.as_f64(), as_f64(omega_tilde), q), sk)
+    x_hat = _stored(spi_variant(sk.w.as_f64().T, as_f64(gamma_tilde).T, q).T, sk)
     return _two_sided_finish(
         PipelineKind.TYUC19_SPI, y_hat, x_hat, sk.k.as_f64(), sk.phi.as_f64(), sk.psi.as_f64(), r, set()
     )

@@ -37,7 +37,7 @@ from .approximators import (
     tyuc19,
     tyuc19_spi,
 )
-from .precision_model import PrecisionPlan, simulate_storage
+from .precision_model import PIPELINES, PrecisionPlan, simulate_storage
 from .spi import SpiParams
 from .stream_ingest import LinearUpdate, PipelineKind, open_stream, read_matrix
 from .test_matrices import GAUSSIAN, SeedSpec, Stream, TestMatrixKind, generate, stream_seed
@@ -94,15 +94,9 @@ def _pipeline_kind(algo: str) -> PipelineKind:
         raise SystemExit(f"unknown algorithm {algo!r}")
 
 
-def _default_plan(kind: PipelineKind) -> PrecisionPlan:
-    if kind in (PipelineKind.TYUC17_SPI, PipelineKind.TYUC17_SPI_VARIANT, PipelineKind.TYUC19_SPI):
-        return PrecisionPlan.MIXED_SINGLE_DOUBLE
-    return PrecisionPlan.ALL_DOUBLE
-
-
 def _plan_of(cfg: RunConfig, kind: PipelineKind) -> PrecisionPlan:
     if cfg.precision is None:
-        return _default_plan(kind)
+        return PIPELINES[kind.value].default_plan
     if cfg.precision in ("double", "all_double"):
         return PrecisionPlan.ALL_DOUBLE
     if cfg.precision in ("mixed", "mixed_single_double"):
@@ -198,12 +192,9 @@ def _resolve_sizes(cfg: RunConfig, kind: PipelineKind, plan: PrecisionPlan, file
     s = cfg.s
     d = cfg.d if cfg.d is not None else 0
     l = cfg.l if cfg.l is not None else 0
-    if kind in (PipelineKind.TYUC17, PipelineKind.TYUC17_SPI, PipelineKind.TYUC17_SPI_VARIANT) and d == 0:
-        raise SystemExit(f"{kind.value} requires --d")
-    if kind in (PipelineKind.TYUC17_SPI, PipelineKind.TYUC17_SPI_VARIANT, PipelineKind.TYUC19_SPI) and l == 0:
-        raise SystemExit(f"{kind.value} requires --l")
-    if kind is PipelineKind.TYUC19 and d == 0:
-        raise SystemExit("tyuc19 requires --d")
+    for name, size in (("d", d), ("l", l)):
+        if size == 0 and PIPELINES[kind.value].uses(name):
+            raise SystemExit(f"{kind.value} requires --{name}")
     return s, d, l
 
 

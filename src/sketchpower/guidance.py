@@ -33,7 +33,6 @@ __all__ = [
     "SpectrumClass",
     "BudgetSpec",
     "InfeasibleBudgetError",
-    "lambert_w_minus1",
     "select_sizes",
     "select_sizes_double",
     "classify_spectrum",

@@ -32,7 +32,7 @@ from .matrix_core import as_f64, lstsq
 from .spi import SpiParams
 from .stream_ingest import LinearUpdate, PipelineKind, open_stream
 from .test_matrices import GAUSSIAN, TestMatrixKind
-from .precision_model import PrecisionPlan
+from .precision_model import PIPELINES, PrecisionPlan
 
 logger = logging.getLogger(__name__)
 
@@ -107,26 +107,47 @@ def spec_baselines(spec: synthetic.SyntheticSpec, a: np.ndarray, r: int) -> tupl
     return baselines_from_spectrum(synthetic.prescribed_spectrum(spec), r)
 
 
+def _exponent(x: np.ndarray) -> int:
+    """e with max|x| in [2^(e-1), 2^e); 0 for zero or non-finite x.
+
+    Scaling by 2^-e is exact, so norms taken of the scaled array and scaled
+    back keep their bits at ordinary scales and neither under- nor overflow.
+    """
+    return math.frexp(float(max(-x.min(), x.max())))[1]
+
+
+def _fro(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` without under- or overflow.
+
+    Between 2^-400 and 2^400 the plain norm has the bits of the scaled one
+    (squares that underflow there are far below its last bit), so the
+    scaled copy is made only outside that range.
+    """
+    f = float(np.linalg.norm(x))
+    if 2.0**-400 <= f <= 2.0**400:
+        return f
+    e = _exponent(x)
+    return math.ldexp(float(np.linalg.norm(np.ldexp(x, -e))), e)
+
+
 def _fro_and_spectral(x: np.ndarray) -> tuple[float, float]:
     """(Frobenius, spectral) norm of a matrix without a full SVD.
 
-    x is first scaled by the power of two nearest its largest entry, which
-    is exact, so the Frobenius norm has the bits of ``np.linalg.norm(x)``
-    and neither norm under- or overflows.  sigma_1 is ``||x v||`` for the
-    leading eigenvector v of the smaller Gram matrix, found by ARPACK's
-    Lanczos solver (the computation ``svds(k=1)`` does).  ARPACK is called
-    directly so that its restart vectors, not only its start vector, come
-    from a fixed seed: repeated calls give identical bits.  Zero matrices
+    x is first scaled by the power of two nearest its largest entry (see
+    :func:`_exponent`), so the Frobenius norm has the bits of
+    ``np.linalg.norm(x)`` and neither norm under- or overflows.  sigma_1 is
+    ``||x v||`` for the leading eigenvector v of the smaller Gram matrix,
+    found by ARPACK's Lanczos solver (the computation ``svds(k=1)`` does).
+    ARPACK is called directly so that its restart vectors, not only its
+    start vector, come from a fixed seed: repeated calls give identical
+    bits.  Zero matrices
     and vectors, which ARPACK rejects, are answered directly; non-finite
     entries give non-finite norms.
     """
-    amax = float(np.max(np.abs(x)))
-    if amax == 0.0 or not math.isfinite(amax):
-        return amax, amax
-    e = math.frexp(amax)[1]
+    e = _exponent(x)
     y = np.ldexp(x, -e)
     f = float(np.linalg.norm(y))
-    if min(y.shape) == 1:
+    if f == 0.0 or not math.isfinite(f) or min(y.shape) == 1:
         return math.ldexp(f, e), math.ldexp(f, e)
     if y.shape[0] < y.shape[1]:
         y = y.T
@@ -157,7 +178,7 @@ def relative_error(
     a = as_f64(a)
     num_f, num_s = _fro_and_spectral(a - result.reconstruct())
     base_f, base_s = baselines if baselines is not None else _baselines(a, r)
-    scale = float(np.linalg.norm(a))
+    scale = _fro(a)
     if base_f <= _ZERO_BASELINE_RTOL * max(scale, 1e-300):
         return RelativeErrors(num_f, num_s, frozenset({"zero_baseline"}))
     if num_f <= _EXACT_FIT_RTOL * scale:
@@ -200,9 +221,9 @@ def range_extra_errors(
         fitted = lstsq(psi @ result.q_factor, psi @ a).x
         core = result.u_tilde.T @ (result.q_factor.T @ a - fitted)
         e = np.linalg.qr(result.u, mode="r") @ core
-        extra_f = float(np.linalg.norm(e))
+        extra_f = _fro(e)
         extra_s = float(la.svdvals(e, check_finite=False)[0])
-    scale = float(np.linalg.norm(a))
+    scale = _fro(a)
     if base_f <= _ZERO_BASELINE_RTOL * max(scale, 1e-300):
         flags.add("zero_baseline")
         return RangeExtraErrors(range_f, range_s, extra_f, extra_s, frozenset(flags))
@@ -244,10 +265,11 @@ def tail_energy(singular_values, k: int) -> float:
     """sqrt(sum of sigma_i^2 for i >= k), with 1-based k; 0 beyond the end."""
     if k < 1:
         raise ValueError(f"tail index must be >= 1, got {k}")
-    sv = np.asarray(singular_values, dtype=np.float64).ravel()
-    if k > sv.size:
+    tail = np.asarray(singular_values, dtype=np.float64).ravel()[k - 1 :]
+    if tail.size == 0:
         return 0.0
-    return float(np.sqrt(np.sum(sv[k - 1 :] ** 2)))
+    e = _exponent(tail)  # exact scaling: no underflow, same bits at ordinary scales
+    return math.ldexp(float(np.sqrt(np.sum(np.ldexp(tail, -e) ** 2))), e)
 
 
 @dataclass
@@ -487,7 +509,7 @@ def oracle_sweep(
     if algo not in (PipelineKind.TYUC17, PipelineKind.TYUC17_SPI):
         raise ValueError(f"oracle sweep supports the two-sketch pipelines, not {algo.value}")
     if plan is None:
-        plan = PrecisionPlan.ALL_DOUBLE if algo is PipelineKind.TYUC17 else PrecisionPlan.MIXED_SINGLE_DOUBLE
+        plan = PIPELINES[algo.value].default_plan
     c = data_spec.m / data_spec.n
     q_list = sorted(set(q_set)) if algo is PipelineKind.TYUC17_SPI else [0]
     s_max = math.floor(budget_t / (c + 1.0))

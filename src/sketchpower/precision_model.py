@@ -1,4 +1,10 @@
-"""Mixed-precision storage strategy: cast schedules and an exact storage ledger.
+"""The pipeline table, the mixed-precision storage plans and an exact storage ledger.
+
+:data:`PIPELINES` holds one :class:`PipelineSpec` per pipeline kind: its
+sketches with their shapes and update rules, its test matrices, which
+sketches are binary32 under the mixed plan, its size rules and its default
+plan.  Stream allocation, ingestion, the ledger and every size check read
+this one table.
 
 Storage is counted in double-precision words (a binary32 entry costs half a
 word).  Under the mixed plan the large sketches are held in binary32, which
@@ -20,11 +26,11 @@ __all__ = [
     "LedgerError",
     "LedgerEntry",
     "StorageLedger",
-    "CastPoint",
+    "Sketch",
+    "PipelineSpec",
+    "PIPELINES",
     "plan_mixed",
-    "cast_schedule",
     "accuracy_floor",
-    "sketch_precisions",
     "simulate_storage",
 ]
 
@@ -35,7 +41,7 @@ class PrecisionPlan(enum.Enum):
 
 
 class LedgerError(RuntimeError):
-    """Raised when a cast schedule's space reuse is infeasible."""
+    """Raised when a buffer operation or a mixed-plan cast's space reuse is infeasible."""
 
 
 def plan_mixed(m: int, n: int, s: int, d: int) -> int:
@@ -55,77 +61,113 @@ def accuracy_floor(plan: PrecisionPlan) -> float:
     return 1.2e-7 if plan is PrecisionPlan.MIXED_SINGLE_DOUBLE else 2.2e-16
 
 
-_SINGLE_SKETCHES_MIXED = {
-    # Per pipeline: which sketches are stored binary32 under the mixed plan.
-    # The two-sided core sketch K stays binary64 throughout.
-    "tyuc17": ("w",),
-    "tyuc17_spi": ("y", "w", "z"),
-    "tyuc17_spi_variant": ("w", "z"),
-    "rsvd_onepass": ("y", "w"),
-    "tyuc19": ("y", "x"),
-    "tyuc19_spi": ("z", "w"),
-}
+@dataclass(frozen=True)
+class Sketch:
+    """One sketch of a pipeline: its shape in size letters and its update rule.
 
-_ALL_SKETCHES = {
-    "tyuc17": ("y", "w"),
-    "tyuc17_spi": ("y", "w", "z"),
-    "tyuc17_spi_variant": ("w", "z"),
-    "rsvd_onepass": ("y", "w"),
-    "tyuc19": ("y", "x", "k"),
-    "tyuc19_spi": ("z", "w", "k"),
-}
+    ``update`` names the ingestion kernel: ``right`` (sketch += H T),
+    ``left`` (sketch += T H), ``two_sided`` (sketch += T1 H T2^T) or
+    ``gram`` (sketch += H^T dY for a row block, dY the same update's
+    increment of the right sketch it names; with Y = A Omega this
+    accumulates A^T A Omega).  ``operands`` are the test matrices the rule
+    reads, in kernel order, or for ``gram`` the right sketch.
+    """
 
-
-def sketch_precisions(pipeline: str, plan: PrecisionPlan) -> dict[str, Precision]:
-    """Storage precision of each sketch of a pipeline under a plan."""
-    if pipeline not in _ALL_SKETCHES:
-        raise ValueError(f"unknown pipeline {pipeline!r}")
-    single = _SINGLE_SKETCHES_MIXED[pipeline] if plan is PrecisionPlan.MIXED_SINGLE_DOUBLE else ()
-    return {
-        name: Precision.BINARY32 if name in single else Precision.BINARY64
-        for name in _ALL_SKETCHES[pipeline]
-    }
+    name: str
+    shape: tuple[str, str]
+    update: str
+    operands: tuple[str, ...]
 
 
 @dataclass(frozen=True)
-class CastPoint:
-    """One precision conversion in a pipeline's schedule."""
+class PipelineSpec:
+    """Everything the stream, the ledger and the validators know of a pipeline.
 
-    stage: str                 # where in the pipeline the cast happens
-    matrices: tuple[str, ...]  # sketch labels converted binary32 -> binary64
-    reuses: str | None         # label whose freed space covers the conversion
-
-
-def cast_schedule(plan: PrecisionPlan, pipeline: str) -> tuple[CastPoint, ...]:
-    """Ordered cast points of a pipeline.
-
-    Mixed plans upcast the binary32 sketches to binary64 immediately before
-    the QR / least-squares stage; the power sketch Z is dropped at that point
-    and its words are reused.  all_double plans have no casts.
+    ``test_matrices`` pairs each test matrix with its shape in size letters
+    (m, n: the data; s, d, l: the sketch sizes); ``binary32`` names the
+    sketches stored in binary32 under the mixed plan; ``rules`` are size
+    rules ``"<size> <op> [k]s"`` that hold on top of 1 <= s <= min(m, n).
+    A size a pipeline does not use is ignored.
     """
-    if pipeline not in _ALL_SKETCHES:
-        raise ValueError(f"unknown pipeline {pipeline!r}")
-    if plan is PrecisionPlan.ALL_DOUBLE:
-        return ()
-    if pipeline == "tyuc17":
-        # Corange sketch is single; the small solve result is upcast before
-        # the truncation SVD, reusing the corange space (needs d >= 2s).
-        return (CastPoint("before_truncation", ("b",), reuses="w"),)
-    if pipeline == "tyuc17_spi":
-        return (CastPoint("before_qr_and_solve", ("y", "w"), reuses="z"),)
-    if pipeline == "tyuc17_spi_variant":
-        return (
-            CastPoint("gram_matrix", ("ztz",), reuses=None),
-            CastPoint("before_qr", ("y",), reuses="z"),
-        )
-    if pipeline == "rsvd_onepass":
-        return (CastPoint("before_qr_and_solve", ("y", "w"), reuses=None),)
-    if pipeline == "tyuc19":
-        return (CastPoint("before_qr", ("y", "x"), reuses=None),)
-    return (  # tyuc19_spi
-        CastPoint("gram_matrices", ("ztz", "wwt"), reuses=None),
-        CastPoint("before_qr", ("y", "x"), reuses=("z", "w")),
+
+    kind: str
+    sketches: tuple[Sketch, ...]
+    test_matrices: tuple[tuple[str, tuple[str, str]], ...]
+    binary32: frozenset
+    rules: tuple[str, ...]
+    default_plan: PrecisionPlan
+
+    def _letters(self) -> list[tuple[str, tuple[str, str]]]:
+        return [(sk.name, sk.shape) for sk in self.sketches] + list(self.test_matrices)
+
+    def shapes(self, m: int, n: int, s: int, d: int = 0, l: int = 0) -> dict[str, tuple[int, int]]:
+        """Shape of every sketch and test matrix of the pipeline, by name."""
+        size = {"m": m, "n": n, "s": s, "d": d, "l": l}
+        return {name: (size[r], size[c]) for name, (r, c) in self._letters()}
+
+    def uses(self, size: str) -> bool:
+        """Whether some sketch or test matrix of the pipeline has this size."""
+        return any(size in shape for _, shape in self._letters())
+
+    def precision(self, name: str, plan: PrecisionPlan) -> Precision:
+        """Storage precision of a sketch under a plan."""
+        mixed = plan is PrecisionPlan.MIXED_SINGLE_DOUBLE
+        return Precision.BINARY32 if mixed and name in self.binary32 else Precision.BINARY64
+
+    def check_sizes(self, m: int, n: int, s: int, d: int = 0, l: int = 0) -> None:
+        """Raise ValueError naming the kind, the rule and the values if a size rule fails."""
+        if not 1 <= s <= min(m, n):
+            raise ValueError(f"{self.kind}: size rule 1 <= s <= min(m, n) fails with s={s}, m={m}, n={n}")
+        size = {"d": d, "l": l}
+        for rule in self.rules:
+            lhs, op, rhs = rule.split()
+            bound = int(rhs[:-1] or 1) * s
+            if not (size[lhs] >= bound if op == ">=" else size[lhs] > bound):
+                raise ValueError(f"{self.kind}: size rule {rule} fails with {lhs}={size[lhs]}, s={s}")
+
+
+def _spec(kind, sketches, test_matrices, binary32, rules, default_plan) -> PipelineSpec:
+    return PipelineSpec(
+        kind, tuple(Sketch(*sk) for sk in sketches), test_matrices, frozenset(binary32), rules, default_plan
     )
+
+
+_DOUBLE, _MIXED = PrecisionPlan.ALL_DOUBLE, PrecisionPlan.MIXED_SINGLE_DOUBLE
+
+# One entry per pipeline kind, keyed by ``PipelineKind.value``.  The
+# two-sided core sketch K stays binary64 under every plan.
+PIPELINES: dict[str, PipelineSpec] = {
+    spec.kind: spec
+    for spec in (
+        _spec("tyuc17",
+              [("y", ("m", "s"), "right", ("omega",)), ("w", ("d", "n"), "left", ("psi",))],
+              (("omega", ("n", "s")), ("psi", ("d", "m"))),
+              ("w",), ("d >= s",), _DOUBLE),
+        _spec("tyuc17_spi",
+              [("y", ("m", "s"), "right", ("omega",)), ("w", ("d", "n"), "left", ("psi",)),
+               ("z", ("m", "l"), "right", ("phi",))],
+              (("omega", ("n", "s")), ("psi", ("d", "m")), ("phi", ("n", "l"))),
+              ("y", "w", "z"), ("d >= s", "l > s"), _MIXED),
+        _spec("tyuc17_spi_variant",
+              [("w", ("d", "n"), "left", ("psi",)), ("z", ("m", "l"), "right", ("phi",))],
+              (("psi", ("d", "m")), ("phi", ("n", "l"))),
+              ("w", "z"), ("d >= s", "l > s", "l >= 2s"), _MIXED),
+        _spec("rsvd_onepass",
+              [("y", ("m", "s"), "right", ("omega",)), ("w", ("n", "s"), "gram", ("y",))],
+              (("omega", ("n", "s")),),
+              ("y", "w"), (), _DOUBLE),
+        _spec("tyuc19",
+              [("y", ("m", "s"), "right", ("omega",)), ("x", ("s", "n"), "left", ("gamma",)),
+               ("k", ("d", "d"), "two_sided", ("phi", "psi"))],
+              (("omega", ("n", "s")), ("gamma", ("s", "m")), ("phi", ("d", "m")), ("psi", ("d", "n"))),
+              ("y", "x"), ("d > s",), _DOUBLE),
+        _spec("tyuc19_spi",
+              [("z", ("m", "l"), "right", ("omega",)), ("w", ("l", "n"), "left", ("gamma",)),
+               ("k", ("d", "d"), "two_sided", ("phi", "psi"))],
+              (("omega", ("n", "l")), ("gamma", ("l", "m")), ("phi", ("d", "m")), ("psi", ("d", "n"))),
+              ("z", "w"), ("d > s", "l > s", "l >= 2s"), _MIXED),
+    )
+}
 
 
 @dataclass
@@ -215,27 +257,18 @@ def simulate_storage(
     d: int = 0,
     l: int = 0,
 ) -> StorageLedger:
-    """Run a pipeline's allocation/cast schedule through a fresh ledger.
+    """Run a pipeline's allocations and mixed-plan casts through a fresh ledger.
 
-    Follows the big-buffer accounting convention: the large sketch buffers (and, for
+    The sketches are allocated as the pipeline's :data:`PIPELINES` entry
+    gives them; the casts and their space reuse follow per pipeline.  Follows the big-buffer accounting convention: the large sketch buffers (and, for
     the storage-reduced variants, the l x l Gram matrix plus an s-word
     buffer); test matrices and O(s^2) iterates are disregarded.
     """
-    prec = sketch_precisions(pipeline, plan)
+    spec = PIPELINES[pipeline]
+    shapes = spec.shapes(m, n, s, d, l)
     led = StorageLedger()
-    shapes = {
-        "y": (m, s),
-        "w": {
-            "tyuc17": (d, n), "tyuc17_spi": (d, n), "tyuc17_spi_variant": (d, n),
-            "rsvd_onepass": (n, s), "tyuc19_spi": (l, n),
-        }.get(pipeline),
-        "z": (m, l),
-        "x": (s, n),
-        "k": (d, d),
-    }
-    for name in _ALL_SKETCHES[pipeline]:
-        r, c = shapes[name]
-        led.alloc(name, r, c, prec[name])
+    for sk in spec.sketches:
+        led.alloc(sk.name, *shapes[sk.name], spec.precision(sk.name, plan))
 
     if plan is PrecisionPlan.ALL_DOUBLE:
         return led

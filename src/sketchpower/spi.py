@@ -17,7 +17,7 @@ import numpy as np
 
 from .matrix_core import qr_economy
 
-__all__ = ["SpiParams", "OpCounter", "SpiOutput", "spi_plain", "spi_stabilized", "spi_variant"]
+__all__ = ["SpiParams", "SpiOutput", "spi_plain", "spi_stabilized", "spi_variant"]
 
 
 @dataclass(frozen=True)
@@ -42,36 +42,19 @@ class SpiParams:
 
 
 @dataclass
-class OpCounter:
-    """Optional cost instrumentation: flops and the largest buffer touched."""
-
-    flops: int = 0
-    max_elems: int = 0
-
-    def matmul(self, p: int, q: int, r: int) -> None:
-        self.flops += 2 * p * q * r
-        self.max_elems = max(self.max_elems, p * q, q * r, p * r)
-
-    def qr(self, rows: int, cols: int) -> None:
-        self.flops += 2 * rows * cols * cols
-        self.max_elems = max(self.max_elems, rows * cols)
-
-
-@dataclass
 class SpiOutput:
     y_hat: np.ndarray
     rank_collapse: bool = False
 
 
-def _check_pair(z: np.ndarray, y_cols: int, require_wider: bool) -> None:
-    l = z.shape[1]
-    if require_wider and l <= y_cols:
+def _check_wider(z: np.ndarray, y_cols: int) -> None:
+    if z.shape[1] <= y_cols:
         raise ValueError(
-            f"power sketch must be wider than the rangefinder (l > s), got l={l}, s={y_cols}"
+            f"power sketch must be wider than the rangefinder (l > s), got l={z.shape[1]}, s={y_cols}"
         )
 
 
-def spi_plain(z, y, q: int, counter: OpCounter | None = None) -> np.ndarray:
+def spi_plain(z, y, q: int) -> np.ndarray:
     """``Z (Z^T Z)^{q-1} Z^T Y``, i.e. ``(Z Z^T)^q Y`` without the m x m product.
 
     Evaluation order is Z^T @ (current), then Z @ (result): per-iteration cost
@@ -81,24 +64,14 @@ def spi_plain(z, y, q: int, counter: OpCounter | None = None) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if q < 1:
         raise ValueError(f"plain iteration requires q >= 1, got {q}")
-    _check_pair(z, y.shape[1], require_wider=True)
-    m, l = z.shape
-    s = y.shape[1]
+    _check_wider(z, y.shape[1])
     t = z.T @ y                     # l x s
-    if counter:
-        counter.matmul(l, m, s)
     for _ in range(q - 1):
         t = z.T @ (z @ t)
-        if counter:
-            counter.matmul(m, l, s)
-            counter.matmul(l, m, s)
-    out = z @ t
-    if counter:
-        counter.matmul(m, l, s)
-    return out
+    return z @ t
 
 
-def spi_stabilized(z, y, q: int, counter: OpCounter | None = None) -> SpiOutput:
+def spi_stabilized(z, y, q: int) -> SpiOutput:
     """Re-orthonormalized iteration: repeat q times { X = QR(Z^T Y-hat).Q; Y-hat = Z X }.
 
     Spans the same column space as :func:`spi_plain` for full-column-rank Z
@@ -109,24 +82,17 @@ def spi_stabilized(z, y, q: int, counter: OpCounter | None = None) -> SpiOutput:
     y_hat = np.asarray(y, dtype=np.float64)
     if q < 1:
         raise ValueError(f"stabilized iteration requires q >= 1, got {q}")
-    _check_pair(z, y_hat.shape[1], require_wider=True)
-    m, l = z.shape
-    s = y_hat.shape[1]
+    _check_wider(z, y_hat.shape[1])
     collapse = False
     for _ in range(q):
         t = z.T @ y_hat
-        if counter:
-            counter.matmul(l, m, s)
         qres = qr_economy(t)
         collapse = collapse or qres.rank_deficient
         y_hat = z @ qres.q
-        if counter:
-            counter.qr(l, s)
-            counter.matmul(m, l, s)
     return SpiOutput(y_hat=y_hat, rank_collapse=collapse)
 
 
-def spi_variant(z, omega_small, q: int, counter: OpCounter | None = None, force: bool = False) -> np.ndarray:
+def spi_variant(z, omega_small, q: int, force: bool = False) -> np.ndarray:
     """``Z (Z^T Z)^q O`` with the Gram matrix cached; q = 0 gives Z @ O.
 
     Identical (up to floating error) to ``spi_plain(Z, Z @ O, q)``.  The
@@ -137,7 +103,7 @@ def spi_variant(z, omega_small, q: int, counter: OpCounter | None = None, force:
     o = np.asarray(omega_small, dtype=np.float64)
     if q < 0:
         raise ValueError(f"power count must be >= 0, got {q}")
-    m, l = z.shape
+    l = z.shape[1]
     if o.shape[0] != l:
         raise ValueError(f"right factor must have {l} rows, got {o.shape[0]}")
     s = o.shape[1]
@@ -148,13 +114,6 @@ def spi_variant(z, omega_small, q: int, counter: OpCounter | None = None, force:
     t = o
     if q > 0:
         gram = z.T @ z              # the only cached l x l product
-        if counter:
-            counter.matmul(l, m, l)
         for _ in range(q):
             t = gram @ t
-            if counter:
-                counter.matmul(l, l, s)
-    out = z @ t
-    if counter:
-        counter.matmul(m, l, s)
-    return out
+    return z @ t

@@ -3,8 +3,13 @@
 The data matrix is only ever seen as a sum of additive updates (dense
 increments, rank-one terms, row blocks, column blocks).  Each update touches
 every requested sketch once, by linearity; the matrix itself is never stored.
-After :meth:`SketchStream.finalize` the resulting :class:`SketchSet` is
-immutable and certifies ``pass_count == 1``.
+Which sketches a stream keeps, their shapes, update rules and test matrices,
+and the size rules it must meet all come from the pipeline's entry in
+:data:`~sketchpower.precision_model.PIPELINES`; :func:`open_stream` checks the
+sizes before it draws a test matrix, and :meth:`SketchStream.ingest` rejects
+updates of the wrong shape or with non-finite entries.  After
+:meth:`SketchStream.finalize` the resulting :class:`SketchSet` is immutable
+(its arrays are read-only) and certifies ``pass_count == 1``.
 
 Sketches declared binary32 are accumulated in binary64 per update and rounded
 to binary32 at the update boundary, bounding rounding drift independent of
@@ -20,7 +25,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .matrix_core import DenseMatrix
-from .precision_model import PrecisionPlan, sketch_precisions
+from .precision_model import PIPELINES, PrecisionPlan
 from .test_matrices import GAUSSIAN, SeedSpec, Stream, TestMatrixKind, generate
 
 __all__ = [
@@ -107,22 +112,6 @@ class SketchSet:
     trial: int = 0
 
 
-def _test_matrix_shapes(kind: PipelineKind, m: int, n: int, s: int, d: int, l: int) -> dict:
-    if kind is PipelineKind.TYUC17:
-        return {"omega": (n, s), "psi": (d, m)}
-    if kind is PipelineKind.TYUC17_SPI:
-        return {"omega": (n, s), "psi": (d, m), "phi": (n, l)}
-    if kind is PipelineKind.TYUC17_SPI_VARIANT:
-        return {"psi": (d, m), "phi": (n, l)}
-    if kind is PipelineKind.RSVD_ONEPASS:
-        return {"omega": (n, s)}
-    if kind is PipelineKind.TYUC19:
-        return {"omega": (n, s), "gamma": (s, m), "phi": (d, m), "psi": (d, n)}
-    if kind is PipelineKind.TYUC19_SPI:
-        return {"omega": (n, l), "gamma": (l, m), "phi": (d, m), "psi": (d, n)}
-    raise ValueError(kind)
-
-
 class SketchStream:
     """Single-writer accumulator for one pass over the data matrix."""
 
@@ -149,88 +138,86 @@ class SketchStream:
         self.trial = 0
         self._finalized = False
 
-        shapes = _test_matrix_shapes(kind, m, n, s, d, l)
+        spec = PIPELINES[kind.value]
+        spec.check_sizes(m, n, s, d, l)
+        shapes = spec.shapes(m, n, s, d, l)
         self._t = {}
-        for name, shape in shapes.items():
+        for name, _ in spec.test_matrices:
             tm = test_matrices[name]
-            if (tm.rows, tm.cols) != shape:
-                raise ValueError(f"test matrix {name} has shape {(tm.rows, tm.cols)}, expected {shape}")
+            if (tm.rows, tm.cols) != shapes[name]:
+                raise ValueError(f"test matrix {name} has shape {(tm.rows, tm.cols)}, expected {shapes[name]}")
             self._t[name] = tm.as_f64()
-
-        prec = sketch_precisions(kind.value, plan)
-        self._sk: dict[str, np.ndarray] = {}
-
-        def new(name, rows, cols):
-            self._sk[name] = np.zeros((rows, cols), dtype=prec[name].dtype)
-
-        if kind in (PipelineKind.TYUC17, PipelineKind.TYUC17_SPI):
-            new("y", m, s)
-            new("w", d, n)
-        if kind is PipelineKind.TYUC17_SPI:
-            new("z", m, l)
-        if kind is PipelineKind.TYUC17_SPI_VARIANT:
-            new("w", d, n)
-            new("z", m, l)
-        if kind is PipelineKind.RSVD_ONEPASS:
-            new("y", m, s)
-            new("w", n, s)
-            self._rows_seen = np.zeros(m, dtype=bool)
-        if kind is PipelineKind.TYUC19:
-            new("y", m, s)
-            new("x", s, n)
-            new("k", d, d)
-        if kind is PipelineKind.TYUC19_SPI:
-            new("z", m, l)
-            new("w", l, n)
-            new("k", d, d)
+        self._sk = {
+            sk.name: np.zeros(shapes[sk.name], dtype=spec.precision(sk.name, plan).dtype)
+            for sk in spec.sketches
+        }
+        # Plain functions, not bound methods: the stream holds no reference
+        # cycle, so its buffers go as soon as the stream does.
+        kernels = {
+            "right": SketchStream._right_update,
+            "left": SketchStream._left_update,
+            "two_sided": SketchStream._two_sided_update,
+            "gram": SketchStream._gram_update,
+        }
+        # A gram sketch reuses the increment of the sketch it names, so that
+        # increment is kept for the rest of the update; the others are not.
+        reused = {o for sk in spec.sketches if sk.update == "gram" for o in sk.operands}
+        self._steps = [(sk.name, kernels[sk.update], sk.operands, sk.name in reused) for sk in spec.sketches]
+        # A gram sketch is quadratic in the data, so its stream takes whole rows.
+        self._rows_seen = np.zeros(m, dtype=bool) if reused else None
 
     # -- accumulation helpers (binary64 staging, round at the boundary) -----
 
-    def _add(self, name: str, sl, inc: np.ndarray) -> None:
+    def _add(self, name: str, sl, inc: np.ndarray) -> np.ndarray:
         dst = self._sk[name]
         if dst.dtype == np.float64:
             dst[sl] += inc
         else:
             dst[sl] = (dst[sl].astype(np.float64) + inc).astype(np.float32)
+        return inc
 
-    def _right_update(self, name: str, t: np.ndarray, upd: LinearUpdate) -> None:
+    def _right_update(self, name: str, t: np.ndarray, upd: LinearUpdate) -> np.ndarray:
         """sketch += H @ t for a sketch whose rows follow the data rows."""
         if upd.kind == "dense":
-            self._add(name, slice(None), upd.h @ t)
+            return self._add(name, slice(None), upd.h @ t)
         elif upd.kind == "rank_one":
-            self._add(name, slice(None), np.outer(upd.u, upd.v @ t))
+            return self._add(name, slice(None), np.outer(upd.u, upd.v @ t))
         elif upd.kind == "row_block":
             a, b = upd.start, upd.start + upd.h.shape[0]
-            self._add(name, slice(a, b), upd.h @ t)
+            return self._add(name, slice(a, b), upd.h @ t)
         else:  # column_block
             a, b = upd.start, upd.start + upd.h.shape[1]
-            self._add(name, slice(None), upd.h @ t[a:b])
+            return self._add(name, slice(None), upd.h @ t[a:b])
 
-    def _left_update(self, name: str, t: np.ndarray, upd: LinearUpdate) -> None:
+    def _left_update(self, name: str, t: np.ndarray, upd: LinearUpdate) -> np.ndarray:
         """sketch += t @ H for a sketch whose columns follow the data columns."""
         if upd.kind == "dense":
-            self._add(name, slice(None), t @ upd.h)
+            return self._add(name, slice(None), t @ upd.h)
         elif upd.kind == "rank_one":
-            self._add(name, slice(None), np.outer(t @ upd.u, upd.v))
+            return self._add(name, slice(None), np.outer(t @ upd.u, upd.v))
         elif upd.kind == "row_block":
             a, b = upd.start, upd.start + upd.h.shape[0]
-            self._add(name, slice(None), t[:, a:b] @ upd.h)
+            return self._add(name, slice(None), t[:, a:b] @ upd.h)
         else:
             a, b = upd.start, upd.start + upd.h.shape[1]
-            self._add(name, (slice(None), slice(a, b)), t @ upd.h)
+            return self._add(name, (slice(None), slice(a, b)), t @ upd.h)
 
-    def _two_sided_update(self, name: str, tl: np.ndarray, tr: np.ndarray, upd: LinearUpdate) -> None:
+    def _two_sided_update(self, name: str, tl: np.ndarray, tr: np.ndarray, upd: LinearUpdate) -> np.ndarray:
         """sketch += tl @ H @ tr^T, never materializing an m x d product."""
         if upd.kind == "dense":
-            self._add(name, slice(None), (tl @ upd.h) @ tr.T)
+            return self._add(name, slice(None), (tl @ upd.h) @ tr.T)
         elif upd.kind == "rank_one":
-            self._add(name, slice(None), np.outer(tl @ upd.u, tr @ upd.v))
+            return self._add(name, slice(None), np.outer(tl @ upd.u, tr @ upd.v))
         elif upd.kind == "row_block":
             a, b = upd.start, upd.start + upd.h.shape[0]
-            self._add(name, slice(None), (tl[:, a:b] @ upd.h) @ tr.T)
+            return self._add(name, slice(None), (tl[:, a:b] @ upd.h) @ tr.T)
         else:
             a, b = upd.start, upd.start + upd.h.shape[1]
-            self._add(name, slice(None), (tl @ upd.h) @ tr[:, a:b].T)
+            return self._add(name, slice(None), (tl @ upd.h) @ tr[:, a:b].T)
+
+    def _gram_update(self, name: str, dy: np.ndarray, upd: LinearUpdate) -> np.ndarray:
+        """sketch += H^T dY for a row block, dY being its increment of the row sketch."""
+        return self._add(name, slice(None), upd.h.T @ dy)
 
     def _check_shape(self, upd: LinearUpdate) -> None:
         m, n = self.m, self.n
@@ -251,35 +238,39 @@ class SketchStream:
         else:
             raise ValueError(f"unknown update kind {upd.kind!r}")
 
+    def _check_finite(self, upd: LinearUpdate) -> None:
+        if all(x is None or np.isfinite(x).all() for x in (upd.h, upd.u, upd.v)):
+            return
+        if upd.kind == "row_block":
+            where = f"rows [{upd.start}, {upd.start + upd.h.shape[0]})"
+        elif upd.kind == "column_block":
+            where = f"columns [{upd.start}, {upd.start + upd.h.shape[1]})"
+        else:
+            where = f"rows [0, {self.m}) x columns [0, {self.n})"
+        raise ValueError(f"non-finite entries in {upd.kind} update of {where}")
+
     def ingest(self, upd: LinearUpdate) -> "SketchStream":
         """Fold one linear update into every sketch of this stream."""
         if self._finalized:
             raise RuntimeError("stream already finalized; the single pass is over")
         self._check_shape(upd)
-        if self.kind is PipelineKind.RSVD_ONEPASS:
-            return self._ingest_rowwise(upd)
-        t = self._t
-        if "y" in self._sk:
-            self._right_update("y", t["omega"], upd)
-        if self.kind in (PipelineKind.TYUC17, PipelineKind.TYUC17_SPI, PipelineKind.TYUC17_SPI_VARIANT):
-            self._left_update("w", t["psi"], upd)
-        if "z" in self._sk:
-            zt = t["phi"] if self.kind is not PipelineKind.TYUC19_SPI else t["omega"]
-            self._right_update("z", zt, upd)
-        if "x" in self._sk:
-            self._left_update("x", t["gamma"], upd)
-        if self.kind is PipelineKind.TYUC19_SPI:
-            self._left_update("w", t["gamma"], upd)
-        if "k" in self._sk:
-            self._two_sided_update("k", t["phi"], t["psi"], upd)
+        self._check_finite(upd)
+        if self._rows_seen is not None:
+            upd = self._whole_rows(upd)
+        done = {}
+        for name, update, operands, reused in self._steps:
+            inc = update(self, name, *(done[o] if o in done else self._t[o] for o in operands), upd)
+            if reused:
+                done[name] = inc
         return self
 
-    def _ingest_rowwise(self, upd: LinearUpdate) -> "SketchStream":
-        # The corange sketch here is quadratic in the data (sum of per-row
-        # outer products), so the stream must deliver whole rows: each row
-        # arrives once, in a row block or as a rank-one term whose left
-        # vector has exactly one nonzero entry.
-        omega = self._t["omega"]
+    def _whole_rows(self, upd: LinearUpdate) -> LinearUpdate:
+        """The update as a row block of rows not delivered before.
+
+        A gram sketch is a sum of per-row outer products, so each row must
+        arrive once and whole: in a row block, or as a rank-one term whose
+        left vector has exactly one nonzero entry.
+        """
         if upd.kind == "rank_one":
             rows = np.flatnonzero(upd.u)
             if rows.size != 1:
@@ -288,25 +279,21 @@ class SketchStream:
                     f"has exactly one nonzero entry (one whole row); got {rows.size}"
                 )
             i = int(rows[0])
-            return self._ingest_rowwise(LinearUpdate.row_block(i, upd.u[i] * upd.v))
-        if upd.kind == "row_block":
-            a, b = upd.start, upd.start + upd.h.shape[0]
-            if self._rows_seen[a:b].any():
-                raise ValueError("row-wise stream delivered some row twice")
-            self._rows_seen[a:b] = True
-            yo = upd.h @ omega
-            self._add("y", slice(a, b), yo)
-            self._add("w", slice(None), upd.h.T @ yo)
-        else:
-            raise ValueError(
-                "row-wise sketching accepts only row_block or rank_one updates"
-            )
-        return self
+            upd = LinearUpdate.row_block(i, upd.u[i] * upd.v)
+        elif upd.kind != "row_block":
+            raise ValueError("row-wise sketching accepts only row_block or rank_one updates")
+        a, b = upd.start, upd.start + upd.h.shape[0]
+        if self._rows_seen[a:b].any():
+            raise ValueError("row-wise stream delivered some row twice")
+        self._rows_seen[a:b] = True
+        return upd
 
     def finalize(self) -> SketchSet:
         if self._finalized:
             raise RuntimeError("stream already finalized")
         self._finalized = True
+        for arr in (*self._sk.values(), *self._t.values()):
+            arr.flags.writeable = False
         sk = {name: DenseMatrix(arr) for name, arr in self._sk.items()}
         tm = {name: DenseMatrix(arr) for name, arr in self._t.items()}
         return SketchSet(
@@ -346,11 +333,19 @@ def open_stream(
     test_kind: TestMatrixKind = GAUSSIAN,
     plan: PrecisionPlan = PrecisionPlan.ALL_DOUBLE,
 ) -> SketchStream:
-    """Draw the pipeline's test matrices from seeded streams and open a stream."""
-    tags = {"omega": Stream.OMEGA, "psi": Stream.PSI, "phi": Stream.PHI, "gamma": Stream.GAMMA}
-    mats = {}
-    for name, shape in _test_matrix_shapes(kind, m, n, s, d, l).items():
-        mats[name] = generate(test_kind, shape[0], shape[1], SeedSpec(base_seed, tags[name], trial))
+    """Check the sizes, draw the pipeline's test matrices and open a stream.
+
+    Each test matrix is drawn from the seeded stream of the same name
+    (``omega`` from ``Stream.OMEGA``, ...), so the draws do not depend on
+    which other test matrices the pipeline has.
+    """
+    spec = PIPELINES[kind.value]
+    spec.check_sizes(m, n, s, d, l)
+    shapes = spec.shapes(m, n, s, d, l)
+    mats = {
+        name: generate(test_kind, *shapes[name], SeedSpec(base_seed, Stream[name.upper()], trial))
+        for name, _ in spec.test_matrices
+    }
     stream = SketchStream(kind, m, n, s, d, l, plan=plan, test_matrices=mats, test_kind=test_kind)
     stream.base_seed = base_seed
     stream.trial = trial
@@ -405,10 +400,7 @@ def _spim_row_blocks(path, block_rows: Optional[int]) -> Iterable[tuple[int, np.
             data = np.fromfile(fh, dtype=dtype, count=count * cols)
             if data.size != count * cols:
                 raise ValueError(f"{path}: truncated payload at row {start}")
-            block = data.reshape(count, cols).astype(np.float64)
-            if not np.isfinite(block).all():
-                raise ValueError(f"{path}: non-finite entries in rows [{start}, {start + count})")
-            yield start, block
+            yield start, data.reshape(count, cols).astype(np.float64)
             start += count
 
 
@@ -431,19 +423,22 @@ def _file_dims(path) -> tuple[int, int, str]:
     raise ValueError(f"{path}: unrecognized format (expected SPIM or MatrixMarket)")
 
 
-def read_matrix(path) -> DenseMatrix:
-    """Fully load a SPIM or MatrixMarket file, validating finiteness."""
-    rows, cols, fmt = _file_dims(path)
+def _load(path, fmt: str) -> np.ndarray:
+    """The whole matrix of a file as a binary64 array, not checked for finiteness."""
     if fmt == "spim":
-        parts = [b for _, b in _spim_row_blocks(path, None)]
-        return DenseMatrix.from_array(np.vstack(parts), check_finite=False)
+        return np.vstack([b for _, b in _spim_row_blocks(path, None)])
     import scipy.io
     import scipy.sparse
 
     a = scipy.io.mmread(path)
     if scipy.sparse.issparse(a):
         a = a.toarray()
-    a = np.asarray(a, dtype=np.float64)
+    return np.asarray(a, dtype=np.float64)
+
+
+def read_matrix(path) -> DenseMatrix:
+    """Fully load a SPIM or MatrixMarket file, validating finiteness."""
+    a = _load(path, _file_dims(path)[2])
     if not np.isfinite(a).all():
         raise ValueError(f"{path}: non-finite entries")
     return DenseMatrix.from_array(a, check_finite=False)
@@ -463,7 +458,8 @@ def ingest_file(
     block_rows: Optional[int] = None,
 ) -> SketchSet:
     """Row-block ingestion of a matrix file; equivalent to streaming the whole
-    file through :meth:`SketchStream.ingest` and finalizing."""
+    file through :meth:`SketchStream.ingest` and finalizing.  Errors in a
+    block (non-finite entries, say) name the file."""
     rows, cols, fmt = _file_dims(path)
     stream = open_stream(
         kind, rows, cols, s, d, l, base_seed=base_seed, trial=trial, test_kind=test_kind, plan=plan
@@ -471,9 +467,12 @@ def ingest_file(
     if fmt == "spim":
         blocks = _spim_row_blocks(path, block_rows)
     else:
-        full = read_matrix(path).data
+        full = _load(path, fmt)
         blk = block_rows or default_block_rows(cols)
         blocks = ((start, full[start : start + blk]) for start in range(0, rows, blk))
     for start, block in blocks:
-        stream.ingest(LinearUpdate.row_block(start, block))
+        try:
+            stream.ingest(LinearUpdate.row_block(start, block))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return stream.finalize()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sketchpower.approximators import (
-    SketchConfig,
     rsvd_onepass,
     tyuc17,
     tyuc17_spi,
@@ -12,7 +11,7 @@ from sketchpower.approximators import (
     tyuc19,
     tyuc19_spi,
 )
-from sketchpower.precision_model import PrecisionPlan
+from sketchpower.precision_model import PIPELINES, PrecisionPlan
 from sketchpower.spi import SpiParams
 from sketchpower.stream_ingest import LinearUpdate, PipelineKind, open_stream
 from sketchpower.test_matrices import GAUSSIAN, SeedSpec, Stream, generate
@@ -196,22 +195,23 @@ def test_pipeline_kind_mismatch_rejected():
 
 
 def test_sketch_config_validation():
-    cfg = SketchConfig(r=5, s=10, d=20, l=25, q=1)
-    cfg.validate(PipelineKind.TYUC17_SPI)
+    PIPELINES["tyuc17_spi"].check_sizes(40, 30, s=10, d=20, l=25)
+    open_stream(PipelineKind.TYUC17_SPI, 40, 30, s=10, d=20, l=25)
+    with pytest.raises(ValueError):  # r > s
+        tyuc17(_sketch(PipelineKind.TYUC17, _rank_r_matrix(40, 30, 3, seed=35), s=4, d=20), 5)
     with pytest.raises(ValueError):
-        SketchConfig(r=5, s=4, d=20).validate(PipelineKind.TYUC17)
+        open_stream(PipelineKind.TYUC17, 40, 30, s=10, d=8)
     with pytest.raises(ValueError):
-        SketchConfig(r=5, s=10, d=8).validate(PipelineKind.TYUC17)
+        open_stream(PipelineKind.TYUC17_SPI, 40, 30, s=10, d=20, l=10)
     with pytest.raises(ValueError):
-        SketchConfig(r=5, s=10, d=20, l=10).validate(PipelineKind.TYUC17_SPI)
-    with pytest.raises(ValueError):
-        SketchConfig(r=5, s=10, d=10).validate(PipelineKind.TYUC19)
+        open_stream(PipelineKind.TYUC19, 40, 30, s=10, d=10)
 
 
 def test_tyuc19_spi_contract_checks():
-    a = _rank_r_matrix(40, 30, 3, seed=32)
-    sk = _sketch(PipelineKind.TYUC19_SPI, a, s=6, d=13, l=10, seed=33)  # l < 2s
-    omt = generate(GAUSSIAN, 10, 6, SeedSpec(34, Stream.OMEGA_TILDE, 0))
-    gmt = generate(GAUSSIAN, 6, 10, SeedSpec(34, Stream.GAMMA_TILDE, 0))
     with pytest.raises(ValueError, match="2s"):
-        tyuc19_spi(sk, omt, gmt, 1, 3)
+        open_stream(PipelineKind.TYUC19_SPI, 40, 30, s=6, d=13, l=10)  # l < 2s
+    sk = _sketch(PipelineKind.TYUC19_SPI, _rank_r_matrix(40, 30, 3, seed=32), s=6, d=13, l=12, seed=33)
+    omt = generate(GAUSSIAN, 12, 6, SeedSpec(34, Stream.OMEGA_TILDE, 0))
+    gmt = generate(GAUSSIAN, 6, 12, SeedSpec(34, Stream.GAMMA_TILDE, 0))
+    with pytest.raises(ValueError, match="2s"):
+        tyuc19_spi(dataclasses.replace(sk, s=7), omt, gmt, 1, 3)

@@ -390,3 +390,19 @@ def test_spec_baselines_noisy_lowrank_takes_computed_path(monkeypatch):
     monkeypatch.setattr(metrics, "_baselines", lambda *args: calls.append(args) or real(*args))
     assert spec_baselines(spec, a, 5) == want
     assert len(calls) == 1
+
+
+def test_tiny_data_keeps_its_relative_errors():
+    # Squares of unscaled entries used to underflow here: the baseline read 0
+    # and the result came back as absolute errors with a zero_baseline flag.
+    a = _noisy_lowrank(60, 50, 4, seed=40)
+    res = _run_tyuc17(a, 8, 18, 4, seed=41)
+    tiny = 1e-200 * a
+    res_tiny = _run_tyuc17(tiny, 8, 18, 4, seed=41)
+    rel, rel_tiny = relative_error(a, res, 4), relative_error(tiny, res_tiny, 4)
+    assert not rel_tiny.flags
+    assert rel_tiny.s_f == pytest.approx(rel.s_f, rel=1e-12)
+    re, re_tiny = range_extra_errors(a, res, 4), range_extra_errors(tiny, res_tiny, 4)
+    assert not re_tiny.flags
+    assert re_tiny.extra_f == pytest.approx(re.extra_f, rel=1e-12)
+    assert tail_energy([3e-200, 2e-200, 1e-200], 2) == pytest.approx(math.sqrt(5) * 1e-200, rel=1e-15)

@@ -3,14 +3,13 @@ import pytest
 
 from sketchpower.matrix_core import Precision
 from sketchpower.precision_model import (
+    PIPELINES,
     LedgerError,
     PrecisionPlan,
     StorageLedger,
     accuracy_floor,
-    cast_schedule,
     plan_mixed,
     simulate_storage,
-    sketch_precisions,
 )
 
 
@@ -84,23 +83,17 @@ def test_ledger_tracks_peak_and_free():
         led.alloc("a", 1, 1, Precision.BINARY64)
 
 
-def test_cast_schedule_shapes():
-    assert cast_schedule(PrecisionPlan.ALL_DOUBLE, "tyuc17_spi") == ()
-    sched = cast_schedule(PrecisionPlan.MIXED_SINGLE_DOUBLE, "tyuc17_spi")
-    assert len(sched) == 1 and sched[0].reuses == "z" and set(sched[0].matrices) == {"y", "w"}
-    var = cast_schedule(PrecisionPlan.MIXED_SINGLE_DOUBLE, "tyuc17_spi_variant")
-    assert var[-1].reuses == "z"
-    with pytest.raises(ValueError):
-        cast_schedule(PrecisionPlan.ALL_DOUBLE, "unknown")
-
-
 def test_sketch_precisions_table():
-    mixed = sketch_precisions("tyuc17_spi", PrecisionPlan.MIXED_SINGLE_DOUBLE)
+    def precisions(kind, plan):
+        spec = PIPELINES[kind]
+        return {sk.name: spec.precision(sk.name, plan) for sk in spec.sketches}
+
+    mixed = precisions("tyuc17_spi", PrecisionPlan.MIXED_SINGLE_DOUBLE)
     assert all(p is Precision.BINARY32 for p in mixed.values())
-    k_mixed = sketch_precisions("tyuc19_spi", PrecisionPlan.MIXED_SINGLE_DOUBLE)
+    k_mixed = precisions("tyuc19_spi", PrecisionPlan.MIXED_SINGLE_DOUBLE)
     assert k_mixed["k"] is Precision.BINARY64
     assert k_mixed["z"] is Precision.BINARY32
-    double = sketch_precisions("tyuc17_spi", PrecisionPlan.ALL_DOUBLE)
+    double = precisions("tyuc17_spi", PrecisionPlan.ALL_DOUBLE)
     assert all(p is Precision.BINARY64 for p in double.values())
 
 

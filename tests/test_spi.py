@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sketchpower.spi import OpCounter, SpiParams, spi_plain, spi_stabilized, spi_variant
+from sketchpower.spi import SpiParams, spi_plain, spi_stabilized, spi_variant
 
 
 def _sines_between(u, w):
@@ -128,22 +130,16 @@ def test_spi_params_defaults():
 
 
 def test_cost_shape_and_no_large_intermediates():
-    m, l, s, q = 200, 20, 8, 3
+    m, l, s, q = 2000, 20, 8, 3
     rng = np.random.default_rng(9)
     z = rng.standard_normal((m, l))
     y = rng.standard_normal((m, s))
-
-    c = OpCounter()
-    spi_plain(z, y, q, counter=c)
-    assert c.flops == 4 * q * m * l * s
-    assert c.max_elems == m * l < m * m
-
-    c = OpCounter()
-    spi_stabilized(z, y, q, counter=c)
-    assert c.flops == q * (4 * m * l * s + 2 * l * s * s)
-    assert c.max_elems == m * l < m * m
-
-    c = OpCounter()
-    spi_variant(z, y[:l, :s], q, counter=c)
-    assert c.flops == 2 * l * m * l + q * 2 * l * l * s + 2 * m * l * s
-    assert c.max_elems == m * l < m * m
+    for run in (lambda: spi_plain(z, y, q), lambda: spi_stabilized(z, y, q),
+                lambda: spi_variant(z, y[:l, :s], q)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * 8 / 20  # an m x m intermediate would take m^2 * 8 bytes

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sketchpower.matrix_core import DenseMatrix
 from sketchpower.precision_model import PrecisionPlan
@@ -12,6 +16,9 @@ from sketchpower.stream_ingest import (
     read_matrix,
 )
 from sketchpower.synthetic import Family, SyntheticSpec, generate as gen_data, write_spim
+
+
+_SKETCH_NAMES = ("y", "w", "z", "x", "k")
 
 
 def _random(m, n, seed=0):
@@ -280,3 +287,150 @@ def test_sketch_set_provenance():
     sk = st.ingest(LinearUpdate.dense(np.zeros((10, 8)))).finalize()
     assert (sk.base_seed, sk.trial) == (77, 5)
     assert sk.test_kind.variant == "gaussian"
+
+
+@pytest.mark.parametrize("kind, sizes, message", [
+    ("tyuc17", (20, 10, 12, 14, 0), "tyuc17: size rule 1 <= s <= min(m, n) fails with s=12, m=20, n=10"),
+    ("rsvd_onepass", (20, 10, 0, 0, 0), "rsvd_onepass: size rule 1 <= s <= min(m, n) fails with s=0, m=20, n=10"),
+    ("tyuc17_spi", (20, 10, 6, 5, 10), "tyuc17_spi: size rule d >= s fails with d=5, s=6"),
+    ("tyuc19", (20, 10, 6, 6, 0), "tyuc19: size rule d > s fails with d=6, s=6"),
+    ("tyuc17_spi", (20, 10, 6, 8, 6), "tyuc17_spi: size rule l > s fails with l=6, s=6"),
+    ("tyuc17_spi_variant", (20, 10, 6, 8, 11), "tyuc17_spi_variant: size rule l >= 2s fails with l=11, s=6"),
+    ("tyuc19_spi", (20, 10, 6, 8, 11), "tyuc19_spi: size rule l >= 2s fails with l=11, s=6"),
+])
+def test_open_stream_rejects_sizes_before_drawing(kind, sizes, message, monkeypatch):
+    from sketchpower import stream_ingest
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a test matrix was drawn")
+
+    monkeypatch.setattr(stream_ingest, "generate", no_draw)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        open_stream(PipelineKind(kind), *sizes)
+
+
+def test_sizes_a_kind_does_not_use_are_ignored():
+    open_stream(PipelineKind.RSVD_ONEPASS, 20, 10, 4)
+    open_stream(PipelineKind.TYUC17, 20, 10, 4, 4, l=1)
+    open_stream(PipelineKind.TYUC19, 20, 10, 4, 5, l=1)
+
+
+@pytest.mark.parametrize("kind, make, where", [
+    (PipelineKind.TYUC17, lambda h: LinearUpdate.dense(h), "dense update of rows [0, 12) x columns [0, 9)"),
+    (PipelineKind.TYUC19, lambda h: LinearUpdate.rank_one(h[:, 3], h[4]),
+     "rank_one update of rows [0, 12) x columns [0, 9)"),
+    (PipelineKind.RSVD_ONEPASS, lambda h: LinearUpdate.row_block(3, h[3:7]), "row_block update of rows [3, 7)"),
+    (PipelineKind.TYUC17_SPI, lambda h: LinearUpdate.column_block(2, h[:, 2:5]),
+     "column_block update of columns [2, 5)"),
+])
+def test_ingest_rejects_nonfinite_updates(kind, make, where):
+    h = _random(12, 9, 40)
+    h[4, 3] = np.nan
+    st = open_stream(kind, 12, 9, s=2, d=5, l=4, base_seed=41)
+    with pytest.raises(ValueError, match=re.escape(f"non-finite entries in {where}")):
+        st.ingest(make(h))
+    h[4, 3] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        st.ingest(make(h))
+    # Nothing was folded in: the stream still gives the sketches of a clean pass.
+    clean = _random(12, 9, 42)
+    upd = LinearUpdate.row_block(0, clean) if kind is PipelineKind.RSVD_ONEPASS else LinearUpdate.dense(clean)
+    sk = st.ingest(upd).finalize()
+    ref = open_stream(kind, 12, 9, s=2, d=5, l=4, base_seed=41).ingest(upd).finalize()
+    for name in _SKETCH_NAMES:
+        if getattr(sk, name) is not None:
+            assert np.array_equal(getattr(sk, name).data, getattr(ref, name).data)
+
+
+@pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)
+def test_finalized_sketch_set_is_read_only(kind):
+    st = open_stream(kind, 12, 9, s=2, d=5, l=4, plan=PrecisionPlan.MIXED_SINGLE_DOUBLE)
+    upd = LinearUpdate.row_block(0, _random(12, 9, 43))
+    sk = st.ingest(upd).finalize()
+    arrays = [getattr(sk, name) for name in _SKETCH_NAMES + ("omega", "psi", "phi", "gamma")]
+    arrays = [a.data for a in arrays if a is not None]
+    assert len(arrays) >= 3
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+
+
+# -- split invariance ---------------------------------------------------------
+
+
+@st.composite
+def _split_case(draw, rowwise):
+    """Sizes, a seed and a split of a random matrix A into additive updates.
+
+    Row-wise streams take a partition of the rows into row blocks and
+    single-row rank-one terms; the others take any mix of dense parts,
+    rank-one terms, row blocks and column blocks.
+    """
+    s = draw(st.integers(1, 3))
+    m, n = draw(st.integers(s, 9)), draw(st.integers(s, 9))
+    d, l = s + draw(st.integers(1, 3)), 2 * s + draw(st.integers(0, 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    total = np.zeros((m, n))
+    updates = []
+    if rowwise:
+        i = 0
+        while i < m:
+            if draw(st.booleans()):
+                c = draw(st.sampled_from([1.0, -2.0, 0.5]))
+                upd = LinearUpdate.rank_one(c * np.eye(m)[i], rng.standard_normal(n) / c)
+                total[i] = upd.u[i] * upd.v
+                i += 1
+            else:
+                b = draw(st.integers(i + 1, m))
+                upd = LinearUpdate.row_block(i, rng.standard_normal((b - i, n)))
+                total[i:b] = upd.h
+                i = b
+            updates.append(upd)
+    else:
+        for kind in draw(st.lists(st.sampled_from(["dense", "rank_one", "row_block", "column_block"]),
+                                  min_size=1, max_size=6)):
+            if kind == "dense":
+                upd = LinearUpdate.dense(rng.standard_normal((m, n)))
+                total += upd.h
+            elif kind == "rank_one":
+                upd = LinearUpdate.rank_one(rng.standard_normal(m), rng.standard_normal(n))
+                total += np.outer(upd.u, upd.v)
+            elif kind == "row_block":
+                a = draw(st.integers(0, m - 1))
+                b = draw(st.integers(a + 1, m))
+                upd = LinearUpdate.row_block(a, rng.standard_normal((b - a, n)))
+                total[a:b] += upd.h
+            else:
+                a = draw(st.integers(0, n - 1))
+                b = draw(st.integers(a + 1, n))
+                upd = LinearUpdate.column_block(a, rng.standard_normal((m, b - a)))
+                total[:, a:b] += upd.h
+            updates.append(upd)
+    order = draw(st.permutations(range(len(updates))))
+    return (m, n, s, d, l), seed, total, [updates[i] for i in order]
+
+
+@pytest.mark.parametrize("plan", list(PrecisionPlan), ids=lambda p: p.value)
+@pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)
+@settings(derandomize=True, deadline=None)
+@given(data=st.data())
+def test_any_split_matches_one_shot_ingestion(kind, plan, data):
+    rowwise = kind is PipelineKind.RSVD_ONEPASS
+    sizes, seed, total, updates = data.draw(_split_case(rowwise))
+    split = open_stream(kind, *sizes, base_seed=seed, plan=plan)
+    for upd in updates:
+        split.ingest(upd)
+    got = split.finalize()
+    one = open_stream(kind, *sizes, base_seed=seed, plan=plan)
+    want = one.ingest(LinearUpdate.row_block(0, total) if rowwise else LinearUpdate.dense(total)).finalize()
+    for name in _SKETCH_NAMES:
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g is None) == (w is None), name
+        if g is None:
+            continue
+        assert g.data.dtype == w.data.dtype, name
+        eps = float(np.finfo(w.data.dtype).eps)
+        ref = w.data.astype(np.float64)
+        tol = (len(updates) * eps + 1e3 * np.finfo(np.float64).eps) * max(np.linalg.norm(ref), 1e-300)
+        assert np.linalg.norm(g.data.astype(np.float64) - ref) <= tol, name
