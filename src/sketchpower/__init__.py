@@ -23,6 +23,7 @@ from .stream_ingest import (
 from .approximators import (
     ApproxResult,
     SketchConfig,
+    approximate,
     rsvd_onepass,
     tyuc17,
     tyuc17_spi,
@@ -30,7 +31,7 @@ from .approximators import (
     tyuc19,
     tyuc19_spi,
 )
-from .guidance import BudgetSpec, DecayKind, SpectrumClass, classify_spectrum, select_sizes
+from .guidance import BudgetSpec, DecayKind, SpectrumClass, budget_sizes, classify_spectrum, select_sizes
 from .test_matrices import SeedSpec, Stream, TestMatrixKind, generate
 
 __version__ = "0.1.0"
@@ -56,6 +57,7 @@ __all__ = [
     "ingest_file",
     "ApproxResult",
     "SketchConfig",
+    "approximate",
     "tyuc17",
     "tyuc17_spi",
     "tyuc17_spi_variant",
@@ -66,6 +68,7 @@ __all__ = [
     "DecayKind",
     "SpectrumClass",
     "classify_spectrum",
+    "budget_sizes",
     "select_sizes",
     "SeedSpec",
     "Stream",

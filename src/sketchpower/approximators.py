@@ -2,9 +2,10 @@
 
 Every pipeline consumes a finalized single-pass :class:`SketchSet` and
 returns rank-r factors plus the intermediates needed by the error-source
-metrics.  Sketches stored in binary32 are upcast to binary64 at the entry of
-the factorization stage (the cast points of the precision model); all
-numerical kernels run in binary64.
+metrics; :func:`approximate` runs the one named after the sketch set's kind.
+Sketches stored in binary32 are upcast to binary64 at the entry of the
+factorization stage (the cast points of the precision model); all numerical
+kernels run in binary64.
 """
 from __future__ import annotations
 
@@ -14,14 +15,16 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as la
 
-from .matrix_core import as_f64, lstsq, qr_economy, svd_truncated
+from .matrix_core import lstsq, qr_economy, svd_truncated
 from .precision_model import PIPELINES, PrecisionPlan
 from .spi import SpiParams, spi_plain, spi_stabilized, spi_variant
 from .stream_ingest import PipelineKind, SketchSet
+from .test_matrices import GAUSSIAN, SeedSpec, Stream, generate
 
 __all__ = [
     "SketchConfig",
     "ApproxResult",
+    "approximate",
     "tyuc17",
     "tyuc17_spi",
     "tyuc17_spi_variant",
@@ -146,10 +149,17 @@ def tyuc17_spi(sk: SketchSet, params: SpiParams, r: int) -> ApproxResult:
     return _qb_finish(PipelineKind.TYUC17_SPI, y_hat, sk.w.as_f64(), sk.psi.as_f64(), r, flags)
 
 
-def tyuc17_spi_variant(sk: SketchSet, omega_tilde, q: int, r: int) -> ApproxResult:
-    """Storage-reduced SPI: the rangefinder is synthesized as Z (Z^T Z)^q O."""
+def _small_factor(sk: SketchSet, stream: Stream, rows: int, cols: int) -> np.ndarray:
+    """A Gaussian factor of the storage-reduced pipelines, from the sketch set's seed and trial."""
+    return generate(GAUSSIAN, rows, cols, SeedSpec(sk.base_seed, stream, sk.trial)).as_f64()
+
+
+def tyuc17_spi_variant(sk: SketchSet, params: SpiParams, r: int) -> ApproxResult:
+    """Storage-reduced SPI: the rangefinder is synthesized as Z (Z^T Z)^q O,
+    q = ``params.q`` and O (l x s) Gaussian from the ``OMEGA_TILDE`` stream."""
     _require(sk, r, _TYUC17_FAMILY, "w", "z", "psi")
-    y_hat = _stored(spi_variant(sk.z.as_f64(), as_f64(omega_tilde), q), sk)
+    omega_tilde = _small_factor(sk, Stream.OMEGA_TILDE, sk.l, sk.s)
+    y_hat = _stored(spi_variant(sk.z.as_f64(), omega_tilde, params.q), sk)
     return _qb_finish(PipelineKind.TYUC17_SPI_VARIANT, y_hat, sk.w.as_f64(), sk.psi.as_f64(), r, set())
 
 
@@ -214,26 +224,30 @@ def tyuc19(sk: SketchSet, r: int) -> ApproxResult:
     """Two-sided pipeline: range and corange bases plus a d x d core sketch."""
     _require(sk, r, (PipelineKind.TYUC19,), "y", "x", "k", "phi", "psi")
     return _two_sided_finish(
-        PipelineKind.TYUC19,
-        sk.y.as_f64(),
-        sk.x.as_f64(),
-        sk.k.as_f64(),
-        sk.phi.as_f64(),
-        sk.psi.as_f64(),
-        r,
-        set(),
+        PipelineKind.TYUC19, sk.y.as_f64(), sk.x.as_f64(), sk.k.as_f64(), sk.phi.as_f64(), sk.psi.as_f64(), r, set()
     )
 
 
-def tyuc19_spi(sk: SketchSet, omega_tilde, gamma_tilde, q: int, r: int) -> ApproxResult:
+def tyuc19_spi(sk: SketchSet, params: SpiParams, r: int) -> ApproxResult:
     """Two-sided pipeline with both bases powered through wide sketches.
 
-    Y-hat = Z (Z^T Z)^q O and X-hat = G (W W^T)^q W, where O (l x s) and
-    G (s x l) are small test matrices; the rest follows the two-sided solve.
+    Y-hat = Z (Z^T Z)^q O and X-hat = G (W W^T)^q W, q = ``params.q``, where
+    O (l x s) and G (s x l) are Gaussian from the ``OMEGA_TILDE`` and
+    ``GAMMA_TILDE`` streams; the rest follows the two-sided solve.
     """
     _require(sk, r, (PipelineKind.TYUC19_SPI,), "z", "w", "k", "phi", "psi")
-    y_hat = _stored(spi_variant(sk.z.as_f64(), as_f64(omega_tilde), q), sk)
-    x_hat = _stored(spi_variant(sk.w.as_f64().T, as_f64(gamma_tilde).T, q).T, sk)
+    omega_tilde = _small_factor(sk, Stream.OMEGA_TILDE, sk.l, sk.s)
+    gamma_tilde = _small_factor(sk, Stream.GAMMA_TILDE, sk.s, sk.l)
+    y_hat = _stored(spi_variant(sk.z.as_f64(), omega_tilde, params.q), sk)
+    x_hat = _stored(spi_variant(sk.w.as_f64().T, gamma_tilde.T, params.q).T, sk)
     return _two_sided_finish(
         PipelineKind.TYUC19_SPI, y_hat, x_hat, sk.k.as_f64(), sk.phi.as_f64(), sk.psi.as_f64(), r, set()
     )
+
+
+def approximate(sk: SketchSet, r: int, params: SpiParams = SpiParams()) -> ApproxResult:
+    """Run the finisher of ``sk.kind``: the function of that name in this
+    module, looked up when called (so a wrapper on the module attribute runs).
+    ``params`` reaches the kinds with a power sketch (size l)."""
+    finish = globals()[sk.kind.value]
+    return finish(sk, params, r) if PIPELINES[sk.kind.value].uses("l") else finish(sk, r)

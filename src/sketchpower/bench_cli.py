@@ -1,11 +1,11 @@
 """Benchmark harness: dataset generation, pipeline runs, guidance, sweeps, CSV.
 
 Budget convention: ``--budget T`` is the total sketch storage T*n in
-double-precision words.  Mixed-precision plans map T through the storage
-identity (three binary32 sketches, l = T/c); all-double plans spend the same
-T words without the factor-2 halving (c*s + d = T for the two-sketch
-pipeline).  ``--guidance auto`` resolves sizes as a pure function of the
-dataset spec, T and r, so identical invocations produce identical CSVs.
+double-precision words, each sketch's words counted from the pipeline table
+under the chosen plan (a binary32 entry is half a word).  ``--guidance auto``
+resolves sizes with :func:`guidance.budget_sizes`, a pure function of the
+pipeline, plan, dataset spec, T and r, so identical invocations produce
+identical CSVs; a budget that cannot afford r is an error.
 
 Timing is opt-in (``--timing``): the wall_ms column is left empty by default
 so that equal seeds give byte-identical output across runs and worker-pool
@@ -16,9 +16,9 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -29,18 +29,11 @@ import numpy as np
 import scipy.linalg as la
 
 from . import guidance, metrics, synthetic
-from .approximators import (
-    rsvd_onepass,
-    tyuc17,
-    tyuc17_spi,
-    tyuc17_spi_variant,
-    tyuc19,
-    tyuc19_spi,
-)
+from .approximators import approximate
 from .precision_model import PIPELINES, PrecisionPlan, simulate_storage
 from .spi import SpiParams
 from .stream_ingest import LinearUpdate, PipelineKind, open_stream, read_matrix
-from .test_matrices import GAUSSIAN, SeedSpec, Stream, TestMatrixKind, generate, stream_seed
+from .test_matrices import GAUSSIAN, SeedSpec, Stream, TestMatrixKind, stream_seed
 
 CSV_HEADER = [
     "algo", "dataset", "param", "alpha_or_gamma", "budget_T", "r", "s", "d", "l", "q",
@@ -83,7 +76,6 @@ class RunConfig:
     sparsity: float = 0.01
     stabilize: str = "auto"
     timing: bool = False
-    block_rows: Optional[int] = None
     out: Optional[str] = None
 
 
@@ -136,52 +128,14 @@ def _spectrum_class(cfg: RunConfig, file_sv: Optional[np.ndarray]) -> guidance.S
     return guidance.classify_spectrum(file_sv[file_sv > file_sv[0] * 1e-14])
 
 
-def _two_sided_budget_s(t_hat: float, n: int, c: float, words_per_side: float) -> int:
-    # Solve words_per_side*(c+1)*s*n + 4 s^2 = t_hat*n with d = l/1 = 2s,
-    # then shrink until the budget holds after rounding.
-    a, b = 4.0 / n, words_per_side * (c + 1.0)
-    s = int((-b + math.sqrt(b * b + 4 * a * t_hat)) / (2 * a))
-    while s > 1 and words_per_side * (c + 1.0) * s + 4.0 * s * s / n > t_hat:
-        s -= 1
-    return max(s, 1)
-
-
 def _auto_sizes(cfg: RunConfig, kind: PipelineKind, plan: PrecisionPlan, file_sv) -> tuple[int, int, int]:
     if cfg.budget is None:
         raise SystemExit("--guidance auto requires --budget")
     cls = _spectrum_class(cfg, file_sv)
-    c = cfg.m / cfg.n
-    t = float(cfg.budget)
     try:
-        return _auto_sizes_inner(cfg, kind, plan, cls, c, t)
+        return guidance.budget_sizes(kind, plan, cls, float(cfg.budget), cfg.m, cfg.n, cfg.rank)
     except ValueError as exc:
         raise SystemExit(f"infeasible parameter resolution: {exc}")
-
-
-def _auto_sizes_inner(cfg, kind, plan, cls, c, t) -> tuple[int, int, int]:
-    if kind in (PipelineKind.TYUC17_SPI, PipelineKind.TYUC17_SPI_VARIANT):
-        t_eff = t if plan is PrecisionPlan.MIXED_SINGLE_DOUBLE else t / 2.0
-        conf = guidance.select_sizes(cls, guidance.BudgetSpec(t=t_eff, n=cfg.n, r=cfg.rank, c=c))
-        s, d, l = conf.s, conf.d, conf.l
-        if kind is PipelineKind.TYUC17_SPI_VARIANT and s > l // 2:
-            s = l // 2  # the variant's conversion contract caps s at l/2
-        return s, d, l
-    if kind is PipelineKind.TYUC17:
-        t_eff = t if plan is PrecisionPlan.ALL_DOUBLE else 2.0 * t
-        s, d = guidance.select_sizes_double(cls, t_eff, cfg.n, cfg.rank, c)
-        return s, d, 0
-    if kind is PipelineKind.RSVD_ONEPASS:
-        words = 1.0 if plan is PrecisionPlan.ALL_DOUBLE else 0.5
-        s = max(cfg.rank, math.floor(t / ((1.0 + c) * words)))
-        return s, 0, 0
-    # Two-sided pipelines: minimal documented mapping with d = 2s (and
-    # l = 2s for the powered variant).
-    words = 1.0 if plan is PrecisionPlan.ALL_DOUBLE else 0.5
-    if kind is PipelineKind.TYUC19:
-        s = _two_sided_budget_s(t, cfg.n, c, words)
-        return s, 2 * s, 0
-    s = _two_sided_budget_s(t, cfg.n, c, 2.0 * words)
-    return s, 2 * s, 2 * s
 
 
 def _resolve_sizes(cfg: RunConfig, kind: PipelineKind, plan: PrecisionPlan, file_sv) -> tuple[int, int, int]:
@@ -203,24 +157,6 @@ def _spi_params(cfg: RunConfig) -> SpiParams:
     if stab is None and cfg.stabilize != "auto":
         raise SystemExit(f"unknown stabilize mode {cfg.stabilize!r}")
     return SpiParams(q=cfg.q, stabilize=stab)
-
-
-def _approximate(kind, sk, cfg: RunConfig, trial: int):
-    r = cfg.rank
-    if kind is PipelineKind.TYUC17:
-        return tyuc17(sk, r)
-    if kind is PipelineKind.TYUC17_SPI:
-        return tyuc17_spi(sk, _spi_params(cfg), r)
-    if kind is PipelineKind.TYUC17_SPI_VARIANT:
-        omt = generate(GAUSSIAN, sk.l, sk.s, SeedSpec(cfg.base_seed, Stream.OMEGA_TILDE, trial))
-        return tyuc17_spi_variant(sk, omt, cfg.q, r)
-    if kind is PipelineKind.RSVD_ONEPASS:
-        return rsvd_onepass(sk, r)
-    if kind is PipelineKind.TYUC19:
-        return tyuc19(sk, r)
-    omt = generate(GAUSSIAN, sk.l, sk.s, SeedSpec(cfg.base_seed, Stream.OMEGA_TILDE, trial))
-    gmt = generate(GAUSSIAN, sk.s, sk.l, SeedSpec(cfg.base_seed, Stream.GAMMA_TILDE, trial))
-    return tyuc19_spi(sk, omt, gmt, cfg.q, r)
 
 
 def _dataset_columns(cfg: RunConfig) -> tuple[str, str, Optional[float]]:
@@ -245,7 +181,7 @@ def _run_one_trial(cfg, kind, plan, sizes, trial, shared_a, shared_base):
     upd = LinearUpdate.row_block(0, a) if kind is PipelineKind.RSVD_ONEPASS else LinearUpdate.dense(a)
     sk = stream.ingest(upd).finalize()
     t0 = time.perf_counter()
-    result = _approximate(kind, sk, cfg, trial)
+    result = approximate(sk, cfg.rank, _spi_params(cfg))
     wall_ms = (time.perf_counter() - t0) * 1e3
     rel = metrics.relative_error(a, result, cfg.rank, baselines=base)
     try:
@@ -267,10 +203,10 @@ def _run_one_trial(cfg, kind, plan, sizes, trial, shared_a, shared_base):
 
 
 def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SKETCHPOWER_WORKERS", "1")))
-    except ValueError:
-        return 1
+    value = os.environ.get("SKETCHPOWER_WORKERS", "1")
+    if not value.strip().isdecimal() or int(value) < 1:
+        raise SystemExit(f"SKETCHPOWER_WORKERS must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def run(cfg: RunConfig, out=None) -> int:
@@ -283,6 +219,7 @@ def run(cfg: RunConfig, out=None) -> int:
         if not cfg.file:
             raise SystemExit("--data file requires --file PATH")
         shared_a = read_matrix(cfg.file).data
+        cfg = dataclasses.replace(cfg, m=shared_a.shape[0], n=shared_a.shape[1])
         # One SVD of the file serves both the baselines and the guidance.
         file_sv = la.svdvals(shared_a, check_finite=False)
         shared_base = metrics.baselines_from_spectrum(file_sv, cfg.rank)
@@ -294,35 +231,20 @@ def run(cfg: RunConfig, out=None) -> int:
 
     rows = [None] * cfg.trials
     failures = []
-    workers = _workers()
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {
-                pool.submit(_run_one_trial, cfg, kind, plan, sizes, t, shared_a, shared_base): t
-                for t in range(cfg.trials)
-            }
-            for fut in concurrent.futures.as_completed(futs):
-                t = futs[fut]
-                try:
-                    rows[t] = fut.result()
-                except Exception as exc:  # noqa: BLE001 - enumerate failing trials
-                    failures.append((t, exc))
-    else:
-        for t in range(cfg.trials):
+    with concurrent.futures.ThreadPoolExecutor(max_workers=_workers()) as pool:
+        futs = [pool.submit(_run_one_trial, cfg, kind, plan, sizes, t, shared_a, shared_base)
+                for t in range(cfg.trials)]
+        for t, fut in enumerate(futs):
             try:
-                rows[t] = _run_one_trial(cfg, kind, plan, sizes, t, shared_a, shared_base)
-            except Exception as exc:  # noqa: BLE001
+                rows[t] = fut.result()
+            except Exception as exc:  # noqa: BLE001 - enumerate failing trials
                 failures.append((t, exc))
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
     metric_keys = ["S_F", "S_inf", "range_err_F", "range_err_S", "extra_err_F", "extra_err_S", "wall_ms"]
-    for t, row in enumerate(rows):
-        if row is None:
-            continue
-        writer.writerow([_fmt(x) for x in prefix] + [str(t), str(row["seed"])]
-                        + [_fmt(row[k]) for k in metric_keys])
+    lines = [CSV_HEADER] + [
+        [_fmt(x) for x in prefix] + [str(t), str(row["seed"])] + [_fmt(row[k]) for k in metric_keys]
+        for t, row in enumerate(rows) if row is not None
+    ]
     done = [r for r in rows if r is not None]
     if done:
         for label, reducer in (("mean", np.mean), ("std", lambda v: np.std(v, ddof=0))):
@@ -330,10 +252,10 @@ def run(cfg: RunConfig, out=None) -> int:
             for k in metric_keys:
                 vals = [r[k] for r in done if r[k] is not None]
                 stats.append(float(reducer(vals)) if vals else None)
-            writer.writerow([_fmt(x) for x in prefix] + [label, ""] + [_fmt(x) for x in stats])
+            lines.append([_fmt(x) for x in prefix] + [label, ""] + [_fmt(x) for x in stats])
 
-    _emit(buf.getvalue(), cfg.out if out is None else out)
-    for t, exc in sorted(failures):
+    _emit(lines, cfg.out if out is None else out)
+    for t, exc in failures:
         print(f"trial {t} failed: {exc}", file=sys.stderr)
     return 0 if not failures else 1
 
@@ -351,25 +273,19 @@ def run_sweep(cfg: RunConfig, out=None) -> int:
     spec = _dataset_spec(cfg)
     table = metrics.oracle_sweep(
         spec, kind, float(cfg.budget), cfg.rank,
-        q_set=(cfg.q,) if kind is PipelineKind.TYUC17_SPI else (0,),
-        trials=cfg.trials, test_kind=_test_kind(cfg), plan=plan,
+        q_set=(cfg.q,), trials=cfg.trials, test_kind=_test_kind(cfg), plan=plan,
     )
     try:
-        guided_s = _auto_sizes(cfg, kind, plan, None)[0]
+        guided = _auto_sizes(cfg, kind, plan, None)
     except SystemExit:
-        guided_s = None
+        guided = None
     best = table.best()
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_HEADER)
-    for row in table.rows:
-        writer.writerow([
-            row.s, row.d or "", row.l or "", row.q,
-            _fmt(row.mean_s_f), _fmt(row.mean_s_inf),
-            "1" if row is best else "0",
-            "1" if guided_s is not None and row.s == guided_s else "0",
-        ])
-    _emit(buf.getvalue(), cfg.out if out is None else out)
+    lines = [SWEEP_HEADER] + [
+        [row.s, row.d or "", row.l or "", row.q, _fmt(row.mean_s_f), _fmt(row.mean_s_inf),
+         "1" if row is best else "0", "1" if (row.s, row.d, row.l) == guided else "0"]
+        for row in table.rows
+    ]
+    _emit(lines, cfg.out if out is None else out)
     return 0
 
 
@@ -382,12 +298,8 @@ def emit_spectrum(cfg: RunConfig, out=None) -> int:
         sv = np.linalg.svd(a, compute_uv=False)
     else:
         sv = synthetic.prescribed_spectrum(_dataset_spec(cfg))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "sigma"])
-    for i, v in enumerate(sv, start=1):
-        writer.writerow([i, _fmt(float(v))])
-    _emit(buf.getvalue(), cfg.out if out is None else out)
+    lines = [["index", "sigma"]] + [[i, _fmt(float(v))] for i, v in enumerate(sv, start=1)]
+    _emit(lines, cfg.out if out is None else out)
     return 0
 
 
@@ -397,17 +309,17 @@ def emit_ledger(cfg: RunConfig, out=None) -> int:
     plan = _plan_of(cfg, kind)
     sizes = _resolve_sizes(cfg, kind, plan, None)
     led = simulate_storage(kind.value, plan, cfg.m, cfg.n, sizes[0], sizes[1], sizes[2])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", "rows", "cols", "precision", "words"])
-    for row in led.csv_rows():
-        writer.writerow([row[0], row[1], row[2], row[3], _fmt(float(row[4]))])
-    writer.writerow(["peak", "", "", "", _fmt(led.peak_words)])
-    _emit(buf.getvalue(), cfg.out if out is None else out)
+    lines = [["label", "rows", "cols", "precision", "words"]]
+    lines += [[*row[:4], _fmt(float(row[4]))] for row in led.csv_rows()]
+    lines.append(["peak", "", "", "", _fmt(led.peak_words)])
+    _emit(lines, cfg.out if out is None else out)
     return 0
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(lines, out: Optional[str]) -> None:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(lines)
+    text = buf.getvalue()
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -449,15 +361,14 @@ def _build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
         p.add_argument("--base-seed", type=int, default=0, dest="base_seed")
         p.add_argument("--precision", choices=["double", "mixed"],
                        help="storage plan (default: mixed for the powered pipelines, double otherwise)")
-        p.add_argument("--guidance", default=None, choices=["manual", "auto", "sweep"],
-                       dest="guidance_mode")
+        p.add_argument("--guidance", default=None, choices=["manual", "auto"], dest="guidance_mode",
+                       help="auto: sizes from --budget; manual: --s/--d/--l (default: manual when --s is given)")
         p.add_argument("--test-matrix", default="sparse_rademacher", dest="test_matrix",
                        choices=["gaussian", "sparse_rademacher", "sparse_sign", "countsketch"])
         p.add_argument("--sparsity", type=float, default=0.01)
         p.add_argument("--stabilize", default="auto", choices=["auto", "on", "off"])
         p.add_argument("--timing", action="store_true",
                        help="fill wall_ms (breaks byte-reproducibility of the CSV)")
-        p.add_argument("--block-rows", type=int, dest="block_rows")
         p.add_argument("--out", "-o", help="output CSV path (default: stdout)")
         if defaults:
             p.set_defaults(**defaults)  # config file values; flags still win
@@ -484,8 +395,6 @@ def main(argv=None) -> int:
         fields["guidance_mode"] = "manual" if fields.get("s") is not None else "auto"
     cfg = RunConfig(**fields)
     if command == "run":
-        if cfg.guidance_mode == "sweep":
-            return run_sweep(cfg)
         return run(cfg)
     if command == "sweep":
         return run_sweep(cfg)

@@ -16,9 +16,13 @@ where W_-1 is the lower real branch of the Lambert W function.  The
 "alpha ~ 1/2" band is fixed to |alpha - 1/2| <= 0.05.  After flooring s and
 clamping to [r, floor(T/(c+1))], the remaining sizes follow the budget
 identity: l = floor(T/c) and d = floor(2T - c(l+s)).
+
+:func:`budget_sizes` applies a rule to any pipeline kind and plan, counting
+each sketch's words from the pipeline table.
 """
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -26,13 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approximators import SketchConfig
-from .precision_model import PrecisionPlan
+from .precision_model import PIPELINES, PrecisionPlan
+from .stream_ingest import PipelineKind
 
 __all__ = [
     "DecayKind",
     "SpectrumClass",
     "BudgetSpec",
     "InfeasibleBudgetError",
+    "budget_sizes",
     "select_sizes",
     "select_sizes_double",
     "classify_spectrum",
@@ -243,3 +249,77 @@ def classify_spectrum(singular_values) -> SpectrumClass:
         return SpectrumClass(DecayKind.FLAT)
     _, kind, alpha = min(candidates, key=lambda c: c[0])
     return SpectrumClass(kind, alpha)
+
+
+def _rate(spec, plan: PrecisionPlan, m: int, n: int, size: str) -> float:
+    """Words per data column that one unit of a size costs in the pipeline's sketches."""
+    return spec.words(plan, m, n, **{"s": 0, "d": 0, "l": 0, size: 1}) / n
+
+
+def _oblique(spec, plan, cls, t, m, n, r, s):
+    """rate_s*s + rate_d*d <= T: select_sizes_double in units of one d row."""
+    a_s, a_d = _rate(spec, plan, m, n, "s"), _rate(spec, plan, m, n, "d")
+    if s is None:
+        return (*select_sizes_double(cls, t / a_d, n, r, a_s / a_d), 0)
+    return s, math.floor((t - a_s * s) / a_d), 0
+
+
+def _powered(spec, plan, cls, t, m, n, r, s):
+    """select_sizes's rule, one unit of its T worth two d rows: l takes half
+    the budget, d the rest, and s is charged at l's rate (the variant stores
+    no Y, so it underspends by that charge; it lowers s to l/2)."""
+    a_d, a_l = _rate(spec, plan, m, n, "d"), _rate(spec, plan, m, n, "l")
+    t2, c2 = t / (2.0 * a_d), a_l / a_d
+    guided = s is None
+    if guided:
+        s = select_sizes(cls, BudgetSpec(t=t2, n=n, r=r, c=c2)).s
+    d, l = derive_mixed_sizes(t2, c2, s)
+    return (min(s, l // 2) if guided and "l >= 2s" in spec.rules else s), d, l
+
+
+def _largest(spec, plan, cls, t, m, n, r, s):
+    """The largest s whose sketches fit, with d = l = 2s."""
+    if s is None:
+        s = bisect.bisect_right(range(1, min(m, n) + 1), t * n, key=lambda k: spec.words(plan, m, n, k, 2 * k, 2 * k))
+    return s, 2 * s, 2 * s
+
+
+# The budget rule of each pipeline kind: how s is chosen and how d and l follow it.
+_BUDGET_RULES = {PipelineKind.TYUC17: _oblique, PipelineKind.TYUC17_SPI: _powered,
+                 PipelineKind.TYUC17_SPI_VARIANT: _powered, PipelineKind.RSVD_ONEPASS: _largest,
+                 PipelineKind.TYUC19: _largest, PipelineKind.TYUC19_SPI: _largest}
+
+
+def _fit(kind, plan, cls, t, m, n, r, s):
+    spec = PIPELINES[kind.value]
+    try:  # the rule's own infeasible budget, T <= 2r and a failed size rule all raise ValueError
+        s_fit, d, l = _BUDGET_RULES[kind](spec, plan, cls, t, m, n, r, s)
+        d, l = (d if spec.uses("d") else 0), (l if spec.uses("l") else 0)
+        spec.check_sizes(m, n, s_fit, d, l)
+    except ValueError:
+        return None
+    return (s_fit, d, l) if s_fit >= r and spec.words(plan, m, n, s_fit, d, l) <= t * n else None
+
+
+def budget_sizes(kind: PipelineKind, plan: PrecisionPlan, cls: SpectrumClass | None, t: float,
+                 m: int, n: int, r: int, s: int | None = None) -> tuple[int, int, int]:
+    """Sketch sizes (s, d, l) of a pipeline whose sketches store at most T*n words.
+
+    Each sketch's words come from :data:`PIPELINES` at the plan.  The kind's
+    rule picks s and derives d and l: ``tyuc17`` by
+    :func:`select_sizes_double`, the ``tyuc17_spi`` pair by the rule of
+    :func:`select_sizes`, and ``rsvd_onepass`` and the two-sided kinds as
+    the largest s that fits with d = l = 2s.  With ``s`` given only d and l
+    are derived (the oracle sweep's grid) and ``cls`` is not read.  Sizes a
+    kind does not use are 0.  Raises :class:`InfeasibleBudgetError`, naming
+    the least integer budget that resolves, when no sizes with s >= r meet
+    the budget and the pipeline's size rules.
+    """
+    if not 1 <= r <= min(m, n):
+        raise ValueError(f"target rank must satisfy 1 <= r <= min(m, n), got r={r}, m={m}, n={n}")
+    sizes = _fit(kind, plan, cls, t, m, n, r, s)
+    if sizes is None:
+        start = math.floor(t) + 1
+        least = next((b for b in range(start, start + 10000) if _fit(kind, plan, cls, b, m, n, r, s)), math.inf)
+        raise InfeasibleBudgetError(t, least)
+    return sizes

@@ -9,6 +9,7 @@ decides what to do.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,8 @@ __all__ = [
     "svd_truncated",
     "lstsq",
     "as_f64",
+    "binary_exponent",
+    "fro_norm",
 ]
 
 # Rank-deficiency / conditioning thresholds of the kernel contracts.
@@ -125,6 +128,30 @@ def as_f64(m) -> np.ndarray:
     return a if a.dtype == np.float64 else a.astype(np.float64)
 
 
+def binary_exponent(x: np.ndarray) -> int:
+    """e with max|x| in [2^(e-1), 2^e); 0 for zero or non-finite x.
+
+    Scaling by 2^-e is exact, so norms taken of the scaled array and scaled
+    back keep their bits at ordinary scales and neither under- nor overflow.
+    """
+    return math.frexp(float(max(-x.min(), x.max())))[1]
+
+
+def fro_norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` without under- or overflow (and without its warning).
+
+    Between 2^-400 and 2^400 the plain norm has the bits of the scaled one
+    (squares that underflow there are far below its last bit), so the
+    scaled copy is made only outside that range.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        f = float(np.linalg.norm(x))
+    if 2.0**-400 <= f <= 2.0**400:
+        return f
+    e = binary_exponent(x)
+    return math.ldexp(float(np.linalg.norm(np.ldexp(x, -e))), e)
+
+
 @dataclass
 class QrResult:
     """Economy QR factors plus a rank-deficiency flag (never a failure)."""
@@ -164,13 +191,14 @@ def qr_economy(m) -> QrResult:
 
     Q has orthonormal columns spanning range(M); R is upper triangular with
     Q @ R == M to working precision.  A diagonal entry of R below
-    ``QR_RANK_TOL * ||M||_F`` raises the ``rank_deficient`` flag.
+    ``QR_RANK_TOL * ||M||_F`` (taken without under- or overflow, so at any
+    scale) raises the ``rank_deficient`` flag.
     """
     a = _require_f64(m, "M")
     if a.shape[0] < a.shape[1]:
         raise ValueError(f"qr_economy expects rows >= cols, got {a.shape}")
     q, r = la.qr(a, mode="economic", check_finite=False)
-    scale = float(np.linalg.norm(a))
+    scale = fro_norm(a)
     deficient = bool(np.min(np.abs(np.diag(r))) < QR_RANK_TOL * scale) if scale > 0 else True
     return QrResult(q=q, r=r, rank_deficient=deficient)
 

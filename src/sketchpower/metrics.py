@@ -12,7 +12,7 @@ generator prescribes.  The values match a dense SVD to roundoff.
 """
 from __future__ import annotations
 
-import logging
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -23,18 +23,12 @@ import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
 from . import guidance, synthetic
-from .approximators import (
-    ApproxResult,
-    tyuc17,
-    tyuc17_spi,
-)
-from .matrix_core import as_f64, lstsq
+from .approximators import ApproxResult, approximate
+from .matrix_core import as_f64, binary_exponent, fro_norm, lstsq
 from .spi import SpiParams
 from .stream_ingest import LinearUpdate, PipelineKind, open_stream
 from .test_matrices import GAUSSIAN, TestMatrixKind
 from .precision_model import PIPELINES, PrecisionPlan
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "RelativeErrors",
@@ -107,34 +101,11 @@ def spec_baselines(spec: synthetic.SyntheticSpec, a: np.ndarray, r: int) -> tupl
     return baselines_from_spectrum(synthetic.prescribed_spectrum(spec), r)
 
 
-def _exponent(x: np.ndarray) -> int:
-    """e with max|x| in [2^(e-1), 2^e); 0 for zero or non-finite x.
-
-    Scaling by 2^-e is exact, so norms taken of the scaled array and scaled
-    back keep their bits at ordinary scales and neither under- nor overflow.
-    """
-    return math.frexp(float(max(-x.min(), x.max())))[1]
-
-
-def _fro(x: np.ndarray) -> float:
-    """``np.linalg.norm(x)`` without under- or overflow.
-
-    Between 2^-400 and 2^400 the plain norm has the bits of the scaled one
-    (squares that underflow there are far below its last bit), so the
-    scaled copy is made only outside that range.
-    """
-    f = float(np.linalg.norm(x))
-    if 2.0**-400 <= f <= 2.0**400:
-        return f
-    e = _exponent(x)
-    return math.ldexp(float(np.linalg.norm(np.ldexp(x, -e))), e)
-
-
 def _fro_and_spectral(x: np.ndarray) -> tuple[float, float]:
     """(Frobenius, spectral) norm of a matrix without a full SVD.
 
     x is first scaled by the power of two nearest its largest entry (see
-    :func:`_exponent`), so the Frobenius norm has the bits of
+    :func:`binary_exponent`), so the Frobenius norm has the bits of
     ``np.linalg.norm(x)`` and neither norm under- or overflows.  sigma_1 is
     ``||x v||`` for the leading eigenvector v of the smaller Gram matrix,
     found by ARPACK's Lanczos solver (the computation ``svds(k=1)`` does).
@@ -144,7 +115,7 @@ def _fro_and_spectral(x: np.ndarray) -> tuple[float, float]:
     and vectors, which ARPACK rejects, are answered directly; non-finite
     entries give non-finite norms.
     """
-    e = _exponent(x)
+    e = binary_exponent(x)
     y = np.ldexp(x, -e)
     f = float(np.linalg.norm(y))
     if f == 0.0 or not math.isfinite(f) or min(y.shape) == 1:
@@ -178,7 +149,7 @@ def relative_error(
     a = as_f64(a)
     num_f, num_s = _fro_and_spectral(a - result.reconstruct())
     base_f, base_s = baselines if baselines is not None else _baselines(a, r)
-    scale = _fro(a)
+    scale = fro_norm(a)
     if base_f <= _ZERO_BASELINE_RTOL * max(scale, 1e-300):
         return RelativeErrors(num_f, num_s, frozenset({"zero_baseline"}))
     if num_f <= _EXACT_FIT_RTOL * scale:
@@ -221,9 +192,9 @@ def range_extra_errors(
         fitted = lstsq(psi @ result.q_factor, psi @ a).x
         core = result.u_tilde.T @ (result.q_factor.T @ a - fitted)
         e = np.linalg.qr(result.u, mode="r") @ core
-        extra_f = _fro(e)
+        extra_f = fro_norm(e)
         extra_s = float(la.svdvals(e, check_finite=False)[0])
-    scale = _fro(a)
+    scale = fro_norm(a)
     if base_f <= _ZERO_BASELINE_RTOL * max(scale, 1e-300):
         flags.add("zero_baseline")
         return RangeExtraErrors(range_f, range_s, extra_f, extra_s, frozenset(flags))
@@ -268,7 +239,7 @@ def tail_energy(singular_values, k: int) -> float:
     tail = np.asarray(singular_values, dtype=np.float64).ravel()[k - 1 :]
     if tail.size == 0:
         return 0.0
-    e = _exponent(tail)  # exact scaling: no underflow, same bits at ordinary scales
+    e = binary_exponent(tail)  # exact scaling: no underflow, same bits at ordinary scales
     return math.ldexp(float(np.sqrt(np.sum(np.ldexp(tail, -e) ** 2))), e)
 
 
@@ -475,17 +446,6 @@ class SweepTable:
     def best(self) -> SweepRow:
         return min(self.rows, key=lambda row: row.mean_s_f)
 
-    def best_for_q(self, q: int) -> SweepRow:
-        return min((row for row in self.rows if row.q == q), key=lambda row: row.mean_s_f)
-
-
-def _sweep_sizes(algo: PipelineKind, budget_t: float, c: float, s: int) -> Optional[tuple[int, int]]:
-    if algo is PipelineKind.TYUC17:
-        d = math.floor(budget_t - c * s)
-        return (d, 0) if d >= s else None
-    d, l = guidance.derive_mixed_sizes(budget_t, c, s)
-    return (d, l) if (d >= s and l >= s + 1) else None
-
 
 def oracle_sweep(
     data_spec: synthetic.SyntheticSpec,
@@ -500,28 +460,25 @@ def oracle_sweep(
 ) -> SweepTable:
     """Mean errors over an exhaustive sweep of the rangefinder size s.
 
-    For each feasible s in [r, T/(c+1)] the remaining sizes follow the
-    budget; the best row is the oracle error at that budget.  Supports the
-    plain two-sketch pipeline (binary64, budget c*s + d = T) and its powered
-    version (binary32 sketches, budget (c(l+s)+d)/2 = T).  Infeasible rows
-    are skipped and logged.
+    For each s from r up, d and l follow the budget by the pipeline's
+    budget rule (:func:`guidance.budget_sizes` with s given) until the sizes
+    no longer fit; the best row is the oracle error at that budget.
+    Supports the plain two-sketch pipeline and its powered version, under
+    either plan.
     """
     if algo not in (PipelineKind.TYUC17, PipelineKind.TYUC17_SPI):
         raise ValueError(f"oracle sweep supports the two-sketch pipelines, not {algo.value}")
     if plan is None:
         plan = PIPELINES[algo.value].default_plan
-    c = data_spec.m / data_spec.n
-    q_list = sorted(set(q_set)) if algo is PipelineKind.TYUC17_SPI else [0]
-    s_max = math.floor(budget_t / (c + 1.0))
+    q_list = sorted(set(q_set)) if PIPELINES[algo.value].uses("l") else [0]
     grid = []
-    for s in range(r, s_max + 1):
-        sizes = _sweep_sizes(algo, budget_t, c, s)
-        if sizes is None:
-            logger.info("sweep: skipping infeasible s=%d at budget T=%s", s, budget_t)
-            continue
-        grid.append((s, *sizes))
-    if not grid:
-        raise guidance.InfeasibleBudgetError(budget_t, 2 * r + 2)
+    for s in itertools.count(r):
+        try:
+            grid.append(guidance.budget_sizes(algo, plan, None, budget_t, data_spec.m, data_spec.n, r, s=s))
+        except guidance.InfeasibleBudgetError:
+            if not grid:
+                raise
+            break
 
     sums: dict[tuple[int, int], np.ndarray] = {
         (s, q): np.zeros(2) for (s, _, _) in grid for q in q_list
@@ -537,7 +494,7 @@ def oracle_sweep(
             )
             sk = stream.ingest(LinearUpdate.dense(a)).finalize()
             for q in q_list:
-                result = tyuc17(sk, r) if algo is PipelineKind.TYUC17 else tyuc17_spi(sk, SpiParams(q=q), r)
+                result = approximate(sk, r, SpiParams(q=q))
                 rel = relative_error(a, result, r, baselines=base)
                 sums[(s, q)] += (rel.s_f, rel.s_inf)
 

@@ -3,8 +3,9 @@
 :data:`PIPELINES` holds one :class:`PipelineSpec` per pipeline kind: its
 sketches with their shapes and update rules, its test matrices, which
 sketches are binary32 under the mixed plan, its size rules and its default
-plan.  Stream allocation, ingestion, the ledger and every size check read
-this one table.
+plan.  Stream allocation, ingestion, the ledger, every size check and
+:func:`guidance.budget_sizes` read this one table; each kind's finisher is
+the function of its name in :mod:`approximators`.
 
 Storage is counted in double-precision words (a binary32 entry costs half a
 word).  Under the mixed plan the large sketches are held in binary32, which
@@ -17,6 +18,7 @@ modeled, not performed).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from .matrix_core import Precision
@@ -113,6 +115,11 @@ class PipelineSpec:
         """Storage precision of a sketch under a plan."""
         mixed = plan is PrecisionPlan.MIXED_SINGLE_DOUBLE
         return Precision.BINARY32 if mixed and name in self.binary32 else Precision.BINARY64
+
+    def words(self, plan: PrecisionPlan, m: int, n: int, s: int, d: int = 0, l: int = 0) -> float:
+        """Double-precision words the pipeline's sketches store under a plan."""
+        shapes = self.shapes(m, n, s, d, l)
+        return sum(math.prod(shapes[sk.name]) * self.precision(sk.name, plan).words_per_entry for sk in self.sketches)
 
     def check_sizes(self, m: int, n: int, s: int, d: int = 0, l: int = 0) -> None:
         """Raise ValueError naming the kind, the rule and the values if a size rule fails."""

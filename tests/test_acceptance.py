@@ -83,8 +83,6 @@ def test_criterion_02_exact_recovery_all_pipelines():
         s, d, l = r + 4, 2 * r + 10, 2 * (r + 4)
         a = _rank_k(m, n, r, rng, np.linspace(3.0, 1.0, r))
         na = np.linalg.norm(a)
-        omt = generate(GAUSSIAN, l, s, SeedSpec(inst, Stream.OMEGA_TILDE, 0))
-        gmt = generate(GAUSSIAN, s, l, SeedSpec(inst, Stream.GAMMA_TILDE, 0))
         for plan in worst:
             def sketch(kind):
                 st = open_stream(kind, m, n, s, d, l, base_seed=inst, plan=plan)
@@ -97,7 +95,7 @@ def test_criterion_02_exact_recovery_all_pipelines():
             results += [tyuc17_spi(sk, SpiParams(q=1), r), tyuc17_spi(sk, SpiParams(q=2), r)]
             results.append(rsvd_onepass(sketch(PipelineKind.RSVD_ONEPASS), r))
             results.append(tyuc19(sketch(PipelineKind.TYUC19), r))
-            results.append(tyuc19_spi(sketch(PipelineKind.TYUC19_SPI), omt, gmt, 1, r))
+            results.append(tyuc19_spi(sketch(PipelineKind.TYUC19_SPI), SpiParams(q=1), r))
             for res in results:
                 worst[plan] = max(worst[plan], float(np.linalg.norm(a - res.reconstruct()) / na))
     assert worst[PrecisionPlan.ALL_DOUBLE] <= 1e-9

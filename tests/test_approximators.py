@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from sketchpower import approximators
 from sketchpower.approximators import (
+    approximate,
     rsvd_onepass,
     tyuc17,
     tyuc17_spi,
@@ -83,8 +85,8 @@ def test_variant_matches_spi_on_synthesized_rangefinder():
     a = _rank_r_matrix(50, 45, 6, seed=5) + 0.05 * np.random.default_rng(6).standard_normal((50, 45))
     s, d, l, q, r = 5, 12, 14, 2, 3
     sk = _sketch(PipelineKind.TYUC17_SPI_VARIANT, a, s=s, d=d, l=l, seed=7)
-    omt = generate(GAUSSIAN, l, s, SeedSpec(8, Stream.OMEGA_TILDE, 0))
-    res_var = tyuc17_spi_variant(sk, omt, q, r)
+    omt = generate(GAUSSIAN, l, s, SeedSpec(7, Stream.OMEGA_TILDE, 0))  # the pipeline's own draw
+    res_var = tyuc17_spi_variant(sk, SpiParams(q=q), r)
     # Oracle: run the plain powered pipeline on Y := Z @ Omega-tilde.
     y = sk.z.as_f64() @ omt.as_f64()
     fake = dataclasses.replace(sk, kind=PipelineKind.TYUC17_SPI,
@@ -98,8 +100,7 @@ def test_variant_matches_spi_on_synthesized_rangefinder():
 def test_variant_q0_stays_inside_power_sketch_range():
     a = _rank_r_matrix(40, 40, 4, seed=9)
     sk = _sketch(PipelineKind.TYUC17_SPI_VARIANT, a, s=4, d=10, l=8, seed=10)
-    omt = generate(GAUSSIAN, 8, 4, SeedSpec(11, Stream.OMEGA_TILDE, 0))
-    res = tyuc17_spi_variant(sk, omt, 0, 4)
+    res = tyuc17_spi_variant(sk, SpiParams(q=0), 4)
     z = sk.z.as_f64()
     proj = z @ np.linalg.lstsq(z, res.q_factor, rcond=None)[0]
     assert np.linalg.norm(proj - res.q_factor) <= 1e-9
@@ -143,9 +144,9 @@ def test_tyuc19_spi_q0_reduces_to_tyuc19():
     a = _rank_r_matrix(60, 48, 4, seed=18) + 0.02 * np.random.default_rng(19).standard_normal((60, 48))
     s, d, l = 6, 13, 12
     sk = _sketch(PipelineKind.TYUC19_SPI, a, s=s, d=d, l=l, seed=20)
-    omt = generate(GAUSSIAN, l, s, SeedSpec(21, Stream.OMEGA_TILDE, 0))
-    gmt = generate(GAUSSIAN, s, l, SeedSpec(21, Stream.GAMMA_TILDE, 0))
-    res = tyuc19_spi(sk, omt, gmt, 0, 4)
+    omt = generate(GAUSSIAN, l, s, SeedSpec(20, Stream.OMEGA_TILDE, 0))  # the pipeline's own draws
+    gmt = generate(GAUSSIAN, s, l, SeedSpec(20, Stream.GAMMA_TILDE, 0))
+    res = tyuc19_spi(sk, SpiParams(q=0), 4)
 
     y = sk.z.as_f64() @ omt.as_f64()
     x = gmt.as_f64() @ sk.w.as_f64()
@@ -163,9 +164,7 @@ def test_tyuc19_spi_rank_recovery_mixed_precision():
     a = _rank_r_matrix(90, 75, 4, seed=22)
     sk = _sketch(PipelineKind.TYUC19_SPI, a, s=8, d=18, l=16, seed=23,
                  plan=PrecisionPlan.MIXED_SINGLE_DOUBLE)
-    omt = generate(GAUSSIAN, 16, 8, SeedSpec(24, Stream.OMEGA_TILDE, 0))
-    gmt = generate(GAUSSIAN, 8, 16, SeedSpec(24, Stream.GAMMA_TILDE, 0))
-    res = tyuc19_spi(sk, omt, gmt, 1, 4)
+    res = tyuc19_spi(sk, SpiParams(q=1), 4)
     assert np.linalg.norm(a - res.reconstruct()) <= 1e-6 * np.linalg.norm(a)
 
 
@@ -211,7 +210,35 @@ def test_tyuc19_spi_contract_checks():
     with pytest.raises(ValueError, match="2s"):
         open_stream(PipelineKind.TYUC19_SPI, 40, 30, s=6, d=13, l=10)  # l < 2s
     sk = _sketch(PipelineKind.TYUC19_SPI, _rank_r_matrix(40, 30, 3, seed=32), s=6, d=13, l=12, seed=33)
-    omt = generate(GAUSSIAN, 12, 6, SeedSpec(34, Stream.OMEGA_TILDE, 0))
-    gmt = generate(GAUSSIAN, 6, 12, SeedSpec(34, Stream.GAMMA_TILDE, 0))
     with pytest.raises(ValueError, match="2s"):
-        tyuc19_spi(dataclasses.replace(sk, s=7), omt, gmt, 1, 3)
+        tyuc19_spi(dataclasses.replace(sk, s=7), SpiParams(q=1), 3)
+
+
+@pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)
+def test_approximate_runs_the_finisher_of_the_kind(kind, monkeypatch):
+    a = _rank_r_matrix(40, 30, 3, seed=36) + 0.01 * np.random.default_rng(37).standard_normal((40, 30))
+    sk = _sketch(kind, a, s=5, d=12, l=10, seed=38)
+    finish = getattr(approximators, kind.value)
+    params = SpiParams(q=2)
+    direct = finish(sk, params, 3) if PIPELINES[kind.value].uses("l") else finish(sk, 3)
+    got = approximate(sk, 3, params)
+    assert got.kind is kind
+    for name in ("u", "sv", "v"):
+        assert np.array_equal(getattr(got, name), getattr(direct, name))
+    # Looked up when called: a wrapper on the module attribute is what runs.
+    calls = []
+    monkeypatch.setattr(approximators, kind.value, lambda *args: calls.append(args) or finish(*args))
+    approximate(sk, 3, params)
+    assert len(calls) == 1
+
+
+def test_small_factors_follow_the_sketch_set():
+    # The storage-reduced pipelines draw O (l x s) and G (s x l) themselves,
+    # so their sizes always match the sketch set's s.
+    a = _rank_r_matrix(40, 30, 3, seed=39)
+    for kind in (PipelineKind.TYUC17_SPI_VARIANT, PipelineKind.TYUC19_SPI):
+        sk = _sketch(kind, a, s=4, d=12, l=12, seed=40)
+        res = approximate(sk, 3, SpiParams(q=1))
+        assert res.q_factor.shape == (40, 4)
+        again = approximate(dataclasses.replace(sk, trial=1), 3, SpiParams(q=1))
+        assert not np.array_equal(res.u, again.u)  # another trial, another draw

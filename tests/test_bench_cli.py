@@ -1,12 +1,16 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sketchpower import bench_cli
+from sketchpower.precision_model import PIPELINES
+from sketchpower.stream_ingest import PipelineKind
 from sketchpower.synthetic import Family, SyntheticSpec, generate, prescribed_spectrum, write_spim
 
 
@@ -177,9 +181,12 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert len(b_override.splitlines()) == len(b_cfg.splitlines()) + 1
 
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"no_such_flag": 1}))
-    with pytest.raises(SystemExit):
-        bench_cli.main(["run", "--config", str(bad)])
+    for key in ("no_such_flag", "block_rows"):
+        bad.write_text(json.dumps({key: 1}))
+        with pytest.raises(SystemExit, match=key):
+            bench_cli.main(["run", "--config", str(bad)])
+    with pytest.raises(SystemExit):  # the oracle sweep is the sweep subcommand
+        bench_cli.main(["run", "--guidance", "sweep", "--budget", "30"])
 
 
 def test_failing_trials_set_exit_code(tmp_path):
@@ -209,10 +216,52 @@ def test_ledger_subcommand(tmp_path):
 
 
 def test_console_entry_point_runs():
+    src = str(Path(bench_cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "sketchpower.bench_cli", "run", "--data", "poly", "--rank", "3",
          "--algo", "tyuc17", "--s", "6", "--d", "14", "--trials", "1", "--m", "40", "--n", "40"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith(",".join(bench_cli.CSV_HEADER[:3]))
+
+
+def test_workers_variable_must_be_a_positive_integer(monkeypatch):
+    args = ["run", "--data", "poly", "--rank", "3", "--algo", "tyuc17", "--s", "6", "--d", "14",
+            "--trials", "1", "--m", "40", "--n", "40"]
+    for value in ("abc", "0", "-1", "1.5", ""):
+        monkeypatch.setenv("SKETCHPOWER_WORKERS", value)
+        with pytest.raises(SystemExit, match="SKETCHPOWER_WORKERS"):
+            bench_cli.main(args)
+
+
+@pytest.mark.parametrize("precision", ["double", "mixed"])
+@pytest.mark.parametrize("kind", [k.value for k in PipelineKind])
+def test_auto_sizes_store_at_most_the_budget(kind, precision, capsys):
+    # Each sketch's words under the plan, as the ledger allocates them, never
+    # exceed T*n; a budget that cannot afford the rank is an error instead.
+    sketches = len(PIPELINES[kind].sketches)
+    for m, n in ((400, 400), (800, 400), (400, 800)):
+        for data, alpha in (("lowrank", 1.0), ("poly", 1.0), ("exp", 0.5)):
+            for t in range(8, 201, 12):
+                argv = ["ledger", "--algo", kind, "--precision", precision, "--data", data, "--alpha", str(alpha),
+                        "--m", str(m), "--n", str(n), "--rank", "5", "--budget", str(t), "--guidance", "auto"]
+                try:
+                    bench_cli.main(argv)
+                except SystemExit as exc:
+                    assert "infeasible" in str(exc)
+                    continue
+                rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+                assert sum(float(row[4]) for row in rows[1 : 1 + sketches]) <= t * n, (m, n, data, t)
+
+
+def test_sweep_guided_row_has_the_sizes_run_resolves_under_double_plan(tmp_path):
+    common = ["--data", "poly", "--alpha", "2", "--rank", "5", "--algo", "tyuc17_spi", "--precision", "double",
+              "--budget", "60", "--m", "80", "--n", "80", "--test-matrix", "gaussian", "--trials", "1"]
+    _run_cli(["sweep", *common], tmp_path / "sweep.csv")
+    guided = [r for r in csv.DictReader((tmp_path / "sweep.csv").read_text().splitlines()) if r["is_guided"] == "1"]
+    _run_cli(["run", *common, "--guidance", "auto"], tmp_path / "run.csv")
+    run_row = next(csv.DictReader((tmp_path / "run.csv").read_text().splitlines()))
+    assert len(guided) == 1
+    assert [guided[0][k] for k in "sdl"] == [run_row[k] for k in "sdl"]

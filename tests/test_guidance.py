@@ -5,6 +5,7 @@ import pytest
 
 from sketchpower.guidance import (
     BudgetSpec,
+    budget_sizes,
     DecayKind,
     InfeasibleBudgetError,
     SpectrumClass,
@@ -13,6 +14,10 @@ from sketchpower.guidance import (
     select_sizes,
     select_sizes_double,
 )
+from sketchpower.precision_model import PIPELINES, PrecisionPlan
+from sketchpower.stream_ingest import PipelineKind
+
+_DOUBLE, _MIXED = PrecisionPlan.ALL_DOUBLE, PrecisionPlan.MIXED_SINGLE_DOUBLE
 
 
 def test_flat_rule():
@@ -118,3 +123,47 @@ def test_select_sizes_double_respects_budget():
         assert s + d <= t_hat
         assert d >= s + 2
         assert s >= 12
+
+
+def test_budget_sizes_keep_the_table_rules_where_they_fit():
+    poly = SpectrumClass(DecayKind.POLY, 1.0)
+    conf = select_sizes(poly, BudgetSpec(t=96, n=1000, r=10))
+    assert budget_sizes(PipelineKind.TYUC17_SPI, _MIXED, poly, 96.0, 1000, 1000, 10) == (conf.s, conf.d, conf.l)
+    half = select_sizes(poly, BudgetSpec(t=48, n=1000, r=10))  # binary64 entries cost twice
+    assert budget_sizes(PipelineKind.TYUC17_SPI, _DOUBLE, poly, 96.0, 1000, 1000, 10) == (half.s, half.d, half.l)
+    assert budget_sizes(PipelineKind.TYUC17, _DOUBLE, poly, 96.0, 1000, 1000, 10) == (
+        *select_sizes_double(poly, 96.0, 1000, 10), 0)
+    # The variant stores no Y: same rule, s lowered to l/2.
+    fast = SpectrumClass(DecayKind.EXP, 0.5)
+    s, d, l = budget_sizes(PipelineKind.TYUC17_SPI_VARIANT, _MIXED, fast, 60.0, 2000, 1000, 5)
+    assert s == l // 2 < select_sizes(fast, BudgetSpec(t=60, n=1000, r=5, c=2.0)).s
+
+
+@pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("plan", [_DOUBLE, _MIXED], ids=lambda p: p.value)
+def test_budget_sizes_fit_or_name_the_least_budget(kind, plan):
+    spec, cls = PIPELINES[kind.value], SpectrumClass(DecayKind.POLY, 2.0)
+    for t in range(4, 80, 3):
+        try:
+            s, d, l = budget_sizes(kind, plan, cls, float(t), 300, 200, 6)
+        except InfeasibleBudgetError as exc:
+            least = exc.minimal_feasible_t
+            assert least > t
+            budget_sizes(kind, plan, cls, float(least), 300, 200, 6)  # resolves there
+            if least - 1 > t:
+                with pytest.raises(InfeasibleBudgetError):
+                    budget_sizes(kind, plan, cls, float(least - 1), 300, 200, 6)
+            continue
+        assert s >= 6 and spec.words(plan, 300, 200, s, d, l) <= t * 200
+        spec.check_sizes(300, 200, s, d, l)
+        assert (d > 0) == spec.uses("d") and (l > 0) == spec.uses("l")
+
+
+def test_budget_sizes_with_s_given_derive_d_and_l():
+    # The oracle sweep's grid: at fixed s, d and l follow the same budget.
+    assert budget_sizes(PipelineKind.TYUC17, _DOUBLE, None, 30.0, 80, 80, 5, s=7) == (7, 23, 0)
+    assert budget_sizes(PipelineKind.TYUC17, _MIXED, None, 30.0, 80, 80, 5, s=7) == (7, 46, 0)
+    assert budget_sizes(PipelineKind.TYUC17_SPI, _MIXED, None, 30.0, 80, 80, 5, s=7) == (7, 23, 30)
+    assert budget_sizes(PipelineKind.TYUC17_SPI, _DOUBLE, None, 30.0, 80, 80, 5, s=7) == (7, 8, 15)
+    with pytest.raises(InfeasibleBudgetError):
+        budget_sizes(PipelineKind.TYUC17_SPI, _DOUBLE, None, 30.0, 80, 80, 5, s=8)  # d < s

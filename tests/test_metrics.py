@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -406,3 +407,18 @@ def test_tiny_data_keeps_its_relative_errors():
     assert not re_tiny.flags
     assert re_tiny.extra_f == pytest.approx(re.extra_f, rel=1e-12)
     assert tail_energy([3e-200, 2e-200, 1e-200], 2) == pytest.approx(math.sqrt(5) * 1e-200, rel=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+def test_rangefinder_is_judged_alike_at_every_scale(scale):
+    # qr_economy compared R's diagonal with an unscaled ||Y||_F, which read 0
+    # at 1e-200 and inf (with an overflow warning) at 1e200, so a healthy
+    # rangefinder came back flagged rangefinder_rank_deficient.
+    a = _noisy_lowrank(60, 50, 3, seed=42)
+    want = relative_error(a, _run_tyuc17(a, 6, 14, 3, seed=43), 3).s_f
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = _run_tyuc17(scale * a, 6, 14, 3, seed=43)
+        rel = relative_error(scale * a, res, 3)
+    assert not res.flags and not rel.flags
+    assert rel.s_f == pytest.approx(want, rel=1e-12)

@@ -434,3 +434,105 @@ def test_any_split_matches_one_shot_ingestion(kind, plan, data):
         ref = w.data.astype(np.float64)
         tol = (len(updates) * eps + 1e3 * np.finfo(np.float64).eps) * max(np.linalg.norm(ref), 1e-300)
         assert np.linalg.norm(g.data.astype(np.float64) - ref) <= tol, name
+
+
+# -- invalid updates ------------------------------------------------------------
+
+
+@st.composite
+def _invalid_case(draw, rowwise):
+    """Sizes, a seed, a data matrix split at row k, and one update ``ingest``
+    must refuse after rows [0, k) arrived (None: a valid update after
+    ``finalize``)."""
+    s = draw(st.integers(1, 3))
+    m, n = draw(st.integers(max(s, 2), 9)), draw(st.integers(s, 9))
+    d, l = s + draw(st.integers(1, 3)), 2 * s + draw(st.integers(0, 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    a, k = rng.standard_normal((m, n)), draw(st.integers(1, m - 1))
+    cases = ["wrong_shape", "start_out_of_range", "non_finite", "after_finalize"]
+    if rowwise:
+        cases += ["column_block", "rank_one_two_rows", "repeated_row"]
+    case = draw(st.sampled_from(cases))
+    if case == "wrong_shape":
+        bad = draw(st.sampled_from([
+            LinearUpdate.dense(np.ones((m + 1, n))),
+            LinearUpdate.dense(np.ones((m, n - 1))),
+            LinearUpdate.dense(np.ones(n)),
+            LinearUpdate.rank_one(np.ones(m + 1), np.ones(n)),
+            LinearUpdate.rank_one(np.eye(m)[k], np.ones(n + 1)),
+            LinearUpdate.row_block(k, np.ones((1, n + 1))),
+            LinearUpdate.column_block(0, np.ones((m - 1, 1))),
+        ]))
+    elif case == "start_out_of_range":
+        rows, cols = draw(st.integers(1, m - k)), draw(st.integers(1, n))
+        bad = draw(st.sampled_from([
+            LinearUpdate.row_block(m - rows + 1, np.ones((rows, n))),
+            LinearUpdate.row_block(-1, np.ones((rows, n))),
+            LinearUpdate.column_block(n - cols + 1, np.ones((m, cols))),
+            LinearUpdate.column_block(-1, np.ones((m, cols))),
+        ]))
+    elif case == "non_finite":
+        h = rng.standard_normal((m, n))
+        h[draw(st.integers(k, m - 1)), draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+        i = int(np.flatnonzero(~np.isfinite(h).all(axis=1))[0])
+        choices = [LinearUpdate.row_block(k, h[k:]), LinearUpdate.rank_one(np.eye(m)[i], h[i])]
+        if not rowwise:
+            choices += [LinearUpdate.dense(h), LinearUpdate.column_block(0, h)]
+        bad = draw(st.sampled_from(choices))
+    elif case == "after_finalize":
+        bad = None
+    elif case == "column_block":
+        bad = LinearUpdate.column_block(0, rng.standard_normal((m, draw(st.integers(1, n)))))
+    elif case == "rank_one_two_rows":
+        u = np.zeros(m)
+        u[draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))] = 1.0
+        bad = LinearUpdate.rank_one(u, rng.standard_normal(n))
+    else:  # repeated_row
+        i = draw(st.integers(0, k - 1))
+        bad = draw(st.sampled_from([
+            LinearUpdate.rank_one(np.eye(m)[i], rng.standard_normal(n)),
+            LinearUpdate.row_block(i, rng.standard_normal((m - i, n))),
+        ]))
+    return (m, n, s, d, l), seed, a, k, bad
+
+
+@pytest.mark.parametrize("plan", list(PrecisionPlan), ids=lambda p: p.value)
+@pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)
+@settings(derandomize=True, deadline=None)
+@given(data=st.data())
+def test_invalid_update_raises_at_ingest_and_changes_nothing(kind, plan, data):
+    rowwise = kind is PipelineKind.RSVD_ONEPASS
+    sizes, seed, a, k, bad = data.draw(_invalid_case(rowwise))
+    head, tail = LinearUpdate.row_block(0, a[:k]), LinearUpdate.row_block(k, a[k:])
+
+    def stream():
+        return open_stream(kind, *sizes, base_seed=seed, plan=plan).ingest(head)
+
+    clean = stream().ingest(tail).finalize()
+    st_ = stream()
+    if bad is None:
+        fin = st_.ingest(tail).finalize()
+        with pytest.raises(RuntimeError, match="finalized"):
+            st_.ingest(tail)
+        for name in _SKETCH_NAMES:
+            if getattr(fin, name) is not None:
+                assert np.array_equal(getattr(fin, name).data, getattr(clean, name).data), name
+        return
+    with pytest.raises(ValueError):
+        st_.ingest(bad)
+    # The refused update left no trace: the rest of the pass gives the bytes
+    # of a pass without it, and those match one-shot ingestion.
+    got = st_.ingest(tail).finalize()
+    one = open_stream(kind, *sizes, base_seed=seed, plan=plan)
+    want = one.ingest(LinearUpdate.row_block(0, a) if rowwise else LinearUpdate.dense(a)).finalize()
+    for name in _SKETCH_NAMES:
+        g, c, w = getattr(got, name), getattr(clean, name), getattr(want, name)
+        if w is None:
+            continue
+        assert np.array_equal(g.data, c.data), name
+        eps = float(np.finfo(w.data.dtype).eps)
+        ref = w.data.astype(np.float64)
+        tol = (2 * eps + 1e3 * np.finfo(np.float64).eps) * max(np.linalg.norm(ref), 1e-300)
+        assert np.linalg.norm(g.data.astype(np.float64) - ref) <= tol, name

@@ -93,9 +93,7 @@ def test_two_sided_powered_pipeline_improves_on_two_sided():
         st = open_stream(PipelineKind.TYUC19_SPI, n, n, s, d, l, base_seed=902, trial=t,
                          plan=PrecisionPlan.MIXED_SINGLE_DOUBLE)
         sk = st.ingest(LinearUpdate.dense(a)).finalize()
-        omt = generate(GAUSSIAN, l, s, SeedSpec(903, Stream.OMEGA_TILDE, t))
-        gmt = generate(GAUSSIAN, s, l, SeedSpec(903, Stream.GAMMA_TILDE, t))
-        res = tyuc19_spi(sk, omt, gmt, 1, r)
+        res = tyuc19_spi(sk, SpiParams(q=1), r)
         f19s.append(metrics.relative_error(a, res, r, baselines=base).s_f)
     assert float(np.mean(f19s)) <= float(np.mean(f19))
 
@@ -121,8 +119,7 @@ def test_fast_exp_mixed_precision_floor():
             st = open_stream(PipelineKind.TYUC17_SPI_VARIANT, n, n, s_v, conf.d + 10, conf.l,
                              base_seed=1001, trial=t, plan=plan)
             sk = st.ingest(LinearUpdate.dense(a)).finalize()
-            omt = generate(GAUSSIAN, conf.l, s_v, SeedSpec(1002, Stream.OMEGA_TILDE, t))
-            res = tyuc17_spi_variant(sk, omt, 1, r)
+            res = tyuc17_spi_variant(sk, SpiParams(q=1), r)
             vals.append(metrics.relative_error(a, res, r, baselines=base).s_f)
         out[plan] = float(np.mean(vals))
     mixed = out[PrecisionPlan.MIXED_SINGLE_DOUBLE]
