@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -77,6 +78,10 @@ class RunConfig:
     stabilize: str = "auto"
     timing: bool = False
     out: Optional[str] = None
+
+    def __post_init__(self):
+        if self.budget is not None and not (math.isfinite(self.budget) and self.budget > 0):
+            raise SystemExit(f"--budget must be a positive finite number, got {self.budget!r}")
 
 
 def _pipeline_kind(algo: str) -> PipelineKind:
@@ -165,6 +170,18 @@ def _dataset_columns(cfg: RunConfig) -> tuple[str, str, Optional[float]]:
     return cfg.data, str(cfg.plateau), cfg.gamma if cfg.data == "lowrank" else cfg.alpha
 
 
+def _load_file(cfg: RunConfig) -> tuple[RunConfig, np.ndarray, np.ndarray]:
+    """The file's matrix, cfg sized to it, and its singular values.
+
+    One SVD of the file serves both the baselines and the guidance.
+    """
+    if not cfg.file:
+        raise SystemExit("--data file requires --file PATH")
+    a = read_matrix(cfg.file).data
+    cfg = dataclasses.replace(cfg, m=a.shape[0], n=a.shape[1])
+    return cfg, a, la.svdvals(a, check_finite=False)
+
+
 def _run_one_trial(cfg, kind, plan, sizes, trial, shared_a, shared_base):
     s, d, l = sizes
     if shared_a is None:
@@ -216,12 +233,7 @@ def run(cfg: RunConfig, out=None) -> int:
 
     shared_a = shared_base = file_sv = None
     if cfg.data == "file":
-        if not cfg.file:
-            raise SystemExit("--data file requires --file PATH")
-        shared_a = read_matrix(cfg.file).data
-        cfg = dataclasses.replace(cfg, m=shared_a.shape[0], n=shared_a.shape[1])
-        # One SVD of the file serves both the baselines and the guidance.
-        file_sv = la.svdvals(shared_a, check_finite=False)
+        cfg, shared_a, file_sv = _load_file(cfg)
         shared_base = metrics.baselines_from_spectrum(file_sv, cfg.rank)
 
     sizes = _resolve_sizes(cfg, kind, plan, file_sv)
@@ -307,7 +319,10 @@ def emit_ledger(cfg: RunConfig, out=None) -> int:
     """Storage-ledger dump (label, rows, cols, precision, words) for a pipeline."""
     kind = _pipeline_kind(cfg.algo)
     plan = _plan_of(cfg, kind)
-    sizes = _resolve_sizes(cfg, kind, plan, None)
+    file_sv = None
+    if cfg.data == "file":
+        cfg, _, file_sv = _load_file(cfg)
+    sizes = _resolve_sizes(cfg, kind, plan, file_sv)
     led = simulate_storage(kind.value, plan, cfg.m, cfg.n, sizes[0], sizes[1], sizes[2])
     lines = [["label", "rows", "cols", "precision", "words"]]
     lines += [[*row[:4], _fmt(float(row[4]))] for row in led.csv_rows()]

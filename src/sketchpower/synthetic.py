@@ -14,10 +14,13 @@ always yields the same matrix.
 from __future__ import annotations
 
 import enum
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterator, Mapping
 
 import numpy as np
+import scipy.linalg as la
 
 from .matrix_core import DenseMatrix, Precision
 from .test_matrices import SeedSpec, Stream, rng_for
@@ -78,16 +81,54 @@ def adds_noise(spec: SyntheticSpec) -> bool:
     return spec.family is Family.LOWRANK_NOISE and spec.snr > 0.0
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _factors_overlap(environ: Mapping[str, str], cpus: int) -> bool:
+    """Whether building U and V at the same time can pay off.
+
+    Only with a spare CPU and a BLAS set to one thread: a multi-threaded BLAS
+    already keeps every CPU busy on one QR, and two at once run slower.
+    """
+    threads = environ.get("OPENBLAS_NUM_THREADS", environ.get("OMP_NUM_THREADS"))
+    return cpus >= 2 and threads == "1"
+
+
+_CONCURRENT_FACTORS = _factors_overlap(os.environ, _usable_cpus())
+
+
 def _orthonormal(rows: int, cols: int, seed: SeedSpec) -> np.ndarray:
     g = rng_for(seed).standard_normal((rows, cols))
     q, _ = np.linalg.qr(g)
     return q
 
 
+def _orthonormal_in_place(rows: int, cols: int, seed: SeedSpec) -> np.ndarray:
+    # The same factor as _orthonormal under a one-thread BLAS, without the
+    # input copy and work buffers np.linalg.qr keeps alive: two of those at
+    # once raised the peak memory of a 1000x1000 trial by a quarter.  R is
+    # dropped before Q is copied back to C order, since an F-ordered factor
+    # changes the last bits of (u * sv) @ v.T.
+    g = np.asfortranarray(rng_for(seed).standard_normal((rows, cols)))
+    q = la.qr(g, overwrite_a=True, mode="economic", check_finite=False)[0]
+    return np.ascontiguousarray(q)
+
+
 def _factors(spec: SyntheticSpec):
     k = spec.plateau if spec.family is Family.LOWRANK_NOISE else min(spec.m, spec.n)
-    u = _orthonormal(spec.m, k, SeedSpec(spec.base_seed, Stream.DATA_LEFT, spec.trial))
-    v = _orthonormal(spec.n, k, SeedSpec(spec.base_seed, Stream.DATA_RIGHT, spec.trial))
+    left = (spec.m, k, SeedSpec(spec.base_seed, Stream.DATA_LEFT, spec.trial))
+    right = (spec.n, k, SeedSpec(spec.base_seed, Stream.DATA_RIGHT, spec.trial))
+    if _CONCURRENT_FACTORS:
+        with ThreadPoolExecutor(1) as pool:
+            left_q = pool.submit(_orthonormal_in_place, *left)
+            v = _orthonormal_in_place(*right)
+            u = left_q.result()
+    else:
+        u = _orthonormal(*left)
+        v = _orthonormal(*right)
     sv = prescribed_spectrum(spec)[:k]
     return u, sv, v
 
@@ -102,11 +143,12 @@ def generate(spec: SyntheticSpec) -> DenseMatrix:
 
 
 def stream_row_blocks(spec: SyntheticSpec, block_rows: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start_row, block) pairs reproducing generate(spec) exactly.
+    """Yield (start_row, block) pairs reproducing generate(spec) to roundoff.
 
-    The signal part is assembled per block from the factors; the noise matrix
-    of the low-rank family is drawn once so that streamed and materialized
-    data are bit-identical.
+    The signal part is assembled per block from the factors, so it can differ
+    from generate(spec) in the last bits: BLAS blocks a row slice of the
+    product differently from the full product.  The noise matrix of the
+    low-rank family is drawn once, so the noise itself is the same.
     """
     if block_rows < 1:
         raise ValueError("block_rows must be >= 1")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sketchpower import bench_cli
-from sketchpower.precision_model import PIPELINES
+from sketchpower.precision_model import PIPELINES, simulate_storage
 from sketchpower.stream_ingest import PipelineKind
 from sketchpower.synthetic import Family, SyntheticSpec, generate, prescribed_spectrum, write_spim
 
@@ -265,3 +265,44 @@ def test_sweep_guided_row_has_the_sizes_run_resolves_under_double_plan(tmp_path)
     run_row = next(csv.DictReader((tmp_path / "run.csv").read_text().splitlines()))
     assert len(guided) == 1
     assert [guided[0][k] for k in "sdl"] == [run_row[k] for k in "sdl"]
+
+
+def test_ledger_on_a_file_resolves_the_sizes_run_resolves(tmp_path):
+    spec = SyntheticSpec(Family.POLY_DECAY, m=60, n=45, plateau=5, alpha=1.0, base_seed=8)
+    path = tmp_path / "d.spim"
+    write_spim(path, generate(spec))
+    common = ["--data", "file", "--file", str(path), "--rank", "5", "--algo", "tyuc17_spi",
+              "--budget", "20", "--guidance", "auto"]
+    assert _run_cli(["run", *common, "--trials", "1"], tmp_path / "run.csv")[0] == 0
+    row = next(csv.DictReader((tmp_path / "run.csv").read_text().splitlines()))
+    assert _run_cli(["ledger", *common], tmp_path / "ledger.csv")[0] == 0
+    ledger = list(csv.reader((tmp_path / "ledger.csv").read_text().splitlines()))
+    plan = PIPELINES["tyuc17_spi"].default_plan
+    expected = simulate_storage("tyuc17_spi", plan, 60, 45, int(row["s"]), int(row["d"]), int(row["l"]))
+    assert [r[:3] for r in ledger[1:-1]] == [[str(x) for x in r[:3]] for r in expected.csv_rows()]
+
+
+@pytest.mark.parametrize("budget", ["inf", "nan", "-5", "0"])
+@pytest.mark.parametrize("command", ["run", "sweep", "ledger"])
+def test_budget_must_be_positive_and_finite(command, budget):
+    with pytest.raises(SystemExit, match="--budget must be a positive finite number"):
+        bench_cli.main([command, "--algo", "tyuc17_spi", "--budget", budget, "--guidance", "auto",
+                        "--m", "40", "--n", "40", "--rank", "3", "--trials", "1"])
+
+
+def test_one_blas_thread_csv_does_not_depend_on_workers():
+    # With one BLAS thread on two or more CPUs the data factors are built on
+    # helper threads inside each trial's worker thread.
+    src = str(Path(bench_cli.__file__).resolve().parents[1])
+    outputs = []
+    for workers in ("1", "3"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "SKETCHPOWER_WORKERS": workers,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "sketchpower.bench_cli", "run", "--algo", "tyuc17_spi", "--data", "poly",
+             "--m", "300", "--n", "300", "--budget", "60", "--guidance", "auto", "--trials", "3"],
+            capture_output=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

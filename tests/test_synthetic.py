@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+from sketchpower import synthetic
 from sketchpower.matrix_core import Precision
 from sketchpower.stream_ingest import read_matrix
 from sketchpower.synthetic import (
@@ -83,7 +86,7 @@ def test_orthonormal_factor_quality_and_determinism():
     assert np.linalg.norm(u.T @ u - np.eye(u.shape[1])) <= 1e-12 * np.sqrt(120)
 
 
-def test_stream_blocks_reproduce_generate():
+def test_stream_blocks_reproduce_generate(monkeypatch):
     # Per-block assembly agrees with the materialized matrix to roundoff
     # (BLAS blocking differs between the sliced and full products).
     for family, kw in ((Family.POLY_DECAY, {}), (Family.LOWRANK_NOISE, dict(snr=1e-3))):
@@ -95,6 +98,61 @@ def test_stream_blocks_reproduce_generate():
         assert [start for start, _ in parts] == [0, 13, 26, 39, 52]
         again = np.vstack([b for _, b in stream_row_blocks(spec, block_rows=13)])
         assert np.array_equal(again, stacked)
+    # The paper's size, with U and V built concurrently.
+    monkeypatch.setattr(synthetic, "_CONCURRENT_FACTORS", True)
+    spec = _spec(Family.POLY_DECAY, m=1000, n=1000)
+    full = generate(spec).data
+    stacked = np.vstack([b for _, b in stream_row_blocks(spec, block_rows=37)])
+    assert np.allclose(stacked, full, rtol=0, atol=1e-14 * np.abs(full).max())
+
+
+@pytest.mark.parametrize(
+    "environ, cpus, expected",
+    [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
+        ({"OMP_NUM_THREADS": "1"}, 4, True),
+        ({}, 2, False),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, 1, False),
+    ],
+)
+def test_factors_overlap_only_with_a_spare_cpu_and_one_blas_thread(environ, cpus, expected):
+    assert synthetic._factors_overlap(environ, cpus) is expected
+
+
+def test_concurrent_factors_are_deterministic_and_exact(monkeypatch):
+    spec = _spec(Family.POLY_DECAY, m=150, n=120)
+    monkeypatch.setattr(synthetic, "_CONCURRENT_FACTORS", False)
+    serial = generate(spec).data
+    su, _, sv_ = synthetic._factors(spec)
+    monkeypatch.setattr(synthetic, "_CONCURRENT_FACTORS", True)
+    first = generate(spec).data
+    assert generate(spec).data.tobytes() == first.tobytes()
+
+    results = [None] * 4
+    barrier = threading.Barrier(4)
+
+    def work(i):
+        barrier.wait(timeout=30)
+        results[i] = generate(spec).data.tobytes()
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [first.tobytes()] * 4
+
+    u, sv, v = synthetic._factors(spec)
+    assert u.flags.c_contiguous and v.flags.c_contiguous
+    for q in (u, v):
+        assert np.linalg.norm(q.T @ q - np.eye(q.shape[1])) <= 1e-12
+    computed = np.linalg.svd(first, compute_uv=False)
+    assert np.max(np.abs(computed - prescribed_spectrum(spec))) <= 1e-12
+    # Equal bits need the two LAPACK builds to agree, so compare to roundoff.
+    for a, b in ((first, serial), (u, su), (v, sv_)):
+        assert np.linalg.norm(a - b) <= 1e-14 * np.linalg.norm(b)
 
 
 def test_spim_round_trip_binary64_and_binary32(tmp_path):
