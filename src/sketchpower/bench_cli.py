@@ -304,10 +304,7 @@ def run_sweep(cfg: RunConfig, out=None) -> int:
 def emit_spectrum(cfg: RunConfig, out=None) -> int:
     """Index, sigma_i pairs: prescribed for synthetic specs, computed for files."""
     if cfg.data == "file":
-        if not cfg.file:
-            raise SystemExit("--data file requires --file PATH")
-        a = read_matrix(cfg.file).data
-        sv = np.linalg.svd(a, compute_uv=False)
+        sv = _load_file(cfg)[2]
     else:
         sv = synthetic.prescribed_spectrum(_dataset_spec(cfg))
     lines = [["index", "sigma"]] + [[i, _fmt(float(v))] for i, v in enumerate(sv, start=1)]

@@ -13,7 +13,10 @@ doubles the affordable sketch sizes under a fixed word budget; they are
 upcast to binary64 right before orthonormalization and the solves, reusing
 the space of the sketch that is no longer needed.  The ledger proves the
 space reuse is feasible; actual buffers are allocated fresh (byte aliasing is
-modeled, not performed).
+modeled, not performed).  The ledger and :meth:`PipelineSpec.words` count
+sketches only, so the budget stays the paper's sketch storage: the test
+matrices and a stream's binary64 staging pair of at most k(m + n) words
+(:mod:`stream_ingest`) sit outside both.
 """
 from __future__ import annotations
 
@@ -269,7 +272,9 @@ def simulate_storage(
     The sketches are allocated as the pipeline's :data:`PIPELINES` entry
     gives them; the casts and their space reuse follow per pipeline.  Follows the big-buffer accounting convention: the large sketch buffers (and, for
     the storage-reduced variants, the l x l Gram matrix plus an s-word
-    buffer); test matrices and O(s^2) iterates are disregarded.
+    buffer); test matrices, O(s^2) iterates and a stream's staging pair for
+    rank-one terms and column blocks (at most k(m + n) binary64 words, never
+    more than the sketches hold) are disregarded.
     """
     spec = PIPELINES[pipeline]
     shapes = spec.shapes(m, n, s, d, l)

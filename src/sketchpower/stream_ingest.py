@@ -1,8 +1,9 @@
 """One-pass sketch construction over a stream of linear updates.
 
 The data matrix is only ever seen as a sum of additive updates (dense
-increments, rank-one terms, row blocks, column blocks).  Each update touches
-every requested sketch once, by linearity; the matrix itself is never stored.
+increments, rank-one terms, row blocks, column blocks).  Each update is added
+to every requested sketch once, by linearity; the matrix itself is never
+stored.
 Which sketches a stream keeps, their shapes, update rules and test matrices,
 and the size rules it must meet all come from the pipeline's entry in
 :data:`~sketchpower.precision_model.PIPELINES`; :func:`open_stream` checks the
@@ -11,9 +12,19 @@ updates of the wrong shape or with non-finite entries.  After
 :meth:`SketchStream.finalize` the resulting :class:`SketchSet` is immutable
 (its arrays are read-only) and certifies ``pass_count == 1``.
 
-Sketches declared binary32 are accumulated in binary64 per update and rounded
-to binary32 at the update boundary, bounding rounding drift independent of
-how the stream is blocked.
+Rank-one terms and column blocks are staged: a stream keeps up to k of their
+columns as a binary64 pair U (m x k) and V (n x k) and folds the pending
+U V^T into every sketch with one product per sketch, when the next term
+would not fit, before a dense or row-block update and in
+:meth:`SketchStream.finalize`.  k is ``min(32, sketch entries // (m + n))``,
+so the pair never holds more entries than the sketches; it is allocated at
+the first staged term and released at finalize.  Row-only streams (those with
+a ``gram`` sketch) stage nothing.
+
+Sketches declared binary32 are accumulated in binary64 and rounded to
+binary32 at each fold: once per dense or row-block update and once per flush
+of the staging pair (about N/k roundings for N staged terms), bounding
+rounding drift independent of how the stream is blocked.
 """
 from __future__ import annotations
 
@@ -38,6 +49,13 @@ __all__ = [
     "read_matrix",
     "default_block_rows",
 ]
+
+
+# Widest staging pair, in columns.  1050 rank-one terms and 8-column blocks
+# into a mixed tyuc17_spi and a binary64 tyuc19 stream (1000 x 1000, sizes
+# (24, 72, 96), one BLAS thread) took about 1150 ms unstaged and 750, 480,
+# 380 and 380 ms at k = 8, 16, 32 and 64.
+_STAGE_COLS = 32
 
 
 class PipelineKind(enum.Enum):
@@ -165,8 +183,14 @@ class SketchStream:
         self._steps = [(sk.name, kernels[sk.update], sk.operands, sk.name in reused) for sk in spec.sketches]
         # A gram sketch is quadratic in the data, so its stream takes whole rows.
         self._rows_seen = np.zeros(m, dtype=bool) if reused else None
+        # Every other pipeline has a right sketch of m rows and a left one of
+        # n columns, so k >= 1 there; a row-only stream stages nothing.
+        entries = sum(a.size for a in self._sk.values())
+        self._stage_cols = 0 if reused else min(_STAGE_COLS, entries // (m + n))
+        self._stage: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._pending = 0
 
-    # -- accumulation helpers (binary64 staging, round at the boundary) -----
+    # -- accumulation helpers (binary64 increments, round at each fold) -----
 
     def _add(self, name: str, sl, inc: np.ndarray) -> np.ndarray:
         dst = self._sk[name]
@@ -180,8 +204,8 @@ class SketchStream:
         """sketch += H @ t for a sketch whose rows follow the data rows."""
         if upd.kind == "dense":
             return self._add(name, slice(None), upd.h @ t)
-        elif upd.kind == "rank_one":
-            return self._add(name, slice(None), np.outer(upd.u, upd.v @ t))
+        elif upd.kind == "rank_one":  # u, v: the m x p and n x p staged columns
+            return self._add(name, slice(None), upd.u @ (upd.v.T @ t))
         elif upd.kind == "row_block":
             a, b = upd.start, upd.start + upd.h.shape[0]
             return self._add(name, slice(a, b), upd.h @ t)
@@ -194,7 +218,7 @@ class SketchStream:
         if upd.kind == "dense":
             return self._add(name, slice(None), t @ upd.h)
         elif upd.kind == "rank_one":
-            return self._add(name, slice(None), np.outer(t @ upd.u, upd.v))
+            return self._add(name, slice(None), (t @ upd.u) @ upd.v.T)
         elif upd.kind == "row_block":
             a, b = upd.start, upd.start + upd.h.shape[0]
             return self._add(name, slice(None), t[:, a:b] @ upd.h)
@@ -207,7 +231,7 @@ class SketchStream:
         if upd.kind == "dense":
             return self._add(name, slice(None), (tl @ upd.h) @ tr.T)
         elif upd.kind == "rank_one":
-            return self._add(name, slice(None), np.outer(tl @ upd.u, tr @ upd.v))
+            return self._add(name, slice(None), (tl @ upd.u) @ (tr @ upd.v).T)
         elif upd.kind == "row_block":
             a, b = upd.start, upd.start + upd.h.shape[0]
             return self._add(name, slice(None), (tl[:, a:b] @ upd.h) @ tr.T)
@@ -250,19 +274,62 @@ class SketchStream:
         raise ValueError(f"non-finite entries in {upd.kind} update of {where}")
 
     def ingest(self, upd: LinearUpdate) -> "SketchStream":
-        """Fold one linear update into every sketch of this stream."""
+        """Add one linear update to this stream.
+
+        The update is checked first; a refused one leaves the stream as it
+        was.  A rank-one term or a column block of at most k columns is
+        copied into the staging pair; anything else flushes the pair and is
+        folded into every sketch at once.
+        """
         if self._finalized:
             raise RuntimeError("stream already finalized; the single pass is over")
         self._check_shape(upd)
         self._check_finite(upd)
         if self._rows_seen is not None:
             upd = self._whole_rows(upd)
+        width = 1 if upd.kind == "rank_one" else upd.h.shape[1] if upd.kind == "column_block" else None
+        if width is not None and width <= self._stage_cols:
+            if self._pending + width > self._stage_cols:
+                self._flush()
+            self._push(upd, width)
+        else:
+            self._flush()
+            self._fold(upd)
+        return self
+
+    def _fold(self, upd: LinearUpdate) -> None:
+        """Add an update to every sketch, in the table's order."""
         done = {}
         for name, update, operands, reused in self._steps:
             inc = update(self, name, *(done[o] if o in done else self._t[o] for o in operands), upd)
             if reused:
                 done[name] = inc
-        return self
+
+    def _push(self, upd: LinearUpdate, width: int) -> None:
+        """Copy a rank-one term, or a column block H as H [e_a ... e_{a+w-1}]^T,
+        into the next columns of the staging pair."""
+        if self._stage is None:
+            k = self._stage_cols
+            self._stage = (np.empty((self.m, k), order="F"), np.empty((self.n, k), order="F"))
+        u, v = self._stage
+        p = self._pending
+        if upd.kind == "rank_one":
+            u[:, p] = upd.u
+            v[:, p] = upd.v
+        else:
+            u[:, p : p + width] = upd.h
+            v[:, p : p + width] = 0.0
+            j = np.arange(width)
+            v[upd.start + j, p + j] = 1.0
+        self._pending += width
+
+    def _flush(self) -> None:
+        """Fold the pending U V^T into every sketch as one rank-p term."""
+        if self._pending:
+            u, v = self._stage
+            p = self._pending
+            self._fold(LinearUpdate("rank_one", u=u[:, :p], v=v[:, :p]))
+            self._pending = 0
 
     def _whole_rows(self, upd: LinearUpdate) -> LinearUpdate:
         """The update as a row block of rows not delivered before.
@@ -291,6 +358,8 @@ class SketchStream:
     def finalize(self) -> SketchSet:
         if self._finalized:
             raise RuntimeError("stream already finalized")
+        self._flush()
+        self._stage = None
         self._finalized = True
         for arr in (*self._sk.values(), *self._t.values()):
             arr.flags.writeable = False

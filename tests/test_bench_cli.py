@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from sketchpower import bench_cli
+from sketchpower.matrix_core import DenseMatrix
 from sketchpower.precision_model import PIPELINES, simulate_storage
 from sketchpower.stream_ingest import PipelineKind
 from sketchpower.synthetic import Family, SyntheticSpec, generate, prescribed_spectrum, write_spim
@@ -121,6 +122,15 @@ def test_spectrum_round_trip_through_file(tmp_path):
     rows = list(csv.DictReader((tmp_path / "sp2.csv").read_text().splitlines()))
     sigma = np.array([float(r["sigma"]) for r in rows])
     assert np.max(np.abs(sigma - prescribed_spectrum(spec))) <= 1e-12
+
+
+def test_spectrum_of_a_file_is_the_one_run_classifies(tmp_path):
+    path = tmp_path / "g.spim"
+    write_spim(path, DenseMatrix(np.random.default_rng(4).standard_normal((300, 200))))
+    _run_cli(["spectrum", "--data", "file", "--file", str(path)], tmp_path / "sp.csv")
+    rows = list(csv.DictReader((tmp_path / "sp.csv").read_text().splitlines()))
+    sv = bench_cli._load_file(bench_cli.RunConfig(algo="tyuc17", data="file", file=str(path)))[2]
+    assert [r["sigma"] for r in rows] == [bench_cli._fmt(float(v)) for v in sv]
 
 
 def test_spectrum_empty_file_rejected(tmp_path):

@@ -536,3 +536,200 @@ def test_invalid_update_raises_at_ingest_and_changes_nothing(kind, plan, data):
         ref = w.data.astype(np.float64)
         tol = (2 * eps + 1e3 * np.finfo(np.float64).eps) * max(np.linalg.norm(ref), 1e-300)
         assert np.linalg.norm(g.data.astype(np.float64) - ref) <= tol, name
+
+
+# -- staged rank-one terms and column blocks ------------------------------------
+
+_STAGED_KINDS = [k for k in PipelineKind if k is not PipelineKind.RSVD_ONEPASS]
+_STAGE_SIZES = (12, 9, 2, 5, 4)  # staging widths k of 3 to 5 columns
+
+
+def _term(rng, m, n, width):
+    """A rank-one term (width 0) or a column block of that width at a random start."""
+    if width == 0:
+        return LinearUpdate.rank_one(rng.standard_normal(m), rng.standard_normal(n))
+    return LinearUpdate.column_block(int(rng.integers(0, n - width + 1)), rng.standard_normal((m, width)))
+
+
+def _staging_scenario(name, k, rng, m, n):
+    """Updates of one staging scenario; widths are relative to the stream's k."""
+    small = min(2, k)
+    if name == "several_flushes":
+        return [_term(rng, m, n, w) for w in [0, small, 0, k, 0, 0, small] * 3]
+    if name == "wide_block":
+        return [_term(rng, m, n, 0), _term(rng, m, n, k + 1), _term(rng, m, n, small), _term(rng, m, n, k + 1)]
+    if name == "then_dense":
+        return [_term(rng, m, n, 0), _term(rng, m, n, small), LinearUpdate.dense(rng.standard_normal((m, n))),
+                _term(rng, m, n, 0)]
+    if name == "then_row_block":
+        return [_term(rng, m, n, small), _term(rng, m, n, 0), LinearUpdate.row_block(3, rng.standard_normal((4, n))),
+                _term(rng, m, n, small)]
+    return [_term(rng, m, n, 0)]  # pending_at_finalize
+
+
+def _total(updates, m, n):
+    total = np.zeros((m, n))
+    for upd in updates:
+        if upd.kind == "dense":
+            total += upd.h
+        elif upd.kind == "rank_one":
+            total += np.outer(upd.u, upd.v)
+        elif upd.kind == "row_block":
+            total[upd.start : upd.start + upd.h.shape[0]] += upd.h
+        else:
+            total[:, upd.start : upd.start + upd.h.shape[1]] += upd.h
+    return total
+
+
+def _assert_matches_one_shot(got, kind, sizes, seed, plan, total, count):
+    want = open_stream(kind, *sizes, base_seed=seed, plan=plan).ingest(LinearUpdate.dense(total)).finalize()
+    for name in _SKETCH_NAMES:
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g is None) == (w is None), name
+        if g is None:
+            continue
+        assert g.data.dtype == w.data.dtype, name
+        eps = float(np.finfo(w.data.dtype).eps)
+        ref = w.data.astype(np.float64)
+        tol = (count * eps + 1e3 * np.finfo(np.float64).eps) * max(np.linalg.norm(ref), 1e-300)
+        assert np.linalg.norm(g.data.astype(np.float64) - ref) <= tol, name
+
+
+def _assert_same_bytes(a, b):
+    for name in _SKETCH_NAMES:
+        if getattr(a, name) is not None:
+            assert getattr(a, name).data.tobytes() == getattr(b, name).data.tobytes(), name
+
+
+@pytest.mark.parametrize("scenario", ["several_flushes", "wide_block", "then_dense", "then_row_block",
+                                      "pending_at_finalize"])
+@pytest.mark.parametrize("plan", list(PrecisionPlan), ids=lambda p: p.value)
+@pytest.mark.parametrize("kind", _STAGED_KINDS, ids=lambda k: k.value)
+def test_staged_updates_match_one_shot_ingestion(kind, plan, scenario):
+    m, n = _STAGE_SIZES[:2]
+    st_ = open_stream(kind, *_STAGE_SIZES, base_seed=5, plan=plan)
+    k = st_._stage_cols
+    assert 3 <= k < n
+    updates = _staging_scenario(scenario, k, np.random.default_rng(17), m, n)
+    if scenario == "several_flushes":
+        assert sum(1 if u.kind == "rank_one" else u.h.shape[1] for u in updates) > 3 * k
+    for upd in updates:
+        st_.ingest(upd)
+    got = st_.finalize()
+    _assert_matches_one_shot(got, kind, _STAGE_SIZES, 5, plan, _total(updates, m, n), len(updates))
+
+
+@pytest.mark.parametrize("plan", list(PrecisionPlan), ids=lambda p: p.value)
+@pytest.mark.parametrize("kind", _STAGED_KINDS, ids=lambda k: k.value)
+def test_staging_copies_the_callers_buffers(kind, plan):
+    m, n = _STAGE_SIZES[:2]
+    rng = np.random.default_rng(23)
+    u, v, h = rng.standard_normal(m), rng.standard_normal(n), rng.standard_normal((m, 2))
+    ref = open_stream(kind, *_STAGE_SIZES, base_seed=2, plan=plan)
+    ref.ingest(LinearUpdate.rank_one(u.copy(), v.copy())).ingest(LinearUpdate.column_block(4, h.copy()))
+    reused = open_stream(kind, *_STAGE_SIZES, base_seed=2, plan=plan)
+    reused.ingest(LinearUpdate.rank_one(u, v)).ingest(LinearUpdate.column_block(4, h))
+    u[:], v[:], h[:] = 1e3, -7.0, np.nan  # the caller reuses its buffers while both terms are pending
+    _assert_same_bytes(reused.finalize(), ref.finalize())
+
+
+@pytest.mark.parametrize("plan", list(PrecisionPlan), ids=lambda p: p.value)
+@pytest.mark.parametrize("kind", _STAGED_KINDS, ids=lambda k: k.value)
+def test_refused_update_leaves_pending_terms_alone(kind, plan):
+    m, n = _STAGE_SIZES[:2]
+    rng = np.random.default_rng(31)
+    head = [_term(rng, m, n, 0), _term(rng, m, n, 2)]
+    tail = [_term(rng, m, n, 0), LinearUpdate.dense(rng.standard_normal((m, n))), _term(rng, m, n, 1)]
+    nan_h = rng.standard_normal((m, n))
+    nan_h[3, 4] = np.nan
+    refused = [
+        LinearUpdate.rank_one(nan_h[:, 4], rng.standard_normal(n)),
+        LinearUpdate.column_block(2, nan_h[:, 2:5]),
+        LinearUpdate.dense(nan_h),
+        LinearUpdate.row_block(3, nan_h[3:5]),
+        LinearUpdate.dense(np.ones((m, n + 1))),
+        LinearUpdate.rank_one(np.ones(m + 1), np.ones(n)),
+        LinearUpdate.column_block(n - 1, np.ones((m, 2))),
+    ]
+
+    def stream():
+        st_ = open_stream(kind, *_STAGE_SIZES, base_seed=8, plan=plan)
+        for upd in head:
+            st_.ingest(upd)
+        return st_
+
+    clean = stream()
+    for upd in tail:
+        clean.ingest(upd)
+    clean = clean.finalize()
+    for bad in refused:
+        st_ = stream()
+        with pytest.raises(ValueError):
+            st_.ingest(bad)
+        for upd in tail:
+            st_.ingest(upd)
+        _assert_same_bytes(st_.finalize(), clean)
+    _assert_matches_one_shot(clean, kind, _STAGE_SIZES, 8, plan, _total(head + tail, m, n), len(head + tail))
+
+
+# -- staging memory ---------------------------------------------------------------
+
+
+def _retained_bytes(action):
+    """Bytes still allocated after ``action()`` that were not before it."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        action()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", _STAGED_KINDS, ids=lambda k: k.value)
+def test_dense_and_row_block_streams_allocate_no_staging_pair(kind):
+    m, n, sizes = 2000, 200, (4, 10, 8)
+    rng = np.random.default_rng(3)
+    dense, block = LinearUpdate.dense(rng.standard_normal((m, n))), LinearUpdate.row_block(7, rng.standard_normal((90, n)))
+    term = LinearUpdate.rank_one(rng.standard_normal(m), rng.standard_normal(n))
+    plain, staged = open_stream(kind, m, n, *sizes), open_stream(kind, m, n, *sizes)
+    pair_bytes = staged._stage_cols * (m + n) * 8
+    assert pair_bytes >= 4 * (m + n) * 8
+    assert _retained_bytes(lambda: plain.ingest(dense).ingest(block).ingest(dense)) < pair_bytes / 4
+    assert _retained_bytes(lambda: staged.ingest(term)) >= pair_bytes
+    assert plain._stage is None
+
+
+@pytest.mark.parametrize("plan", list(PrecisionPlan), ids=lambda p: p.value)
+@pytest.mark.parametrize("kind", _STAGED_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("m, n, s, d, l", [(12, 9, 2, 5, 4), (9, 40, 1, 2, 2), (300, 7, 3, 4, 6), (1000, 1000, 24, 72, 96)])
+def test_staging_pair_never_outgrows_the_sketches(kind, plan, m, n, s, d, l):
+    st_ = open_stream(kind, m, n, s, d, l, plan=plan)
+    entries = sum(a.size for a in st_._sk.values())
+    assert st_._stage_cols == min(32, entries // (m + n)) >= 1
+    st_.ingest(LinearUpdate.rank_one(np.ones(m), np.ones(n)))
+    u, v = st_._stage
+    assert u.shape == (m, st_._stage_cols) and v.shape == (n, st_._stage_cols)
+    assert u.size + v.size <= entries
+    st_.finalize()
+    assert st_._stage is None  # a finalized stream holds no staging buffer
+
+
+def test_staging_width_at_the_turnstile_sizes():
+    mixed = PrecisionPlan.MIXED_SINGLE_DOUBLE
+    assert open_stream(PipelineKind.TYUC17_SPI, 1000, 1000, 24, 72, 96, plan=mixed)._stage_cols == 32
+    assert open_stream(PipelineKind.TYUC19, 1000, 1000, 24, 72)._stage_cols == 26
+
+
+@pytest.mark.parametrize("plan", list(PrecisionPlan), ids=lambda p: p.value)
+def test_rsvd_onepass_never_stages(plan):
+    m, n = 12, 9
+    rng = np.random.default_rng(41)
+    st_ = open_stream(PipelineKind.RSVD_ONEPASS, m, n, 3, plan=plan)
+    assert st_._stage_cols == 0
+    st_.ingest(LinearUpdate.rank_one(np.eye(m)[5], rng.standard_normal(n)))
+    assert st_._stage is None and np.any(st_._sk["y"][5])  # folded at once
+    st_.ingest(LinearUpdate.row_block(0, rng.standard_normal((5, n))))
+    assert st_._stage is None
