@@ -21,6 +21,16 @@ so the pair never holds more entries than the sketches; it is allocated at
 the first staged term and released at finalize.  Row-only streams (those with
 a ``gram`` sketch) stage nothing.
 
+Dense updates and row blocks are folded one row chunk of about 2^18
+entries (2 MiB of binary64) at a time.  Each chunk is upcast to binary64
+once and read by every sketch while it is in cache: a right sketch gets the
+chunk's rows directly, and the increments of the other sketches are summed
+in binary64 over the chunks and added once.  A binary32 row block (a
+binary32 SPIM file's blocks, say) stays binary32 until its chunks are
+upcast.  The sparse test-matrix kinds are held as CSC arrays and applied
+with sparse products; the finalized :class:`SketchSet` holds every test
+matrix dense.
+
 Sketches declared binary32 are accumulated in binary64 and rounded to
 binary32 at each fold: once per dense or row-block update and once per flush
 of the staging pair (about N/k roundings for N staged terms), bounding
@@ -34,6 +44,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
+import scipy.sparse
 
 from .matrix_core import DenseMatrix
 from .precision_model import PIPELINES, PrecisionPlan
@@ -56,6 +67,10 @@ __all__ = [
 # (24, 72, 96), one BLAS thread) took about 1150 ms unstaged and 750, 480,
 # 380 and 380 ms at k = 8, 16, 32 and 64.
 _STAGE_COLS = 32
+
+# Entries of a row chunk: 2 MiB of binary64, which stays in a 2 MiB-per-core
+# L2 cache while every sketch's product reads it.
+_CHUNK = 1 << 18
 
 
 class PipelineKind(enum.Enum):
@@ -91,7 +106,11 @@ class LinearUpdate:
 
     @staticmethod
     def row_block(start_row: int, block) -> "LinearUpdate":
-        return LinearUpdate("row_block", h=np.atleast_2d(np.asarray(block, dtype=np.float64)), start=start_row)
+        """Rows starting at ``start_row``; a binary32 block is kept binary32
+        and upcast one chunk at a time as it is folded."""
+        h = np.asarray(block)
+        h = h if h.dtype == np.float32 else h.astype(np.float64, copy=False)
+        return LinearUpdate("row_block", h=np.atleast_2d(h), start=start_row)
 
     @staticmethod
     def column_block(start_col: int, block) -> "LinearUpdate":
@@ -130,8 +149,73 @@ class SketchSet:
     trial: int = 0
 
 
+def _right_terms(upd: LinearUpdate, t):
+    """(region, H t) of a sketch whose rows follow the data rows, for a staged
+    U V^T (u, v: the m x p and n x p columns) or a column block H."""
+    if upd.kind == "rank_one":
+        return slice(None), upd.u @ (upd.v.T @ t)
+    return slice(None), upd.h @ t[upd.start : upd.start + upd.h.shape[1]]
+
+
+def _left_terms(upd: LinearUpdate, t):
+    """(region, t H) of a sketch whose columns follow the data columns."""
+    if upd.kind == "rank_one":
+        return slice(None), (t @ upd.u) @ upd.v.T
+    return (slice(None), slice(upd.start, upd.start + upd.h.shape[1])), t @ upd.h
+
+
+def _two_sided_terms(upd: LinearUpdate, tl, tr):
+    """(region, tl H tr^T), never materializing an m x d product."""
+    if upd.kind == "rank_one":
+        return slice(None), (tl @ upd.u) @ (tr @ upd.v).T
+    return slice(None), (tl @ upd.h) @ tr[:, upd.start : upd.start + upd.h.shape[1]].T
+
+
+# Row-only streams (those with a gram sketch) take no rank-one term or column
+# block as such, so gram has no kernel here.
+_TERM_KERNELS = {"right": _right_terms, "left": _left_terms, "two_sided": _two_sided_terms}
+
+
+def _row_chunks(h: np.ndarray, step: int, transpose: bool) -> Iterable[tuple[int, np.ndarray, np.ndarray]]:
+    """(offset, C, C^T) for each chunk C of ``step`` rows of h, in binary64.
+
+    A binary32 chunk is upcast into a buffer, and C^T, if ``transpose``, is
+    copied into another; both are reused, so a chunk is valid until the next
+    one.  Otherwise C is a view of h and C^T a view of C.
+    """
+    n = h.shape[1]
+    size = min(step, h.shape[0]) * n
+    up = np.empty(size) if h.dtype != np.float64 else None
+    tr = np.empty(size) if transpose else None
+    for i in range(0, h.shape[0], step):
+        c = h[i : i + step]
+        r = c.shape[0]
+        if up is not None:
+            c, src = up[: r * n].reshape(r, n), c
+            c[...] = src
+        ct = c.T
+        if tr is not None:
+            ct = tr[: r * n].reshape(n, r)
+            ct[...] = c.T
+        yield i, c, ct
+
+
+def _columns(t, a: int, b: int):
+    """Columns [a, b) of a test matrix: a view of a dense one, or a CSC array
+    sharing the arrays of a sparse one."""
+    if isinstance(t, np.ndarray):
+        return t[:, a:b]
+    p, q = t.indptr[a], t.indptr[b]
+    return scipy.sparse.csc_array((t.data[p:q], t.indices[p:q], t.indptr[a : b + 1] - p), shape=(t.shape[0], b - a))
+
+
 class SketchStream:
-    """Single-writer accumulator for one pass over the data matrix."""
+    """Single-writer accumulator for one pass over the data matrix.
+
+    ``test_matrices`` gives each test matrix of the pipeline as a
+    :class:`DenseMatrix` or as a ``scipy.sparse`` array, which the stream
+    applies with sparse products.
+    """
 
     def __init__(
         self,
@@ -143,7 +227,7 @@ class SketchStream:
         l: int = 0,
         *,
         plan: PrecisionPlan = PrecisionPlan.ALL_DOUBLE,
-        test_matrices: dict[str, DenseMatrix],
+        test_matrices: dict[str, DenseMatrix | scipy.sparse.sparray],
         test_kind: TestMatrixKind = GAUSSIAN,
     ):
         if m < 1 or n < 1:
@@ -162,25 +246,24 @@ class SketchStream:
         self._t = {}
         for name, _ in spec.test_matrices:
             tm = test_matrices[name]
-            if (tm.rows, tm.cols) != shapes[name]:
-                raise ValueError(f"test matrix {name} has shape {(tm.rows, tm.cols)}, expected {shapes[name]}")
-            self._t[name] = tm.as_f64()
+            dense = isinstance(tm, DenseMatrix)
+            shape = (tm.rows, tm.cols) if dense else tm.shape
+            if shape != shapes[name]:
+                raise ValueError(f"test matrix {name} has shape {shape}, expected {shapes[name]}")
+            self._t[name] = tm.as_f64() if dense else scipy.sparse.csc_array(tm, dtype=np.float64)
         self._sk = {
             sk.name: np.zeros(shapes[sk.name], dtype=spec.precision(sk.name, plan).dtype)
             for sk in spec.sketches
         }
-        # Plain functions, not bound methods: the stream holds no reference
-        # cycle, so its buffers go as soon as the stream does.
-        kernels = {
-            "right": SketchStream._right_update,
-            "left": SketchStream._left_update,
-            "two_sided": SketchStream._two_sided_update,
-            "gram": SketchStream._gram_update,
-        }
         # A gram sketch reuses the increment of the sketch it names, so that
         # increment is kept for the rest of the update; the others are not.
         reused = {o for sk in spec.sketches if sk.update == "gram" for o in sk.operands}
-        self._steps = [(sk.name, kernels[sk.update], sk.operands, sk.name in reused) for sk in spec.sketches]
+        self._steps = [(sk.name, sk.update, sk.operands, sk.name in reused) for sk in spec.sketches]
+        # A sparse right product T^T H^T reads a row chunk by columns, so it
+        # takes T^T in CSR form and a transposed copy of the chunk, made once
+        # for all of them.
+        right = [o for sk in spec.sketches if sk.update == "right" for o in sk.operands]
+        self._right_csr = {o: self._t[o].T for o in right if not isinstance(self._t[o], np.ndarray)}
         # A gram sketch is quadratic in the data, so its stream takes whole rows.
         self._rows_seen = np.zeros(m, dtype=bool) if reused else None
         # Every other pipeline has a right sketch of m rows and a left one of
@@ -190,58 +273,11 @@ class SketchStream:
         self._stage: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._pending = 0
 
-    # -- accumulation helpers (binary64 increments, round at each fold) -----
-
-    def _add(self, name: str, sl, inc: np.ndarray) -> np.ndarray:
-        dst = self._sk[name]
-        if dst.dtype == np.float64:
-            dst[sl] += inc
-        else:
-            dst[sl] = (dst[sl].astype(np.float64) + inc).astype(np.float32)
-        return inc
-
-    def _right_update(self, name: str, t: np.ndarray, upd: LinearUpdate) -> np.ndarray:
-        """sketch += H @ t for a sketch whose rows follow the data rows."""
-        if upd.kind == "dense":
-            return self._add(name, slice(None), upd.h @ t)
-        elif upd.kind == "rank_one":  # u, v: the m x p and n x p staged columns
-            return self._add(name, slice(None), upd.u @ (upd.v.T @ t))
-        elif upd.kind == "row_block":
-            a, b = upd.start, upd.start + upd.h.shape[0]
-            return self._add(name, slice(a, b), upd.h @ t)
-        else:  # column_block
-            a, b = upd.start, upd.start + upd.h.shape[1]
-            return self._add(name, slice(None), upd.h @ t[a:b])
-
-    def _left_update(self, name: str, t: np.ndarray, upd: LinearUpdate) -> np.ndarray:
-        """sketch += t @ H for a sketch whose columns follow the data columns."""
-        if upd.kind == "dense":
-            return self._add(name, slice(None), t @ upd.h)
-        elif upd.kind == "rank_one":
-            return self._add(name, slice(None), (t @ upd.u) @ upd.v.T)
-        elif upd.kind == "row_block":
-            a, b = upd.start, upd.start + upd.h.shape[0]
-            return self._add(name, slice(None), t[:, a:b] @ upd.h)
-        else:
-            a, b = upd.start, upd.start + upd.h.shape[1]
-            return self._add(name, (slice(None), slice(a, b)), t @ upd.h)
-
-    def _two_sided_update(self, name: str, tl: np.ndarray, tr: np.ndarray, upd: LinearUpdate) -> np.ndarray:
-        """sketch += tl @ H @ tr^T, never materializing an m x d product."""
-        if upd.kind == "dense":
-            return self._add(name, slice(None), (tl @ upd.h) @ tr.T)
-        elif upd.kind == "rank_one":
-            return self._add(name, slice(None), (tl @ upd.u) @ (tr @ upd.v).T)
-        elif upd.kind == "row_block":
-            a, b = upd.start, upd.start + upd.h.shape[0]
-            return self._add(name, slice(None), (tl[:, a:b] @ upd.h) @ tr.T)
-        else:
-            a, b = upd.start, upd.start + upd.h.shape[1]
-            return self._add(name, slice(None), (tl @ upd.h) @ tr[:, a:b].T)
-
-    def _gram_update(self, name: str, dy: np.ndarray, upd: LinearUpdate) -> np.ndarray:
-        """sketch += H^T dY for a row block, dY being its increment of the row sketch."""
-        return self._add(name, slice(None), upd.h.T @ dy)
+    def _add(self, name: str, sl, inc: np.ndarray) -> None:
+        """sketch[sl] += inc: one binary64 add and, for a binary32 sketch, one
+        rounding, in place; ``inc`` is left intact."""
+        dst = self._sk[name][sl]
+        np.add(dst, inc, out=dst, casting="unsafe")
 
     def _check_shape(self, upd: LinearUpdate) -> None:
         m, n = self.m, self.n
@@ -299,11 +335,44 @@ class SketchStream:
 
     def _fold(self, upd: LinearUpdate) -> None:
         """Add an update to every sketch, in the table's order."""
-        done = {}
-        for name, update, operands, reused in self._steps:
-            inc = update(self, name, *(done[o] if o in done else self._t[o] for o in operands), upd)
-            if reused:
-                done[name] = inc
+        if upd.kind in ("dense", "row_block"):
+            self._fold_rows(upd.start, upd.h)
+            return
+        for name, update, operands, _ in self._steps:
+            self._add(name, *_TERM_KERNELS[update](upd, *(self._t[o] for o in operands)))
+
+    def _fold_rows(self, start: int, h: np.ndarray) -> None:
+        """Add rows [start, start + len(h)) of the data, one chunk of about
+        ``_CHUNK`` entries at a time.
+
+        Each chunk is upcast to binary64 once and read by every sketch while
+        it is in cache.  A right sketch gets the chunk's rows directly; the
+        increments of the other sketches are summed in binary64 over the
+        chunks and added once, so each sketch entry is rounded once.  An
+        update of one chunk is folded directly, without a copy if it is
+        binary64 and the test matrices are dense.
+        """
+        sums = {}
+        for i, c, ct in _row_chunks(h, max(1, _CHUNK // self.n), bool(self._right_csr)):
+            a, b = start + i, start + i + c.shape[0]
+            done = {}
+            for name, update, operands, reused in self._steps:
+                if update == "right":
+                    o = operands[0]
+                    inc = (self._right_csr[o] @ ct).T if o in self._right_csr else c @ self._t[o]
+                    self._add(name, slice(a, b), inc)
+                else:  # left, the left factor of two_sided, or gram
+                    inc = ct @ done[operands[0]] if update == "gram" else _columns(self._t[operands[0]], a, b) @ c
+                    if name in sums:
+                        sums[name] += inc
+                    else:
+                        sums[name] = inc
+                if reused:
+                    done[name] = inc
+        for name, update, operands, _ in self._steps:
+            if name in sums:
+                inc = sums[name] @ self._t[operands[1]].T if update == "two_sided" else sums[name]
+                self._add(name, slice(None), inc)
 
     def _push(self, upd: LinearUpdate, width: int) -> None:
         """Copy a rank-one term, or a column block H as H [e_a ... e_{a+w-1}]^T,
@@ -361,10 +430,10 @@ class SketchStream:
         self._flush()
         self._stage = None
         self._finalized = True
-        for arr in (*self._sk.values(), *self._t.values()):
-            arr.flags.writeable = False
         sk = {name: DenseMatrix(arr) for name, arr in self._sk.items()}
-        tm = {name: DenseMatrix(arr) for name, arr in self._t.items()}
+        tm = {name: DenseMatrix(t if isinstance(t, np.ndarray) else t.toarray(order="C")) for name, t in self._t.items()}
+        for mat in (*sk.values(), *tm.values()):
+            mat.data.flags.writeable = False
         return SketchSet(
             kind=self.kind,
             m=self.m,
@@ -411,8 +480,9 @@ def open_stream(
     spec = PIPELINES[kind.value]
     spec.check_sizes(m, n, s, d, l)
     shapes = spec.shapes(m, n, s, d, l)
+    sparse = test_kind.variant != "gaussian"
     mats = {
-        name: generate(test_kind, *shapes[name], SeedSpec(base_seed, Stream[name.upper()], trial))
+        name: generate(test_kind, *shapes[name], SeedSpec(base_seed, Stream[name.upper()], trial), sparse=sparse)
         for name, _ in spec.test_matrices
     }
     stream = SketchStream(kind, m, n, s, d, l, plan=plan, test_matrices=mats, test_kind=test_kind)
@@ -460,17 +530,20 @@ def _read_spim_header(fh, path):
 
 
 def _spim_row_blocks(path, block_rows: Optional[int]) -> Iterable[tuple[int, np.ndarray]]:
+    """(start row, block) pairs of a SPIM file, in the file's precision.
+
+    Every block is read into the same buffer, so a block is valid only until
+    the next one is read.
+    """
     with open(path, "rb") as fh:
         rows, cols, dtype = _read_spim_header(fh, path)
         blk = block_rows or default_block_rows(cols)
-        start = 0
-        while start < rows:
-            count = min(blk, rows - start)
-            data = np.fromfile(fh, dtype=dtype, count=count * cols)
-            if data.size != count * cols:
+        buf = np.empty((min(blk, rows), cols), dtype=dtype)
+        for start in range(0, rows, blk):
+            block = buf[: min(blk, rows - start)]
+            if fh.readinto(block) != block.nbytes:
                 raise ValueError(f"{path}: truncated payload at row {start}")
-            yield start, data.reshape(count, cols).astype(np.float64)
-            start += count
+            yield start, block
 
 
 def _file_dims(path) -> tuple[int, int, str]:
@@ -495,9 +568,11 @@ def _file_dims(path) -> tuple[int, int, str]:
 def _load(path, fmt: str) -> np.ndarray:
     """The whole matrix of a file as a binary64 array, not checked for finiteness."""
     if fmt == "spim":
-        return np.vstack([b for _, b in _spim_row_blocks(path, None)])
+        a = np.empty(_file_dims(path)[:2])
+        for start, block in _spim_row_blocks(path, None):
+            a[start : start + block.shape[0]] = block
+        return a
     import scipy.io
-    import scipy.sparse
 
     a = scipy.io.mmread(path)
     if scipy.sparse.issparse(a):

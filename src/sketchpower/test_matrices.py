@@ -17,6 +17,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .matrix_core import DenseMatrix
 
@@ -115,19 +116,27 @@ GAUSSIAN = TestMatrixKind("gaussian")
 SPARSE_RADEMACHER = TestMatrixKind("sparse_rademacher", 0.01)
 
 
-def generate(kind: TestMatrixKind, rows: int, cols: int, seed: SeedSpec) -> DenseMatrix:
+def generate(
+    kind: TestMatrixKind, rows: int, cols: int, seed: SeedSpec, *, sparse: bool = False
+) -> DenseMatrix | scipy.sparse.csc_array:
     """Draw a rows x cols test matrix of the given kind, deterministically.
 
-    Sparse kinds are sampled as coordinate lists and materialized dense: the
-    storage advantage of sparse test matrices is modeled by the storage
-    accountant, not the math layer.
+    Sparse kinds are sampled as coordinate lists.  By default every kind is
+    returned as a :class:`DenseMatrix`; with ``sparse=True`` a sparse kind
+    is returned as a ``scipy.sparse.csc_array`` of the same entries, built
+    from the coordinates without materializing the dense matrix (the draws
+    do not depend on ``sparse``).  Stream ingestion applies that form with
+    sparse products, but the finalized sketch set still holds every test
+    matrix dense, and the storage ledger counts no test matrix.
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"test matrix dimensions must be >= 1, got {rows}x{cols}")
+    if sparse and kind.variant == "gaussian":
+        raise ValueError("gaussian test matrices have no sparse form")
     rng = rng_for(seed)
     if kind.variant == "gaussian":
-        a = rng.standard_normal((rows, cols))
-    elif kind.variant == "sparse_rademacher":
+        return DenseMatrix.from_array(rng.standard_normal((rows, cols)), check_finite=False)
+    if kind.variant == "sparse_rademacher":
         total = rows * cols
         nnz = int(round(total * kind.sparsity))
         if nnz < 1:
@@ -135,17 +144,19 @@ def generate(kind: TestMatrixKind, rows: int, cols: int, seed: SeedSpec) -> Dens
                 f"sparsity {kind.sparsity} gives zero nonzeros for a {rows}x{cols} matrix"
             )
         flat_idx = rng.choice(total, size=nnz, replace=False)
-        signs = rng.integers(0, 2, size=nnz) * 2.0 - 1.0
-        a = np.zeros(total)
-        a[flat_idx] = signs
-        a = a.reshape(rows, cols)
+        vals = rng.integers(0, 2, size=nnz) * 2.0 - 1.0
+        i, j = np.divmod(flat_idx, cols)
     elif kind.variant == "sparse_sign":
         u = rng.random((rows, cols))
         signs = rng.integers(0, 2, size=(rows, cols)) * 2.0 - 1.0
-        a = np.where(u < kind.sparsity, signs, 0.0)
+        i, j = np.nonzero(u < kind.sparsity)
+        vals = signs[i, j]
     else:  # countsketch
-        positions = rng.integers(0, rows, size=cols)
-        signs = rng.integers(0, 2, size=cols) * 2.0 - 1.0
-        a = np.zeros((rows, cols))
-        a[positions, np.arange(cols)] = signs
+        i = rng.integers(0, rows, size=cols)
+        vals = rng.integers(0, 2, size=cols) * 2.0 - 1.0
+        j = np.arange(cols)
+    if sparse:
+        return scipy.sparse.csc_array((vals, (i, j)), shape=(rows, cols))
+    a = np.zeros((rows, cols))
+    a[i, j] = vals
     return DenseMatrix.from_array(a, check_finite=False)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchpower.matrix_core import DenseMatrix
+from sketchpower import stream_ingest
+from sketchpower.matrix_core import DenseMatrix, Precision
 from sketchpower.precision_model import PrecisionPlan
 from sketchpower.stream_ingest import (
     LinearUpdate,
@@ -16,6 +17,7 @@ from sketchpower.stream_ingest import (
     read_matrix,
 )
 from sketchpower.synthetic import Family, SyntheticSpec, generate as gen_data, write_spim
+from sketchpower.test_matrices import GAUSSIAN, SPARSE_RADEMACHER, SeedSpec, Stream, TestMatrixKind, generate
 
 
 _SKETCH_NAMES = ("y", "w", "z", "x", "k")
@@ -208,17 +210,21 @@ def test_tyuc19_spi_sketch_shapes_and_content():
     assert np.allclose(sk.w.data, sk.gamma.data @ a, atol=1e-12)
 
 
-def test_ingest_file_bitwise_matches_memory(tmp_path):
+@pytest.mark.parametrize("test_kind", [GAUSSIAN, SPARSE_RADEMACHER], ids=lambda k: k.variant)
+@pytest.mark.parametrize("precision", [Precision.BINARY64, Precision.BINARY32], ids=lambda p: p.name.lower())
+def test_ingest_file_bitwise_matches_memory(tmp_path, precision, test_kind):
     spec = SyntheticSpec(Family.LOWRANK_NOISE, m=120, n=90, plateau=5, snr=1e-4, base_seed=31)
     a = gen_data(spec)
     path = tmp_path / "data.spim"
-    write_spim(path, a)
+    write_spim(path, a, precision)
+    rows = a.data.astype(precision.dtype)
     blk = 17
-    mem = open_stream(PipelineKind.TYUC17_SPI, 120, 90, s=6, d=14, l=12, base_seed=32)
+    mem = open_stream(PipelineKind.TYUC17_SPI, 120, 90, s=6, d=14, l=12, base_seed=32, test_kind=test_kind)
     for i in range(0, 120, blk):
-        mem.ingest(LinearUpdate.row_block(i, a.data[i : i + blk]))
+        mem.ingest(LinearUpdate.row_block(i, rows[i : i + blk]))
     sk_mem = mem.finalize()
-    sk_file = ingest_file(path, PipelineKind.TYUC17_SPI, s=6, d=14, l=12, base_seed=32, block_rows=blk)
+    sk_file = ingest_file(path, PipelineKind.TYUC17_SPI, s=6, d=14, l=12, base_seed=32, block_rows=blk,
+                          test_kind=test_kind)
     for name in ("y", "w", "z"):
         assert np.array_equal(getattr(sk_file, name).data, getattr(sk_mem, name).data)
     assert sk_file.pass_count == 1
@@ -541,6 +547,7 @@ def test_invalid_update_raises_at_ingest_and_changes_nothing(kind, plan, data):
 # -- staged rank-one terms and column blocks ------------------------------------
 
 _STAGED_KINDS = [k for k in PipelineKind if k is not PipelineKind.RSVD_ONEPASS]
+_TEST_KINDS = [GAUSSIAN] + [TestMatrixKind(v, 0.3) for v in ("sparse_rademacher", "sparse_sign", "countsketch")]
 _STAGE_SIZES = (12, 9, 2, 5, 4)  # staging widths k of 3 to 5 columns
 
 
@@ -581,8 +588,10 @@ def _total(updates, m, n):
     return total
 
 
-def _assert_matches_one_shot(got, kind, sizes, seed, plan, total, count):
-    want = open_stream(kind, *sizes, base_seed=seed, plan=plan).ingest(LinearUpdate.dense(total)).finalize()
+def _assert_matches_one_shot(got, kind, sizes, seed, plan, total, count, want=None, test_kind=GAUSSIAN):
+    if want is None:
+        want = open_stream(kind, *sizes, base_seed=seed, plan=plan, test_kind=test_kind)
+        want = want.ingest(LinearUpdate.dense(total)).finalize()
     for name in _SKETCH_NAMES:
         g, w = getattr(got, name), getattr(want, name)
         assert (g is None) == (w is None), name
@@ -617,6 +626,21 @@ def test_staged_updates_match_one_shot_ingestion(kind, plan, scenario):
         st_.ingest(upd)
     got = st_.finalize()
     _assert_matches_one_shot(got, kind, _STAGE_SIZES, 5, plan, _total(updates, m, n), len(updates))
+
+
+@pytest.mark.parametrize("test_kind", _TEST_KINDS[1:], ids=lambda k: k.variant)
+@pytest.mark.parametrize("plan", list(PrecisionPlan), ids=lambda p: p.value)
+@pytest.mark.parametrize("kind", _STAGED_KINDS, ids=lambda k: k.value)
+def test_staged_updates_with_sparse_test_matrices_match_one_shot(kind, plan, test_kind):
+    m, n = _STAGE_SIZES[:2]
+    st_ = open_stream(kind, *_STAGE_SIZES, base_seed=6, plan=plan, test_kind=test_kind)
+    rng = np.random.default_rng(19)
+    updates = [u for name in ("several_flushes", "wide_block", "then_row_block")
+               for u in _staging_scenario(name, st_._stage_cols, rng, m, n)]
+    for upd in updates:
+        st_.ingest(upd)
+    _assert_matches_one_shot(st_.finalize(), kind, _STAGE_SIZES, 6, plan, _total(updates, m, n), len(updates),
+                             test_kind=test_kind)
 
 
 @pytest.mark.parametrize("plan", list(PrecisionPlan), ids=lambda p: p.value)
@@ -733,3 +757,146 @@ def test_rsvd_onepass_never_stages(plan):
     assert st_._stage is None and np.any(st_._sk["y"][5])  # folded at once
     st_.ingest(LinearUpdate.row_block(0, rng.standard_normal((5, n))))
     assert st_._stage is None
+
+
+# -- chunked row folds, binary32 payloads and sparse test matrices ----------------
+
+_CHUNK_SIZES = (40, 9, 2, 5, 4)
+_CHUNK_ROWS = 5  # rows per chunk once _CHUNK is lowered to 5 * n
+
+
+def _row_updates(kind, a, split):
+    """The whole of ``a`` as one dense update (a row block for a row-only
+    stream) or, if ``split``, as row blocks [0, split) and [split, m)."""
+    if split:
+        return [LinearUpdate.row_block(0, a[:split]), LinearUpdate.row_block(split, a[split:])]
+    return [LinearUpdate.row_block(0, a) if kind is PipelineKind.RSVD_ONEPASS else LinearUpdate.dense(a)]
+
+
+def _ingested(kind, plan, test_kind, updates, seed=3):
+    st_ = open_stream(kind, *_CHUNK_SIZES, base_seed=seed, plan=plan, test_kind=test_kind)
+    for upd in updates:
+        st_.ingest(upd)
+    return st_.finalize()
+
+
+def test_add_in_place_matches_the_old_formula():
+    st_ = open_stream(PipelineKind.TYUC17_SPI, 30, 20, 3, 7, 6, plan=PrecisionPlan.MIXED_SINGLE_DOUBLE)
+    rng = np.random.default_rng(5)
+    st_._sk["z"][:] = rng.standard_normal((30, 6)).astype(np.float32)
+    for sl in (slice(None), slice(4, 17), (slice(None), slice(1, 4))):
+        before = st_._sk["z"][sl].copy()
+        inc = rng.standard_normal(before.shape)  # as large as the sketch: a second rounding would show
+        kept = inc.copy()
+        st_._add("z", sl, inc)
+        assert st_._sk["z"][sl].tobytes() == (before.astype(np.float64) + inc).astype(np.float32).tobytes()
+        assert inc.tobytes() == kept.tobytes()  # a gram sketch may still read it
+
+
+@pytest.mark.parametrize("test_kind", _TEST_KINDS, ids=lambda k: k.variant)
+@pytest.mark.parametrize("plan", list(PrecisionPlan), ids=lambda p: p.value)
+@pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)
+def test_multi_chunk_updates_match_one_shot_ingestion(kind, plan, test_kind, monkeypatch):
+    m, n = _CHUNK_SIZES[:2]
+    a = np.random.default_rng(11).standard_normal((m, n))
+    want = _ingested(kind, plan, test_kind, _row_updates(kind, a, 0))  # one chunk: the direct path
+    monkeypatch.setattr(stream_ingest, "_CHUNK", _CHUNK_ROWS * n)
+    for split in (0, 33):  # 8 chunks; then blocks of 7 and 2 chunks, each ending in a partial chunk
+        updates = _row_updates(kind, a, split)
+        _assert_matches_one_shot(_ingested(kind, plan, test_kind, updates), kind, _CHUNK_SIZES, 3, plan,
+                                 a, m // _CHUNK_ROWS, want=want)
+
+
+@pytest.mark.parametrize("test_kind", _TEST_KINDS, ids=lambda k: k.variant)
+@pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)
+def test_binary32_sketches_are_rounded_once_per_update(kind, test_kind, monkeypatch):
+    """A fresh mixed-plan stream holds the binary64 increments of the same
+    update rounded once: the all-binary64 stream's sketches, rounded."""
+    m, n = _CHUNK_SIZES[:2]
+    monkeypatch.setattr(stream_ingest, "_CHUNK", _CHUNK_ROWS * n)
+    updates = _row_updates(kind, np.random.default_rng(12).standard_normal((m, n)), 0)
+    mixed = _ingested(kind, PrecisionPlan.MIXED_SINGLE_DOUBLE, test_kind, updates)
+    double = _ingested(kind, PrecisionPlan.ALL_DOUBLE, test_kind, updates)
+    for name in _SKETCH_NAMES:
+        got = getattr(mixed, name)
+        if got is not None:
+            assert got.data.tobytes() == getattr(double, name).data.astype(got.data.dtype).tobytes(), name
+
+
+@pytest.mark.parametrize("test_kind", _TEST_KINDS, ids=lambda k: k.variant)
+@pytest.mark.parametrize("plan", list(PrecisionPlan), ids=lambda p: p.value)
+@pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)
+def test_binary32_row_block_gives_the_bytes_of_its_upcast(kind, plan, test_kind, monkeypatch):
+    m, n = _CHUNK_SIZES[:2]
+    monkeypatch.setattr(stream_ingest, "_CHUNK", _CHUNK_ROWS * n)
+    a = np.random.default_rng(13).standard_normal((m, n)).astype(np.float32)
+    kept = LinearUpdate.row_block(3, a[3:31])
+    assert kept.h.dtype == np.float32
+    got = _ingested(kind, plan, test_kind, [LinearUpdate.row_block(0, a[:3]), kept, LinearUpdate.row_block(31, a[31:])])
+    want = _ingested(kind, plan, test_kind, [LinearUpdate.row_block(0, a[:3].astype(np.float64)),
+                                             LinearUpdate.row_block(3, a[3:31].astype(np.float64)),
+                                             LinearUpdate.row_block(31, a[31:].astype(np.float64))])
+    _assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("test_kind", _TEST_KINDS, ids=lambda k: k.variant)
+@pytest.mark.parametrize("plan", list(PrecisionPlan), ids=lambda p: p.value)
+@pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)
+def test_refused_multi_chunk_row_block_changes_nothing(kind, plan, test_kind, monkeypatch):
+    m, n = _CHUNK_SIZES[:2]
+    monkeypatch.setattr(stream_ingest, "_CHUNK", _CHUNK_ROWS * n)
+    a = np.random.default_rng(14).standard_normal((m, n))
+    bad = a[4:40].astype(np.float32)
+    bad[-1, 2] = np.nan  # in the last of the block's 8 chunks
+    st_ = open_stream(kind, *_CHUNK_SIZES, base_seed=3, plan=plan, test_kind=test_kind)
+    st_.ingest(LinearUpdate.row_block(0, a[:4]))
+    before = {name: arr.tobytes() for name, arr in st_._sk.items()}
+    with pytest.raises(ValueError, match=r"non-finite entries in row_block update of rows \[4, 40\)"):
+        st_.ingest(LinearUpdate.row_block(4, bad))
+    assert {name: arr.tobytes() for name, arr in st_._sk.items()} == before
+    got = st_.ingest(LinearUpdate.row_block(4, a[4:])).finalize()
+    _assert_same_bytes(got, _ingested(kind, plan, test_kind, [LinearUpdate.row_block(0, a[:4]),
+                                                              LinearUpdate.row_block(4, a[4:])]))
+
+
+def test_sparse_test_matrices_are_dense_in_the_sketch_set():
+    kind = TestMatrixKind("sparse_sign", 0.2)
+    st_ = open_stream(PipelineKind.TYUC19, 30, 20, 3, 5, base_seed=8, test_kind=kind)
+    sk = st_.ingest(LinearUpdate.dense(np.ones((30, 20)))).finalize()
+    for name, stream in (("omega", Stream.OMEGA), ("gamma", Stream.GAMMA), ("phi", Stream.PHI), ("psi", Stream.PSI)):
+        mat = getattr(sk, name)
+        want = generate(kind, mat.rows, mat.cols, SeedSpec(8, stream, 0))
+        assert isinstance(mat, DenseMatrix) and not mat.data.flags.writeable
+        assert mat.data.tobytes() == want.data.tobytes(), name
+
+
+# -- file ingestion of binary32 SPIM ----------------------------------------------
+
+
+def test_read_matrix_of_binary32_spim_is_binary64(tmp_path):
+    a = np.random.default_rng(21).standard_normal((37, 11)).astype(np.float32)
+    path = tmp_path / "a32.spim"
+    write_spim(path, DenseMatrix.from_array(a))
+    got = read_matrix(path).data
+    assert got.dtype == np.float64
+    assert got.tobytes() == a.astype(np.float64).tobytes()
+
+
+def test_ingest_file_makes_no_binary64_copy_of_a_block(tmp_path):
+    import tracemalloc
+
+    n, block_rows = 64, 8 * stream_ingest._CHUNK // 64  # a block spans 8 chunks
+    a = np.random.default_rng(22).standard_normal((2 * block_rows, n)).astype(np.float32)
+    path = tmp_path / "tall32.spim"
+    write_spim(path, DenseMatrix.from_array(a))
+    block32 = block_rows * n * 4
+    block64 = 2 * block32
+    del a
+    tracemalloc.start()
+    try:
+        sk = ingest_file(path, PipelineKind.TYUC17, s=2, d=3, block_rows=block_rows, test_kind=SPARSE_RADEMACHER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sk.pass_count == 1
+    assert peak < block32 + block64 / 2

@@ -96,3 +96,38 @@ def test_bad_variant_and_dims():
         TestMatrixKind("sparse_sign", 0.0)
     with pytest.raises(ValueError):
         generate(GAUSSIAN, 0, 4, SeedSpec(0, Stream.OMEGA, 0))
+
+
+# sha256 prefixes of generate(TestMatrixKind(variant, 0.1), 30, 20, SeedSpec(9, Stream.PSI, 2)).data,
+# recorded from the dense-only generator (numpy 2.4 PCG64 streams): adding the
+# sparse form must not change a draw.
+_DRAW_DIGESTS = {
+    "gaussian": "a67a759bbc491799",
+    "sparse_rademacher": "223ab79d78134f00",
+    "sparse_sign": "c882dca9c5b23e34",
+    "countsketch": "c2fbd7af23ea215d",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_DRAW_DIGESTS))
+def test_draws_are_unchanged(variant):
+    import hashlib
+
+    a = generate(TestMatrixKind(variant, 0.1), 30, 20, SeedSpec(9, Stream.PSI, 2)).data
+    assert hashlib.sha256(a.tobytes()).hexdigest()[:16] == _DRAW_DIGESTS[variant]
+
+
+@pytest.mark.parametrize("variant", ["sparse_rademacher", "sparse_sign", "countsketch"])
+@pytest.mark.parametrize("rows, cols", [(30, 200), (200, 30), (1, 7)])
+def test_sparse_form_holds_the_same_entries(variant, rows, cols):
+    kind, seed = TestMatrixKind(variant, 0.1), SeedSpec(4, Stream.PSI, 1)
+    dense = generate(kind, rows, cols, seed).data
+    sparse = generate(kind, rows, cols, seed, sparse=True)
+    assert sparse.format == "csc" and sparse.shape == (rows, cols)
+    assert sparse.nnz == np.count_nonzero(dense)
+    assert sparse.toarray().tobytes() == dense.tobytes()
+
+
+def test_gaussian_has_no_sparse_form():
+    with pytest.raises(ValueError, match="no sparse form"):
+        generate(GAUSSIAN, 4, 3, SeedSpec(0, Stream.OMEGA, 0), sparse=True)
