@@ -22,7 +22,6 @@ from .stream_ingest import (
 )
 from .approximators import (
     ApproxResult,
-    SketchConfig,
     approximate,
     rsvd_onepass,
     tyuc17,
@@ -31,7 +30,7 @@ from .approximators import (
     tyuc19,
     tyuc19_spi,
 )
-from .guidance import BudgetSpec, DecayKind, SpectrumClass, budget_sizes, classify_spectrum, select_sizes
+from .guidance import DecayKind, SpectrumClass, budget_sizes, classify_spectrum, select_sizes
 from .test_matrices import SeedSpec, Stream, TestMatrixKind, generate
 
 __version__ = "0.1.0"
@@ -56,7 +55,6 @@ __all__ = [
     "open_stream",
     "ingest_file",
     "ApproxResult",
-    "SketchConfig",
     "approximate",
     "tyuc17",
     "tyuc17_spi",
@@ -64,7 +62,6 @@ __all__ = [
     "rsvd_onepass",
     "tyuc19",
     "tyuc19_spi",
-    "BudgetSpec",
     "DecayKind",
     "SpectrumClass",
     "classify_spectrum",

@@ -22,7 +22,6 @@ from .stream_ingest import PipelineKind, SketchSet
 from .test_matrices import GAUSSIAN, SeedSpec, Stream, generate
 
 __all__ = [
-    "SketchConfig",
     "ApproxResult",
     "approximate",
     "tyuc17",
@@ -34,18 +33,6 @@ __all__ = [
 ]
 
 _TRI_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SketchConfig:
-    """Target rank and sketch sizes; q is the power-iteration count."""
-
-    r: int
-    s: int
-    d: int = 0
-    l: int = 0
-    q: int = 0
-    plan: PrecisionPlan = PrecisionPlan.ALL_DOUBLE
 
 
 @dataclass

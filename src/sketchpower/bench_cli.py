@@ -31,7 +31,7 @@ import scipy.linalg as la
 
 from . import guidance, metrics, synthetic
 from .approximators import approximate
-from .precision_model import PIPELINES, PrecisionPlan, simulate_storage
+from .precision_model import PIPELINES, LedgerError, PrecisionPlan, simulate_storage
 from .spi import SpiParams
 from .stream_ingest import LinearUpdate, PipelineKind, open_stream, read_matrix
 from .test_matrices import GAUSSIAN, SeedSpec, Stream, TestMatrixKind, stream_seed
@@ -82,6 +82,8 @@ class RunConfig:
     def __post_init__(self):
         if self.budget is not None and not (math.isfinite(self.budget) and self.budget > 0):
             raise SystemExit(f"--budget must be a positive finite number, got {self.budget!r}")
+        if self.trials < 1:
+            raise SystemExit(f"--trials must be at least 1, got {self.trials}")
 
 
 def _pipeline_kind(algo: str) -> PipelineKind:
@@ -194,9 +196,7 @@ def _run_one_trial(cfg, kind, plan, sizes, trial, shared_a, shared_base):
         kind, a.shape[0], a.shape[1], s, d, l,
         base_seed=cfg.base_seed, trial=trial, test_kind=_test_kind(cfg), plan=plan,
     )
-    # The orthogonal-projection pipeline requires row-wise delivery.
-    upd = LinearUpdate.row_block(0, a) if kind is PipelineKind.RSVD_ONEPASS else LinearUpdate.dense(a)
-    sk = stream.ingest(upd).finalize()
+    sk = stream.ingest(LinearUpdate.row_block(0, a)).finalize()
     t0 = time.perf_counter()
     result = approximate(sk, cfg.rank, _spi_params(cfg))
     wall_ms = (time.perf_counter() - t0) * 1e3
@@ -320,7 +320,11 @@ def emit_ledger(cfg: RunConfig, out=None) -> int:
     if cfg.data == "file":
         cfg, _, file_sv = _load_file(cfg)
     sizes = _resolve_sizes(cfg, kind, plan, file_sv)
-    led = simulate_storage(kind.value, plan, cfg.m, cfg.n, sizes[0], sizes[1], sizes[2])
+    try:
+        PIPELINES[kind.value].check_sizes(cfg.m, cfg.n, *sizes)
+        led = simulate_storage(kind.value, plan, cfg.m, cfg.n, *sizes)
+    except (ValueError, LedgerError) as exc:
+        raise SystemExit(f"ledger: {exc}")
     lines = [["label", "rows", "cols", "precision", "words"]]
     lines += [[*row[:4], _fmt(float(row[4]))] for row in led.csv_rows()]
     lines.append(["peak", "", "", "", _fmt(led.peak_words)])

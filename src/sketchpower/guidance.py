@@ -29,20 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approximators import SketchConfig
 from .precision_model import PIPELINES, PrecisionPlan
 from .stream_ingest import PipelineKind
 
 __all__ = [
     "DecayKind",
     "SpectrumClass",
-    "BudgetSpec",
     "InfeasibleBudgetError",
     "budget_sizes",
     "select_sizes",
     "select_sizes_double",
     "classify_spectrum",
-    "derive_mixed_sizes",
 ]
 
 HALF_BAND = 0.05  # width of the alpha ~ 1/2 crossover band
@@ -62,24 +59,6 @@ class SpectrumClass:
     def __post_init__(self):
         if self.kind is not DecayKind.FLAT and (self.alpha is None or self.alpha <= 0):
             raise ValueError(f"{self.kind.value} decay requires alpha > 0, got {self.alpha}")
-
-
-@dataclass(frozen=True)
-class BudgetSpec:
-    """Normalized storage budget: T words per column, n columns, c = m/n."""
-
-    t: float
-    n: int
-    r: int
-    c: float = 1.0
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError(f"aspect ratio must be positive, got {self.c}")
-        if self.r < 1:
-            raise ValueError(f"target rank must be >= 1, got {self.r}")
-        if self.t <= 2 * self.r:
-            raise ValueError(f"budget T={self.t} must exceed 2r={2 * self.r}")
 
 
 class InfeasibleBudgetError(ValueError):
@@ -141,7 +120,7 @@ def _raw_s(cls: SpectrumClass, t: float, n: int, c: float, r: int) -> float:
     return t / (c + 1.0)
 
 
-def derive_mixed_sizes(t: float, c: float, s: int) -> tuple[int, int]:
+def _mixed_sizes(t: float, c: float, s: int) -> tuple[int, int]:
     """(d, l) from the budget identity once s is fixed: l = T/c, d = 2T - c(l+s)."""
     l = math.floor(t / c)
     d = math.floor(2.0 * t - c * (l + s))
@@ -151,33 +130,41 @@ def derive_mixed_sizes(t: float, c: float, s: int) -> tuple[int, int]:
 def _resolve(cls: SpectrumClass, t: float, n: int, c: float, r: int):
     upper = math.floor(t / (c + 1.0))
     s = min(max(math.floor(_raw_s(cls, t, n, c, r)), r), upper)
-    d, l = derive_mixed_sizes(t, c, s)
+    d, l = _mixed_sizes(t, c, s)
     feasible = upper >= r and l >= s + 1 and d >= s
     return s, d, l, feasible
 
 
-def select_sizes(cls: SpectrumClass, budget: BudgetSpec) -> SketchConfig:
-    """Sketch sizes for the mixed-precision power pipeline under budget T.
+def _least_budget(resolves, start: int) -> float:
+    """The least integer budget of the 10,000 from ``start`` on that resolves, else inf."""
+    return next((b for b in range(start, start + 10000) if resolves(b)), math.inf)
 
-    Raises :class:`InfeasibleBudgetError` (naming the minimal feasible T)
-    when rounding leaves no valid configuration.  The returned sizes satisfy
-    r <= s <= d and s < l, and conserve the budget up to rounding slack:
-    T - 1/2 <= (c(l+s) + d)/2 <= T.
+
+def select_sizes(cls: SpectrumClass, t: float, n: int, r: int, c: float = 1.0) -> tuple[int, int, int]:
+    """Sketch sizes (s, d, l) for the mixed-precision power pipeline under budget T.
+
+    T is in words per column, n the number of columns and c = m/n; c > 0,
+    r >= 1 and T > 2r are required (ValueError).  Raises
+    :class:`InfeasibleBudgetError` (naming the minimal feasible T, or inf
+    when none up to 2r + 10000 resolves) when rounding leaves no valid
+    configuration.  The returned sizes satisfy r <= s <= d and s < l, and
+    conserve the budget up to rounding slack: T - 1/2 <= (c(l+s) + d)/2 <= T.
 
     The fast-exponential rule saturates its clamp at s = T/(c+1), which
     leaves the corange solve square (d = s); that is the table's stated
     choice, but with binary32 sketches the square solve amplifies rounding
     noise, so callers wanting oversampling headroom may lower s.
     """
-    s, d, l, feasible = _resolve(cls, budget.t, budget.n, budget.c, budget.r)
+    if c <= 0:
+        raise ValueError(f"aspect ratio must be positive, got {c}")
+    if r < 1:
+        raise ValueError(f"target rank must be >= 1, got {r}")
+    if t <= 2 * r:
+        raise ValueError(f"budget T={t} must exceed 2r={2 * r}")
+    s, d, l, feasible = _resolve(cls, t, n, c, r)
     if not feasible:
-        t_min = budget.t
-        for cand in range(2 * budget.r + 1, 2 * budget.r + 10001):
-            if _resolve(cls, float(cand), budget.n, budget.c, budget.r)[3]:
-                t_min = cand
-                break
-        raise InfeasibleBudgetError(budget.t, t_min)
-    return SketchConfig(r=budget.r, s=s, d=d, l=l, plan=PrecisionPlan.MIXED_SINGLE_DOUBLE)
+        raise InfeasibleBudgetError(t, _least_budget(lambda b: _resolve(cls, float(b), n, c, r)[3], 2 * r + 1))
+    return s, d, l
 
 
 def _model_tail_sq(cls: SpectrumClass, n: int) -> np.ndarray:
@@ -272,8 +259,8 @@ def _powered(spec, plan, cls, t, m, n, r, s):
     t2, c2 = t / (2.0 * a_d), a_l / a_d
     guided = s is None
     if guided:
-        s = select_sizes(cls, BudgetSpec(t=t2, n=n, r=r, c=c2)).s
-    d, l = derive_mixed_sizes(t2, c2, s)
+        s = select_sizes(cls, t2, n, r, c2)[0]
+    d, l = _mixed_sizes(t2, c2, s)
     return (min(s, l // 2) if guided and "l >= 2s" in spec.rules else s), d, l
 
 
@@ -319,7 +306,5 @@ def budget_sizes(kind: PipelineKind, plan: PrecisionPlan, cls: SpectrumClass | N
         raise ValueError(f"target rank must satisfy 1 <= r <= min(m, n), got r={r}, m={m}, n={n}")
     sizes = _fit(kind, plan, cls, t, m, n, r, s)
     if sizes is None:
-        start = math.floor(t) + 1
-        least = next((b for b in range(start, start + 10000) if _fit(kind, plan, cls, b, m, n, r, s)), math.inf)
-        raise InfeasibleBudgetError(t, least)
+        raise InfeasibleBudgetError(t, _least_budget(lambda b: _fit(kind, plan, cls, b, m, n, r, s), math.floor(t) + 1))
     return sizes

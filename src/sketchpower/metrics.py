@@ -468,6 +468,8 @@ def oracle_sweep(
     """
     if algo not in (PipelineKind.TYUC17, PipelineKind.TYUC17_SPI):
         raise ValueError(f"oracle sweep supports the two-sketch pipelines, not {algo.value}")
+    if trials < 1:
+        raise ValueError(f"oracle sweep needs at least one trial, got {trials}")
     if plan is None:
         plan = PIPELINES[algo.value].default_plan
     q_list = sorted(set(q_set)) if PIPELINES[algo.value].uses("l") else [0]

@@ -2,21 +2,24 @@
 
 :data:`PIPELINES` holds one :class:`PipelineSpec` per pipeline kind: its
 sketches with their shapes and update rules, its test matrices, which
-sketches are binary32 under the mixed plan, its size rules and its default
-plan.  Stream allocation, ingestion, the ledger, every size check and
-:func:`guidance.budget_sizes` read this one table; each kind's finisher is
-the function of its name in :mod:`approximators`.
+sketches are binary32 under the mixed plan, its size rules, the steps of its
+mixed-plan finish and its default plan.  Stream allocation, ingestion, the
+ledger, every size check and :func:`guidance.budget_sizes` read this one
+table; each kind's finisher is the function of its name in
+:mod:`approximators`.
 
 Storage is counted in double-precision words (a binary32 entry costs half a
 word).  Under the mixed plan the large sketches are held in binary32, which
 doubles the affordable sketch sizes under a fixed word budget; they are
 upcast to binary64 right before orthonormalization and the solves, reusing
-the space of the sketch that is no longer needed.  The ledger proves the
-space reuse is feasible; actual buffers are allocated fresh (byte aliasing is
-modeled, not performed).  The ledger and :meth:`PipelineSpec.words` count
-sketches only, so the budget stays the paper's sketch storage: the test
-matrices and a stream's binary64 staging pair of at most k(m + n) words
-(:mod:`stream_ingest`) sit outside both.
+the space of the sketch that is no longer needed.  Each kind declares that
+finish as steps (``new``, ``free``, ``up``), and :func:`simulate_storage`
+replays them, checking each reuse against a pool of freed words.  The ledger
+proves the space reuse is feasible; actual buffers are allocated fresh (byte
+aliasing is modeled, not performed).  The ledger and
+:meth:`PipelineSpec.words` count sketches only, so the budget stays the
+paper's sketch storage: the test matrices and a stream's binary64 staging
+pair of at most k(m + n) words (:mod:`stream_ingest`) sit outside both.
 """
 from __future__ import annotations
 
@@ -92,7 +95,11 @@ class PipelineSpec:
     (m, n: the data; s, d, l: the sketch sizes); ``binary32`` names the
     sketches stored in binary32 under the mixed plan; ``rules`` are size
     rules ``"<size> <op> [k]s"`` that hold on top of 1 <= s <= min(m, n).
-    A size a pipeline does not use is ignored.
+    A size a pipeline does not use is ignored.  ``finish`` is the mixed-plan
+    finish as :func:`simulate_storage` replays it, one step a string:
+    ``"new <label> <rows> <cols> <precision>"`` (rows and cols in size
+    letters or ``1``), ``"free <label>"`` and ``"up <label>"`` (upcast to
+    binary64).
     """
 
     kind: str
@@ -100,6 +107,7 @@ class PipelineSpec:
     test_matrices: tuple[tuple[str, tuple[str, str]], ...]
     binary32: frozenset
     rules: tuple[str, ...]
+    finish: tuple[str, ...]
     default_plan: PrecisionPlan
 
     def _letters(self) -> list[tuple[str, tuple[str, str]]]:
@@ -136,13 +144,17 @@ class PipelineSpec:
                 raise ValueError(f"{self.kind}: size rule {rule} fails with {lhs}={size[lhs]}, s={s}")
 
 
-def _spec(kind, sketches, test_matrices, binary32, rules, default_plan) -> PipelineSpec:
+def _spec(kind, sketches, test_matrices, binary32, rules, finish, default_plan) -> PipelineSpec:
     return PipelineSpec(
-        kind, tuple(Sketch(*sk) for sk in sketches), test_matrices, frozenset(binary32), rules, default_plan
+        kind, tuple(Sketch(*sk) for sk in sketches), test_matrices, frozenset(binary32), rules, finish, default_plan
     )
 
 
 _DOUBLE, _MIXED = PrecisionPlan.ALL_DOUBLE, PrecisionPlan.MIXED_SINGLE_DOUBLE
+
+# The storage-reduced power iteration: the l x l Gram matrix Z^T Z and an
+# s-word column buffer, both dropped before Y-hat lands in Z's first s columns.
+_SPI_GRAM = ("new ztz l l binary64", "new colbuf 1 s binary64", "free ztz", "free colbuf")
 
 # One entry per pipeline kind, keyed by ``PipelineKind.value``.  The
 # two-sided core sketch K stays binary64 under every plan.
@@ -152,30 +164,35 @@ PIPELINES: dict[str, PipelineSpec] = {
         _spec("tyuc17",
               [("y", ("m", "s"), "right", ("omega",)), ("w", ("d", "n"), "left", ("psi",))],
               (("omega", ("n", "s")), ("psi", ("d", "m"))),
-              ("w",), ("d >= s",), _DOUBLE),
+              ("w",), ("d >= s",),
+              ("new b s n binary32", "free w", "up b"), _DOUBLE),
         _spec("tyuc17_spi",
               [("y", ("m", "s"), "right", ("omega",)), ("w", ("d", "n"), "left", ("psi",)),
                ("z", ("m", "l"), "right", ("phi",))],
               (("omega", ("n", "s")), ("psi", ("d", "m")), ("phi", ("n", "l"))),
-              ("y", "w", "z"), ("d >= s", "l > s"), _MIXED),
+              ("y", "w", "z"), ("d >= s", "l > s"),
+              ("free z", "up y", "up w"), _MIXED),
         _spec("tyuc17_spi_variant",
               [("w", ("d", "n"), "left", ("psi",)), ("z", ("m", "l"), "right", ("phi",))],
               (("psi", ("d", "m")), ("phi", ("n", "l"))),
-              ("w", "z"), ("d >= s", "l > s", "l >= 2s"), _MIXED),
+              ("w", "z"), ("d >= s", "l > s", "l >= 2s"),
+              _SPI_GRAM + ("free z", "new y m s binary32", "up y"), _MIXED),
         _spec("rsvd_onepass",
               [("y", ("m", "s"), "right", ("omega",)), ("w", ("n", "s"), "gram", ("y",))],
               (("omega", ("n", "s")),),
-              ("y", "w"), (), _DOUBLE),
+              ("y", "w"), (), ("up y", "up w"), _DOUBLE),
         _spec("tyuc19",
               [("y", ("m", "s"), "right", ("omega",)), ("x", ("s", "n"), "left", ("gamma",)),
                ("k", ("d", "d"), "two_sided", ("phi", "psi"))],
               (("omega", ("n", "s")), ("gamma", ("s", "m")), ("phi", ("d", "m")), ("psi", ("d", "n"))),
-              ("y", "x"), ("d > s",), _DOUBLE),
+              ("y", "x"), ("d > s",), ("up y", "up x"), _DOUBLE),
         _spec("tyuc19_spi",
               [("z", ("m", "l"), "right", ("omega",)), ("w", ("l", "n"), "left", ("gamma",)),
                ("k", ("d", "d"), "two_sided", ("phi", "psi"))],
               (("omega", ("n", "l")), ("gamma", ("l", "m")), ("phi", ("d", "m")), ("psi", ("d", "n"))),
-              ("z", "w"), ("d > s", "l > s", "l >= 2s"), _MIXED),
+              ("z", "w"), ("d > s", "l > s", "l >= 2s"),
+              _SPI_GRAM + ("free z", "new y m s binary32", "up y", "new wwt l l binary64", "free wwt",
+                           "free w", "new x s n binary32", "up x"), _MIXED),
     )
 }
 
@@ -222,25 +239,17 @@ class StorageLedger:
         self._current2 -= self._half_words(e)
         return e.words
 
-    def convert(self, label: str, to: Precision, reuse_freed_words: float = 0.0) -> None:
-        """Re-declare a live buffer's precision, checking space reuse.
-
-        The extra words needed by the conversion must be covered by words
-        freed at the same schedule point, else the cast is infeasible.
-        """
+    def convert(self, label: str, to: Precision) -> float:
+        """Re-declare a live buffer's precision; returns the words it grew by."""
         e = self._live.get(label)
         if e is None:
             raise LedgerError(f"buffer {label!r} is not live")
-        extra = e.rows * e.cols * (to.words_per_entry - e.precision.words_per_entry)
-        if extra > reuse_freed_words + 1e-9:
-            raise LedgerError(
-                f"upcasting {label!r} needs {extra} words but only {reuse_freed_words} were freed"
-            )
-        self._current2 += int(round(2 * extra))
-        self._peak2 = max(self._peak2, self._current2)
         new = LedgerEntry(e.label, e.rows, e.cols, to)
+        self._current2 += self._half_words(new) - self._half_words(e)
+        self._peak2 = max(self._peak2, self._current2)
         self._live[label] = new
         self.entries.append(new)
+        return new.words - e.words
 
     @staticmethod
     def _half_words(e: LedgerEntry) -> int:
@@ -267,14 +276,24 @@ def simulate_storage(
     d: int = 0,
     l: int = 0,
 ) -> StorageLedger:
-    """Run a pipeline's allocations and mixed-plan casts through a fresh ledger.
+    """Run a pipeline's allocations and mixed-plan finish through a fresh ledger.
 
     The sketches are allocated as the pipeline's :data:`PIPELINES` entry
-    gives them; the casts and their space reuse follow per pipeline.  Follows the big-buffer accounting convention: the large sketch buffers (and, for
-    the storage-reduced variants, the l x l Gram matrix plus an s-word
-    buffer); test matrices, O(s^2) iterates and a stream's staging pair for
-    rank-one terms and column blocks (at most k(m + n) binary64 words, never
-    more than the sketches hold) are disregarded.
+    gives them; under the mixed plan the entry's ``finish`` steps follow.
+
+    Space reuse is checked against a pool of freed words.  The pool is
+    unbounded until a sketch is freed; each sketch free sets it to the words
+    that sketch held.  Each later binary32 allocation and each upcast draws
+    its words from the pool and raises :class:`LedgerError` when the pool
+    cannot cover them; binary64 scratch buffers do not touch it.  This is
+    where the l >= 2s contract of the storage-reduced kinds comes from: Y-hat
+    lands in Z's first s columns and its upcast needs the other l - s.
+
+    The accounting follows the big-buffer convention: the large sketch
+    buffers and, for the storage-reduced kinds, the l x l Gram matrices plus
+    an s-word buffer.  Test matrices, O(s^2) iterates and a stream's staging
+    pair for rank-one terms and column blocks (at most k(m + n) binary64
+    words, never more than the sketches hold) are disregarded.
     """
     spec = PIPELINES[pipeline]
     shapes = spec.shapes(m, n, s, d, l)
@@ -285,49 +304,23 @@ def simulate_storage(
     if plan is PrecisionPlan.ALL_DOUBLE:
         return led
 
-    if pipeline == "tyuc17":
-        led.alloc("b", s, n, Precision.BINARY32)
-        freed = led.free("w")
-        led.convert("b", Precision.BINARY64, reuse_freed_words=freed)
-    elif pipeline == "tyuc17_spi":
-        # Y-hat overwrites Y during the power iterations; then Z is dropped
-        # and its words cover the binary64 copies of Y-hat and W (the word
-        # balance m*l = m*s + d*n, up to rounding).
-        freed = led.free("z")
-        led.convert("y", Precision.BINARY64, reuse_freed_words=freed)
-        freed -= m * s / 2
-        led.convert("w", Precision.BINARY64, reuse_freed_words=freed)
-    elif pipeline == "tyuc17_spi_variant":
-        if s > l // 2:
-            raise LedgerError(f"variant storage contract requires s <= l/2, got s={s}, l={l}")
-        led.alloc("ztz", l, l, Precision.BINARY64)
-        led.alloc("colbuf", 1, s, Precision.BINARY64)
-        led.free("ztz")
-        led.free("colbuf")
-        # Y-hat lands in the first s columns of Z; dropping Z releases the
-        # remaining l - s columns, which must cover the binary64 upcast.
-        freed = led.free("z") - m * s / 2
-        led.alloc("y", m, s, Precision.BINARY32)
-        led.convert("y", Precision.BINARY64, reuse_freed_words=freed)
-    elif pipeline == "rsvd_onepass":
-        for name in ("y", "w"):
-            led.convert(name, Precision.BINARY64, reuse_freed_words=float("inf"))
-    elif pipeline == "tyuc19":
-        for name in ("y", "x"):
-            led.convert(name, Precision.BINARY64, reuse_freed_words=float("inf"))
-    elif pipeline == "tyuc19_spi":
-        if s > l // 2:
-            raise LedgerError(f"conversion contract requires l >= 2s, got s={s}, l={l}")
-        led.alloc("ztz", l, l, Precision.BINARY64)
-        led.alloc("colbuf", 1, s, Precision.BINARY64)
-        led.free("ztz")
-        led.free("colbuf")
-        freed_z = led.free("z") - m * s / 2
-        led.alloc("y", m, s, Precision.BINARY32)
-        led.convert("y", Precision.BINARY64, reuse_freed_words=freed_z)
-        led.alloc("wwt", l, l, Precision.BINARY64)
-        led.free("wwt")
-        freed_w = led.free("w") - s * n / 2
-        led.alloc("x", s, n, Precision.BINARY32)
-        led.convert("x", Precision.BINARY64, reuse_freed_words=freed_w)
+    size = {"m": m, "n": n, "s": s, "d": d, "l": l, "1": 1}
+    sketches = {sk.name for sk in spec.sketches}
+    pool = math.inf
+    for step in spec.finish:
+        op, label, *new = step.split()
+        if op == "free":
+            freed = led.free(label)
+            if label in sketches:
+                pool = freed
+            continue
+        if op == "new":
+            rows, cols, precision = size[new[0]], size[new[1]], Precision(new[2])
+            led.alloc(label, rows, cols, precision)
+            need = rows * cols * precision.words_per_entry if precision is Precision.BINARY32 else 0.0
+        else:
+            need = led.convert(label, Precision.BINARY64)
+        if need > pool + 1e-9:
+            raise LedgerError(f"{step!r} needs {need} words but only {pool} were freed")
+        pool -= need
     return led

@@ -92,12 +92,12 @@ def spi_stabilized(z, y, q: int) -> SpiOutput:
     return SpiOutput(y_hat=y_hat, rank_collapse=collapse)
 
 
-def spi_variant(z, omega_small, q: int, force: bool = False) -> np.ndarray:
+def spi_variant(z, omega_small, q: int) -> np.ndarray:
     """``Z (Z^T Z)^q O`` with the Gram matrix cached; q = 0 gives Z @ O.
 
     Identical (up to floating error) to ``spi_plain(Z, Z @ O, q)``.  The
     storage contract of the variant requires s <= l/2 so the upcast of the
-    result can reuse Z's space; pass ``force=True`` to experiment outside it.
+    result can reuse Z's space; a wider O raises ValueError.
     """
     z = np.asarray(z, dtype=np.float64)
     o = np.asarray(omega_small, dtype=np.float64)
@@ -107,10 +107,8 @@ def spi_variant(z, omega_small, q: int, force: bool = False) -> np.ndarray:
     if o.shape[0] != l:
         raise ValueError(f"right factor must have {l} rows, got {o.shape[0]}")
     s = o.shape[1]
-    if s > l // 2 and not force:
-        raise ValueError(
-            f"variant storage contract requires s <= l/2 (got s={s}, l={l}); pass force=True to override"
-        )
+    if s > l // 2:
+        raise ValueError(f"variant storage contract requires s <= l/2 (got s={s}, l={l})")
     t = o
     if q > 0:
         gram = z.T @ z              # the only cached l x l product

@@ -16,7 +16,7 @@ from sketchpower.approximators import (
     tyuc19,
     tyuc19_spi,
 )
-from sketchpower.guidance import BudgetSpec, DecayKind, SpectrumClass, select_sizes, select_sizes_double
+from sketchpower.guidance import DecayKind, SpectrumClass, select_sizes, select_sizes_double
 from sketchpower.metrics import (
     BoundInputsFro,
     BoundInputsSpec,
@@ -129,7 +129,7 @@ def test_criterion_04_powered_pipeline_beats_plain_at_every_budget():
     cls = SpectrumClass(DecayKind.POLY, 1.0)
     summary = []
     for t_hat in (48, 72, 96, 120):
-        conf = select_sizes(cls, BudgetSpec(t=float(t_hat), n=n, r=r))
+        s, d, l = select_sizes(cls, float(t_hat), n, r)
         s2, d2 = select_sizes_double(cls, float(t_hat), n, r)
         sf = {"spi": [], "plain": []}
         for trial in range(trials):
@@ -138,7 +138,7 @@ def test_criterion_04_powered_pipeline_beats_plain_at_every_budget():
             )
             a = synthetic.generate(spec).data
             base = metrics._baselines(a, r)
-            st = open_stream(PipelineKind.TYUC17_SPI, m, n, conf.s, conf.d, conf.l,
+            st = open_stream(PipelineKind.TYUC17_SPI, m, n, s, d, l,
                              base_seed=200 + t_hat, trial=trial, plan=PrecisionPlan.MIXED_SINGLE_DOUBLE)
             res = tyuc17_spi(st.ingest(LinearUpdate.dense(a)).finalize(), SpiParams(q=1), r)
             sf["spi"].append(metrics.relative_error(a, res, r, baselines=base).s_f)
@@ -196,8 +196,8 @@ def test_criterion_06_guidance_is_near_oracle():
             table = metrics.oracle_sweep(spec, PipelineKind.TYUC17_SPI, float(t_hat), r,
                                          q_set=(1,), trials=20)
             best = table.best()
-            conf = select_sizes(cls, BudgetSpec(t=float(t_hat), n=400, r=r))
-            guided = next(row for row in table.rows if row.s == conf.s)
+            guided_s = select_sizes(cls, float(t_hat), 400, r)[0]
+            guided = next(row for row in table.rows if row.s == guided_s)
             ratio = guided.mean_s_f / best.mean_s_f
             assert ratio <= 1.3, f"{label} T={t_hat}: guided/oracle = {ratio}"
             summary.append(f"{label} T={t_hat}: {ratio:.2f}x")

@@ -91,7 +91,7 @@ def test_sweep_markers_are_consistent(tmp_path):
     # The oracle row is the sweep argmin; the guided row carries the size the
     # guidance module would pick.  (The near-oracle quality claim is checked
     # at its stated scale in the acceptance suite.)
-    from sketchpower.guidance import BudgetSpec, DecayKind, SpectrumClass, select_sizes
+    from sketchpower.guidance import DecayKind, SpectrumClass, select_sizes
 
     args = ["sweep", "--data", "poly", "--alpha", "2", "--rank", "5", "--algo", "tyuc17_spi",
             "--q", "1", "--budget", "30", "--trials", "6", "--m", "120", "--n", "120"]
@@ -100,8 +100,8 @@ def test_sweep_markers_are_consistent(tmp_path):
     oracle = next(r for r in rows if r["is_oracle"] == "1")
     assert float(oracle["mean_SF"]) == min(float(r["mean_SF"]) for r in rows)
     guided = next(r for r in rows if r["is_guided"] == "1")
-    want = select_sizes(SpectrumClass(DecayKind.POLY, 2.0), BudgetSpec(t=30, n=120, r=5))
-    assert int(guided["s"]) == want.s
+    want = select_sizes(SpectrumClass(DecayKind.POLY, 2.0), 30, 120, 5)
+    assert int(guided["s"]) == want[0]
 
 
 def test_spectrum_prescription_slope(tmp_path):
@@ -223,6 +223,30 @@ def test_ledger_subcommand(tmp_path):
     assert rows[0] == ["label", "rows", "cols", "precision", "words"]
     peak = next(r for r in rows if r[0] == "peak")
     assert float(peak[4]) == 1000 * 20 + 80 * 1000
+
+
+@pytest.mark.parametrize("argv, problem", [
+    (["--algo", "tyuc17", "--m", "100", "--n", "80", "--s", "50", "--d", "10"], "size rule d >= s"),
+    (["--algo", "tyuc19", "--m", "100", "--n", "80", "--s", "500", "--d", "10"], "size rule 1 <= s <= min"),
+    (["--algo", "tyuc17_spi_variant", "--precision", "mixed", "--m", "100", "--n", "100",
+      "--s", "30", "--d", "40", "--l", "50"], "size rule l >= 2s"),
+    # Sizes every rule accepts, but Z's words cannot cover the upcasts of Y and W.
+    (["--algo", "tyuc17_spi", "--precision", "mixed", "--m", "1000", "--n", "1000",
+      "--s", "20", "--d", "80", "--l", "50"], "'up w' needs 40000.0 words"),
+])
+def test_ledger_rejects_sizes_the_pipeline_cannot_hold(argv, problem, capsys):
+    with pytest.raises(SystemExit, match=f"ledger: .*{problem}"):
+        bench_cli.main(["ledger"] + argv)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_trials_must_be_at_least_one(command, trials, capsys):
+    with pytest.raises(SystemExit, match="--trials must be at least 1"):
+        bench_cli.main([command, "--algo", "tyuc17_spi", "--budget", "30", "--guidance", "auto",
+                        "--m", "40", "--n", "40", "--rank", "3", "--trials", trials])
+    assert capsys.readouterr().out == ""
 
 
 def test_console_entry_point_runs():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sketchpower.guidance import (
-    BudgetSpec,
     budget_sizes,
     DecayKind,
     InfeasibleBudgetError,
@@ -21,34 +20,30 @@ _DOUBLE, _MIXED = PrecisionPlan.ALL_DOUBLE, PrecisionPlan.MIXED_SINGLE_DOUBLE
 
 
 def test_flat_rule():
-    conf = select_sizes(SpectrumClass(DecayKind.FLAT), BudgetSpec(t=100, n=1000, r=10))
-    assert (conf.s, conf.l, conf.d) == (10, 100, 90)
+    s, d, l = select_sizes(SpectrumClass(DecayKind.FLAT), 100, 1000, 10)
+    assert (s, l, d) == (10, 100, 90)
 
 
 def test_poly_fast_rule():
-    conf = select_sizes(SpectrumClass(DecayKind.POLY, 2.0), BudgetSpec(t=97, n=1000, r=10))
     # raw s = max(10, (3*100 - 2)/8) = 37.25, floored
-    assert conf.s == 37
-    assert conf.l == 97
-    assert conf.d == 60
+    assert select_sizes(SpectrumClass(DecayKind.POLY, 2.0), 97, 1000, 10) == (37, 60, 97)
 
 
 def test_exp_rule():
-    conf = select_sizes(SpectrumClass(DecayKind.EXP, 0.1), BudgetSpec(t=100, n=1000, r=10))
-    assert conf.s == 100 // 2
-    conf_small = select_sizes(SpectrumClass(DecayKind.EXP, 0.004), BudgetSpec(t=100, n=1000, r=10))
-    assert conf_small.s == 10  # alpha below 1/(2T) keeps s = r
+    assert select_sizes(SpectrumClass(DecayKind.EXP, 0.1), 100, 1000, 10)[0] == 100 // 2
+    # alpha below 1/(2T) keeps s = r
+    assert select_sizes(SpectrumClass(DecayKind.EXP, 0.004), 100, 1000, 10)[0] == 10
 
 
 def test_poly_slow_and_half_band():
-    slow = select_sizes(SpectrumClass(DecayKind.POLY, 0.3), BudgetSpec(t=80, n=1000, r=10))
-    assert slow.s == 10
-    half = select_sizes(SpectrumClass(DecayKind.POLY, 0.5), BudgetSpec(t=80, n=1000, r=10))
-    assert 10 <= half.s <= 40  # Lambert-branch value lands inside the clamp
-    edge = select_sizes(SpectrumClass(DecayKind.POLY, 0.55), BudgetSpec(t=80, n=1000, r=10))
-    assert edge.s == half.s  # 0.55 still inside the band, same Lambert value
-    outside = select_sizes(SpectrumClass(DecayKind.POLY, 0.56), BudgetSpec(t=80, n=1000, r=10))
-    assert outside.s == max(10, math.floor(((2 * 0.56 - 1) * 83 - 2) / (4 * 0.56)))
+    def s_at(alpha):
+        return select_sizes(SpectrumClass(DecayKind.POLY, alpha), 80, 1000, 10)[0]
+
+    assert s_at(0.3) == 10
+    half = s_at(0.5)
+    assert 10 <= half <= 40  # Lambert-branch value lands inside the clamp
+    assert s_at(0.55) == half  # 0.55 still inside the band, same Lambert value
+    assert s_at(0.56) == max(10, math.floor(((2 * 0.56 - 1) * 83 - 2) / (4 * 0.56)))
 
 
 def test_budget_conservation_and_rounding_slack():
@@ -56,25 +51,40 @@ def test_budget_conservation_and_rounding_slack():
                 SpectrumClass(DecayKind.EXP, 0.2)):
         for t in (48, 72.5, 96, 121):
             for c in (0.5, 1.0, 2.0):
-                conf = select_sizes(cls, BudgetSpec(t=t, n=2000, r=10, c=c))
-                used = (c * (conf.l + conf.s) + conf.d) / 2
+                s, d, l = select_sizes(cls, t, 2000, 10, c)
+                used = (c * (l + s) + d) / 2
                 assert used <= t <= used + c + 1
-                assert conf.r <= conf.s <= conf.d
-                assert conf.s < conf.l
+                assert 10 <= s <= d
+                assert s < l
 
 
 def test_poly_monotone_in_budget():
     cls = SpectrumClass(DecayKind.POLY, 2.0)
-    ss = [select_sizes(cls, BudgetSpec(t=t, n=1000, r=10)).s for t in range(40, 200, 8)]
+    ss = [select_sizes(cls, t, 1000, 10)[0] for t in range(40, 200, 8)]
     assert all(b >= a for a, b in zip(ss, ss[1:]))
 
 
+def test_select_sizes_rejects_bad_budget_rank_and_aspect():
+    flat = SpectrumClass(DecayKind.FLAT)
+    for t, r, c in ((20, 10, 1.0), (21, 0, 1.0), (21, 10, 0.0), (21, 10, -1.0)):
+        with pytest.raises(ValueError) as exc:
+            select_sizes(flat, t, 1000, r, c)
+        assert not isinstance(exc.value, InfeasibleBudgetError)
+
+
 def test_infeasible_budget_reports_minimal_t():
-    with pytest.raises(ValueError):
-        BudgetSpec(t=20, n=1000, r=10)  # T <= 2r rejected outright
     with pytest.raises(InfeasibleBudgetError) as exc:
-        select_sizes(SpectrumClass(DecayKind.FLAT), BudgetSpec(t=21, n=1000, r=10, c=30.0))
+        select_sizes(SpectrumClass(DecayKind.FLAT), 21, 1000, 10, 30.0)
     assert exc.value.minimal_feasible_t > 21
+    least = exc.value.minimal_feasible_t
+    select_sizes(SpectrumClass(DecayKind.FLAT), least, 1000, 10, 30.0)  # resolves there
+
+
+def test_infeasible_budget_never_names_itself():
+    # No T up to 2r + 10000 resolves at c = 2000: report inf, not T itself.
+    with pytest.raises(InfeasibleBudgetError, match="minimal feasible T is inf") as exc:
+        select_sizes(SpectrumClass(DecayKind.FLAT), 21, 1000, 10, 2000.0)
+    assert exc.value.minimal_feasible_t == math.inf
 
 
 def test_lambert_branch_point_and_residuals():
@@ -127,16 +137,16 @@ def test_select_sizes_double_respects_budget():
 
 def test_budget_sizes_keep_the_table_rules_where_they_fit():
     poly = SpectrumClass(DecayKind.POLY, 1.0)
-    conf = select_sizes(poly, BudgetSpec(t=96, n=1000, r=10))
-    assert budget_sizes(PipelineKind.TYUC17_SPI, _MIXED, poly, 96.0, 1000, 1000, 10) == (conf.s, conf.d, conf.l)
-    half = select_sizes(poly, BudgetSpec(t=48, n=1000, r=10))  # binary64 entries cost twice
-    assert budget_sizes(PipelineKind.TYUC17_SPI, _DOUBLE, poly, 96.0, 1000, 1000, 10) == (half.s, half.d, half.l)
+    mixed = select_sizes(poly, 96, 1000, 10)
+    assert budget_sizes(PipelineKind.TYUC17_SPI, _MIXED, poly, 96.0, 1000, 1000, 10) == mixed == (24, 72, 96)
+    half = select_sizes(poly, 48, 1000, 10)  # binary64 entries cost twice
+    assert budget_sizes(PipelineKind.TYUC17_SPI, _DOUBLE, poly, 96.0, 1000, 1000, 10) == half
     assert budget_sizes(PipelineKind.TYUC17, _DOUBLE, poly, 96.0, 1000, 1000, 10) == (
         *select_sizes_double(poly, 96.0, 1000, 10), 0)
     # The variant stores no Y: same rule, s lowered to l/2.
     fast = SpectrumClass(DecayKind.EXP, 0.5)
     s, d, l = budget_sizes(PipelineKind.TYUC17_SPI_VARIANT, _MIXED, fast, 60.0, 2000, 1000, 5)
-    assert s == l // 2 < select_sizes(fast, BudgetSpec(t=60, n=1000, r=5, c=2.0)).s
+    assert s == l // 2 < select_sizes(fast, 60, 1000, 5, 2.0)[0]
 
 
 @pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)

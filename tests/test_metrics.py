@@ -287,6 +287,13 @@ def test_oracle_sweep_row_count_and_flat_argmin():
     assert abs(best.s - 8) <= 2  # flat data: oracle s stays at the target rank
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_oracle_sweep_needs_a_trial(trials):
+    spec = SyntheticSpec(Family.LOWRANK_NOISE, m=40, n=40, plateau=3, snr=1e-2, base_seed=44)
+    with pytest.raises(ValueError, match="at least one trial"):
+        oracle_sweep(spec, PipelineKind.TYUC17_SPI, budget_t=20.0, r=3, trials=trials)
+
+
 # -- evaluation without full SVDs ----------------------------------------------
 
 

@@ -118,3 +118,67 @@ def test_mixed_and_double_pipelines_agree_when_well_conditioned():
         outs[plan] = tyuc17_spi(sk, SpiParams(q=1), 6).reconstruct()
     diff = np.linalg.norm(outs[PrecisionPlan.ALL_DOUBLE] - outs[PrecisionPlan.MIXED_SINGLE_DOUBLE])
     assert diff <= 50 * np.finfo(np.float32).eps * np.linalg.norm(a)
+
+
+_B32, _B64 = "binary32", "binary64"
+
+# Mixed-plan ledgers at m=60, n=45, s=4, d=10, l=12, as (csv_rows, peak_words).
+_MIXED_LEDGERS = {
+    "tyuc17": ([("y", 60, 4, _B64, 240.0), ("w", 10, 45, _B32, 225.0), ("b", 4, 45, _B32, 90.0),
+                ("b", 4, 45, _B64, 180.0)], 555.0),
+    "tyuc17_spi": ([("y", 60, 4, _B32, 120.0), ("w", 10, 45, _B32, 225.0), ("z", 60, 12, _B32, 360.0),
+                    ("y", 60, 4, _B64, 240.0), ("w", 10, 45, _B64, 450.0)], 705.0),
+    "tyuc17_spi_variant": ([("w", 10, 45, _B32, 225.0), ("z", 60, 12, _B32, 360.0), ("ztz", 12, 12, _B64, 144.0),
+                            ("colbuf", 1, 4, _B64, 4.0), ("y", 60, 4, _B32, 120.0), ("y", 60, 4, _B64, 240.0)],
+                           733.0),
+    "rsvd_onepass": ([("y", 60, 4, _B32, 120.0), ("w", 45, 4, _B32, 90.0), ("y", 60, 4, _B64, 240.0),
+                      ("w", 45, 4, _B64, 180.0)], 420.0),
+    "tyuc19": ([("y", 60, 4, _B32, 120.0), ("x", 4, 45, _B32, 90.0), ("k", 10, 10, _B64, 100.0),
+                ("y", 60, 4, _B64, 240.0), ("x", 4, 45, _B64, 180.0)], 520.0),
+    "tyuc19_spi": ([("z", 60, 12, _B32, 360.0), ("w", 12, 45, _B32, 270.0), ("k", 10, 10, _B64, 100.0),
+                    ("ztz", 12, 12, _B64, 144.0), ("colbuf", 1, 4, _B64, 4.0), ("y", 60, 4, _B32, 120.0),
+                    ("y", 60, 4, _B64, 240.0), ("wwt", 12, 12, _B64, 144.0), ("x", 4, 45, _B32, 90.0),
+                    ("x", 4, 45, _B64, 180.0)], 878.0),
+}
+
+
+@pytest.mark.parametrize("kind", list(PIPELINES))
+def test_mixed_ledger_of_every_kind_is_pinned(kind):
+    PIPELINES[kind].check_sizes(60, 45, 4, 10, 12)
+    led = simulate_storage(kind, PrecisionPlan.MIXED_SINGLE_DOUBLE, 60, 45, 4, 10, 12)
+    assert (led.csv_rows(), led.peak_words) == _MIXED_LEDGERS[kind]
+
+
+@pytest.mark.parametrize("kind, sizes", [
+    ("tyuc17_spi", (1000, 1000, 20, 80, 50)),  # Z's words cannot cover the upcasts of Y and W
+    ("tyuc17_spi_variant", (100, 100, 30, 40, 50)),  # l < 2s
+    ("tyuc17_spi_variant", (60, 45, 4, 10, 7)),
+    ("tyuc19_spi", (100, 100, 30, 40, 50)),
+    ("tyuc19_spi", (60, 45, 4, 10, 7)),
+])
+def test_mixed_ledger_reuse_failures_raise(kind, sizes):
+    with pytest.raises(LedgerError):
+        simulate_storage(kind, PrecisionPlan.MIXED_SINGLE_DOUBLE, *sizes)
+    simulate_storage(kind, PrecisionPlan.ALL_DOUBLE, *sizes)  # no reuse, no failure
+
+
+def test_pipeline_table_is_complete_and_consistent():
+    from sketchpower import approximators
+    from sketchpower.guidance import _BUDGET_RULES
+    from sketchpower.stream_ingest import PipelineKind
+
+    assert {k.value for k in PipelineKind} == set(PIPELINES) == {k.value for k in _BUDGET_RULES}
+    for kind, spec in PIPELINES.items():
+        assert spec.kind == kind and callable(getattr(approximators, kind))
+        live = {sk.name for sk in spec.sketches}
+        for step in spec.finish:
+            op, label, *new = step.split()
+            assert op in ("new", "free", "up"), step
+            if op == "new":
+                assert label not in live and len(new) == 3 and new[2] in (_B32, _B64), step
+                assert set(new[:2]) <= set("mnsdl1"), step
+                live.add(label)
+            else:
+                assert label in live, step
+                if op == "free":
+                    live.remove(label)

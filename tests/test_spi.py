@@ -99,7 +99,7 @@ def test_variant_zero_power_and_column_extraction():
     assert np.allclose(spi_variant(z, o, 0), z @ o, atol=1e-13)
     e1 = np.zeros((10, 1))
     e1[0, 0] = 1.0
-    col = spi_variant(z, e1, 2, force=True)
+    col = spi_variant(z, e1, 2)
     want = (z @ np.linalg.matrix_power(z.T @ z, 2))[:, :1]
     assert np.linalg.norm(col - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -115,9 +115,9 @@ def test_variant_matches_plain_cross_implementation():
 
 def test_variant_storage_contract():
     z = np.zeros((10, 6))
-    with pytest.raises(ValueError, match="force"):
+    with pytest.raises(ValueError, match="s <= l/2"):
         spi_variant(z, np.zeros((6, 4)), 1)
-    spi_variant(z, np.zeros((6, 4)), 1, force=True)  # override allowed
+    spi_variant(z, np.zeros((6, 3)), 1)  # s = l/2 is inside the contract
 
 
 def test_spi_params_defaults():

@@ -8,7 +8,6 @@ import numpy as np
 from sketchpower import metrics, synthetic
 from sketchpower.approximators import tyuc17, tyuc17_spi, tyuc17_spi_variant, tyuc19, tyuc19_spi
 from sketchpower.guidance import (
-    BudgetSpec,
     DecayKind,
     SpectrumClass,
     select_sizes,
@@ -55,7 +54,7 @@ def test_powered_pipeline_dominates_on_high_noise():
     cls = SpectrumClass(DecayKind.FLAT)
     spec = synthetic.SyntheticSpec(synthetic.Family.LOWRANK_NOISE, n, n, plateau=r, snr=0.1, base_seed=700)
     s2, d2 = select_sizes_double(cls, float(t_hat), n, r)
-    conf = select_sizes(cls, BudgetSpec(t=float(t_hat), n=n, r=r))
+    s, d, l = select_sizes(cls, float(t_hat), n, r)
     plain, powered = [], {1: [], 2: [], 3: []}
     for t in range(trials):
         a = synthetic.generate(spec.with_trial(t)).data
@@ -63,7 +62,7 @@ def test_powered_pipeline_dominates_on_high_noise():
         st = open_stream(PipelineKind.TYUC17, n, n, s2, d2, base_seed=800, trial=t)
         res = tyuc17(st.ingest(LinearUpdate.dense(a)).finalize(), r)
         plain.append(metrics.relative_error(a, res, r, baselines=base).s_f)
-        st = open_stream(PipelineKind.TYUC17_SPI, n, n, conf.s, conf.d, conf.l,
+        st = open_stream(PipelineKind.TYUC17_SPI, n, n, s, d, l,
                          base_seed=801, trial=t, plan=PrecisionPlan.MIXED_SINGLE_DOUBLE)
         sk = st.ingest(LinearUpdate.dense(a)).finalize()
         for q in powered:
@@ -110,13 +109,13 @@ def test_fast_exp_mixed_precision_floor():
     a = synthetic.generate(spec).data
     base = metrics._baselines(a, r)
     cls = SpectrumClass(DecayKind.EXP, 0.5)
-    conf = select_sizes(cls, BudgetSpec(t=float(t_hat), n=n, r=r))
-    s_v = min(conf.s, conf.l // 2)
+    s, d, l = select_sizes(cls, float(t_hat), n, r)
+    s_v = min(s, l // 2)
     out = {}
     for plan in PrecisionPlan:
         vals = []
         for t in range(5):
-            st = open_stream(PipelineKind.TYUC17_SPI_VARIANT, n, n, s_v, conf.d + 10, conf.l,
+            st = open_stream(PipelineKind.TYUC17_SPI_VARIANT, n, n, s_v, d + 10, l,
                              base_seed=1001, trial=t, plan=plan)
             sk = st.ingest(LinearUpdate.dense(a)).finalize()
             res = tyuc17_spi_variant(sk, SpiParams(q=1), r)
@@ -157,6 +156,6 @@ def test_guidance_near_oracle_medium_poly():
                                    alpha=1.0, base_seed=55)
     table = metrics.oracle_sweep(spec, PipelineKind.TYUC17_SPI, 60.0, 10, q_set=(1,), trials=10)
     best = table.best()
-    conf = select_sizes(SpectrumClass(DecayKind.POLY, 1.0), BudgetSpec(t=60.0, n=400, r=10))
-    guided = next(row for row in table.rows if row.s == conf.s)
+    guided_s = select_sizes(SpectrumClass(DecayKind.POLY, 1.0), 60.0, 400, 10)[0]
+    guided = next(row for row in table.rows if row.s == guided_s)
     assert guided.mean_s_f <= 1.3 * best.mean_s_f
