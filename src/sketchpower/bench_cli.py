@@ -86,21 +86,10 @@ class RunConfig:
             raise SystemExit(f"--trials must be at least 1, got {self.trials}")
 
 
-def _pipeline_kind(algo: str) -> PipelineKind:
-    try:
-        return PipelineKind(algo)
-    except ValueError:
-        raise SystemExit(f"unknown algorithm {algo!r}")
-
-
 def _plan_of(cfg: RunConfig, kind: PipelineKind) -> PrecisionPlan:
     if cfg.precision is None:
         return PIPELINES[kind.value].default_plan
-    if cfg.precision in ("double", "all_double"):
-        return PrecisionPlan.ALL_DOUBLE
-    if cfg.precision in ("mixed", "mixed_single_double"):
-        return PrecisionPlan.MIXED_SINGLE_DOUBLE
-    raise SystemExit(f"unknown precision plan {cfg.precision!r}")
+    return {"double": PrecisionPlan.ALL_DOUBLE, "mixed": PrecisionPlan.MIXED_SINGLE_DOUBLE}[cfg.precision]
 
 
 def _test_kind(cfg: RunConfig) -> TestMatrixKind:
@@ -116,9 +105,7 @@ def _dataset_spec(cfg: RunConfig) -> Optional[synthetic.SyntheticSpec]:
         "lowrank": synthetic.Family.LOWRANK_NOISE,
         "poly": synthetic.Family.POLY_DECAY,
         "exp": synthetic.Family.EXP_DECAY,
-    }.get(cfg.data)
-    if family is None:
-        raise SystemExit(f"unknown dataset family {cfg.data!r}")
+    }[cfg.data]
     return synthetic.SyntheticSpec(
         family=family, m=cfg.m, n=cfg.n, plateau=cfg.plateau,
         alpha=cfg.alpha, snr=cfg.gamma, base_seed=cfg.base_seed,
@@ -160,10 +147,7 @@ def _resolve_sizes(cfg: RunConfig, kind: PipelineKind, plan: PrecisionPlan, file
 
 
 def _spi_params(cfg: RunConfig) -> SpiParams:
-    stab = {"auto": None, "on": True, "off": False}.get(cfg.stabilize)
-    if stab is None and cfg.stabilize != "auto":
-        raise SystemExit(f"unknown stabilize mode {cfg.stabilize!r}")
-    return SpiParams(q=cfg.q, stabilize=stab)
+    return SpiParams(q=cfg.q, stabilize={"auto": None, "on": True, "off": False}[cfg.stabilize])
 
 
 def _dataset_columns(cfg: RunConfig) -> tuple[str, str, Optional[float]]:
@@ -228,7 +212,7 @@ def _workers() -> int:
 
 def run(cfg: RunConfig, out=None) -> int:
     """Execute one benchmark configuration; returns a process exit code."""
-    kind = _pipeline_kind(cfg.algo)
+    kind = PipelineKind(cfg.algo)
     plan = _plan_of(cfg, kind)
 
     shared_a = shared_base = file_sv = None
@@ -274,7 +258,7 @@ def run(cfg: RunConfig, out=None) -> int:
 
 def run_sweep(cfg: RunConfig, out=None) -> int:
     """Oracle sweep over s at fixed budget; marks the oracle and guided rows."""
-    kind = _pipeline_kind(cfg.algo)
+    kind = PipelineKind(cfg.algo)
     if kind not in (PipelineKind.TYUC17, PipelineKind.TYUC17_SPI):
         raise SystemExit("sweep supports tyuc17 and tyuc17_spi")
     if cfg.budget is None:
@@ -314,7 +298,7 @@ def emit_spectrum(cfg: RunConfig, out=None) -> int:
 
 def emit_ledger(cfg: RunConfig, out=None) -> int:
     """Storage-ledger dump (label, rows, cols, precision, words) for a pipeline."""
-    kind = _pipeline_kind(cfg.algo)
+    kind = PipelineKind(cfg.algo)
     plan = _plan_of(cfg, kind)
     file_sv = None
     if cfg.data == "file":
@@ -343,12 +327,44 @@ def _emit(lines, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sketchpower-bench",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+# The flags of every subcommand, as (flag words, add_argument keywords).  The
+# keys of a --config file are their destinations.
+_FLAGS = (
+    (("--algo",), dict(default="tyuc17_spi", choices=[k.value for k in PipelineKind])),
+    (("--data",), dict(default="poly", choices=["lowrank", "poly", "exp", "file"])),
+    (("--file",), dict(help="input matrix (SPIM binary or MatrixMarket)")),
+    (("--alpha",), dict(type=float, default=1.0, help="decay rate of poly/exp data")),
+    (("--gamma",), dict(type=float, default=1e-2, help="noise level of lowrank data")),
+    (("--rank",), dict(type=int, default=10, help="target rank r")),
+    (("--plateau",), dict(type=int, default=10, help="number of leading unit singular values")),
+    (("--m",), dict(type=int, default=1000)),
+    (("--n",), dict(type=int, default=1000)),
+    (("--budget",), dict(type=float, help="storage budget T (words per column)")),
+    (("--s",), dict(type=int)),
+    (("--d",), dict(type=int)),
+    (("--l",), dict(type=int)),
+    (("--q",), dict(type=int, default=1, help="power-iteration count")),
+    (("--trials",), dict(type=int, default=20)),
+    (("--base-seed",), dict(type=int, default=0, dest="base_seed")),
+    (("--precision",), dict(choices=["double", "mixed"],
+                            help="storage plan (default: mixed for the powered pipelines, double otherwise)")),
+    (("--guidance",), dict(default=None, choices=["manual", "auto"], dest="guidance_mode",
+                           help="auto: sizes from --budget; manual: --s/--d/--l (default: manual when --s is given)")),
+    (("--test-matrix",), dict(default="sparse_rademacher", dest="test_matrix",
+                              choices=["gaussian", "sparse_rademacher", "sparse_sign", "countsketch"])),
+    (("--sparsity",), dict(type=float, default=0.01)),
+    (("--stabilize",), dict(default="auto", choices=["auto", "on", "off"])),
+    (("--timing",), dict(action="store_true", help="fill wall_ms (breaks byte-reproducibility of the CSV)")),
+    (("--out", "-o"), dict(help="output CSV path (default: stdout)")),
+)
+
+# Config key -> (flag, whether the flag is a switch).
+_CONFIG_KEYS = {kw.get("dest", f[0][2:]): (f[0], kw.get("action") == "store_true") for f, kw in _FLAGS}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="sketchpower-bench", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (
         ("run", "run trials of one pipeline and emit per-trial CSV rows"),
@@ -357,54 +373,36 @@ def _build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
         ("ledger", "emit the storage-ledger accounting of a pipeline"),
     ):
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", help="JSON file of defaults mirroring the flags (flags override)")
-        p.add_argument("--algo", default="tyuc17_spi",
-                       choices=[k.value for k in PipelineKind])
-        p.add_argument("--data", default="poly", choices=["lowrank", "poly", "exp", "file"])
-        p.add_argument("--file", help="input matrix (SPIM binary or MatrixMarket)")
-        p.add_argument("--alpha", type=float, default=1.0, help="decay rate of poly/exp data")
-        p.add_argument("--gamma", type=float, default=1e-2, help="noise level of lowrank data")
-        p.add_argument("--rank", type=int, default=10, help="target rank r")
-        p.add_argument("--plateau", type=int, default=10, help="number of leading unit singular values")
-        p.add_argument("--m", type=int, default=1000)
-        p.add_argument("--n", type=int, default=1000)
-        p.add_argument("--budget", type=float, help="storage budget T (words per column)")
-        p.add_argument("--s", type=int)
-        p.add_argument("--d", type=int)
-        p.add_argument("--l", type=int)
-        p.add_argument("--q", type=int, default=1, help="power-iteration count")
-        p.add_argument("--trials", type=int, default=20)
-        p.add_argument("--base-seed", type=int, default=0, dest="base_seed")
-        p.add_argument("--precision", choices=["double", "mixed"],
-                       help="storage plan (default: mixed for the powered pipelines, double otherwise)")
-        p.add_argument("--guidance", default=None, choices=["manual", "auto"], dest="guidance_mode",
-                       help="auto: sizes from --budget; manual: --s/--d/--l (default: manual when --s is given)")
-        p.add_argument("--test-matrix", default="sparse_rademacher", dest="test_matrix",
-                       choices=["gaussian", "sparse_rademacher", "sparse_sign", "countsketch"])
-        p.add_argument("--sparsity", type=float, default=0.01)
-        p.add_argument("--stabilize", default="auto", choices=["auto", "on", "off"])
-        p.add_argument("--timing", action="store_true",
-                       help="fill wall_ms (breaks byte-reproducibility of the CSV)")
-        p.add_argument("--out", "-o", help="output CSV path (default: stdout)")
-        if defaults:
-            p.set_defaults(**defaults)  # config file values; flags still win
+        p.add_argument("--config", help="JSON file of flag values keyed by destination (flags override)")
+        for flags, kw in _FLAGS:
+            p.add_argument(*flags, **kw)
     return parser
 
 
-def _merge_config_file(argv) -> argparse.Namespace:
-    args = _build_parser().parse_args(argv)
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            defaults = json.load(fh)
-        unknown = set(defaults) - set(vars(args))
-        if unknown:
-            raise SystemExit(f"unknown keys in config file: {sorted(unknown)}")
-        args = _build_parser(defaults).parse_args(argv)
-    return args
+def _config_words(path) -> list[str]:
+    """A config file's values as flag words, so that argparse checks them as
+    it checks flags.  A null value leaves its flag unset."""
+    with open(path, "r", encoding="utf-8") as fh:
+        values = json.load(fh)
+    unknown = set(values) - set(_CONFIG_KEYS)
+    if unknown:
+        raise SystemExit(f"unknown keys in config file: {sorted(unknown)}")
+    words = []
+    for key, value in values.items():
+        flag, switch = _CONFIG_KEYS[key]
+        if switch and isinstance(value, bool):
+            words += [flag] if value else []
+        elif value is not None:
+            words.append(f"{flag}={value}")
+    return words
 
 
 def main(argv=None) -> int:
-    args = _merge_config_file(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:  # config values go between the command and the flags, so flags win
+        args = parser.parse_args(argv[:1] + _config_words(args.config) + argv[1:])
     command = args.command
     fields = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     if fields.get("guidance_mode") is None:

@@ -187,9 +187,14 @@ def select_sizes_double(cls: SpectrumClass, t_hat: float, n: int, r: int, c: flo
     the idealized class spectrum; the analogue of the mixed-plan table for
     the no-power-sketch case.
     """
+    return _double_sizes(cls, t_hat, n, r, c, math.inf)
+
+
+def _double_sizes(cls: SpectrumClass, t_hat: float, n: int, r: int, c: float, s_cap: float) -> tuple[int, int]:
+    """:func:`select_sizes_double` with s at most ``s_cap``."""
     tail = _model_tail_sq(cls, n)
     best = None
-    s_max = int((t_hat - 2) // (1 + c))
+    s_max = int(min((t_hat - 2) // (1 + c), s_cap))
     for s in range(r + 2, max(r + 2, s_max) + 1):
         d = math.floor(t_hat - c * s)
         if d < s + 2:
@@ -244,10 +249,11 @@ def _rate(spec, plan: PrecisionPlan, m: int, n: int, size: str) -> float:
 
 
 def _oblique(spec, plan, cls, t, m, n, r, s):
-    """rate_s*s + rate_d*d <= T: select_sizes_double in units of one d row."""
+    """rate_s*s + rate_d*d <= T: select_sizes_double in units of one d row,
+    with s at most min(m, n)."""
     a_s, a_d = _rate(spec, plan, m, n, "s"), _rate(spec, plan, m, n, "d")
     if s is None:
-        return (*select_sizes_double(cls, t / a_d, n, r, a_s / a_d), 0)
+        return (*_double_sizes(cls, t / a_d, n, r, a_s / a_d, min(m, n)), 0)
     return s, math.floor((t - a_s * s) / a_d), 0
 
 

@@ -6,9 +6,12 @@ to every requested sketch once, by linearity; the matrix itself is never
 stored.
 Which sketches a stream keeps, their shapes, update rules and test matrices,
 and the size rules it must meet all come from the pipeline's entry in
-:data:`~sketchpower.precision_model.PIPELINES`; :func:`open_stream` checks the
-sizes before it draws a test matrix, and :meth:`SketchStream.ingest` rejects
-updates of the wrong shape or with non-finite entries.  After
+:data:`~sketchpower.precision_model.PIPELINES`.  :func:`open_stream` is the
+one way to open a stream: it checks the sizes before it draws the test
+matrices from their seeded streams, and :meth:`SketchStream.ingest` rejects
+updates of the wrong shape or with non-finite entries.  :func:`ingest_file`
+and :func:`read_matrix` read a SPIM or MatrixMarket file through one reader
+that opens it once.  After
 :meth:`SketchStream.finalize` the resulting :class:`SketchSet` is immutable
 (its arrays are read-only) and certifies ``pass_count == 1``.
 
@@ -38,10 +41,11 @@ rounding drift independent of how the stream is blocked.
 """
 from __future__ import annotations
 
+import contextlib
 import enum
 import os
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 import scipy.sparse
@@ -212,9 +216,11 @@ def _columns(t, a: int, b: int):
 class SketchStream:
     """Single-writer accumulator for one pass over the data matrix.
 
-    ``test_matrices`` gives each test matrix of the pipeline as a
-    :class:`DenseMatrix` or as a ``scipy.sparse`` array, which the stream
-    applies with sparse products.
+    The constructor checks the sizes against the pipeline's rules before it
+    draws a test matrix, then draws each test matrix from the seeded stream
+    of the same name (``omega`` from ``Stream.OMEGA``, ...), so the draws do
+    not depend on which other test matrices the pipeline has.  A sparse kind
+    is held as a CSC array and applied with sparse products.
     """
 
     def __init__(
@@ -226,31 +232,27 @@ class SketchStream:
         d: int = 0,
         l: int = 0,
         *,
-        plan: PrecisionPlan = PrecisionPlan.ALL_DOUBLE,
-        test_matrices: dict[str, DenseMatrix | scipy.sparse.sparray],
+        base_seed: int = 0,
+        trial: int = 0,
         test_kind: TestMatrixKind = GAUSSIAN,
+        plan: PrecisionPlan = PrecisionPlan.ALL_DOUBLE,
     ):
-        if m < 1 or n < 1:
-            raise ValueError(f"data dimensions must be >= 1, got {m}x{n}")
+        spec = PIPELINES[kind.value]
+        spec.check_sizes(m, n, s, d, l)  # also rejects m < 1 or n < 1
         self.kind = kind
         self.m, self.n, self.s, self.d, self.l = m, n, s, d, l
         self.plan = plan
         self.test_kind = test_kind
-        self.base_seed = 0
-        self.trial = 0
+        self.base_seed = base_seed
+        self.trial = trial
         self._finalized = False
 
-        spec = PIPELINES[kind.value]
-        spec.check_sizes(m, n, s, d, l)
         shapes = spec.shapes(m, n, s, d, l)
+        sparse = test_kind.variant != "gaussian"
         self._t = {}
         for name, _ in spec.test_matrices:
-            tm = test_matrices[name]
-            dense = isinstance(tm, DenseMatrix)
-            shape = (tm.rows, tm.cols) if dense else tm.shape
-            if shape != shapes[name]:
-                raise ValueError(f"test matrix {name} has shape {shape}, expected {shapes[name]}")
-            self._t[name] = tm.as_f64() if dense else scipy.sparse.csc_array(tm, dtype=np.float64)
+            t = generate(test_kind, *shapes[name], SeedSpec(base_seed, Stream[name.upper()], trial), sparse=sparse)
+            self._t[name] = t if sparse else t.data
         self._sk = {
             sk.name: np.zeros(shapes[sk.name], dtype=spec.precision(sk.name, plan).dtype)
             for sk in spec.sketches
@@ -471,24 +473,8 @@ def open_stream(
     test_kind: TestMatrixKind = GAUSSIAN,
     plan: PrecisionPlan = PrecisionPlan.ALL_DOUBLE,
 ) -> SketchStream:
-    """Check the sizes, draw the pipeline's test matrices and open a stream.
-
-    Each test matrix is drawn from the seeded stream of the same name
-    (``omega`` from ``Stream.OMEGA``, ...), so the draws do not depend on
-    which other test matrices the pipeline has.
-    """
-    spec = PIPELINES[kind.value]
-    spec.check_sizes(m, n, s, d, l)
-    shapes = spec.shapes(m, n, s, d, l)
-    sparse = test_kind.variant != "gaussian"
-    mats = {
-        name: generate(test_kind, *shapes[name], SeedSpec(base_seed, Stream[name.upper()], trial), sparse=sparse)
-        for name, _ in spec.test_matrices
-    }
-    stream = SketchStream(kind, m, n, s, d, l, plan=plan, test_matrices=mats, test_kind=test_kind)
-    stream.base_seed = base_seed
-    stream.trial = trial
-    return stream
+    """Open a stream of the pipeline ``kind``; see :class:`SketchStream`."""
+    return SketchStream(kind, m, n, s, d, l, base_seed=base_seed, trial=trial, test_kind=test_kind, plan=plan)
 
 
 def default_block_rows(n: int) -> int:
@@ -502,10 +488,8 @@ _SPIM_MAGIC = b"SPIM"
 _SPIM_HEADER_BYTES = 24
 
 
-def _read_spim_header(fh, path):
-    head = fh.read(_SPIM_HEADER_BYTES)
-    if len(head) == 0:
-        raise ValueError(f"{path}: empty file")
+def _spim_header(head: bytes, size: int, path) -> tuple[int, int, np.dtype]:
+    """(rows, cols, element dtype) from a SPIM file's first bytes and its size."""
     if len(head) < _SPIM_HEADER_BYTES or head[:4] != _SPIM_MAGIC:
         raise ValueError(f"{path}: not a SPIM file (bad magic or truncated header)")
     version = int(np.frombuffer(head[4:6], dtype="<u2")[0])
@@ -521,23 +505,47 @@ def _read_spim_header(fh, path):
         raise ValueError(f"{path}: dimension overflow ({rows}x{cols})")
     dtype = np.dtype("<f8" if elem == 0 else "<f4")
     expected = _SPIM_HEADER_BYTES + rows * cols * dtype.itemsize
-    actual = os.fstat(fh.fileno()).st_size
-    if actual != expected:
+    if size != expected:
         raise ValueError(
-            f"{path}: header says {rows}x{cols} ({expected} bytes) but file has {actual} bytes"
+            f"{path}: header says {rows}x{cols} ({expected} bytes) but file has {size} bytes"
         )
     return rows, cols, dtype
 
 
-def _spim_row_blocks(path, block_rows: Optional[int]) -> Iterable[tuple[int, np.ndarray]]:
-    """(start row, block) pairs of a SPIM file, in the file's precision.
+def _row_blocks(path, block_rows: Optional[int] = None) -> Iterator:
+    """Yield the shape (rows, cols) of a SPIM or MatrixMarket file, then its
+    (start row, block) pairs of ``block_rows`` rows (default
+    :func:`default_block_rows`).
 
-    Every block is read into the same buffer, so a block is valid only until
-    the next one is read.
+    The file is opened once.  A SPIM header is read once and every block, in
+    the file's precision, is read into the same buffer, so a block is valid
+    only until the next one; a MatrixMarket file is loaded once as binary64
+    and sliced.  Close the generator to close the file before it is spent.
     """
     with open(path, "rb") as fh:
-        rows, cols, dtype = _read_spim_header(fh, path)
+        head = fh.read(_SPIM_HEADER_BYTES)
+        if len(head) == 0:
+            raise ValueError(f"{path}: empty file")
+        if head[:4] == _SPIM_MAGIC:
+            rows, cols, dtype = _spim_header(head, os.fstat(fh.fileno()).st_size, path)
+            full = None
+        elif head.startswith(b"%%MatrixMarket"):
+            import scipy.io
+
+            fh.seek(0)
+            full = scipy.io.mmread(fh)
+            full = np.asarray(full.toarray() if scipy.sparse.issparse(full) else full, dtype=np.float64)
+            rows, cols = full.shape
+            if rows < 1 or cols < 1:
+                raise ValueError(f"{path}: invalid dimensions {rows}x{cols}")
+        else:
+            raise ValueError(f"{path}: unrecognized format (expected SPIM or MatrixMarket)")
+        yield rows, cols
         blk = block_rows or default_block_rows(cols)
+        if full is not None:
+            for start in range(0, rows, blk):
+                yield start, full[start : start + blk]
+            return
         buf = np.empty((min(blk, rows), cols), dtype=dtype)
         for start in range(0, rows, blk):
             block = buf[: min(blk, rows - start)]
@@ -546,43 +554,12 @@ def _spim_row_blocks(path, block_rows: Optional[int]) -> Iterable[tuple[int, np.
             yield start, block
 
 
-def _file_dims(path) -> tuple[int, int, str]:
-    with open(path, "rb") as fh:
-        head = fh.read(14)
-    if len(head) == 0:
-        raise ValueError(f"{path}: empty file")
-    if head[:4] == _SPIM_MAGIC:
-        with open(path, "rb") as fh:
-            rows, cols, _ = _read_spim_header(fh, path)
-        return rows, cols, "spim"
-    if head.startswith(b"%%MatrixMarket"):
-        import scipy.io
-
-        rows, cols = scipy.io.mminfo(path)[:2]
-        if rows < 1 or cols < 1:
-            raise ValueError(f"{path}: invalid dimensions {rows}x{cols}")
-        return int(rows), int(cols), "matrixmarket"
-    raise ValueError(f"{path}: unrecognized format (expected SPIM or MatrixMarket)")
-
-
-def _load(path, fmt: str) -> np.ndarray:
-    """The whole matrix of a file as a binary64 array, not checked for finiteness."""
-    if fmt == "spim":
-        a = np.empty(_file_dims(path)[:2])
-        for start, block in _spim_row_blocks(path, None):
-            a[start : start + block.shape[0]] = block
-        return a
-    import scipy.io
-
-    a = scipy.io.mmread(path)
-    if scipy.sparse.issparse(a):
-        a = a.toarray()
-    return np.asarray(a, dtype=np.float64)
-
-
 def read_matrix(path) -> DenseMatrix:
-    """Fully load a SPIM or MatrixMarket file, validating finiteness."""
-    a = _load(path, _file_dims(path)[2])
+    """Fully load a SPIM or MatrixMarket file as binary64, validating finiteness."""
+    with contextlib.closing(_row_blocks(path)) as blocks:
+        a = np.empty(next(blocks))
+        for start, block in blocks:
+            a[start : start + block.shape[0]] = block
     if not np.isfinite(a).all():
         raise ValueError(f"{path}: non-finite entries")
     return DenseMatrix.from_array(a, check_finite=False)
@@ -603,20 +580,18 @@ def ingest_file(
 ) -> SketchSet:
     """Row-block ingestion of a matrix file; equivalent to streaming the whole
     file through :meth:`SketchStream.ingest` and finalizing.  Errors in a
-    block (non-finite entries, say) name the file."""
-    rows, cols, fmt = _file_dims(path)
-    stream = open_stream(
-        kind, rows, cols, s, d, l, base_seed=base_seed, trial=trial, test_kind=test_kind, plan=plan
-    )
-    if fmt == "spim":
-        blocks = _spim_row_blocks(path, block_rows)
-    else:
-        full = _load(path, fmt)
-        blk = block_rows or default_block_rows(cols)
-        blocks = ((start, full[start : start + blk]) for start in range(0, rows, blk))
-    for start, block in blocks:
-        try:
-            stream.ingest(LinearUpdate.row_block(start, block))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    block (non-finite entries, say) name the file, which is closed by the
+    time they reach the caller."""
+    if block_rows is not None and block_rows < 1:
+        raise ValueError(f"block_rows must be >= 1, got {block_rows}")
+    with contextlib.closing(_row_blocks(path, block_rows)) as blocks:
+        rows, cols = next(blocks)
+        stream = open_stream(
+            kind, rows, cols, s, d, l, base_seed=base_seed, trial=trial, test_kind=test_kind, plan=plan
+        )
+        for start, block in blocks:
+            try:
+                stream.ingest(LinearUpdate.row_block(start, block))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
     return stream.finalize()

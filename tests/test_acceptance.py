@@ -127,25 +127,27 @@ def test_criterion_04_powered_pipeline_beats_plain_at_every_budget():
     m = n = 1000
     r, trials = 10, 20
     cls = SpectrumClass(DecayKind.POLY, 1.0)
-    summary = []
-    for t_hat in (48, 72, 96, 120):
-        s, d, l = select_sizes(cls, float(t_hat), n, r)
-        s2, d2 = select_sizes_double(cls, float(t_hat), n, r)
-        sf = {"spi": [], "plain": []}
-        for trial in range(trials):
-            spec = synthetic.SyntheticSpec(
-                synthetic.Family.POLY_DECAY, m, n, plateau=10, alpha=1.0, base_seed=100, trial=trial
-            )
-            a = synthetic.generate(spec).data
-            base = metrics._baselines(a, r)
+    budgets = (48, 72, 96, 120)
+    sizes = {t_hat: (select_sizes(cls, float(t_hat), n, r), select_sizes_double(cls, float(t_hat), n, r))
+             for t_hat in budgets}
+    sf = {t_hat: {"spi": [], "plain": []} for t_hat in budgets}
+    for trial in range(trials):  # each trial's matrix serves every budget
+        spec = synthetic.SyntheticSpec(
+            synthetic.Family.POLY_DECAY, m, n, plateau=10, alpha=1.0, base_seed=100, trial=trial
+        )
+        a = synthetic.generate(spec).data
+        base = metrics._baselines(a, r)
+        for t_hat, ((s, d, l), (s2, d2)) in sizes.items():
             st = open_stream(PipelineKind.TYUC17_SPI, m, n, s, d, l,
                              base_seed=200 + t_hat, trial=trial, plan=PrecisionPlan.MIXED_SINGLE_DOUBLE)
             res = tyuc17_spi(st.ingest(LinearUpdate.dense(a)).finalize(), SpiParams(q=1), r)
-            sf["spi"].append(metrics.relative_error(a, res, r, baselines=base).s_f)
+            sf[t_hat]["spi"].append(metrics.relative_error(a, res, r, baselines=base).s_f)
             st = open_stream(PipelineKind.TYUC17, m, n, s2, d2, base_seed=300 + t_hat, trial=trial)
             res = tyuc17(st.ingest(LinearUpdate.dense(a)).finalize(), r)
-            sf["plain"].append(metrics.relative_error(a, res, r, baselines=base).s_f)
-        mean_spi, mean_plain = np.mean(sf["spi"]), np.mean(sf["plain"])
+            sf[t_hat]["plain"].append(metrics.relative_error(a, res, r, baselines=base).s_f)
+    summary = []
+    for t_hat in budgets:
+        mean_spi, mean_plain = np.mean(sf[t_hat]["spi"]), np.mean(sf[t_hat]["plain"])
         assert mean_spi < mean_plain, f"budget {t_hat}: {mean_spi} !< {mean_plain}"
         summary.append(f"T={t_hat}: {mean_spi:.3f} < {mean_plain:.3f}")
     assert time.time() - t0 < 600

@@ -199,6 +199,36 @@ def test_config_file_defaults_and_flag_override(tmp_path):
         bench_cli.main(["run", "--guidance", "sweep", "--budget", "30"])
 
 
+@pytest.mark.parametrize("key, value, flag", [
+    ("guidance_mode", "atuo", "--guidance"),
+    ("test_matrix", "gausian", "--test-matrix"),
+    ("precision", "all_double", "--precision"),
+    ("data", "polynomial", "--data"),
+    ("stabilize", "maybe", "--stabilize"),
+])
+def test_config_values_are_checked_like_flags(tmp_path, key, value, flag, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({key: value}))
+    argv = ["run", "--config", str(cfgfile), "--algo", "tyuc17", "--s", "6", "--d", "14",
+            "--trials", "1", "--m", "40", "--n", "40", "--rank", "3"]
+    with pytest.raises(SystemExit) as exc:
+        bench_cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}: invalid choice: '{value}'" in captured.err
+    assert captured.out == ""
+
+
+def test_config_timing_fills_wall_ms(tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"timing": True, "algo": "tyuc17", "s": 6, "d": 14, "trials": 1,
+                                   "m": 50, "n": 50, "rank": 3}))
+    rc, _ = _run_cli(["run", "--config", str(cfgfile)], tmp_path / "t.csv")
+    assert rc == 0
+    rows = list(csv.DictReader((tmp_path / "t.csv").read_text().splitlines()))
+    assert float(rows[0]["wall_ms"]) > 0
+
+
 def test_failing_trials_set_exit_code(tmp_path):
     # d < s makes the corange solve underdetermined; every trial fails and is
     # enumerated on stderr with a nonzero exit code.

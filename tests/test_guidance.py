@@ -169,6 +169,30 @@ def test_budget_sizes_fit_or_name_the_least_budget(kind, plan):
         assert (d > 0) == spec.uses("d") and (l > 0) == spec.uses("l")
 
 
+@pytest.mark.parametrize("plan", [_DOUBLE, _MIXED], ids=lambda p: p.value)
+def test_tyuc17_sizes_of_a_wide_matrix_resolve_or_are_infeasible(plan):
+    # With m < n the tyuc17 rule's s is capped at min(m, n).  Uncapped, the
+    # least-budget search of a budget whose s outgrew m reached budgets whose
+    # s outgrew the model spectrum, and failed with an IndexError.
+    spec = PIPELINES["tyuc17"]
+    classes = [SpectrumClass(DecayKind.FLAT)] + [
+        SpectrumClass(kind, alpha)
+        for kind, alpha in ((DecayKind.POLY, 0.5), (DecayKind.POLY, 1.0), (DecayKind.POLY, 2.0),
+                            (DecayKind.EXP, 0.2), (DecayKind.EXP, 0.5))
+    ]
+    for t in range(8, 201, 4):
+        for r in (5, 10):
+            for cls in classes:
+                try:
+                    s, d, l = budget_sizes(PipelineKind.TYUC17, plan, cls, float(t), 100, 200, r)
+                except InfeasibleBudgetError:
+                    continue
+                assert r <= s <= 100 and spec.words(plan, 100, 200, s, d, l) <= t * 200
+                spec.check_sizes(100, 200, s, d, l)
+    want = (100, 110, 0) if plan is _DOUBLE else (100, 220, 0)
+    assert budget_sizes(PipelineKind.TYUC17, plan, SpectrumClass(DecayKind.EXP, 0.2), 160.0, 100, 200, 5) == want
+
+
 def test_budget_sizes_with_s_given_derive_d_and_l():
     # The oracle sweep's grid: at fixed s, d and l follow the same budget.
     assert budget_sizes(PipelineKind.TYUC17, _DOUBLE, None, 30.0, 80, 80, 5, s=7) == (7, 23, 0)

@@ -210,14 +210,30 @@ def test_tyuc19_spi_sketch_shapes_and_content():
     assert np.allclose(sk.w.data, sk.gamma.data @ a, atol=1e-12)
 
 
+def _write(directory, a: DenseMatrix, fmt: str):
+    """The path of a written as a binary64 SPIM, binary32 SPIM or MatrixMarket file."""
+    if fmt == "matrixmarket":
+        import scipy.io
+
+        path = directory / "data.mtx"
+        scipy.io.mmwrite(path, a.data)
+    else:
+        path = directory / "data.spim"
+        write_spim(path, a, Precision.BINARY32 if fmt == "binary32" else Precision.BINARY64)
+    return path
+
+
+_FILE_FORMATS = ["binary64", "binary32", "matrixmarket"]
+
+
 @pytest.mark.parametrize("test_kind", [GAUSSIAN, SPARSE_RADEMACHER], ids=lambda k: k.variant)
-@pytest.mark.parametrize("precision", [Precision.BINARY64, Precision.BINARY32], ids=lambda p: p.name.lower())
-def test_ingest_file_bitwise_matches_memory(tmp_path, precision, test_kind):
+@pytest.mark.parametrize("fmt", _FILE_FORMATS)
+def test_ingest_file_bitwise_matches_memory(tmp_path, fmt, test_kind):
     spec = SyntheticSpec(Family.LOWRANK_NOISE, m=120, n=90, plateau=5, snr=1e-4, base_seed=31)
     a = gen_data(spec)
-    path = tmp_path / "data.spim"
-    write_spim(path, a, precision)
-    rows = a.data.astype(precision.dtype)
+    path = _write(tmp_path, a, fmt)
+    # The file's rows as the reader yields them: binary32 SPIM rows stay binary32.
+    rows = a.data.astype(np.float32) if fmt == "binary32" else read_matrix(path).data
     blk = 17
     mem = open_stream(PipelineKind.TYUC17_SPI, 120, 90, s=6, d=14, l=12, base_seed=32, test_kind=test_kind)
     for i in range(0, 120, blk):
@@ -228,6 +244,51 @@ def test_ingest_file_bitwise_matches_memory(tmp_path, precision, test_kind):
     for name in ("y", "w", "z"):
         assert np.array_equal(getattr(sk_file, name).data, getattr(sk_mem, name).data)
     assert sk_file.pass_count == 1
+
+
+def _recording_open(monkeypatch):
+    """Record every file the stream_ingest module opens."""
+    opened = []
+
+    def recording(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(stream_ingest, "open", recording, raising=False)
+    return opened
+
+
+@pytest.mark.parametrize("block_rows", [0, -3])
+@pytest.mark.parametrize("fmt", ["binary64", "matrixmarket"])
+def test_ingest_file_rejects_block_rows_below_one_before_reading(tmp_path, fmt, block_rows, monkeypatch):
+    path = _write(tmp_path, DenseMatrix.from_array(_random(12, 5, 40)), fmt)
+    opened = _recording_open(monkeypatch)
+    with pytest.raises(ValueError, match=f"block_rows must be >= 1, got {block_rows}"):
+        ingest_file(path, PipelineKind.TYUC17, s=2, d=4, block_rows=block_rows)
+    assert opened == []
+
+
+@pytest.mark.parametrize("fmt", _FILE_FORMATS)
+def test_file_is_read_through_one_open(tmp_path, fmt, monkeypatch):
+    path = _write(tmp_path, DenseMatrix.from_array(_random(30, 7, 41)), fmt)
+    opened = _recording_open(monkeypatch)
+    read_matrix(path)
+    ingest_file(path, PipelineKind.TYUC17, s=2, d=4, block_rows=8)
+    assert len(opened) == 2 and all(fh.closed for fh in opened)
+
+
+@pytest.mark.parametrize("fmt", _FILE_FORMATS)
+def test_file_is_closed_when_a_later_block_is_refused(tmp_path, fmt, monkeypatch):
+    bad = _random(40, 6, 42)
+    bad[25, 3] = np.nan  # in the fourth block of 8 rows
+    path = _write(tmp_path, DenseMatrix.from_array(bad, check_finite=False), fmt)
+    opened = _recording_open(monkeypatch)
+    with pytest.raises(ValueError, match=r"non-finite entries in row_block update of rows \[24, 32\)"):
+        try:
+            ingest_file(path, PipelineKind.TYUC17, s=2, d=4, block_rows=8)
+        finally:
+            assert len(opened) == 1 and opened[0].closed
 
 
 def test_ingest_file_rejects_garbage(tmp_path):
