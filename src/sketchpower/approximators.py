@@ -5,7 +5,10 @@ returns rank-r factors plus the intermediates needed by the error-source
 metrics; :func:`approximate` runs the one named after the sketch set's kind.
 Sketches stored in binary32 are upcast to binary64 at the entry of the
 factorization stage (the cast points of the precision model); all numerical
-kernels run in binary64.
+kernels run in binary64.  The power sketch Z and the rangefinder Y it powers
+are handed to :mod:`spi` as stored, which reads them one upcast row chunk at
+a time; a sparse test matrix with m columns is applied as the CSC array the
+sketch set holds.
 """
 from __future__ import annotations
 
@@ -14,8 +17,9 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse
 
-from .matrix_core import lstsq, qr_economy, svd_truncated
+from .matrix_core import DenseMatrix, lstsq, qr_economy, svd_truncated
 from .precision_model import PIPELINES, PrecisionPlan
 from .spi import SpiParams, spi_plain, spi_stabilized, spi_variant
 from .stream_ingest import PipelineKind, SketchSet
@@ -53,7 +57,7 @@ class ApproxResult:
     b: Optional[np.ndarray] = None
     core: Optional[np.ndarray] = None
     p_factor: Optional[np.ndarray] = None
-    psi: Optional[np.ndarray] = None
+    psi: Optional[np.ndarray | scipy.sparse.csc_array] = None
     flags: frozenset = frozenset()
 
     def reconstruct(self) -> np.ndarray:
@@ -82,11 +86,18 @@ def _stored(y_hat: np.ndarray, sk: SketchSet) -> np.ndarray:
     """Model the powered rangefinder's residence in binary32 sketch space.
 
     Under the mixed plan the iterate overwrites the binary32 sketch buffer
-    before its upcast, so it passes through one binary32 rounding.
+    before its upcast, so it passes through one binary32 rounding, done in
+    place on the fresh binary64 iterate.
     """
     if sk.plan is PrecisionPlan.MIXED_SINGLE_DOUBLE:
-        return y_hat.astype(np.float32).astype(np.float64)
+        y_hat[...] = y_hat.astype(np.float32)
     return y_hat
+
+
+def _test_matrix(t):
+    """A test matrix as the finishers apply it: a CSC array as held, a
+    :class:`DenseMatrix` as its binary64 array."""
+    return t.as_f64() if isinstance(t, DenseMatrix) else t
 
 
 def _qb_finish(kind, y_hat, w, psi, r, flags) -> ApproxResult:
@@ -114,26 +125,25 @@ def _qb_finish(kind, y_hat, w, psi, r, flags) -> ApproxResult:
 def tyuc17(sk: SketchSet, r: int) -> ApproxResult:
     """Rangefinder QR plus corange least squares: A ~ Q ((Psi Q)^+ W)."""
     _require(sk, r, _TYUC17_FAMILY, "y", "w", "psi")
-    return _qb_finish(PipelineKind.TYUC17, sk.y.as_f64(), sk.w.as_f64(), sk.psi.as_f64(), r, set())
+    return _qb_finish(PipelineKind.TYUC17, sk.y.as_f64(), sk.w.as_f64(), _test_matrix(sk.psi), r, set())
 
 
 def tyuc17_spi(sk: SketchSet, params: SpiParams, r: int) -> ApproxResult:
     """TYUC17 with the rangefinder powered through the wide sketch Z."""
     _require(sk, r, (PipelineKind.TYUC17_SPI,), "y", "w", "z", "psi")
-    y = sk.y.as_f64()
     flags = set()
     if params.q == 0:
-        y_hat = y
+        y_hat = sk.y.as_f64()
     elif params.use_stabilized:
-        out = spi_stabilized(sk.z.as_f64(), y, params.q)
+        out = spi_stabilized(sk.z.data, sk.y.data, params.q)
         if out.rank_collapse:
             flags.add("power_iteration_rank_collapse")
         y_hat = out.y_hat
     else:
-        y_hat = spi_plain(sk.z.as_f64(), y, params.q)
+        y_hat = spi_plain(sk.z.data, sk.y.data, params.q)
     if params.q > 0:
         y_hat = _stored(y_hat, sk)
-    return _qb_finish(PipelineKind.TYUC17_SPI, y_hat, sk.w.as_f64(), sk.psi.as_f64(), r, flags)
+    return _qb_finish(PipelineKind.TYUC17_SPI, y_hat, sk.w.as_f64(), _test_matrix(sk.psi), r, flags)
 
 
 def _small_factor(sk: SketchSet, stream: Stream, rows: int, cols: int) -> np.ndarray:
@@ -146,8 +156,8 @@ def tyuc17_spi_variant(sk: SketchSet, params: SpiParams, r: int) -> ApproxResult
     q = ``params.q`` and O (l x s) Gaussian from the ``OMEGA_TILDE`` stream."""
     _require(sk, r, _TYUC17_FAMILY, "w", "z", "psi")
     omega_tilde = _small_factor(sk, Stream.OMEGA_TILDE, sk.l, sk.s)
-    y_hat = _stored(spi_variant(sk.z.as_f64(), omega_tilde, params.q), sk)
-    return _qb_finish(PipelineKind.TYUC17_SPI_VARIANT, y_hat, sk.w.as_f64(), sk.psi.as_f64(), r, set())
+    y_hat = _stored(spi_variant(sk.z.data, omega_tilde, params.q), sk)
+    return _qb_finish(PipelineKind.TYUC17_SPI_VARIANT, y_hat, sk.w.as_f64(), _test_matrix(sk.psi), r, set())
 
 
 def rsvd_onepass(sk: SketchSet, r: int) -> ApproxResult:
@@ -211,7 +221,8 @@ def tyuc19(sk: SketchSet, r: int) -> ApproxResult:
     """Two-sided pipeline: range and corange bases plus a d x d core sketch."""
     _require(sk, r, (PipelineKind.TYUC19,), "y", "x", "k", "phi", "psi")
     return _two_sided_finish(
-        PipelineKind.TYUC19, sk.y.as_f64(), sk.x.as_f64(), sk.k.as_f64(), sk.phi.as_f64(), sk.psi.as_f64(), r, set()
+        PipelineKind.TYUC19, sk.y.as_f64(), sk.x.as_f64(), sk.k.as_f64(), _test_matrix(sk.phi), _test_matrix(sk.psi),
+        r, set(),
     )
 
 
@@ -225,10 +236,10 @@ def tyuc19_spi(sk: SketchSet, params: SpiParams, r: int) -> ApproxResult:
     _require(sk, r, (PipelineKind.TYUC19_SPI,), "z", "w", "k", "phi", "psi")
     omega_tilde = _small_factor(sk, Stream.OMEGA_TILDE, sk.l, sk.s)
     gamma_tilde = _small_factor(sk, Stream.GAMMA_TILDE, sk.s, sk.l)
-    y_hat = _stored(spi_variant(sk.z.as_f64(), omega_tilde, params.q), sk)
+    y_hat = _stored(spi_variant(sk.z.data, omega_tilde, params.q), sk)
     x_hat = _stored(spi_variant(sk.w.as_f64().T, gamma_tilde.T, params.q).T, sk)
     return _two_sided_finish(
-        PipelineKind.TYUC19_SPI, y_hat, x_hat, sk.k.as_f64(), sk.phi.as_f64(), sk.psi.as_f64(), r, set()
+        PipelineKind.TYUC19_SPI, y_hat, x_hat, sk.k.as_f64(), _test_matrix(sk.phi), _test_matrix(sk.psi), r, set()
     )
 
 

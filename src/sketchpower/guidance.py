@@ -185,9 +185,9 @@ def select_sizes_double(cls: SpectrumClass, t_hat: float, n: int, r: int, c: flo
     Minimizes the pipeline's expected-error model
     (d/(d-s-1)) * (s/(s-rho-1)) * tail(rho+1)^2 over integer s and rho, using
     the idealized class spectrum; the analogue of the mixed-plan table for
-    the no-power-sketch case.
+    the no-power-sketch case.  s is at most n.
     """
-    return _double_sizes(cls, t_hat, n, r, c, math.inf)
+    return _double_sizes(cls, t_hat, n, r, c, n)
 
 
 def _double_sizes(cls: SpectrumClass, t_hat: float, n: int, r: int, c: float, s_cap: float) -> tuple[int, int]:

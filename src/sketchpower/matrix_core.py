@@ -1,16 +1,19 @@
 """Dense-matrix contract and the three numerical kernels everything else uses.
 
 The kernels (economy QR, truncated SVD, least-squares via pseudoinverse) run
-exclusively in binary64; binary32 exists only as a *storage* precision and
-callers upcast at the boundary.  Rank deficiency and ill conditioning are
-reported through flags on the result objects, never as exceptions: the caller
-decides what to do.
+exclusively in binary64; binary32 exists only as a *storage* precision.  A
+tall binary32 matrix is read one row chunk at a time (:func:`_row_chunks`),
+each chunk upcast into a reused binary64 buffer, so no binary64 copy of the
+whole matrix is made; small matrices are upcast whole.  Rank deficiency and
+ill conditioning are reported through flags on the result objects, never as
+exceptions: the caller decides what to do.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 import scipy.linalg as la
@@ -25,6 +28,7 @@ __all__ = [
     "svd_truncated",
     "lstsq",
     "as_f64",
+    "all_finite",
     "binary_exponent",
     "fro_norm",
 ]
@@ -32,6 +36,10 @@ __all__ = [
 # Rank-deficiency / conditioning thresholds of the kernel contracts.
 QR_RANK_TOL = 1e-14
 LSTSQ_COND_TOL = 1e-12
+
+# Entries of a row chunk: 2 MiB of binary64, which stays in a 2 MiB-per-core
+# L2 cache while every product that reads the chunk runs.
+_CHUNK = 1 << 18
 
 
 class Precision(enum.Enum):
@@ -85,7 +93,7 @@ class DenseMatrix:
             a.dtype if a.dtype in (np.float32, np.float64) else np.float64
         )
         a = np.ascontiguousarray(a, dtype=dtype)
-        if check_finite and not np.isfinite(a).all():
+        if check_finite and not all_finite(a):
             raise ValueError("matrix contains non-finite entries")
         return cls(a)
 
@@ -118,6 +126,44 @@ class DenseMatrix:
     def as_f64(self) -> np.ndarray:
         """The payload upcast to binary64 (no copy if already binary64)."""
         return self.data if self.data.dtype == np.float64 else self.data.astype(np.float64)
+
+
+def all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of x is finite, with no temporary larger than
+    ``_CHUNK`` bytes.
+
+    An array of more than ``_CHUNK`` entries is checked by its min and max,
+    which propagate a NaN and show an infinity and allocate nothing; a
+    smaller one by ``np.isfinite``, which is faster there (a rank-one term's
+    vectors, say).
+    """
+    if x.size <= _CHUNK:
+        return bool(np.isfinite(x).all())
+    return bool(np.isfinite(x.min()) and np.isfinite(x.max()))
+
+
+def _row_chunks(h: np.ndarray, step: int, transpose: bool = False) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(offset, C, C^T) for each chunk C of ``step`` rows of h, in binary64.
+
+    A binary32 chunk is upcast into a buffer, and C^T, if ``transpose``, is
+    copied into another; both are reused, so a chunk is valid until the next
+    one.  Otherwise C is a view of h and C^T a view of C.
+    """
+    n = h.shape[1]
+    size = min(step, h.shape[0]) * n
+    up = np.empty(size) if h.dtype != np.float64 else None
+    tr = np.empty(size) if transpose else None
+    for i in range(0, h.shape[0], step):
+        c = h[i : i + step]
+        r = c.shape[0]
+        if up is not None:
+            c, src = up[: r * n].reshape(r, n), c
+            c[...] = src
+        ct = c.T
+        if tr is not None:
+            ct = tr[: r * n].reshape(n, r)
+            ct[...] = c.T
+        yield i, c, ct
 
 
 def as_f64(m) -> np.ndarray:

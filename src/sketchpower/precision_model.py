@@ -15,8 +15,11 @@ upcast to binary64 right before orthonormalization and the solves, reusing
 the space of the sketch that is no longer needed.  Each kind declares that
 finish as steps (``new``, ``free``, ``up``), and :func:`simulate_storage`
 replays them, checking each reuse against a pool of freed words.  The ledger
-proves the space reuse is feasible; actual buffers are allocated fresh (byte
-aliasing is modeled, not performed).  The ledger and
+proves the space reuse is feasible.  The finishers do not alias bytes: they
+leave the finalized sketches intact and allocate fresh buffers, but no
+binary64 copy of Z (it is read one row chunk at a time, see :mod:`spi`) and
+no dense copy of a sparse test matrix, so what they add to the sketches is a
+few m x s binary64 arrays, one row chunk and the small factors.  The ledger and
 :meth:`PipelineSpec.words` count sketches only, so the budget stays the
 paper's sketch storage: the test matrices and a stream's binary64 staging
 pair of at most k(m + n) words (:mod:`stream_ingest`) sit outside both.

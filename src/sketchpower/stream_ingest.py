@@ -31,8 +31,12 @@ chunk's rows directly, and the increments of the other sketches are summed
 in binary64 over the chunks and added once.  A binary32 row block (a
 binary32 SPIM file's blocks, say) stays binary32 until its chunks are
 upcast.  The sparse test-matrix kinds are held as CSC arrays and applied
-with sparse products; the finalized :class:`SketchSet` holds every test
-matrix dense.
+with sparse products.  The finalized :class:`SketchSet` keeps a sparse test
+matrix with m columns (the corange Psi of the ``tyuc17`` kinds, Phi and Gamma
+of the two-sided kinds) in that CSC form, so its storage grows with its
+nonzeros, not with m; the finishers and the metrics apply it with ``@`` as
+they would a dense array.  The test matrices on the n side are small and are
+held dense.
 
 Sketches declared binary32 are accumulated in binary64 and rounded to
 binary32 at each fold: once per dense or row-block update and once per flush
@@ -45,12 +49,12 @@ import contextlib
 import enum
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 import scipy.sparse
 
-from .matrix_core import DenseMatrix
+from .matrix_core import _CHUNK, DenseMatrix, _row_chunks, all_finite
 from .precision_model import PIPELINES, PrecisionPlan
 from .test_matrices import GAUSSIAN, SeedSpec, Stream, TestMatrixKind, generate
 
@@ -71,10 +75,6 @@ __all__ = [
 # (24, 72, 96), one BLAS thread) took about 1150 ms unstaged and 750, 480,
 # 380 and 380 ms at k = 8, 16, 32 and 64.
 _STAGE_COLS = 32
-
-# Entries of a row chunk: 2 MiB of binary64, which stays in a 2 MiB-per-core
-# L2 cache while every sketch's product reads it.
-_CHUNK = 1 << 18
 
 
 class PipelineKind(enum.Enum):
@@ -128,7 +128,10 @@ class SketchSet:
     Only the sketches a pipeline defines are present; the rest are None.
     ``w`` is the corange sketch: d x n for the oblique pipelines, n x s for
     the orthogonal-projection pipeline, l x n for the two-sided power
-    variant.
+    variant.  A test matrix with m columns (``psi`` of the ``tyuc17`` kinds,
+    ``phi`` and ``gamma`` of the two-sided kinds) of a sparse kind is a
+    ``scipy.sparse.csc_array`` with read-only arrays; every other test matrix
+    is a :class:`DenseMatrix`.
     """
 
     kind: PipelineKind
@@ -144,9 +147,9 @@ class SketchSet:
     x: Optional[DenseMatrix]
     k: Optional[DenseMatrix]
     omega: Optional[DenseMatrix]
-    psi: Optional[DenseMatrix]
-    phi: Optional[DenseMatrix]
-    gamma: Optional[DenseMatrix]
+    psi: Optional[DenseMatrix | scipy.sparse.csc_array]
+    phi: Optional[DenseMatrix | scipy.sparse.csc_array]
+    gamma: Optional[DenseMatrix | scipy.sparse.csc_array]
     test_kind: TestMatrixKind
     pass_count: int
     base_seed: int = 0
@@ -178,30 +181,6 @@ def _two_sided_terms(upd: LinearUpdate, tl, tr):
 # Row-only streams (those with a gram sketch) take no rank-one term or column
 # block as such, so gram has no kernel here.
 _TERM_KERNELS = {"right": _right_terms, "left": _left_terms, "two_sided": _two_sided_terms}
-
-
-def _row_chunks(h: np.ndarray, step: int, transpose: bool) -> Iterable[tuple[int, np.ndarray, np.ndarray]]:
-    """(offset, C, C^T) for each chunk C of ``step`` rows of h, in binary64.
-
-    A binary32 chunk is upcast into a buffer, and C^T, if ``transpose``, is
-    copied into another; both are reused, so a chunk is valid until the next
-    one.  Otherwise C is a view of h and C^T a view of C.
-    """
-    n = h.shape[1]
-    size = min(step, h.shape[0]) * n
-    up = np.empty(size) if h.dtype != np.float64 else None
-    tr = np.empty(size) if transpose else None
-    for i in range(0, h.shape[0], step):
-        c = h[i : i + step]
-        r = c.shape[0]
-        if up is not None:
-            c, src = up[: r * n].reshape(r, n), c
-            c[...] = src
-        ct = c.T
-        if tr is not None:
-            ct = tr[: r * n].reshape(n, r)
-            ct[...] = c.T
-        yield i, c, ct
 
 
 def _columns(t, a: int, b: int):
@@ -301,7 +280,7 @@ class SketchStream:
             raise ValueError(f"unknown update kind {upd.kind!r}")
 
     def _check_finite(self, upd: LinearUpdate) -> None:
-        if all(x is None or np.isfinite(x).all() for x in (upd.h, upd.u, upd.v)):
+        if all(x is None or all_finite(x) for x in (upd.h, upd.u, upd.v)):
             return
         if upd.kind == "row_block":
             where = f"rows [{upd.start}, {upd.start + upd.h.shape[0]})"
@@ -432,10 +411,8 @@ class SketchStream:
         self._flush()
         self._stage = None
         self._finalized = True
-        sk = {name: DenseMatrix(arr) for name, arr in self._sk.items()}
-        tm = {name: DenseMatrix(t if isinstance(t, np.ndarray) else t.toarray(order="C")) for name, t in self._t.items()}
-        for mat in (*sk.values(), *tm.values()):
-            mat.data.flags.writeable = False
+        sk = {name: _frozen(arr) for name, arr in self._sk.items()}
+        tm = {name: _frozen(self._t[name], cols == "m") for name, (_, cols) in PIPELINES[self.kind.value].test_matrices}
         return SketchSet(
             kind=self.kind,
             m=self.m,
@@ -458,6 +435,20 @@ class SketchStream:
             base_seed=self.base_seed,
             trial=self.trial,
         )
+
+
+def _frozen(t, keep_sparse: bool = False):
+    """A sketch or test matrix as the sketch set holds it, its arrays
+    read-only: a CSC array if it is sparse and ``keep_sparse``, else a
+    :class:`DenseMatrix`."""
+    if isinstance(t, np.ndarray) or not keep_sparse:
+        t = DenseMatrix(t if isinstance(t, np.ndarray) else t.toarray(order="C"))
+        arrays = (t.data,)
+    else:
+        arrays = (t.data, t.indices, t.indptr)
+    for a in arrays:
+        a.flags.writeable = False
+    return t
 
 
 def open_stream(
@@ -560,7 +551,7 @@ def read_matrix(path) -> DenseMatrix:
         a = np.empty(next(blocks))
         for start, block in blocks:
             a[start : start + block.shape[0]] = block
-    if not np.isfinite(a).all():
+    if not all_finite(a):
         raise ValueError(f"{path}: non-finite entries")
     return DenseMatrix.from_array(a, check_finite=False)
 

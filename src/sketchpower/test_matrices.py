@@ -126,8 +126,8 @@ def generate(
     is returned as a ``scipy.sparse.csc_array`` of the same entries, built
     from the coordinates without materializing the dense matrix (the draws
     do not depend on ``sparse``).  Stream ingestion applies that form with
-    sparse products, but the finalized sketch set still holds every test
-    matrix dense, and the storage ledger counts no test matrix.
+    sparse products, and the finalized sketch set keeps it for a test
+    matrix with m columns; the storage ledger counts no test matrix.
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"test matrix dimensions must be >= 1, got {rows}x{cols}")

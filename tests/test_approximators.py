@@ -16,7 +16,7 @@ from sketchpower.approximators import (
 from sketchpower.precision_model import PIPELINES, PrecisionPlan
 from sketchpower.spi import SpiParams
 from sketchpower.stream_ingest import LinearUpdate, PipelineKind, open_stream
-from sketchpower.test_matrices import GAUSSIAN, SeedSpec, Stream, generate
+from sketchpower.test_matrices import GAUSSIAN, SPARSE_RADEMACHER, SeedSpec, Stream, generate
 
 
 def _rank_r_matrix(m, n, r, seed, svals=None):
@@ -242,3 +242,35 @@ def test_small_factors_follow_the_sketch_set():
         assert res.q_factor.shape == (40, 4)
         again = approximate(dataclasses.replace(sk, trial=1), 3, SpiParams(q=1))
         assert not np.array_equal(res.u, again.u)  # another trial, another draw
+
+
+def _finish_peak(kind, params, m, n=50, s=2, d=30, l=60):
+    """tracemalloc peak of the finish of a mixed, sparse-kind stream of an m x n matrix."""
+    import tracemalloc
+
+    a = _rank_r_matrix(m, n, 3, 12) + 1e-3 * np.random.default_rng(13).standard_normal((m, n))
+    st = open_stream(kind, m, n, s, d, l, base_seed=4, plan=PrecisionPlan.MIXED_SINGLE_DOUBLE,
+                     test_kind=SPARSE_RADEMACHER)
+    sk = st.ingest(LinearUpdate.row_block(0, a)).finalize()
+    del a, st
+    tracemalloc.start()
+    try:
+        res = approximate(sk, 2, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.u.shape == (m, 2) and np.isfinite(res.u).all()
+    return peak
+
+
+@pytest.mark.parametrize("kind, q", [(PipelineKind.TYUC17_SPI, 1), (PipelineKind.TYUC17_SPI, 2),
+                                     (PipelineKind.TYUC17_SPI_VARIANT, 1)], ids=lambda v: getattr(v, "value", v))
+def test_finish_memory_grows_with_m_s_not_m_l_or_m_d(kind, q):
+    """No m x l binary64 copy of Z and no dense d x m Psi: at m = 8000 and
+    16000 (Z spans two and four row chunks) the finish's peak stays below one
+    d x m binary64 array and grows by less than half of one per 8000 rows,
+    room for seven m x s binary64 arrays."""
+    s, d, l = 2, 30, 60
+    small, large = (_finish_peak(kind, SpiParams(q=q), m, s=s, d=d, l=l) for m in (8000, 16000))
+    assert large < 16000 * d * 8
+    assert large - small < 8000 * d * 8 / 2 < 8000 * l * 8

@@ -135,6 +135,13 @@ def test_select_sizes_double_respects_budget():
         assert s >= 12
 
 
+def test_select_sizes_double_keeps_s_within_n():
+    # The budget lets s run to (T-hat - 2)/2 = 499, past the n + 1 entries of
+    # the model spectrum; s stops at n.
+    s, d = select_sizes_double(SpectrumClass(DecayKind.POLY, 1.0), 1000.0, 100, 5)
+    assert 5 + 2 <= s <= 100 and s + d <= 1000 and d >= s + 2
+
+
 def test_budget_sizes_keep_the_table_rules_where_they_fit():
     poly = SpectrumClass(DecayKind.POLY, 1.0)
     mixed = select_sizes(poly, 96, 1000, 10)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from sketchpower import matrix_core
 from sketchpower.matrix_core import (
     DenseMatrix,
     Precision,
+    all_finite,
     lstsq,
     qr_economy,
     svd_truncated,
@@ -170,3 +172,24 @@ def test_dense_matrix_cast_round_trip_bit_exact():
     dm = DenseMatrix.from_array(rng.standard_normal((7, 5)).astype(np.float32))
     back = dm.to_precision(Precision.BINARY64).to_precision(Precision.BINARY32)
     assert np.array_equal(back.data, dm.data)
+
+
+@pytest.mark.parametrize("rows", [10, 1000], ids=["small", "large"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_all_finite_is_exact_and_makes_no_large_temporary(dtype, rows):
+    import tracemalloc
+
+    x = np.ones((rows, 300), dtype=dtype)
+    assert all_finite(x) and all_finite(x[:0])
+    for value in (np.nan, np.inf, -np.inf):
+        y = x.copy()
+        y[-1, -1] = value
+        assert not all_finite(y)
+    tracemalloc.start()
+    try:
+        all_finite(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # np.isfinite(x).all() takes x.size bytes: 300,000 for the large case.
+    assert peak < (4096 if x.size > matrix_core._CHUNK else x.size + 4096)

@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sketchpower import spi
+from sketchpower.matrix_core import qr_economy
 from sketchpower.spi import SpiParams, spi_plain, spi_stabilized, spi_variant
 
 
@@ -45,6 +47,8 @@ def test_width_and_power_preconditions():
         spi_plain(np.zeros((10, 6)), y, 0)
     with pytest.raises(ValueError, match="q >= 1"):
         spi_stabilized(np.zeros((10, 6)), y, 0)
+    with pytest.raises(ValueError, match="same rows"):
+        spi_plain(np.zeros((10, 6)), np.zeros((9, 4)), 1)
 
 
 def test_stabilized_spans_same_space_as_plain():
@@ -143,3 +147,82 @@ def test_cost_shape_and_no_large_intermediates():
         finally:
             tracemalloc.stop()
         assert peak < m * m * 8 / 20  # an m x m intermediate would take m^2 * 8 bytes
+
+
+# -- the chunked reading of Z and Y ---------------------------------------------
+
+
+def _ref_plain(z, y, q):
+    """The iteration on whole binary64 upcasts of Z and Y."""
+    z, y = z.astype(np.float64), y.astype(np.float64)
+    t = z.T @ y
+    for _ in range(q - 1):
+        t = z.T @ (z @ t)
+    return z @ t
+
+
+def _ref_stabilized(z, y, q):
+    z, y_hat = z.astype(np.float64), y.astype(np.float64)
+    collapse = False
+    for _ in range(q):
+        qres = qr_economy(z.T @ y_hat)
+        collapse = collapse or qres.rank_deficient
+        y_hat = z @ qres.q
+    return y_hat, collapse
+
+
+def _ref_variant(z, o, q):
+    z = z.astype(np.float64)
+    t = o
+    if q > 0:
+        gram = z.T @ z
+        for _ in range(q):
+            t = gram @ t
+    return z @ t
+
+
+def _chunk_case(dtype, m=43, l=12, s=5):
+    rng = np.random.default_rng(31)
+    return rng.standard_normal((m, l)).astype(dtype), rng.standard_normal((m, s)).astype(dtype), rng.standard_normal((l, s))
+
+
+@pytest.mark.parametrize("q", [0, 1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_chunk_equals_the_whole_upcast_bit_for_bit(dtype, q):
+    z, y, o = _chunk_case(dtype)
+    assert z.size <= spi._CHUNK
+    assert spi_variant(z, o, q).tobytes() == _ref_variant(z, o, q).tobytes()
+    if q >= 1:
+        assert spi_plain(z, y, q).tobytes() == _ref_plain(z, y, q).tobytes()
+        out = spi_stabilized(z, y, q)
+        y_hat, collapse = _ref_stabilized(z, y, q)
+        assert out.y_hat.tobytes() == y_hat.tobytes() and out.rank_collapse == collapse
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_many_chunks_agree_with_the_whole_upcast(dtype, q, monkeypatch):
+    z, y, o = _chunk_case(dtype)
+    monkeypatch.setattr(spi, "_CHUNK", 5 * z.shape[1])  # 5 rows a chunk: 9 chunks, the last partial
+    for got, want in ((spi_plain(z, y, q), _ref_plain(z, y, q)),
+                      (spi_stabilized(z, y, q).y_hat, _ref_stabilized(z, y, q)[0]),
+                      (spi_variant(z, o, q), _ref_variant(z, o, q))):
+        assert got.dtype == np.float64
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_binary32_z_is_not_upcast_whole(monkeypatch):
+    m, l, s = 20000, 40, 4
+    rng = np.random.default_rng(32)
+    z = rng.standard_normal((m, l)).astype(np.float32)
+    y = rng.standard_normal((m, s)).astype(np.float32)
+    for run in (lambda: spi_plain(z, y, 2), lambda: spi_stabilized(z, y, 2),
+                lambda: spi_variant(z, y[:l, :2].astype(np.float64), 2)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The m x s binary64 result and one 2 MiB chunk; a binary64 Z is 6.4 MB.
+        assert peak < m * s * 8 + 2 * spi._CHUNK * 8 + (1 << 16)

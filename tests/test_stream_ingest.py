@@ -2,12 +2,13 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sketchpower import stream_ingest
 from sketchpower.matrix_core import DenseMatrix, Precision
-from sketchpower.precision_model import PrecisionPlan
+from sketchpower.precision_model import PIPELINES, PrecisionPlan
 from sketchpower.stream_ingest import (
     LinearUpdate,
     PipelineKind,
@@ -409,17 +410,22 @@ def test_ingest_rejects_nonfinite_updates(kind, make, where):
             assert np.array_equal(getattr(sk, name).data, getattr(ref, name).data)
 
 
+@pytest.mark.parametrize("test_kind", [GAUSSIAN, TestMatrixKind("sparse_rademacher", 0.3)], ids=lambda k: k.variant)
 @pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)
-def test_finalized_sketch_set_is_read_only(kind):
-    st = open_stream(kind, 12, 9, s=2, d=5, l=4, plan=PrecisionPlan.MIXED_SINGLE_DOUBLE)
+def test_finalized_sketch_set_is_read_only(kind, test_kind):
+    st = open_stream(kind, 12, 9, s=2, d=5, l=4, plan=PrecisionPlan.MIXED_SINGLE_DOUBLE, test_kind=test_kind)
     upd = LinearUpdate.row_block(0, _random(12, 9, 43))
     sk = st.ingest(upd).finalize()
-    arrays = [getattr(sk, name) for name in _SKETCH_NAMES + ("omega", "psi", "phi", "gamma")]
-    arrays = [a.data for a in arrays if a is not None]
+    mats = [getattr(sk, name) for name in _SKETCH_NAMES + ("omega", "psi", "phi", "gamma")]
+    arrays = [a.data for a in mats if isinstance(a, DenseMatrix)]
     assert len(arrays) >= 3
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 1.0
+    for csc in (a for a in mats if isinstance(a, scipy.sparse.csc_array)):
+        for arr in (csc.data, csc.indices, csc.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
 
 
 # -- split invariance ---------------------------------------------------------
@@ -900,15 +906,16 @@ def test_binary32_row_block_gives_the_bytes_of_its_upcast(kind, plan, test_kind,
     _assert_same_bytes(got, want)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=str)
 @pytest.mark.parametrize("test_kind", _TEST_KINDS, ids=lambda k: k.variant)
 @pytest.mark.parametrize("plan", list(PrecisionPlan), ids=lambda p: p.value)
 @pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)
-def test_refused_multi_chunk_row_block_changes_nothing(kind, plan, test_kind, monkeypatch):
+def test_refused_multi_chunk_row_block_changes_nothing(kind, plan, test_kind, value, monkeypatch):
     m, n = _CHUNK_SIZES[:2]
     monkeypatch.setattr(stream_ingest, "_CHUNK", _CHUNK_ROWS * n)
     a = np.random.default_rng(14).standard_normal((m, n))
     bad = a[4:40].astype(np.float32)
-    bad[-1, 2] = np.nan  # in the last of the block's 8 chunks
+    bad[-1, 2] = value  # in the last of the block's 8 chunks
     st_ = open_stream(kind, *_CHUNK_SIZES, base_seed=3, plan=plan, test_kind=test_kind)
     st_.ingest(LinearUpdate.row_block(0, a[:4]))
     before = {name: arr.tobytes() for name, arr in st_._sk.items()}
@@ -920,15 +927,25 @@ def test_refused_multi_chunk_row_block_changes_nothing(kind, plan, test_kind, mo
                                                               LinearUpdate.row_block(4, a[4:])]))
 
 
-def test_sparse_test_matrices_are_dense_in_the_sketch_set():
-    kind = TestMatrixKind("sparse_sign", 0.2)
-    st_ = open_stream(PipelineKind.TYUC19, 30, 20, 3, 5, base_seed=8, test_kind=kind)
-    sk = st_.ingest(LinearUpdate.dense(np.ones((30, 20)))).finalize()
-    for name, stream in (("omega", Stream.OMEGA), ("gamma", Stream.GAMMA), ("phi", Stream.PHI), ("psi", Stream.PSI)):
+@pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)
+def test_sparse_test_matrices_stay_sparse_on_the_m_side(kind):
+    """A sparse-kind test matrix with m columns is the drawn CSC array in the
+    sketch set; one on the n side is dense.  Both are read-only."""
+    test_kind = TestMatrixKind("sparse_sign", 0.2)
+    st_ = open_stream(kind, 30, 20, 3, 5, 7, base_seed=8, test_kind=test_kind)
+    sk = st_.ingest(LinearUpdate.row_block(0, np.ones((30, 20)))).finalize()
+    for name, (_, cols) in PIPELINES[kind.value].test_matrices:
         mat = getattr(sk, name)
-        want = generate(kind, mat.rows, mat.cols, SeedSpec(8, stream, 0))
-        assert isinstance(mat, DenseMatrix) and not mat.data.flags.writeable
-        assert mat.data.tobytes() == want.data.tobytes(), name
+        seed = SeedSpec(8, Stream[name.upper()], 0)
+        if cols == "m":
+            want = generate(test_kind, *mat.shape, seed, sparse=True)
+            assert isinstance(mat, scipy.sparse.csc_array) and mat.shape[1] == 30, name
+            for got, ref in ((mat.data, want.data), (mat.indices, want.indices), (mat.indptr, want.indptr)):
+                assert not got.flags.writeable and got.tobytes() == ref.tobytes(), name
+        else:
+            want = generate(test_kind, mat.rows, mat.cols, seed)
+            assert isinstance(mat, DenseMatrix) and not mat.data.flags.writeable, name
+            assert mat.data.tobytes() == want.data.tobytes(), name
 
 
 # -- file ingestion of binary32 SPIM ----------------------------------------------
