@@ -8,7 +8,13 @@ factorization stage (the cast points of the precision model); all numerical
 kernels run in binary64.  The power sketch Z and the rangefinder Y it powers
 are handed to :mod:`spi` as stored, which reads them one upcast row chunk at
 a time; a sparse test matrix with m columns is applied as the CSC array the
-sketch set holds.
+sketch set holds, one column of Q at a time.
+
+The arrays of a sketch set are never written.  Every finisher factors Y-hat
+in place: a powered Y-hat is the finisher's own Fortran-ordered array, an
+unpowered one a Fortran-ordered binary64 copy of Y, and its QR overwrites it
+with Q.  So beside its sketches a tall finish holds one m x s array (Y-hat,
+then Q) and the m x r factor U.
 """
 from __future__ import annotations
 
@@ -87,11 +93,17 @@ def _stored(y_hat: np.ndarray, sk: SketchSet) -> np.ndarray:
 
     Under the mixed plan the iterate overwrites the binary32 sketch buffer
     before its upcast, so it passes through one binary32 rounding, done in
-    place on the fresh binary64 iterate.
+    place on the fresh binary64 iterate (the identity ufunc computed in
+    binary32 casts through its small buffer, not a copy of the iterate).
     """
     if sk.plan is PrecisionPlan.MIXED_SINGLE_DOUBLE:
-        y_hat[...] = y_hat.astype(np.float32)
+        np.positive(y_hat, out=y_hat, dtype=np.float32)
     return y_hat
+
+
+def _owned(y: DenseMatrix) -> np.ndarray:
+    """A Fortran-ordered binary64 copy of a sketch, for a QR to overwrite."""
+    return np.array(y.data, dtype=np.float64, order="F")
 
 
 def _test_matrix(t):
@@ -100,12 +112,26 @@ def _test_matrix(t):
     return t.as_f64() if isinstance(t, DenseMatrix) else t
 
 
+def _apply(t, q: np.ndarray) -> np.ndarray:
+    """t @ q.  A CSC t is applied one column of q at a time: each entry is
+    summed as in scipy's product of the whole q, which would first copy a
+    Fortran-ordered q into C order."""
+    if isinstance(t, np.ndarray):
+        return t @ q
+    return np.column_stack([t @ q[:, j] for j in range(q.shape[1])])
+
+
 def _qb_finish(kind, y_hat, w, psi, r, flags) -> ApproxResult:
-    """Shared tail of the oblique pipelines: QR, corange solve, truncation."""
-    qres = qr_economy(y_hat)
+    """Shared tail of the oblique pipelines: QR, corange solve, truncation.
+
+    Takes ownership of ``y_hat``, a Fortran-ordered binary64 array, and
+    factors it in place, so Q takes its storage; the caller does not read it
+    again.
+    """
+    qres = qr_economy(y_hat, overwrite=True)
     if qres.rank_deficient:
         flags.add("rangefinder_rank_deficient")
-    solve = lstsq(psi @ qres.q, w)
+    solve = lstsq(_apply(psi, qres.q), w)
     if solve.ill_conditioned:
         flags.add("corange_solve_ill_conditioned")
     trunc = svd_truncated(solve.x, r)
@@ -125,7 +151,7 @@ def _qb_finish(kind, y_hat, w, psi, r, flags) -> ApproxResult:
 def tyuc17(sk: SketchSet, r: int) -> ApproxResult:
     """Rangefinder QR plus corange least squares: A ~ Q ((Psi Q)^+ W)."""
     _require(sk, r, _TYUC17_FAMILY, "y", "w", "psi")
-    return _qb_finish(PipelineKind.TYUC17, sk.y.as_f64(), sk.w.as_f64(), _test_matrix(sk.psi), r, set())
+    return _qb_finish(PipelineKind.TYUC17, _owned(sk.y), sk.w.as_f64(), _test_matrix(sk.psi), r, set())
 
 
 def tyuc17_spi(sk: SketchSet, params: SpiParams, r: int) -> ApproxResult:
@@ -133,16 +159,14 @@ def tyuc17_spi(sk: SketchSet, params: SpiParams, r: int) -> ApproxResult:
     _require(sk, r, (PipelineKind.TYUC17_SPI,), "y", "w", "z", "psi")
     flags = set()
     if params.q == 0:
-        y_hat = sk.y.as_f64()
+        y_hat = _owned(sk.y)
     elif params.use_stabilized:
         out = spi_stabilized(sk.z.data, sk.y.data, params.q)
         if out.rank_collapse:
             flags.add("power_iteration_rank_collapse")
-        y_hat = out.y_hat
+        y_hat = _stored(out.y_hat, sk)
     else:
-        y_hat = spi_plain(sk.z.data, sk.y.data, params.q)
-    if params.q > 0:
-        y_hat = _stored(y_hat, sk)
+        y_hat = _stored(spi_plain(sk.z.data, sk.y.data, params.q), sk)
     return _qb_finish(PipelineKind.TYUC17_SPI, y_hat, sk.w.as_f64(), _test_matrix(sk.psi), r, flags)
 
 
@@ -168,7 +192,7 @@ def rsvd_onepass(sk: SketchSet, r: int) -> ApproxResult:
     """
     _require(sk, r, (PipelineKind.RSVD_ONEPASS,), "y", "w")
     flags = set()
-    qres = qr_economy(sk.y.as_f64())
+    qres = qr_economy(_owned(sk.y), overwrite=True)
     wt = sk.w.as_f64().T
     # Directions below the sketches' storage-precision noise floor cannot be
     # trusted; a singular solve there would amplify rounding junk.
@@ -193,13 +217,15 @@ def rsvd_onepass(sk: SketchSet, r: int) -> ApproxResult:
 
 
 def _two_sided_finish(kind, y_hat, x_hat, k, phi, psi, r, flags) -> ApproxResult:
-    q_res = qr_economy(y_hat)
+    """Shared tail of the two-sided pipelines; owns ``y_hat`` as
+    :func:`_qb_finish` does."""
+    q_res = qr_economy(y_hat, overwrite=True)
     p_res = qr_economy(x_hat.T)
     if q_res.rank_deficient or p_res.rank_deficient:
         flags.add("rangefinder_rank_deficient")
     # Two-sided core fit (Phi Q) C (Psi P)^T ~ K, solved left then right.
-    left = lstsq(phi @ q_res.q, k)
-    right = lstsq(psi @ p_res.q, left.x.T)
+    left = lstsq(_apply(phi, q_res.q), k)
+    right = lstsq(_apply(psi, p_res.q), left.x.T)
     if left.ill_conditioned or right.ill_conditioned:
         flags.add("core_solve_ill_conditioned")
     core = right.x.T
@@ -221,7 +247,7 @@ def tyuc19(sk: SketchSet, r: int) -> ApproxResult:
     """Two-sided pipeline: range and corange bases plus a d x d core sketch."""
     _require(sk, r, (PipelineKind.TYUC19,), "y", "x", "k", "phi", "psi")
     return _two_sided_finish(
-        PipelineKind.TYUC19, sk.y.as_f64(), sk.x.as_f64(), sk.k.as_f64(), _test_matrix(sk.phi), _test_matrix(sk.psi),
+        PipelineKind.TYUC19, _owned(sk.y), sk.x.as_f64(), sk.k.as_f64(), _test_matrix(sk.phi), _test_matrix(sk.psi),
         r, set(),
     )
 

@@ -2,18 +2,19 @@
 
 The kernels (economy QR, truncated SVD, least-squares via pseudoinverse) run
 exclusively in binary64; binary32 exists only as a *storage* precision.  A
-tall binary32 matrix is read one row chunk at a time (:func:`_row_chunks`),
-each chunk upcast into a reused binary64 buffer, so no binary64 copy of the
-whole matrix is made; small matrices are upcast whole.  Rank deficiency and
-ill conditioning are reported through flags on the result objects, never as
-exceptions: the caller decides what to do.
+tall binary32 matrix, held whole or read in pieces, is taken one row chunk
+at a time (:func:`_row_chunks`), each chunk upcast into a reused binary64
+buffer, so no binary64 copy of the whole matrix is made; small matrices are
+upcast whole.  :func:`qr_economy` factors a matrix its caller hands over in
+place.  Rank deficiency and ill conditioning are reported through flags on
+the result objects, never as exceptions: the caller decides what to do.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.linalg as la
@@ -142,28 +143,38 @@ def all_finite(x: np.ndarray) -> bool:
     return bool(np.isfinite(x.min()) and np.isfinite(x.max()))
 
 
-def _row_chunks(h: np.ndarray, step: int, transpose: bool = False) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(offset, C, C^T) for each chunk C of ``step`` rows of h, in binary64.
+def _row_chunks(
+    pieces: Iterable[np.ndarray], step: int, transpose: bool = False
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(offset, C, C^T) for each chunk C of ``step`` rows of a matrix given as
+    consecutive row pieces, in binary64; a matrix held whole is one piece.
 
-    A binary32 chunk is upcast into a buffer, and C^T, if ``transpose``, is
-    copied into another; both are reused, so a chunk is valid until the next
-    one.  Otherwise C is a view of h and C^T a view of C.
+    Every piece but the last spans whole chunks, so the chunks and their
+    offsets are the ones of the whole matrix.  A binary32 chunk is upcast
+    into a buffer, and C^T, if ``transpose``, is copied into another; both
+    are sized at the first piece and reused for all of them, so a chunk is
+    valid until the next one.  Otherwise C is a view of its piece and C^T a
+    view of C.
     """
-    n = h.shape[1]
-    size = min(step, h.shape[0]) * n
-    up = np.empty(size) if h.dtype != np.float64 else None
-    tr = np.empty(size) if transpose else None
-    for i in range(0, h.shape[0], step):
-        c = h[i : i + step]
-        r = c.shape[0]
-        if up is not None:
-            c, src = up[: r * n].reshape(r, n), c
-            c[...] = src
-        ct = c.T
-        if tr is not None:
-            ct = tr[: r * n].reshape(n, r)
-            ct[...] = c.T
-        yield i, c, ct
+    size = offset = 0
+    for h in pieces:
+        n = h.shape[1]
+        if not size:
+            size = min(step, h.shape[0]) * n
+            up = np.empty(size) if h.dtype != np.float64 else None
+            tr = np.empty(size) if transpose else None
+        for i in range(0, h.shape[0], step):
+            c = h[i : i + step]
+            r = c.shape[0]
+            if up is not None:
+                c, src = up[: r * n].reshape(r, n), c
+                c[...] = src
+            ct = c.T
+            if tr is not None:
+                ct = tr[: r * n].reshape(n, r)
+                ct[...] = c.T
+            yield offset + i, c, ct
+        offset += h.shape[0]
 
 
 def as_f64(m) -> np.ndarray:
@@ -232,19 +243,23 @@ def _require_f64(m, name: str) -> np.ndarray:
     return a
 
 
-def qr_economy(m) -> QrResult:
+def qr_economy(m, overwrite: bool = False) -> QrResult:
     """Thin QR of a tall matrix.
 
     Q has orthonormal columns spanning range(M); R is upper triangular with
     Q @ R == M to working precision.  A diagonal entry of R below
     ``QR_RANK_TOL * ||M||_F`` (taken without under- or overflow, so at any
     scale) raises the ``rank_deficient`` flag.
+
+    M is left as it is unless ``overwrite``: then the caller hands over a
+    Fortran-ordered M it owns, LAPACK factors it in place and Q takes its
+    storage, so no copy of M is made; M must not be read again.
     """
     a = _require_f64(m, "M")
     if a.shape[0] < a.shape[1]:
         raise ValueError(f"qr_economy expects rows >= cols, got {a.shape}")
-    q, r = la.qr(a, mode="economic", check_finite=False)
-    scale = fro_norm(a)
+    scale = fro_norm(a)  # before M is overwritten
+    q, r = la.qr(a, mode="economic", overwrite_a=overwrite, check_finite=False)
     deficient = bool(np.min(np.abs(np.diag(r))) < QR_RANK_TOL * scale) if scale > 0 else True
     return QrResult(q=q, r=r, rank_deficient=deficient)
 

@@ -16,6 +16,10 @@ summed in binary64 over the chunks, and Z T is written chunk by chunk into
 the m x s result.  So no m x l binary64 copy of a tall Z is made.  A Z or Y
 that fits in one chunk is upcast once, and the products are the ones the
 whole upcast would take.
+
+The m x s result Y-hat is Fortran-ordered, as LAPACK takes it: the finishers
+own it and factor it in place (:func:`~sketchpower.matrix_core.qr_economy`
+with ``overwrite``), so its QR makes no copy of it.
 """
 from __future__ import annotations
 
@@ -72,7 +76,7 @@ def _chunk_sum(f, z: np.ndarray, *rest: np.ndarray) -> np.ndarray:
     same rows of every array in ``rest``, in binary64."""
     step = _chunk_rows(z)
     total = None
-    for chunks in zip(*(_row_chunks(a, step) for a in (z, *rest))):
+    for chunks in zip(*(_row_chunks((a,), step) for a in (z, *rest))):
         inc = f(*(c for _, c, _ in chunks))
         if total is None:
             total = inc
@@ -82,10 +86,15 @@ def _chunk_sum(f, z: np.ndarray, *rest: np.ndarray) -> np.ndarray:
 
 
 def _times(z: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Z t (m x s, binary64), written one row chunk of Z at a time."""
-    out = np.empty((z.shape[0], t.shape[1]))
-    for i, c, _ in _row_chunks(z, _chunk_rows(z)):
-        np.matmul(c, t, out=out[i : i + c.shape[0]])
+    """Z t (m x s, binary64, Fortran-ordered), one row chunk of Z at a time.
+
+    Each chunk's product is taken in C order and copied in: BLAS may sum the
+    entries of a product written in Fortran order differently (it does at
+    l = 40 with OpenBLAS), and these are the bits of a C-ordered Z t.
+    """
+    out = np.empty((z.shape[0], t.shape[1]), order="F")
+    for i, c, _ in _row_chunks((z,), _chunk_rows(z)):
+        out[i : i + c.shape[0]] = c @ t
     return out
 
 

@@ -17,7 +17,7 @@ import enum
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 import scipy.linalg as la
@@ -31,7 +31,6 @@ __all__ = [
     "prescribed_spectrum",
     "adds_noise",
     "generate",
-    "stream_row_blocks",
     "write_spim",
 ]
 
@@ -140,30 +139,6 @@ def generate(spec: SyntheticSpec) -> DenseMatrix:
         noise = rng_for(SeedSpec(spec.base_seed, Stream.DATA_NOISE, spec.trial))
         a = a + (spec.snr * spec.plateau / spec.n**2) * noise.standard_normal((spec.m, spec.n))
     return DenseMatrix.from_array(a, check_finite=False)
-
-
-def stream_row_blocks(spec: SyntheticSpec, block_rows: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start_row, block) pairs reproducing generate(spec) to roundoff.
-
-    The signal part is assembled per block from the factors, so it can differ
-    from generate(spec) in the last bits: BLAS blocks a row slice of the
-    product differently from the full product.  The noise matrix of the
-    low-rank family is drawn once, so the noise itself is the same.
-    """
-    if block_rows < 1:
-        raise ValueError("block_rows must be >= 1")
-    u, sv, v = _factors(spec)
-    noise = None
-    if adds_noise(spec):
-        rng = rng_for(SeedSpec(spec.base_seed, Stream.DATA_NOISE, spec.trial))
-        noise = (spec.snr * spec.plateau / spec.n**2) * rng.standard_normal((spec.m, spec.n))
-    vt = v.T
-    for start in range(0, spec.m, block_rows):
-        stop = min(start + block_rows, spec.m)
-        block = (u[start:stop] * sv) @ vt
-        if noise is not None:
-            block = block + noise[start:stop]
-        yield start, block
 
 
 # Raw binary export: magic "SPIM", version u16 LE, element code u8

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from sketchpower.approximators import (
     tyuc19,
     tyuc19_spi,
 )
+from sketchpower.matrix_core import _CHUNK, DenseMatrix
 from sketchpower.precision_model import PIPELINES, PrecisionPlan
 from sketchpower.spi import SpiParams
 from sketchpower.stream_ingest import LinearUpdate, PipelineKind, open_stream
@@ -246,8 +248,6 @@ def test_small_factors_follow_the_sketch_set():
 
 def _finish_peak(kind, params, m, n=50, s=2, d=30, l=60):
     """tracemalloc peak of the finish of a mixed, sparse-kind stream of an m x n matrix."""
-    import tracemalloc
-
     a = _rank_r_matrix(m, n, 3, 12) + 1e-3 * np.random.default_rng(13).standard_normal((m, n))
     st = open_stream(kind, m, n, s, d, l, base_seed=4, plan=PrecisionPlan.MIXED_SINGLE_DOUBLE,
                      test_kind=SPARSE_RADEMACHER)
@@ -274,3 +274,45 @@ def test_finish_memory_grows_with_m_s_not_m_l_or_m_d(kind, q):
     small, large = (_finish_peak(kind, SpiParams(q=q), m, s=s, d=d, l=l) for m in (8000, 16000))
     assert large < 16000 * d * 8
     assert large - small < 8000 * d * 8 / 2 < 8000 * l * 8
+
+
+def _array_bytes(sk):
+    """The bytes of every array of a sketch set, by field."""
+    out = {}
+    for f in dataclasses.fields(sk):
+        value = getattr(sk, f.name)
+        if isinstance(value, DenseMatrix):
+            out[f.name] = value.data.tobytes()
+        elif hasattr(value, "indptr"):
+            out[f.name] = (value.data.tobytes(), value.indices.tobytes(), value.indptr.tobytes())
+    return out
+
+
+@pytest.mark.parametrize("test_kind", [GAUSSIAN, SPARSE_RADEMACHER], ids=lambda k: k.variant)
+@pytest.mark.parametrize("kind, plan, q", [
+    (PipelineKind.TYUC17_SPI, PrecisionPlan.MIXED_SINGLE_DOUBLE, 1),
+    (PipelineKind.TYUC17_SPI, PrecisionPlan.MIXED_SINGLE_DOUBLE, 2),
+    (PipelineKind.TYUC17, PrecisionPlan.ALL_DOUBLE, 0),
+    (PipelineKind.RSVD_ONEPASS, PrecisionPlan.ALL_DOUBLE, 0),
+    (PipelineKind.TYUC19_SPI, PrecisionPlan.MIXED_SINGLE_DOUBLE, 1),
+    (PipelineKind.TYUC19, PrecisionPlan.ALL_DOUBLE, 0),
+], ids=lambda v: getattr(v, "value", v))
+def test_tall_finish_factors_y_hat_in_place(kind, plan, q, test_kind):
+    """The finish of a tall stream adds at most one m x s binary64 array
+    (Y-hat, factored in place into Q), the m x r factor U and one chunk to
+    its sketches, and writes none of the sketch set's arrays."""
+    m, n, s, d, l, r = 1 << 15, 64, 16, 40, 48, 4
+    a = _rank_r_matrix(m, n, 3, 21) + 1e-3 * np.random.default_rng(22).standard_normal((m, n))
+    st = open_stream(kind, m, n, s, d, l, base_seed=6, plan=plan, test_kind=test_kind)
+    sk = st.ingest(LinearUpdate.row_block(0, a)).finalize()
+    del a, st
+    before = _array_bytes(sk)
+    tracemalloc.start()
+    try:
+        res = approximate(sk, r, SpiParams(q=q))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (m * s + m * r + _CHUNK)
+    assert res.u.shape == (m, r) and np.isfinite(res.u).all()
+    assert _array_bytes(sk) == before

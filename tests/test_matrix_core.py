@@ -54,6 +54,22 @@ def test_qr_column_space_matches_oracle():
         assert sin_max <= 1e-10
 
 
+def test_qr_overwrites_only_an_owned_input():
+    """Without ``overwrite`` M is left as it was; with it, a Fortran-ordered M
+    is factored in place into Q, with the factors and flag of the copy, and
+    the rank scale is the one of M before it was overwritten."""
+    m = np.asfortranarray(np.random.default_rng(4).standard_normal((300, 7)))
+    kept = m.copy(order="F")
+    res = qr_economy(m)
+    assert m.tobytes(order="A") == kept.tobytes(order="A") and not np.shares_memory(res.q, m)
+    owned = qr_economy(m, overwrite=True)
+    assert np.shares_memory(owned.q, m)
+    assert owned.q.tobytes() == res.q.tobytes() and owned.r.tobytes() == res.r.tobytes()
+    assert not owned.rank_deficient
+    deficient = np.asfortranarray(kept[:, :2] @ np.ones((2, 7)))
+    assert qr_economy(deficient, overwrite=True).rank_deficient
+
+
 def test_qr_preconditions():
     with pytest.raises(ValueError):
         qr_economy(np.ones((3, 5)))

@@ -1,3 +1,4 @@
+import contextlib
 import re
 
 import numpy as np
@@ -279,15 +280,21 @@ def test_file_is_read_through_one_open(tmp_path, fmt, monkeypatch):
     assert len(opened) == 2 and all(fh.closed for fh in opened)
 
 
+@pytest.mark.parametrize("row, block_rows, chunk_rows, where", [
+    (25, 8, None, "[24, 32)"),  # in the fourth block of 8 rows
+    (33, 24, 1, "[24, 40)"),  # in the second 8-row piece of the block [24, 40)
+])
 @pytest.mark.parametrize("fmt", _FILE_FORMATS)
-def test_file_is_closed_when_a_later_block_is_refused(tmp_path, fmt, monkeypatch):
+def test_file_is_closed_when_a_later_block_is_refused(tmp_path, fmt, row, block_rows, chunk_rows, where, monkeypatch):
     bad = _random(40, 6, 42)
-    bad[25, 3] = np.nan  # in the fourth block of 8 rows
+    bad[row, 3] = np.nan
     path = _write(tmp_path, DenseMatrix.from_array(bad, check_finite=False), fmt)
+    if chunk_rows is not None:
+        monkeypatch.setattr(stream_ingest, "_CHUNK", chunk_rows * 6)
     opened = _recording_open(monkeypatch)
-    with pytest.raises(ValueError, match=r"non-finite entries in row_block update of rows \[24, 32\)"):
+    with pytest.raises(ValueError, match=re.escape(f"non-finite entries in row_block update of rows {where}")):
         try:
-            ingest_file(path, PipelineKind.TYUC17, s=2, d=4, block_rows=8)
+            ingest_file(path, PipelineKind.TYUC17, s=2, d=4, block_rows=block_rows)
         finally:
             assert len(opened) == 1 and opened[0].closed
 
@@ -949,6 +956,60 @@ def test_sparse_test_matrices_stay_sparse_on_the_m_side(kind):
 
 
 # -- file ingestion of binary32 SPIM ----------------------------------------------
+
+
+def _piece_rows(path, block_rows):
+    """The rows of each piece the reader yields for the first block of a file."""
+    with contextlib.closing(stream_ingest._row_blocks(path, block_rows)) as blocks:
+        next(blocks)
+        return [piece.shape[0] for piece in next(blocks)[1]]
+
+
+@pytest.mark.parametrize("test_kind", _TEST_KINDS[:2], ids=lambda k: k.variant)
+@pytest.mark.parametrize("plan", list(PrecisionPlan), ids=lambda p: p.value)
+@pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)
+def test_file_blocks_read_in_pieces_give_the_bytes_of_whole_blocks(tmp_path, kind, plan, test_kind, monkeypatch):
+    """A block spanning several pieces, each ending in a partial chunk or
+    not, is one update: the sketches have the bytes of folding each block
+    in one piece."""
+    m, n, sizes = 230, 9, (2, 5, 4)
+    a = np.random.default_rng(23).standard_normal((m, n)).astype(np.float32)
+    path = tmp_path / "a32.spim"
+    write_spim(path, DenseMatrix.from_array(a))
+    monkeypatch.setattr(stream_ingest, "_CHUNK", _CHUNK_ROWS * n)
+    piece = stream_ingest._PIECE_CHUNKS * _CHUNK_ROWS
+    block_rows = 3 * piece + 12
+    assert _piece_rows(path, block_rows) == [piece, piece, piece, 12]
+    want = open_stream(kind, m, n, *sizes, base_seed=9, plan=plan, test_kind=test_kind)
+    for start in range(0, m, block_rows):
+        want.ingest(LinearUpdate.row_block(start, a[start : start + block_rows]))
+    got = ingest_file(path, kind, *sizes, base_seed=9, plan=plan, test_kind=test_kind, block_rows=block_rows)
+    _assert_same_bytes(got, want.finalize())
+
+
+@pytest.mark.parametrize("test_kind", [GAUSSIAN, SPARSE_RADEMACHER], ids=lambda k: k.variant)
+def test_file_ingest_peak_does_not_grow_with_the_block(tmp_path, test_kind, monkeypatch):
+    """Above the sketch set it returns, ingest_file's tracemalloc peak is the
+    same for blocks of 8 and of 64 chunks: the read holds one piece."""
+    import tracemalloc
+
+    m, n, chunk_rows = 4096, 64, 16
+    path = tmp_path / "tall32.spim"
+    write_spim(path, DenseMatrix.from_array(np.random.default_rng(24).standard_normal((m, n)).astype(np.float32)))
+    monkeypatch.setattr(stream_ingest, "_CHUNK", chunk_rows * n)
+    excess = []
+    for chunks in (8, 64):
+        tracemalloc.start()
+        try:
+            sk = ingest_file(path, PipelineKind.TYUC17_SPI, 4, 10, 12, plan=PrecisionPlan.MIXED_SINGLE_DOUBLE,
+                             test_kind=test_kind, block_rows=chunks * chunk_rows)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sk.pass_count == 1
+        excess.append(peak - held)
+    piece32 = stream_ingest._PIECE_CHUNKS * chunk_rows * n * 4
+    assert abs(excess[1] - excess[0]) < piece32 / 8
 
 
 def test_read_matrix_of_binary32_spim_is_binary64(tmp_path):

@@ -11,7 +11,6 @@ from sketchpower.synthetic import (
     SyntheticSpec,
     generate,
     prescribed_spectrum,
-    stream_row_blocks,
     write_spim,
 )
 
@@ -84,26 +83,6 @@ def test_orthonormal_factor_quality_and_determinism():
     assert np.array_equal(a.data, b.data)
     u, sv, vt = np.linalg.svd(a.data, full_matrices=False)
     assert np.linalg.norm(u.T @ u - np.eye(u.shape[1])) <= 1e-12 * np.sqrt(120)
-
-
-def test_stream_blocks_reproduce_generate(monkeypatch):
-    # Per-block assembly agrees with the materialized matrix to roundoff
-    # (BLAS blocking differs between the sliced and full products).
-    for family, kw in ((Family.POLY_DECAY, {}), (Family.LOWRANK_NOISE, dict(snr=1e-3))):
-        spec = _spec(family, m=57, n=40, **kw)
-        full = generate(spec).data
-        parts = list(stream_row_blocks(spec, block_rows=13))
-        stacked = np.vstack([b for _, b in parts])
-        assert np.allclose(stacked, full, rtol=0, atol=1e-14 * np.abs(full).max())
-        assert [start for start, _ in parts] == [0, 13, 26, 39, 52]
-        again = np.vstack([b for _, b in stream_row_blocks(spec, block_rows=13)])
-        assert np.array_equal(again, stacked)
-    # The paper's size, with U and V built concurrently.
-    monkeypatch.setattr(synthetic, "_CONCURRENT_FACTORS", True)
-    spec = _spec(Family.POLY_DECAY, m=1000, n=1000)
-    full = generate(spec).data
-    stacked = np.vstack([b for _, b in stream_row_blocks(spec, block_rows=37)])
-    assert np.allclose(stacked, full, rtol=0, atol=1e-14 * np.abs(full).max())
 
 
 @pytest.mark.parametrize(
