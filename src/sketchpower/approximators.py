@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse
 
-from .matrix_core import DenseMatrix, lstsq, qr_economy, svd_truncated
+from .matrix_core import DenseMatrix, _one_blas_thread, lstsq, qr_economy, svd_truncated
 from .precision_model import PIPELINES, PrecisionPlan
 from .spi import SpiParams, spi_plain, spi_stabilized, spi_variant
 from .stream_ingest import PipelineKind, SketchSet
@@ -148,12 +148,14 @@ def _qb_finish(kind, y_hat, w, psi, r, flags) -> ApproxResult:
     )
 
 
+@_one_blas_thread()
 def tyuc17(sk: SketchSet, r: int) -> ApproxResult:
     """Rangefinder QR plus corange least squares: A ~ Q ((Psi Q)^+ W)."""
     _require(sk, r, _TYUC17_FAMILY, "y", "w", "psi")
     return _qb_finish(PipelineKind.TYUC17, _owned(sk.y), sk.w.as_f64(), _test_matrix(sk.psi), r, set())
 
 
+@_one_blas_thread()
 def tyuc17_spi(sk: SketchSet, params: SpiParams, r: int) -> ApproxResult:
     """TYUC17 with the rangefinder powered through the wide sketch Z."""
     _require(sk, r, (PipelineKind.TYUC17_SPI,), "y", "w", "z", "psi")
@@ -175,6 +177,7 @@ def _small_factor(sk: SketchSet, stream: Stream, rows: int, cols: int) -> np.nda
     return generate(GAUSSIAN, rows, cols, SeedSpec(sk.base_seed, stream, sk.trial)).as_f64()
 
 
+@_one_blas_thread()
 def tyuc17_spi_variant(sk: SketchSet, params: SpiParams, r: int) -> ApproxResult:
     """Storage-reduced SPI: the rangefinder is synthesized as Z (Z^T Z)^q O,
     q = ``params.q`` and O (l x s) Gaussian from the ``OMEGA_TILDE`` stream."""
@@ -184,6 +187,7 @@ def tyuc17_spi_variant(sk: SketchSet, params: SpiParams, r: int) -> ApproxResult
     return _qb_finish(PipelineKind.TYUC17_SPI_VARIANT, y_hat, sk.w.as_f64(), _test_matrix(sk.psi), r, set())
 
 
+@_one_blas_thread()
 def rsvd_onepass(sk: SketchSet, r: int) -> ApproxResult:
     """Orthogonal-projection one-pass pipeline for row-streamed data.
 
@@ -243,6 +247,7 @@ def _two_sided_finish(kind, y_hat, x_hat, k, phi, psi, r, flags) -> ApproxResult
     )
 
 
+@_one_blas_thread()
 def tyuc19(sk: SketchSet, r: int) -> ApproxResult:
     """Two-sided pipeline: range and corange bases plus a d x d core sketch."""
     _require(sk, r, (PipelineKind.TYUC19,), "y", "x", "k", "phi", "psi")
@@ -252,6 +257,7 @@ def tyuc19(sk: SketchSet, r: int) -> ApproxResult:
     )
 
 
+@_one_blas_thread()
 def tyuc19_spi(sk: SketchSet, params: SpiParams, r: int) -> ApproxResult:
     """Two-sided pipeline with both bases powered through wide sketches.
 

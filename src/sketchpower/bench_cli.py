@@ -17,6 +17,7 @@ import argparse
 import concurrent.futures
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -31,6 +32,7 @@ import scipy.linalg as la
 
 from . import guidance, metrics, synthetic
 from .approximators import approximate
+from .matrix_core import _one_blas_thread
 from .precision_model import PIPELINES, LedgerError, PrecisionPlan, simulate_storage
 from .spi import SpiParams
 from .stream_ingest import LinearUpdate, PipelineKind, open_stream, read_matrix
@@ -156,6 +158,7 @@ def _dataset_columns(cfg: RunConfig) -> tuple[str, str, Optional[float]]:
     return cfg.data, str(cfg.plateau), cfg.gamma if cfg.data == "lowrank" else cfg.alpha
 
 
+@_one_blas_thread()
 def _load_file(cfg: RunConfig) -> tuple[RunConfig, np.ndarray, np.ndarray]:
     """The file's matrix, cfg sized to it, and its singular values.
 
@@ -362,6 +365,7 @@ _FLAGS = (
 _CONFIG_KEYS = {kw.get("dest", f[0][2:]): (f[0], kw.get("action") == "store_true") for f, kw in _FLAGS}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sketchpower-bench", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -8,15 +8,40 @@ buffer, so no binary64 copy of the whole matrix is made; small matrices are
 upcast whole.  :func:`qr_economy` factors a matrix its caller hands over in
 place.  Rank deficiency and ill conditioning are reported through flags on
 the result objects, never as exceptions: the caller decides what to do.
+
+The library runs BLAS on one thread and uses a second CPU at its own
+level.  Its entry points (data generation, the stream folds, the finishers,
+the evaluators, the oracle sweep and the CLI) hold :func:`_one_blas_thread`,
+which sets each loaded OpenBLAS build to one thread and restores the
+previous counts when the last holder leaves; under any other BLAS it does
+nothing ("unmanaged").  Inside, :func:`_concurrently` runs independent calls
+on the caller's thread and one helper thread, and :func:`_in_two_processes`
+shares calls that spend most of their time in the interpreter out between
+the process and a forked copy of it, when :data:`_TWO_CPUS` allows it: a
+spare CPU and a managed BLAS, held at one thread.  A one-thread BLAS gives each
+call the bits it has alone, so results do not depend on the thread or
+process that ran them, nor on the thread count the environment sets.  The
+helper thread runs only private code, NumPy/SciPy kernels and the package's
+leaf helpers (the norms and exponents here, the seeds of
+``test_matrices``): no public function that calls others is open on two
+threads at once, so a profiler that wraps them sees nested calls.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import enum
+import glob
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
+import scipy
 import scipy.linalg as la
 
 __all__ = [
@@ -41,6 +66,168 @@ LSTSQ_COND_TOL = 1e-12
 # Entries of a row chunk: 2 MiB of binary64, which stays in a 2 MiB-per-core
 # L2 cache while every product that reads the chunk runs.
 _CHUNK = 1 << 18
+
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+_T = TypeVar("_T")
+
+
+def _openblas_builds() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
+    """(get, set) thread-count functions of the OpenBLAS builds numpy and
+    SciPy load: numpy's 64-bit-integer build in ``numpy.libs`` and SciPy's
+    in ``scipy.libs``.  Empty under any other BLAS."""
+    builds = []
+    for pkg, pattern, suffix in ((np, "libscipy_openblas64_-*.so", "64_"), (scipy, "libscipy_openblas-*.so", "")):
+        libs = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)), f"{pkg.__name__}.libs")
+        for path in glob.glob(os.path.join(libs, pattern)):
+            try:  # the library numpy or SciPy loaded, never a second copy
+                lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            builds.append((get, put))
+    return builds
+
+
+_BLAS = _openblas_builds()
+_pin_lock = threading.Lock()
+_pin_holders = 0
+_pin_saved: list[int] = []
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold every managed OpenBLAS build at one thread; also a decorator.
+
+    Holders are counted, so trials on worker threads may enter and leave in
+    any order: the first holder sets the counts to one and the last restores
+    the counts the first found, also when the call raised.
+    """
+    global _pin_holders, _pin_saved
+    with _pin_lock:
+        if _pin_holders == 0:
+            _pin_saved = [get() for get, _ in _BLAS]
+            for (_, put), n in zip(_BLAS, _pin_saved):
+                if n != 1:
+                    put(1)
+        _pin_holders += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_holders -= 1
+            if _pin_holders == 0:
+                for (_, put), n in zip(_BLAS, _pin_saved):
+                    if n != 1:
+                        put(n)
+
+
+# Whether a second thread or process of library work can pay off: only with
+# a spare CPU and a managed BLAS, which every caller of the two helpers below
+# holds at one thread.  A multi-threaded BLAS already keeps every CPU busy on
+# one product, and two at once run slower; under an unmanaged BLAS the count
+# is unknown.
+_TWO_CPUS = _CPUS >= 2 and bool(_BLAS)
+
+
+def _concurrently(calls: Sequence[Callable[[], _T]]) -> list[_T]:
+    """The results of independent calls, in input order.
+
+    If :data:`_TWO_CPUS` allows it, the caller's thread and one helper
+    thread take the calls one at a time in input order; otherwise the caller
+    makes them one after another.  If calls raise, the exception of the
+    first of them in input order is raised, once both threads are done.
+    """
+    if len(calls) < 2 or not _TWO_CPUS:
+        return [call() for call in calls]
+    results: list = [None] * len(calls)
+    errors: dict[int, BaseException] = {}
+    todo = iter(range(len(calls)))
+    lock = threading.Lock()
+
+    def drain():
+        while not errors:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            try:
+                results[i] = calls[i]()
+            except BaseException as exc:  # noqa: BLE001 - re-raised by the caller
+                errors[i] = exc
+
+    helper = threading.Thread(target=drain, daemon=True)
+    helper.start()
+    drain()
+    helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _in_two_processes(calls: Sequence[Callable[[], _T]]) -> list[_T]:
+    """The results of independent calls, in input order, made by this
+    process and a forked copy of it.
+
+    For calls that spend most of their time in the interpreter, which two
+    threads would take in turns under the GIL.  If :data:`_TWO_CPUS`
+    allows it, the platform forks and no other Python thread runs (a lock
+    another thread holds would stay locked in the child), the child makes
+    the calls at odd positions and sends their pickled results back through
+    a pipe while this process makes the others; otherwise this process makes
+    them all.  The calls must return picklable values, and whatever else the
+    child's calls change (caches, counters, a profiler's records) is lost
+    with it.  Calls the child could not finish (it raised or died) are made
+    here afterwards, so the exception raised is this process's, the first in
+    input order.
+    """
+    if len(calls) < 2 or not _TWO_CPUS or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [call() for call in calls]
+    theirs = range(1, len(calls), 2)
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: never returns
+        status = 1
+        try:
+            os.close(read_fd)
+            payload = pickle.dumps([calls[i]() for i in theirs], protocol=pickle.HIGHEST_PROTOCOL)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    results: list = [None] * len(calls)
+    errors: dict[int, Exception] = {}
+
+    def make(i):
+        try:
+            results[i] = calls[i]()
+        except Exception as exc:  # noqa: BLE001 - the first in input order is raised below
+            errors[i] = exc
+
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            for i in range(0, len(calls), 2):
+                make(i)
+            payload = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    if os.waitstatus_to_exitcode(status) == 0:
+        for i, result in zip(theirs, pickle.loads(payload)):
+            results[i] = result
+    else:
+        for i in theirs:
+            make(i)
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 class Precision(enum.Enum):

@@ -12,6 +12,7 @@ generator prescribes.  The values match a dense SVD to roundoff.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -24,7 +25,7 @@ import scipy.sparse.linalg as spla
 
 from . import guidance, synthetic
 from .approximators import ApproxResult, approximate
-from .matrix_core import as_f64, binary_exponent, fro_norm, lstsq
+from .matrix_core import _in_two_processes, _one_blas_thread, as_f64, binary_exponent, fro_norm, lstsq
 from .spi import SpiParams
 from .stream_ingest import LinearUpdate, PipelineKind, open_stream
 from .test_matrices import GAUSSIAN, TestMatrixKind
@@ -88,6 +89,7 @@ def _baselines(a: np.ndarray, r: int) -> tuple[float, float]:
     return baselines_from_spectrum(la.svdvals(a, check_finite=False), r)
 
 
+@_one_blas_thread()
 def spec_baselines(spec: synthetic.SyntheticSpec, a: np.ndarray, r: int) -> tuple[float, float]:
     """Baselines of ``a = synthetic.generate(spec).data``.
 
@@ -106,7 +108,8 @@ def _fro_and_spectral(x: np.ndarray) -> tuple[float, float]:
 
     x is first scaled by the power of two nearest its largest entry (see
     :func:`binary_exponent`), so the Frobenius norm has the bits of
-    ``np.linalg.norm(x)`` and neither norm under- or overflows.  sigma_1 is
+    ``np.linalg.norm(x)`` and neither norm under- or overflows.  The scaling
+    is exact and overwrites x, which the caller owns and drops.  sigma_1 is
     ``||x v||`` for the leading eigenvector v of the smaller Gram matrix,
     found by ARPACK's Lanczos solver (the computation ``svds(k=1)`` does).
     ARPACK is called directly so that its restart vectors, not only its
@@ -116,7 +119,7 @@ def _fro_and_spectral(x: np.ndarray) -> tuple[float, float]:
     entries give non-finite norms.
     """
     e = binary_exponent(x)
-    y = np.ldexp(x, -e)
+    y = np.ldexp(x, -e, out=x)
     f = float(np.linalg.norm(y))
     if f == 0.0 or not math.isfinite(f) or min(y.shape) == 1:
         return math.ldexp(f, e), math.ldexp(f, e)
@@ -130,6 +133,7 @@ def _fro_and_spectral(x: np.ndarray) -> tuple[float, float]:
     return math.ldexp(f, e), math.ldexp(s, e)
 
 
+@_one_blas_thread()
 def relative_error(
     a,
     result: ApproxResult,
@@ -144,10 +148,12 @@ def relative_error(
     fits A to roundoff while the baseline is positive is reported as zero
     error with an ``exact_fit`` flag.  The spectral norm of the residual is a
     Lanczos estimate that matches a dense SVD to roundoff; without
-    ``baselines`` they are computed from a dense SVD of A.
+    ``baselines`` they are computed from a dense SVD of A.  The residual is
+    written over the reconstruction, so one m x n array is made.
     """
     a = as_f64(a)
-    num_f, num_s = _fro_and_spectral(a - result.reconstruct())
+    resid = result.reconstruct()
+    num_f, num_s = _fro_and_spectral(np.subtract(a, resid, out=resid))
     base_f, base_s = baselines if baselines is not None else _baselines(a, r)
     scale = fro_norm(a)
     if base_f <= _ZERO_BASELINE_RTOL * max(scale, 1e-300):
@@ -157,6 +163,7 @@ def relative_error(
     return RelativeErrors(num_f / base_f - 1.0, num_s / base_s - 1.0)
 
 
+@_one_blas_thread()
 def range_extra_errors(
     a,
     result: ApproxResult,
@@ -173,7 +180,8 @@ def range_extra_errors(
     pipelines.  The RangeError spectral norm is a Lanczos estimate; the
     ExtraError norms are taken of the r x n matrix ``R_U M`` (U = Q_U R_U,
     M the core above), which has the norms of ``U M`` whether or not U is
-    orthonormal.  Both match a dense SVD to roundoff.
+    orthonormal.  Both match a dense SVD to roundoff.  The projection
+    residual is written over the projection, so one m x n array is made.
     """
     if result.kind in (PipelineKind.TYUC19, PipelineKind.TYUC19_SPI):
         raise MetricUnsupportedError(
@@ -182,7 +190,8 @@ def range_extra_errors(
     a = as_f64(a)
     base_f, base_s = baselines if baselines is not None else _baselines(a, r)
     flags = set()
-    range_f, range_s = _fro_and_spectral(a - result.u @ (result.u.T @ a))
+    resid = result.u @ (result.u.T @ a)
+    range_f, range_s = _fro_and_spectral(np.subtract(a, resid, out=resid))
     if result.kind is PipelineKind.RSVD_ONEPASS:
         extra_f = extra_s = 0.0
     else:
@@ -447,6 +456,7 @@ class SweepTable:
         return min(self.rows, key=lambda row: row.mean_s_f)
 
 
+@_one_blas_thread()
 def oracle_sweep(
     data_spec: synthetic.SyntheticSpec,
     algo: PipelineKind,
@@ -464,7 +474,12 @@ def oracle_sweep(
     budget rule (:func:`guidance.budget_sizes` with s given) until the sizes
     no longer fit; the best row is the oracle error at that budget.
     Supports the plain two-sketch pipeline and its powered version, under
-    either plan.
+    either plan.  The grid points of a trial are shared out between this
+    process and a forked copy of it
+    (:func:`~sketchpower.matrix_core._in_two_processes`): a point is mostly
+    interpreter work on small arrays, which two threads would take in turns.
+    Their errors are summed in grid order, so the means do not depend on
+    the processes.
     """
     if algo not in (PipelineKind.TYUC17, PipelineKind.TYUC17_SPI):
         raise ValueError(f"oracle sweep supports the two-sketch pipelines, not {algo.value}")
@@ -482,6 +497,14 @@ def oracle_sweep(
                 raise
             break
 
+    def point(a, base, trial, s, d, l):
+        stream = open_stream(
+            algo, data_spec.m, data_spec.n, s, d, l,
+            base_seed=data_spec.base_seed, trial=trial, test_kind=test_kind, plan=plan,
+        )
+        sk = stream.ingest(LinearUpdate.row_block(0, a)).finalize()
+        return [relative_error(a, approximate(sk, r, SpiParams(q=q)), r, baselines=base) for q in q_list]
+
     sums: dict[tuple[int, int], np.ndarray] = {
         (s, q): np.zeros(2) for (s, _, _) in grid for q in q_list
     }
@@ -489,15 +512,9 @@ def oracle_sweep(
         spec = data_spec.with_trial(trial)
         a = synthetic.generate(spec).data
         base = spec_baselines(spec, a, r)
-        for s, d, l in grid:
-            stream = open_stream(
-                algo, data_spec.m, data_spec.n, s, d, l,
-                base_seed=data_spec.base_seed, trial=trial, test_kind=test_kind, plan=plan,
-            )
-            sk = stream.ingest(LinearUpdate.dense(a)).finalize()
-            for q in q_list:
-                result = approximate(sk, r, SpiParams(q=q))
-                rel = relative_error(a, result, r, baselines=base)
+        errors = _in_two_processes([functools.partial(point, a, base, trial, *sizes) for sizes in grid])
+        for (s, _, _), rels in zip(grid, errors):
+            for q, rel in zip(q_list, rels):
                 sums[(s, q)] += (rel.s_f, rel.s_inf)
 
     table = SweepTable()

@@ -57,7 +57,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 import scipy.sparse
 
-from .matrix_core import _CHUNK, DenseMatrix, _row_chunks, all_finite
+from .matrix_core import _CHUNK, DenseMatrix, _one_blas_thread, _row_chunks, all_finite
 from .precision_model import PIPELINES, PrecisionPlan
 from .test_matrices import GAUSSIAN, SeedSpec, Stream, TestMatrixKind, generate
 
@@ -317,6 +317,7 @@ class SketchStream:
             self._fold(upd)
         return self
 
+    @_one_blas_thread()
     def _fold(self, upd: LinearUpdate) -> None:
         """Add an update to every sketch, in the table's order."""
         if upd.kind in ("dense", "row_block"):
@@ -590,6 +591,7 @@ def read_matrix(path) -> DenseMatrix:
     return DenseMatrix.from_array(a, check_finite=False)
 
 
+@_one_blas_thread()
 def ingest_file(
     path,
     kind: PipelineKind,

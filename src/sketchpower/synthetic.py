@@ -14,15 +14,12 @@ always yields the same matrix.
 from __future__ import annotations
 
 import enum
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 import numpy as np
 import scipy.linalg as la
 
-from .matrix_core import DenseMatrix, Precision
+from .matrix_core import DenseMatrix, Precision, _concurrently, _one_blas_thread
 from .test_matrices import SeedSpec, Stream, rng_for
 
 __all__ = [
@@ -80,37 +77,12 @@ def adds_noise(spec: SyntheticSpec) -> bool:
     return spec.family is Family.LOWRANK_NOISE and spec.snr > 0.0
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _factors_overlap(environ: Mapping[str, str], cpus: int) -> bool:
-    """Whether building U and V at the same time can pay off.
-
-    Only with a spare CPU and a BLAS set to one thread: a multi-threaded BLAS
-    already keeps every CPU busy on one QR, and two at once run slower.
-    """
-    threads = environ.get("OPENBLAS_NUM_THREADS", environ.get("OMP_NUM_THREADS"))
-    return cpus >= 2 and threads == "1"
-
-
-_CONCURRENT_FACTORS = _factors_overlap(os.environ, _usable_cpus())
-
-
 def _orthonormal(rows: int, cols: int, seed: SeedSpec) -> np.ndarray:
-    g = rng_for(seed).standard_normal((rows, cols))
-    q, _ = np.linalg.qr(g)
-    return q
-
-
-def _orthonormal_in_place(rows: int, cols: int, seed: SeedSpec) -> np.ndarray:
-    # The same factor as _orthonormal under a one-thread BLAS, without the
-    # input copy and work buffers np.linalg.qr keeps alive: two of those at
-    # once raised the peak memory of a 1000x1000 trial by a quarter.  R is
-    # dropped before Q is copied back to C order, since an F-ordered factor
-    # changes the last bits of (u * sv) @ v.T.
+    # Factored in place, without the input copy and work buffers
+    # np.linalg.qr keeps alive: two of those at once raised the peak memory
+    # of a 1000x1000 trial by a quarter.  R is dropped before Q is copied
+    # back to C order, since an F-ordered factor changes the last bits of
+    # (u * sv) @ v.T.
     g = np.asfortranarray(rng_for(seed).standard_normal((rows, cols)))
     q = la.qr(g, overwrite_a=True, mode="economic", check_finite=False)[0]
     return np.ascontiguousarray(q)
@@ -118,26 +90,23 @@ def _orthonormal_in_place(rows: int, cols: int, seed: SeedSpec) -> np.ndarray:
 
 def _factors(spec: SyntheticSpec):
     k = spec.plateau if spec.family is Family.LOWRANK_NOISE else min(spec.m, spec.n)
-    left = (spec.m, k, SeedSpec(spec.base_seed, Stream.DATA_LEFT, spec.trial))
-    right = (spec.n, k, SeedSpec(spec.base_seed, Stream.DATA_RIGHT, spec.trial))
-    if _CONCURRENT_FACTORS:
-        with ThreadPoolExecutor(1) as pool:
-            left_q = pool.submit(_orthonormal_in_place, *left)
-            v = _orthonormal_in_place(*right)
-            u = left_q.result()
-    else:
-        u = _orthonormal(*left)
-        v = _orthonormal(*right)
+    u, v = _concurrently([
+        lambda: _orthonormal(spec.m, k, SeedSpec(spec.base_seed, Stream.DATA_LEFT, spec.trial)),
+        lambda: _orthonormal(spec.n, k, SeedSpec(spec.base_seed, Stream.DATA_RIGHT, spec.trial)),
+    ])
     sv = prescribed_spectrum(spec)[:k]
     return u, sv, v
 
 
+@_one_blas_thread()
 def generate(spec: SyntheticSpec) -> DenseMatrix:
+    """The data matrix of ``spec``; U and V are built concurrently when two
+    threads pay off (:func:`~sketchpower.matrix_core._concurrently`)."""
     u, sv, v = _factors(spec)
     a = (u * sv) @ v.T
     if adds_noise(spec):
         noise = rng_for(SeedSpec(spec.base_seed, Stream.DATA_NOISE, spec.trial))
-        a = a + (spec.snr * spec.plateau / spec.n**2) * noise.standard_normal((spec.m, spec.n))
+        a += (spec.snr * spec.plateau / spec.n**2) * noise.standard_normal((spec.m, spec.n))
     return DenseMatrix.from_array(a, check_finite=False)
 
 

@@ -1,14 +1,17 @@
 import csv
+import importlib
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sketchpower import bench_cli
+import sketchpower
+from sketchpower import bench_cli, matrix_core
 from sketchpower.matrix_core import DenseMatrix
 from sketchpower.precision_model import PIPELINES, simulate_storage
 from sketchpower.stream_ingest import PipelineKind
@@ -354,14 +357,18 @@ def test_budget_must_be_positive_and_finite(command, budget):
                         "--m", "40", "--n", "40", "--rank", "3", "--trials", "1"])
 
 
-def test_one_blas_thread_csv_does_not_depend_on_workers():
-    # With one BLAS thread on two or more CPUs the data factors are built on
-    # helper threads inside each trial's worker thread.
+def test_csv_depends_neither_on_workers_nor_on_the_blas_thread_count():
+    # The library holds BLAS at one thread whatever the environment says, and
+    # on two or more CPUs builds the data factors and evaluates on helper
+    # threads inside each trial's worker thread.
     src = str(Path(bench_cli.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
-    for workers in ("1", "3"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "SKETCHPOWER_WORKERS": workers,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for blas, workers in (("1", "1"), ("1", "3"), (None, "1")):
+        env = {**base, "SKETCHPOWER_WORKERS": workers}
+        if blas is not None:
+            env.update(OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas)
         proc = subprocess.run(
             [sys.executable, "-m", "sketchpower.bench_cli", "run", "--algo", "tyuc17_spi", "--data", "poly",
              "--m", "300", "--n", "300", "--budget", "60", "--guidance", "auto", "--trials", "3"],
@@ -369,4 +376,105 @@ def test_one_blas_thread_csv_does_not_depend_on_workers():
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("algo", ["tyuc17_spi", "tyuc19"])
+def test_csv_bytes_do_not_depend_on_the_helper_thread(algo, tmp_path, monkeypatch):
+    # The data's two factors are built on two threads and the sweep's grid
+    # points shared with a child; tyuc19 has no range/extra split, so its
+    # cells stay empty.
+    run = ["run", "--algo", algo, "--data", "lowrank", "--m", "300", "--n", "200", "--budget", "40",
+           "--guidance", "auto", "--trials", "3", "--rank", "5"]
+    sweep = ["sweep", "--algo", "tyuc17_spi", "--data", "poly", "--alpha", "2", "--m", "120", "--n", "120",
+             "--budget", "40", "--trials", "2", "--rank", "5", "--test-matrix", "gaussian"]
+    outputs = set()
+    for gate in (False, True):
+        monkeypatch.setattr(matrix_core, "_TWO_CPUS", gate)
+        for workers in ("1", "3"):
+            monkeypatch.setenv("SKETCHPOWER_WORKERS", workers)
+            outputs.add((_run_cli(run, tmp_path / "run.csv"), _run_cli(sweep, tmp_path / "sweep.csv")))
+    assert len(outputs) == 1
+    (rc_run, run_csv), (rc_sweep, _) = outputs.pop()
+    assert rc_run == rc_sweep == 0
+    cells = [row[14] for row in csv.reader(run_csv.decode().splitlines()[1:])]
+    assert all(cells) if algo == "tyuc17_spi" else not any(cells)
+
+
+def test_parser_built_once_gives_the_bytes_of_fresh_parsers(tmp_path, monkeypatch):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"algo": "tyuc17", "s": 6, "d": 14, "trials": 2, "m": 50, "n": 50, "rank": 3}))
+    calls = (["run", "--config", str(cfgfile), "--q", "2"],
+             ["ledger", "--algo", "tyuc17_spi", "--budget", "48", "--m", "200", "--n", "200"])
+
+    def outputs(fresh):
+        got = []
+        for i, argv in enumerate(calls):
+            if fresh:
+                bench_cli._build_parser.cache_clear()
+            got.append(_run_cli(list(argv), tmp_path / f"{fresh}-{i}.csv"))
+        return got
+
+    cached = outputs(False)
+    assert bench_cli._build_parser() is bench_cli._build_parser()
+    assert outputs(True) == cached
+    assert [rc for rc, _ in cached] == [0, 0]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_public_functions_are_never_open_on_two_threads_at_once(command, tmp_path, monkeypatch):
+    # A profiler that wraps the package's public functions keeps one stack of
+    # open calls, so the helper thread must not enter one while another
+    # thread is inside one: it takes only private code, NumPy/SciPy kernels
+    # and the leaf helpers, which call no other function of the package.
+    # (The sweep's grid points are shared with a forked child process, whose
+    # calls a profiler of this process does not see.)
+    leaves = {"as_f64", "all_finite", "binary_exponent", "fro_norm", "stream_seed", "rng_for"}
+    monkeypatch.setattr(matrix_core, "_TWO_CPUS", True)
+    monkeypatch.delenv("SKETCHPOWER_WORKERS", raising=False)
+    lock, depth, overlaps = threading.Lock(), {}, []
+
+    def wrap(fn):
+        def wrapper(*args, **kwargs):
+            me = threading.get_ident()
+            with lock:
+                if any(n for t, n in depth.items() if t != me):
+                    overlaps.append(fn.__qualname__)
+                depth[me] = depth.get(me, 0) + 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                with lock:
+                    depth[me] -= 1
+        return wrapper
+
+    mods = [importlib.import_module(f"sketchpower.{name}") for name in
+            ("approximators", "bench_cli", "guidance", "matrix_core", "metrics", "precision_model", "spi",
+             "stream_ingest", "synthetic", "test_matrices")]
+    for mod in mods:
+        for name in getattr(mod, "__all__", ()):
+            fn = getattr(mod, name)
+            if callable(fn) and not isinstance(fn, type) and name not in leaves:
+                wrapped = wrap(fn)
+                for owner in mods + [sketchpower]:
+                    for key, val in list(vars(owner).items()):
+                        if val is fn:
+                            monkeypatch.setattr(owner, key, wrapped)
+    stream_cls = importlib.import_module("sketchpower.stream_ingest").SketchStream
+    for name in ("ingest", "finalize"):
+        monkeypatch.setattr(stream_cls, name, wrap(getattr(stream_cls, name)))
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    args = {"run": ["run", "--algo", "tyuc17_spi", "--data", "lowrank", "--m", "600", "--n", "500",
+                    "--budget", "40", "--guidance", "auto", "--trials", "2", "--rank", "5"],
+            "sweep": ["sweep", "--algo", "tyuc17_spi", "--data", "poly", "--alpha", "2", "--m", "120",
+                      "--n", "120", "--budget", "40", "--trials", "2", "--rank", "5"]}[command]
+    rc, _ = _run_cli(args, tmp_path / "out.csv")
+    assert rc == 0
+    assert overlaps == []
+    assert bool(forks) is (command == "sweep")  # the sweep's grid points were shared with a child

@@ -1,3 +1,9 @@
+import functools
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -209,3 +215,167 @@ def test_all_finite_is_exact_and_makes_no_large_temporary(dtype, rows):
         tracemalloc.stop()
     # np.isfinite(x).all() takes x.size bytes: 300,000 for the large case.
     assert peak < (4096 if x.size > matrix_core._CHUNK else x.size + 4096)
+
+
+# -- one BLAS thread and a helper thread ----------------------------------------
+
+needs_managed_blas = pytest.mark.skipif(not matrix_core._BLAS, reason="no managed OpenBLAS build is loaded")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every managed build at two threads for the test, the counts restored after."""
+    saved = [get() for get, _ in matrix_core._BLAS]
+    for _, put in matrix_core._BLAS:
+        put(2)
+    yield
+    for (_, put), n in zip(matrix_core._BLAS, saved):
+        put(n)
+
+
+def _counts():
+    return [get() for get, _ in matrix_core._BLAS]
+
+
+ONE, TWO = [1] * len(matrix_core._BLAS), [2] * len(matrix_core._BLAS)
+
+
+@needs_managed_blas
+def test_one_blas_thread_is_restored_after_a_call_and_an_exception(two_blas_threads):
+    seen = []
+
+    @matrix_core._one_blas_thread()
+    def work(fail):
+        seen.append(_counts())
+        with matrix_core._one_blas_thread():  # nested entry keeps the pin
+            seen.append(_counts())
+        if fail:
+            raise RuntimeError("inside the pin")
+        return "done"
+
+    assert work(False) == "done"
+    assert _counts() == TWO
+    with pytest.raises(RuntimeError, match="inside the pin"):
+        work(True)
+    assert _counts() == TWO
+    assert seen == [ONE] * 4
+
+
+@needs_managed_blas
+def test_one_blas_thread_is_restored_after_overlapping_worker_threads(two_blas_threads):
+    # Entries and exits interleave: the first holder to leave is not the
+    # first to enter, and the pin holds until the last one leaves.
+    entered, leave = threading.Barrier(4), [threading.Event() for _ in range(4)]
+    inside = [None] * 4
+
+    def work(i):
+        with matrix_core._one_blas_thread():
+            entered.wait(timeout=30)
+            leave[i].wait(timeout=30)
+            inside[i] = _counts()
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for i in (2, 0, 3, 1):
+        leave[i].set()
+        threads[i].join(timeout=30)
+        assert _counts() == (TWO if i == 1 else ONE)
+    assert inside == [ONE] * 4
+
+
+@needs_managed_blas
+def test_one_blas_thread_holds_under_many_racing_holders(two_blas_threads):
+    # More holders than CPUs enter and leave in a tight loop with frequent
+    # thread switches; a lost update of the holder count would leave the
+    # pin released while a holder is inside, or never released.
+    wrong = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def work():
+            for _ in range(5000):
+                with matrix_core._one_blas_thread():
+                    if _counts() != ONE:
+                        wrong.append(_counts())
+
+        threads = [threading.Thread(target=work) for _ in range(16)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert _counts() == TWO
+
+
+def test_concurrently_keeps_input_order_and_raises_the_first_failure(monkeypatch):
+    monkeypatch.setattr(matrix_core, "_TWO_CPUS", True)
+    before = threading.active_count()
+    names = []
+
+    def call(i):
+        names.append(threading.current_thread().name)
+        time.sleep(0.002 * (i % 3))
+        return i * i
+
+    assert matrix_core._concurrently([functools.partial(call, i) for i in range(12)]) == [i * i for i in range(12)]
+    assert len(set(names)) == 2  # the caller's thread and one helper
+
+    def boom(i):
+        raise ValueError(f"call {i}")
+
+    calls = [functools.partial(call, 0), functools.partial(boom, 1), functools.partial(boom, 2)]
+    with pytest.raises(ValueError, match="call 1"):
+        matrix_core._concurrently(calls)
+    assert threading.active_count() == before  # the helper was joined
+
+    monkeypatch.setattr(matrix_core, "_TWO_CPUS", False)
+    names.clear()
+    assert matrix_core._concurrently([functools.partial(call, i) for i in range(4)]) == [0, 1, 4, 9]
+    assert set(names) == {threading.current_thread().name}
+
+
+def test_in_two_processes_keeps_input_order_and_raises_the_first_failure(monkeypatch):
+    monkeypatch.setattr(matrix_core, "_TWO_CPUS", True)
+    here = os.getpid()
+
+    def call(i):
+        return i * i, os.getpid()
+
+    out = matrix_core._in_two_processes([functools.partial(call, i) for i in range(7)])
+    assert [v for v, _ in out] == [i * i for i in range(7)]
+    assert {pid for _, pid in out[0::2]} == {here}  # even positions made here
+    assert here not in {pid for _, pid in out[1::2]}  # odd ones by the child
+
+    def boom(i):
+        raise ValueError(f"call {i} in {os.getpid()}")
+
+    calls = [functools.partial(call, 0), functools.partial(boom, 1), functools.partial(boom, 2)]
+    with pytest.raises(ValueError, match=f"call 1 in {here}$"):  # remade and raised here
+        matrix_core._in_two_processes(calls)
+
+    def dies_in_the_child():
+        if os.getpid() != here:
+            os._exit(3)
+        return "made here"
+
+    assert matrix_core._in_two_processes([lambda: 1, dies_in_the_child]) == [1, "made here"]
+
+    monkeypatch.setattr(matrix_core, "_TWO_CPUS", False)
+    assert {pid for _, pid in matrix_core._in_two_processes([functools.partial(call, i) for i in range(4)])} == {here}
+
+
+def test_in_two_processes_does_not_fork_beside_another_thread(monkeypatch):
+    monkeypatch.setattr(matrix_core, "_TWO_CPUS", True)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        pids = matrix_core._in_two_processes([os.getpid, os.getpid])
+    finally:
+        release.set()
+        other.join()
+    assert pids == [os.getpid()] * 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,8 +8,8 @@ import scipy.linalg as la
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchpower import metrics
-from sketchpower.approximators import rsvd_onepass, tyuc17, tyuc19
+from sketchpower import matrix_core, metrics
+from sketchpower.approximators import approximate, rsvd_onepass, tyuc17, tyuc19
 from sketchpower.matrix_core import lstsq
 from sketchpower.metrics import (
     BoundInputsFro,
@@ -25,6 +26,8 @@ from sketchpower.metrics import (
     spec_baselines,
     tail_energy,
 )
+from sketchpower.precision_model import PrecisionPlan
+from sketchpower.spi import SpiParams
 from sketchpower.stream_ingest import LinearUpdate, PipelineKind, open_stream
 from sketchpower.synthetic import Family, SyntheticSpec, generate
 
@@ -287,6 +290,30 @@ def test_oracle_sweep_row_count_and_flat_argmin():
     assert abs(best.s - 8) <= 2  # flat data: oracle s stays at the target rank
 
 
+@pytest.mark.parametrize("concurrent", [False, True])
+def test_oracle_sweep_means_are_the_serial_sums_of_dense_ingests(concurrent, monkeypatch):
+    # The grid points of a trial are shared with a forked child and ingest a
+    # row block; the means keep the bits of a serial loop over dense updates.
+    monkeypatch.setattr(matrix_core, "_TWO_CPUS", concurrent)
+    spec = SyntheticSpec(Family.POLY_DECAY, m=90, n=70, plateau=5, alpha=2.0, base_seed=12)
+    table = oracle_sweep(spec, PipelineKind.TYUC17_SPI, budget_t=30.0, r=4, q_set=(1, 2), trials=3,
+                         plan=PrecisionPlan.MIXED_SINGLE_DOUBLE)
+    sums = {}
+    for trial in range(3):
+        a = generate(spec.with_trial(trial)).data
+        base = spec_baselines(spec.with_trial(trial), a, 4)
+        for row in table.rows:
+            st = open_stream(PipelineKind.TYUC17_SPI, 90, 70, row.s, row.d, row.l, base_seed=12, trial=trial,
+                             plan=PrecisionPlan.MIXED_SINGLE_DOUBLE)
+            res = approximate(st.ingest(LinearUpdate.dense(a)).finalize(), 4, SpiParams(q=row.q))
+            rel = relative_error(a, res, 4, baselines=base)
+            sums[(row.s, row.q)] = sums.get((row.s, row.q), np.zeros(2)) + (rel.s_f, rel.s_inf)
+    assert len(table.rows) > 4
+    for row in table.rows:
+        mean = sums[(row.s, row.q)] / 3
+        assert (row.mean_s_f, row.mean_s_inf) == (float(mean[0]), float(mean[1]))
+
+
 @pytest.mark.parametrize("trials", [0, -1])
 def test_oracle_sweep_needs_a_trial(trials):
     spec = SyntheticSpec(Family.LOWRANK_NOISE, m=40, n=40, plateau=3, snr=1e-2, base_seed=44)
@@ -315,7 +342,7 @@ def _clustered_residual(m, n, r, seed):
     ids=["random-tall", "random-wide", "clustered"],
 )
 def test_sigma1_helper_matches_dense_svd(x):
-    fro, spec = metrics._fro_and_spectral(x)
+    fro, spec = metrics._fro_and_spectral(x.copy())
     assert fro == np.linalg.norm(x)
     want = la.svdvals(x)[0]
     assert abs(spec - want) <= 1e-12 * want
@@ -327,7 +354,7 @@ def test_sigma1_helper_zero_matrix_is_exactly_zero():
 
 def test_sigma1_helper_tiny_scale():
     x = 1e-300 * np.random.default_rng(33).standard_normal((40, 30))
-    fro, spec = metrics._fro_and_spectral(x)
+    fro, spec = metrics._fro_and_spectral(x.copy())
     assert math.isfinite(spec) and spec > 0.0
     want = la.svdvals(x)[0]
     assert abs(spec - want) <= 1e-12 * want
@@ -337,13 +364,33 @@ def test_sigma1_helper_tiny_scale():
 @pytest.mark.parametrize("shape", [(25, 1), (1, 25)])
 def test_sigma1_helper_vectors_give_two_norm(shape):
     x = np.random.default_rng(34).standard_normal(shape)
-    assert metrics._fro_and_spectral(x) == (np.linalg.norm(x), np.linalg.norm(x))
+    assert metrics._fro_and_spectral(x.copy()) == (np.linalg.norm(x), np.linalg.norm(x))
 
 
 def test_sigma1_helper_is_deterministic():
     x = _clustered_residual(90, 70, 4, seed=35)
-    first = metrics._fro_and_spectral(x)
+    first = metrics._fro_and_spectral(x.copy())
     assert all(metrics._fro_and_spectral(x.copy()) == first for _ in range(3))
+
+
+def test_evaluators_hold_one_residual_and_leave_a_alone():
+    # Each evaluator writes its residual over the m x n array it made and
+    # scales it there: one m x n array at its peak, where a separate residual
+    # and its scaled copy made two.  The caller's A is not written.
+    m = n = 1000
+    a = generate(SyntheticSpec(Family.POLY_DECAY, m=m, n=n, base_seed=5)).data
+    before = a.copy()
+    res = _run_tyuc17(a, 24, 48, 10)
+    base = metrics.baselines_from_spectrum(la.svdvals(a), 10)
+    for evaluate in (relative_error, range_extra_errors):
+        tracemalloc.start()
+        try:
+            evaluate(a, res, 10, baselines=base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * m * n * 8, (evaluate.__name__, peak)
+    assert a.tobytes() == before.tobytes()
 
 
 def test_extra_error_reduction_matches_dense_product():
