@@ -7,24 +7,22 @@ resolves sizes with :func:`guidance.budget_sizes`, a pure function of the
 pipeline, plan, dataset spec, T and r, so identical invocations produce
 identical CSVs; a budget that cannot afford r is an error.
 
+The trials of ``run`` are shared out between the process and a forked copy
+of it when a second CPU is free (:func:`matrix_core._in_two_processes`).
 Timing is opt-in (``--timing``): the wall_ms column is left empty by default
-so that equal seeds give byte-identical output across runs and worker-pool
-sizes (workers come from the SKETCHPOWER_WORKERS environment variable).
+so that equal seeds give byte-identical output across runs, whichever
+process made each trial.
 """
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
-import dataclasses
 import functools
 import io
 import json
 import math
-import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,7 +30,7 @@ import scipy.linalg as la
 
 from . import guidance, metrics, synthetic
 from .approximators import approximate
-from .matrix_core import _one_blas_thread
+from .matrix_core import _in_two_processes, _one_blas_thread
 from .precision_model import PIPELINES, LedgerError, PrecisionPlan, simulate_storage
 from .spi import SpiParams
 from .stream_ingest import LinearUpdate, PipelineKind, open_stream, read_matrix
@@ -55,227 +53,191 @@ def _fmt(x) -> str:
     return str(x)
 
 
-@dataclass
-class RunConfig:
-    algo: str
-    data: str = "poly"
-    file: Optional[str] = None
-    alpha: float = 1.0
-    gamma: float = 1e-2
-    rank: int = 10
-    plateau: int = 10
-    m: int = 1000
-    n: int = 1000
-    budget: Optional[float] = None
-    s: Optional[int] = None
-    d: Optional[int] = None
-    l: Optional[int] = None
-    q: int = 1
-    trials: int = 20
-    base_seed: int = 0
-    precision: Optional[str] = None
-    guidance_mode: str = "manual"
-    test_matrix: str = "sparse_rademacher"
-    sparsity: float = 0.01
-    stabilize: str = "auto"
-    timing: bool = False
-    out: Optional[str] = None
-
-    def __post_init__(self):
-        if self.budget is not None and not (math.isfinite(self.budget) and self.budget > 0):
-            raise SystemExit(f"--budget must be a positive finite number, got {self.budget!r}")
-        if self.trials < 1:
-            raise SystemExit(f"--trials must be at least 1, got {self.trials}")
-
-
-def _plan_of(cfg: RunConfig, kind: PipelineKind) -> PrecisionPlan:
-    if cfg.precision is None:
+def _plan_of(args: argparse.Namespace, kind: PipelineKind) -> PrecisionPlan:
+    if args.precision is None:
         return PIPELINES[kind.value].default_plan
-    return {"double": PrecisionPlan.ALL_DOUBLE, "mixed": PrecisionPlan.MIXED_SINGLE_DOUBLE}[cfg.precision]
+    return {"double": PrecisionPlan.ALL_DOUBLE, "mixed": PrecisionPlan.MIXED_SINGLE_DOUBLE}[args.precision]
 
 
-def _test_kind(cfg: RunConfig) -> TestMatrixKind:
-    if cfg.test_matrix == "gaussian":
+def _test_kind(args: argparse.Namespace) -> TestMatrixKind:
+    if args.test_matrix == "gaussian":
         return GAUSSIAN
-    return TestMatrixKind(cfg.test_matrix, cfg.sparsity)
+    return TestMatrixKind(args.test_matrix, args.sparsity)
 
 
-def _dataset_spec(cfg: RunConfig) -> Optional[synthetic.SyntheticSpec]:
-    if cfg.data == "file":
+def _dataset_spec(args: argparse.Namespace) -> Optional[synthetic.SyntheticSpec]:
+    if args.data == "file":
         return None
     family = {
         "lowrank": synthetic.Family.LOWRANK_NOISE,
         "poly": synthetic.Family.POLY_DECAY,
         "exp": synthetic.Family.EXP_DECAY,
-    }[cfg.data]
+    }[args.data]
     return synthetic.SyntheticSpec(
-        family=family, m=cfg.m, n=cfg.n, plateau=cfg.plateau,
-        alpha=cfg.alpha, snr=cfg.gamma, base_seed=cfg.base_seed,
+        family=family, m=args.m, n=args.n, plateau=args.plateau,
+        alpha=args.alpha, snr=args.gamma, base_seed=args.base_seed,
     )
 
 
-def _spectrum_class(cfg: RunConfig, file_sv: Optional[np.ndarray]) -> guidance.SpectrumClass:
-    if cfg.data == "lowrank":
+def _spectrum_class(args: argparse.Namespace, file_sv: Optional[np.ndarray]) -> guidance.SpectrumClass:
+    if args.data == "lowrank":
         return guidance.SpectrumClass(guidance.DecayKind.FLAT)
-    if cfg.data == "poly":
-        return guidance.SpectrumClass(guidance.DecayKind.POLY, cfg.alpha)
-    if cfg.data == "exp":
-        return guidance.SpectrumClass(guidance.DecayKind.EXP, cfg.alpha)
-    return guidance.classify_spectrum(file_sv[file_sv > file_sv[0] * 1e-14])
-
-
-def _auto_sizes(cfg: RunConfig, kind: PipelineKind, plan: PrecisionPlan, file_sv) -> tuple[int, int, int]:
-    if cfg.budget is None:
-        raise SystemExit("--guidance auto requires --budget")
-    cls = _spectrum_class(cfg, file_sv)
+    if args.data == "poly":
+        return guidance.SpectrumClass(guidance.DecayKind.POLY, args.alpha)
+    if args.data == "exp":
+        return guidance.SpectrumClass(guidance.DecayKind.EXP, args.alpha)
     try:
-        return guidance.budget_sizes(kind, plan, cls, float(cfg.budget), cfg.m, cfg.n, cfg.rank)
+        return guidance.classify_spectrum(file_sv[file_sv > file_sv[0] * 1e-14])
+    except ValueError as exc:
+        raise SystemExit(f"--guidance auto cannot classify the spectrum of {args.file}: {exc}")
+
+
+def _auto_sizes(args: argparse.Namespace, kind: PipelineKind, plan: PrecisionPlan, file_sv) -> tuple[int, int, int]:
+    if args.budget is None:
+        raise SystemExit("--guidance auto requires --budget")
+    cls = _spectrum_class(args, file_sv)
+    try:
+        return guidance.budget_sizes(kind, plan, cls, float(args.budget), args.m, args.n, args.rank)
     except ValueError as exc:
         raise SystemExit(f"infeasible parameter resolution: {exc}")
 
 
-def _resolve_sizes(cfg: RunConfig, kind: PipelineKind, plan: PrecisionPlan, file_sv) -> tuple[int, int, int]:
-    if cfg.guidance_mode == "auto":
-        return _auto_sizes(cfg, kind, plan, file_sv)
-    if cfg.s is None:
+def _resolve_sizes(args: argparse.Namespace, kind: PipelineKind, plan: PrecisionPlan, file_sv) -> tuple[int, int, int]:
+    if args.guidance_mode == "auto":
+        return _auto_sizes(args, kind, plan, file_sv)
+    if args.s is None:
         raise SystemExit("manual guidance requires --s (and --d/--l as the algorithm needs)")
-    s = cfg.s
-    d = cfg.d if cfg.d is not None else 0
-    l = cfg.l if cfg.l is not None else 0
+    s = args.s
+    d = args.d if args.d is not None else 0
+    l = args.l if args.l is not None else 0
     for name, size in (("d", d), ("l", l)):
         if size == 0 and PIPELINES[kind.value].uses(name):
             raise SystemExit(f"{kind.value} requires --{name}")
     return s, d, l
 
 
-def _spi_params(cfg: RunConfig) -> SpiParams:
-    return SpiParams(q=cfg.q, stabilize={"auto": None, "on": True, "off": False}[cfg.stabilize])
+def _spi_params(args: argparse.Namespace) -> SpiParams:
+    return SpiParams(q=args.q, stabilize={"auto": None, "on": True, "off": False}[args.stabilize])
 
 
-def _dataset_columns(cfg: RunConfig) -> tuple[str, str, Optional[float]]:
-    if cfg.data == "file":
-        return "file", cfg.file or "", None
-    return cfg.data, str(cfg.plateau), cfg.gamma if cfg.data == "lowrank" else cfg.alpha
+def _dataset_columns(args: argparse.Namespace) -> tuple[str, str, Optional[float]]:
+    if args.data == "file":
+        return "file", args.file or "", None
+    return args.data, str(args.plateau), args.gamma if args.data == "lowrank" else args.alpha
 
 
 @_one_blas_thread()
-def _load_file(cfg: RunConfig) -> tuple[RunConfig, np.ndarray, np.ndarray]:
-    """The file's matrix, cfg sized to it, and its singular values.
+def _load_file(args: argparse.Namespace) -> tuple[argparse.Namespace, np.ndarray, np.ndarray]:
+    """A copy of args sized to the file, the file's matrix and its singular values.
 
     One SVD of the file serves both the baselines and the guidance.
     """
-    if not cfg.file:
+    if not args.file:
         raise SystemExit("--data file requires --file PATH")
-    a = read_matrix(cfg.file).data
-    cfg = dataclasses.replace(cfg, m=a.shape[0], n=a.shape[1])
-    return cfg, a, la.svdvals(a, check_finite=False)
+    a = read_matrix(args.file).data
+    args = argparse.Namespace(**{**vars(args), "m": a.shape[0], "n": a.shape[1]})
+    return args, a, la.svdvals(a, check_finite=False)
 
 
-def _run_one_trial(cfg, kind, plan, sizes, trial, shared_a, shared_base):
-    s, d, l = sizes
-    if shared_a is None:
-        spec = _dataset_spec(cfg).with_trial(trial)
-        a = synthetic.generate(spec).data
-        base = metrics.spec_baselines(spec, a, cfg.rank)
-    else:
-        a, base = shared_a, shared_base
-    stream = open_stream(
-        kind, a.shape[0], a.shape[1], s, d, l,
-        base_seed=cfg.base_seed, trial=trial, test_kind=_test_kind(cfg), plan=plan,
-    )
-    sk = stream.ingest(LinearUpdate.row_block(0, a)).finalize()
-    t0 = time.perf_counter()
-    result = approximate(sk, cfg.rank, _spi_params(cfg))
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    rel = metrics.relative_error(a, result, cfg.rank, baselines=base)
+def _run_one_trial(args, kind, plan, sizes, trial, shared_a, shared_base):
+    """One trial's values, or the message of the exception it raised (a
+    message pickles, so a trial a forked child made reports it too)."""
     try:
-        re = metrics.range_extra_errors(a, result, cfg.rank, baselines=base)
-        range_f, range_s, extra_f, extra_s = re.range_f, re.range_s, re.extra_f, re.extra_s
-    except metrics.MetricUnsupportedError:
-        range_f = range_s = extra_f = extra_s = None
+        s, d, l = sizes
+        if shared_a is None:
+            spec = _dataset_spec(args).with_trial(trial)
+            a = synthetic.generate(spec).data
+            base = metrics.spec_baselines(spec, a, args.rank)
+        else:
+            a, base = shared_a, shared_base
+        stream = open_stream(
+            kind, a.shape[0], a.shape[1], s, d, l,
+            base_seed=args.base_seed, trial=trial, test_kind=_test_kind(args), plan=plan,
+        )
+        sk = stream.ingest(LinearUpdate.row_block(0, a)).finalize()
+        t0 = time.perf_counter()
+        result = approximate(sk, args.rank, _spi_params(args))
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        rel = metrics.relative_error(a, result, args.rank, baselines=base)
+        try:
+            re = metrics.range_extra_errors(a, result, args.rank, baselines=base)
+            range_f, range_s, extra_f, extra_s = re.range_f, re.range_s, re.extra_f, re.extra_s
+        except metrics.MetricUnsupportedError:
+            range_f = range_s = extra_f = extra_s = None
+    except Exception as exc:  # noqa: BLE001 - enumerate failing trials
+        return str(exc)
     return {
         "trial": trial,
-        "seed": stream_seed(SeedSpec(cfg.base_seed, Stream.OMEGA, trial)),
+        "seed": stream_seed(SeedSpec(args.base_seed, Stream.OMEGA, trial)),
         "S_F": rel.s_f,
         "S_inf": rel.s_inf,
         "range_err_F": range_f,
         "range_err_S": range_s,
         "extra_err_F": extra_f,
         "extra_err_S": extra_s,
-        "wall_ms": wall_ms if cfg.timing else None,
+        "wall_ms": wall_ms if args.timing else None,
     }
 
 
-def _workers() -> int:
-    value = os.environ.get("SKETCHPOWER_WORKERS", "1")
-    if not value.strip().isdecimal() or int(value) < 1:
-        raise SystemExit(f"SKETCHPOWER_WORKERS must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
-def run(cfg: RunConfig, out=None) -> int:
-    """Execute one benchmark configuration; returns a process exit code."""
-    kind = PipelineKind(cfg.algo)
-    plan = _plan_of(cfg, kind)
+@_one_blas_thread()
+def run(args: argparse.Namespace) -> int:
+    """Run the trials of one configuration, shared out between this process
+    and a forked copy of it; returns a process exit code."""
+    kind = PipelineKind(args.algo)
+    plan = _plan_of(args, kind)
 
     shared_a = shared_base = file_sv = None
-    if cfg.data == "file":
-        cfg, shared_a, file_sv = _load_file(cfg)
-        shared_base = metrics.baselines_from_spectrum(file_sv, cfg.rank)
+    if args.data == "file":
+        args, shared_a, file_sv = _load_file(args)
+        shared_base = metrics.baselines_from_spectrum(file_sv, args.rank)
 
-    sizes = _resolve_sizes(cfg, kind, plan, file_sv)
-    dataset, param, alpha_or_gamma = _dataset_columns(cfg)
-    prefix = [cfg.algo, dataset, param, alpha_or_gamma, cfg.budget, cfg.rank,
-              sizes[0], sizes[1] or None, sizes[2] or None, cfg.q]
-
-    rows = [None] * cfg.trials
-    failures = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=_workers()) as pool:
-        futs = [pool.submit(_run_one_trial, cfg, kind, plan, sizes, t, shared_a, shared_base)
-                for t in range(cfg.trials)]
-        for t, fut in enumerate(futs):
-            try:
-                rows[t] = fut.result()
-            except Exception as exc:  # noqa: BLE001 - enumerate failing trials
-                failures.append((t, exc))
+    sizes = _resolve_sizes(args, kind, plan, file_sv)
+    dataset, param, alpha_or_gamma = _dataset_columns(args)
+    prefix = [args.algo, dataset, param, alpha_or_gamma, args.budget, args.rank,
+              sizes[0], sizes[1] or None, sizes[2] or None, args.q]
+    outcomes = _in_two_processes([
+        functools.partial(_run_one_trial, args, kind, plan, sizes, t, shared_a, shared_base)
+        for t in range(args.trials)
+    ])
+    rows = [row for row in outcomes if isinstance(row, dict)]
 
     metric_keys = ["S_F", "S_inf", "range_err_F", "range_err_S", "extra_err_F", "extra_err_S", "wall_ms"]
     lines = [CSV_HEADER] + [
-        [_fmt(x) for x in prefix] + [str(t), str(row["seed"])] + [_fmt(row[k]) for k in metric_keys]
-        for t, row in enumerate(rows) if row is not None
+        [_fmt(x) for x in prefix] + [str(row["trial"]), str(row["seed"])] + [_fmt(row[k]) for k in metric_keys]
+        for row in rows
     ]
-    done = [r for r in rows if r is not None]
-    if done:
+    if rows:
         for label, reducer in (("mean", np.mean), ("std", lambda v: np.std(v, ddof=0))):
             stats = []
             for k in metric_keys:
-                vals = [r[k] for r in done if r[k] is not None]
+                vals = [r[k] for r in rows if r[k] is not None]
                 stats.append(float(reducer(vals)) if vals else None)
             lines.append([_fmt(x) for x in prefix] + [label, ""] + [_fmt(x) for x in stats])
 
-    _emit(lines, cfg.out if out is None else out)
-    for t, exc in failures:
-        print(f"trial {t} failed: {exc}", file=sys.stderr)
-    return 0 if not failures else 1
+    _emit(lines, args.out)
+    for t, outcome in enumerate(outcomes):
+        if isinstance(outcome, str):
+            print(f"trial {t} failed: {outcome}", file=sys.stderr)
+    return 0 if len(rows) == args.trials else 1
 
 
-def run_sweep(cfg: RunConfig, out=None) -> int:
+def run_sweep(args: argparse.Namespace) -> int:
     """Oracle sweep over s at fixed budget; marks the oracle and guided rows."""
-    kind = PipelineKind(cfg.algo)
-    if kind not in (PipelineKind.TYUC17, PipelineKind.TYUC17_SPI):
-        raise SystemExit("sweep supports tyuc17 and tyuc17_spi")
-    if cfg.budget is None:
+    if args.budget is None:
         raise SystemExit("sweep requires --budget")
-    if cfg.data == "file":
+    if args.data == "file":
         raise SystemExit("sweep runs on synthetic dataset specs")
-    plan = _plan_of(cfg, kind)
-    spec = _dataset_spec(cfg)
-    table = metrics.oracle_sweep(
-        spec, kind, float(cfg.budget), cfg.rank,
-        q_set=(cfg.q,), trials=cfg.trials, test_kind=_test_kind(cfg), plan=plan,
-    )
+    kind = PipelineKind(args.algo)
+    plan = _plan_of(args, kind)
     try:
-        guided = _auto_sizes(cfg, kind, plan, None)
+        table = metrics.oracle_sweep(
+            _dataset_spec(args), kind, float(args.budget), args.rank,
+            q_set=(args.q,), trials=args.trials, test_kind=_test_kind(args), plan=plan,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"sweep: {exc}")
+    try:
+        guided = _auto_sizes(args, kind, plan, None)
     except SystemExit:
         guided = None
     best = table.best()
@@ -284,38 +246,38 @@ def run_sweep(cfg: RunConfig, out=None) -> int:
          "1" if row is best else "0", "1" if (row.s, row.d, row.l) == guided else "0"]
         for row in table.rows
     ]
-    _emit(lines, cfg.out if out is None else out)
+    _emit(lines, args.out)
     return 0
 
 
-def emit_spectrum(cfg: RunConfig, out=None) -> int:
+def emit_spectrum(args: argparse.Namespace) -> int:
     """Index, sigma_i pairs: prescribed for synthetic specs, computed for files."""
-    if cfg.data == "file":
-        sv = _load_file(cfg)[2]
+    if args.data == "file":
+        sv = _load_file(args)[2]
     else:
-        sv = synthetic.prescribed_spectrum(_dataset_spec(cfg))
+        sv = synthetic.prescribed_spectrum(_dataset_spec(args))
     lines = [["index", "sigma"]] + [[i, _fmt(float(v))] for i, v in enumerate(sv, start=1)]
-    _emit(lines, cfg.out if out is None else out)
+    _emit(lines, args.out)
     return 0
 
 
-def emit_ledger(cfg: RunConfig, out=None) -> int:
+def emit_ledger(args: argparse.Namespace) -> int:
     """Storage-ledger dump (label, rows, cols, precision, words) for a pipeline."""
-    kind = PipelineKind(cfg.algo)
-    plan = _plan_of(cfg, kind)
+    kind = PipelineKind(args.algo)
+    plan = _plan_of(args, kind)
     file_sv = None
-    if cfg.data == "file":
-        cfg, _, file_sv = _load_file(cfg)
-    sizes = _resolve_sizes(cfg, kind, plan, file_sv)
+    if args.data == "file":
+        args, _, file_sv = _load_file(args)
+    sizes = _resolve_sizes(args, kind, plan, file_sv)
     try:
-        PIPELINES[kind.value].check_sizes(cfg.m, cfg.n, *sizes)
-        led = simulate_storage(kind.value, plan, cfg.m, cfg.n, *sizes)
+        PIPELINES[kind.value].check_sizes(args.m, args.n, *sizes)
+        led = simulate_storage(kind.value, plan, args.m, args.n, *sizes)
     except (ValueError, LedgerError) as exc:
         raise SystemExit(f"ledger: {exc}")
     lines = [["label", "rows", "cols", "precision", "words"]]
     lines += [[*row[:4], _fmt(float(row[4]))] for row in led.csv_rows()]
     lines.append(["peak", "", "", "", _fmt(led.peak_words)])
-    _emit(lines, cfg.out if out is None else out)
+    _emit(lines, args.out)
     return 0
 
 
@@ -407,18 +369,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.config:  # config values go between the command and the flags, so flags win
         args = parser.parse_args(argv[:1] + _config_words(args.config) + argv[1:])
-    command = args.command
-    fields = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-    if fields.get("guidance_mode") is None:
-        fields["guidance_mode"] = "manual" if fields.get("s") is not None else "auto"
-    cfg = RunConfig(**fields)
-    if command == "run":
-        return run(cfg)
-    if command == "sweep":
-        return run_sweep(cfg)
-    if command == "spectrum":
-        return emit_spectrum(cfg)
-    return emit_ledger(cfg)
+    if args.budget is not None and not (math.isfinite(args.budget) and args.budget > 0):
+        raise SystemExit(f"--budget must be a positive finite number, got {args.budget!r}")
+    if args.trials < 1:
+        raise SystemExit(f"--trials must be at least 1, got {args.trials}")
+    if args.guidance_mode is None:
+        args.guidance_mode = "manual" if args.s is not None else "auto"
+    command = {"run": run, "sweep": run_sweep, "spectrum": emit_spectrum, "ledger": emit_ledger}
+    return command[args.command](args)
 
 
 if __name__ == "__main__":

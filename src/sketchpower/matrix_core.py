@@ -16,7 +16,8 @@ which sets each loaded OpenBLAS build to one thread and restores the
 previous counts when the last holder leaves; under any other BLAS it does
 nothing ("unmanaged").  Inside, :func:`_concurrently` runs independent calls
 on the caller's thread and one helper thread, and :func:`_in_two_processes`
-shares calls that spend most of their time in the interpreter out between
+shares calls that run public functions or spend most of their time in the
+interpreter (the CLI's trials, the oracle sweep's grid points) out between
 the process and a forked copy of it, when :data:`_TWO_CPUS` allows it: a
 spare CPU and a managed BLAS, held at one thread.  A one-thread BLAS gives each
 call the bits it has alone, so results do not depend on the thread or
@@ -102,7 +103,7 @@ _pin_saved: list[int] = []
 def _one_blas_thread():
     """Hold every managed OpenBLAS build at one thread; also a decorator.
 
-    Holders are counted, so trials on worker threads may enter and leave in
+    Holders are counted, so calls on several threads may enter and leave in
     any order: the first holder sets the counts to one and the last restores
     the counts the first found, also when the call raised.
     """
@@ -173,7 +174,9 @@ def _in_two_processes(calls: Sequence[Callable[[], _T]]) -> list[_T]:
     process and a forked copy of it.
 
     For calls that spend most of their time in the interpreter, which two
-    threads would take in turns under the GIL.  If :data:`_TWO_CPUS`
+    threads would take in turns under the GIL, and for calls that run public
+    functions, which the helper thread of :func:`_concurrently` must not
+    (whole trials of the CLI).  If :data:`_TWO_CPUS`
     allows it, the platform forks and no other Python thread runs (a lock
     another thread holds would stay locked in the child), the child makes
     the calls at odd positions and sends their pickled results back through
@@ -284,10 +287,6 @@ class DenseMatrix:
         if check_finite and not all_finite(a):
             raise ValueError("matrix contains non-finite entries")
         return cls(a)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, precision: Precision = Precision.BINARY64) -> "DenseMatrix":
-        return cls(np.zeros((rows, cols), dtype=precision.dtype))
 
     @property
     def rows(self) -> int:

@@ -65,9 +65,6 @@ class SeedSpec:
     stream: Stream
     trial: int = 0
 
-    def with_trial(self, trial: int) -> "SeedSpec":
-        return SeedSpec(self.base_seed, self.stream, trial)
-
 
 def stream_seed(spec: SeedSpec) -> int:
     """The frozen 64-bit mixer: fold stream tag and trial into the base seed.

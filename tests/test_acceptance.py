@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from sketchpower import bench_cli, metrics, synthetic
+from sketchpower import bench_cli, matrix_core, metrics, synthetic
 from sketchpower.approximators import (
     rsvd_onepass,
     tyuc17,
@@ -321,7 +321,7 @@ def test_criterion_09_sparse_embedding_close_to_gaussian():
 
 def test_criterion_10_one_pass_and_determinism(tmp_path, monkeypatch):
     """Block-streamed ingestion equals one-shot; equal seeds give
-    byte-identical CSV across runs and worker-pool sizes."""
+    byte-identical CSV across runs, with or without a forked child."""
     t0 = time.time()
     rng = np.random.default_rng(1010)
     a = rng.standard_normal((120, 90))
@@ -341,10 +341,11 @@ def test_criterion_10_one_pass_and_determinism(tmp_path, monkeypatch):
             "--q", "1", "--budget", "30", "--trials", "4", "--guidance", "auto",
             "--m", "100", "--n", "100", "--base-seed", "21"]
     outs = []
-    for i, workers in enumerate(("1", "1", "3")):
-        monkeypatch.setenv("SKETCHPOWER_WORKERS", workers)
+    gate = matrix_core._TWO_CPUS
+    for i, two_cpus in enumerate((gate, gate, not gate)):
+        monkeypatch.setattr(matrix_core, "_TWO_CPUS", two_cpus)
         path = tmp_path / f"det{i}.csv"
         assert bench_cli.main(args + ["--out", str(path)]) == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1] == outs[2]
-    _report(10, t0, "streamed == one-shot at 1e-12; CSV byte-identical across runs and pools")
+    _report(10, t0, "streamed == one-shot at 1e-12; CSV byte-identical across runs and schedules")

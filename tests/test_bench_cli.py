@@ -1,3 +1,4 @@
+import argparse
 import csv
 import importlib
 import json
@@ -37,16 +38,6 @@ def test_run_csv_schema_and_determinism(tmp_path):
     assert rows[1][0] == "tyuc17_spi"
     assert [row[10] for row in rows[1:]] == ["0", "1", "2", "mean", "std"]
     assert all(row[-1] == "" for row in rows[1:])  # wall_ms empty without --timing
-
-
-def test_worker_pool_does_not_change_bytes(tmp_path, monkeypatch):
-    args = ["run", "--data", "lowrank", "--gamma", "0.01", "--rank", "3", "--algo", "tyuc17",
-            "--s", "6", "--d", "14", "--trials", "4", "--m", "60", "--n", "50"]
-    monkeypatch.setenv("SKETCHPOWER_WORKERS", "1")
-    _, b1 = _run_cli(args, tmp_path / "w1.csv")
-    monkeypatch.setenv("SKETCHPOWER_WORKERS", "4")
-    _, b4 = _run_cli(args, tmp_path / "w4.csv")
-    assert b1 == b4
 
 
 def test_rsvd_exact_recovery_example(tmp_path):
@@ -132,7 +123,7 @@ def test_spectrum_of_a_file_is_the_one_run_classifies(tmp_path):
     write_spim(path, DenseMatrix(np.random.default_rng(4).standard_normal((300, 200))))
     _run_cli(["spectrum", "--data", "file", "--file", str(path)], tmp_path / "sp.csv")
     rows = list(csv.DictReader((tmp_path / "sp.csv").read_text().splitlines()))
-    sv = bench_cli._load_file(bench_cli.RunConfig(algo="tyuc17", data="file", file=str(path)))[2]
+    sv = bench_cli._load_file(argparse.Namespace(file=str(path)))[2]
     assert [r["sigma"] for r in rows] == [bench_cli._fmt(float(v)) for v in sv]
 
 
@@ -294,15 +285,6 @@ def test_console_entry_point_runs():
     assert proc.stdout.startswith(",".join(bench_cli.CSV_HEADER[:3]))
 
 
-def test_workers_variable_must_be_a_positive_integer(monkeypatch):
-    args = ["run", "--data", "poly", "--rank", "3", "--algo", "tyuc17", "--s", "6", "--d", "14",
-            "--trials", "1", "--m", "40", "--n", "40"]
-    for value in ("abc", "0", "-1", "1.5", ""):
-        monkeypatch.setenv("SKETCHPOWER_WORKERS", value)
-        with pytest.raises(SystemExit, match="SKETCHPOWER_WORKERS"):
-            bench_cli.main(args)
-
-
 @pytest.mark.parametrize("precision", ["double", "mixed"])
 @pytest.mark.parametrize("kind", [k.value for k in PipelineKind])
 def test_auto_sizes_store_at_most_the_budget(kind, precision, capsys):
@@ -357,16 +339,16 @@ def test_budget_must_be_positive_and_finite(command, budget):
                         "--m", "40", "--n", "40", "--rank", "3", "--trials", "1"])
 
 
-def test_csv_depends_neither_on_workers_nor_on_the_blas_thread_count():
+def test_csv_does_not_depend_on_the_blas_thread_count():
     # The library holds BLAS at one thread whatever the environment says, and
-    # on two or more CPUs builds the data factors and evaluates on helper
-    # threads inside each trial's worker thread.
+    # on two or more CPUs shares the trials with a forked child and builds
+    # the data factors on a helper thread inside each trial.
     src = str(Path(bench_cli.__file__).resolve().parents[1])
     base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
-    for blas, workers in (("1", "1"), ("1", "3"), (None, "1")):
-        env = {**base, "SKETCHPOWER_WORKERS": workers}
+    for blas in ("1", "3", None):
+        env = dict(base)
         if blas is not None:
             env.update(OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas)
         proc = subprocess.run(
@@ -379,26 +361,32 @@ def test_csv_depends_neither_on_workers_nor_on_the_blas_thread_count():
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-@pytest.mark.parametrize("algo", ["tyuc17_spi", "tyuc19"])
-def test_csv_bytes_do_not_depend_on_the_helper_thread(algo, tmp_path, monkeypatch):
-    # The data's two factors are built on two threads and the sweep's grid
-    # points shared with a child; tyuc19 has no range/extra split, so its
-    # cells stay empty.
-    run = ["run", "--algo", algo, "--data", "lowrank", "--m", "300", "--n", "200", "--budget", "40",
-           "--guidance", "auto", "--trials", "3", "--rank", "5"]
+_AUTO_300 = ["--data", "lowrank", "--m", "300", "--n", "200", "--budget", "40", "--guidance", "auto",
+             "--trials", "3", "--rank", "5"]
+
+
+@pytest.mark.parametrize("algo, args", [
+    ("tyuc17_spi", _AUTO_300),
+    ("tyuc19", _AUTO_300),
+    ("tyuc17", ["--data", "lowrank", "--gamma", "0.01", "--rank", "3", "--s", "6", "--d", "14",
+                "--trials", "4", "--m", "60", "--n", "50"]),
+], ids=["tyuc17_spi", "tyuc19", "tyuc17"])
+def test_csv_bytes_do_not_depend_on_the_helper_thread(algo, args, tmp_path, monkeypatch):
+    # The data's two factors are built on two threads, and the run's trials
+    # and the sweep's grid points shared with a child; tyuc19 has no
+    # range/extra split, so its cells stay empty.
+    run = ["run", "--algo", algo, *args]
     sweep = ["sweep", "--algo", "tyuc17_spi", "--data", "poly", "--alpha", "2", "--m", "120", "--n", "120",
              "--budget", "40", "--trials", "2", "--rank", "5", "--test-matrix", "gaussian"]
     outputs = set()
     for gate in (False, True):
         monkeypatch.setattr(matrix_core, "_TWO_CPUS", gate)
-        for workers in ("1", "3"):
-            monkeypatch.setenv("SKETCHPOWER_WORKERS", workers)
-            outputs.add((_run_cli(run, tmp_path / "run.csv"), _run_cli(sweep, tmp_path / "sweep.csv")))
+        outputs.add((_run_cli(run, tmp_path / "run.csv"), _run_cli(sweep, tmp_path / "sweep.csv")))
     assert len(outputs) == 1
     (rc_run, run_csv), (rc_sweep, _) = outputs.pop()
     assert rc_run == rc_sweep == 0
     cells = [row[14] for row in csv.reader(run_csv.decode().splitlines()[1:])]
-    assert all(cells) if algo == "tyuc17_spi" else not any(cells)
+    assert all(cells) if algo != "tyuc19" else not any(cells)
 
 
 def test_parser_built_once_gives_the_bytes_of_fresh_parsers(tmp_path, monkeypatch):
@@ -427,11 +415,9 @@ def test_public_functions_are_never_open_on_two_threads_at_once(command, tmp_pat
     # open calls, so the helper thread must not enter one while another
     # thread is inside one: it takes only private code, NumPy/SciPy kernels
     # and the leaf helpers, which call no other function of the package.
-    # (The sweep's grid points are shared with a forked child process, whose
-    # calls a profiler of this process does not see.)
+    # (The run's trials and the sweep's grid points are shared with a forked
+    # child process, whose calls a profiler of this process does not see.)
     leaves = {"as_f64", "all_finite", "binary_exponent", "fro_norm", "stream_seed", "rng_for"}
-    monkeypatch.setattr(matrix_core, "_TWO_CPUS", True)
-    monkeypatch.delenv("SKETCHPOWER_WORKERS", raising=False)
     lock, depth, overlaps = threading.Lock(), {}, []
 
     def wrap(fn):
@@ -474,7 +460,60 @@ def test_public_functions_are_never_open_on_two_threads_at_once(command, tmp_pat
                     "--budget", "40", "--guidance", "auto", "--trials", "2", "--rank", "5"],
             "sweep": ["sweep", "--algo", "tyuc17_spi", "--data", "poly", "--alpha", "2", "--m", "120",
                       "--n", "120", "--budget", "40", "--trials", "2", "--rank", "5"]}[command]
-    rc, _ = _run_cli(args, tmp_path / "out.csv")
-    assert rc == 0
-    assert overlaps == []
-    assert bool(forks) is (command == "sweep")  # the sweep's grid points were shared with a child
+    for gate in (True, False):
+        monkeypatch.setattr(matrix_core, "_TWO_CPUS", gate)
+        forks.clear()
+        rc, _ = _run_cli(args, tmp_path / "out.csv")
+        assert rc == 0
+        assert overlaps == []
+        assert bool(forks) is gate  # the trials or grid points were shared with a child
+
+
+@pytest.mark.parametrize("gate", [True, False])
+def test_a_failing_trial_is_reported_and_the_others_written(gate, tmp_path, monkeypatch, capsys):
+    # Trial 1 is the forked child's share; its exception cannot be pickled,
+    # so only its message comes back.
+    class Unpicklable(Exception):
+        pass
+
+    open_stream = bench_cli.open_stream
+
+    def failing_at_trial_1(*args, trial, **kwargs):
+        if trial == 1:
+            raise Unpicklable("made to fail")
+        return open_stream(*args, trial=trial, **kwargs)
+
+    monkeypatch.setattr(bench_cli, "open_stream", failing_at_trial_1)
+    monkeypatch.setattr(matrix_core, "_TWO_CPUS", gate)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    args = ["run", "--algo", "tyuc17", "--data", "poly", "--rank", "3", "--s", "6", "--d", "14",
+            "--trials", "4", "--m", "60", "--n", "50"]
+    rc, out = _run_cli(args, tmp_path / "f.csv")
+    assert rc == 1
+    assert bool(forks) is gate
+    assert capsys.readouterr().err == "trial 1 failed: made to fail\n"
+    rows = list(csv.reader(out.decode().splitlines()))
+    assert [row[10] for row in rows[1:]] == ["0", "2", "3", "mean", "std"]
+    assert all(row[12] for row in rows[1:])
+
+
+@pytest.mark.parametrize("argv, problem", [
+    (["--algo", "tyuc17_spi", "--budget", "5"], "minimal feasible T is 6"),
+    (["--algo", "rsvd_onepass", "--budget", "30"], "not rsvd_onepass"),
+])
+def test_sweep_refuses_what_the_oracle_sweep_cannot_run(argv, problem, capsys):
+    with pytest.raises(SystemExit, match=f"sweep: .*{problem}"):
+        bench_cli.main(["sweep", *argv, "--m", "60", "--n", "60", "--rank", "3"])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "ledger"])
+def test_auto_guidance_refuses_a_file_spectrum_it_cannot_classify(command, tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    path = tmp_path / "rank5.spim"
+    write_spim(path, DenseMatrix(rng.standard_normal((60, 5)) @ rng.standard_normal((5, 40))))
+    with pytest.raises(SystemExit, match=f"--guidance auto .*{path}.*got 5"):
+        bench_cli.main([command, "--data", "file", "--file", str(path), "--guidance", "auto",
+                        "--budget", "20", "--rank", "3"])
+    assert capsys.readouterr().out == ""
