@@ -222,7 +222,12 @@ def run(args: argparse.Namespace) -> int:
 
 
 def run_sweep(args: argparse.Namespace) -> int:
-    """Oracle sweep over s at fixed budget; marks the oracle and guided rows."""
+    """Oracle sweep over s at fixed budget; marks the oracle and guided rows.
+
+    If ``--guidance auto`` cannot resolve sizes at the budget (the grid may
+    still be affordable), the table is written without a guided row, ``run``'s
+    message follows on stderr and the exit status is 1.
+    """
     if args.budget is None:
         raise SystemExit("sweep requires --budget")
     if args.data == "file":
@@ -237,9 +242,9 @@ def run_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(f"sweep: {exc}")
     try:
-        guided = _auto_sizes(args, kind, plan, None)
-    except SystemExit:
-        guided = None
+        guided, unguided = _auto_sizes(args, kind, plan, None), None
+    except SystemExit as exc:
+        guided, unguided = None, exc.code
     best = table.best()
     lines = [SWEEP_HEADER] + [
         [row.s, row.d or "", row.l or "", row.q, _fmt(row.mean_s_f), _fmt(row.mean_s_inf),
@@ -247,6 +252,9 @@ def run_sweep(args: argparse.Namespace) -> int:
         for row in table.rows
     ]
     _emit(lines, args.out)
+    if unguided is not None:
+        print(f"no guided row: {unguided}", file=sys.stderr)
+        return 1
     return 0
 
 

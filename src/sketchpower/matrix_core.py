@@ -1,11 +1,13 @@
 """Dense-matrix contract and the three numerical kernels everything else uses.
 
-The kernels (economy QR, truncated SVD, least-squares via pseudoinverse) run
-exclusively in binary64; binary32 exists only as a *storage* precision.  A
-tall binary32 matrix, held whole or read in pieces, is taken one row chunk
-at a time (:func:`_row_chunks`), each chunk upcast into a reused binary64
-buffer, so no binary64 copy of the whole matrix is made; small matrices are
-upcast whole.  :func:`qr_economy` factors a matrix its caller hands over in
+The kernels (economy QR; truncated SVD, through a QR first for a matrix at
+least twice as long as it is wide; least squares by a QR and one triangular
+solve, or by the pseudoinverse when ill conditioned) run exclusively in
+binary64; binary32 exists only as a *storage* precision.  A tall binary32
+matrix, held whole or read in pieces, is taken one row chunk at a time
+(:func:`_row_chunks`), each chunk upcast into a reused binary64 buffer, so
+no binary64 copy of the whole matrix is made; small matrices are upcast
+whole.  :func:`qr_economy` factors a matrix its caller hands over in
 place.  Rank deficiency and ill conditioning are reported through flags on
 the result objects, never as exceptions: the caller decides what to do.
 
@@ -453,6 +455,11 @@ def qr_economy(m, overwrite: bool = False) -> QrResult:
 def svd_truncated(m, r: int) -> TruncatedSvd:
     """The r leading singular triplets of M; the best rank-r approximation.
 
+    A k x n matrix with n >= 2k (the oblique finishers' B) is first reduced
+    by a thin QR of its long side, M^T = Q R, and the SVD is taken of the
+    k x k factor: R = X S Y^T gives u = Y and v = Q X, in O(k^2 n) flops
+    (likewise M = Q R for a tall M).  Near-square matrices (the two-sided
+    core) go to the SVD directly.
     Ties ``sigma_r == sigma_{r+1}`` return one valid subspace; callers that
     compare subspaces must use gap-separated spectra.
     """
@@ -461,22 +468,34 @@ def svd_truncated(m, r: int) -> TruncatedSvd:
         raise ValueError(f"truncation rank must be >= 1, got {r}")
     if r > min(a.shape):
         raise ValueError(f"truncation rank {r} exceeds min(shape)={min(a.shape)}")
-    u, s, vt = la.svd(a, full_matrices=False, check_finite=False)
-    return TruncatedSvd(u=u[:, :r], s=s[:r], v=vt[:r].T)
+    if max(a.shape) < 2 * min(a.shape):
+        u, s, vt = la.svd(a, full_matrices=False, check_finite=False)
+        return TruncatedSvd(u=u[:, :r], s=s[:r], v=vt[:r].T)
+    wide = a.shape[0] < a.shape[1]
+    q, f = la.qr(a.T if wide else a, mode="economic", check_finite=False)
+    x, s, yt = la.svd(f, check_finite=False)
+    long_side, short_side = q @ x[:, :r], yt[:r].T
+    u, v = (short_side, long_side) if wide else (long_side, short_side)
+    return TruncatedSvd(u=u, s=s[:r], v=v)
 
 
 def lstsq(c, rhs) -> LstsqResult:
     """Minimize ||C X - Rhs||_F; equals pinv(C) @ Rhs.
 
-    If the smallest singular value of C is below ``LSTSQ_COND_TOL`` times the
-    largest, the minimum-norm solution is returned and ``ill_conditioned`` is
-    set.
+    C (d x s) is factored by a thin QR, C = Q R, and the singular values of
+    the s x s R, which are C's, give the flag: ``ill_conditioned`` is set if
+    the smallest is below ``LSTSQ_COND_TOL`` times the largest, or C is zero.
+    Otherwise X solves R X = Q^T Rhs by one triangular solve, in O(s^2 n)
+    flops for n right-hand sides.  A flagged system gets the minimum-norm
+    solution of ``np.linalg.lstsq`` at ``rcond=LSTSQ_COND_TOL``.
     """
     a = _require_f64(c, "C")
     b = _require_f64(rhs, "Rhs")
     if a.shape[0] < a.shape[1]:
         raise ValueError(f"lstsq expects rows >= cols, got {a.shape}")
-    x, _, _, sv = np.linalg.lstsq(a, b, rcond=LSTSQ_COND_TOL)
+    q, r = la.qr(a, mode="economic", check_finite=False)
+    sv = la.svdvals(r, check_finite=False)
     smax = sv[0] if sv.size else 0.0
-    flag = bool(smax == 0.0 or sv[-1] < LSTSQ_COND_TOL * smax)
-    return LstsqResult(x=x, ill_conditioned=flag)
+    if smax == 0.0 or sv[-1] < LSTSQ_COND_TOL * smax:
+        return LstsqResult(x=np.linalg.lstsq(a, b, rcond=LSTSQ_COND_TOL)[0], ill_conditioned=True)
+    return LstsqResult(x=la.solve_triangular(r, q.T @ b, check_finite=False), ill_conditioned=False)

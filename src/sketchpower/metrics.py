@@ -27,8 +27,8 @@ from . import guidance, synthetic
 from .approximators import ApproxResult, approximate
 from .matrix_core import _in_two_processes, _one_blas_thread, as_f64, binary_exponent, fro_norm, lstsq
 from .spi import SpiParams
-from .stream_ingest import LinearUpdate, PipelineKind, open_stream
-from .test_matrices import GAUSSIAN, TestMatrixKind
+from .stream_ingest import LinearUpdate, PipelineKind, _test_matrix_seed, open_stream
+from .test_matrices import GAUSSIAN, TestMatrixKind, _drawn_once
 from .precision_model import PIPELINES, PrecisionPlan
 
 __all__ = [
@@ -474,8 +474,11 @@ def oracle_sweep(
     budget rule (:func:`guidance.budget_sizes` with s given) until the sizes
     no longer fit; the best row is the oracle error at that budget.
     Supports the plain two-sketch pipeline and its powered version, under
-    either plan.  The grid points of a trial are shared out between this
-    process and a forked copy of it
+    either plan.  With Gaussian test matrices each stream is drawn once a
+    trial, at the largest size on the grid, and every point takes its test
+    matrices as prefixes of those draws, with the bits of their own draws
+    (:func:`~sketchpower.test_matrices._drawn_once`).  The grid points of a
+    trial are shared out between this process and a forked copy of it
     (:func:`~sketchpower.matrix_core._in_two_processes`): a point is mostly
     interpreter work on small arrays, which two threads would take in turns.
     Their errors are summed in grid order, so the means do not depend on
@@ -485,9 +488,10 @@ def oracle_sweep(
         raise ValueError(f"oracle sweep supports the two-sketch pipelines, not {algo.value}")
     if trials < 1:
         raise ValueError(f"oracle sweep needs at least one trial, got {trials}")
+    pipeline = PIPELINES[algo.value]
     if plan is None:
-        plan = PIPELINES[algo.value].default_plan
-    q_list = sorted(set(q_set)) if PIPELINES[algo.value].uses("l") else [0]
+        plan = pipeline.default_plan
+    q_list = sorted(set(q_set)) if pipeline.uses("l") else [0]
     grid = []
     for s in itertools.count(r):
         try:
@@ -505,6 +509,14 @@ def oracle_sweep(
         sk = stream.ingest(LinearUpdate.row_block(0, a)).finalize()
         return [relative_error(a, approximate(sk, r, SpiParams(q=q)), r, baselines=base) for q in q_list]
 
+    # Every point's Gaussian test matrix of a stream is a prefix of the
+    # stream's longest one on the grid, so each stream is drawn once a trial.
+    longest: dict[str, int] = {}
+    if test_kind.variant == "gaussian":
+        for sizes in grid:
+            shapes = pipeline.shapes(data_spec.m, data_spec.n, *sizes)
+            for name, _ in pipeline.test_matrices:
+                longest[name] = max(longest.get(name, 0), math.prod(shapes[name]))
     sums: dict[tuple[int, int], np.ndarray] = {
         (s, q): np.zeros(2) for (s, _, _) in grid for q in q_list
     }
@@ -512,7 +524,9 @@ def oracle_sweep(
         spec = data_spec.with_trial(trial)
         a = synthetic.generate(spec).data
         base = spec_baselines(spec, a, r)
-        errors = _in_two_processes([functools.partial(point, a, base, trial, *sizes) for sizes in grid])
+        draws = {_test_matrix_seed(name, data_spec.base_seed, trial): n for name, n in longest.items()}
+        with _drawn_once(draws):
+            errors = _in_two_processes([functools.partial(point, a, base, trial, *sizes) for sizes in grid])
         for (s, _, _), rels in zip(grid, errors):
             for q, rel in zip(q_list, rels):
                 sums[(s, q)] += (rel.s_f, rel.s_inf)

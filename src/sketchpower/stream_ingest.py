@@ -195,6 +195,11 @@ def _columns(t, a: int, b: int):
     return scipy.sparse.csc_array((t.data[p:q], t.indices[p:q], t.indptr[a : b + 1] - p), shape=(t.shape[0], b - a))
 
 
+def _test_matrix_seed(name: str, base_seed: int, trial: int) -> SeedSpec:
+    """The seeded stream a stream's test matrix ``name`` is drawn from."""
+    return SeedSpec(base_seed, Stream[name.upper()], trial)
+
+
 class SketchStream:
     """Single-writer accumulator for one pass over the data matrix.
 
@@ -233,7 +238,7 @@ class SketchStream:
         sparse = test_kind.variant != "gaussian"
         self._t = {}
         for name, _ in spec.test_matrices:
-            t = generate(test_kind, *shapes[name], SeedSpec(base_seed, Stream[name.upper()], trial), sparse=sparse)
+            t = generate(test_kind, *shapes[name], _test_matrix_seed(name, base_seed, trial), sparse=sparse)
             self._t[name] = t if sparse else t.data
         self._sk = {
             sk.name: np.zeros(shapes[sk.name], dtype=spec.precision(sk.name, plan).dtype)

@@ -508,6 +508,22 @@ def test_sweep_refuses_what_the_oracle_sweep_cannot_run(argv, problem, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_sweep_without_a_guided_row_writes_the_table_and_fails_with_runs_message(tmp_path, capsys):
+    """An affordable grid whose budget ``--guidance auto`` cannot resolve
+    still gets its table, with an oracle row and no guided row; the exit
+    status is 1 and stderr carries the message ``run`` exits with."""
+    argv = ["--algo", "tyuc17_spi", "--budget", "6", "--m", "60", "--n", "60", "--rank", "3", "--trials", "1"]
+    rc, out = _run_cli(["sweep", *argv], tmp_path / "s.csv")
+    err = capsys.readouterr().err
+    rows = list(csv.DictReader(out.decode().splitlines()))
+    assert rc == 1 and rows
+    assert [r["is_oracle"] for r in rows].count("1") == 1 and all(r["is_guided"] == "0" for r in rows)
+    with pytest.raises(SystemExit) as run_exit:
+        bench_cli.main(["run", *argv, "--guidance", "auto"])
+    assert "minimal feasible T is 7" in str(run_exit.value.code)
+    assert err == f"no guided row: {run_exit.value.code}\n"
+
+
 @pytest.mark.parametrize("command", ["run", "ledger"])
 def test_auto_guidance_refuses_a_file_spectrum_it_cannot_classify(command, tmp_path, capsys):
     rng = np.random.default_rng(5)

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from sketchpower import matrix_core
 from sketchpower.matrix_core import (
@@ -175,6 +176,105 @@ def test_lstsq_deficient_minimum_norm():
     res = lstsq(c, rhs)
     assert res.ill_conditioned
     assert np.isfinite(res.x).all()
+
+
+def _with_spectrum(rng, rows, cols, sv):
+    """A rows x cols matrix with singular values sv (len(sv) <= min(rows, cols))."""
+    u = np.linalg.qr(rng.standard_normal((rows, len(sv))))[0]
+    v = np.linalg.qr(rng.standard_normal((cols, len(sv))))[0]
+    return (u * sv) @ v.T
+
+
+@pytest.mark.parametrize("cond", [1e1, 1e4, 1e8])
+@pytest.mark.parametrize("d, s, n", [(62, 38, 400), (72, 24, 100), (9, 9, 3)])
+def test_lstsq_agrees_with_the_pseudoinverse_solve(d, s, n, cond):
+    """On full-rank systems the QR solve and gelsd agree within
+    c * eps * cond(C) * (1 + cond(C) ||Rhs - C X|| / (||C|| ||X||)), with
+    c = 10 d: both are backward stable, and this is the least-squares
+    perturbation bound (the second term vanishes on consistent systems)."""
+    rng = np.random.default_rng(int(cond) + d)
+    c = _with_spectrum(rng, d, s, np.geomspace(1.0, 1.0 / cond, s))
+    eps = np.finfo(np.float64).eps
+    for rhs in (c @ rng.standard_normal((s, n)), rng.standard_normal((d, n))):
+        got = lstsq(c, rhs)
+        want = np.linalg.lstsq(c, rhs, rcond=None)[0]
+        assert not got.ill_conditioned
+        resid = np.linalg.norm(rhs - c @ want) / (np.linalg.norm(c, 2) * np.linalg.norm(want))
+        bound = 10 * d * eps * cond * (1.0 + cond * resid)
+        assert np.linalg.norm(got.x - want) <= bound * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("ratio, flagged", [(1e-10, False), (1e-11, False), (3e-12, False), (3e-13, True),
+                                            (1e-13, True), (1e-14, True)])
+def test_lstsq_flag_is_the_singular_value_test_of_c(ratio, flagged):
+    """The flag is raised where sigma_min(C) < LSTSQ_COND_TOL sigma_max(C),
+    the test on C's singular values, taken here from a dense SVD of C."""
+    rng = np.random.default_rng(12)
+    c = _with_spectrum(rng, 40, 12, np.geomspace(1.0, ratio, 12))
+    sv = np.linalg.svd(c, compute_uv=False)
+    assert bool(sv[-1] < matrix_core.LSTSQ_COND_TOL * sv[0]) is flagged
+    assert lstsq(c, rng.standard_normal((40, 5))).ill_conditioned is flagged
+
+
+@pytest.mark.parametrize("case", ["cond 1e14", "rank deficient", "zero"])
+def test_a_flagged_solve_returns_the_minimum_norm_bits(case):
+    rng = np.random.default_rng(13)
+    if case == "cond 1e14":
+        c = _with_spectrum(rng, 30, 8, np.geomspace(1.0, 1e-14, 8))
+    elif case == "rank deficient":
+        c = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 8))
+    else:
+        c = np.zeros((30, 8))
+    rhs = rng.standard_normal((30, 50))
+    res = lstsq(c, rhs)
+    assert res.ill_conditioned
+    assert res.x.tobytes() == np.linalg.lstsq(c, rhs, rcond=matrix_core.LSTSQ_COND_TOL)[0].tobytes()
+
+
+def test_a_full_rank_solve_runs_no_pseudoinverse(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called on a full-rank system")
+
+    rng = np.random.default_rng(14)
+    c, rhs = rng.standard_normal((62, 38)), rng.standard_normal((62, 400))
+    want = lstsq(c, rhs).x
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    res = lstsq(c, rhs)
+    assert not res.ill_conditioned and res.x.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rank", [None, 6], ids=["full", "deficient"])
+@pytest.mark.parametrize("r", [4, 8])
+@pytest.mark.parametrize("shape", [(24, 400), (400, 24), (30, 40), (40, 30), (12, 12), (10, 20)],
+                         ids=lambda sh: f"{sh[0]}x{sh[1]}")
+def test_svd_truncated_on_every_shape(shape, r, rank):
+    """Wide, tall and near-square inputs, of full rank or not: orthonormal
+    u and v, the leading singular values of a dense ``svdvals`` and the
+    rank-r residual at sigma_{r+1}, all to roundoff."""
+    rng = np.random.default_rng(15)
+    k = min(shape)
+    sv = np.geomspace(1.0, 1e-3, k)
+    if rank is not None:
+        sv[rank:] = 0.0
+    m = _with_spectrum(rng, *shape, sv)
+    res = svd_truncated(m, r)
+    tol = 50 * max(shape) * np.finfo(np.float64).eps
+    assert res.u.shape == (shape[0], r) and res.v.shape == (shape[1], r)
+    assert np.linalg.norm(res.u.T @ res.u - np.eye(r)) <= tol
+    assert np.linalg.norm(res.v.T @ res.v - np.eye(r)) <= tol
+    want = la.svdvals(m)
+    assert np.max(np.abs(res.s - want[:r])) <= tol * want[0]
+    assert abs(np.linalg.norm(m - res.reconstruct(), 2) - want[r]) <= tol * want[0]
+
+
+def test_svd_truncated_near_square_is_the_direct_svd():
+    """Below the 2x aspect ratio (the two-sided core) the factors are the
+    ones of ``la.svd``, bit for bit."""
+    m = np.random.default_rng(16).standard_normal((30, 59))
+    u, s, vt = la.svd(m, full_matrices=False)
+    res = svd_truncated(m, 5)
+    assert res.u.tobytes() == u[:, :5].tobytes() and res.s.tobytes() == s[:5].tobytes()
+    assert res.v.tobytes() == vt[:5].T.tobytes()
 
 
 def test_dense_matrix_contract():

@@ -1,6 +1,9 @@
+import contextlib
+import gc
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ import scipy.linalg as la
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchpower import matrix_core, metrics
+from sketchpower import matrix_core, metrics, test_matrices
 from sketchpower.approximators import approximate, rsvd_onepass, tyuc17, tyuc19
 from sketchpower.matrix_core import lstsq
 from sketchpower.metrics import (
@@ -30,6 +33,7 @@ from sketchpower.precision_model import PrecisionPlan
 from sketchpower.spi import SpiParams
 from sketchpower.stream_ingest import LinearUpdate, PipelineKind, open_stream
 from sketchpower.synthetic import Family, SyntheticSpec, generate
+from sketchpower.test_matrices import TestMatrixKind
 
 
 def _noisy_lowrank(m, n, r, seed, noise=0.02):
@@ -312,6 +316,67 @@ def test_oracle_sweep_means_are_the_serial_sums_of_dense_ingests(concurrent, mon
     for row in table.rows:
         mean = sums[(row.s, row.q)] / 3
         assert (row.mean_s_f, row.mean_s_inf) == (float(mean[0]), float(mean[1]))
+
+
+def _spy_on_shared_draws(monkeypatch):
+    """Weak references to each trial's shared draws, by stream name."""
+    seen, real = [], metrics._drawn_once
+
+    @contextlib.contextmanager
+    def spy(counts):
+        with real(counts):
+            seen.append({seed.stream.name: weakref.ref(test_matrices._drawn[seed]) for seed in counts})
+            yield
+
+    monkeypatch.setattr(metrics, "_drawn_once", spy)
+    return seen
+
+
+_SWEEP_SPEC = SyntheticSpec(Family.POLY_DECAY, m=80, n=60, plateau=5, alpha=2.0, base_seed=21)
+
+
+def _sweep_bytes(table):
+    return [(row.s, row.d, row.l, row.q, row.mean_s_f.hex(), row.mean_s_inf.hex()) for row in table.rows]
+
+
+@pytest.mark.parametrize("variant", ["gaussian", "sparse_sign"])
+@pytest.mark.parametrize("concurrent", [False, True])
+def test_oracle_sweep_shares_each_gaussian_draw_of_a_trial_without_moving_a_bit(variant, concurrent, monkeypatch):
+    """Each trial draws every Gaussian stream once, at its longest size on
+    the grid (a sparse kind draws nothing ahead); the table has the bytes
+    of a sweep whose points draw their own test matrices, in one process or
+    two, and no draw outlives its trial."""
+    monkeypatch.setattr(matrix_core, "_TWO_CPUS", concurrent)
+    kind = TestMatrixKind(variant, 0.2)
+
+    def sweep():
+        return _sweep_bytes(oracle_sweep(_SWEEP_SPEC, PipelineKind.TYUC17_SPI, budget_t=24.0, r=4,
+                                         q_set=(0, 1), trials=2, test_kind=kind))
+
+    seen = _spy_on_shared_draws(monkeypatch)
+    shared = sweep()
+    gc.collect()
+    assert len(seen) == 2 and test_matrices._drawn == {}
+    assert all(set(refs) == ({"OMEGA", "PSI", "PHI"} if variant == "gaussian" else set()) for refs in seen)
+    assert all(ref() is None for refs in seen for ref in refs.values())
+    monkeypatch.setattr(metrics, "_drawn_once", lambda counts: contextlib.nullcontext())
+    assert sweep() == shared
+
+
+@pytest.mark.parametrize("concurrent", [False, True])
+def test_oracle_sweep_drops_its_draws_when_a_point_raises(concurrent, monkeypatch):
+    monkeypatch.setattr(matrix_core, "_TWO_CPUS", concurrent)
+    seen = _spy_on_shared_draws(monkeypatch)
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("made to fail")
+
+    monkeypatch.setattr(metrics, "relative_error", fail)
+    with pytest.raises(RuntimeError, match="made to fail"):
+        oracle_sweep(_SWEEP_SPEC, PipelineKind.TYUC17_SPI, budget_t=24.0, r=4, trials=2)
+    gc.collect()
+    assert len(seen) == 1 and set(seen[0]) == {"OMEGA", "PSI", "PHI"}
+    assert test_matrices._drawn == {} and seen[0]["OMEGA"]() is None
 
 
 @pytest.mark.parametrize("trials", [0, -1])
