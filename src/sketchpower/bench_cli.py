@@ -73,10 +73,13 @@ def _dataset_spec(args: argparse.Namespace) -> Optional[synthetic.SyntheticSpec]
         "poly": synthetic.Family.POLY_DECAY,
         "exp": synthetic.Family.EXP_DECAY,
     }[args.data]
-    return synthetic.SyntheticSpec(
-        family=family, m=args.m, n=args.n, plateau=args.plateau,
-        alpha=args.alpha, snr=args.gamma, base_seed=args.base_seed,
-    )
+    try:
+        return synthetic.SyntheticSpec(
+            family=family, m=args.m, n=args.n, plateau=args.plateau,
+            alpha=args.alpha, snr=args.gamma, base_seed=args.base_seed,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"invalid dataset: {exc}")
 
 
 def _spectrum_class(args: argparse.Namespace, file_sv: Optional[np.ndarray]) -> guidance.SpectrumClass:
@@ -146,10 +149,9 @@ def _run_one_trial(args, kind, plan, sizes, trial, shared_a, shared_base):
         s, d, l = sizes
         if shared_a is None:
             spec = _dataset_spec(args).with_trial(trial)
-            a = synthetic.generate(spec).data
-            base = metrics.spec_baselines(spec, a, args.rank)
+            a, base, factors = metrics._trial_data(spec, args.rank)
         else:
-            a, base = shared_a, shared_base
+            a, base, factors = shared_a, shared_base, None
         stream = open_stream(
             kind, a.shape[0], a.shape[1], s, d, l,
             base_seed=args.base_seed, trial=trial, test_kind=_test_kind(args), plan=plan,
@@ -158,9 +160,9 @@ def _run_one_trial(args, kind, plan, sizes, trial, shared_a, shared_base):
         t0 = time.perf_counter()
         result = approximate(sk, args.rank, _spi_params(args))
         wall_ms = (time.perf_counter() - t0) * 1e3
-        rel = metrics.relative_error(a, result, args.rank, baselines=base)
+        rel = metrics.relative_error(a, result, args.rank, baselines=base, factors=factors)
         try:
-            re = metrics.range_extra_errors(a, result, args.rank, baselines=base)
+            re = metrics.range_extra_errors(a, result, args.rank, baselines=base, factors=factors)
             range_f, range_s, extra_f, extra_s = re.range_f, re.range_s, re.extra_f, re.extra_s
         except metrics.MetricUnsupportedError:
             range_f = range_s = extra_f = extra_s = None
@@ -383,6 +385,7 @@ def main(argv=None) -> int:
         raise SystemExit(f"--trials must be at least 1, got {args.trials}")
     if args.guidance_mode is None:
         args.guidance_mode = "manual" if args.s is not None else "auto"
+    _dataset_spec(args)  # a synthetic spec the generator cannot make exits here
     command = {"run": run, "sweep": run_sweep, "spectrum": emit_spectrum, "ledger": emit_ledger}
     return command[args.command](args)
 

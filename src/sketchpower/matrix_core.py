@@ -374,12 +374,12 @@ def as_f64(m) -> np.ndarray:
 
 
 def binary_exponent(x: np.ndarray) -> int:
-    """e with max|x| in [2^(e-1), 2^e); 0 for zero or non-finite x.
+    """e with max|x| in [2^(e-1), 2^e); 0 for empty, zero or non-finite x.
 
     Scaling by 2^-e is exact, so norms taken of the scaled array and scaled
     back keep their bits at ordinary scales and neither under- nor overflow.
     """
-    return math.frexp(float(max(-x.min(), x.max())))[1]
+    return math.frexp(float(max(-x.min(), x.max())))[1] if x.size else 0
 
 
 def fro_norm(x: np.ndarray) -> float:

@@ -1,14 +1,21 @@
 """Quantitative evaluation: relative errors, error-source decomposition,
-subspace angles, tail energies, distortion ratios, oracle sweeps, and
-computable evaluators for the probabilistic error bounds.
+subspace angles, tail energies, oracle sweeps, and computable evaluators for
+the probabilistic error bounds.
 
-All evaluators here materialize the data matrix; they are meant for
+All evaluators here take the data matrix whole; they are meant for
 desk-scale validation, not for the streaming path.  Per-trial evaluation
-takes no full SVD of an m x n matrix: the spectral norm of a residual comes
-from a k=1 Lanczos solve (ARPACK on the Gram operator, fixed start vector
-and restart seed), the ExtraError norms from an r x n reduction, and the
+takes no full SVD of an m x n matrix.  The spectral norm of a residual comes
+from a k=1 Lanczos solve (ARPACK on a Gram operator, fixed start vector and
+restart seed), the ExtraError norms from an r x n reduction, and the
 best-rank-r baselines of noise-free synthetic data from the spectrum the
 generator prescribes.  The values match a dense SVD to roundoff.
+
+Noise-free synthetic data comes with the generator's factors ``U0 diag(sigma)
+V0^T`` (:func:`synthetic.generate`, through :func:`_trial_data`); its residuals
+are then written in their basis, widened by the approximation's factors, as
+matrices of at most (k+r) x (k+r) that are applied from r-column factors and
+never formed, so no m x n array is made.  Files and noisy low-rank data have
+a dense m x n residual, one array that each evaluator makes and overwrites.
 """
 from __future__ import annotations
 
@@ -25,7 +32,7 @@ import scipy.sparse.linalg as spla
 
 from . import guidance, synthetic
 from .approximators import ApproxResult, approximate
-from .matrix_core import _in_two_processes, _one_blas_thread, as_f64, binary_exponent, fro_norm, lstsq
+from .matrix_core import _CHUNK, _in_two_processes, _one_blas_thread, as_f64, binary_exponent, fro_norm, lstsq
 from .spi import SpiParams
 from .stream_ingest import LinearUpdate, PipelineKind, _test_matrix_seed, open_stream
 from .test_matrices import GAUSSIAN, TestMatrixKind, _drawn_once
@@ -41,7 +48,6 @@ __all__ = [
     "range_extra_errors",
     "canonical_angle_sines",
     "tail_energy",
-    "distortion_ratio",
     "BoundInputsFro",
     "BoundInputsSpec",
     "SpectralBound",
@@ -91,7 +97,7 @@ def _baselines(a: np.ndarray, r: int) -> tuple[float, float]:
 
 @_one_blas_thread()
 def spec_baselines(spec: synthetic.SyntheticSpec, a: np.ndarray, r: int) -> tuple[float, float]:
-    """Baselines of ``a = synthetic.generate(spec).data``.
+    """Baselines of ``a = synthetic.generate(spec)[0].data``.
 
     When the generator adds no noise the spectrum of A is the prescribed one
     (to roundoff), so no SVD is taken; noisy data goes through the computed
@@ -103,34 +109,119 @@ def spec_baselines(spec: synthetic.SyntheticSpec, a: np.ndarray, r: int) -> tupl
     return baselines_from_spectrum(synthetic.prescribed_spectrum(spec), r)
 
 
-def _fro_and_spectral(x: np.ndarray) -> tuple[float, float]:
-    """(Frobenius, spectral) norm of a matrix without a full SVD.
+def _trial_data(spec: synthetic.SyntheticSpec, r: int):
+    """``(a, baselines, factors)`` of one synthetic trial: the data matrix,
+    its :func:`spec_baselines`, and the generator's factors (None for noisy
+    data), which :func:`relative_error` and :func:`range_extra_errors` take."""
+    a, factors = synthetic.generate(spec)
+    return a.data, spec_baselines(spec, a.data, r), factors
 
-    x is first scaled by the power of two nearest its largest entry (see
-    :func:`binary_exponent`), so the Frobenius norm has the bits of
-    ``np.linalg.norm(x)`` and neither norm under- or overflows.  The scaling
-    is exact and overwrites x, which the caller owns and drops.  sigma_1 is
-    ``||x v||`` for the leading eigenvector v of the smaller Gram matrix,
-    found by ARPACK's Lanczos solver (the computation ``svds(k=1)`` does).
-    ARPACK is called directly so that its restart vectors, not only its
-    start vector, come from a fixed seed: repeated calls give identical
-    bits.  Zero matrices
-    and vectors, which ARPACK rejects, are answered directly; non-finite
-    entries give non-finite norms.
+
+def _fro_and_spectral(e: int, fro: float, k: int, matvec, rmatvec) -> tuple[float, float]:
+    """(Frobenius, spectral) norm of ``x = 2^e y`` without a full SVD.
+
+    The caller scales x exactly, so that neither norm under- or overflows,
+    and passes ``fro = ||y||_F`` and the products ``v -> y v`` and
+    ``w -> y^T w`` of a y with k columns, the side of its smaller Gram matrix.
+    sigma_1 is ``||y v||`` for the leading eigenvector v of ``y^T y``, found
+    by ARPACK's Lanczos solver (as ``svds(k=1)`` does).  ARPACK is called
+    directly so that its restart vectors, not only its start vector, come
+    from a fixed seed: repeated calls give identical bits.  Zero matrices and
+    vectors, which ARPACK rejects, are answered directly; a non-finite
+    ``fro`` gives non-finite norms.
     """
-    e = binary_exponent(x)
-    y = np.ldexp(x, -e, out=x)
-    f = float(np.linalg.norm(y))
-    if f == 0.0 or not math.isfinite(f) or min(y.shape) == 1:
-        return math.ldexp(f, e), math.ldexp(f, e)
-    if y.shape[0] < y.shape[1]:
-        y = y.T
-    k = y.shape[1]
-    gram = spla.LinearOperator((k, k), matvec=lambda v: y.T @ (y @ v), dtype=y.dtype)
+    if fro == 0.0 or not math.isfinite(fro) or k == 1:
+        return math.ldexp(fro, e), math.ldexp(fro, e)
+    gram = spla.LinearOperator((k, k), matvec=lambda v: rmatvec(matvec(v)), dtype=np.float64)
     v0 = np.random.default_rng(0).standard_normal(k)
     _, vec = spla.eigsh(gram, k=1, v0=v0, tol=0, rng=np.random.default_rng(0))
-    s = float(np.linalg.norm(y @ vec) / np.linalg.norm(vec))
-    return math.ldexp(f, e), math.ldexp(s, e)
+    s = float(np.linalg.norm(matvec(vec)) / np.linalg.norm(vec))
+    return math.ldexp(fro, e), math.ldexp(s, e)
+
+
+def _dense_norms(x: np.ndarray) -> tuple[float, float]:
+    """Norms of a matrix held whole.  x is scaled in place by the power of two
+    of :func:`binary_exponent`, so the Frobenius norm has the bits of
+    ``np.linalg.norm(x)``; the caller owns x and drops it."""
+    e = binary_exponent(x)
+    y = np.ldexp(x, -e, out=x)
+    fro = float(np.linalg.norm(y))
+    if y.shape[0] < y.shape[1]:
+        y = y.T
+    return _fro_and_spectral(e, fro, y.shape[1], lambda v: y @ v, lambda w: y.T @ w)
+
+
+def _in_basis(b: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``[X; R]`` with ``q = b X + Q R``: X = b^T q and Q R the thin QR of
+    q - b X.  For an orthonormal b, ``[b Q]`` is orthonormal to roundoff, so
+    a residual written in that basis has the norms of its coefficients and Q
+    is never needed.  A square b spans every q; R would be roundoff there."""
+    x = (q.T @ b).T  # twice as fast as b.T @ q under OpenBLAS for a thin q
+    if b.shape[0] == b.shape[1]:
+        return x
+    return np.vstack([x, np.linalg.qr(q - b @ x, mode="r")])
+
+
+def _factored_norms(e: int, d: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple[float, float]:
+    """Norms of ``2^e (D - g h^T)``, where the ``rows(g) x rows(h)`` matrix D
+    holds d on its leading diagonal; a product costs O((rows(g) + rows(h))
+    cols(g)) and the matrix is never formed."""
+    if g.shape[0] < h.shape[0]:
+        g, h = h, g  # the transpose: same norms, the Gram matrix on the smaller side
+    k = d.size
+
+    def matvec(v):
+        v = v.ravel()
+        out = g @ (h.T @ v)
+        out[:k] -= d * v[:k]
+        return out
+
+    def rmatvec(w):
+        out = h @ (g.T @ w)
+        out[:k] -= d * w[:k]
+        return out
+
+    return _fro_and_spectral(e, _factored_fro(d, g, h), h.shape[0], matvec, rmatvec)
+
+
+def _factored_fro(d: np.ndarray, g: np.ndarray, h: np.ndarray) -> float:
+    """``||D - g h^T||_F`` (D as above), one row chunk of at most ``_CHUNK``
+    entries at a time in one buffer, which is freed before the Lanczos solve."""
+    k, p = d.size, g.shape[0]
+    step = max(1, _CHUNK // max(1, h.shape[0]))
+    chunk = np.empty((min(step, p), h.shape[0]))
+    squares = 0.0
+    for i in range(0, p, step):
+        c = np.matmul(g[i : i + step], h.T, out=chunk[: min(step, p - i)])
+        j = np.arange(i, min(i + step, k))
+        c[j - i, j] -= d[j]
+        squares += float(np.dot(c.ravel(), c.ravel()))
+    return math.sqrt(squares)
+
+
+def _residual_norms(a: np.ndarray, result: ApproxResult, factors: Optional[synthetic.Factors]) -> tuple[float, float]:
+    """Norms of ``A - U diag(sv) V^T``: given A's factors, those of
+    ``diag(sigma) - [X; R_u] diag(sv) [Y; R_v]^T`` (see :func:`_in_basis`),
+    else of the residual written over the reconstruction."""
+    if factors is None:
+        resid = result.reconstruct()
+        return _dense_norms(np.subtract(a, resid, out=resid))
+    e = binary_exponent(np.concatenate([factors.sv, result.sv]))
+    g = _in_basis(factors.u, result.u) * np.ldexp(result.sv, -e)
+    return _factored_norms(e, np.ldexp(factors.sv, -e), g, _in_basis(factors.v, result.v))
+
+
+def _range_residual_norms(a: np.ndarray, u: np.ndarray, factors: Optional[synthetic.Factors]) -> tuple[float, float]:
+    """Norms of ``(I - U U^T) A``: given A's factors, those of
+    ``[diag(sigma); 0] - [X; R_u] X^T diag(sigma)``, else of the residual
+    written over the projection."""
+    if factors is None:
+        resid = u @ (u.T @ a)
+        return _dense_norms(np.subtract(a, resid, out=resid))
+    e = binary_exponent(factors.sv)
+    sv = np.ldexp(factors.sv, -e)
+    g = _in_basis(factors.u, u)
+    return _factored_norms(e, sv, g, sv[:, None] * g[: sv.size])
 
 
 @_one_blas_thread()
@@ -139,6 +230,7 @@ def relative_error(
     result: ApproxResult,
     r: int,
     baselines: Optional[tuple[float, float]] = None,
+    factors: Optional[synthetic.Factors] = None,
 ) -> RelativeErrors:
     """Reconstruction error relative to the best rank-r approximation.
 
@@ -148,12 +240,12 @@ def relative_error(
     fits A to roundoff while the baseline is positive is reported as zero
     error with an ``exact_fit`` flag.  The spectral norm of the residual is a
     Lanczos estimate that matches a dense SVD to roundoff; without
-    ``baselines`` they are computed from a dense SVD of A.  The residual is
-    written over the reconstruction, so one m x n array is made.
+    ``baselines`` they are computed from a dense SVD of A.  Given A's SVD
+    ``factors`` (:func:`synthetic.generate`), no m x n array is made;
+    otherwise the residual is written over the reconstruction.
     """
     a = as_f64(a)
-    resid = result.reconstruct()
-    num_f, num_s = _fro_and_spectral(np.subtract(a, resid, out=resid))
+    num_f, num_s = _residual_norms(a, result, factors)
     base_f, base_s = baselines if baselines is not None else _baselines(a, r)
     scale = fro_norm(a)
     if base_f <= _ZERO_BASELINE_RTOL * max(scale, 1e-300):
@@ -169,6 +261,7 @@ def range_extra_errors(
     result: ApproxResult,
     r: int,
     baselines: Optional[tuple[float, float]] = None,
+    factors: Optional[synthetic.Factors] = None,
 ) -> RangeExtraErrors:
     """Split the reconstruction error into its two orthogonal sources.
 
@@ -180,8 +273,9 @@ def range_extra_errors(
     pipelines.  The RangeError spectral norm is a Lanczos estimate; the
     ExtraError norms are taken of the r x n matrix ``R_U M`` (U = Q_U R_U,
     M the core above), which has the norms of ``U M`` whether or not U is
-    orthonormal.  Both match a dense SVD to roundoff.  The projection
-    residual is written over the projection, so one m x n array is made.
+    orthonormal.  Both match a dense SVD to roundoff.  Given A's SVD
+    ``factors``, RangeError makes no m x n array; otherwise its residual is
+    written over the projection.  ExtraError multiplies A in either case.
     """
     if result.kind in (PipelineKind.TYUC19, PipelineKind.TYUC19_SPI):
         raise MetricUnsupportedError(
@@ -190,8 +284,7 @@ def range_extra_errors(
     a = as_f64(a)
     base_f, base_s = baselines if baselines is not None else _baselines(a, r)
     flags = set()
-    resid = result.u @ (result.u.T @ a)
-    range_f, range_s = _fro_and_spectral(np.subtract(a, resid, out=resid))
+    range_f, range_s = _range_residual_norms(a, result.u, factors)
     if result.kind is PipelineKind.RSVD_ONEPASS:
         extra_f = extra_s = 0.0
     else:
@@ -250,27 +343,6 @@ def tail_energy(singular_values, k: int) -> float:
         return 0.0
     e = binary_exponent(tail)  # exact scaling: no underflow, same bits at ordinary scales
     return math.ldexp(float(np.sqrt(np.sum(np.ldexp(tail, -e) ** 2))), e)
-
-
-@dataclass
-class DistortionResult:
-    ratios: np.ndarray
-    skipped: int = 0
-
-
-def distortion_ratio(a, phi) -> DistortionResult:
-    """Elementwise sigma_i(A Phi) / sigma_i(A) over the shared index range.
-
-    Singular values of A that are numerically zero (below 1e-13 of the
-    largest) are skipped and counted in ``skipped``.
-    """
-    a = as_f64(a)
-    phi_a = as_f64(phi)
-    sv_a = la.svdvals(a, check_finite=False)
-    sv_s = la.svdvals(a @ phi_a, check_finite=False)
-    k = min(sv_a.size, sv_s.size)
-    keep = sv_a[:k] > 1e-13 * (sv_a[0] if sv_a.size else 0.0)
-    return DistortionResult(ratios=sv_s[:k][keep] / sv_a[:k][keep], skipped=int(k - keep.sum()))
 
 
 # -- error-bound evaluators ---------------------------------------------------
@@ -501,13 +573,16 @@ def oracle_sweep(
                 raise
             break
 
-    def point(a, base, trial, s, d, l):
+    def point(a, factors, base, trial, s, d, l):
         stream = open_stream(
             algo, data_spec.m, data_spec.n, s, d, l,
             base_seed=data_spec.base_seed, trial=trial, test_kind=test_kind, plan=plan,
         )
         sk = stream.ingest(LinearUpdate.row_block(0, a)).finalize()
-        return [relative_error(a, approximate(sk, r, SpiParams(q=q)), r, baselines=base) for q in q_list]
+        return [
+            relative_error(a, approximate(sk, r, SpiParams(q=q)), r, baselines=base, factors=factors)
+            for q in q_list
+        ]
 
     # Every point's Gaussian test matrix of a stream is a prefix of the
     # stream's longest one on the grid, so each stream is drawn once a trial.
@@ -522,11 +597,10 @@ def oracle_sweep(
     }
     for trial in range(trials):
         spec = data_spec.with_trial(trial)
-        a = synthetic.generate(spec).data
-        base = spec_baselines(spec, a, r)
+        a, base, factors = _trial_data(spec, r)
         draws = {_test_matrix_seed(name, data_spec.base_seed, trial): n for name, n in longest.items()}
         with _drawn_once(draws):
-            errors = _in_two_processes([functools.partial(point, a, base, trial, *sizes) for sizes in grid])
+            errors = _in_two_processes([functools.partial(point, a, factors, base, trial, *sizes) for sizes in grid])
         for (s, _, _), rels in zip(grid, errors):
             for q, rel in zip(q_list, rels):
                 sums[(s, q)] += (rel.s_f, rel.s_inf)

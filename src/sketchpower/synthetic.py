@@ -9,12 +9,15 @@ factors (thin QR of a standard Gaussian matrix):
 * exponential decay: sigma = (1 x plateau, e^-alpha, e^-2 alpha, ...).
 
 Generators are pure functions of their :class:`SyntheticSpec`; the same spec
-always yields the same matrix.
+always yields the same matrix.  A noise-free matrix comes with the factors
+it was built from (:class:`Factors`), which are its SVD to roundoff.
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 import scipy.linalg as la
@@ -25,6 +28,7 @@ from .test_matrices import SeedSpec, Stream, rng_for
 __all__ = [
     "Family",
     "SyntheticSpec",
+    "Factors",
     "prescribed_spectrum",
     "adds_noise",
     "generate",
@@ -50,8 +54,13 @@ class SyntheticSpec:
     trial: int = 0
 
     def __post_init__(self):
+        if self.plateau < 0:
+            raise ValueError(f"plateau must be non-negative, got {self.plateau}")
         if self.plateau > min(self.m, self.n):
             raise ValueError("plateau rank exceeds matrix dimensions")
+        for name, value in (("alpha", self.alpha), ("snr (noise level gamma)", self.snr)):
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be a non-negative finite number, got {value!r}")
 
     def with_trial(self, trial: int) -> "SyntheticSpec":
         return replace(self, trial=trial)
@@ -88,26 +97,39 @@ def _orthonormal(rows: int, cols: int, seed: SeedSpec) -> np.ndarray:
     return np.ascontiguousarray(q)
 
 
-def _factors(spec: SyntheticSpec):
+@dataclass(frozen=True, eq=False)
+class Factors:
+    """``A = u diag(sv) v^T``: orthonormal u (m x k) and v (n x k), and sv the
+    prescribed spectrum's first k values."""
+
+    u: np.ndarray
+    sv: np.ndarray
+    v: np.ndarray
+
+
+def _factors(spec: SyntheticSpec) -> Factors:
     k = spec.plateau if spec.family is Family.LOWRANK_NOISE else min(spec.m, spec.n)
     u, v = _concurrently([
         lambda: _orthonormal(spec.m, k, SeedSpec(spec.base_seed, Stream.DATA_LEFT, spec.trial)),
         lambda: _orthonormal(spec.n, k, SeedSpec(spec.base_seed, Stream.DATA_RIGHT, spec.trial)),
     ])
-    sv = prescribed_spectrum(spec)[:k]
-    return u, sv, v
+    return Factors(u, prescribed_spectrum(spec)[:k], v)
 
 
 @_one_blas_thread()
-def generate(spec: SyntheticSpec) -> DenseMatrix:
-    """The data matrix of ``spec``; U and V are built concurrently when two
-    threads pay off (:func:`~sketchpower.matrix_core._concurrently`)."""
-    u, sv, v = _factors(spec)
-    a = (u * sv) @ v.T
+def generate(spec: SyntheticSpec) -> tuple[DenseMatrix, Optional[Factors]]:
+    """The data matrix of ``spec`` and the :class:`Factors` it was built
+    from, or None in their place when noise is added (they are then not A's).
+    U and V are built concurrently when two threads pay off
+    (:func:`~sketchpower.matrix_core._concurrently`).
+    """
+    factors = _factors(spec)
+    a = (factors.u * factors.sv) @ factors.v.T
     if adds_noise(spec):
         noise = rng_for(SeedSpec(spec.base_seed, Stream.DATA_NOISE, spec.trial))
         a += (spec.snr * spec.plateau / spec.n**2) * noise.standard_normal((spec.m, spec.n))
-    return DenseMatrix.from_array(a, check_finite=False)
+        factors = None
+    return DenseMatrix.from_array(a, check_finite=False), factors
 
 
 # Raw binary export: magic "SPIM", version u16 LE, element code u8

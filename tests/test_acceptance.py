@@ -135,7 +135,7 @@ def test_criterion_04_powered_pipeline_beats_plain_at_every_budget():
         spec = synthetic.SyntheticSpec(
             synthetic.Family.POLY_DECAY, m, n, plateau=10, alpha=1.0, base_seed=100, trial=trial
         )
-        a = synthetic.generate(spec).data
+        a = synthetic.generate(spec)[0].data
         base = metrics._baselines(a, r)
         for t_hat, ((s, d, l), (s2, d2)) in sizes.items():
             st = open_stream(PipelineKind.TYUC17_SPI, m, n, s, d, l,
@@ -163,7 +163,7 @@ def test_criterion_05_more_power_iterations_reduce_error_and_spread():
     spec = synthetic.SyntheticSpec(
         synthetic.Family.POLY_DECAY, m, n, plateau=10, alpha=0.5, base_seed=77, trial=0
     )
-    a = synthetic.generate(spec).data
+    a = synthetic.generate(spec)[0].data
     base = metrics._baselines(a, r)
     s_inf = {1: [], 2: [], 3: []}
     for trial in range(50):

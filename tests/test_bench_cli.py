@@ -111,7 +111,7 @@ def test_spectrum_prescription_slope(tmp_path):
 def test_spectrum_round_trip_through_file(tmp_path):
     spec = SyntheticSpec(Family.EXP_DECAY, m=40, n=30, plateau=4, alpha=0.4, base_seed=3)
     path = tmp_path / "m.spim"
-    write_spim(path, generate(spec))
+    write_spim(path, generate(spec)[0])
     _run_cli(["spectrum", "--data", "file", "--file", str(path)], tmp_path / "sp2.csv")
     rows = list(csv.DictReader((tmp_path / "sp2.csv").read_text().splitlines()))
     sigma = np.array([float(r["sigma"]) for r in rows])
@@ -137,7 +137,7 @@ def test_spectrum_empty_file_rejected(tmp_path):
 def test_file_dataset_run(tmp_path):
     spec = SyntheticSpec(Family.POLY_DECAY, m=60, n=45, plateau=5, alpha=1.0, base_seed=8)
     path = tmp_path / "d.spim"
-    write_spim(path, generate(spec))
+    write_spim(path, generate(spec)[0])
     args = ["run", "--data", "file", "--file", str(path), "--rank", "5", "--algo", "tyuc17",
             "--s", "8", "--d", "18", "--trials", "2"]
     rc, _ = _run_cli(args, tmp_path / "f.csv")
@@ -152,7 +152,7 @@ def test_file_run_with_auto_guidance_takes_one_svd(tmp_path, monkeypatch):
 
     spec = SyntheticSpec(Family.POLY_DECAY, m=60, n=45, plateau=5, alpha=1.0, base_seed=8)
     path = tmp_path / "d.spim"
-    write_spim(path, generate(spec))
+    write_spim(path, generate(spec)[0])
     full_svds = []
 
     def counting(fn):
@@ -319,7 +319,7 @@ def test_sweep_guided_row_has_the_sizes_run_resolves_under_double_plan(tmp_path)
 def test_ledger_on_a_file_resolves_the_sizes_run_resolves(tmp_path):
     spec = SyntheticSpec(Family.POLY_DECAY, m=60, n=45, plateau=5, alpha=1.0, base_seed=8)
     path = tmp_path / "d.spim"
-    write_spim(path, generate(spec))
+    write_spim(path, generate(spec)[0])
     common = ["--data", "file", "--file", str(path), "--rank", "5", "--algo", "tyuc17_spi",
               "--budget", "20", "--guidance", "auto"]
     assert _run_cli(["run", *common, "--trials", "1"], tmp_path / "run.csv")[0] == 0
@@ -337,6 +337,26 @@ def test_budget_must_be_positive_and_finite(command, budget):
     with pytest.raises(SystemExit, match="--budget must be a positive finite number"):
         bench_cli.main([command, "--algo", "tyuc17_spi", "--budget", budget, "--guidance", "auto",
                         "--m", "40", "--n", "40", "--rank", "3", "--trials", "1"])
+
+
+@pytest.mark.parametrize("flags, problem", [
+    (["--alpha", "-1"], "alpha must be a non-negative finite number, got -1.0"),
+    (["--alpha", "nan"], "alpha must be a non-negative finite number, got nan"),
+    (["--data", "exp", "--alpha", "inf"], "alpha must be a non-negative finite number, got inf"),
+    (["--data", "lowrank", "--gamma", "-1"], "snr .*must be a non-negative finite number, got -1.0"),
+    (["--plateau", "-1"], "plateau must be non-negative, got -1"),
+])
+@pytest.mark.parametrize("command, sizes", [
+    ("run", ["--s", "12", "--d", "20", "--l", "30", "--rank", "5"]),
+    ("run", ["--budget", "40", "--rank", "5"]),
+    ("sweep", ["--budget", "40", "--rank", "5"]),
+    ("spectrum", []),
+    ("ledger", ["--budget", "40", "--rank", "5"]),
+])
+def test_impossible_synthetic_specs_exit_with_the_field_named(command, sizes, flags, problem, capsys):
+    with pytest.raises(SystemExit, match=f"invalid dataset: {problem}"):
+        bench_cli.main([command, "--m", "60", "--n", "50", "--trials", "1", *sizes, *flags])
+    assert capsys.readouterr().out == ""
 
 
 def test_csv_does_not_depend_on_the_blas_thread_count():

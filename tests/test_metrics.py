@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -11,7 +12,7 @@ import scipy.linalg as la
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchpower import matrix_core, metrics, test_matrices
+from sketchpower import matrix_core, metrics, synthetic, test_matrices
 from sketchpower.approximators import approximate, rsvd_onepass, tyuc17, tyuc19
 from sketchpower.matrix_core import lstsq
 from sketchpower.metrics import (
@@ -21,7 +22,6 @@ from sketchpower.metrics import (
     bound_frobenius_q1,
     bound_spectral_general_q,
     canonical_angle_sines,
-    distortion_ratio,
     frobenius_event_statistic,
     oracle_sweep,
     range_extra_errors,
@@ -33,7 +33,7 @@ from sketchpower.precision_model import PrecisionPlan
 from sketchpower.spi import SpiParams
 from sketchpower.stream_ingest import LinearUpdate, PipelineKind, open_stream
 from sketchpower.synthetic import Family, SyntheticSpec, generate
-from sketchpower.test_matrices import TestMatrixKind
+from sketchpower.test_matrices import GAUSSIAN, TestMatrixKind
 
 
 def _noisy_lowrank(m, n, r, seed, noise=0.02):
@@ -168,25 +168,6 @@ def test_tail_energy_partition(sv, k):
     assert head + tail_energy(sv, k) ** 2 == pytest.approx(total, rel=1e-14, abs=1e-12)
 
 
-def test_distortion_ratio_orthogonal_and_scaled():
-    rng = np.random.default_rng(15)
-    a = rng.standard_normal((30, 30))
-    q = np.linalg.qr(rng.standard_normal((30, 30)))[0]
-    res = distortion_ratio(a, q)
-    assert np.allclose(res.ratios, 1.0, atol=1e-10)
-    res2 = distortion_ratio(a, 2.0 * np.eye(30))
-    assert np.allclose(res2.ratios, 2.0, atol=1e-10)
-
-
-def test_distortion_ratio_skips_zero_singular_values():
-    rng = np.random.default_rng(16)
-    u = np.linalg.qr(rng.standard_normal((20, 3)))[0]
-    a = u @ rng.standard_normal((3, 15))  # rank 3
-    res = distortion_ratio(a, rng.standard_normal((15, 8)))
-    assert res.skipped > 0
-    assert np.isfinite(res.ratios).all()
-
-
 def test_frobenius_bound_epsilon_substitution():
     # Direct substitution check of the leading coefficient at rho=10, l=31.
     sv = np.concatenate([np.ones(10), 1e-9 * np.ones(40)])
@@ -304,13 +285,14 @@ def test_oracle_sweep_means_are_the_serial_sums_of_dense_ingests(concurrent, mon
                          plan=PrecisionPlan.MIXED_SINGLE_DOUBLE)
     sums = {}
     for trial in range(3):
-        a = generate(spec.with_trial(trial)).data
+        a, factors = generate(spec.with_trial(trial))
+        a = a.data
         base = spec_baselines(spec.with_trial(trial), a, 4)
         for row in table.rows:
             st = open_stream(PipelineKind.TYUC17_SPI, 90, 70, row.s, row.d, row.l, base_seed=12, trial=trial,
                              plan=PrecisionPlan.MIXED_SINGLE_DOUBLE)
             res = approximate(st.ingest(LinearUpdate.dense(a)).finalize(), 4, SpiParams(q=row.q))
-            rel = relative_error(a, res, 4, baselines=base)
+            rel = relative_error(a, res, 4, baselines=base, factors=factors)
             sums[(row.s, row.q)] = sums.get((row.s, row.q), np.zeros(2)) + (rel.s_f, rel.s_inf)
     assert len(table.rows) > 4
     for row in table.rows:
@@ -407,19 +389,19 @@ def _clustered_residual(m, n, r, seed):
     ids=["random-tall", "random-wide", "clustered"],
 )
 def test_sigma1_helper_matches_dense_svd(x):
-    fro, spec = metrics._fro_and_spectral(x.copy())
+    fro, spec = metrics._dense_norms(x.copy())
     assert fro == np.linalg.norm(x)
     want = la.svdvals(x)[0]
     assert abs(spec - want) <= 1e-12 * want
 
 
 def test_sigma1_helper_zero_matrix_is_exactly_zero():
-    assert metrics._fro_and_spectral(np.zeros((30, 20))) == (0.0, 0.0)
+    assert metrics._dense_norms(np.zeros((30, 20))) == (0.0, 0.0)
 
 
 def test_sigma1_helper_tiny_scale():
     x = 1e-300 * np.random.default_rng(33).standard_normal((40, 30))
-    fro, spec = metrics._fro_and_spectral(x.copy())
+    fro, spec = metrics._dense_norms(x.copy())
     assert math.isfinite(spec) and spec > 0.0
     want = la.svdvals(x)[0]
     assert abs(spec - want) <= 1e-12 * want
@@ -429,13 +411,13 @@ def test_sigma1_helper_tiny_scale():
 @pytest.mark.parametrize("shape", [(25, 1), (1, 25)])
 def test_sigma1_helper_vectors_give_two_norm(shape):
     x = np.random.default_rng(34).standard_normal(shape)
-    assert metrics._fro_and_spectral(x.copy()) == (np.linalg.norm(x), np.linalg.norm(x))
+    assert metrics._dense_norms(x.copy()) == (np.linalg.norm(x), np.linalg.norm(x))
 
 
 def test_sigma1_helper_is_deterministic():
     x = _clustered_residual(90, 70, 4, seed=35)
-    first = metrics._fro_and_spectral(x.copy())
-    assert all(metrics._fro_and_spectral(x.copy()) == first for _ in range(3))
+    first = metrics._dense_norms(x.copy())
+    assert all(metrics._dense_norms(x.copy()) == first for _ in range(3))
 
 
 def test_evaluators_hold_one_residual_and_leave_a_alone():
@@ -443,7 +425,7 @@ def test_evaluators_hold_one_residual_and_leave_a_alone():
     # scales it there: one m x n array at its peak, where a separate residual
     # and its scaled copy made two.  The caller's A is not written.
     m = n = 1000
-    a = generate(SyntheticSpec(Family.POLY_DECAY, m=m, n=n, base_seed=5)).data
+    a = generate(SyntheticSpec(Family.POLY_DECAY, m=m, n=n, base_seed=5))[0].data
     before = a.copy()
     res = _run_tyuc17(a, 24, 48, 10)
     base = metrics.baselines_from_spectrum(la.svdvals(a), 10)
@@ -481,7 +463,7 @@ def test_extra_error_reduction_matches_dense_product():
     ids=["poly", "poly-wide", "exp", "lowrank-noise-free"],
 )
 def test_spec_baselines_match_computed(spec, r, monkeypatch):
-    a = generate(spec).data
+    a = generate(spec)[0].data
     want = metrics._baselines(a, r)
     calls = []
     monkeypatch.setattr(metrics, "_baselines", lambda *args: calls.append(args))
@@ -492,7 +474,7 @@ def test_spec_baselines_match_computed(spec, r, monkeypatch):
 
 def test_spec_baselines_zero_baseline_semantics_kept():
     spec = SyntheticSpec(Family.LOWRANK_NOISE, m=50, n=40, plateau=5, snr=0.0, base_seed=44)
-    a = generate(spec).data
+    a = generate(spec)[0].data
     assert spec_baselines(spec, a, 5) == (0.0, 0.0)
     res = _run_tyuc17(a, 9, 20, 5, seed=45)
     exact = relative_error(a, res, 5, baselines=spec_baselines(spec, a, 5))
@@ -503,7 +485,7 @@ def test_spec_baselines_zero_baseline_semantics_kept():
 
 def test_spec_baselines_noisy_lowrank_takes_computed_path(monkeypatch):
     spec = SyntheticSpec(Family.LOWRANK_NOISE, m=50, n=40, plateau=5, snr=1e-2, base_seed=46)
-    a = generate(spec).data
+    a = generate(spec)[0].data
     want = metrics._baselines(a, 5)
     calls = []
     real = metrics._baselines
@@ -541,3 +523,106 @@ def test_rangefinder_is_judged_alike_at_every_scale(scale):
         rel = relative_error(scale * a, res, 3)
     assert not res.flags and not rel.flags
     assert rel.s_f == pytest.approx(want, rel=1e-12)
+
+
+# -- evaluation in the generator's basis ------------------------------------
+
+_TWO_SIDED = (PipelineKind.TYUC19, PipelineKind.TYUC19_SPI)
+_FACTORED_SPECS = {
+    "poly": dict(family=Family.POLY_DECAY, plateau=4, alpha=1.0),
+    "exp": dict(family=Family.EXP_DECAY, plateau=4, alpha=0.3),
+    "lowrank": dict(family=Family.LOWRANK_NOISE, plateau=6, snr=0.0),  # k = 6 < r = 8
+}
+
+
+def _factored_case(data, m, n, plan, kind, r=8, seed=60):
+    """Noise-free data, its generator factors and one q=1 approximation."""
+    a, factors = generate(SyntheticSpec(m=m, n=n, base_seed=seed, **_FACTORED_SPECS[data]))
+    a = a.data
+    stream = open_stream(kind, m, n, 10, 24, 30, base_seed=seed + 1, test_kind=GAUSSIAN, plan=plan)
+    return a, factors, approximate(stream.ingest(LinearUpdate.row_block(0, a)).finalize(), r, SpiParams(q=1))
+
+
+def _norm_pairs(a, factors, res):
+    """(dense, factored) norms of each residual the evaluators take."""
+    pairs = [(metrics._residual_norms(a, res, None), metrics._residual_norms(a, res, factors))]
+    if res.kind not in _TWO_SIDED:
+        pairs.append((metrics._range_residual_norms(a, res.u, None), metrics._range_residual_norms(a, res.u, factors)))
+    return pairs
+
+
+@pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("plan", list(PrecisionPlan), ids=lambda p: p.value)
+@pytest.mark.parametrize("m, n", [(70, 50), (50, 70), (60, 60)], ids=["tall", "wide", "square"])
+@pytest.mark.parametrize("data", list(_FACTORED_SPECS))
+def test_factored_residual_norms_match_the_dense_residual(data, m, n, plan, kind):
+    # Bound fixed before the run: 1e3 eps ||A||_F absolute on every norm.
+    # Under the mixed plan a thin U0 or V0 leaves the binary32 sketches'
+    # rounding outside their range, which only the R_u and R_v blocks carry.
+    a, factors, res = _factored_case(data, m, n, plan, kind)
+    tol = 1e3 * np.finfo(np.float64).eps * np.linalg.norm(a)
+    for dense, factored in _norm_pairs(a, factors, res):
+        assert np.abs(np.subtract(dense, factored)).max() <= tol, (dense, factored)
+    base = metrics.baselines_from_spectrum(factors.sv, 8)
+    assert relative_error(a, res, 8, base, factors).flags == relative_error(a, res, 8, base).flags
+
+
+def test_factored_frobenius_norm_sums_every_row_chunk():
+    # The coefficient matrices here are (k + r) x k = 610 x 600 (V0 is
+    # square), more rows than one row chunk of the Frobenius sum holds.
+    a, factors, res = _factored_case("poly", 700, 600, PrecisionPlan.ALL_DOUBLE, PipelineKind.TYUC17)
+    assert metrics._CHUNK // 600 < 610
+    tol = 1e3 * np.finfo(np.float64).eps * np.linalg.norm(a)
+    for dense, factored in _norm_pairs(a, factors, res):
+        assert np.abs(np.subtract(dense, factored)).max() <= tol, (dense, factored)
+
+
+@pytest.mark.parametrize("exponent", [-600, 600])
+def test_factored_errors_are_unchanged_at_extreme_scales(exponent):
+    a, factors, res = _factored_case("poly", 70, 50, PrecisionPlan.ALL_DOUBLE, PipelineKind.TYUC17)
+    r = 8
+    scaled = synthetic.Factors(factors.u, np.ldexp(factors.sv, exponent), factors.v)
+    res_scaled = dataclasses.replace(res, sv=np.ldexp(res.sv, exponent))
+    want = [evaluate(a, res, r, metrics.baselines_from_spectrum(factors.sv, r), factors)
+            for evaluate in (relative_error, range_extra_errors)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [evaluate(np.ldexp(a, exponent), res_scaled, r, metrics.baselines_from_spectrum(scaled.sv, r), scaled)
+               for evaluate in (relative_error, range_extra_errors)]
+    assert not got[0].flags and not got[1].flags
+    assert (got[0].s_f, got[0].s_inf) == (want[0].s_f, want[0].s_inf)
+    assert (got[1].range_f, got[1].range_s) == (want[1].range_f, want[1].range_s)
+    assert got[1].extra_f == pytest.approx(want[1].extra_f, rel=1e-12)
+    assert got[1].extra_s == pytest.approx(want[1].extra_s, rel=1e-12)
+
+
+def test_factored_evaluators_make_no_m_by_n_array():
+    # The coefficient matrices are never formed: the peak is one row chunk of
+    # the Frobenius sum plus products with r columns, a quarter of an m x n
+    # array at 1000 x 1000 where the dense residual takes a whole one.
+    m = n = 1000
+    a, factors = generate(SyntheticSpec(Family.POLY_DECAY, m=m, n=n, base_seed=5))
+    a = a.data
+    res = _run_tyuc17(a, 24, 48, 10)
+    base = metrics.baselines_from_spectrum(factors.sv, 10)
+    for evaluate in (relative_error, range_extra_errors):
+        tracemalloc.start()
+        try:
+            evaluate(a, res, 10, baselines=base, factors=factors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * metrics._CHUNK + 0.05 * m * n * 8, (evaluate.__name__, peak)
+
+
+def test_factored_norms_of_zero_data_are_zero():
+    # plateau 0 without noise: A = 0 and its factors are empty, so the
+    # residual of any approximation is the approximation itself.
+    a, factors = generate(SyntheticSpec(Family.LOWRANK_NOISE, 60, 50, plateau=0, snr=0.0))
+    a = a.data
+    assert factors.sv.size == 0 and not a.any()
+    res = _factored_case("poly", 60, 50, PrecisionPlan.ALL_DOUBLE, PipelineKind.TYUC17)[2]
+    dense = metrics._residual_norms(a, res, None)
+    assert metrics._residual_norms(a, res, factors) == pytest.approx(dense, rel=1e-12)
+    assert dense == pytest.approx((np.linalg.norm(res.sv), res.sv[0]), rel=1e-12)
+    assert metrics._range_residual_norms(a, res.u, factors) == (0.0, 0.0)

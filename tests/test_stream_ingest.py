@@ -232,7 +232,7 @@ _FILE_FORMATS = ["binary64", "binary32", "matrixmarket"]
 @pytest.mark.parametrize("fmt", _FILE_FORMATS)
 def test_ingest_file_bitwise_matches_memory(tmp_path, fmt, test_kind):
     spec = SyntheticSpec(Family.LOWRANK_NOISE, m=120, n=90, plateau=5, snr=1e-4, base_seed=31)
-    a = gen_data(spec)
+    a = gen_data(spec)[0]
     path = _write(tmp_path, a, fmt)
     # The file's rows as the reader yields them: binary32 SPIM rows stay binary32.
     rows = a.data.astype(np.float32) if fmt == "binary32" else read_matrix(path).data

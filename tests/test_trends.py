@@ -3,7 +3,10 @@
 Statistical checks with pinned seeds: each asserts an ordering or a band,
 never an exact value.
 """
+from dataclasses import dataclass
+
 import numpy as np
+import scipy.linalg as la
 
 from sketchpower import metrics, synthetic
 from sketchpower.approximators import tyuc17, tyuc17_spi, tyuc17_spi_variant, tyuc19, tyuc19_spi
@@ -19,10 +22,29 @@ from sketchpower.stream_ingest import LinearUpdate, PipelineKind, open_stream
 from sketchpower.test_matrices import GAUSSIAN, SeedSpec, Stream, generate
 
 
+@dataclass
+class DistortionResult:
+    ratios: np.ndarray
+    skipped: int = 0
+
+
+def distortion_ratio(a, phi) -> DistortionResult:
+    """Elementwise sigma_i(A Phi) / sigma_i(A) over the shared index range.
+
+    Singular values of A that are numerically zero (below 1e-13 of the
+    largest) are skipped and counted in ``skipped``.
+    """
+    sv_a = la.svdvals(a, check_finite=False)
+    sv_s = la.svdvals(a @ phi, check_finite=False)
+    k = min(sv_a.size, sv_s.size)
+    keep = sv_a[:k] > 1e-13 * (sv_a[0] if sv_a.size else 0.0)
+    return DistortionResult(ratios=sv_s[:k][keep] / sv_a[:k][keep], skipped=int(k - keep.sum()))
+
+
 def _mean_sf(algo_fn, spec, trials, make_sketch):
     vals = []
     for t in range(trials):
-        a = synthetic.generate(spec.with_trial(t)).data
+        a = synthetic.generate(spec.with_trial(t))[0].data
         base = metrics._baselines(a, spec.plateau)
         res = algo_fn(make_sketch(a, t), t)
         vals.append(metrics.relative_error(a, res, spec.plateau, baselines=base).s_f)
@@ -57,7 +79,7 @@ def test_powered_pipeline_dominates_on_high_noise():
     s, d, l = select_sizes(cls, float(t_hat), n, r)
     plain, powered = [], {1: [], 2: [], 3: []}
     for t in range(trials):
-        a = synthetic.generate(spec.with_trial(t)).data
+        a = synthetic.generate(spec.with_trial(t))[0].data
         base = metrics._baselines(a, r)
         st = open_stream(PipelineKind.TYUC17, n, n, s2, d2, base_seed=800, trial=t)
         res = tyuc17(st.ingest(LinearUpdate.dense(a)).finalize(), r)
@@ -83,7 +105,7 @@ def test_two_sided_powered_pipeline_improves_on_two_sided():
     for t in range(trials):
         spec = synthetic.SyntheticSpec(synthetic.Family.POLY_DECAY, n, n, plateau=r, alpha=1.0,
                                        base_seed=900, trial=t)
-        a = synthetic.generate(spec).data
+        a = synthetic.generate(spec)[0].data
         base = metrics._baselines(a, r)
         st = open_stream(PipelineKind.TYUC19, n, n, s, 2 * s, base_seed=901, trial=t)
         res = tyuc19(st.ingest(LinearUpdate.dense(a)).finalize(), r)
@@ -106,7 +128,7 @@ def test_fast_exp_mixed_precision_floor():
     # isolates the precision floor.
     r, n, t_hat = 10, 500, 200
     spec = synthetic.SyntheticSpec(synthetic.Family.EXP_DECAY, n, n, plateau=r, alpha=0.5, base_seed=1000)
-    a = synthetic.generate(spec).data
+    a = synthetic.generate(spec)[0].data
     base = metrics._baselines(a, r)
     cls = SpectrumClass(DecayKind.EXP, 0.5)
     s, d, l = select_sizes(cls, float(t_hat), n, r)
@@ -143,9 +165,9 @@ def test_power_sketch_spectrum_decays_faster():
     for t in range(trials):
         spec = synthetic.SyntheticSpec(synthetic.Family.LOWRANK_NOISE, n, n, plateau=plateau,
                                        snr=0.1, base_seed=1100, trial=t)
-        a = synthetic.generate(spec).data
+        a = synthetic.generate(spec)[0].data
         phi = generate(GAUSSIAN, n, emb, SeedSpec(1101, Stream.PHI, t)).data
-        acc += metrics.distortion_ratio(a, phi).ratios / trials
+        acc += distortion_ratio(a, phi).ratios / trials
     tail = acc[plateau:]
     assert tail[0] > tail[len(tail) // 2] > tail[-1]
 
@@ -159,3 +181,22 @@ def test_guidance_near_oracle_medium_poly():
     guided_s = select_sizes(SpectrumClass(DecayKind.POLY, 1.0), 60.0, 400, 10)[0]
     guided = next(row for row in table.rows if row.s == guided_s)
     assert guided.mean_s_f <= 1.3 * best.mean_s_f
+
+
+def test_distortion_ratio_orthogonal_and_scaled():
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((30, 30))
+    q = np.linalg.qr(rng.standard_normal((30, 30)))[0]
+    res = distortion_ratio(a, q)
+    assert np.allclose(res.ratios, 1.0, atol=1e-10)
+    res2 = distortion_ratio(a, 2.0 * np.eye(30))
+    assert np.allclose(res2.ratios, 2.0, atol=1e-10)
+
+
+def test_distortion_ratio_skips_zero_singular_values():
+    rng = np.random.default_rng(16)
+    u = np.linalg.qr(rng.standard_normal((20, 3)))[0]
+    a = u @ rng.standard_normal((3, 15))  # rank 3
+    res = distortion_ratio(a, rng.standard_normal((15, 8)))
+    assert res.skipped > 0
+    assert np.isfinite(res.ratios).all()
