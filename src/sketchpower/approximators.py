@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse
 
-from .matrix_core import DenseMatrix, _one_blas_thread, lstsq, qr_economy, svd_truncated
+from .matrix_core import DenseMatrix, _one_blas_thread, as_f64, lstsq, qr_economy, svd_truncated
 from .precision_model import PIPELINES, PrecisionPlan
 from .spi import SpiParams, spi_plain, spi_stabilized, spi_variant
 from .stream_ingest import PipelineKind, SketchSet
@@ -106,12 +106,6 @@ def _owned(y: DenseMatrix) -> np.ndarray:
     return np.array(y.data, dtype=np.float64, order="F")
 
 
-def _test_matrix(t):
-    """A test matrix as the finishers apply it: a CSC array as held, a
-    :class:`DenseMatrix` as its binary64 array."""
-    return t.as_f64() if isinstance(t, DenseMatrix) else t
-
-
 def _apply(t, q: np.ndarray) -> np.ndarray:
     """t @ q.  A CSC t is applied one column of q at a time: each entry is
     summed as in scipy's product of the whole q, which would first copy a
@@ -152,7 +146,7 @@ def _qb_finish(kind, y_hat, w, psi, r, flags) -> ApproxResult:
 def tyuc17(sk: SketchSet, r: int) -> ApproxResult:
     """Rangefinder QR plus corange least squares: A ~ Q ((Psi Q)^+ W)."""
     _require(sk, r, _TYUC17_FAMILY, "y", "w", "psi")
-    return _qb_finish(PipelineKind.TYUC17, _owned(sk.y), sk.w.as_f64(), _test_matrix(sk.psi), r, set())
+    return _qb_finish(PipelineKind.TYUC17, _owned(sk.y), as_f64(sk.w.data), sk.psi, r, set())
 
 
 @_one_blas_thread()
@@ -169,12 +163,12 @@ def tyuc17_spi(sk: SketchSet, params: SpiParams, r: int) -> ApproxResult:
         y_hat = _stored(out.y_hat, sk)
     else:
         y_hat = _stored(spi_plain(sk.z.data, sk.y.data, params.q), sk)
-    return _qb_finish(PipelineKind.TYUC17_SPI, y_hat, sk.w.as_f64(), _test_matrix(sk.psi), r, flags)
+    return _qb_finish(PipelineKind.TYUC17_SPI, y_hat, as_f64(sk.w.data), sk.psi, r, flags)
 
 
 def _small_factor(sk: SketchSet, stream: Stream, rows: int, cols: int) -> np.ndarray:
     """A Gaussian factor of the storage-reduced pipelines, from the sketch set's seed and trial."""
-    return generate(GAUSSIAN, rows, cols, SeedSpec(sk.base_seed, stream, sk.trial)).as_f64()
+    return generate(GAUSSIAN, rows, cols, SeedSpec(sk.base_seed, stream, sk.trial))
 
 
 @_one_blas_thread()
@@ -184,7 +178,7 @@ def tyuc17_spi_variant(sk: SketchSet, params: SpiParams, r: int) -> ApproxResult
     _require(sk, r, _TYUC17_FAMILY, "w", "z", "psi")
     omega_tilde = _small_factor(sk, Stream.OMEGA_TILDE, sk.l, sk.s)
     y_hat = _stored(spi_variant(sk.z.data, omega_tilde, params.q), sk)
-    return _qb_finish(PipelineKind.TYUC17_SPI_VARIANT, y_hat, sk.w.as_f64(), _test_matrix(sk.psi), r, set())
+    return _qb_finish(PipelineKind.TYUC17_SPI_VARIANT, y_hat, as_f64(sk.w.data), sk.psi, r, set())
 
 
 @_one_blas_thread()
@@ -197,7 +191,7 @@ def rsvd_onepass(sk: SketchSet, r: int) -> ApproxResult:
     _require(sk, r, (PipelineKind.RSVD_ONEPASS,), "y", "w")
     flags = set()
     qres = qr_economy(_owned(sk.y), overwrite=True)
-    wt = sk.w.as_f64().T
+    wt = as_f64(sk.w.data).T
     # Directions below the sketches' storage-precision noise floor cannot be
     # trusted; a singular solve there would amplify rounding junk.
     tol = max(_TRI_TOL, 50.0 * float(np.finfo(sk.y.data.dtype).eps))
@@ -252,7 +246,7 @@ def tyuc19(sk: SketchSet, r: int) -> ApproxResult:
     """Two-sided pipeline: range and corange bases plus a d x d core sketch."""
     _require(sk, r, (PipelineKind.TYUC19,), "y", "x", "k", "phi", "psi")
     return _two_sided_finish(
-        PipelineKind.TYUC19, _owned(sk.y), sk.x.as_f64(), sk.k.as_f64(), _test_matrix(sk.phi), _test_matrix(sk.psi),
+        PipelineKind.TYUC19, _owned(sk.y), as_f64(sk.x.data), as_f64(sk.k.data), sk.phi, sk.psi,
         r, set(),
     )
 
@@ -269,9 +263,9 @@ def tyuc19_spi(sk: SketchSet, params: SpiParams, r: int) -> ApproxResult:
     omega_tilde = _small_factor(sk, Stream.OMEGA_TILDE, sk.l, sk.s)
     gamma_tilde = _small_factor(sk, Stream.GAMMA_TILDE, sk.s, sk.l)
     y_hat = _stored(spi_variant(sk.z.data, omega_tilde, params.q), sk)
-    x_hat = _stored(spi_variant(sk.w.as_f64().T, gamma_tilde.T, params.q).T, sk)
+    x_hat = _stored(spi_variant(as_f64(sk.w.data).T, gamma_tilde.T, params.q).T, sk)
     return _two_sided_finish(
-        PipelineKind.TYUC19_SPI, y_hat, x_hat, sk.k.as_f64(), _test_matrix(sk.phi), _test_matrix(sk.psi), r, set()
+        PipelineKind.TYUC19_SPI, y_hat, x_hat, as_f64(sk.k.data), sk.phi, sk.psi, r, set()
     )
 
 

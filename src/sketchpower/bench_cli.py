@@ -137,7 +137,7 @@ def _load_file(args: argparse.Namespace) -> tuple[argparse.Namespace, np.ndarray
     """
     if not args.file:
         raise SystemExit("--data file requires --file PATH")
-    a = read_matrix(args.file).data
+    a = read_matrix(args.file)
     args = argparse.Namespace(**{**vars(args), "m": a.shape[0], "n": a.shape[1]})
     return args, a, la.svdvals(a, check_finite=False)
 
@@ -386,6 +386,10 @@ def main(argv=None) -> int:
     if args.guidance_mode is None:
         args.guidance_mode = "manual" if args.s is not None else "auto"
     _dataset_spec(args)  # a synthetic spec the generator cannot make exits here
+    try:  # as do test matrices and power iterations the library refuses
+        _test_kind(args), _spi_params(args)
+    except ValueError as exc:
+        raise SystemExit(f"invalid settings: {exc}")
     command = {"run": run, "sweep": run_sweep, "spectrum": emit_spectrum, "ledger": emit_ledger}
     return command[args.command](args)
 

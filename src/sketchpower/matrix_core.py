@@ -1,15 +1,18 @@
-"""Dense-matrix contract and the three numerical kernels everything else uses.
+"""The three numerical kernels everything else uses, and the record of a sketch.
 
-The kernels (economy QR; truncated SVD, through a QR first for a matrix at
-least twice as long as it is wide; least squares by a QR and one triangular
-solve, or by the pseudoinverse when ill conditioned) run exclusively in
-binary64; binary32 exists only as a *storage* precision.  A tall binary32
-matrix, held whole or read in pieces, is taken one row chunk at a time
-(:func:`_row_chunks`), each chunk upcast into a reused binary64 buffer, so
-no binary64 copy of the whole matrix is made; small matrices are upcast
-whole.  :func:`qr_economy` factors a matrix its caller hands over in
-place.  Rank deficiency and ill conditioning are reported through flags on
-the result objects, never as exceptions: the caller decides what to do.
+Data matrices, files and test matrices are plain ndarrays (a sparse test
+matrix a CSC array); only a finalized sketch is wrapped, in a
+:class:`DenseMatrix` record of its read-only array.  The kernels (economy
+QR; truncated SVD, through a QR first for a matrix at least twice as long as
+it is wide; least squares by a QR and one triangular solve, or by the
+pseudoinverse when ill conditioned) run exclusively in binary64; binary32
+exists only as a *storage* precision.  A tall binary32 matrix, held whole or
+read in pieces, is taken one row chunk at a time (:func:`_row_chunks`), each
+chunk upcast into a reused binary64 buffer, so no binary64 copy of the whole
+matrix is made; small matrices are upcast whole (:func:`as_f64`).
+:func:`qr_economy` factors a matrix its caller hands over in place.  Rank
+deficiency and ill conditioning are reported through flags on the result
+objects, never as exceptions: the caller decides what to do.
 
 The library runs BLAS on one thread and uses a second CPU at its own
 level.  Its entry points (data generation, the stream folds, the finishers,
@@ -251,70 +254,16 @@ class Precision(enum.Enum):
         return 0.5 if self is Precision.BINARY32 else 1.0
 
 
-def _precision_of(dtype) -> Precision:
-    if np.dtype(dtype) == np.float32:
-        return Precision.BINARY32
-    if np.dtype(dtype) == np.float64:
-        return Precision.BINARY64
-    raise TypeError(f"unsupported element dtype {dtype!r}")
-
-
 @dataclass(frozen=True)
 class DenseMatrix:
-    """A real matrix with a declared element precision, stored row-major.
+    """A finalized sketch of a :class:`~sketchpower.stream_ingest.SketchSet`:
+    its read-only, C-ordered binary64 or binary32 array ``data``.
 
-    Carrier type for data matrices, sketches and factors.  Entries must be
-    finite; construction through :meth:`from_array` enforces this.
+    Kept only because ``perfbench/tracer.py`` reads ``.data.size`` and
+    ``.data.dtype`` of the five sketch fields; everything else is an ndarray.
     """
 
     data: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        a = self.data
-        if a.ndim != 2:
-            raise ValueError(f"expected a 2-d array, got ndim={a.ndim}")
-        if a.shape[0] < 1 or a.shape[1] < 1:
-            raise ValueError(f"matrix dimensions must be >= 1, got {a.shape}")
-        _precision_of(a.dtype)
-        if not a.flags["C_CONTIGUOUS"]:
-            object.__setattr__(self, "data", np.ascontiguousarray(a))
-
-    @classmethod
-    def from_array(cls, a, precision: Precision | None = None, check_finite: bool = True) -> "DenseMatrix":
-        a = np.asarray(a)
-        dtype = precision.dtype if precision is not None else (
-            a.dtype if a.dtype in (np.float32, np.float64) else np.float64
-        )
-        a = np.ascontiguousarray(a, dtype=dtype)
-        if check_finite and not all_finite(a):
-            raise ValueError("matrix contains non-finite entries")
-        return cls(a)
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def precision(self) -> Precision:
-        return _precision_of(self.data.dtype)
-
-    @property
-    def words(self) -> float:
-        """Storage cost in double-precision words."""
-        return self.rows * self.cols * self.precision.words_per_entry
-
-    def to_precision(self, precision: Precision) -> "DenseMatrix":
-        if precision is self.precision:
-            return self
-        return DenseMatrix(self.data.astype(precision.dtype))
-
-    def as_f64(self) -> np.ndarray:
-        """The payload upcast to binary64 (no copy if already binary64)."""
-        return self.data if self.data.dtype == np.float64 else self.data.astype(np.float64)
 
 
 def all_finite(x: np.ndarray) -> bool:
@@ -366,9 +315,7 @@ def _row_chunks(
 
 
 def as_f64(m) -> np.ndarray:
-    """Accept a DenseMatrix or array and return a binary64 ndarray."""
-    if isinstance(m, DenseMatrix):
-        return m.as_f64()
+    """An array as binary64, without a copy if it is binary64 already."""
     a = np.asarray(m)
     return a if a.dtype == np.float64 else a.astype(np.float64)
 
@@ -425,7 +372,7 @@ class LstsqResult:
 
 
 def _require_f64(m, name: str) -> np.ndarray:
-    a = m.data if isinstance(m, DenseMatrix) else np.asarray(m)
+    a = np.asarray(m)
     if a.dtype != np.float64:
         raise TypeError(f"{name} must be binary64; upcast at the storage boundary first")
     return a

@@ -97,7 +97,7 @@ def _baselines(a: np.ndarray, r: int) -> tuple[float, float]:
 
 @_one_blas_thread()
 def spec_baselines(spec: synthetic.SyntheticSpec, a: np.ndarray, r: int) -> tuple[float, float]:
-    """Baselines of ``a = synthetic.generate(spec)[0].data``.
+    """Baselines of ``a = synthetic.generate(spec)[0]``.
 
     When the generator adds no noise the spectrum of A is the prescribed one
     (to roundoff), so no SVD is taken; noisy data goes through the computed
@@ -114,7 +114,7 @@ def _trial_data(spec: synthetic.SyntheticSpec, r: int):
     its :func:`spec_baselines`, and the generator's factors (None for noisy
     data), which :func:`relative_error` and :func:`range_extra_errors` take."""
     a, factors = synthetic.generate(spec)
-    return a.data, spec_baselines(spec, a.data, r), factors
+    return a, spec_baselines(spec, a, r), factors
 
 
 def _fro_and_spectral(e: int, fro: float, k: int, matvec, rmatvec) -> tuple[float, float]:

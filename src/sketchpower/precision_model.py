@@ -41,7 +41,6 @@ __all__ = [
     "PipelineSpec",
     "PIPELINES",
     "plan_mixed",
-    "accuracy_floor",
     "simulate_storage",
 ]
 
@@ -65,11 +64,6 @@ def plan_mixed(m: int, n: int, s: int, d: int) -> int:
     if min(m, n, s, d) < 1:
         raise ValueError("plan_mixed requires m, n, s, d >= 1")
     return -((m * s + d * n) // -m)  # ceil
-
-
-def accuracy_floor(plan: PrecisionPlan) -> float:
-    """Expected relative-error floor of a plan (a guide, not an assertion)."""
-    return 1.2e-7 if plan is PrecisionPlan.MIXED_SINGLE_DOUBLE else 2.2e-16
 
 
 @dataclass(frozen=True)

@@ -131,10 +131,11 @@ class SketchSet:
     Only the sketches a pipeline defines are present; the rest are None.
     ``w`` is the corange sketch: d x n for the oblique pipelines, n x s for
     the orthogonal-projection pipeline, l x n for the two-sided power
-    variant.  A test matrix with m columns (``psi`` of the ``tyuc17`` kinds,
+    variant.  Each sketch is a :class:`DenseMatrix` record of its read-only
+    array.  A test matrix with m columns (``psi`` of the ``tyuc17`` kinds,
     ``phi`` and ``gamma`` of the two-sided kinds) of a sparse kind is a
     ``scipy.sparse.csc_array`` with read-only arrays; every other test matrix
-    is a :class:`DenseMatrix`.
+    is a read-only binary64 ndarray.
     """
 
     kind: PipelineKind
@@ -149,10 +150,10 @@ class SketchSet:
     z: Optional[DenseMatrix]
     x: Optional[DenseMatrix]
     k: Optional[DenseMatrix]
-    omega: Optional[DenseMatrix]
-    psi: Optional[DenseMatrix | scipy.sparse.csc_array]
-    phi: Optional[DenseMatrix | scipy.sparse.csc_array]
-    gamma: Optional[DenseMatrix | scipy.sparse.csc_array]
+    omega: Optional[np.ndarray]
+    psi: Optional[np.ndarray | scipy.sparse.csc_array]
+    phi: Optional[np.ndarray | scipy.sparse.csc_array]
+    gamma: Optional[np.ndarray | scipy.sparse.csc_array]
     test_kind: TestMatrixKind
     pass_count: int
     base_seed: int = 0
@@ -238,8 +239,7 @@ class SketchStream:
         sparse = test_kind.variant != "gaussian"
         self._t = {}
         for name, _ in spec.test_matrices:
-            t = generate(test_kind, *shapes[name], _test_matrix_seed(name, base_seed, trial), sparse=sparse)
-            self._t[name] = t if sparse else t.data
+            self._t[name] = generate(test_kind, *shapes[name], _test_matrix_seed(name, base_seed, trial), sparse=sparse)
         self._sk = {
             sk.name: np.zeros(shapes[sk.name], dtype=spec.precision(sk.name, plan).dtype)
             for sk in spec.sketches
@@ -423,7 +423,7 @@ class SketchStream:
         self._flush()
         self._stage = None
         self._finalized = True
-        sk = {name: _frozen(arr) for name, arr in self._sk.items()}
+        sk = {name: DenseMatrix(_frozen(arr)) for name, arr in self._sk.items()}
         tm = {name: _frozen(self._t[name], cols == "m") for name, (_, cols) in PIPELINES[self.kind.value].test_matrices}
         return SketchSet(
             kind=self.kind,
@@ -456,13 +456,10 @@ def _non_finite(kind: str, where: str) -> str:
 def _frozen(t, keep_sparse: bool = False):
     """A sketch or test matrix as the sketch set holds it, its arrays
     read-only: a CSC array if it is sparse and ``keep_sparse``, else a
-    :class:`DenseMatrix`."""
-    if isinstance(t, np.ndarray) or not keep_sparse:
-        t = DenseMatrix(t if isinstance(t, np.ndarray) else t.toarray(order="C"))
-        arrays = (t.data,)
-    else:
-        arrays = (t.data, t.indices, t.indptr)
-    for a in arrays:
+    C-ordered ndarray."""
+    if not isinstance(t, np.ndarray) and not keep_sparse:
+        t = t.toarray(order="C")
+    for a in (t,) if isinstance(t, np.ndarray) else (t.data, t.indices, t.indptr):
         a.flags.writeable = False
     return t
 
@@ -585,15 +582,16 @@ def _row_blocks(path, block_rows: Optional[int] = None) -> Iterator:
             yield start, pieces(start, min(start + blk, rows))
 
 
-def read_matrix(path) -> DenseMatrix:
-    """Fully load a SPIM or MatrixMarket file as binary64, validating finiteness."""
+def read_matrix(path) -> np.ndarray:
+    """Fully load a SPIM or MatrixMarket file as a C-ordered binary64 array,
+    validating finiteness."""
     with contextlib.closing(_row_blocks(path)) as blocks:
         a = np.empty(next(blocks))
         for start, pieces in blocks:
             for piece in pieces:
                 a[start : start + piece.shape[0]] = piece
                 start += piece.shape[0]
-    return DenseMatrix.from_array(a, check_finite=False)
+    return a
 
 
 @_one_blas_thread()

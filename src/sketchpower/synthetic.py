@@ -9,7 +9,7 @@ factors (thin QR of a standard Gaussian matrix):
 * exponential decay: sigma = (1 x plateau, e^-alpha, e^-2 alpha, ...).
 
 Generators are pure functions of their :class:`SyntheticSpec`; the same spec
-always yields the same matrix.  A noise-free matrix comes with the factors
+always yields the same matrix, a C-ordered binary64 ndarray.  A noise-free matrix comes with the factors
 it was built from (:class:`Factors`), which are its SVD to roundoff.
 """
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as la
 
-from .matrix_core import DenseMatrix, Precision, _concurrently, _one_blas_thread
+from .matrix_core import Precision, _concurrently, _one_blas_thread
 from .test_matrices import SeedSpec, Stream, rng_for
 
 __all__ = [
@@ -54,6 +54,9 @@ class SyntheticSpec:
     trial: int = 0
 
     def __post_init__(self):
+        for name, value in (("m", self.m), ("n", self.n)):
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         if self.plateau < 0:
             raise ValueError(f"plateau must be non-negative, got {self.plateau}")
         if self.plateau > min(self.m, self.n):
@@ -117,9 +120,10 @@ def _factors(spec: SyntheticSpec) -> Factors:
 
 
 @_one_blas_thread()
-def generate(spec: SyntheticSpec) -> tuple[DenseMatrix, Optional[Factors]]:
-    """The data matrix of ``spec`` and the :class:`Factors` it was built
-    from, or None in their place when noise is added (they are then not A's).
+def generate(spec: SyntheticSpec) -> tuple[np.ndarray, Optional[Factors]]:
+    """The data matrix of ``spec``, a C-ordered binary64 array, and the
+    :class:`Factors` it was built from, or None in their place when noise is
+    added (they are then not A's).
     U and V are built concurrently when two threads pay off
     (:func:`~sketchpower.matrix_core._concurrently`).
     """
@@ -129,7 +133,7 @@ def generate(spec: SyntheticSpec) -> tuple[DenseMatrix, Optional[Factors]]:
         noise = rng_for(SeedSpec(spec.base_seed, Stream.DATA_NOISE, spec.trial))
         a += (spec.snr * spec.plateau / spec.n**2) * noise.standard_normal((spec.m, spec.n))
         factors = None
-    return DenseMatrix.from_array(a, check_finite=False), factors
+    return a, factors
 
 
 # Raw binary export: magic "SPIM", version u16 LE, element code u8
@@ -139,13 +143,23 @@ SPIM_MAGIC = b"SPIM"
 SPIM_VERSION = 1
 
 
-def write_spim(path, matrix: DenseMatrix, precision: Precision | None = None) -> None:
-    m = matrix if precision is None else matrix.to_precision(precision)
-    code = 1 if m.precision is Precision.BINARY32 else 0
+def write_spim(path, a, precision: Precision | None = None) -> None:
+    """Write the 2-D array ``a`` (both dimensions >= 1) as a SPIM file, in
+    ``precision`` if given, else binary32 for a binary32 array and binary64
+    for any other (a non-float array is cast to binary64 first)."""
+    a = np.asarray(a)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-d array, got ndim={a.ndim}")
+    if a.shape[0] < 1 or a.shape[1] < 1:
+        raise ValueError(f"matrix dimensions must be >= 1, got {a.shape}")
+    if a.dtype != np.float32:
+        a = a.astype(np.float64, copy=False)
+    if precision is not None:
+        a = a.astype(precision.dtype, copy=False)
+    code = 1 if a.dtype == np.float32 else 0
     header = SPIM_MAGIC + np.array([SPIM_VERSION], dtype="<u2").tobytes()
     header += bytes([code, 0])
-    header += np.array([m.rows, m.cols], dtype="<u8").tobytes()
+    header += np.array(a.shape, dtype="<u8").tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
-        dt = np.dtype("<f4" if code == 1 else "<f8")
-        fh.write(np.ascontiguousarray(m.data, dtype=dt).tobytes())
+        fh.write(np.ascontiguousarray(a, dtype="<f4" if code == 1 else "<f8").tobytes())

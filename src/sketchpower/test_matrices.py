@@ -23,8 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .matrix_core import DenseMatrix
-
 __all__ = [
     "Stream",
     "SeedSpec",
@@ -143,11 +141,12 @@ def _drawn_once(counts: dict[SeedSpec, int]):
 
 def generate(
     kind: TestMatrixKind, rows: int, cols: int, seed: SeedSpec, *, sparse: bool = False
-) -> DenseMatrix | scipy.sparse.csc_array:
+) -> np.ndarray | scipy.sparse.csc_array:
     """Draw a rows x cols test matrix of the given kind, deterministically.
 
     Sparse kinds are sampled as coordinate lists.  By default every kind is
-    returned as a :class:`DenseMatrix`; with ``sparse=True`` a sparse kind
+    returned as a C-ordered binary64 ndarray (read-only if it is a view of a
+    :func:`_drawn_once` draw); with ``sparse=True`` a sparse kind
     is returned as a ``scipy.sparse.csc_array`` of the same entries, built
     from the coordinates without materializing the dense matrix (the draws
     do not depend on ``sparse``).  Stream ingestion applies that form with
@@ -161,8 +160,8 @@ def generate(
     if kind.variant == "gaussian":
         drawn = _drawn.get(seed)
         if drawn is not None and drawn.size >= rows * cols:
-            return DenseMatrix(drawn[: rows * cols].reshape(rows, cols))
-        return DenseMatrix.from_array(rng_for(seed).standard_normal((rows, cols)), check_finite=False)
+            return drawn[: rows * cols].reshape(rows, cols)
+        return rng_for(seed).standard_normal((rows, cols))
     rng = rng_for(seed)
     if kind.variant == "sparse_rademacher":
         total = rows * cols
@@ -187,4 +186,4 @@ def generate(
         return scipy.sparse.csc_array((vals, (i, j)), shape=(rows, cols))
     a = np.zeros((rows, cols))
     a[i, j] = vals
-    return DenseMatrix.from_array(a, check_finite=False)
+    return a

@@ -135,16 +135,15 @@ def test_criterion_04_powered_pipeline_beats_plain_at_every_budget():
         spec = synthetic.SyntheticSpec(
             synthetic.Family.POLY_DECAY, m, n, plateau=10, alpha=1.0, base_seed=100, trial=trial
         )
-        a = synthetic.generate(spec)[0].data
-        base = metrics._baselines(a, r)
+        a, base, factors = metrics._trial_data(spec, r)
         for t_hat, ((s, d, l), (s2, d2)) in sizes.items():
             st = open_stream(PipelineKind.TYUC17_SPI, m, n, s, d, l,
                              base_seed=200 + t_hat, trial=trial, plan=PrecisionPlan.MIXED_SINGLE_DOUBLE)
             res = tyuc17_spi(st.ingest(LinearUpdate.dense(a)).finalize(), SpiParams(q=1), r)
-            sf[t_hat]["spi"].append(metrics.relative_error(a, res, r, baselines=base).s_f)
+            sf[t_hat]["spi"].append(metrics.relative_error(a, res, r, baselines=base, factors=factors).s_f)
             st = open_stream(PipelineKind.TYUC17, m, n, s2, d2, base_seed=300 + t_hat, trial=trial)
             res = tyuc17(st.ingest(LinearUpdate.dense(a)).finalize(), r)
-            sf[t_hat]["plain"].append(metrics.relative_error(a, res, r, baselines=base).s_f)
+            sf[t_hat]["plain"].append(metrics.relative_error(a, res, r, baselines=base, factors=factors).s_f)
     summary = []
     for t_hat in budgets:
         mean_spi, mean_plain = np.mean(sf[t_hat]["spi"]), np.mean(sf[t_hat]["plain"])
@@ -163,8 +162,7 @@ def test_criterion_05_more_power_iterations_reduce_error_and_spread():
     spec = synthetic.SyntheticSpec(
         synthetic.Family.POLY_DECAY, m, n, plateau=10, alpha=0.5, base_seed=77, trial=0
     )
-    a = synthetic.generate(spec)[0].data
-    base = metrics._baselines(a, r)
+    a, base, factors = metrics._trial_data(spec, r)
     s_inf = {1: [], 2: [], 3: []}
     for trial in range(50):
         st = open_stream(PipelineKind.TYUC17_SPI, m, n, 20, 40, 60, base_seed=3, trial=trial,
@@ -172,7 +170,7 @@ def test_criterion_05_more_power_iterations_reduce_error_and_spread():
         sk = st.ingest(LinearUpdate.dense(a)).finalize()
         for q in s_inf:
             res = tyuc17_spi(sk, SpiParams(q=q), r)
-            s_inf[q].append(metrics.relative_error(a, res, r, baselines=base).s_inf)
+            s_inf[q].append(metrics.relative_error(a, res, r, baselines=base, factors=factors).s_inf)
     means = {q: float(np.mean(v)) for q, v in s_inf.items()}
     cvs = {q: float(np.std(v) / np.mean(v)) for q, v in s_inf.items()}
     assert means[3] <= 1.05 * means[1]
@@ -309,7 +307,7 @@ def test_criterion_09_sparse_embedding_close_to_gaussian():
     for trial in range(trials):
         for name in kappa:
             kind = TestMatrixKind(name, 0.01) if name != "gaussian" else GAUSSIAN
-            phi = generate(kind, n, emb, SeedSpec(11, Stream.PHI, trial)).data
+            phi = generate(kind, n, emb, SeedSpec(11, Stream.PHI, trial))
             sv = np.linalg.svd(phi.T @ u, compute_uv=False)
             kappa[name].append(sv[0] / sv[-1])
     mean_sparse = float(np.mean(kappa["sparse_rademacher"]))

@@ -14,7 +14,7 @@ from sketchpower.approximators import (
     tyuc19,
     tyuc19_spi,
 )
-from sketchpower.matrix_core import _CHUNK, DenseMatrix
+from sketchpower.matrix_core import _CHUNK, DenseMatrix, as_f64
 from sketchpower.precision_model import PIPELINES, PrecisionPlan
 from sketchpower.spi import SpiParams
 from sketchpower.stream_ingest import LinearUpdate, PipelineKind, open_stream
@@ -90,9 +90,9 @@ def test_variant_matches_spi_on_synthesized_rangefinder():
     omt = generate(GAUSSIAN, l, s, SeedSpec(7, Stream.OMEGA_TILDE, 0))  # the pipeline's own draw
     res_var = tyuc17_spi_variant(sk, SpiParams(q=q), r)
     # Oracle: run the plain powered pipeline on Y := Z @ Omega-tilde.
-    y = sk.z.as_f64() @ omt.as_f64()
+    y = as_f64(sk.z.data) @ omt
     fake = dataclasses.replace(sk, kind=PipelineKind.TYUC17_SPI,
-                               y=type(sk.z).from_array(y), s=s)
+                               y=DenseMatrix(y), s=s)
     res_spi = tyuc17_spi(fake, SpiParams(q=q, stabilize=False), r)
     ref = np.linalg.norm(a - res_spi.reconstruct())
     got = np.linalg.norm(a - res_var.reconstruct())
@@ -103,7 +103,7 @@ def test_variant_q0_stays_inside_power_sketch_range():
     a = _rank_r_matrix(40, 40, 4, seed=9)
     sk = _sketch(PipelineKind.TYUC17_SPI_VARIANT, a, s=4, d=10, l=8, seed=10)
     res = tyuc17_spi_variant(sk, SpiParams(q=0), 4)
-    z = sk.z.as_f64()
+    z = as_f64(sk.z.data)
     proj = z @ np.linalg.lstsq(z, res.q_factor, rcond=None)[0]
     assert np.linalg.norm(proj - res.q_factor) <= 1e-9
 
@@ -129,10 +129,10 @@ def test_tyuc19_exact_recovery_and_core_sketch():
     sk = _sketch(PipelineKind.TYUC19, a, s=8, d=17, seed=16)
     res = tyuc19(sk, 5)
     assert np.linalg.norm(a - res.reconstruct()) <= 1e-9 * np.linalg.norm(a)
-    want_k = sk.phi.data @ a @ sk.psi.data.T
+    want_k = sk.phi @ a @ sk.psi.T
     assert np.linalg.norm(sk.k.data - want_k) <= 1e-12 * np.linalg.norm(want_k)
     # core factorization consistency: (Phi Q) C (Psi P)^T ~ K
-    fit = (sk.phi.data @ res.q_factor) @ res.core @ (sk.psi.data @ res.p_factor).T
+    fit = (sk.phi @ res.q_factor) @ res.core @ (sk.psi @ res.p_factor).T
     assert np.linalg.norm(fit - sk.k.data) <= 1e-8 * np.linalg.norm(sk.k.data)
 
 
@@ -150,11 +150,11 @@ def test_tyuc19_spi_q0_reduces_to_tyuc19():
     gmt = generate(GAUSSIAN, s, l, SeedSpec(20, Stream.GAMMA_TILDE, 0))
     res = tyuc19_spi(sk, SpiParams(q=0), 4)
 
-    y = sk.z.as_f64() @ omt.as_f64()
-    x = gmt.as_f64() @ sk.w.as_f64()
+    y = as_f64(sk.z.data) @ omt
+    x = gmt @ as_f64(sk.w.data)
     fake = dataclasses.replace(
         sk, kind=PipelineKind.TYUC19,
-        y=type(sk.z).from_array(y), x=type(sk.z).from_array(x), w=None,
+        y=DenseMatrix(y), x=DenseMatrix(x), w=None,
     )
     ref = tyuc19(fake, 4)
     got = np.linalg.norm(a - res.reconstruct())
@@ -282,7 +282,9 @@ def _array_bytes(sk):
     for f in dataclasses.fields(sk):
         value = getattr(sk, f.name)
         if isinstance(value, DenseMatrix):
-            out[f.name] = value.data.tobytes()
+            value = value.data
+        if isinstance(value, np.ndarray):
+            out[f.name] = value.tobytes()
         elif hasattr(value, "indptr"):
             out[f.name] = (value.data.tobytes(), value.indices.tobytes(), value.indptr.tobytes())
     return out

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 import sketchpower
-from sketchpower import bench_cli, matrix_core
-from sketchpower.matrix_core import DenseMatrix
+from sketchpower import bench_cli, matrix_core, synthetic
 from sketchpower.precision_model import PIPELINES, simulate_storage
 from sketchpower.stream_ingest import PipelineKind
 from sketchpower.synthetic import Family, SyntheticSpec, generate, prescribed_spectrum, write_spim
@@ -120,7 +119,7 @@ def test_spectrum_round_trip_through_file(tmp_path):
 
 def test_spectrum_of_a_file_is_the_one_run_classifies(tmp_path):
     path = tmp_path / "g.spim"
-    write_spim(path, DenseMatrix(np.random.default_rng(4).standard_normal((300, 200))))
+    write_spim(path, np.random.default_rng(4).standard_normal((300, 200)))
     _run_cli(["spectrum", "--data", "file", "--file", str(path)], tmp_path / "sp.csv")
     rows = list(csv.DictReader((tmp_path / "sp.csv").read_text().splitlines()))
     sv = bench_cli._load_file(argparse.Namespace(file=str(path)))[2]
@@ -273,6 +272,32 @@ def test_trials_must_be_at_least_one(command, trials, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("flags, problem", [
+    (["--sparsity", "2"], r"invalid settings: sparsity must be in \(0, 1\], got 2.0"),
+    (["--test-matrix", "sparse_sign", "--sparsity", "0"], r"invalid settings: sparsity must be in \(0, 1\], got 0.0"),
+    (["--q", "-1"], "invalid settings: power iteration count must be >= 0, got -1"),
+])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_bad_settings_exit_once_before_any_data_is_made(command, flags, problem, capsys, monkeypatch):
+    made = []
+    monkeypatch.setattr(synthetic, "generate", lambda spec: made.append(spec))
+    with pytest.raises(SystemExit, match=problem):
+        bench_cli.main([command, "--budget", "40", "--rank", "3", "--m", "60", "--n", "50", "--trials", "2", *flags])
+    assert capsys.readouterr() == ("", "") and made == []
+
+
+def test_bad_run_settings_print_one_message_and_no_trial_lines():
+    src = str(Path(bench_cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sketchpower.bench_cli", "run", "--sparsity", "2", "--trials", "2",
+         "--m", "60", "--n", "50", "--budget", "30", "--rank", "3"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "invalid settings: sparsity must be in (0, 1], got 2.0\n"
+
+
 def test_console_entry_point_runs():
     src = str(Path(bench_cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -345,6 +370,7 @@ def test_budget_must_be_positive_and_finite(command, budget):
     (["--data", "exp", "--alpha", "inf"], "alpha must be a non-negative finite number, got inf"),
     (["--data", "lowrank", "--gamma", "-1"], "snr .*must be a non-negative finite number, got -1.0"),
     (["--plateau", "-1"], "plateau must be non-negative, got -1"),
+    (["--m", "-5", "--plateau", "0"], "m must be at least 1, got -5"),
 ])
 @pytest.mark.parametrize("command, sizes", [
     ("run", ["--s", "12", "--d", "20", "--l", "30", "--rank", "5"]),
@@ -548,7 +574,7 @@ def test_sweep_without_a_guided_row_writes_the_table_and_fails_with_runs_message
 def test_auto_guidance_refuses_a_file_spectrum_it_cannot_classify(command, tmp_path, capsys):
     rng = np.random.default_rng(5)
     path = tmp_path / "rank5.spim"
-    write_spim(path, DenseMatrix(rng.standard_normal((60, 5)) @ rng.standard_normal((5, 40))))
+    write_spim(path, rng.standard_normal((60, 5)) @ rng.standard_normal((5, 40)))
     with pytest.raises(SystemExit, match=f"--guidance auto .*{path}.*got 5"):
         bench_cli.main([command, "--data", "file", "--file", str(path), "--guidance", "auto",
                         "--budget", "20", "--rank", "3"])

@@ -10,8 +10,6 @@ import scipy.linalg as la
 
 from sketchpower import matrix_core
 from sketchpower.matrix_core import (
-    DenseMatrix,
-    Precision,
     all_finite,
     lstsq,
     qr_economy,
@@ -275,25 +273,6 @@ def test_svd_truncated_near_square_is_the_direct_svd():
     res = svd_truncated(m, 5)
     assert res.u.tobytes() == u[:, :5].tobytes() and res.s.tobytes() == s[:5].tobytes()
     assert res.v.tobytes() == vt[:5].T.tobytes()
-
-
-def test_dense_matrix_contract():
-    dm = DenseMatrix.from_array([[1.0, 2.0], [3.0, 4.0]])
-    assert (dm.rows, dm.cols) == (2, 2)
-    assert dm.precision is Precision.BINARY64
-    assert dm.words == 4.0
-    assert dm.to_precision(Precision.BINARY32).words == 2.0
-    with pytest.raises(ValueError):
-        DenseMatrix.from_array([[np.nan, 1.0]])
-    with pytest.raises(ValueError):
-        DenseMatrix.from_array(np.zeros((0, 3)))
-
-
-def test_dense_matrix_cast_round_trip_bit_exact():
-    rng = np.random.default_rng(11)
-    dm = DenseMatrix.from_array(rng.standard_normal((7, 5)).astype(np.float32))
-    back = dm.to_precision(Precision.BINARY64).to_precision(Precision.BINARY32)
-    assert np.array_equal(back.data, dm.data)
 
 
 @pytest.mark.parametrize("rows", [10, 1000], ids=["small", "large"])

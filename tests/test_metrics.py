@@ -286,7 +286,6 @@ def test_oracle_sweep_means_are_the_serial_sums_of_dense_ingests(concurrent, mon
     sums = {}
     for trial in range(3):
         a, factors = generate(spec.with_trial(trial))
-        a = a.data
         base = spec_baselines(spec.with_trial(trial), a, 4)
         for row in table.rows:
             st = open_stream(PipelineKind.TYUC17_SPI, 90, 70, row.s, row.d, row.l, base_seed=12, trial=trial,
@@ -425,7 +424,7 @@ def test_evaluators_hold_one_residual_and_leave_a_alone():
     # scales it there: one m x n array at its peak, where a separate residual
     # and its scaled copy made two.  The caller's A is not written.
     m = n = 1000
-    a = generate(SyntheticSpec(Family.POLY_DECAY, m=m, n=n, base_seed=5))[0].data
+    a = generate(SyntheticSpec(Family.POLY_DECAY, m=m, n=n, base_seed=5))[0]
     before = a.copy()
     res = _run_tyuc17(a, 24, 48, 10)
     base = metrics.baselines_from_spectrum(la.svdvals(a), 10)
@@ -463,7 +462,7 @@ def test_extra_error_reduction_matches_dense_product():
     ids=["poly", "poly-wide", "exp", "lowrank-noise-free"],
 )
 def test_spec_baselines_match_computed(spec, r, monkeypatch):
-    a = generate(spec)[0].data
+    a = generate(spec)[0]
     want = metrics._baselines(a, r)
     calls = []
     monkeypatch.setattr(metrics, "_baselines", lambda *args: calls.append(args))
@@ -474,7 +473,7 @@ def test_spec_baselines_match_computed(spec, r, monkeypatch):
 
 def test_spec_baselines_zero_baseline_semantics_kept():
     spec = SyntheticSpec(Family.LOWRANK_NOISE, m=50, n=40, plateau=5, snr=0.0, base_seed=44)
-    a = generate(spec)[0].data
+    a = generate(spec)[0]
     assert spec_baselines(spec, a, 5) == (0.0, 0.0)
     res = _run_tyuc17(a, 9, 20, 5, seed=45)
     exact = relative_error(a, res, 5, baselines=spec_baselines(spec, a, 5))
@@ -485,7 +484,7 @@ def test_spec_baselines_zero_baseline_semantics_kept():
 
 def test_spec_baselines_noisy_lowrank_takes_computed_path(monkeypatch):
     spec = SyntheticSpec(Family.LOWRANK_NOISE, m=50, n=40, plateau=5, snr=1e-2, base_seed=46)
-    a = generate(spec)[0].data
+    a = generate(spec)[0]
     want = metrics._baselines(a, 5)
     calls = []
     real = metrics._baselines
@@ -538,7 +537,6 @@ _FACTORED_SPECS = {
 def _factored_case(data, m, n, plan, kind, r=8, seed=60):
     """Noise-free data, its generator factors and one q=1 approximation."""
     a, factors = generate(SyntheticSpec(m=m, n=n, base_seed=seed, **_FACTORED_SPECS[data]))
-    a = a.data
     stream = open_stream(kind, m, n, 10, 24, 30, base_seed=seed + 1, test_kind=GAUSSIAN, plan=plan)
     return a, factors, approximate(stream.ingest(LinearUpdate.row_block(0, a)).finalize(), r, SpiParams(q=1))
 
@@ -602,7 +600,6 @@ def test_factored_evaluators_make_no_m_by_n_array():
     # array at 1000 x 1000 where the dense residual takes a whole one.
     m = n = 1000
     a, factors = generate(SyntheticSpec(Family.POLY_DECAY, m=m, n=n, base_seed=5))
-    a = a.data
     res = _run_tyuc17(a, 24, 48, 10)
     base = metrics.baselines_from_spectrum(factors.sv, 10)
     for evaluate in (relative_error, range_extra_errors):
@@ -619,7 +616,6 @@ def test_factored_norms_of_zero_data_are_zero():
     # plateau 0 without noise: A = 0 and its factors are empty, so the
     # residual of any approximation is the approximation itself.
     a, factors = generate(SyntheticSpec(Family.LOWRANK_NOISE, 60, 50, plateau=0, snr=0.0))
-    a = a.data
     assert factors.sv.size == 0 and not a.any()
     res = _factored_case("poly", 60, 50, PrecisionPlan.ALL_DOUBLE, PipelineKind.TYUC17)[2]
     dense = metrics._residual_norms(a, res, None)

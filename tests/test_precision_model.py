@@ -7,7 +7,6 @@ from sketchpower.precision_model import (
     LedgerError,
     PrecisionPlan,
     StorageLedger,
-    accuracy_floor,
     plan_mixed,
     simulate_storage,
 )
@@ -95,11 +94,6 @@ def test_sketch_precisions_table():
     assert k_mixed["z"] is Precision.BINARY32
     double = precisions("tyuc17_spi", PrecisionPlan.ALL_DOUBLE)
     assert all(p is Precision.BINARY64 for p in double.values())
-
-
-def test_accuracy_floor_ordering():
-    assert accuracy_floor(PrecisionPlan.MIXED_SINGLE_DOUBLE) == pytest.approx(1.2e-7)
-    assert accuracy_floor(PrecisionPlan.ALL_DOUBLE) < 1e-15
 
 
 def test_mixed_and_double_pipelines_agree_when_well_conditioned():

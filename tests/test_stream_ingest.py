@@ -33,9 +33,9 @@ def test_one_shot_matches_direct_products():
     a = _random(60, 50, 1)
     st = open_stream(PipelineKind.TYUC17_SPI, 60, 50, s=6, d=14, l=12, base_seed=3)
     sk = st.ingest(LinearUpdate.dense(a)).finalize()
-    assert np.linalg.norm(sk.y.data - a @ sk.omega.data) <= 1e-12 * np.linalg.norm(sk.y.data)
-    assert np.linalg.norm(sk.w.data - sk.psi.data @ a) <= 1e-12 * np.linalg.norm(sk.w.data)
-    assert np.linalg.norm(sk.z.data - a @ sk.phi.data) <= 1e-12 * np.linalg.norm(sk.z.data)
+    assert np.linalg.norm(sk.y.data - a @ sk.omega) <= 1e-12 * np.linalg.norm(sk.y.data)
+    assert np.linalg.norm(sk.w.data - sk.psi @ a) <= 1e-12 * np.linalg.norm(sk.w.data)
+    assert np.linalg.norm(sk.z.data - a @ sk.phi) <= 1e-12 * np.linalg.norm(sk.z.data)
     assert sk.pass_count == 1
 
 
@@ -60,7 +60,7 @@ def test_rank_one_stream_matches_materialized():
     for k in range(5):
         st.ingest(LinearUpdate.rank_one(us[k], vs[k]))
     sk = st.finalize()
-    assert np.linalg.norm(sk.z.data - a @ sk.phi.data) <= 1e-12 * np.linalg.norm(sk.z.data)
+    assert np.linalg.norm(sk.z.data - a @ sk.phi) <= 1e-12 * np.linalg.norm(sk.z.data)
 
 
 def test_column_block_updates():
@@ -69,9 +69,9 @@ def test_column_block_updates():
     for j in range(0, 60, 15):
         st.ingest(LinearUpdate.column_block(j, a[:, j : j + 15]))
     sk = st.finalize()
-    assert np.allclose(sk.y.data, a @ sk.omega.data, atol=1e-12)
-    assert np.allclose(sk.x.data, sk.gamma.data @ a, atol=1e-12)
-    assert np.allclose(sk.k.data, sk.phi.data @ a @ sk.psi.data.T, atol=1e-12)
+    assert np.allclose(sk.y.data, a @ sk.omega, atol=1e-12)
+    assert np.allclose(sk.x.data, sk.gamma @ a, atol=1e-12)
+    assert np.allclose(sk.k.data, sk.phi @ a @ sk.psi.T, atol=1e-12)
 
 
 def test_linearity_of_updates():
@@ -110,7 +110,7 @@ def test_rowwise_sketching_matches_materialized():
     for i in range(0, 200, 23):
         st.ingest(LinearUpdate.row_block(i, a[i : i + 23]))
     sk = st.finalize()
-    omega = sk.omega.data
+    omega = sk.omega
     assert np.linalg.norm(sk.y.data - a @ omega) <= 1e-11 * np.linalg.norm(sk.y.data)
     want_w = a.T @ (a @ omega)
     assert np.linalg.norm(sk.w.data - want_w) <= 1e-11 * np.linalg.norm(want_w)
@@ -124,7 +124,7 @@ def test_rowwise_zero_and_single_row():
     a1 = np.arange(1.0, 6.0)
     st = open_stream(PipelineKind.RSVD_ONEPASS, 6, 5, s=3, base_seed=1)
     sk = st.ingest(LinearUpdate.row_block(2, a1[None, :])).finalize()
-    want = np.outer(a1, a1 @ sk.omega.data)
+    want = np.outer(a1, a1 @ sk.omega)
     assert np.allclose(sk.w.data, want, atol=1e-13)
 
 
@@ -197,7 +197,8 @@ def test_mixed_precision_storage_and_accumulation():
                       base_seed=15, plan=PrecisionPlan.MIXED_SINGLE_DOUBLE)
     sk_one = one.ingest(LinearUpdate.dense(a)).finalize()
     eps32 = np.finfo(np.float32).eps
-    rel = np.linalg.norm(sk_blocked.y.as_f64() - sk_one.y.as_f64()) / np.linalg.norm(sk_one.y.as_f64())
+    y_blk, y_one = sk_blocked.y.data.astype(np.float64), sk_one.y.data.astype(np.float64)
+    rel = np.linalg.norm(y_blk - y_one) / np.linalg.norm(y_one)
     assert rel <= 50 * eps32
 
 
@@ -208,17 +209,17 @@ def test_tyuc19_spi_sketch_shapes_and_content():
     assert sk.z.data.shape == (45, 9)
     assert sk.w.data.shape == (9, 35)
     assert sk.k.data.shape == (10, 10)
-    assert np.allclose(sk.z.data, a @ sk.omega.data, atol=1e-12)
-    assert np.allclose(sk.w.data, sk.gamma.data @ a, atol=1e-12)
+    assert np.allclose(sk.z.data, a @ sk.omega, atol=1e-12)
+    assert np.allclose(sk.w.data, sk.gamma @ a, atol=1e-12)
 
 
-def _write(directory, a: DenseMatrix, fmt: str):
+def _write(directory, a: np.ndarray, fmt: str):
     """The path of a written as a binary64 SPIM, binary32 SPIM or MatrixMarket file."""
     if fmt == "matrixmarket":
         import scipy.io
 
         path = directory / "data.mtx"
-        scipy.io.mmwrite(path, a.data)
+        scipy.io.mmwrite(path, a)
     else:
         path = directory / "data.spim"
         write_spim(path, a, Precision.BINARY32 if fmt == "binary32" else Precision.BINARY64)
@@ -235,7 +236,7 @@ def test_ingest_file_bitwise_matches_memory(tmp_path, fmt, test_kind):
     a = gen_data(spec)[0]
     path = _write(tmp_path, a, fmt)
     # The file's rows as the reader yields them: binary32 SPIM rows stay binary32.
-    rows = a.data.astype(np.float32) if fmt == "binary32" else read_matrix(path).data
+    rows = a.astype(np.float32) if fmt == "binary32" else read_matrix(path)
     blk = 17
     mem = open_stream(PipelineKind.TYUC17_SPI, 120, 90, s=6, d=14, l=12, base_seed=32, test_kind=test_kind)
     for i in range(0, 120, blk):
@@ -264,7 +265,7 @@ def _recording_open(monkeypatch):
 @pytest.mark.parametrize("block_rows", [0, -3])
 @pytest.mark.parametrize("fmt", ["binary64", "matrixmarket"])
 def test_ingest_file_rejects_block_rows_below_one_before_reading(tmp_path, fmt, block_rows, monkeypatch):
-    path = _write(tmp_path, DenseMatrix.from_array(_random(12, 5, 40)), fmt)
+    path = _write(tmp_path, _random(12, 5, 40), fmt)
     opened = _recording_open(monkeypatch)
     with pytest.raises(ValueError, match=f"block_rows must be >= 1, got {block_rows}"):
         ingest_file(path, PipelineKind.TYUC17, s=2, d=4, block_rows=block_rows)
@@ -273,7 +274,7 @@ def test_ingest_file_rejects_block_rows_below_one_before_reading(tmp_path, fmt, 
 
 @pytest.mark.parametrize("fmt", _FILE_FORMATS)
 def test_file_is_read_through_one_open(tmp_path, fmt, monkeypatch):
-    path = _write(tmp_path, DenseMatrix.from_array(_random(30, 7, 41)), fmt)
+    path = _write(tmp_path, _random(30, 7, 41), fmt)
     opened = _recording_open(monkeypatch)
     read_matrix(path)
     ingest_file(path, PipelineKind.TYUC17, s=2, d=4, block_rows=8)
@@ -288,7 +289,7 @@ def test_file_is_read_through_one_open(tmp_path, fmt, monkeypatch):
 def test_file_is_closed_when_a_later_block_is_refused(tmp_path, fmt, row, block_rows, chunk_rows, where, monkeypatch):
     bad = _random(40, 6, 42)
     bad[row, 3] = np.nan
-    path = _write(tmp_path, DenseMatrix.from_array(bad, check_finite=False), fmt)
+    path = _write(tmp_path, bad, fmt)
     if chunk_rows is not None:
         monkeypatch.setattr(stream_ingest, "_CHUNK", chunk_rows * 6)
     opened = _recording_open(monkeypatch)
@@ -311,7 +312,7 @@ def test_ingest_file_rejects_garbage(tmp_path):
         ingest_file(bad_magic, PipelineKind.TYUC17, s=2, d=4)
 
     truncated = tmp_path / "trunc.spim"
-    write_spim(truncated, DenseMatrix.from_array(np.ones((4, 3))))
+    write_spim(truncated, np.ones((4, 3)))
     data = truncated.read_bytes()
     truncated.write_bytes(data[:-8])  # payload shorter than the header claims
     with pytest.raises(ValueError, match="bytes"):
@@ -322,7 +323,7 @@ def test_ingest_file_rejects_nonfinite(tmp_path):
     bad = np.ones((5, 4))
     bad[2, 2] = np.inf
     path = tmp_path / "inf.spim"
-    write_spim(path, DenseMatrix.from_array(bad, check_finite=False))
+    write_spim(path, bad)
     with pytest.raises(ValueError, match="non-finite"):
         ingest_file(path, PipelineKind.TYUC17, s=2, d=3)
 
@@ -337,7 +338,7 @@ def test_matrix_market_ingestion(tmp_path):
     direct = open_stream(PipelineKind.TYUC17, 25, 18, s=3, d=8, base_seed=2)
     sk2 = direct.ingest(LinearUpdate.dense(a)).finalize()
     assert np.allclose(sk.y.data, sk2.y.data, atol=1e-12)
-    assert np.allclose(read_matrix(path).data, a, atol=1e-12)
+    assert np.allclose(read_matrix(path), a, atol=1e-12)
 
 
 def test_default_block_rows_bounded():
@@ -424,7 +425,7 @@ def test_finalized_sketch_set_is_read_only(kind, test_kind):
     upd = LinearUpdate.row_block(0, _random(12, 9, 43))
     sk = st.ingest(upd).finalize()
     mats = [getattr(sk, name) for name in _SKETCH_NAMES + ("omega", "psi", "phi", "gamma")]
-    arrays = [a.data for a in mats if isinstance(a, DenseMatrix)]
+    arrays = [a.data if isinstance(a, DenseMatrix) else a for a in mats if isinstance(a, (DenseMatrix, np.ndarray))]
     assert len(arrays) >= 3
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -950,9 +951,9 @@ def test_sparse_test_matrices_stay_sparse_on_the_m_side(kind):
             for got, ref in ((mat.data, want.data), (mat.indices, want.indices), (mat.indptr, want.indptr)):
                 assert not got.flags.writeable and got.tobytes() == ref.tobytes(), name
         else:
-            want = generate(test_kind, mat.rows, mat.cols, seed)
-            assert isinstance(mat, DenseMatrix) and not mat.data.flags.writeable, name
-            assert mat.data.tobytes() == want.data.tobytes(), name
+            want = generate(test_kind, *mat.shape, seed)
+            assert isinstance(mat, np.ndarray) and not mat.flags.writeable, name
+            assert mat.tobytes() == want.tobytes(), name
 
 
 # -- file ingestion of binary32 SPIM ----------------------------------------------
@@ -975,7 +976,7 @@ def test_file_blocks_read_in_pieces_give_the_bytes_of_whole_blocks(tmp_path, kin
     m, n, sizes = 230, 9, (2, 5, 4)
     a = np.random.default_rng(23).standard_normal((m, n)).astype(np.float32)
     path = tmp_path / "a32.spim"
-    write_spim(path, DenseMatrix.from_array(a))
+    write_spim(path, a)
     monkeypatch.setattr(stream_ingest, "_CHUNK", _CHUNK_ROWS * n)
     piece = stream_ingest._PIECE_CHUNKS * _CHUNK_ROWS
     block_rows = 3 * piece + 12
@@ -995,7 +996,7 @@ def test_file_ingest_peak_does_not_grow_with_the_block(tmp_path, test_kind, monk
 
     m, n, chunk_rows = 4096, 64, 16
     path = tmp_path / "tall32.spim"
-    write_spim(path, DenseMatrix.from_array(np.random.default_rng(24).standard_normal((m, n)).astype(np.float32)))
+    write_spim(path, np.random.default_rng(24).standard_normal((m, n)).astype(np.float32))
     monkeypatch.setattr(stream_ingest, "_CHUNK", chunk_rows * n)
     excess = []
     for chunks in (8, 64):
@@ -1015,8 +1016,8 @@ def test_file_ingest_peak_does_not_grow_with_the_block(tmp_path, test_kind, monk
 def test_read_matrix_of_binary32_spim_is_binary64(tmp_path):
     a = np.random.default_rng(21).standard_normal((37, 11)).astype(np.float32)
     path = tmp_path / "a32.spim"
-    write_spim(path, DenseMatrix.from_array(a))
-    got = read_matrix(path).data
+    write_spim(path, a)
+    got = read_matrix(path)
     assert got.dtype == np.float64
     assert got.tobytes() == a.astype(np.float64).tobytes()
 
@@ -1027,7 +1028,7 @@ def test_ingest_file_makes_no_binary64_copy_of_a_block(tmp_path):
     n, block_rows = 64, 8 * stream_ingest._CHUNK // 64  # a block spans 8 chunks
     a = np.random.default_rng(22).standard_normal((2 * block_rows, n)).astype(np.float32)
     path = tmp_path / "tall32.spim"
-    write_spim(path, DenseMatrix.from_array(a))
+    write_spim(path, a)
     block32 = block_rows * n * 4
     block64 = 2 * block32
     del a

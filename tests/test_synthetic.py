@@ -23,14 +23,14 @@ def _spec(family, **kw):
 
 def test_lowrank_noiseless_exact_rank():
     spec = _spec(Family.LOWRANK_NOISE, snr=0.0)
-    sv = np.linalg.svd(generate(spec)[0].data, compute_uv=False)
+    sv = np.linalg.svd(generate(spec)[0], compute_uv=False)
     assert np.allclose(sv[:10], 1.0, atol=1e-12)
     assert np.all(sv[10:] <= 1e-13)
 
 
 def test_lowrank_noise_spectral_scales():
     spec = _spec(Family.LOWRANK_NOISE, m=1000, n=1000, snr=1e-4)
-    sv = np.linalg.svd(generate(spec)[0].data, compute_uv=False)
+    sv = np.linalg.svd(generate(spec)[0], compute_uv=False)
     assert 0.99 <= sv[0] <= 1.01
     noise_scale = 1e-4 * 10 / 1000**2
     assert sv[10] <= 5 * noise_scale * (np.sqrt(1000) + np.sqrt(1000))
@@ -38,7 +38,7 @@ def test_lowrank_noise_spectral_scales():
 
 def test_lowrank_plateau_count():
     spec = _spec(Family.LOWRANK_NOISE, m=200, n=200, snr=1e-2)
-    sv = np.linalg.svd(generate(spec)[0].data, compute_uv=False)
+    sv = np.linalg.svd(generate(spec)[0], compute_uv=False)
     assert np.sum(sv >= 0.5) == 10
 
 
@@ -49,7 +49,7 @@ def test_poly_decay_prescription_r1():
 
 def test_poly_decay_generated_spectrum_matches():
     spec = _spec(Family.POLY_DECAY, alpha=1.0)
-    sv = np.linalg.svd(generate(spec)[0].data, compute_uv=False)
+    sv = np.linalg.svd(generate(spec)[0], compute_uv=False)
     assert np.max(np.abs(sv - prescribed_spectrum(spec))) <= 1e-12
 
 
@@ -63,7 +63,7 @@ def test_exp_decay_ratios_and_spectrum():
     sv = prescribed_spectrum(spec)
     ratios = sv[11:] / sv[10:-1]
     assert np.allclose(ratios, np.exp(-0.5), atol=1e-14)
-    computed = np.linalg.svd(generate(spec)[0].data, compute_uv=False)
+    computed = np.linalg.svd(generate(spec)[0], compute_uv=False)
     assert np.max(np.abs(computed - sv)) <= 1e-12
 
 
@@ -80,8 +80,8 @@ def test_orthonormal_factor_quality_and_determinism():
     spec = _spec(Family.POLY_DECAY, m=150, n=120)
     a = generate(spec)[0]
     b = generate(spec)[0]
-    assert np.array_equal(a.data, b.data)
-    u, sv, vt = np.linalg.svd(a.data, full_matrices=False)
+    assert np.array_equal(a, b)
+    u, sv, vt = np.linalg.svd(a, full_matrices=False)
     assert np.linalg.norm(u.T @ u - np.eye(u.shape[1])) <= 1e-12 * np.sqrt(120)
 
 
@@ -113,18 +113,18 @@ def test_helpers_run_only_inside_the_one_thread_pin(monkeypatch):
 def test_concurrent_factors_are_deterministic_and_exact(monkeypatch):
     spec = _spec(Family.POLY_DECAY, m=150, n=120)
     monkeypatch.setattr(matrix_core, "_TWO_CPUS", False)
-    serial = generate(spec)[0].data
+    serial = generate(spec)[0]
     plain = synthetic._factors(spec)
     monkeypatch.setattr(matrix_core, "_TWO_CPUS", True)
-    first = generate(spec)[0].data
-    assert generate(spec)[0].data.tobytes() == first.tobytes()
+    first = generate(spec)[0]
+    assert generate(spec)[0].tobytes() == first.tobytes()
 
     results = [None] * 4
     barrier = threading.Barrier(4)
 
     def work(i):
         barrier.wait(timeout=30)
-        results[i] = generate(spec)[0].data.tobytes()
+        results[i] = generate(spec)[0].tobytes()
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
     for t in threads:
@@ -151,11 +151,11 @@ def test_spim_round_trip_binary64_and_binary32(tmp_path):
     a = generate(spec)[0]
     p64 = tmp_path / "a64.spim"
     write_spim(p64, a)
-    assert np.array_equal(read_matrix(p64).data, a.data)
+    assert np.array_equal(read_matrix(p64), a)
     p32 = tmp_path / "a32.spim"
     write_spim(p32, a, precision=Precision.BINARY32)
-    back = read_matrix(p32).data
-    assert np.array_equal(back, a.data.astype(np.float32).astype(np.float64))
+    back = read_matrix(p32)
+    assert np.array_equal(back, a.astype(np.float32).astype(np.float64))
 
 
 def test_plateau_exceeding_dims_rejected():
@@ -170,11 +170,14 @@ def test_plateau_exceeding_dims_rejected():
     ("snr", -1.0, r"snr \(noise level gamma\) must be a non-negative finite number, got -1.0"),
     ("snr", float("inf"), r"snr \(noise level gamma\) must be a non-negative finite number, got inf"),
     ("plateau", -1, "plateau must be non-negative, got -1"),
+    ("m", -5, "m must be at least 1, got -5"),
+    ("m", 0, "m must be at least 1, got 0"),
+    ("n", 0, "n must be at least 1, got 0"),
 ])
 @pytest.mark.parametrize("family", list(Family))
 def test_impossible_specs_rejected_naming_the_field(family, field, value, problem):
     with pytest.raises(ValueError, match=problem):
-        _spec(family, m=60, n=50, **{field: value})
+        _spec(family, **{"m": 60, "n": 50, field: value})
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -185,11 +188,11 @@ def test_factors_are_the_svd_of_noise_free_data(family):
     assert factors.u.shape == (60, k) and factors.v.shape == (45, k)
     assert k == (5 if family is Family.LOWRANK_NOISE else 45)
     assert np.array_equal(factors.sv, prescribed_spectrum(spec)[:k])
-    assert np.abs((factors.u * factors.sv) @ factors.v.T - a.data).max() <= 1e-15
+    assert np.abs((factors.u * factors.sv) @ factors.v.T - a).max() <= 1e-15
 
 
 def test_noisy_data_comes_without_factors():
     spec = _spec(Family.LOWRANK_NOISE, m=60, n=45, plateau=5, snr=1e-2)
     a, factors = generate(spec)
     assert factors is None
-    assert a.data.tobytes() == generate(spec)[0].data.tobytes()
+    assert a.tobytes() == generate(spec)[0].tobytes()
