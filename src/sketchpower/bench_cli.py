@@ -133,11 +133,16 @@ def _dataset_columns(args: argparse.Namespace) -> tuple[str, str, Optional[float
 def _load_file(args: argparse.Namespace) -> tuple[argparse.Namespace, np.ndarray, np.ndarray]:
     """A copy of args sized to the file, the file's matrix and its singular values.
 
-    One SVD of the file serves both the baselines and the guidance.
+    One SVD of the file serves both the baselines and the guidance.  A file
+    the reader refuses (missing, unreadable, not SPIM or MatrixMarket, with
+    non-finite entries) exits with the reason.
     """
     if not args.file:
         raise SystemExit("--data file requires --file PATH")
-    a = read_matrix(args.file)
+    try:
+        a = read_matrix(args.file)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"--file: {exc}")
     args = argparse.Namespace(**{**vars(args), "m": a.shape[0], "n": a.shape[1]})
     return args, a, la.svdvals(a, check_finite=False)
 
@@ -184,16 +189,24 @@ def _run_one_trial(args, kind, plan, sizes, trial, shared_a, shared_base):
 @_one_blas_thread()
 def run(args: argparse.Namespace) -> int:
     """Run the trials of one configuration, shared out between this process
-    and a forked copy of it; returns a process exit code."""
+    and a forked copy of it; returns a process exit code.  Sizes and a rank
+    the pipeline refuses exit once, before any data is made."""
     kind = PipelineKind(args.algo)
     plan = _plan_of(args, kind)
 
     shared_a = shared_base = file_sv = None
     if args.data == "file":
         args, shared_a, file_sv = _load_file(args)
-        shared_base = metrics.baselines_from_spectrum(file_sv, args.rank)
 
     sizes = _resolve_sizes(args, kind, plan, file_sv)
+    try:
+        PIPELINES[kind.value].check_sizes(args.m, args.n, *sizes)
+        if not 1 <= args.rank <= sizes[0]:
+            raise ValueError(f"target rank must satisfy 1 <= r <= s, got r={args.rank}, s={sizes[0]}")
+    except ValueError as exc:
+        raise SystemExit(f"invalid settings: {exc}")
+    if file_sv is not None:
+        shared_base = metrics.baselines_from_spectrum(file_sv, args.rank)
     dataset, param, alpha_or_gamma = _dataset_columns(args)
     prefix = [args.algo, dataset, param, alpha_or_gamma, args.budget, args.rank,
               sizes[0], sizes[1] or None, sizes[2] or None, args.q]
@@ -239,7 +252,7 @@ def run_sweep(args: argparse.Namespace) -> int:
     try:
         table = metrics.oracle_sweep(
             _dataset_spec(args), kind, float(args.budget), args.rank,
-            q_set=(args.q,), trials=args.trials, test_kind=_test_kind(args), plan=plan,
+            q=args.q, trials=args.trials, test_kind=_test_kind(args), plan=plan,
         )
     except ValueError as exc:
         raise SystemExit(f"sweep: {exc}")

@@ -8,7 +8,8 @@ takes no full SVD of an m x n matrix.  The spectral norm of a residual comes
 from a k=1 Lanczos solve (ARPACK on a Gram operator, fixed start vector and
 restart seed), the ExtraError norms from an r x n reduction, and the
 best-rank-r baselines of noise-free synthetic data from the spectrum the
-generator prescribes.  The values match a dense SVD to roundoff.
+generator prescribes (:func:`_trial_data`).  The values match a dense SVD
+to roundoff.
 
 Noise-free synthetic data comes with the generator's factors ``U0 diag(sigma)
 V0^T`` (:func:`synthetic.generate`, through :func:`_trial_data`); its residuals
@@ -24,7 +25,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg as la
@@ -43,7 +44,6 @@ __all__ = [
     "RangeExtraErrors",
     "MetricUnsupportedError",
     "baselines_from_spectrum",
-    "spec_baselines",
     "relative_error",
     "range_extra_errors",
     "canonical_angle_sines",
@@ -96,25 +96,17 @@ def _baselines(a: np.ndarray, r: int) -> tuple[float, float]:
 
 
 @_one_blas_thread()
-def spec_baselines(spec: synthetic.SyntheticSpec, a: np.ndarray, r: int) -> tuple[float, float]:
-    """Baselines of ``a = synthetic.generate(spec)[0]``.
-
-    When the generator adds no noise the spectrum of A is the prescribed one
-    (to roundoff), so no SVD is taken; noisy data goes through the computed
-    path.  Both share :func:`baselines_from_spectrum`, so zero baselines are
-    detected alike.
-    """
-    if synthetic.adds_noise(spec):
-        return _baselines(a, r)
-    return baselines_from_spectrum(synthetic.prescribed_spectrum(spec), r)
-
-
 def _trial_data(spec: synthetic.SyntheticSpec, r: int):
     """``(a, baselines, factors)`` of one synthetic trial: the data matrix,
-    its :func:`spec_baselines`, and the generator's factors (None for noisy
-    data), which :func:`relative_error` and :func:`range_extra_errors` take."""
+    its best-rank-r baselines, and the generator's factors (None for noisy
+    data), which :func:`relative_error` and :func:`range_extra_errors` take.
+    Without noise A's spectrum is the prescribed one (to roundoff), so no SVD
+    is taken; both paths share :func:`baselines_from_spectrum`, so zero
+    baselines are detected alike."""
     a, factors = synthetic.generate(spec)
-    return a, spec_baselines(spec, a, r), factors
+    if factors is None:
+        return a, _baselines(a, r), None
+    return a, baselines_from_spectrum(synthetic.prescribed_spectrum(spec), r), factors
 
 
 def _fro_and_spectral(e: int, fro: float, k: int, matvec, rmatvec) -> tuple[float, float]:
@@ -534,7 +526,7 @@ def oracle_sweep(
     algo: PipelineKind,
     budget_t: float,
     r: int,
-    q_set: Iterable[int] = (1,),
+    q: int = 1,
     trials: int = 20,
     *,
     test_kind: TestMatrixKind = GAUSSIAN,
@@ -545,10 +537,11 @@ def oracle_sweep(
     For each s from r up, d and l follow the budget by the pipeline's
     budget rule (:func:`guidance.budget_sizes` with s given) until the sizes
     no longer fit; the best row is the oracle error at that budget.
-    Supports the plain two-sketch pipeline and its powered version, under
-    either plan.  With Gaussian test matrices each stream is drawn once a
-    trial, at the largest size on the grid, and every point takes its test
-    matrices as prefixes of those draws, with the bits of their own draws
+    Supports the plain two-sketch pipeline and its powered version with q
+    power iterations (q is 0 for the plain one), under either plan.  With
+    Gaussian test matrices each stream is drawn once a trial, at the
+    largest size on the grid, and every point takes its test matrices as
+    prefixes of those draws, with the bits of their own draws
     (:func:`~sketchpower.test_matrices._drawn_once`).  The grid points of a
     trial are shared out between this process and a forked copy of it
     (:func:`~sketchpower.matrix_core._in_two_processes`): a point is mostly
@@ -563,7 +556,7 @@ def oracle_sweep(
     pipeline = PIPELINES[algo.value]
     if plan is None:
         plan = pipeline.default_plan
-    q_list = sorted(set(q_set)) if pipeline.uses("l") else [0]
+    q = q if pipeline.uses("l") else 0
     grid = []
     for s in itertools.count(r):
         try:
@@ -579,10 +572,7 @@ def oracle_sweep(
             base_seed=data_spec.base_seed, trial=trial, test_kind=test_kind, plan=plan,
         )
         sk = stream.ingest(LinearUpdate.row_block(0, a)).finalize()
-        return [
-            relative_error(a, approximate(sk, r, SpiParams(q=q)), r, baselines=base, factors=factors)
-            for q in q_list
-        ]
+        return relative_error(a, approximate(sk, r, SpiParams(q=q)), r, baselines=base, factors=factors)
 
     # Every point's Gaussian test matrix of a stream is a prefix of the
     # stream's longest one on the grid, so each stream is drawn once a trial.
@@ -592,22 +582,18 @@ def oracle_sweep(
             shapes = pipeline.shapes(data_spec.m, data_spec.n, *sizes)
             for name, _ in pipeline.test_matrices:
                 longest[name] = max(longest.get(name, 0), math.prod(shapes[name]))
-    sums: dict[tuple[int, int], np.ndarray] = {
-        (s, q): np.zeros(2) for (s, _, _) in grid for q in q_list
-    }
+    sums = {s: np.zeros(2) for (s, _, _) in grid}
     for trial in range(trials):
         spec = data_spec.with_trial(trial)
         a, base, factors = _trial_data(spec, r)
         draws = {_test_matrix_seed(name, data_spec.base_seed, trial): n for name, n in longest.items()}
         with _drawn_once(draws):
             errors = _in_two_processes([functools.partial(point, a, factors, base, trial, *sizes) for sizes in grid])
-        for (s, _, _), rels in zip(grid, errors):
-            for q, rel in zip(q_list, rels):
-                sums[(s, q)] += (rel.s_f, rel.s_inf)
+        for (s, _, _), rel in zip(grid, errors):
+            sums[s] += (rel.s_f, rel.s_inf)
 
     table = SweepTable()
     for s, d, l in grid:
-        for q in q_list:
-            acc = sums[(s, q)] / trials
-            table.rows.append(SweepRow(s=s, d=d, l=l, q=q, mean_s_f=float(acc[0]), mean_s_inf=float(acc[1])))
+        acc = sums[s] / trials
+        table.rows.append(SweepRow(s=s, d=d, l=l, q=q, mean_s_f=float(acc[0]), mean_s_inf=float(acc[1])))
     return table

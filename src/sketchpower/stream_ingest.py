@@ -28,23 +28,22 @@ Dense updates and row blocks are folded one row chunk of about 2^18
 entries (2 MiB of binary64) at a time.  Each chunk is upcast to binary64
 once and read by every sketch while it is in cache: a right sketch gets the
 chunk's rows directly, and the increments of the other sketches are summed
-in binary64 over the chunks and added once.  A binary32 row block (a
-binary32 SPIM file's blocks, say) stays binary32 until its chunks are
-upcast.  A file's row block of :func:`default_block_rows` rows is one
-update, but a SPIM file is read in pieces of a few whole chunks into one
-reused buffer, so the read holds one piece, not the block, and the sketches
-get the bytes of the whole block.  The sparse test-matrix kinds are held as
-CSC arrays and applied with sparse products.  The finalized
-:class:`SketchSet` keeps a sparse test matrix with m columns (the corange
-Psi of the ``tyuc17`` kinds, Phi and Gamma of the two-sided kinds) in that
-CSC form, so its storage grows with its nonzeros, not with m; the finishers
-and the metrics apply it as they would a dense array.  The test matrices on
-the n side are small and are held dense.
+in binary64 over the chunks and added once.  A binary32 row block (the
+rows of a binary32 SPIM file, say) stays binary32 until its chunks are
+upcast.  A file is one row-block update, but a SPIM file is read in pieces
+of a few whole chunks into one reused buffer, so the read holds one piece,
+not the file, and the sketches get the bytes of the whole file.  The sparse
+test-matrix kinds are held as CSC arrays and applied with sparse products.
+The finalized :class:`SketchSet` keeps a sparse test matrix with m columns
+(the corange Psi of the ``tyuc17`` kinds, Phi and Gamma of the two-sided
+kinds) in that CSC form, so its storage grows with its nonzeros, not with
+m; the finishers and the metrics apply it as they would a dense array.  The
+test matrices on the n side are small and are held dense.
 
 Sketches declared binary32 are accumulated in binary64 and rounded to
-binary32 at each fold: once per dense or row-block update and once per flush
-of the staging pair (about N/k roundings for N staged terms), bounding
-rounding drift independent of how the stream is blocked.
+binary32 at each fold: once per dense or row-block update (a file is one)
+and once per flush of the staging pair (about N/k roundings for N staged
+terms), bounding rounding drift independent of how the stream is blocked.
 """
 from __future__ import annotations
 
@@ -69,7 +68,6 @@ __all__ = [
     "open_stream",
     "ingest_file",
     "read_matrix",
-    "default_block_rows",
 ]
 
 
@@ -236,10 +234,9 @@ class SketchStream:
         self._finalized = False
 
         shapes = spec.shapes(m, n, s, d, l)
-        sparse = test_kind.variant != "gaussian"
         self._t = {}
         for name, _ in spec.test_matrices:
-            self._t[name] = generate(test_kind, *shapes[name], _test_matrix_seed(name, base_seed, trial), sparse=sparse)
+            self._t[name] = generate(test_kind, *shapes[name], _test_matrix_seed(name, base_seed, trial))
         self._sk = {
             sk.name: np.zeros(shapes[sk.name], dtype=spec.precision(sk.name, plan).dtype)
             for sk in spec.sketches
@@ -335,9 +332,9 @@ class SketchStream:
         """Add the rows from ``start`` on, given as consecutive pieces, as one
         update, one chunk of about ``_CHUNK`` entries at a time.
 
-        An update held in memory is one piece; ``ingest_file`` reads a block
+        An update held in memory is one piece; ``ingest_file`` reads a file
         in pieces of whole chunks, so the chunks are the ones of the whole
-        block.  Each chunk is upcast to binary64 once and read by every
+        file.  Each chunk is upcast to binary64 once and read by every
         sketch while it is in cache.  A right sketch gets the chunk's rows
         directly; the increments of the other sketches are summed in binary64
         over the chunks of every piece and added once, so each sketch entry
@@ -481,18 +478,8 @@ def open_stream(
     return SketchStream(kind, m, n, s, d, l, base_seed=base_seed, trial=trial, test_kind=test_kind, plan=plan)
 
 
-def default_block_rows(n: int) -> int:
-    """Rows of one logical update of a file: about 2^24 entries whatever m.
-
-    A SPIM block is read in pieces of :data:`_PIECE_CHUNKS` row chunks, so
-    its size sets how often the corange sketches are rounded, not the
-    memory the read takes.
-    """
-    return max(1, (1 << 24) // max(n, 1))
-
-
 # Row chunks per piece of a SPIM read: 8 chunks are 8 MiB of binary32.  On a
-# 131,072 x 1000 binary32 file the default block (67 MB) read whole took
+# 131,072 x 1000 binary32 file a block of 16,777 rows (67 MB) read whole took
 # 0.98 s; in pieces of 2,048 or 512 rows, 0.92 and 0.98 s.
 _PIECE_CHUNKS = 8
 
@@ -527,20 +514,16 @@ def _spim_header(head: bytes, size: int, path) -> tuple[int, int, np.dtype]:
     return rows, cols, dtype
 
 
-def _row_blocks(path, block_rows: Optional[int] = None) -> Iterator:
-    """Yield the shape (rows, cols) of a SPIM or MatrixMarket file, then a
-    (start row, pieces) pair for each block of ``block_rows`` rows (default
-    :func:`default_block_rows`); ``pieces`` yields the block's rows in
-    consecutive pieces, each checked for finiteness (a refusal names the
-    block).
+def _row_pieces(path) -> Iterator:
+    """Yield the shape (rows, cols) of a SPIM or MatrixMarket file, then its
+    rows in consecutive pieces of :data:`_PIECE_CHUNKS` row chunks, each
+    checked for finiteness (a refusal names the piece's rows).
 
-    The file is opened once.  A SPIM header is read once and each block is
-    read, in the file's precision, one piece of :data:`_PIECE_CHUNKS` row
-    chunks at a time into the same buffer, so a piece is valid only until
-    the next one, and the pieces of a block must be taken before the next
-    block.  A MatrixMarket file is loaded once as binary64 and its pieces
-    are slices of it.  Close the generator to close the file before it is
-    spent.
+    The file is opened once.  A SPIM header is read once and the payload is
+    read, in the file's precision, one piece at a time into the same buffer,
+    so a piece is valid only until the next one.  A MatrixMarket file is
+    loaded once as binary64 and its pieces are slices of it.  Close the
+    generator to close the file before it is spent.
     """
     with open(path, "rb") as fh:
         head = fh.read(_SPIM_HEADER_BYTES)
@@ -561,36 +544,30 @@ def _row_blocks(path, block_rows: Optional[int] = None) -> Iterator:
         else:
             raise ValueError(f"{path}: unrecognized format (expected SPIM or MatrixMarket)")
         yield rows, cols
-        blk = block_rows or default_block_rows(cols)
-        step = min(blk, rows, _PIECE_CHUNKS * max(1, _CHUNK // cols))
+        step = min(rows, _PIECE_CHUNKS * max(1, _CHUNK // cols))
         buf = np.empty((step, cols), dtype=dtype) if full is None else None
-
-        def pieces(start, stop):
-            for a in range(start, stop, step):
-                b = min(a + step, stop)
-                if full is not None:
-                    piece = full[a:b]
-                else:
-                    piece = buf[: b - a]
-                    if fh.readinto(piece) != piece.nbytes:
-                        raise ValueError(f"{path}: truncated payload at row {a}")
-                if not all_finite(piece):
-                    raise ValueError(f"{path}: {_non_finite('row_block', f'rows [{start}, {stop})')}")
-                yield piece
-
-        for start in range(0, rows, blk):
-            yield start, pieces(start, min(start + blk, rows))
+        for a in range(0, rows, step):
+            b = min(a + step, rows)
+            if full is not None:
+                piece = full[a:b]
+            else:
+                piece = buf[: b - a]
+                if fh.readinto(piece) != piece.nbytes:
+                    raise ValueError(f"{path}: truncated payload at row {a}")
+            if not all_finite(piece):
+                raise ValueError(f"{path}: {_non_finite('row_block', f'rows [{a}, {b})')}")
+            yield piece
 
 
 def read_matrix(path) -> np.ndarray:
     """Fully load a SPIM or MatrixMarket file as a C-ordered binary64 array,
     validating finiteness."""
-    with contextlib.closing(_row_blocks(path)) as blocks:
-        a = np.empty(next(blocks))
-        for start, pieces in blocks:
-            for piece in pieces:
-                a[start : start + piece.shape[0]] = piece
-                start += piece.shape[0]
+    with contextlib.closing(_row_pieces(path)) as pieces:
+        a = np.empty(next(pieces))
+        start = 0
+        for piece in pieces:
+            a[start : start + piece.shape[0]] = piece
+            start += piece.shape[0]
     return a
 
 
@@ -606,25 +583,20 @@ def ingest_file(
     trial: int = 0,
     test_kind: TestMatrixKind = GAUSSIAN,
     plan: PrecisionPlan = PrecisionPlan.ALL_DOUBLE,
-    block_rows: Optional[int] = None,
 ) -> SketchSet:
-    """Row-block ingestion of a matrix file; equivalent to streaming the whole
-    file through :meth:`SketchStream.ingest`, one row block of ``block_rows``
-    rows (default :func:`default_block_rows`) per update, and finalizing.
+    """Ingestion of a matrix file as one update; equivalent to
+    ``open_stream(...).ingest(LinearUpdate.row_block(0, rows)).finalize()``
+    on the file's rows, which stay binary32 for a binary32 SPIM file.
 
-    A SPIM block is read, checked and folded in pieces of whole row chunks
+    A SPIM file is read, checked and folded in pieces of whole row chunks
     into one reused buffer, so beside the sketches the read holds one piece
-    and a few chunks, whatever ``block_rows``; the sketches get the bytes of
-    the whole block.  Errors in a block (non-finite entries, say) name the
-    file and the block, and the file is closed by the time they reach the
-    caller."""
-    if block_rows is not None and block_rows < 1:
-        raise ValueError(f"block_rows must be >= 1, got {block_rows}")
-    with contextlib.closing(_row_blocks(path, block_rows)) as blocks:
-        rows, cols = next(blocks)
+    and a few chunks, whatever the file's rows.  Errors in a piece
+    (non-finite entries, say) name the file and the piece's rows, and the
+    file is closed by the time they reach the caller."""
+    with contextlib.closing(_row_pieces(path)) as pieces:
+        rows, cols = next(pieces)
         stream = open_stream(
             kind, rows, cols, s, d, l, base_seed=base_seed, trial=trial, test_kind=test_kind, plan=plan
         )
-        for start, pieces in blocks:
-            stream._fold_rows(start, pieces)
+        stream._fold_rows(0, pieces)
     return stream.finalize()

@@ -139,24 +139,19 @@ def _drawn_once(counts: dict[SeedSpec, int]):
         _drawn.clear()
 
 
-def generate(
-    kind: TestMatrixKind, rows: int, cols: int, seed: SeedSpec, *, sparse: bool = False
-) -> np.ndarray | scipy.sparse.csc_array:
+def generate(kind: TestMatrixKind, rows: int, cols: int, seed: SeedSpec) -> np.ndarray | scipy.sparse.csc_array:
     """Draw a rows x cols test matrix of the given kind, deterministically.
 
-    Sparse kinds are sampled as coordinate lists.  By default every kind is
-    returned as a C-ordered binary64 ndarray (read-only if it is a view of a
-    :func:`_drawn_once` draw); with ``sparse=True`` a sparse kind
-    is returned as a ``scipy.sparse.csc_array`` of the same entries, built
-    from the coordinates without materializing the dense matrix (the draws
-    do not depend on ``sparse``).  Stream ingestion applies that form with
-    sparse products, and the finalized sketch set keeps it for a test
-    matrix with m columns; the storage ledger counts no test matrix.
+    A Gaussian kind is returned as a C-ordered binary64 ndarray (read-only if
+    it is a view of a :func:`_drawn_once` draw).  A sparse kind is sampled as
+    a coordinate list and returned as a ``scipy.sparse.csc_array`` built from
+    it, without materializing the dense matrix.  Stream ingestion applies
+    that form with sparse products, and the finalized sketch set keeps it
+    for a test matrix with m columns; the storage ledger counts no test
+    matrix.
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"test matrix dimensions must be >= 1, got {rows}x{cols}")
-    if sparse and kind.variant == "gaussian":
-        raise ValueError("gaussian test matrices have no sparse form")
     if kind.variant == "gaussian":
         drawn = _drawn.get(seed)
         if drawn is not None and drawn.size >= rows * cols:
@@ -182,8 +177,4 @@ def generate(
         i = rng.integers(0, rows, size=cols)
         vals = rng.integers(0, 2, size=cols) * 2.0 - 1.0
         j = np.arange(cols)
-    if sparse:
-        return scipy.sparse.csc_array((vals, (i, j)), shape=(rows, cols))
-    a = np.zeros((rows, cols))
-    a[i, j] = vals
-    return a
+    return scipy.sparse.csc_array((vals, (i, j)), shape=(rows, cols))

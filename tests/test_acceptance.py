@@ -194,7 +194,7 @@ def test_criterion_06_guidance_is_near_oracle():
         for t_hat in (60, 100):
             spec = synthetic.SyntheticSpec(family, 400, 400, plateau=10, base_seed=55, **kwargs)
             table = metrics.oracle_sweep(spec, PipelineKind.TYUC17_SPI, float(t_hat), r,
-                                         q_set=(1,), trials=20)
+                                         q=1, trials=20)
             best = table.best()
             guided_s = select_sizes(cls, float(t_hat), 400, r)[0]
             guided = next(row for row in table.rows if row.s == guided_s)

@@ -3,6 +3,7 @@ import csv
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -129,8 +130,52 @@ def test_spectrum_of_a_file_is_the_one_run_classifies(tmp_path):
 def test_spectrum_empty_file_rejected(tmp_path):
     empty = tmp_path / "e.spim"
     empty.write_bytes(b"")
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(SystemExit, match="--file: .*empty"):
         bench_cli.main(["spectrum", "--data", "file", "--file", str(empty)])
+
+
+def _unreadable(tmp_path, case):
+    """A path the file reader refuses, and the reason it gives."""
+    if case == "missing":
+        return tmp_path / "missing.spim", "No such file or directory"
+    if case == "directory":
+        return tmp_path, "Is a directory"
+    if case == "text":
+        path = tmp_path / "notes.txt"
+        path.write_text("not a matrix\n")
+        return path, "unrecognized format"
+    path = tmp_path / "nan.spim"
+    bad = np.ones((6, 4))
+    bad[3, 1] = np.nan
+    write_spim(path, bad)
+    return path, r"non-finite entries in row_block update of rows \[0, 6\)"
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "text", "nan"])
+@pytest.mark.parametrize("command", ["run", "spectrum", "ledger"])
+def test_unreadable_file_exits_with_one_message(command, case, tmp_path, capsys):
+    path, reason = _unreadable(tmp_path, case)
+    with pytest.raises(SystemExit) as exit_:
+        bench_cli.main([command, "--data", "file", "--file", str(path), "--algo", "tyuc17",
+                        "--s", "2", "--d", "5", "--rank", "2", "--trials", "1"])
+    message = exit_.value.code
+    assert isinstance(message, str) and message.startswith("--file: ") and "\n" not in message
+    assert re.search(reason, message), message
+    assert capsys.readouterr() == ("", "")
+
+
+def test_unreadable_file_prints_no_traceback(tmp_path):
+    path, _ = _unreadable(tmp_path, "nan")
+    src = str(Path(bench_cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sketchpower.bench_cli", "run", "--data", "file", "--file", str(path),
+         "--algo", "tyuc17", "--s", "2", "--d", "5", "--rank", "2"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("--file: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_file_dataset_run(tmp_path):
@@ -222,13 +267,18 @@ def test_config_timing_fills_wall_ms(tmp_path):
     assert float(rows[0]["wall_ms"]) > 0
 
 
-def test_failing_trials_set_exit_code(tmp_path):
-    # d < s makes the corange solve underdetermined; every trial fails and is
-    # enumerated on stderr with a nonzero exit code.
-    args = ["run", "--data", "poly", "--rank", "3", "--algo", "tyuc17", "--s", "10", "--d", "4",
+def test_failing_trials_set_exit_code(tmp_path, capsys, monkeypatch):
+    # Every trial fails in its finisher and is enumerated on stderr with a
+    # nonzero exit code.  (Sizes the pipeline refuses exit before any trial.)
+    def failing(*args, **kwargs):
+        raise ValueError("made to fail")
+
+    monkeypatch.setattr(bench_cli, "approximate", failing)
+    args = ["run", "--data", "poly", "--rank", "3", "--algo", "tyuc17", "--s", "10", "--d", "24",
             "--trials", "2", "--m", "40", "--n", "40"]
     rc, _ = _run_cli(args, tmp_path / "fail.csv")
     assert rc == 1
+    assert capsys.readouterr().err == "trial 0 failed: made to fail\ntrial 1 failed: made to fail\n"
 
 
 def test_infeasible_budget_diagnostic():
@@ -272,12 +322,27 @@ def test_trials_must_be_at_least_one(command, trials, capsys):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("flags, problem", [
+_BAD_SETTINGS = [
     (["--sparsity", "2"], r"invalid settings: sparsity must be in \(0, 1\], got 2.0"),
     (["--test-matrix", "sparse_sign", "--sparsity", "0"], r"invalid settings: sparsity must be in \(0, 1\], got 0.0"),
     (["--q", "-1"], "invalid settings: power iteration count must be >= 0, got -1"),
-])
-@pytest.mark.parametrize("command", ["run", "sweep"])
+]
+# Manual sizes and ranks the pipeline refuses; the sweep takes neither.
+_BAD_RUN_SIZES = [
+    (["--s", "10", "--d", "20", "--l", "30", "--rank", "12"],
+     r"invalid settings: target rank must satisfy 1 <= r <= s, got r=12, s=10"),
+    (["--s", "10", "--d", "20", "--l", "30", "--rank", "-2"],
+     r"invalid settings: target rank must satisfy 1 <= r <= s, got r=-2, s=10"),
+    (["--algo", "tyuc17", "--s", "12", "--d", "8"], r"invalid settings: tyuc17: size rule d >= s fails with d=8"),
+    (["--s", "0", "--d", "20", "--l", "30"], r"invalid settings: tyuc17_spi: size rule 1 <= s <= min\(m, n\)"),
+]
+_BAD_BY_COMMAND = {"run": _BAD_SETTINGS + _BAD_RUN_SIZES, "sweep": _BAD_SETTINGS}
+
+
+@pytest.mark.parametrize("command, flags, problem",
+                         [(c, f, p) for c, cases in _BAD_BY_COMMAND.items() for f, p in cases],
+                         ids=[f"{c}-flags{i}-{p}" for c, cases in _BAD_BY_COMMAND.items()
+                              for i, (_, p) in enumerate(cases)])
 def test_bad_settings_exit_once_before_any_data_is_made(command, flags, problem, capsys, monkeypatch):
     made = []
     monkeypatch.setattr(synthetic, "generate", lambda spec: made.append(spec))

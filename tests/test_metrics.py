@@ -26,13 +26,12 @@ from sketchpower.metrics import (
     oracle_sweep,
     range_extra_errors,
     relative_error,
-    spec_baselines,
     tail_energy,
 )
 from sketchpower.precision_model import PrecisionPlan
 from sketchpower.spi import SpiParams
 from sketchpower.stream_ingest import LinearUpdate, PipelineKind, open_stream
-from sketchpower.synthetic import Family, SyntheticSpec, generate
+from sketchpower.synthetic import Family, SyntheticSpec, generate, prescribed_spectrum
 from sketchpower.test_matrices import GAUSSIAN, TestMatrixKind
 
 
@@ -268,7 +267,9 @@ def test_metrics_invariant_under_rotation():
 
 def test_oracle_sweep_row_count_and_flat_argmin():
     spec = SyntheticSpec(Family.LOWRANK_NOISE, m=150, n=150, plateau=8, snr=1e-2, base_seed=44)
-    table = oracle_sweep(spec, PipelineKind.TYUC17_SPI, budget_t=36.0, r=8, q_set=(1, 2), trials=8)
+    rows = [row for q in (1, 2) for row in oracle_sweep(spec, PipelineKind.TYUC17_SPI, budget_t=36.0, r=8,
+                                                        q=q, trials=8).rows]
+    table = metrics.SweepTable(rows)
     feasible_s = [s for s in range(8, 19)]
     assert len(table.rows) == len(feasible_s) * 2
     best = table.best()
@@ -281,12 +282,12 @@ def test_oracle_sweep_means_are_the_serial_sums_of_dense_ingests(concurrent, mon
     # row block; the means keep the bits of a serial loop over dense updates.
     monkeypatch.setattr(matrix_core, "_TWO_CPUS", concurrent)
     spec = SyntheticSpec(Family.POLY_DECAY, m=90, n=70, plateau=5, alpha=2.0, base_seed=12)
-    table = oracle_sweep(spec, PipelineKind.TYUC17_SPI, budget_t=30.0, r=4, q_set=(1, 2), trials=3,
-                         plan=PrecisionPlan.MIXED_SINGLE_DOUBLE)
+    table = metrics.SweepTable([row for q in (1, 2) for row in oracle_sweep(
+        spec, PipelineKind.TYUC17_SPI, budget_t=30.0, r=4, q=q, trials=3, plan=PrecisionPlan.MIXED_SINGLE_DOUBLE).rows])
     sums = {}
     for trial in range(3):
         a, factors = generate(spec.with_trial(trial))
-        base = spec_baselines(spec.with_trial(trial), a, 4)
+        base = metrics.baselines_from_spectrum(prescribed_spectrum(spec.with_trial(trial)), 4)
         for row in table.rows:
             st = open_stream(PipelineKind.TYUC17_SPI, 90, 70, row.s, row.d, row.l, base_seed=12, trial=trial,
                              plan=PrecisionPlan.MIXED_SINGLE_DOUBLE)
@@ -330,18 +331,21 @@ def test_oracle_sweep_shares_each_gaussian_draw_of_a_trial_without_moving_a_bit(
     monkeypatch.setattr(matrix_core, "_TWO_CPUS", concurrent)
     kind = TestMatrixKind(variant, 0.2)
 
-    def sweep():
+    def sweep(q):
         return _sweep_bytes(oracle_sweep(_SWEEP_SPEC, PipelineKind.TYUC17_SPI, budget_t=24.0, r=4,
-                                         q_set=(0, 1), trials=2, test_kind=kind))
+                                         q=q, trials=2, test_kind=kind))
 
     seen = _spy_on_shared_draws(monkeypatch)
-    shared = sweep()
-    gc.collect()
-    assert len(seen) == 2 and test_matrices._drawn == {}
-    assert all(set(refs) == ({"OMEGA", "PSI", "PHI"} if variant == "gaussian" else set()) for refs in seen)
-    assert all(ref() is None for refs in seen for ref in refs.values())
+    shared = []
+    for q in (0, 1):
+        shared.append(sweep(q))
+        gc.collect()
+        assert len(seen) == 2 and test_matrices._drawn == {}
+        assert all(set(refs) == ({"OMEGA", "PSI", "PHI"} if variant == "gaussian" else set()) for refs in seen)
+        assert all(ref() is None for refs in seen for ref in refs.values())
+        seen.clear()
     monkeypatch.setattr(metrics, "_drawn_once", lambda counts: contextlib.nullcontext())
-    assert sweep() == shared
+    assert [sweep(q) for q in (0, 1)] == shared
 
 
 @pytest.mark.parametrize("concurrent", [False, True])
@@ -461,35 +465,36 @@ def test_extra_error_reduction_matches_dense_product():
     ],
     ids=["poly", "poly-wide", "exp", "lowrank-noise-free"],
 )
-def test_spec_baselines_match_computed(spec, r, monkeypatch):
+def test_trial_data_baselines_match_computed(spec, r, monkeypatch):
     a = generate(spec)[0]
     want = metrics._baselines(a, r)
     calls = []
     monkeypatch.setattr(metrics, "_baselines", lambda *args: calls.append(args))
-    got = spec_baselines(spec, a, r)
+    got = metrics._trial_data(spec, r)[1]
     assert calls == []  # no SVD taken
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_spec_baselines_zero_baseline_semantics_kept():
+def test_trial_data_zero_baseline_semantics_kept():
     spec = SyntheticSpec(Family.LOWRANK_NOISE, m=50, n=40, plateau=5, snr=0.0, base_seed=44)
-    a = generate(spec)[0]
-    assert spec_baselines(spec, a, 5) == (0.0, 0.0)
+    a, base, _ = metrics._trial_data(spec, 5)
+    assert base == (0.0, 0.0)
     res = _run_tyuc17(a, 9, 20, 5, seed=45)
-    exact = relative_error(a, res, 5, baselines=spec_baselines(spec, a, 5))
+    exact = relative_error(a, res, 5, baselines=base)
     computed = relative_error(a, res, 5)
     assert exact.flags == computed.flags == frozenset({"zero_baseline"})
     assert exact.s_f == computed.s_f
 
 
-def test_spec_baselines_noisy_lowrank_takes_computed_path(monkeypatch):
+def test_trial_data_noisy_lowrank_takes_computed_path(monkeypatch):
     spec = SyntheticSpec(Family.LOWRANK_NOISE, m=50, n=40, plateau=5, snr=1e-2, base_seed=46)
     a = generate(spec)[0]
     want = metrics._baselines(a, 5)
     calls = []
     real = metrics._baselines
     monkeypatch.setattr(metrics, "_baselines", lambda *args: calls.append(args) or real(*args))
-    assert spec_baselines(spec, a, 5) == want
+    got_a, got, factors = metrics._trial_data(spec, 5)
+    assert got == want and factors is None and got_a.tobytes() == a.tobytes()
     assert len(calls) == 1
 
 

@@ -13,7 +13,6 @@ from sketchpower.precision_model import PIPELINES, PrecisionPlan
 from sketchpower.stream_ingest import (
     LinearUpdate,
     PipelineKind,
-    default_block_rows,
     ingest_file,
     open_stream,
     read_matrix,
@@ -231,19 +230,17 @@ _FILE_FORMATS = ["binary64", "binary32", "matrixmarket"]
 
 @pytest.mark.parametrize("test_kind", [GAUSSIAN, SPARSE_RADEMACHER], ids=lambda k: k.variant)
 @pytest.mark.parametrize("fmt", _FILE_FORMATS)
-def test_ingest_file_bitwise_matches_memory(tmp_path, fmt, test_kind):
+def test_ingest_file_bitwise_matches_memory(tmp_path, fmt, test_kind, monkeypatch):
     spec = SyntheticSpec(Family.LOWRANK_NOISE, m=120, n=90, plateau=5, snr=1e-4, base_seed=31)
     a = gen_data(spec)[0]
     path = _write(tmp_path, a, fmt)
+    monkeypatch.setattr(stream_ingest, "_CHUNK", 7 * 90)  # chunks of 7 rows, pieces of 56
+    assert _piece_rows(path) == [56, 56, 8]
     # The file's rows as the reader yields them: binary32 SPIM rows stay binary32.
     rows = a.astype(np.float32) if fmt == "binary32" else read_matrix(path)
-    blk = 17
     mem = open_stream(PipelineKind.TYUC17_SPI, 120, 90, s=6, d=14, l=12, base_seed=32, test_kind=test_kind)
-    for i in range(0, 120, blk):
-        mem.ingest(LinearUpdate.row_block(i, rows[i : i + blk]))
-    sk_mem = mem.finalize()
-    sk_file = ingest_file(path, PipelineKind.TYUC17_SPI, s=6, d=14, l=12, base_seed=32, block_rows=blk,
-                          test_kind=test_kind)
+    sk_mem = mem.ingest(LinearUpdate.row_block(0, rows)).finalize()
+    sk_file = ingest_file(path, PipelineKind.TYUC17_SPI, s=6, d=14, l=12, base_seed=32, test_kind=test_kind)
     for name in ("y", "w", "z"):
         assert np.array_equal(getattr(sk_file, name).data, getattr(sk_mem, name).data)
     assert sk_file.pass_count == 1
@@ -262,31 +259,21 @@ def _recording_open(monkeypatch):
     return opened
 
 
-@pytest.mark.parametrize("block_rows", [0, -3])
-@pytest.mark.parametrize("fmt", ["binary64", "matrixmarket"])
-def test_ingest_file_rejects_block_rows_below_one_before_reading(tmp_path, fmt, block_rows, monkeypatch):
-    path = _write(tmp_path, _random(12, 5, 40), fmt)
-    opened = _recording_open(monkeypatch)
-    with pytest.raises(ValueError, match=f"block_rows must be >= 1, got {block_rows}"):
-        ingest_file(path, PipelineKind.TYUC17, s=2, d=4, block_rows=block_rows)
-    assert opened == []
-
-
 @pytest.mark.parametrize("fmt", _FILE_FORMATS)
 def test_file_is_read_through_one_open(tmp_path, fmt, monkeypatch):
     path = _write(tmp_path, _random(30, 7, 41), fmt)
     opened = _recording_open(monkeypatch)
     read_matrix(path)
-    ingest_file(path, PipelineKind.TYUC17, s=2, d=4, block_rows=8)
+    ingest_file(path, PipelineKind.TYUC17, s=2, d=4)
     assert len(opened) == 2 and all(fh.closed for fh in opened)
 
 
-@pytest.mark.parametrize("row, block_rows, chunk_rows, where", [
-    (25, 8, None, "[24, 32)"),  # in the fourth block of 8 rows
-    (33, 24, 1, "[24, 40)"),  # in the second 8-row piece of the block [24, 40)
+@pytest.mark.parametrize("row, chunk_rows, where", [
+    (25, None, "[0, 40)"),  # the whole file is one piece
+    (33, 1, "[32, 40)"),  # in the fifth piece of 8 rows
 ])
 @pytest.mark.parametrize("fmt", _FILE_FORMATS)
-def test_file_is_closed_when_a_later_block_is_refused(tmp_path, fmt, row, block_rows, chunk_rows, where, monkeypatch):
+def test_file_is_closed_when_a_piece_is_refused(tmp_path, fmt, row, chunk_rows, where, monkeypatch):
     bad = _random(40, 6, 42)
     bad[row, 3] = np.nan
     path = _write(tmp_path, bad, fmt)
@@ -295,7 +282,7 @@ def test_file_is_closed_when_a_later_block_is_refused(tmp_path, fmt, row, block_
     opened = _recording_open(monkeypatch)
     with pytest.raises(ValueError, match=re.escape(f"non-finite entries in row_block update of rows {where}")):
         try:
-            ingest_file(path, PipelineKind.TYUC17, s=2, d=4, block_rows=block_rows)
+            ingest_file(path, PipelineKind.TYUC17, s=2, d=4)
         finally:
             assert len(opened) == 1 and opened[0].closed
 
@@ -339,12 +326,6 @@ def test_matrix_market_ingestion(tmp_path):
     sk2 = direct.ingest(LinearUpdate.dense(a)).finalize()
     assert np.allclose(sk.y.data, sk2.y.data, atol=1e-12)
     assert np.allclose(read_matrix(path), a, atol=1e-12)
-
-
-def test_default_block_rows_bounded():
-    assert default_block_rows(1) == 1 << 24
-    assert default_block_rows(1 << 24) == 1
-    assert default_block_rows(10**9) == 1
 
 
 def test_spim_dimension_overflow_rejected(tmp_path):
@@ -946,12 +927,12 @@ def test_sparse_test_matrices_stay_sparse_on_the_m_side(kind):
         mat = getattr(sk, name)
         seed = SeedSpec(8, Stream[name.upper()], 0)
         if cols == "m":
-            want = generate(test_kind, *mat.shape, seed, sparse=True)
+            want = generate(test_kind, *mat.shape, seed)
             assert isinstance(mat, scipy.sparse.csc_array) and mat.shape[1] == 30, name
             for got, ref in ((mat.data, want.data), (mat.indices, want.indices), (mat.indptr, want.indptr)):
                 assert not got.flags.writeable and got.tobytes() == ref.tobytes(), name
         else:
-            want = generate(test_kind, *mat.shape, seed)
+            want = generate(test_kind, *mat.shape, seed).toarray()
             assert isinstance(mat, np.ndarray) and not mat.flags.writeable, name
             assert mat.tobytes() == want.tobytes(), name
 
@@ -959,51 +940,50 @@ def test_sparse_test_matrices_stay_sparse_on_the_m_side(kind):
 # -- file ingestion of binary32 SPIM ----------------------------------------------
 
 
-def _piece_rows(path, block_rows):
-    """The rows of each piece the reader yields for the first block of a file."""
-    with contextlib.closing(stream_ingest._row_blocks(path, block_rows)) as blocks:
-        next(blocks)
-        return [piece.shape[0] for piece in next(blocks)[1]]
+def _piece_rows(path):
+    """The rows of each piece the reader yields for a file."""
+    with contextlib.closing(stream_ingest._row_pieces(path)) as pieces:
+        next(pieces)
+        return [piece.shape[0] for piece in pieces]
 
 
 @pytest.mark.parametrize("test_kind", _TEST_KINDS[:2], ids=lambda k: k.variant)
 @pytest.mark.parametrize("plan", list(PrecisionPlan), ids=lambda p: p.value)
 @pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)
 def test_file_blocks_read_in_pieces_give_the_bytes_of_whole_blocks(tmp_path, kind, plan, test_kind, monkeypatch):
-    """A block spanning several pieces, each ending in a partial chunk or
-    not, is one update: the sketches have the bytes of folding each block
-    in one piece."""
-    m, n, sizes = 230, 9, (2, 5, 4)
+    """A binary32 file is one row block; read in several pieces, the last
+    one partial, it gives the sketches the bytes of folding all its rows
+    as one row block held in memory."""
+    m, n, sizes = 132, 9, (2, 5, 4)
     a = np.random.default_rng(23).standard_normal((m, n)).astype(np.float32)
     path = tmp_path / "a32.spim"
     write_spim(path, a)
     monkeypatch.setattr(stream_ingest, "_CHUNK", _CHUNK_ROWS * n)
     piece = stream_ingest._PIECE_CHUNKS * _CHUNK_ROWS
-    block_rows = 3 * piece + 12
-    assert _piece_rows(path, block_rows) == [piece, piece, piece, 12]
+    assert _piece_rows(path) == [piece, piece, piece, 12]
     want = open_stream(kind, m, n, *sizes, base_seed=9, plan=plan, test_kind=test_kind)
-    for start in range(0, m, block_rows):
-        want.ingest(LinearUpdate.row_block(start, a[start : start + block_rows]))
-    got = ingest_file(path, kind, *sizes, base_seed=9, plan=plan, test_kind=test_kind, block_rows=block_rows)
+    want.ingest(LinearUpdate.row_block(0, a))
+    got = ingest_file(path, kind, *sizes, base_seed=9, plan=plan, test_kind=test_kind)
     _assert_same_bytes(got, want.finalize())
 
 
 @pytest.mark.parametrize("test_kind", [GAUSSIAN, SPARSE_RADEMACHER], ids=lambda k: k.variant)
 def test_file_ingest_peak_does_not_grow_with_the_block(tmp_path, test_kind, monkeypatch):
     """Above the sketch set it returns, ingest_file's tracemalloc peak is the
-    same for blocks of 8 and of 64 chunks: the read holds one piece."""
+    same for files (each one row block) of 4,096 and 32,768 rows: the read
+    holds one piece."""
     import tracemalloc
 
-    m, n, chunk_rows = 4096, 64, 16
-    path = tmp_path / "tall32.spim"
-    write_spim(path, np.random.default_rng(24).standard_normal((m, n)).astype(np.float32))
+    n, chunk_rows = 64, 16
     monkeypatch.setattr(stream_ingest, "_CHUNK", chunk_rows * n)
     excess = []
-    for chunks in (8, 64):
+    for m in (4096, 32768):
+        path = tmp_path / f"tall32-{m}.spim"
+        write_spim(path, np.random.default_rng(24).standard_normal((m, n)).astype(np.float32))
         tracemalloc.start()
         try:
             sk = ingest_file(path, PipelineKind.TYUC17_SPI, 4, 10, 12, plan=PrecisionPlan.MIXED_SINGLE_DOUBLE,
-                             test_kind=test_kind, block_rows=chunks * chunk_rows)
+                             test_kind=test_kind)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1025,18 +1005,18 @@ def test_read_matrix_of_binary32_spim_is_binary64(tmp_path):
 def test_ingest_file_makes_no_binary64_copy_of_a_block(tmp_path):
     import tracemalloc
 
-    n, block_rows = 64, 8 * stream_ingest._CHUNK // 64  # a block spans 8 chunks
-    a = np.random.default_rng(22).standard_normal((2 * block_rows, n)).astype(np.float32)
+    n, piece_rows = 64, stream_ingest._PIECE_CHUNKS * stream_ingest._CHUNK // 64
+    a = np.random.default_rng(22).standard_normal((2 * piece_rows, n)).astype(np.float32)  # two pieces
     path = tmp_path / "tall32.spim"
     write_spim(path, a)
-    block32 = block_rows * n * 4
-    block64 = 2 * block32
+    piece32 = piece_rows * n * 4
+    piece64 = 2 * piece32
     del a
     tracemalloc.start()
     try:
-        sk = ingest_file(path, PipelineKind.TYUC17, s=2, d=3, block_rows=block_rows, test_kind=SPARSE_RADEMACHER)
+        sk = ingest_file(path, PipelineKind.TYUC17, s=2, d=3, test_kind=SPARSE_RADEMACHER)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert sk.pass_count == 1
-    assert peak < block32 + block64 / 2
+    assert peak < piece32 + piece64 / 2

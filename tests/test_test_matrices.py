@@ -46,13 +46,13 @@ def test_stream_seed_is_pure_and_64_bit(base, tag, trial):
 
 
 def test_sparse_rademacher_full_density():
-    m = generate(TestMatrixKind("sparse_rademacher", 1.0), 4, 4, SeedSpec(0, Stream.PHI, 0))
+    m = generate(TestMatrixKind("sparse_rademacher", 1.0), 4, 4, SeedSpec(0, Stream.PHI, 0)).toarray()
     assert np.all(np.abs(m) == 1.0)
 
 
 def test_sparse_rademacher_exact_count():
     kind = TestMatrixKind("sparse_rademacher", 0.01)
-    m = generate(kind, 200, 50, SeedSpec(5, Stream.PHI, 1))
+    m = generate(kind, 200, 50, SeedSpec(5, Stream.PHI, 1)).toarray()
     nnz = np.count_nonzero(m)
     assert nnz == round(200 * 50 * 0.01)
     vals = m[m != 0]
@@ -71,7 +71,7 @@ def test_gaussian_moments():
 
 
 def test_countsketch_structure():
-    m = generate(TestMatrixKind("countsketch"), 10, 5, SeedSpec(2, Stream.PSI, 0))
+    m = generate(TestMatrixKind("countsketch"), 10, 5, SeedSpec(2, Stream.PSI, 0)).toarray()
     assert np.count_nonzero(m) == 5
     assert np.all(np.count_nonzero(m, axis=0) == 1)
     assert set(np.unique(m[m != 0])) <= {-1.0, 1.0}
@@ -79,7 +79,7 @@ def test_countsketch_structure():
 
 def test_sparse_sign_rate():
     kind = TestMatrixKind("sparse_sign", 0.1)
-    m = generate(kind, 400, 100, SeedSpec(3, Stream.PHI, 0))
+    m = generate(kind, 400, 100, SeedSpec(3, Stream.PHI, 0)).toarray()
     rate = np.count_nonzero(m) / m.size
     assert abs(rate - 0.1) < 0.01
 
@@ -103,9 +103,10 @@ def test_bad_variant_and_dims():
         generate(GAUSSIAN, 0, 4, SeedSpec(0, Stream.OMEGA, 0))
 
 
-# sha256 prefixes of generate(TestMatrixKind(variant, 0.1), 30, 20, SeedSpec(9, Stream.PSI, 2)),
-# recorded from the dense-only generator (numpy 2.4 PCG64 streams): adding the
-# sparse form must not change a draw.
+# sha256 prefixes of the entries of generate(TestMatrixKind(variant, 0.1), 30, 20,
+# SeedSpec(9, Stream.PSI, 2)) (``toarray()`` of a sparse kind), recorded from the
+# dense-only generator (numpy 2.4 PCG64 streams): the sparse form must not
+# change a draw.
 _DRAW_DIGESTS = {
     "gaussian": "a67a759bbc491799",
     "sparse_rademacher": "223ab79d78134f00",
@@ -119,23 +120,20 @@ def test_draws_are_unchanged(variant):
     import hashlib
 
     a = generate(TestMatrixKind(variant, 0.1), 30, 20, SeedSpec(9, Stream.PSI, 2))
+    a = a if variant == "gaussian" else a.toarray()
     assert hashlib.sha256(a.tobytes()).hexdigest()[:16] == _DRAW_DIGESTS[variant]
 
 
 @pytest.mark.parametrize("variant", ["sparse_rademacher", "sparse_sign", "countsketch"])
 @pytest.mark.parametrize("rows, cols", [(30, 200), (200, 30), (1, 7)])
 def test_sparse_form_holds_the_same_entries(variant, rows, cols):
-    kind, seed = TestMatrixKind(variant, 0.1), SeedSpec(4, Stream.PSI, 1)
-    dense = generate(kind, rows, cols, seed)
-    sparse = generate(kind, rows, cols, seed, sparse=True)
+    """A sparse kind comes as a CSC array that stores each nonzero entry
+    once, each +-1."""
+    sparse = generate(TestMatrixKind(variant, 0.1), rows, cols, SeedSpec(4, Stream.PSI, 1))
     assert sparse.format == "csc" and sparse.shape == (rows, cols)
-    assert sparse.nnz == np.count_nonzero(dense)
-    assert sparse.toarray().tobytes() == dense.tobytes()
-
-
-def test_gaussian_has_no_sparse_form():
-    with pytest.raises(ValueError, match="no sparse form"):
-        generate(GAUSSIAN, 4, 3, SeedSpec(0, Stream.OMEGA, 0), sparse=True)
+    assert sparse.has_canonical_format
+    assert sparse.nnz == np.count_nonzero(sparse.toarray())
+    assert set(np.unique(sparse.data)) <= {-1.0, 1.0}
 
 
 def test_drawn_once_serves_prefix_views_with_the_bits_of_fresh_draws():
@@ -156,7 +154,7 @@ def test_drawn_once_serves_prefix_views_with_the_bits_of_fresh_draws():
             assert np.shares_memory(got, test_matrices._drawn[seed]) is shared, shape
             assert got.flags.writeable is not shared, shape
         assert generate(GAUSSIAN, 9, 9, other).tobytes() == fresh_other.tobytes()
-        assert generate(sparse, 40, 7, seed).tobytes() == fresh_sparse.tobytes()
+        assert generate(sparse, 40, 7, seed).toarray().tobytes() == fresh_sparse.toarray().tobytes()
     assert test_matrices._drawn == {}
 
 

@@ -174,7 +174,7 @@ def test_guidance_near_oracle_medium_poly():
     # Completes the near-oracle coverage for the alpha = 1 decay class.
     spec = synthetic.SyntheticSpec(synthetic.Family.POLY_DECAY, 400, 400, plateau=10,
                                    alpha=1.0, base_seed=55)
-    table = metrics.oracle_sweep(spec, PipelineKind.TYUC17_SPI, 60.0, 10, q_set=(1,), trials=10)
+    table = metrics.oracle_sweep(spec, PipelineKind.TYUC17_SPI, 60.0, 10, q=1, trials=10)
     best = table.best()
     guided_s = select_sizes(SpectrumClass(DecayKind.POLY, 1.0), 60.0, 400, 10)[0]
     guided = next(row for row in table.rows if row.s == guided_s)

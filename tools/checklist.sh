@@ -19,6 +19,13 @@
 # noise-free lowrank (`--gamma 0`).  The file is written into OUTDIR with NumPy
 # alone and named by a relative path, so the CSVs' param column is the same
 # in every OUTDIR and `diff -r` compares numbers only.
+#
+# The CLI reads files whole, so two stream paths it never takes are checked
+# apart, in OUTDIR/stream.txt (one "LABEL SKETCH SHA1" line per sketch):
+# ingest_file on the SPIM file and on a binary32 copy, for all six pipelines;
+# and a seeded mix of rank-one terms, 8-column blocks and one block k+1
+# columns wide (k the staging width) into every pipeline that stages, under
+# both plans.  Both test-matrix kinds are used.
 set -euo pipefail
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
     echo "usage: $0 OUTDIR [CHECKOUT]" >&2
@@ -45,6 +52,59 @@ a = np.random.default_rng(4).standard_normal((m, n)) * np.arange(1.0, n + 1) ** 
 head = b"SPIM" + np.array([1], "<u2").tobytes() + bytes([0, 0]) + np.array([m, n], "<u8").tobytes()
 with open("poly300x200.spim", "wb") as fh:
     fh.write(head + a.astype("<f8").tobytes())
+head32 = head[:6] + bytes([1]) + head[7:]
+with open("poly300x200_f32.spim", "wb") as fh:
+    fh.write(head32 + a.astype("<f4").tobytes())
+PY
+
+python3 - <<'PY'
+import hashlib
+
+import numpy as np
+
+from sketchpower.precision_model import PIPELINES, PrecisionPlan
+from sketchpower.stream_ingest import LinearUpdate, PipelineKind, ingest_file, open_stream
+from sketchpower.test_matrices import GAUSSIAN, TestMatrixKind
+
+lines = []
+
+
+def record(label, sk):
+    for name in ("y", "w", "z", "x", "k"):
+        mat = getattr(sk, name)
+        if mat is not None:
+            lines.append(f"{label} {name} {hashlib.sha1(np.asarray(mat.data).tobytes()).hexdigest()}")
+
+
+def sizes(kind):
+    spec = PIPELINES[kind.value]
+    return 6, 14 if spec.uses("d") else 0, 14 if spec.uses("l") else 0
+
+
+m, n = 300, 200
+test_kinds = {"gaussian": GAUSSIAN, "sparse_rademacher": TestMatrixKind("sparse_rademacher", 0.01)}
+for tk_name, tk in test_kinds.items():
+    for plan in PrecisionPlan:
+        for kind in PipelineKind:
+            for path in ("poly300x200.spim", "poly300x200_f32.spim"):
+                sk = ingest_file(path, kind, *sizes(kind), base_seed=5, trial=1, test_kind=tk, plan=plan)
+                record(f"file:{path}:{kind.value}:{plan.value}:{tk_name}", sk)
+            stream = open_stream(kind, m, n, *sizes(kind), base_seed=6, trial=2, test_kind=tk, plan=plan)
+            k = stream._stage_cols
+            if k == 0:
+                continue
+            rng = np.random.default_rng(8)
+            for i in range(60):
+                if i % 3:
+                    stream.ingest(LinearUpdate.rank_one(rng.standard_normal(m), rng.standard_normal(n)))
+                else:
+                    j = int(rng.integers(0, n - 8))
+                    stream.ingest(LinearUpdate.column_block(j, rng.standard_normal((m, 8))))
+            stream.ingest(LinearUpdate.column_block(n - k - 1, rng.standard_normal((m, k + 1))))
+            stream.ingest(LinearUpdate.rank_one(rng.standard_normal(m), rng.standard_normal(n)))
+            record(f"staged:{kind.value}:{plan.value}:{tk_name}", stream.finalize())
+with open("stream.txt", "w") as fh:
+    fh.write("\n".join(lines) + "\n")
 PY
 
 kinds="tyuc17 tyuc17_spi tyuc17_spi_variant rsvd_onepass tyuc19 tyuc19_spi"
