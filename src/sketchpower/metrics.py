@@ -233,13 +233,14 @@ def relative_error(
     error with an ``exact_fit`` flag.  The spectral norm of the residual is a
     Lanczos estimate that matches a dense SVD to roundoff; without
     ``baselines`` they are computed from a dense SVD of A.  Given A's SVD
-    ``factors`` (:func:`synthetic.generate`), no m x n array is made;
-    otherwise the residual is written over the reconstruction.
+    ``factors`` (:func:`synthetic.generate`), no m x n array is made and
+    the flags' scale ``||A||_F`` is taken as ``||sigma||``; otherwise the
+    residual is written over the reconstruction.
     """
     a = as_f64(a)
     num_f, num_s = _residual_norms(a, result, factors)
     base_f, base_s = baselines if baselines is not None else _baselines(a, r)
-    scale = fro_norm(a)
+    scale = fro_norm(a if factors is None else factors.sv)
     if base_f <= _ZERO_BASELINE_RTOL * max(scale, 1e-300):
         return RelativeErrors(num_f, num_s, frozenset({"zero_baseline"}))
     if num_f <= _EXACT_FIT_RTOL * scale:
@@ -266,8 +267,9 @@ def range_extra_errors(
     ExtraError norms are taken of the r x n matrix ``R_U M`` (U = Q_U R_U,
     M the core above), which has the norms of ``U M`` whether or not U is
     orthonormal.  Both match a dense SVD to roundoff.  Given A's SVD
-    ``factors``, RangeError makes no m x n array; otherwise its residual is
-    written over the projection.  ExtraError multiplies A in either case.
+    ``factors``, RangeError makes no m x n array and the flag's scale
+    ``||A||_F`` is ``||sigma||``; otherwise its residual is written over the
+    projection.  ExtraError multiplies A in either case.
     """
     if result.kind in (PipelineKind.TYUC19, PipelineKind.TYUC19_SPI):
         raise MetricUnsupportedError(
@@ -288,7 +290,7 @@ def range_extra_errors(
         e = np.linalg.qr(result.u, mode="r") @ core
         extra_f = fro_norm(e)
         extra_s = float(la.svdvals(e, check_finite=False)[0])
-    scale = fro_norm(a)
+    scale = fro_norm(a if factors is None else factors.sv)
     if base_f <= _ZERO_BASELINE_RTOL * max(scale, 1e-300):
         flags.add("zero_baseline")
         return RangeExtraErrors(range_f, range_s, extra_f, extra_s, frozenset(flags))

@@ -1,7 +1,11 @@
 """Synthetic data matrices with exactly prescribed spectra.
 
 Three families, all built as ``U diag(sigma) V^T`` with random orthonormal
-factors (thin QR of a standard Gaussian matrix):
+factors that have the law of LAPACK's thin-QR factor Q of a standard Gaussian
+matrix.  Its Householder vectors are drawn directly (G. W. Stewart, "The
+efficient generation of random orthogonal matrices with an application to
+condition estimators", SIAM J. Numer. Anal. 17, 1980), so no QR
+factorization is made:
 
 * low-rank plus noise: sigma = (1, ..., 1) with ``plateau`` ones, plus a dense
   Gaussian perturbation scaled by ``snr * plateau / n^2``;
@@ -20,7 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as la
+from scipy.linalg.lapack import dorgqr
 
 from .matrix_core import Precision, _concurrently, _one_blas_thread
 from .test_matrices import SeedSpec, Stream, rng_for
@@ -90,14 +94,25 @@ def adds_noise(spec: SyntheticSpec) -> bool:
 
 
 def _orthonormal(rows: int, cols: int, seed: SeedSpec) -> np.ndarray:
-    # Factored in place, without the input copy and work buffers
-    # np.linalg.qr keeps alive: two of those at once raised the peak memory
-    # of a 1000x1000 trial by a quarter.  R is dropped before Q is copied
-    # back to C order, since an F-ordered factor changes the last bits of
-    # (u * sv) @ v.T.
-    g = np.asfortranarray(rng_for(seed).standard_normal((rows, cols)))
-    q = la.qr(g, overwrite_a=True, mode="economic", check_finite=False)[0]
-    return np.ascontiguousarray(q)
+    # Each Householder reflection of a Gaussian matrix leaves its trailing
+    # columns independent Gaussians (Stewart 1980), so the reflectors of
+    # LAPACK's QR are drawn, not computed: reflector j is made from g[j:, j]
+    # as dlarfg makes it, and one orgqr forms Q.  g is the transpose of a
+    # C-ordered draw, so orgqr works on it in place; Q is copied back to C
+    # order, since an F-ordered factor changes the last bits of (u * sv) @ v.T.
+    g = rng_for(seed).standard_normal((cols, rows)).T
+    alpha = g.diagonal().copy()
+    for j in range(cols):
+        g[: j + 1, j] = 0.0
+    xnorm = np.sqrt(np.einsum("ij,ij->j", g, g))
+    beta = -np.copysign(np.hypot(alpha, xnorm), alpha)
+    # A zero x (the last column of a square factor) gives H = I, tau = 0.
+    live = xnorm > 0.0
+    tau = np.where(live, (beta - alpha) / beta, 0.0)
+    g /= np.where(live, alpha - beta, 1.0)
+    # The wrapper's default lwork is unblocked and several times slower.
+    lwork = int(dorgqr(g, tau, lwork=-1, overwrite_a=True)[1][0])
+    return np.ascontiguousarray(dorgqr(g, tau, lwork=lwork, overwrite_a=True)[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -94,7 +94,8 @@ class TestMatrixKind:
         ``sparse_rademacher`` exactly round(rows*cols*sparsity) nonzeros placed
                               uniformly without replacement, each +-1.
         ``sparse_sign``       each entry independently +1 w.p. sparsity/2,
-                              -1 w.p. sparsity/2, 0 otherwise.
+                              -1 w.p. sparsity/2, 0 otherwise; a draw with
+                              no nonzero is refused.
         ``countsketch``       one +-1 per column at a uniform random row.
     """
 
@@ -172,6 +173,10 @@ def generate(kind: TestMatrixKind, rows: int, cols: int, seed: SeedSpec) -> np.n
         u = rng.random((rows, cols))
         signs = rng.integers(0, 2, size=(rows, cols)) * 2.0 - 1.0
         i, j = np.nonzero(u < kind.sparsity)
+        if i.size == 0:
+            raise ValueError(
+                f"sparsity {kind.sparsity} drew zero nonzeros for a {rows}x{cols} sparse_sign matrix"
+            )
         vals = signs[i, j]
     else:  # countsketch
         i = rng.integers(0, rows, size=cols)

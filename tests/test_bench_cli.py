@@ -281,6 +281,17 @@ def test_failing_trials_set_exit_code(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "trial 0 failed: made to fail\ntrial 1 failed: made to fail\n"
 
 
+def test_all_zero_sparse_sign_trials_fail_with_the_draws_message(tmp_path, capsys):
+    # A sketch of zero test matrices is zero, so S_F would be A_hat = 0's error.
+    args = ["run", "--m", "60", "--n", "50", "--s", "5", "--d", "12", "--l", "12", "--rank", "3",
+            "--test-matrix", "sparse_sign", "--sparsity", "1e-9", "--trials", "2"]
+    rc, out = _run_cli(args, tmp_path / "zero.csv")
+    assert rc == 1
+    assert out.decode().splitlines() == [",".join(bench_cli.CSV_HEADER)]
+    problem = "sparsity 1e-09 drew zero nonzeros for a 50x5 sparse_sign matrix"
+    assert capsys.readouterr().err == f"trial 0 failed: {problem}\ntrial 1 failed: {problem}\n"
+
+
 def test_infeasible_budget_diagnostic():
     with pytest.raises(SystemExit):
         bench_cli.main(["run", "--data", "poly", "--rank", "10", "--algo", "tyuc17_spi",

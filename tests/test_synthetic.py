@@ -1,11 +1,14 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sketchpower import matrix_core, metrics, synthetic
 from sketchpower.matrix_core import Precision
 from sketchpower.stream_ingest import PipelineKind, read_matrix
+from sketchpower.test_matrices import SeedSpec, Stream
 from sketchpower.synthetic import (
     Family,
     SyntheticSpec,
@@ -83,6 +86,51 @@ def test_orthonormal_factor_quality_and_determinism():
     assert np.array_equal(a, b)
     u, sv, vt = np.linalg.svd(a, full_matrices=False)
     assert np.linalg.norm(u.T @ u - np.eye(u.shape[1])) <= 1e-12 * np.sqrt(120)
+
+
+@pytest.mark.parametrize("m, n, family, plateau", [
+    (60, 60, Family.POLY_DECAY, 10),      # square
+    (90, 40, Family.EXP_DECAY, 10),       # tall
+    (40, 90, Family.POLY_DECAY, 10),      # wide
+    (90, 70, Family.LOWRANK_NOISE, 10),   # k = plateau
+    (40, 30, Family.LOWRANK_NOISE, 0),    # k = 0
+    (1, 30, Family.POLY_DECAY, 1),        # m = 1
+    (30, 1, Family.EXP_DECAY, 1),         # n = 1
+])
+def test_factors_are_orthonormal_for_every_shape(m, n, family, plateau):
+    factors = synthetic._factors(_spec(family, m=m, n=n, plateau=plateau, snr=0.0))
+    k = factors.sv.size
+    for q, rows in ((factors.u, m), (factors.v, n)):
+        assert q.shape == (rows, k) and q.flags.c_contiguous
+        assert np.linalg.norm(q.T @ q - np.eye(k)) <= 1e-12 * np.sqrt(k)
+
+
+def test_orthonormal_factor_has_the_law_of_lapacks_q_of_a_gaussian():
+    # Directly drawn reflectors against la.qr of independent Gaussian
+    # matrices: 2,000 5x5 draws each.  An entry's mean has a standard error
+    # of about 0.01 and its second moment about 0.005, so the bounds are
+    # near six standard errors of the difference.
+    trials = 2000
+    drawn = np.array([synthetic._orthonormal(5, 5, SeedSpec(17, Stream.DATA_LEFT, t)) for t in range(trials)])
+    rng = np.random.default_rng(2024)
+    factored = np.array([scipy.linalg.qr(rng.standard_normal((5, 5)))[0] for _ in range(trials)])
+    assert np.abs(drawn.mean(axis=0) - factored.mean(axis=0)).max() <= 0.08
+    assert np.abs((drawn**2).mean(axis=0) - (factored**2).mean(axis=0)).max() <= 0.04
+    # LAPACK's sign convention: Q[0, 0] = alpha / beta <= 0, so E[Q00] is
+    # far from the 0 of a Haar matrix, and four reflectors give det Q = 1.
+    assert drawn[:, 0, 0].max() <= 0.0 and factored[:, 0, 0].max() <= 0.0
+    assert np.allclose(np.linalg.det(drawn), 1.0, atol=1e-12)
+
+
+def test_orthonormal_factor_peak_is_two_factors():
+    m, k = 600, 400
+    tracemalloc.start()
+    try:
+        synthetic._orthonormal(m, k, SeedSpec(3, Stream.DATA_RIGHT, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 2 * m * k * 8
 
 
 def test_factors_overlap_only_with_a_spare_cpu_and_one_blas_thread():

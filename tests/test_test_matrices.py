@@ -84,6 +84,11 @@ def test_sparse_sign_rate():
     assert abs(rate - 0.1) < 0.01
 
 
+def test_sparse_sign_draw_without_nonzeros_rejected():
+    with pytest.raises(ValueError, match="sparsity 1e-09 drew zero nonzeros for a 50x5 sparse_sign matrix"):
+        generate(TestMatrixKind("sparse_sign", 1e-9), 50, 5, SeedSpec(0, Stream.PSI, 0))
+
+
 def test_cross_stream_independence():
     # Entries of Omega^T Phi are inner products of independent unit-variance
     # vectors; their normalized empirical mean should be near zero.
