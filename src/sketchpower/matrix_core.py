@@ -20,17 +20,20 @@ the evaluators, the oracle sweep and the CLI) hold :func:`_one_blas_thread`,
 which sets each loaded OpenBLAS build to one thread and restores the
 previous counts when the last holder leaves; under any other BLAS it does
 nothing ("unmanaged").  Inside, :func:`_concurrently` runs independent calls
-on the caller's thread and one helper thread, and :func:`_in_two_processes`
-shares calls that run public functions or spend most of their time in the
-interpreter (the CLI's trials, the oracle sweep's grid points) out between
-the process and a forked copy of it, when :data:`_TWO_CPUS` allows it: a
-spare CPU and a managed BLAS, held at one thread.  A one-thread BLAS gives each
-call the bits it has alone, so results do not depend on the thread or
-process that ran them, nor on the thread count the environment sets.  The
-helper thread runs only private code, NumPy/SciPy kernels and the package's
-leaf helpers (the norms and exponents here, the seeds of
-``test_matrices``): no public function that calls others is open on two
-threads at once, so a profiler that wraps them sees nested calls.
+on the caller's thread and one helper thread (data generation's two factors,
+then the two column blocks of its product, split at a multiple of 8 and
+written into one output, which has the same bits on one thread or two), and
+:func:`_in_two_processes` shares calls that run public functions or spend
+most of their time in the interpreter (the CLI's trials, the oracle sweep's
+grid points) out between the process and a forked copy of it, when
+:data:`_TWO_CPUS` allows it: a spare CPU and a managed BLAS, held at one
+thread.  A one-thread BLAS gives each call the bits it has alone, so
+results do not depend on the thread or process that ran them, nor on the
+thread count the environment sets.  The helper thread runs only private
+code, NumPy/SciPy kernels and the package's leaf helpers (the norms and
+exponents here, the seeds of ``test_matrices``): no public function that
+calls others is open on two threads at once, so a profiler that wraps them
+sees nested calls.
 """
 from __future__ import annotations
 

@@ -19,6 +19,7 @@ it was built from (:class:`Factors`), which are its SVD to roundoff.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -140,10 +141,20 @@ def generate(spec: SyntheticSpec) -> tuple[np.ndarray, Optional[Factors]]:
     :class:`Factors` it was built from, or None in their place when noise is
     added (they are then not A's).
     U and V are built concurrently when two threads pay off
-    (:func:`~sketchpower.matrix_core._concurrently`).
+    (:func:`~sketchpower.matrix_core._concurrently`), and so are the two
+    column blocks of ``(U diag(sigma)) V^T``, split at a multiple of 8
+    near n/2 and written into the one output array: A is defined as that
+    two-block product, so it has the same bits on one thread or two.
     """
     factors = _factors(spec)
-    a = (factors.u * factors.sv) @ factors.v.T
+    us = factors.u * factors.sv
+    # A split at a multiple of GEMM's register block leaves the entries' sums
+    # in the order one product takes (Goto and van de Geijn, ACM TOMS 2008):
+    # the bits of one product at the paper's shape, though not at every shape.
+    a = np.empty((spec.m, spec.n))
+    h = (spec.n // 2) // 8 * 8
+    _concurrently([functools.partial(np.matmul, us, factors.v[lo:hi].T, out=a[:, lo:hi])
+                   for lo, hi in ((0, h), (h, spec.n))])
     if adds_noise(spec):
         noise = rng_for(SeedSpec(spec.base_seed, Stream.DATA_NOISE, spec.trial))
         a += (spec.snr * spec.plateau / spec.n**2) * noise.standard_normal((spec.m, spec.n))

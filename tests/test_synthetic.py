@@ -1,3 +1,4 @@
+import functools
 import threading
 import tracemalloc
 
@@ -158,13 +159,35 @@ def test_helpers_run_only_inside_the_one_thread_pin(monkeypatch):
     assert len(seen) >= 3 and all(seen)
 
 
-def test_concurrent_factors_are_deterministic_and_exact(monkeypatch):
-    spec = _spec(Family.POLY_DECAY, m=150, n=120)
+@pytest.mark.parametrize("m, n, family, plateau, snr", [
+    (150, 120, Family.POLY_DECAY, 10, 0.0),
+    # n of every residue mod 8, each with a non-empty first block
+    *((70, n, Family.EXP_DECAY, 6, 0.0) for n in range(40, 48)),
+    (30, 13, Family.POLY_DECAY, 4, 0.0),        # n < 16: the first block is empty
+    (1, 1, Family.POLY_DECAY, 1, 0.0),
+    (1, 40, Family.EXP_DECAY, 1, 0.0),          # m = 1
+    (40, 1, Family.POLY_DECAY, 1, 0.0),         # n = 1
+    (90, 70, Family.LOWRANK_NOISE, 10, 0.0),    # plateau-k factors, k < min(m, n)
+    (90, 70, Family.LOWRANK_NOISE, 10, 1e-2),   # noisy
+])
+def test_concurrent_factors_are_deterministic_and_exact(monkeypatch, m, n, family, plateau, snr):
+    spec = _spec(family, m=m, n=n, plateau=plateau, snr=snr)
+    widths = []
+
+    def spy(calls):
+        widths.append([call.keywords["out"].shape[1] for call in calls if isinstance(call, functools.partial)])
+        return matrix_core._concurrently(calls)
+
+    monkeypatch.setattr(synthetic, "_concurrently", spy)
     monkeypatch.setattr(matrix_core, "_TWO_CPUS", False)
     serial = generate(spec)[0]
     plain = synthetic._factors(spec)
+    # The product's two column blocks split at a multiple of 8 and cover A.
+    h = widths[1][0]
+    assert widths[1] == [h, n - h] and h % 8 == 0 and h <= n // 2 < h + 8
     monkeypatch.setattr(matrix_core, "_TWO_CPUS", True)
     first = generate(spec)[0]
+    assert first.flags.c_contiguous and first.shape == (m, n)
     assert generate(spec)[0].tobytes() == first.tobytes()
 
     results = [None] * 4
@@ -187,11 +210,25 @@ def test_concurrent_factors_are_deterministic_and_exact(monkeypatch):
     assert u.flags.c_contiguous and v.flags.c_contiguous
     for q in (u, v):
         assert np.linalg.norm(q.T @ q - np.eye(q.shape[1])) <= 1e-12
-    computed = np.linalg.svd(first, compute_uv=False)
-    assert np.max(np.abs(computed - prescribed_spectrum(spec))) <= 1e-12
-    # Both paths factor with the same LAPACK on one BLAS thread.
+    if snr == 0.0:
+        computed = np.linalg.svd(first, compute_uv=False)
+        assert np.max(np.abs(computed - prescribed_spectrum(spec))) <= 1e-12
+    # Both settings factor and multiply with the same kernels on one BLAS thread.
     for a, b in ((first, serial), (u, plain.u), (v, plain.v)):
         assert a.tobytes() == b.tobytes()
+
+
+def test_generate_peak_is_its_factors_and_one_output():
+    # u, v, u diag(sigma) and A, with no half-sized temporaries of A.
+    m, n = 600, 400
+    spec = _spec(Family.POLY_DECAY, m=m, n=n)
+    tracemalloc.start()
+    try:
+        generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * (m * n + n * n + m * n + m * n) * 8
 
 
 def test_spim_round_trip_binary64_and_binary32(tmp_path):
