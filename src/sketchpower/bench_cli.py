@@ -209,7 +209,7 @@ def run(args: argparse.Namespace) -> int:
         shared_base = metrics.baselines_from_spectrum(file_sv, args.rank)
     dataset, param, alpha_or_gamma = _dataset_columns(args)
     prefix = [args.algo, dataset, param, alpha_or_gamma, args.budget, args.rank,
-              sizes[0], sizes[1] or None, sizes[2] or None, args.q]
+              sizes[0], sizes[1] or None, sizes[2] or None, PIPELINES[kind.value].applied_q(args.q)]
     outcomes = _in_two_processes([
         functools.partial(_run_one_trial, args, kind, plan, sizes, t, shared_a, shared_base)
         for t in range(args.trials)

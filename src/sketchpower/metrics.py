@@ -35,8 +35,8 @@ from . import guidance, synthetic
 from .approximators import ApproxResult, approximate
 from .matrix_core import _CHUNK, _in_two_processes, _one_blas_thread, as_f64, binary_exponent, fro_norm, lstsq
 from .spi import SpiParams
-from .stream_ingest import LinearUpdate, PipelineKind, _test_matrix_seed, open_stream
-from .test_matrices import GAUSSIAN, TestMatrixKind, _drawn_once
+from .stream_ingest import LinearUpdate, PipelineKind, SketchStream, _test_matrix_seed, open_stream
+from .test_matrices import GAUSSIAN, TestMatrixKind, generate
 from .precision_model import PIPELINES, PrecisionPlan
 
 __all__ = [
@@ -540,12 +540,19 @@ def oracle_sweep(
     budget rule (:func:`guidance.budget_sizes` with s given) until the sizes
     no longer fit; the best row is the oracle error at that budget.
     Supports the plain two-sketch pipeline and its powered version with q
-    power iterations (q is 0 for the plain one), under either plan.  With
-    Gaussian test matrices each stream is drawn once a trial, at the
-    largest size on the grid, and every point takes its test matrices as
-    prefixes of those draws, with the bits of their own draws
-    (:func:`~sketchpower.test_matrices._drawn_once`).  The grid points of a
-    trial are shared out between this process and a forked copy of it
+    power iterations (q is 0 for the plain one), under either plan.
+
+    A is ingested once a trial, by the stream of the first point, which has
+    the grid's largest d (every point has the same l; a grid that breaks
+    either rule is refused).  The other points take its Z and Phi as they
+    are (Phi is drawn at the same shape from the same seed, and sketches
+    are linear in A) and, with Gaussian test matrices, the first d rows of
+    its Psi and their Omega from one draw a trial (a Gaussian matrix is
+    drawn row-major).  Each folds only Y and W, through a stream's own
+    kernel, so every point has the bits of a fresh stream: the rows of a
+    BLAS product need not keep their bits when the row count changes, so
+    W is not shared.  The grid points of a trial are shared out between
+    this process and a forked copy of it
     (:func:`~sketchpower.matrix_core._in_two_processes`): a point is mostly
     interpreter work on small arrays, which two threads would take in turns.
     Their errors are summed in grid order, so the means do not depend on
@@ -558,7 +565,7 @@ def oracle_sweep(
     pipeline = PIPELINES[algo.value]
     if plan is None:
         plan = pipeline.default_plan
-    q = q if pipeline.uses("l") else 0
+    q = pipeline.applied_q(q)
     grid = []
     for s in itertools.count(r):
         try:
@@ -567,31 +574,34 @@ def oracle_sweep(
             if not grid:
                 raise
             break
+    if len({l for _, _, l in grid}) > 1 or max(d for _, d, _ in grid) > grid[0][1]:
+        raise ValueError(f"oracle sweep needs one l and the largest d at the first point; grid (s, d, l): {grid}")
 
-    def point(a, factors, base, trial, s, d, l):
-        stream = open_stream(
-            algo, data_spec.m, data_spec.n, s, d, l,
-            base_seed=data_spec.base_seed, trial=trial, test_kind=test_kind, plan=plan,
-        )
-        sk = stream.ingest(LinearUpdate.row_block(0, a)).finalize()
+    m, n, seed = data_spec.m, data_spec.n, data_spec.base_seed
+
+    def point(a, factors, base, first, omegas, s, d, l):
+        sk = first
+        if s != first.s:
+            taken = {"z": first.z.data, "phi": first.phi} if l else {}
+            if omegas is not None:  # Gaussian: Omega and Psi are prefixes of one draw each
+                taken |= {"omega": omegas[: n * s].reshape(n, s), "psi": first.psi[:d]}
+            stream = SketchStream(algo, m, n, s, d, l, base_seed=seed, trial=first.trial, test_kind=test_kind,
+                                  plan=plan, _taken=taken)
+            sk = stream.ingest(LinearUpdate.row_block(0, a)).finalize()
         return relative_error(a, approximate(sk, r, SpiParams(q=q)), r, baselines=base, factors=factors)
 
-    # Every point's Gaussian test matrix of a stream is a prefix of the
-    # stream's longest one on the grid, so each stream is drawn once a trial.
-    longest: dict[str, int] = {}
-    if test_kind.variant == "gaussian":
-        for sizes in grid:
-            shapes = pipeline.shapes(data_spec.m, data_spec.n, *sizes)
-            for name, _ in pipeline.test_matrices:
-                longest[name] = max(longest.get(name, 0), math.prod(shapes[name]))
+    def trial_errors(trial):
+        a, base, factors = _trial_data(data_spec.with_trial(trial), r)
+        first = open_stream(algo, m, n, *grid[0], base_seed=seed, trial=trial, test_kind=test_kind, plan=plan)
+        first = first.ingest(LinearUpdate.row_block(0, a)).finalize()
+        omegas = None
+        if test_kind.variant == "gaussian":
+            omegas = generate(test_kind, 1, n * grid[-1][0], _test_matrix_seed("omega", seed, trial))[0]
+        return _in_two_processes([functools.partial(point, a, factors, base, first, omegas, *sizes) for sizes in grid])
+
     sums = {s: np.zeros(2) for (s, _, _) in grid}
     for trial in range(trials):
-        spec = data_spec.with_trial(trial)
-        a, base, factors = _trial_data(spec, r)
-        draws = {_test_matrix_seed(name, data_spec.base_seed, trial): n for name, n in longest.items()}
-        with _drawn_once(draws):
-            errors = _in_two_processes([functools.partial(point, a, factors, base, trial, *sizes) for sizes in grid])
-        for (s, _, _), rel in zip(grid, errors):
+        for (s, _, _), rel in zip(grid, trial_errors(trial)):
             sums[s] += (rel.s_f, rel.s_inf)
 
     table = SweepTable()

@@ -119,6 +119,10 @@ class PipelineSpec:
         """Whether some sketch or test matrix of the pipeline has this size."""
         return any(size in shape for _, shape in self._letters())
 
+    def applied_q(self, q: int) -> int:
+        """The power iterations the pipeline applies: q with a power sketch (size l), else 0."""
+        return q if self.uses("l") else 0
+
     def precision(self, name: str, plan: PrecisionPlan) -> Precision:
         """Storage precision of a sketch under a plan."""
         mixed = plan is PrecisionPlan.MIXED_SINGLE_DOUBLE

@@ -222,6 +222,7 @@ class SketchStream:
         trial: int = 0,
         test_kind: TestMatrixKind = GAUSSIAN,
         plan: PrecisionPlan = PrecisionPlan.ALL_DOUBLE,
+        _taken: Optional[dict] = None,
     ):
         spec = PIPELINES[kind.value]
         spec.check_sizes(m, n, s, d, l)  # also rejects m < 1 or n < 1
@@ -233,22 +234,31 @@ class SketchStream:
         self.trial = trial
         self._finalized = False
 
+        # The oracle sweep hands a stream, in ``_taken``, test matrices and
+        # finalized sketches (arrays, by name) it shares with a stream of the
+        # same seed that ingested the same data; they are kept as they are,
+        # and only the other sketches are folded.
+        taken = _taken or {}
         shapes = spec.shapes(m, n, s, d, l)
-        self._t = {}
-        for name, _ in spec.test_matrices:
-            self._t[name] = generate(test_kind, *shapes[name], _test_matrix_seed(name, base_seed, trial))
+        self._t = {
+            name: taken[name] if name in taken
+            else generate(test_kind, *shapes[name], _test_matrix_seed(name, base_seed, trial))
+            for name, _ in spec.test_matrices
+        }
         self._sk = {
-            sk.name: np.zeros(shapes[sk.name], dtype=spec.precision(sk.name, plan).dtype)
+            sk.name: taken[sk.name] if sk.name in taken
+            else np.zeros(shapes[sk.name], dtype=spec.precision(sk.name, plan).dtype)
             for sk in spec.sketches
         }
+        folded = [sk for sk in spec.sketches if sk.name not in taken]
         # A gram sketch reuses the increment of the sketch it names, so that
         # increment is kept for the rest of the update; the others are not.
-        reused = {o for sk in spec.sketches if sk.update == "gram" for o in sk.operands}
-        self._steps = [(sk.name, sk.update, sk.operands, sk.name in reused) for sk in spec.sketches]
+        reused = {o for sk in folded if sk.update == "gram" for o in sk.operands}
+        self._steps = [(sk.name, sk.update, sk.operands, sk.name in reused) for sk in folded]
         # A sparse right product T^T H^T reads a row chunk by columns, so it
         # takes T^T in CSR form and a transposed copy of the chunk, made once
         # for all of them.
-        right = [o for sk in spec.sketches if sk.update == "right" for o in sk.operands]
+        right = [o for sk in folded if sk.update == "right" for o in sk.operands]
         self._right_csr = {o: self._t[o].T for o in right if not isinstance(self._t[o], np.ndarray)}
         # A gram sketch is quadratic in the data, so its stream takes whole rows.
         self._rows_seen = np.zeros(m, dtype=bool) if reused else None

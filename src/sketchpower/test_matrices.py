@@ -10,13 +10,11 @@ independent streams.
 Gaussian entries are drawn with numpy's PCG64 generator (ziggurat normal
 transform); ports to other languages can match the distributions, though not
 the bit streams.  A Gaussian matrix is drawn row-major from its stream, so a
-rows x cols draw is the first rows*cols numbers of any longer draw of the
-same stream, bit for bit; :func:`_drawn_once` lets callers that need many
-sizes of one stream (the oracle sweep's grid points) share one draw.
+rows x cols draw is the first rows of any draw of the same stream with more
+rows and as many columns, bit for bit (the oracle sweep shares draws so).
 """
 from __future__ import annotations
 
-import contextlib
 import enum
 from dataclasses import dataclass
 
@@ -115,48 +113,19 @@ class TestMatrixKind:
 GAUSSIAN = TestMatrixKind("gaussian")
 SPARSE_RADEMACHER = TestMatrixKind("sparse_rademacher", 0.01)
 
-# The flat, read-only Gaussian draws of the open :func:`_drawn_once` scope,
-# by seed; empty outside it.
-_drawn: dict[SeedSpec, np.ndarray] = {}
-
-
-@contextlib.contextmanager
-def _drawn_once(counts: dict[SeedSpec, int]):
-    """Draw ``counts[seed]`` Gaussian numbers from each stream once, for
-    :func:`generate` to serve while the scope is open.
-
-    Inside the scope a Gaussian test matrix of one of these seeds, of at
-    most that many entries, is a read-only view of the first rows*cols
-    numbers, which are the bits a fresh draw would give; a larger one is
-    drawn afresh.  The draws are dropped when the scope closes, also when it
-    raises.  A forked child inherits an open scope.
-    """
-    try:
-        for seed, count in counts.items():
-            _drawn[seed] = draw = rng_for(seed).standard_normal(count)
-            draw.flags.writeable = False
-        yield
-    finally:
-        _drawn.clear()
-
-
 def generate(kind: TestMatrixKind, rows: int, cols: int, seed: SeedSpec) -> np.ndarray | scipy.sparse.csc_array:
     """Draw a rows x cols test matrix of the given kind, deterministically.
 
-    A Gaussian kind is returned as a C-ordered binary64 ndarray (read-only if
-    it is a view of a :func:`_drawn_once` draw).  A sparse kind is sampled as
-    a coordinate list and returned as a ``scipy.sparse.csc_array`` built from
-    it, without materializing the dense matrix.  Stream ingestion applies
-    that form with sparse products, and the finalized sketch set keeps it
-    for a test matrix with m columns; the storage ledger counts no test
-    matrix.
+    A Gaussian kind is returned as a C-ordered binary64 ndarray.  A sparse
+    kind is sampled as a coordinate list and returned as a
+    ``scipy.sparse.csc_array`` built from it, without materializing the
+    dense matrix.  Stream ingestion applies that form with sparse products,
+    and the finalized sketch set keeps it for a test matrix with m columns;
+    the storage ledger counts no test matrix.
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"test matrix dimensions must be >= 1, got {rows}x{cols}")
     if kind.variant == "gaussian":
-        drawn = _drawn.get(seed)
-        if drawn is not None and drawn.size >= rows * cols:
-            return drawn[: rows * cols].reshape(rows, cols)
         return rng_for(seed).standard_normal((rows, cols))
     rng = rng_for(seed)
     if kind.variant == "sparse_rademacher":

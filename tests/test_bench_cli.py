@@ -417,6 +417,25 @@ def test_sweep_guided_row_has_the_sizes_run_resolves_under_double_plan(tmp_path)
     assert [guided[0][k] for k in "sdl"] == [run_row[k] for k in "sdl"]
 
 
+@pytest.mark.parametrize("kind", [k.value for k in PipelineKind])
+def test_run_and_sweep_write_the_q_their_pipeline_applies(kind, tmp_path):
+    """A kind with no power sketch applies no power iteration: ``run``
+    writes q=0 for it, as ``sweep`` does, with the errors of a --q 0 run."""
+    powered = PIPELINES[kind].uses("l")
+    common = ["run", "--data", "poly", "--rank", "3", "--algo", kind, "--s", "4", "--d", "10", "--l", "12",
+              "--trials", "2", "--m", "40", "--n", "30"]
+    _, q3 = _run_cli([*common, "--q", "3"], tmp_path / "q3.csv")
+    _, q0 = _run_cli([*common, "--q", "0"], tmp_path / "q0.csv")
+    rows = list(csv.DictReader(q3.decode().splitlines()))
+    assert len(rows) == 4 and {row["q"] for row in rows} == {"3" if powered else "0"}
+    assert (q3 == q0) is not powered
+    if kind in ("tyuc17", "tyuc17_spi"):
+        _run_cli(["sweep", "--data", "poly", "--rank", "3", "--algo", kind, "--q", "3", "--budget", "30",
+                  "--trials", "1", "--m", "40", "--n", "30"], tmp_path / "sweep.csv")
+        sweep = list(csv.DictReader((tmp_path / "sweep.csv").read_text().splitlines()))
+        assert {row["q"] for row in sweep} == {"3" if powered else "0"}
+
+
 def test_ledger_on_a_file_resolves_the_sizes_run_resolves(tmp_path):
     spec = SyntheticSpec(Family.POLY_DECAY, m=60, n=45, plateau=5, alpha=1.0, base_seed=8)
     path = tmp_path / "d.spim"

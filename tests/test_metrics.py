@@ -12,7 +12,7 @@ import scipy.linalg as la
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchpower import matrix_core, metrics, synthetic, test_matrices
+from sketchpower import guidance, matrix_core, metrics, synthetic
 from sketchpower.approximators import approximate, rsvd_onepass, tyuc17, tyuc19
 from sketchpower.matrix_core import lstsq
 from sketchpower.metrics import (
@@ -30,7 +30,7 @@ from sketchpower.metrics import (
 )
 from sketchpower.precision_model import PrecisionPlan
 from sketchpower.spi import SpiParams
-from sketchpower.stream_ingest import LinearUpdate, PipelineKind, open_stream
+from sketchpower.stream_ingest import LinearUpdate, PipelineKind, SketchStream, open_stream
 from sketchpower.synthetic import Family, SyntheticSpec, generate, prescribed_spectrum
 from sketchpower.test_matrices import GAUSSIAN, TestMatrixKind
 
@@ -300,20 +300,6 @@ def test_oracle_sweep_means_are_the_serial_sums_of_dense_ingests(concurrent, mon
         assert (row.mean_s_f, row.mean_s_inf) == (float(mean[0]), float(mean[1]))
 
 
-def _spy_on_shared_draws(monkeypatch):
-    """Weak references to each trial's shared draws, by stream name."""
-    seen, real = [], metrics._drawn_once
-
-    @contextlib.contextmanager
-    def spy(counts):
-        with real(counts):
-            seen.append({seed.stream.name: weakref.ref(test_matrices._drawn[seed]) for seed in counts})
-            yield
-
-    monkeypatch.setattr(metrics, "_drawn_once", spy)
-    return seen
-
-
 _SWEEP_SPEC = SyntheticSpec(Family.POLY_DECAY, m=80, n=60, plateau=5, alpha=2.0, base_seed=21)
 
 
@@ -321,47 +307,136 @@ def _sweep_bytes(table):
     return [(row.s, row.d, row.l, row.q, row.mean_s_f.hex(), row.mean_s_inf.hex()) for row in table.rows]
 
 
-@pytest.mark.parametrize("variant", ["gaussian", "sparse_sign"])
+def _fresh_sketches(spec, kind, s, d, l, trial, test_kind, plan):
+    """The sketch set of a fresh stream that ingests the trial's A as one row block."""
+    a, _ = generate(spec.with_trial(trial))
+    stream = open_stream(kind, spec.m, spec.n, s, d, l, base_seed=spec.base_seed, trial=trial,
+                         test_kind=test_kind, plan=plan)
+    return stream.ingest(LinearUpdate.row_block(0, a)).finalize()
+
+
+def _bits(x):
+    """Type, dtype, shape and bytes of a sketch or test matrix (None if absent)."""
+    if x is None:
+        return None
+    kind = type(x).__name__
+    x = x.data if isinstance(x, matrix_core.DenseMatrix) else x.toarray() if kind == "csc_array" else x
+    return kind, x.dtype.str, x.shape, np.ascontiguousarray(x).tobytes()
+
+
+_SWEEP_CASES = [(algo, variant, plan) for algo in (PipelineKind.TYUC17, PipelineKind.TYUC17_SPI)
+                for variant in ("gaussian", "sparse_rademacher") for plan in PrecisionPlan]
+
+
+@pytest.mark.parametrize("algo, variant, plan", _SWEEP_CASES)
 @pytest.mark.parametrize("concurrent", [False, True])
-def test_oracle_sweep_shares_each_gaussian_draw_of_a_trial_without_moving_a_bit(variant, concurrent, monkeypatch):
-    """Each trial draws every Gaussian stream once, at its longest size on
-    the grid (a sparse kind draws nothing ahead); the table has the bytes
-    of a sweep whose points draw their own test matrices, in one process or
-    two, and no draw outlives its trial."""
+def test_oracle_sweep_points_have_the_sketches_of_fresh_streams(algo, variant, plan, concurrent, monkeypatch):
+    """Every point's sketches and test matrices have the bits of a fresh
+    stream at its sizes (checked in whichever process makes the point: a
+    child's failed check is made again here).  A is folded once a trial
+    into all sketches, by the first point's stream; the other points fold
+    Y and W only."""
     monkeypatch.setattr(matrix_core, "_TWO_CPUS", concurrent)
-    kind = TestMatrixKind(variant, 0.2)
+    test_kind = TestMatrixKind(variant, 0.2)
+    checked, folds, real_approximate, real_fold = [], [], metrics.approximate, SketchStream._fold_rows
 
-    def sweep(q):
-        return _sweep_bytes(oracle_sweep(_SWEEP_SPEC, PipelineKind.TYUC17_SPI, budget_t=24.0, r=4,
-                                         q=q, trials=2, test_kind=kind))
+    def check(sk, r, params):
+        sweep_folds = len(folds)
+        fresh = _fresh_sketches(_SWEEP_SPEC, algo, sk.s, sk.d, sk.l, sk.trial, test_kind, plan)
+        del folds[sweep_folds:]
+        for name in ("y", "w", "z", "omega", "psi", "phi"):
+            assert _bits(getattr(sk, name)) == _bits(getattr(fresh, name)), (sk.s, sk.d, sk.l, name)
+        checked.append(sk.s)
+        return real_approximate(sk, r, params)
 
-    seen = _spy_on_shared_draws(monkeypatch)
-    shared = []
-    for q in (0, 1):
-        shared.append(sweep(q))
-        gc.collect()
-        assert len(seen) == 2 and test_matrices._drawn == {}
-        assert all(set(refs) == ({"OMEGA", "PSI", "PHI"} if variant == "gaussian" else set()) for refs in seen)
-        assert all(ref() is None for refs in seen for ref in refs.values())
-        seen.clear()
-    monkeypatch.setattr(metrics, "_drawn_once", lambda counts: contextlib.nullcontext())
-    assert [sweep(q) for q in (0, 1)] == shared
+    def fold(stream, start, pieces):
+        folds.append(tuple(name for name, *_ in stream._steps))
+        return real_fold(stream, start, pieces)
+
+    monkeypatch.setattr(metrics, "approximate", check)
+    monkeypatch.setattr(SketchStream, "_fold_rows", fold)
+    table = oracle_sweep(_SWEEP_SPEC, algo, budget_t=36.0, r=4, trials=2, test_kind=test_kind, plan=plan)
+    assert len(table.rows) > 3 and len(checked) == 2 * len(table.rows[:: 1 + concurrent])
+    # Each trial folds once into the first point's stream, which the first
+    # point takes as it is; Z is folded there only.
+    assert len(folds) == len(checked)
+    if algo is PipelineKind.TYUC17_SPI:
+        assert folds.count(("y", "w", "z")) == 2 and set(folds) == {("y", "w", "z"), ("y", "w")}
+    else:
+        assert set(folds) == {("y", "w")}
 
 
+@pytest.mark.parametrize("algo, variant, plan", _SWEEP_CASES)
+def test_oracle_sweep_has_the_bytes_of_fresh_streams_at_every_point(algo, variant, plan):
+    """The table has the bytes of a loop in which each point of each trial
+    opens its own stream, ingests A and is evaluated (the points of one
+    trial shared out between two processes where the host allows it)."""
+    test_kind = TestMatrixKind(variant, 0.2)
+    table = oracle_sweep(_SWEEP_SPEC, algo, budget_t=36.0, r=4, q=2, trials=2, test_kind=test_kind, plan=plan)
+    sums = {}
+    for trial in range(2):
+        spec = _SWEEP_SPEC.with_trial(trial)
+        a, factors = generate(spec)
+        base = metrics.baselines_from_spectrum(prescribed_spectrum(spec), 4)
+        for row in table.rows:
+            sk = _fresh_sketches(_SWEEP_SPEC, algo, row.s, row.d, row.l, trial, test_kind, plan)
+            rel = relative_error(a, approximate(sk, 4, SpiParams(q=2)), 4, baselines=base, factors=factors)
+            sums[row.s] = sums.get(row.s, np.zeros(2)) + (rel.s_f, rel.s_inf)
+    want = metrics.SweepTable([
+        metrics.SweepRow(row.s, row.d, row.l, row.q, float(sums[row.s][0] / 2), float(sums[row.s][1] / 2))
+        for row in table.rows
+    ])
+    assert {row.q for row in table.rows} == {2 if algo is PipelineKind.TYUC17_SPI else 0}
+    assert _sweep_bytes(table) == _sweep_bytes(want)
+
+
+@pytest.mark.parametrize("fail", [False, True])
 @pytest.mark.parametrize("concurrent", [False, True])
-def test_oracle_sweep_drops_its_draws_when_a_point_raises(concurrent, monkeypatch):
+def test_oracle_sweep_drops_the_sketches_of_a_trial_when_it_ends(fail, concurrent, monkeypatch):
+    """No sketch set of a trial, the shared one included, is alive when the
+    next trial starts, nor after the sweep, also when a point raises."""
     monkeypatch.setattr(matrix_core, "_TWO_CPUS", concurrent)
-    seen = _spy_on_shared_draws(monkeypatch)
+    made, alive_at_start, real_finalize, real_trial_data = [], [], SketchStream.finalize, metrics._trial_data
 
-    def fail(*args, **kwargs):
-        raise RuntimeError("made to fail")
+    def finalize(stream):
+        sk = real_finalize(stream)
+        made.append((weakref.ref(sk), weakref.ref(sk.y.data), weakref.ref(sk.w.data), weakref.ref(sk.z.data)))
+        return sk
 
-    monkeypatch.setattr(metrics, "relative_error", fail)
-    with pytest.raises(RuntimeError, match="made to fail"):
-        oracle_sweep(_SWEEP_SPEC, PipelineKind.TYUC17_SPI, budget_t=24.0, r=4, trials=2)
+    def trial_data(spec, r):
+        alive_at_start.append(sum(ref() is not None for refs in made for ref in refs))
+        return real_trial_data(spec, r)
+
+    def fail_in_the_second_trial(a, result, r, **kwargs):
+        if len(alive_at_start) == 2:
+            raise RuntimeError("made to fail")
+        return relative_error(a, result, r, **kwargs)
+
+    monkeypatch.setattr(SketchStream, "finalize", finalize)
+    monkeypatch.setattr(metrics, "_trial_data", trial_data)
+    if fail:
+        monkeypatch.setattr(metrics, "relative_error", fail_in_the_second_trial)
+    with pytest.raises(RuntimeError, match="made to fail") if fail else contextlib.nullcontext():
+        oracle_sweep(_SWEEP_SPEC, PipelineKind.TYUC17_SPI, budget_t=24.0, r=4, trials=3)
     gc.collect()
-    assert len(seen) == 1 and set(seen[0]) == {"OMEGA", "PSI", "PHI"}
-    assert test_matrices._drawn == {} and seen[0]["OMEGA"]() is None
+    assert len(made) > 2 and alive_at_start == ([0, 0] if fail else [0, 0, 0])
+    assert all(ref() is None for refs in made for ref in refs)
+
+
+def test_oracle_sweep_refuses_a_grid_whose_sketches_it_cannot_share(monkeypatch):
+    def budget_sizes(kind, plan, cls, t, m, n, r, s):
+        if s > r + 2:
+            raise guidance.InfeasibleBudgetError(t, t + 1)
+        return {4: (4, 20, 12), 5: (5, 21, 12), 6: (6, 18, 12)}[s]
+
+    monkeypatch.setattr(guidance, "budget_sizes", budget_sizes)
+    with pytest.raises(ValueError, match=r"largest d at the first point; grid \(s, d, l\): "
+                                         r"\[\(4, 20, 12\), \(5, 21, 12\), \(6, 18, 12\)\]"):
+        oracle_sweep(_SWEEP_SPEC, PipelineKind.TYUC17_SPI, budget_t=24.0, r=4, trials=1)
+    monkeypatch.setattr(guidance, "budget_sizes", lambda kind, plan, cls, t, m, n, r, s: (
+        budget_sizes(kind, plan, cls, t, m, n, r, s)[0], 20 - s, 8 + s))
+    with pytest.raises(ValueError, match=r"one l .* \[\(4, 16, 12\), \(5, 15, 13\), \(6, 14, 14\)\]"):
+        oracle_sweep(_SWEEP_SPEC, PipelineKind.TYUC17_SPI, budget_t=24.0, r=4, trials=1)
 
 
 @pytest.mark.parametrize("trials", [0, -1])

@@ -1,18 +1,14 @@
-import weakref
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sketchpower import test_matrices
-from sketchpower.stream_ingest import LinearUpdate, PipelineKind, open_stream
 from sketchpower.test_matrices import (
     GAUSSIAN,
     SeedSpec,
     Stream,
     TestMatrixKind,
-    _drawn_once,
     generate,
     stream_seed,
 )
@@ -141,55 +137,13 @@ def test_sparse_form_holds_the_same_entries(variant, rows, cols):
     assert set(np.unique(sparse.data)) <= {-1.0, 1.0}
 
 
-def test_drawn_once_serves_prefix_views_with_the_bits_of_fresh_draws():
-    """Inside the scope a Gaussian matrix of a drawn stream is a read-only
-    view of the shared draw when it fits in it, with the bits of a fresh
-    draw; a larger one, another stream and a sparse kind are drawn afresh."""
-    seed, other = SeedSpec(3, Stream.OMEGA, 2), SeedSpec(3, Stream.PSI, 2)
-    sparse = TestMatrixKind("sparse_sign", 0.2)
-    shapes = [(40, 7), (7, 40), (1, 1), (20, 14), (1, 280), (40, 8), (281, 1)]
-    fresh = {shape: generate(GAUSSIAN, *shape, seed) for shape in shapes}
-    fresh_other = generate(GAUSSIAN, 9, 9, other)
-    fresh_sparse = generate(sparse, 40, 7, seed)
-    with _drawn_once({seed: 280}):
-        for shape, want in fresh.items():
-            got = generate(GAUSSIAN, *shape, seed)
-            shared = shape[0] * shape[1] <= 280
-            assert got.tobytes() == want.tobytes(), shape
-            assert np.shares_memory(got, test_matrices._drawn[seed]) is shared, shape
-            assert got.flags.writeable is not shared, shape
-        assert generate(GAUSSIAN, 9, 9, other).tobytes() == fresh_other.tobytes()
-        assert generate(sparse, 40, 7, seed).toarray().tobytes() == fresh_sparse.toarray().tobytes()
-    assert test_matrices._drawn == {}
-
-
-def test_drawn_once_drops_its_draws_when_the_scope_raises():
-    seed = SeedSpec(3, Stream.PHI, 0)
-    with pytest.raises(RuntimeError, match="inside"):
-        with _drawn_once({seed: 50}):
-            held = weakref.ref(test_matrices._drawn[seed])
-            raise RuntimeError("inside")
-    assert test_matrices._drawn == {} and held() is None
-
-
-def test_shared_test_matrices_are_read_only_in_the_stream_and_the_sketch_set():
-    """A stream opened in the scope holds read-only views, and its sketch set
-    the same bits, read-only, as a stream opened outside it."""
-    kind, a = PipelineKind.TYUC17_SPI, np.random.default_rng(1).standard_normal((30, 20))
-    names = ("omega", "psi", "phi")
-
-    def sketch_set():
-        st_ = open_stream(kind, 30, 20, 3, 5, 7, base_seed=5)
-        return st_, st_.ingest(LinearUpdate.row_block(0, a)).finalize()
-
-    _, outside = sketch_set()
-    with _drawn_once({SeedSpec(5, Stream[name.upper()], 0): 300 for name in names}):
-        st_, inside = sketch_set()
-        for name in names:
-            assert not st_._t[name].flags.writeable, name
-            assert np.shares_memory(st_._t[name], test_matrices._drawn[SeedSpec(5, Stream[name.upper()], 0)])
-    for name in names:
-        for sk in (outside, inside):
-            assert not getattr(sk, name).flags.writeable, name
-        assert getattr(inside, name).tobytes() == getattr(outside, name).tobytes(), name
-    assert inside.y.data.tobytes() == outside.y.data.tobytes()
+def test_gaussian_draw_is_the_prefix_of_every_longer_draw_of_its_stream():
+    """A Gaussian matrix is drawn row-major: it has the bits of the first
+    rows of a draw with more rows, and of the first rows*cols numbers of
+    its stream, which the oracle sweep shares between its grid points."""
+    seed = SeedSpec(3, Stream.OMEGA, 2)
+    flat = test_matrices.rng_for(seed).standard_normal(400)
+    for rows, cols in [(40, 7), (7, 40), (1, 1), (20, 14), (1, 280), (40, 10)]:
+        got = generate(GAUSSIAN, rows, cols, seed)
+        assert got.tobytes() == generate(GAUSSIAN, rows + 3, cols, seed)[:rows].tobytes()
+        assert got.tobytes() == flat[: rows * cols].tobytes()

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Byte-identity check list: 20 sketchpower-bench commands, each writing its
+# Byte-identity check list: 23 sketchpower-bench commands, each writing its
 # CSV (NAME.csv) and stderr (NAME.err) into OUTDIR, and one exit code per
 # command into OUTDIR/status.txt.
 #
@@ -13,7 +13,12 @@
 #   diff -r /tmp/cl-parent /tmp/cl-change
 #
 # The commands: `run` tyuc17_spi at the paper's 1000x1000 (T=96, auto, 4
-# trials); the 400x400 poly-2 Gaussian `sweep` (T=100, 3 trials); all six
+# trials); four `sweep`s, which take each branch of the oracle sweep's
+# sharing of one ingest per trial: tyuc17_spi on 400x400 poly-2 (T=100, 3
+# trials) with Gaussian and with the default sparse_rademacher test
+# matrices, tyuc17 there with Gaussian ones (no Z, q written as 0), and
+# tyuc17_spi on a 1000x600 poly-2 matrix of several row chunks (T=50,
+# Gaussian, 1 trial); all six
 # algorithms on lowrank 300x200 (T=40, r=5, auto) and on exp-0.5 60x50 (T=32,
 # r=4, Gaussian); three algorithms on a 300x200 SPIM file and three on
 # noise-free lowrank (`--gamma 0`).  The file is written into OUTDIR with NumPy
@@ -110,6 +115,11 @@ PY
 kinds="tyuc17 tyuc17_spi tyuc17_spi_variant rsvd_onepass tyuc19 tyuc19_spi"
 bench run_paper run --algo tyuc17_spi --data poly --alpha 1 --m 1000 --n 1000 --budget 96 --guidance auto --trials 4
 bench sweep_poly2 sweep --algo tyuc17_spi --data poly --alpha 2 --m 400 --n 400 --budget 100 --trials 3 \
+    --test-matrix gaussian
+bench sweep_poly2_sparse sweep --algo tyuc17_spi --data poly --alpha 2 --m 400 --n 400 --budget 100 --trials 3
+bench sweep_poly2_tyuc17 sweep --algo tyuc17 --data poly --alpha 2 --m 400 --n 400 --budget 100 --trials 3 \
+    --test-matrix gaussian
+bench sweep_chunks sweep --algo tyuc17_spi --data poly --alpha 2 --m 1000 --n 600 --budget 50 --trials 1 \
     --test-matrix gaussian
 for k in $kinds; do
     bench "lowrank_$k" run --algo "$k" --data lowrank --m 300 --n 200 --budget 40 --rank 5 --guidance auto --trials 3
