@@ -148,8 +148,9 @@ def _load_file(args: argparse.Namespace) -> tuple[argparse.Namespace, np.ndarray
 
 
 def _run_one_trial(args, kind, plan, sizes, trial, shared_a, shared_base):
-    """One trial's values, or the message of the exception it raised (a
-    message pickles, so a trial a forked child made reports it too)."""
+    """One trial's CSV values from the trial column on, or the message of the
+    exception it raised (a message pickles, so a trial a forked child made
+    reports it too)."""
     try:
         s, d, l = sizes
         if shared_a is None:
@@ -165,25 +166,11 @@ def _run_one_trial(args, kind, plan, sizes, trial, shared_a, shared_base):
         t0 = time.perf_counter()
         result = approximate(sk, args.rank, _spi_params(args))
         wall_ms = (time.perf_counter() - t0) * 1e3
-        rel = metrics.relative_error(a, result, args.rank, baselines=base, factors=factors)
-        try:
-            re = metrics.range_extra_errors(a, result, args.rank, baselines=base, factors=factors)
-            range_f, range_s, extra_f, extra_s = re.range_f, re.range_s, re.extra_f, re.extra_s
-        except metrics.MetricUnsupportedError:
-            range_f = range_s = extra_f = extra_s = None
+        err = metrics.evaluate(a, result, args.rank, baselines=base, factors=factors)
     except Exception as exc:  # noqa: BLE001 - enumerate failing trials
         return str(exc)
-    return {
-        "trial": trial,
-        "seed": stream_seed(SeedSpec(args.base_seed, Stream.OMEGA, trial)),
-        "S_F": rel.s_f,
-        "S_inf": rel.s_inf,
-        "range_err_F": range_f,
-        "range_err_S": range_s,
-        "extra_err_F": extra_f,
-        "extra_err_S": extra_s,
-        "wall_ms": wall_ms if args.timing else None,
-    }
+    return [trial, stream_seed(SeedSpec(args.base_seed, Stream.OMEGA, trial)), err.s_f, err.s_inf,
+            err.range_f, err.range_s, err.extra_f, err.extra_s, wall_ms if args.timing else None]
 
 
 @_one_blas_thread()
@@ -214,20 +201,16 @@ def run(args: argparse.Namespace) -> int:
         functools.partial(_run_one_trial, args, kind, plan, sizes, t, shared_a, shared_base)
         for t in range(args.trials)
     ])
-    rows = [row for row in outcomes if isinstance(row, dict)]
+    rows = [row for row in outcomes if isinstance(row, list)]
 
-    metric_keys = ["S_F", "S_inf", "range_err_F", "range_err_S", "extra_err_F", "extra_err_S", "wall_ms"]
-    lines = [CSV_HEADER] + [
-        [_fmt(x) for x in prefix] + [str(row["trial"]), str(row["seed"])] + [_fmt(row[k]) for k in metric_keys]
-        for row in rows
-    ]
+    lines = [CSV_HEADER] + [[_fmt(x) for x in prefix + row] for row in rows]
     if rows:
         for label, reducer in (("mean", np.mean), ("std", lambda v: np.std(v, ddof=0))):
             stats = []
-            for k in metric_keys:
-                vals = [r[k] for r in rows if r[k] is not None]
+            for column in list(zip(*rows))[2:]:  # S_F to wall_ms
+                vals = [x for x in column if x is not None]
                 stats.append(float(reducer(vals)) if vals else None)
-            lines.append([_fmt(x) for x in prefix] + [label, ""] + [_fmt(x) for x in stats])
+            lines.append([_fmt(x) for x in prefix + [label, ""] + stats])
 
     _emit(lines, args.out)
     for t, outcome in enumerate(outcomes):
@@ -309,8 +292,11 @@ def _emit(lines, out: Optional[str]) -> None:
     csv.writer(buf, lineterminator="\n").writerows(lines)
     text = buf.getvalue()
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SystemExit(f"--out: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -370,9 +356,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_words(path) -> list[str]:
     """A config file's values as flag words, so that argparse checks them as
-    it checks flags.  A null value leaves its flag unset."""
-    with open(path, "r", encoding="utf-8") as fh:
-        values = json.load(fh)
+    it checks flags.  A null value leaves its flag unset.  A file that
+    cannot be read, is not JSON or does not hold an object exits with the
+    reason."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            values = json.load(fh)
+    except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+        raise SystemExit(f"--config: {path}: {exc}")
+    if not isinstance(values, dict):
+        raise SystemExit(f"--config: {path}: a JSON {type(values).__name__}, not an object")
     unknown = set(values) - set(_CONFIG_KEYS)
     if unknown:
         raise SystemExit(f"unknown keys in config file: {sorted(unknown)}")

@@ -306,11 +306,15 @@ def budget_sizes(kind: PipelineKind, plan: PrecisionPlan, cls: SpectrumClass | N
     are derived (the oracle sweep's grid) and ``cls`` is not read.  Sizes a
     kind does not use are 0.  Raises :class:`InfeasibleBudgetError`, naming
     the least integer budget that resolves, when no sizes with s >= r meet
-    the budget and the pipeline's size rules.
+    the budget and the pipeline's size rules, or when the sizes a budget
+    gives overflow a float.
     """
     if not 1 <= r <= min(m, n):
         raise ValueError(f"target rank must satisfy 1 <= r <= min(m, n), got r={r}, m={m}, n={n}")
-    sizes = _fit(kind, plan, cls, t, m, n, r, s)
+    try:
+        sizes = _fit(kind, plan, cls, t, m, n, r, s)
+    except OverflowError:  # sizes past a float's range, as are those of every larger budget
+        raise InfeasibleBudgetError(t, math.inf) from None
     if sizes is None:
         raise InfeasibleBudgetError(t, _least_budget(lambda b: _fit(kind, plan, cls, b, m, n, r, s), math.floor(t) + 1))
     return sizes

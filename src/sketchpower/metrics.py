@@ -16,7 +16,8 @@ V0^T`` (:func:`synthetic.generate`, through :func:`_trial_data`); its residuals
 are then written in their basis, widened by the approximation's factors, as
 matrices of at most (k+r) x (k+r) that are applied from r-column factors and
 never formed, so no m x n array is made.  Files and noisy low-rank data have
-a dense m x n residual, one array that each evaluator makes and overwrites.
+dense m x n residuals, each made and overwritten in turn, so an evaluation
+holds one m x n array at its peak.
 """
 from __future__ import annotations
 
@@ -40,12 +41,10 @@ from .test_matrices import GAUSSIAN, TestMatrixKind, generate
 from .precision_model import PIPELINES, PrecisionPlan
 
 __all__ = [
-    "RelativeErrors",
-    "RangeExtraErrors",
-    "MetricUnsupportedError",
+    "Errors",
     "baselines_from_spectrum",
     "relative_error",
-    "range_extra_errors",
+    "evaluate",
     "canonical_angle_sines",
     "tail_energy",
     "BoundInputsFro",
@@ -63,23 +62,17 @@ _ZERO_BASELINE_RTOL = 1e-12
 _EXACT_FIT_RTOL = 1e-12
 
 
-class MetricUnsupportedError(ValueError):
-    """A metric that is undefined for the given pipeline's decomposition."""
-
-
 @dataclass
-class RelativeErrors:
+class Errors:
+    """A trial's errors: relative (S_F, S_inf), then RangeError and
+    ExtraError, which are None where they are not computed."""
+
     s_f: float
     s_inf: float
-    flags: frozenset = frozenset()
-
-
-@dataclass
-class RangeExtraErrors:
-    range_f: float
-    range_s: float
-    extra_f: float
-    extra_s: float
+    range_f: Optional[float] = None
+    range_s: Optional[float] = None
+    extra_f: Optional[float] = None
+    extra_s: Optional[float] = None
     flags: frozenset = frozenset()
 
 
@@ -99,7 +92,7 @@ def _baselines(a: np.ndarray, r: int) -> tuple[float, float]:
 def _trial_data(spec: synthetic.SyntheticSpec, r: int):
     """``(a, baselines, factors)`` of one synthetic trial: the data matrix,
     its best-rank-r baselines, and the generator's factors (None for noisy
-    data), which :func:`relative_error` and :func:`range_extra_errors` take.
+    data), which :func:`evaluate` and :func:`relative_error` take.
     Without noise A's spectrum is the prescribed one (to roundoff), so no SVD
     is taken; both paths share :func:`baselines_from_spectrum`, so zero
     baselines are detected alike."""
@@ -191,29 +184,71 @@ def _factored_fro(d: np.ndarray, g: np.ndarray, h: np.ndarray) -> float:
     return math.sqrt(squares)
 
 
-def _residual_norms(a: np.ndarray, result: ApproxResult, factors: Optional[synthetic.Factors]) -> tuple[float, float]:
-    """Norms of ``A - U diag(sv) V^T``: given A's factors, those of
-    ``diag(sigma) - [X; R_u] diag(sv) [Y; R_v]^T`` (see :func:`_in_basis`),
-    else of the residual written over the reconstruction."""
+def _residual_norms(a: np.ndarray, result: ApproxResult, factors: Optional[synthetic.Factors],
+                    xu: Optional[np.ndarray]) -> tuple[float, float]:
+    """Norms of ``A - U diag(sv) V^T``: given A's factors and ``xu =
+    _in_basis(U0, U)``, those of ``diag(sigma) - xu diag(sv) [Y; R_v]^T``
+    (see :func:`_in_basis`), else of the residual written over the
+    reconstruction."""
     if factors is None:
         resid = result.reconstruct()
         return _dense_norms(np.subtract(a, resid, out=resid))
     e = binary_exponent(np.concatenate([factors.sv, result.sv]))
-    g = _in_basis(factors.u, result.u) * np.ldexp(result.sv, -e)
+    g = xu * np.ldexp(result.sv, -e)
     return _factored_norms(e, np.ldexp(factors.sv, -e), g, _in_basis(factors.v, result.v))
 
 
-def _range_residual_norms(a: np.ndarray, u: np.ndarray, factors: Optional[synthetic.Factors]) -> tuple[float, float]:
-    """Norms of ``(I - U U^T) A``: given A's factors, those of
-    ``[diag(sigma); 0] - [X; R_u] X^T diag(sigma)``, else of the residual
-    written over the projection."""
+def _range_residual_norms(a: np.ndarray, u: np.ndarray, factors: Optional[synthetic.Factors],
+                          xu: Optional[np.ndarray]) -> tuple[float, float]:
+    """Norms of ``(I - U U^T) A``: given A's factors and ``xu =
+    _in_basis(U0, U)``, those of ``[diag(sigma); 0] - xu X^T diag(sigma)``,
+    else of the residual written over the projection."""
     if factors is None:
         resid = u @ (u.T @ a)
         return _dense_norms(np.subtract(a, resid, out=resid))
     e = binary_exponent(factors.sv)
     sv = np.ldexp(factors.sv, -e)
-    g = _in_basis(factors.u, u)
-    return _factored_norms(e, sv, g, sv[:, None] * g[: sv.size])
+    return _factored_norms(e, sv, xu, sv[:, None] * xu[: sv.size])
+
+
+def _extra_norms(a: np.ndarray, result: ApproxResult) -> tuple[float, float]:
+    """Norms of ``U U-tilde^T (Q^T A - (Psi Q)^+ Psi A)``, taken of the r x n
+    matrix ``R_U M`` (U = Q_U R_U, M the core), which has the norms of ``U M``
+    whether or not U is orthonormal; exactly zero for ``rsvd_onepass``."""
+    if result.kind is PipelineKind.RSVD_ONEPASS:
+        return 0.0, 0.0
+    psi = result.psi
+    fitted = lstsq(psi @ result.q_factor, psi @ a).x
+    core = result.u_tilde.T @ (result.q_factor.T @ a - fitted)
+    e = np.linalg.qr(result.u, mode="r") @ core
+    return fro_norm(e), float(la.svdvals(e, check_finite=False)[0])
+
+
+def _errors(a, result: ApproxResult, r: int, baselines, factors, split: bool) -> Errors:
+    """:func:`evaluate`, with the RangeError/ExtraError split only if ``split``."""
+    split = split and result.kind not in (PipelineKind.TYUC19, PipelineKind.TYUC19_SPI)
+    if split and result.kind is not PipelineKind.RSVD_ONEPASS and result.psi is None:
+        raise ValueError("result lacks the corange test matrix needed for ExtraError")
+    a = as_f64(a)
+    xu = None if factors is None else _in_basis(factors.u, result.u)
+    num_f, num_s = _residual_norms(a, result, factors, xu)
+    base_f, base_s = baselines if baselines is not None else _baselines(a, r)
+    scale = fro_norm(a if factors is None else factors.sv)
+    zero_baseline = base_f <= _ZERO_BASELINE_RTOL * max(scale, 1e-300)
+    if zero_baseline:
+        s_f, s_inf, flags = num_f, num_s, frozenset({"zero_baseline"})
+    elif num_f <= _EXACT_FIT_RTOL * scale:
+        s_f, s_inf, flags = 0.0, 0.0, frozenset({"exact_fit"})
+    else:
+        s_f, s_inf, flags = num_f / base_f - 1.0, num_s / base_s - 1.0, frozenset()
+    if not split:
+        return Errors(s_f, s_inf, flags=flags)
+    range_f, range_s = _range_residual_norms(a, result.u, factors, xu)
+    extra_f, extra_s = _extra_norms(a, result)
+    if not zero_baseline:
+        range_f, range_s = range_f / base_f - 1.0, range_s / base_s - 1.0
+        extra_f, extra_s = extra_f / base_f, extra_s / base_s
+    return Errors(s_f, s_inf, range_f, range_s, extra_f, extra_s, flags)
 
 
 @_one_blas_thread()
@@ -223,84 +258,48 @@ def relative_error(
     r: int,
     baselines: Optional[tuple[float, float]] = None,
     factors: Optional[synthetic.Factors] = None,
-) -> RelativeErrors:
-    """Reconstruction error relative to the best rank-r approximation.
-
-    ``S = ||A - A_hat|| / ||A - [A]_r|| - 1`` in Frobenius and spectral norm.
-    If A is itself (numerically) rank <= r the ratio is undefined: absolute
-    errors are returned with a ``zero_baseline`` flag.  A reconstruction that
-    fits A to roundoff while the baseline is positive is reported as zero
-    error with an ``exact_fit`` flag.  The spectral norm of the residual is a
-    Lanczos estimate that matches a dense SVD to roundoff; without
-    ``baselines`` they are computed from a dense SVD of A.  Given A's SVD
-    ``factors`` (:func:`synthetic.generate`), no m x n array is made and
-    the flags' scale ``||A||_F`` is taken as ``||sigma||``; otherwise the
-    residual is written over the reconstruction.
-    """
-    a = as_f64(a)
-    num_f, num_s = _residual_norms(a, result, factors)
-    base_f, base_s = baselines if baselines is not None else _baselines(a, r)
-    scale = fro_norm(a if factors is None else factors.sv)
-    if base_f <= _ZERO_BASELINE_RTOL * max(scale, 1e-300):
-        return RelativeErrors(num_f, num_s, frozenset({"zero_baseline"}))
-    if num_f <= _EXACT_FIT_RTOL * scale:
-        return RelativeErrors(0.0, 0.0, frozenset({"exact_fit"}))
-    return RelativeErrors(num_f / base_f - 1.0, num_s / base_s - 1.0)
+) -> Errors:
+    """Reconstruction error relative to the best rank-r approximation:
+    :func:`evaluate` without the RangeError/ExtraError split, whose four
+    fields are None."""
+    return _errors(a, result, r, baselines, factors, split=False)
 
 
 @_one_blas_thread()
-def range_extra_errors(
+def evaluate(
     a,
     result: ApproxResult,
     r: int,
     baselines: Optional[tuple[float, float]] = None,
     factors: Optional[synthetic.Factors] = None,
-) -> RangeExtraErrors:
-    """Split the reconstruction error into its two orthogonal sources.
+) -> Errors:
+    """A trial's errors: the relative error and its split into two sources.
+
+    ``S = ||A - A_hat|| / ||A - [A]_r|| - 1`` in Frobenius and spectral norm.
+    If A is itself (numerically) rank <= r the ratio is undefined: absolute
+    errors are returned with a ``zero_baseline`` flag.  A reconstruction that
+    fits A to roundoff while the baseline is positive is reported as zero
+    error with an ``exact_fit`` flag.  Without ``baselines`` they are
+    computed from a dense SVD of A.
 
     RangeError is the orthogonal-projection error ``||A - U U^T A|| /
     ||A - [A]_r|| - 1``; ExtraError is the sketch-and-solve remainder
     ``||U U-tilde^T (Q^T A - (Psi Q)^+ Psi A)|| / ||A - [A]_r||`` (no
-    subtraction of one).  The orthogonal-projection pipeline has no second
-    source, so its ExtraError is exactly zero.  Undefined for the two-sided
-    pipelines.  The RangeError spectral norm is a Lanczos estimate; the
-    ExtraError norms are taken of the r x n matrix ``R_U M`` (U = Q_U R_U,
-    M the core above), which has the norms of ``U M`` whether or not U is
-    orthonormal.  Both match a dense SVD to roundoff.  Given A's SVD
-    ``factors``, RangeError makes no m x n array and the flag's scale
-    ``||A||_F`` is ``||sigma||``; otherwise its residual is written over the
-    projection.  ExtraError multiplies A in either case.
+    subtraction of one), exactly zero for the orthogonal-projection
+    pipeline, which has no second source.  Under ``zero_baseline`` both are
+    absolute.  The split is undefined for the two-sided pipelines: their
+    four fields are None.  A one-sided result without ``psi`` is refused
+    (ValueError).
+
+    Spectral norms of the residuals are Lanczos estimates that match a dense
+    SVD to roundoff.  Given A's SVD ``factors`` (:func:`synthetic.generate`),
+    no m x n array is made, ``_in_basis(U0, U)`` is computed once for both
+    residuals, and the flags' scale ``||A||_F`` is taken as ``||sigma||``;
+    otherwise each residual is written over the array it is made from, and
+    the first is dropped before the second is made.  ExtraError multiplies A
+    in either case.
     """
-    if result.kind in (PipelineKind.TYUC19, PipelineKind.TYUC19_SPI):
-        raise MetricUnsupportedError(
-            "range/extra decomposition is undefined for the two-sided core pipelines"
-        )
-    a = as_f64(a)
-    base_f, base_s = baselines if baselines is not None else _baselines(a, r)
-    flags = set()
-    range_f, range_s = _range_residual_norms(a, result.u, factors)
-    if result.kind is PipelineKind.RSVD_ONEPASS:
-        extra_f = extra_s = 0.0
-    else:
-        if result.psi is None:
-            raise MetricUnsupportedError("result lacks the corange test matrix needed for ExtraError")
-        psi = result.psi
-        fitted = lstsq(psi @ result.q_factor, psi @ a).x
-        core = result.u_tilde.T @ (result.q_factor.T @ a - fitted)
-        e = np.linalg.qr(result.u, mode="r") @ core
-        extra_f = fro_norm(e)
-        extra_s = float(la.svdvals(e, check_finite=False)[0])
-    scale = fro_norm(a if factors is None else factors.sv)
-    if base_f <= _ZERO_BASELINE_RTOL * max(scale, 1e-300):
-        flags.add("zero_baseline")
-        return RangeExtraErrors(range_f, range_s, extra_f, extra_s, frozenset(flags))
-    return RangeExtraErrors(
-        range_f / base_f - 1.0,
-        range_s / base_s - 1.0,
-        extra_f / base_f,
-        extra_s / base_s,
-        frozenset(flags),
-    )
+    return _errors(a, result, r, baselines, factors, split=True)
 
 
 def _orthonormalized(u: np.ndarray, name: str) -> np.ndarray:

@@ -35,7 +35,6 @@ __all__ = [
     "SyntheticSpec",
     "Factors",
     "prescribed_spectrum",
-    "adds_noise",
     "generate",
     "write_spim",
 ]
@@ -87,11 +86,6 @@ def prescribed_spectrum(spec: SyntheticSpec) -> np.ndarray:
     else:
         sv[r:] = 0.0
     return sv
-
-
-def adds_noise(spec: SyntheticSpec) -> bool:
-    """Whether generate(spec) adds noise on top of the prescribed spectrum."""
-    return spec.family is Family.LOWRANK_NOISE and spec.snr > 0.0
 
 
 def _orthonormal(rows: int, cols: int, seed: SeedSpec) -> np.ndarray:
@@ -155,7 +149,7 @@ def generate(spec: SyntheticSpec) -> tuple[np.ndarray, Optional[Factors]]:
     h = (spec.n // 2) // 8 * 8
     _concurrently([functools.partial(np.matmul, us, factors.v[lo:hi].T, out=a[:, lo:hi])
                    for lo, hi in ((0, h), (h, spec.n))])
-    if adds_noise(spec):
+    if spec.family is Family.LOWRANK_NOISE and spec.snr > 0.0:
         noise = rng_for(SeedSpec(spec.base_seed, Stream.DATA_NOISE, spec.trial))
         a += (spec.snr * spec.plateau / spec.n**2) * noise.standard_normal((spec.m, spec.n))
         factors = None

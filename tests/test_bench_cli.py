@@ -233,8 +233,30 @@ def test_config_file_defaults_and_flag_override(tmp_path):
         bad.write_text(json.dumps({key: 1}))
         with pytest.raises(SystemExit, match=key):
             bench_cli.main(["run", "--config", str(bad)])
+    bad.write_text("{x")
+    for path, reason in ((tmp_path / "missing.json", "No such file or directory"),
+                         (bad, "Expecting property name"), (cfgfile, "a JSON int, not an object")):
+        if path == cfgfile:
+            cfgfile.write_text("5")
+        with pytest.raises(SystemExit) as exit_:
+            bench_cli.main(["run", "--config", str(path)])
+        message = exit_.value.code
+        assert isinstance(message, str) and message.startswith("--config: ") and "\n" not in message
+        assert str(path) in message and reason in message, message
     with pytest.raises(SystemExit):  # the oracle sweep is the sweep subcommand
         bench_cli.main(["run", "--guidance", "sweep", "--budget", "30"])
+
+
+@pytest.mark.parametrize("command", ["run", "ledger"])
+def test_unwritable_out_exits_with_one_message(command, tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "x.csv"
+    with pytest.raises(SystemExit) as exit_:
+        bench_cli.main([command, "--algo", "tyuc17", "--s", "5", "--d", "12", "--rank", "3",
+                        "--m", "40", "--n", "40", "--trials", "1", "--out", str(out)])
+    message = exit_.value.code
+    assert isinstance(message, str) and message.startswith("--out: ") and "\n" not in message
+    assert str(out) in message and "No such file or directory" in message, message
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("key, value, flag", [

@@ -176,6 +176,22 @@ def test_budget_sizes_fit_or_name_the_least_budget(kind, plan):
         assert (d > 0) == spec.uses("d") and (l > 0) == spec.uses("l")
 
 
+@pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("plan", [_DOUBLE, _MIXED], ids=lambda p: p.value)
+def test_huge_budget_is_infeasible_where_its_sizes_overflow(kind, plan):
+    # 2T overflowed in _mixed_sizes, and tyuc17's d of 1e308 rows overflowed
+    # the word count: both raised OverflowError.  The kinds that spend the
+    # budget on d and l have no sizes there; the others take the largest s.
+    cls = SpectrumClass(DecayKind.POLY, 2.0)
+    for s in (None, 6):
+        if kind in (PipelineKind.TYUC17, PipelineKind.TYUC17_SPI, PipelineKind.TYUC17_SPI_VARIANT):
+            with pytest.raises(InfeasibleBudgetError, match="minimal feasible T is inf"):
+                budget_sizes(kind, plan, cls, 1e308, 300, 200, 6, s=s)
+        else:
+            assert budget_sizes(kind, plan, cls, 1e308, 300, 200, 6, s=s) == budget_sizes(
+                kind, plan, cls, 1e6, 300, 200, 6, s=s)
+
+
 @pytest.mark.parametrize("plan", [_DOUBLE, _MIXED], ids=lambda p: p.value)
 def test_tyuc17_sizes_of_a_wide_matrix_resolve_or_are_infeasible(plan):
     # With m < n the tyuc17 rule's s is capped at min(m, n).  Uncapped, the

@@ -18,13 +18,12 @@ from sketchpower.matrix_core import lstsq
 from sketchpower.metrics import (
     BoundInputsFro,
     BoundInputsSpec,
-    MetricUnsupportedError,
     bound_frobenius_q1,
     bound_spectral_general_q,
     canonical_angle_sines,
+    evaluate,
     frobenius_event_statistic,
     oracle_sweep,
-    range_extra_errors,
     relative_error,
     tail_energy,
 )
@@ -81,11 +80,10 @@ def test_relative_error_exact_fit_beyond_rank():
 def test_range_extra_pythagoras():
     a = _noisy_lowrank(100, 80, 6, seed=5)
     res = _run_tyuc17(a, 10, 24, 6, seed=6)
-    rel = relative_error(a, res, 6)
-    rex = range_extra_errors(a, res, 6)
+    err = evaluate(a, res, 6)
     base = np.linalg.norm(a - _best_rank(a, 6))
-    lhs = (base * (1 + rel.s_f)) ** 2
-    rhs = (base * (1 + rex.range_f)) ** 2 + (base * rex.extra_f) ** 2
+    lhs = (base * (1 + err.s_f)) ** 2
+    rhs = (base * (1 + err.range_f)) ** 2 + (base * err.extra_f) ** 2
     assert abs(lhs - rhs) <= 1e-8 * lhs
 
 
@@ -98,8 +96,8 @@ def test_rsvd_extra_error_is_exactly_zero():
     a = _noisy_lowrank(50, 40, 4, seed=7)
     st = open_stream(PipelineKind.RSVD_ONEPASS, 50, 40, 10, base_seed=8)
     res = rsvd_onepass(st.ingest(LinearUpdate.row_block(0, a)).finalize(), 4)
-    rex = range_extra_errors(a, res, 4)
-    assert rex.extra_f == 0.0 and rex.extra_s == 0.0
+    err = evaluate(a, res, 4)
+    assert err.extra_f == 0.0 and err.extra_s == 0.0
 
 
 def test_perfect_range_gives_zero_range_error():
@@ -107,16 +105,25 @@ def test_perfect_range_gives_zero_range_error():
     res = _run_tyuc17(a, 8, 18, 4, seed=10)
     u, _, _ = np.linalg.svd(a, full_matrices=False)
     res.u = u[:, :4]
-    rex = range_extra_errors(a, res, 4)
-    assert abs(rex.range_f) <= 1e-9
+    err = evaluate(a, res, 4)
+    assert abs(err.range_f) <= 1e-9
 
 
-def test_range_extra_unsupported_for_two_sided():
+def test_range_extra_left_none_for_two_sided():
     a = _noisy_lowrank(40, 30, 4, seed=11)
     st = open_stream(PipelineKind.TYUC19, 40, 30, 8, 17, base_seed=12)
     res = tyuc19(st.ingest(LinearUpdate.dense(a)).finalize(), 4)
-    with pytest.raises(MetricUnsupportedError):
-        range_extra_errors(a, res, 4)
+    err = evaluate(a, res, 4)
+    assert (err.range_f, err.range_s, err.extra_f, err.extra_s) == (None, None, None, None)
+    assert err == relative_error(a, res, 4)
+
+
+def test_extra_error_needs_the_corange_test_matrix():
+    a = _noisy_lowrank(40, 30, 4, seed=11)
+    res = dataclasses.replace(_run_tyuc17(a, 8, 18, 4), psi=None)
+    with pytest.raises(ValueError, match="result lacks the corange test matrix needed for ExtraError"):
+        evaluate(a, res, 4)
+    assert relative_error(a, res, 4) == relative_error(a, _run_tyuc17(a, 8, 18, 4), 4)
 
 
 def test_canonical_angles_identity_and_complement():
@@ -499,22 +506,24 @@ def test_sigma1_helper_is_deterministic():
 
 
 def test_evaluators_hold_one_residual_and_leave_a_alone():
-    # Each evaluator writes its residual over the m x n array it made and
-    # scales it there: one m x n array at its peak, where a separate residual
-    # and its scaled copy made two.  The caller's A is not written.
+    # Each residual is written over the m x n array it was made in and scaled
+    # there, and evaluate drops the first before it makes the second: one
+    # m x n array at the peak, plus a slack of a quarter of one (fixed before
+    # the first run) for the r x n and d x n products.  The caller's A is not
+    # written.
     m = n = 1000
     a = generate(SyntheticSpec(Family.POLY_DECAY, m=m, n=n, base_seed=5))[0]
     before = a.copy()
     res = _run_tyuc17(a, 24, 48, 10)
     base = metrics.baselines_from_spectrum(la.svdvals(a), 10)
-    for evaluate in (relative_error, range_extra_errors):
+    for evaluator in (relative_error, evaluate):
         tracemalloc.start()
         try:
-            evaluate(a, res, 10, baselines=base)
+            evaluator(a, res, 10, baselines=base)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * m * n * 8, (evaluate.__name__, peak)
+        assert peak <= 1.25 * m * n * 8, (evaluator.__name__, peak)
     assert a.tobytes() == before.tobytes()
 
 
@@ -523,11 +532,11 @@ def test_extra_error_reduction_matches_dense_product():
     res = _run_tyuc17(a, 8, 19, 4, seed=37)
     res.u = res.u @ np.random.default_rng(38).standard_normal((4, 4))  # not orthonormal
     base_f, base_s = metrics._baselines(a, 4)
-    rex = range_extra_errors(a, res, 4)
+    err = evaluate(a, res, 4)
     fitted = lstsq(res.psi @ res.q_factor, res.psi @ a).x
     e = res.u @ (res.u_tilde.T @ (res.q_factor.T @ a - fitted))
-    assert rex.extra_f * base_f == pytest.approx(np.linalg.norm(e), rel=1e-12)
-    assert rex.extra_s * base_s == pytest.approx(la.svdvals(e)[0], rel=1e-12)
+    assert err.extra_f * base_f == pytest.approx(np.linalg.norm(e), rel=1e-12)
+    assert err.extra_s * base_s == pytest.approx(la.svdvals(e)[0], rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -580,12 +589,11 @@ def test_tiny_data_keeps_its_relative_errors():
     res = _run_tyuc17(a, 8, 18, 4, seed=41)
     tiny = 1e-200 * a
     res_tiny = _run_tyuc17(tiny, 8, 18, 4, seed=41)
-    rel, rel_tiny = relative_error(a, res, 4), relative_error(tiny, res_tiny, 4)
-    assert not rel_tiny.flags
-    assert rel_tiny.s_f == pytest.approx(rel.s_f, rel=1e-12)
-    re, re_tiny = range_extra_errors(a, res, 4), range_extra_errors(tiny, res_tiny, 4)
-    assert not re_tiny.flags
-    assert re_tiny.extra_f == pytest.approx(re.extra_f, rel=1e-12)
+    err, err_tiny = evaluate(a, res, 4), evaluate(tiny, res_tiny, 4)
+    assert not err_tiny.flags
+    assert err_tiny.s_f == pytest.approx(err.s_f, rel=1e-12)
+    assert err_tiny.range_f == pytest.approx(err.range_f, rel=1e-12)
+    assert err_tiny.extra_f == pytest.approx(err.extra_f, rel=1e-12)
     assert tail_energy([3e-200, 2e-200, 1e-200], 2) == pytest.approx(math.sqrt(5) * 1e-200, rel=1e-15)
 
 
@@ -623,9 +631,11 @@ def _factored_case(data, m, n, plan, kind, r=8, seed=60):
 
 def _norm_pairs(a, factors, res):
     """(dense, factored) norms of each residual the evaluators take."""
-    pairs = [(metrics._residual_norms(a, res, None), metrics._residual_norms(a, res, factors))]
+    xu = metrics._in_basis(factors.u, res.u)
+    pairs = [(metrics._residual_norms(a, res, None, None), metrics._residual_norms(a, res, factors, xu))]
     if res.kind not in _TWO_SIDED:
-        pairs.append((metrics._range_residual_norms(a, res.u, None), metrics._range_residual_norms(a, res.u, factors)))
+        pairs.append((metrics._range_residual_norms(a, res.u, None, None),
+                      metrics._range_residual_norms(a, res.u, factors, xu)))
     return pairs
 
 
@@ -642,7 +652,9 @@ def test_factored_residual_norms_match_the_dense_residual(data, m, n, plan, kind
     for dense, factored in _norm_pairs(a, factors, res):
         assert np.abs(np.subtract(dense, factored)).max() <= tol, (dense, factored)
     base = metrics.baselines_from_spectrum(factors.sv, 8)
-    assert relative_error(a, res, 8, base, factors).flags == relative_error(a, res, 8, base).flags
+    factored, dense = evaluate(a, res, 8, base, factors), evaluate(a, res, 8, base)
+    assert factored.flags == dense.flags
+    assert (factored.range_f is None) == (dense.range_f is None) == (kind in _TWO_SIDED)
 
 
 def test_factored_frobenius_norm_sums_every_row_chunk():
@@ -661,17 +673,15 @@ def test_factored_errors_are_unchanged_at_extreme_scales(exponent):
     r = 8
     scaled = synthetic.Factors(factors.u, np.ldexp(factors.sv, exponent), factors.v)
     res_scaled = dataclasses.replace(res, sv=np.ldexp(res.sv, exponent))
-    want = [evaluate(a, res, r, metrics.baselines_from_spectrum(factors.sv, r), factors)
-            for evaluate in (relative_error, range_extra_errors)]
+    want = evaluate(a, res, r, metrics.baselines_from_spectrum(factors.sv, r), factors)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = [evaluate(np.ldexp(a, exponent), res_scaled, r, metrics.baselines_from_spectrum(scaled.sv, r), scaled)
-               for evaluate in (relative_error, range_extra_errors)]
-    assert not got[0].flags and not got[1].flags
-    assert (got[0].s_f, got[0].s_inf) == (want[0].s_f, want[0].s_inf)
-    assert (got[1].range_f, got[1].range_s) == (want[1].range_f, want[1].range_s)
-    assert got[1].extra_f == pytest.approx(want[1].extra_f, rel=1e-12)
-    assert got[1].extra_s == pytest.approx(want[1].extra_s, rel=1e-12)
+        got = evaluate(np.ldexp(a, exponent), res_scaled, r, metrics.baselines_from_spectrum(scaled.sv, r), scaled)
+    assert not got.flags
+    assert (got.s_f, got.s_inf) == (want.s_f, want.s_inf)
+    assert (got.range_f, got.range_s) == (want.range_f, want.range_s)
+    assert got.extra_f == pytest.approx(want.extra_f, rel=1e-12)
+    assert got.extra_s == pytest.approx(want.extra_s, rel=1e-12)
 
 
 def test_factored_evaluators_make_no_m_by_n_array():
@@ -682,14 +692,14 @@ def test_factored_evaluators_make_no_m_by_n_array():
     a, factors = generate(SyntheticSpec(Family.POLY_DECAY, m=m, n=n, base_seed=5))
     res = _run_tyuc17(a, 24, 48, 10)
     base = metrics.baselines_from_spectrum(factors.sv, 10)
-    for evaluate in (relative_error, range_extra_errors):
+    for evaluator in (relative_error, evaluate):
         tracemalloc.start()
         try:
-            evaluate(a, res, 10, baselines=base, factors=factors)
+            evaluator(a, res, 10, baselines=base, factors=factors)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * metrics._CHUNK + 0.05 * m * n * 8, (evaluate.__name__, peak)
+        assert peak <= 8 * metrics._CHUNK + 0.05 * m * n * 8, (evaluator.__name__, peak)
 
 
 def test_factored_norms_of_zero_data_are_zero():
@@ -698,7 +708,43 @@ def test_factored_norms_of_zero_data_are_zero():
     a, factors = generate(SyntheticSpec(Family.LOWRANK_NOISE, 60, 50, plateau=0, snr=0.0))
     assert factors.sv.size == 0 and not a.any()
     res = _factored_case("poly", 60, 50, PrecisionPlan.ALL_DOUBLE, PipelineKind.TYUC17)[2]
-    dense = metrics._residual_norms(a, res, None)
-    assert metrics._residual_norms(a, res, factors) == pytest.approx(dense, rel=1e-12)
+    xu = metrics._in_basis(factors.u, res.u)
+    dense = metrics._residual_norms(a, res, None, None)
+    assert metrics._residual_norms(a, res, factors, xu) == pytest.approx(dense, rel=1e-12)
     assert dense == pytest.approx((np.linalg.norm(res.sv), res.sv[0]), rel=1e-12)
-    assert metrics._range_residual_norms(a, res.u, factors) == (0.0, 0.0)
+    assert metrics._range_residual_norms(a, res.u, factors, xu) == (0.0, 0.0)
+
+
+# -- one evaluation per trial -------------------------------------------------
+
+@pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("data", ["poly", "noisy", "zero_baseline", "exact_fit"])
+def test_evaluate_keeps_the_bits_of_relative_error(kind, data):
+    a, factors, res = _factored_case("lowrank" if data == "zero_baseline" else "poly", 70, 50,
+                                     PrecisionPlan.ALL_DOUBLE, kind)  # lowrank: rank 6 < r = 8
+    base = metrics.baselines_from_spectrum(factors.sv, 8)
+    if data == "noisy":  # the dense path, baselines from an SVD
+        a = a + 1e-3 * np.random.default_rng(72).standard_normal(a.shape)
+        base = factors = None
+    elif data == "exact_fit":  # the generator's own rank-8 truncation, fitted by its factors
+        sv = factors.sv.copy()
+        sv[8:] = 0.0
+        factors = synthetic.Factors(factors.u, sv, factors.v)
+        a = (factors.u * sv) @ factors.v.T
+        res = dataclasses.replace(res, u=factors.u[:, :8], sv=sv[:8], v=factors.v[:, :8])
+    rel, err = relative_error(a, res, 8, base, factors), evaluate(a, res, 8, base, factors)
+    assert (err.s_f.hex(), err.s_inf.hex(), err.flags) == (rel.s_f.hex(), rel.s_inf.hex(), rel.flags)
+    assert (rel.range_f, rel.range_s, rel.extra_f, rel.extra_s) == (None, None, None, None)
+    split = (err.range_f, err.range_s, err.extra_f, err.extra_s)
+    assert all(x is None for x in split) == (kind in _TWO_SIDED)
+    want_flags = {"zero_baseline": {"zero_baseline"}, "exact_fit": {"exact_fit"}}.get(data, set())
+    assert rel.flags == want_flags
+
+
+def test_factored_evaluate_forms_the_generator_basis_product_once(monkeypatch):
+    a, factors, res = _factored_case("poly", 70, 50, PrecisionPlan.MIXED_SINGLE_DOUBLE, PipelineKind.TYUC17_SPI)
+    calls = []
+    real = metrics._in_basis
+    monkeypatch.setattr(metrics, "_in_basis", lambda b, q: calls.append((b, q)) or real(b, q))
+    evaluate(a, res, 8, metrics.baselines_from_spectrum(factors.sv, 8), factors)
+    assert [q is res.u for b, q in calls if b is factors.u] == [True]
