@@ -30,7 +30,7 @@ from .approximators import (
     tyuc19,
     tyuc19_spi,
 )
-from .guidance import DecayKind, SpectrumClass, budget_sizes, classify_spectrum, select_sizes
+from .guidance import DecayKind, SpectrumClass, budget_sizes, classify_spectrum
 from .test_matrices import SeedSpec, Stream, TestMatrixKind, generate
 
 __version__ = "0.1.0"
@@ -66,7 +66,6 @@ __all__ = [
     "SpectrumClass",
     "classify_spectrum",
     "budget_sizes",
-    "select_sizes",
     "SeedSpec",
     "Stream",
     "TestMatrixKind",

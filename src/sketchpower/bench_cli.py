@@ -5,7 +5,8 @@ double-precision words, each sketch's words counted from the pipeline table
 under the chosen plan (a binary32 entry is half a word).  ``--guidance auto``
 resolves sizes with :func:`guidance.budget_sizes`, a pure function of the
 pipeline, plan, dataset spec, T and r, so identical invocations produce
-identical CSVs; a budget that cannot afford r is an error.
+identical CSVs; a budget that cannot afford r is an error, as are
+``--s``, ``--d`` and ``--l`` given beside it or to ``sweep``.
 
 The trials of ``run`` are shared out between the process and a forked copy
 of it when a second CPU is free (:func:`matrix_core._in_two_processes`).
@@ -134,8 +135,8 @@ def _load_file(args: argparse.Namespace) -> tuple[argparse.Namespace, np.ndarray
     """A copy of args sized to the file, the file's matrix and its singular values.
 
     One SVD of the file serves both the baselines and the guidance.  A file
-    the reader refuses (missing, unreadable, not SPIM or MatrixMarket, with
-    non-finite entries) exits with the reason.
+    the reader refuses (missing, unreadable, not SPIM or MatrixMarket,
+    complex, with non-finite entries) exits with the reason.
     """
     if not args.file:
         raise SystemExit("--data file requires --file PATH")
@@ -391,6 +392,10 @@ def main(argv=None) -> int:
         raise SystemExit(f"--trials must be at least 1, got {args.trials}")
     if args.guidance_mode is None:
         args.guidance_mode = "manual" if args.s is not None else "auto"
+    given = [f"--{name}" for name in "sdl" if getattr(args, name) is not None]
+    if given and (args.command == "sweep" or args.command in ("run", "ledger") and args.guidance_mode == "auto"):
+        sizer = "sweep" if args.command == "sweep" else "--guidance auto"
+        raise SystemExit(f"{sizer} resolves the sketch sizes itself and does not take {', '.join(given)}")
     _dataset_spec(args)  # a synthetic spec the generator cannot make exits here
     try:  # as do test matrices and power iterations the library refuses
         _test_kind(args), _spi_params(args)

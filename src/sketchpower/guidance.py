@@ -1,9 +1,12 @@
 """A-priori sketch-size selection from a storage budget and a decay class.
 
-The budget is T double-precision words per data column for the three
-binary32 sketches, i.e. T = (c(l+s) + d)/2 with aspect ratio c = m/n.  The
-power-sketch size is then l = T/c (half the budget), and the rangefinder
-size s follows the decay class of the spectrum:
+:func:`budget_sizes` sizes the sketches of any pipeline kind and plan so
+that they store at most T*n double-precision words, counting each sketch's
+words from the pipeline table.  The powered ``tyuc17_spi`` pair follow the
+mixed-plan table.  In its units the budget is T double-precision words per
+data column for the three binary32 sketches, i.e. T = (c(l+s) + d)/2 with
+aspect ratio c = m/n.  The power-sketch size is then l = T/c (half the
+budget), and the rangefinder size s follows the decay class of the spectrum:
 
     flat                  s = r
     poly, alpha < 1/2     s = r
@@ -13,12 +16,10 @@ size s follows the decay class of the spectrum:
     exp, alpha >= 1/(2T)  s = T/(c+1)
 
 where W_-1 is the lower real branch of the Lambert W function.  The
-"alpha ~ 1/2" band is fixed to |alpha - 1/2| <= 0.05.  After flooring s and
-clamping to [r, floor(T/(c+1))], the remaining sizes follow the budget
-identity: l = floor(T/c) and d = floor(2T - c(l+s)).
-
-:func:`budget_sizes` applies a rule to any pipeline kind and plan, counting
-each sketch's words from the pipeline table.
+"alpha ~ 1/2" band is fixed to |alpha - 1/2| <= 0.05; past W_-1's branch
+point, (T+c)/((c+1) n) > 1, its rule saturates at s = T/(c+1).  After
+flooring s and clamping to [r, floor(T/(c+1))], the remaining sizes follow
+the budget identity: l = floor(T/c) and d = floor(2T - c(l+s)).
 """
 from __future__ import annotations
 
@@ -37,8 +38,6 @@ __all__ = [
     "SpectrumClass",
     "InfeasibleBudgetError",
     "budget_sizes",
-    "select_sizes",
-    "select_sizes_double",
     "classify_spectrum",
 ]
 
@@ -110,8 +109,10 @@ def _raw_s(cls: SpectrumClass, t: float, n: int, c: float, r: int) -> float:
         if a < 0.5 - HALF_BAND:
             return float(r)
         if abs(a - 0.5) <= HALF_BAND:
-            arg = -(t + c) / ((c + 1.0) * n * math.e)
-            w = lambert_w_minus1(arg)
+            try:
+                w = lambert_w_minus1(-(t + c) / ((c + 1.0) * n * math.e))
+            except ValueError:  # past the branch point: the rule's upper clamp
+                return t / (c + 1.0)
             return -((t + c) / (c + 1.0)) / w - 1.0
         return max(float(r), ((2.0 * a - 1.0) * (t + 3.0) - (c + 1.0)) / (2.0 * (c + 1.0) * a))
     # exponential decay
@@ -128,43 +129,17 @@ def _mixed_sizes(t: float, c: float, s: int) -> tuple[int, int]:
 
 
 def _resolve(cls: SpectrumClass, t: float, n: int, c: float, r: int):
+    """The mixed-plan table's (s, d, l) at T words per column and c = m/n, or
+    None when T <= 2r or rounding leaves no r <= s <= d with s < l.  The
+    sizes spend the budget up to rounding: T - 1/2 <= (c(l+s) + d)/2 <= T.
+    The saturated s = T/(c+1) leaves the corange solve square (d = s), the
+    table's stated choice, which amplifies binary32 rounding noise."""
+    if t <= 2 * r:
+        return None
     upper = math.floor(t / (c + 1.0))
     s = min(max(math.floor(_raw_s(cls, t, n, c, r)), r), upper)
     d, l = _mixed_sizes(t, c, s)
-    feasible = upper >= r and l >= s + 1 and d >= s
-    return s, d, l, feasible
-
-
-def _least_budget(resolves, start: int) -> float:
-    """The least integer budget of the 10,000 from ``start`` on that resolves, else inf."""
-    return next((b for b in range(start, start + 10000) if resolves(b)), math.inf)
-
-
-def select_sizes(cls: SpectrumClass, t: float, n: int, r: int, c: float = 1.0) -> tuple[int, int, int]:
-    """Sketch sizes (s, d, l) for the mixed-precision power pipeline under budget T.
-
-    T is in words per column, n the number of columns and c = m/n; c > 0,
-    r >= 1 and T > 2r are required (ValueError).  Raises
-    :class:`InfeasibleBudgetError` (naming the minimal feasible T, or inf
-    when none up to 2r + 10000 resolves) when rounding leaves no valid
-    configuration.  The returned sizes satisfy r <= s <= d and s < l, and
-    conserve the budget up to rounding slack: T - 1/2 <= (c(l+s) + d)/2 <= T.
-
-    The fast-exponential rule saturates its clamp at s = T/(c+1), which
-    leaves the corange solve square (d = s); that is the table's stated
-    choice, but with binary32 sketches the square solve amplifies rounding
-    noise, so callers wanting oversampling headroom may lower s.
-    """
-    if c <= 0:
-        raise ValueError(f"aspect ratio must be positive, got {c}")
-    if r < 1:
-        raise ValueError(f"target rank must be >= 1, got {r}")
-    if t <= 2 * r:
-        raise ValueError(f"budget T={t} must exceed 2r={2 * r}")
-    s, d, l, feasible = _resolve(cls, t, n, c, r)
-    if not feasible:
-        raise InfeasibleBudgetError(t, _least_budget(lambda b: _resolve(cls, float(b), n, c, r)[3], 2 * r + 1))
-    return s, d, l
+    return (s, d, l) if upper >= r and l >= s + 1 and d >= s else None
 
 
 def _model_tail_sq(cls: SpectrumClass, n: int) -> np.ndarray:
@@ -179,19 +154,17 @@ def _model_tail_sq(cls: SpectrumClass, n: int) -> np.ndarray:
     return np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])
 
 
-def select_sizes_double(cls: SpectrumClass, t_hat: float, n: int, r: int, c: float = 1.0) -> tuple[int, int]:
-    """(s, d) for the plain two-sketch pipeline in binary64 under c*s + d = T-hat.
+def _double_sizes(cls: SpectrumClass, t_hat: float, n: int, r: int, c: float, s_cap: int):
+    """(s, d) of the plain two-sketch pipeline in binary64 under c*s + d = T-hat,
+    with s at most ``s_cap``, or None when no s >= r + 2 leaves d >= s + 2.
 
     Minimizes the pipeline's expected-error model
     (d/(d-s-1)) * (s/(s-rho-1)) * tail(rho+1)^2 over integer s and rho, using
     the idealized class spectrum; the analogue of the mixed-plan table for
-    the no-power-sketch case.  s is at most n.
+    the no-power-sketch case.
     """
-    return _double_sizes(cls, t_hat, n, r, c, n)
-
-
-def _double_sizes(cls: SpectrumClass, t_hat: float, n: int, r: int, c: float, s_cap: float) -> tuple[int, int]:
-    """:func:`select_sizes_double` with s at most ``s_cap``."""
+    if math.isinf(t_hat):  # as is its d: no float holds the sizes
+        raise OverflowError(f"T-hat={t_hat}")
     tail = _model_tail_sq(cls, n)
     best = None
     s_max = int(min((t_hat - 2) // (1 + c), s_cap))
@@ -204,9 +177,7 @@ def _double_sizes(cls: SpectrumClass, t_hat: float, n: int, r: int, c: float, s_
         j = int(np.argmin(vals))
         if best is None or vals[j] < best[0]:
             best = (float(vals[j]), s, d)
-    if best is None:
-        raise InfeasibleBudgetError(t_hat, math.ceil((r + 2) * (1 + c) + 2))
-    return best[1], best[2]
+    return None if best is None else best[1:]
 
 
 def classify_spectrum(singular_values) -> SpectrumClass:
@@ -249,25 +220,30 @@ def _rate(spec, plan: PrecisionPlan, m: int, n: int, size: str) -> float:
 
 
 def _oblique(spec, plan, cls, t, m, n, r, s):
-    """rate_s*s + rate_d*d <= T: select_sizes_double in units of one d row,
+    """rate_s*s + rate_d*d <= T: the binary64 rule in units of one d row,
     with s at most min(m, n)."""
     a_s, a_d = _rate(spec, plan, m, n, "s"), _rate(spec, plan, m, n, "d")
-    if s is None:
-        return (*_double_sizes(cls, t / a_d, n, r, a_s / a_d, min(m, n)), 0)
-    return s, math.floor((t - a_s * s) / a_d), 0
+    if s is not None:
+        return s, math.floor((t - a_s * s) / a_d), 0
+    sizes = _double_sizes(cls, t / a_d, n, r, a_s / a_d, min(m, n))
+    return None if sizes is None else (*sizes, 0)
 
 
 def _powered(spec, plan, cls, t, m, n, r, s):
-    """select_sizes's rule, one unit of its T worth two d rows: l takes half
-    the budget, d the rest, and s is charged at l's rate (the variant stores
-    no Y, so it underspends by that charge; it lowers s to l/2)."""
+    """The mixed-plan table's rule, one unit of its T worth two d rows: l
+    takes half the budget, d the rest, and s is charged at l's rate.  The
+    table's s is then capped at min(m, n); the variant, which stores no Y
+    and so underspends by that charge, lowers it to l/2."""
     a_d, a_l = _rate(spec, plan, m, n, "d"), _rate(spec, plan, m, n, "l")
     t2, c2 = t / (2.0 * a_d), a_l / a_d
-    guided = s is None
-    if guided:
-        s = select_sizes(cls, t2, n, r, c2)[0]
-    d, l = _mixed_sizes(t2, c2, s)
-    return (min(s, l // 2) if guided and "l >= 2s" in spec.rules else s), d, l
+    if s is not None:
+        return s, *_mixed_sizes(t2, c2, s)
+    sizes = _resolve(cls, t2, n, c2, r)
+    if sizes is None:
+        return None
+    s, d, l = sizes
+    cap = min(m, n, l // 2) if "l >= 2s" in spec.rules else min(m, n)
+    return min(s, cap), d, l
 
 
 def _largest(spec, plan, cls, t, m, n, r, s):
@@ -277,7 +253,8 @@ def _largest(spec, plan, cls, t, m, n, r, s):
     return s, 2 * s, 2 * s
 
 
-# The budget rule of each pipeline kind: how s is chosen and how d and l follow it.
+# The budget rule of each pipeline kind: how s is chosen and how d and l
+# follow it.  A rule returns (s, d, l), or None when it has no sizes.
 _BUDGET_RULES = {PipelineKind.TYUC17: _oblique, PipelineKind.TYUC17_SPI: _powered,
                  PipelineKind.TYUC17_SPI_VARIANT: _powered, PipelineKind.RSVD_ONEPASS: _largest,
                  PipelineKind.TYUC19: _largest, PipelineKind.TYUC19_SPI: _largest}
@@ -285,11 +262,14 @@ _BUDGET_RULES = {PipelineKind.TYUC17: _oblique, PipelineKind.TYUC17_SPI: _powere
 
 def _fit(kind, plan, cls, t, m, n, r, s):
     spec = PIPELINES[kind.value]
-    try:  # the rule's own infeasible budget, T <= 2r and a failed size rule all raise ValueError
-        s_fit, d, l = _BUDGET_RULES[kind](spec, plan, cls, t, m, n, r, s)
-        d, l = (d if spec.uses("d") else 0), (l if spec.uses("l") else 0)
+    sizes = _BUDGET_RULES[kind](spec, plan, cls, t, m, n, r, s)
+    if sizes is None:
+        return None
+    s_fit, d, l = sizes
+    d, l = (d if spec.uses("d") else 0), (l if spec.uses("l") else 0)
+    try:
         spec.check_sizes(m, n, s_fit, d, l)
-    except ValueError:
+    except ValueError:  # a size rule fails
         return None
     return (s_fit, d, l) if s_fit >= r and spec.words(plan, m, n, s_fit, d, l) <= t * n else None
 
@@ -299,15 +279,16 @@ def budget_sizes(kind: PipelineKind, plan: PrecisionPlan, cls: SpectrumClass | N
     """Sketch sizes (s, d, l) of a pipeline whose sketches store at most T*n words.
 
     Each sketch's words come from :data:`PIPELINES` at the plan.  The kind's
-    rule picks s and derives d and l: ``tyuc17`` by
-    :func:`select_sizes_double`, the ``tyuc17_spi`` pair by the rule of
-    :func:`select_sizes`, and ``rsvd_onepass`` and the two-sided kinds as
+    rule picks s and derives d and l: ``tyuc17`` minimizes the binary64
+    error model, the ``tyuc17_spi`` pair follow the mixed-plan table (see
+    the module docstring), and ``rsvd_onepass`` and the two-sided kinds take
     the largest s that fits with d = l = 2s.  With ``s`` given only d and l
     are derived (the oracle sweep's grid) and ``cls`` is not read.  Sizes a
-    kind does not use are 0.  Raises :class:`InfeasibleBudgetError`, naming
-    the least integer budget that resolves, when no sizes with s >= r meet
-    the budget and the pipeline's size rules, or when the sizes a budget
-    gives overflow a float.
+    kind does not use are 0.  Raises ValueError unless
+    1 <= r <= min(m, n), and :class:`InfeasibleBudgetError`, naming the
+    least integer budget of the next 10,000 that resolves (else inf), when
+    no sizes with s >= r meet the budget and the pipeline's size rules, or
+    when the sizes a budget gives overflow a float.
     """
     if not 1 <= r <= min(m, n):
         raise ValueError(f"target rank must satisfy 1 <= r <= min(m, n), got r={r}, m={m}, n={n}")
@@ -316,5 +297,7 @@ def budget_sizes(kind: PipelineKind, plan: PrecisionPlan, cls: SpectrumClass | N
     except OverflowError:  # sizes past a float's range, as are those of every larger budget
         raise InfeasibleBudgetError(t, math.inf) from None
     if sizes is None:
-        raise InfeasibleBudgetError(t, _least_budget(lambda b: _fit(kind, plan, cls, b, m, n, r, s), math.floor(t) + 1))
+        start = math.floor(t) + 1
+        least = next((b for b in range(start, start + 10000) if _fit(kind, plan, cls, b, m, n, r, s)), math.inf)
+        raise InfeasibleBudgetError(t, least)
     return sizes

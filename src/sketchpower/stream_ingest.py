@@ -532,8 +532,8 @@ def _row_pieces(path) -> Iterator:
     The file is opened once.  A SPIM header is read once and the payload is
     read, in the file's precision, one piece at a time into the same buffer,
     so a piece is valid only until the next one.  A MatrixMarket file is
-    loaded once as binary64 and its pieces are slices of it.  Close the
-    generator to close the file before it is spent.
+    loaded once as binary64 (a complex one is refused) and its pieces are
+    slices of it.  Close the generator to close the file before it is spent.
     """
     with open(path, "rb") as fh:
         head = fh.read(_SPIM_HEADER_BYTES)
@@ -547,6 +547,8 @@ def _row_pieces(path) -> Iterator:
 
             fh.seek(0)
             full = scipy.io.mmread(fh)
+            if np.iscomplexobj(full):
+                raise ValueError(f"{path}: complex entries are not supported")
             full = np.asarray(full.toarray() if scipy.sparse.issparse(full) else full, dtype=np.float64)
             rows, cols = full.shape
             if rows < 1 or cols < 1:

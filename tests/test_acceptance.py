@@ -16,7 +16,7 @@ from sketchpower.approximators import (
     tyuc19,
     tyuc19_spi,
 )
-from sketchpower.guidance import DecayKind, SpectrumClass, select_sizes, select_sizes_double
+from sketchpower.guidance import DecayKind, SpectrumClass, budget_sizes
 from sketchpower.metrics import (
     BoundInputsFro,
     BoundInputsSpec,
@@ -128,7 +128,8 @@ def test_criterion_04_powered_pipeline_beats_plain_at_every_budget():
     r, trials = 10, 20
     cls = SpectrumClass(DecayKind.POLY, 1.0)
     budgets = (48, 72, 96, 120)
-    sizes = {t_hat: (select_sizes(cls, float(t_hat), n, r), select_sizes_double(cls, float(t_hat), n, r))
+    sizes = {t_hat: (budget_sizes(PipelineKind.TYUC17_SPI, PrecisionPlan.MIXED_SINGLE_DOUBLE, cls, t_hat, m, n, r),
+                     budget_sizes(PipelineKind.TYUC17, PrecisionPlan.ALL_DOUBLE, cls, t_hat, m, n, r)[:2])
              for t_hat in budgets}
     sf = {t_hat: {"spi": [], "plain": []} for t_hat in budgets}
     for trial in range(trials):  # each trial's matrix serves every budget
@@ -196,7 +197,8 @@ def test_criterion_06_guidance_is_near_oracle():
             table = metrics.oracle_sweep(spec, PipelineKind.TYUC17_SPI, float(t_hat), r,
                                          q=1, trials=20)
             best = table.best()
-            guided_s = select_sizes(cls, float(t_hat), 400, r)[0]
+            guided_s = budget_sizes(PipelineKind.TYUC17_SPI, PrecisionPlan.MIXED_SINGLE_DOUBLE, cls,
+                                    float(t_hat), 400, 400, r)[0]
             guided = next(row for row in table.rows if row.s == guided_s)
             ratio = guided.mean_s_f / best.mean_s_f
             assert ratio <= 1.3, f"{label} T={t_hat}: guided/oracle = {ratio}"

@@ -14,7 +14,7 @@ import pytest
 
 import sketchpower
 from sketchpower import bench_cli, matrix_core, synthetic
-from sketchpower.precision_model import PIPELINES, simulate_storage
+from sketchpower.precision_model import PIPELINES, PrecisionPlan, simulate_storage
 from sketchpower.stream_ingest import PipelineKind
 from sketchpower.synthetic import Family, SyntheticSpec, generate, prescribed_spectrum, write_spim
 
@@ -85,7 +85,7 @@ def test_sweep_markers_are_consistent(tmp_path):
     # The oracle row is the sweep argmin; the guided row carries the size the
     # guidance module would pick.  (The near-oracle quality claim is checked
     # at its stated scale in the acceptance suite.)
-    from sketchpower.guidance import DecayKind, SpectrumClass, select_sizes
+    from sketchpower.guidance import DecayKind, SpectrumClass, budget_sizes
 
     args = ["sweep", "--data", "poly", "--alpha", "2", "--rank", "5", "--algo", "tyuc17_spi",
             "--q", "1", "--budget", "30", "--trials", "6", "--m", "120", "--n", "120"]
@@ -94,8 +94,9 @@ def test_sweep_markers_are_consistent(tmp_path):
     oracle = next(r for r in rows if r["is_oracle"] == "1")
     assert float(oracle["mean_SF"]) == min(float(r["mean_SF"]) for r in rows)
     guided = next(r for r in rows if r["is_guided"] == "1")
-    want = select_sizes(SpectrumClass(DecayKind.POLY, 2.0), 30, 120, 5)
-    assert int(guided["s"]) == want[0]
+    want = budget_sizes(PipelineKind.TYUC17_SPI, PrecisionPlan.MIXED_SINGLE_DOUBLE,
+                        SpectrumClass(DecayKind.POLY, 2.0), 30.0, 120, 120, 5)
+    assert (int(guided["s"]), int(guided["d"]), int(guided["l"])) == want
 
 
 def test_spectrum_prescription_slope(tmp_path):
@@ -144,6 +145,12 @@ def _unreadable(tmp_path, case):
         path = tmp_path / "notes.txt"
         path.write_text("not a matrix\n")
         return path, "unrecognized format"
+    if case == "complex":
+        import scipy.io
+
+        path = tmp_path / "complex.mtx"
+        scipy.io.mmwrite(path, np.ones((6, 4)) + 1j * np.eye(6, 4))
+        return path, "complex entries are not supported"
     path = tmp_path / "nan.spim"
     bad = np.ones((6, 4))
     bad[3, 1] = np.nan
@@ -151,7 +158,7 @@ def _unreadable(tmp_path, case):
     return path, r"non-finite entries in row_block update of rows \[0, 6\)"
 
 
-@pytest.mark.parametrize("case", ["missing", "directory", "text", "nan"])
+@pytest.mark.parametrize("case", ["missing", "directory", "text", "complex", "nan"])
 @pytest.mark.parametrize("command", ["run", "spectrum", "ledger"])
 def test_unreadable_file_exits_with_one_message(command, case, tmp_path, capsys):
     path, reason = _unreadable(tmp_path, case)
@@ -320,6 +327,16 @@ def test_infeasible_budget_diagnostic():
                         "--budget", "15", "--guidance", "auto", "--m", "40", "--n", "40"])
 
 
+def test_auto_guidance_resolves_every_budget_above_one_that_resolves(tmp_path):
+    # At T=400 the table's s is 150, past min(m, n) = 60, and is capped there.
+    for budget, s in (("100", "38"), ("400", "60")):
+        rc, out = _run_cli(["run", "--algo", "tyuc17_spi", "--data", "poly", "--alpha", "2", "--m", "60",
+                            "--n", "60", "--rank", "4", "--budget", budget, "--guidance", "auto",
+                            "--trials", "1"], tmp_path / "r.csv")
+        assert rc == 0
+        assert next(csv.DictReader(out.decode().splitlines()))["s"] == s
+
+
 def test_ledger_subcommand(tmp_path):
     args = ["ledger", "--algo", "tyuc17_spi", "--precision", "mixed",
             "--m", "1000", "--n", "1000", "--s", "20", "--d", "80", "--l", "100"]
@@ -369,7 +386,18 @@ _BAD_RUN_SIZES = [
     (["--algo", "tyuc17", "--s", "12", "--d", "8"], r"invalid settings: tyuc17: size rule d >= s fails with d=8"),
     (["--s", "0", "--d", "20", "--l", "30"], r"invalid settings: tyuc17_spi: size rule 1 <= s <= min\(m, n\)"),
 ]
-_BAD_BY_COMMAND = {"run": _BAD_SETTINGS + _BAD_RUN_SIZES, "sweep": _BAD_SETTINGS}
+# Sizes that --guidance auto and the sweep resolve themselves are refused, not dropped.
+_GIVEN_SIZES = [
+    (["--guidance", "auto", "--s", "5"], "resolves the sketch sizes itself and does not take --s$"),
+    (["--guidance", "auto", "--s", "5", "--d", "7", "--l", "9"],
+     "resolves the sketch sizes itself and does not take --s, --d, --l$"),
+    (["--guidance", "auto", "--l", "9"], "resolves the sketch sizes itself and does not take --l$"),
+]
+_BAD_SWEEP_SIZES = [
+    (["--s", "5", "--d", "12"], "^sweep resolves the sketch sizes itself and does not take --s, --d$"),
+]
+_BAD_BY_COMMAND = {"run": _BAD_SETTINGS + _GIVEN_SIZES + _BAD_RUN_SIZES,
+                   "sweep": _BAD_SETTINGS + _GIVEN_SIZES + _BAD_SWEEP_SIZES, "ledger": _GIVEN_SIZES}
 
 
 @pytest.mark.parametrize("command, flags, problem",

@@ -10,34 +10,47 @@ from sketchpower.guidance import (
     SpectrumClass,
     classify_spectrum,
     lambert_w_minus1,
-    select_sizes,
-    select_sizes_double,
 )
 from sketchpower.precision_model import PIPELINES, PrecisionPlan
 from sketchpower.stream_ingest import PipelineKind
 
 _DOUBLE, _MIXED = PrecisionPlan.ALL_DOUBLE, PrecisionPlan.MIXED_SINGLE_DOUBLE
+_FLAT = SpectrumClass(DecayKind.FLAT)
+_POLY_HALF, _POLY1, _POLY2 = (SpectrumClass(DecayKind.POLY, a) for a in (0.5, 1.0, 2.0))
+_EXP = SpectrumClass(DecayKind.EXP, 0.2)
+
+
+def _table(cls, t, n, r, c=1):
+    """The mixed-plan table's sizes at aspect ratio c = m/n: tyuc17_spi's
+    mixed sketches cost half a word an entry, so one unit of its T is a d
+    row and l and s cost c units each."""
+    return budget_sizes(PipelineKind.TYUC17_SPI, _MIXED, cls, t, round(c * n), n, r)
+
+
+def _double(cls, t, n, r, c=1):
+    """(s, d) of the binary64 rule, c*s + d <= T-hat."""
+    return budget_sizes(PipelineKind.TYUC17, _DOUBLE, cls, t, round(c * n), n, r)[:2]
 
 
 def test_flat_rule():
-    s, d, l = select_sizes(SpectrumClass(DecayKind.FLAT), 100, 1000, 10)
+    s, d, l = _table(_FLAT, 100, 1000, 10)
     assert (s, l, d) == (10, 100, 90)
 
 
 def test_poly_fast_rule():
     # raw s = max(10, (3*100 - 2)/8) = 37.25, floored
-    assert select_sizes(SpectrumClass(DecayKind.POLY, 2.0), 97, 1000, 10) == (37, 60, 97)
+    assert _table(_POLY2, 97, 1000, 10) == (37, 60, 97)
 
 
 def test_exp_rule():
-    assert select_sizes(SpectrumClass(DecayKind.EXP, 0.1), 100, 1000, 10)[0] == 100 // 2
+    assert _table(SpectrumClass(DecayKind.EXP, 0.1), 100, 1000, 10)[0] == 100 // 2
     # alpha below 1/(2T) keeps s = r
-    assert select_sizes(SpectrumClass(DecayKind.EXP, 0.004), 100, 1000, 10)[0] == 10
+    assert _table(SpectrumClass(DecayKind.EXP, 0.004), 100, 1000, 10)[0] == 10
 
 
 def test_poly_slow_and_half_band():
     def s_at(alpha):
-        return select_sizes(SpectrumClass(DecayKind.POLY, alpha), 80, 1000, 10)[0]
+        return _table(SpectrumClass(DecayKind.POLY, alpha), 80, 1000, 10)[0]
 
     assert s_at(0.3) == 10
     half = s_at(0.5)
@@ -47,11 +60,10 @@ def test_poly_slow_and_half_band():
 
 
 def test_budget_conservation_and_rounding_slack():
-    for cls in (SpectrumClass(DecayKind.FLAT), SpectrumClass(DecayKind.POLY, 1.0),
-                SpectrumClass(DecayKind.EXP, 0.2)):
+    for cls in (_FLAT, _POLY1, _EXP):
         for t in (48, 72.5, 96, 121):
-            for c in (0.5, 1.0, 2.0):
-                s, d, l = select_sizes(cls, t, 2000, 10, c)
+            for c in (0.5, 1, 2):
+                s, d, l = _table(cls, t, 2000, 10, c)
                 used = (c * (l + s) + d) / 2
                 assert used <= t <= used + c + 1
                 assert 10 <= s <= d
@@ -59,31 +71,41 @@ def test_budget_conservation_and_rounding_slack():
 
 
 def test_poly_monotone_in_budget():
-    cls = SpectrumClass(DecayKind.POLY, 2.0)
-    ss = [select_sizes(cls, t, 1000, 10)[0] for t in range(40, 200, 8)]
+    ss = [_table(_POLY2, t, 1000, 10)[0] for t in range(40, 200, 8)]
     assert all(b >= a for a, b in zip(ss, ss[1:]))
 
 
-def test_select_sizes_rejects_bad_budget_rank_and_aspect():
-    flat = SpectrumClass(DecayKind.FLAT)
-    for t, r, c in ((20, 10, 1.0), (21, 0, 1.0), (21, 10, 0.0), (21, 10, -1.0)):
-        with pytest.raises(ValueError) as exc:
-            select_sizes(flat, t, 1000, r, c)
+def test_bad_rank_is_not_an_infeasible_budget():
+    for r, m, n in ((0, 1000, 1000), (-1, 1000, 1000), (11, 10, 1000), (11, 1000, 10)):
+        with pytest.raises(ValueError, match="target rank") as exc:
+            budget_sizes(PipelineKind.TYUC17_SPI, _MIXED, _FLAT, 100, m, n, r)
         assert not isinstance(exc.value, InfeasibleBudgetError)
+
+
+def test_table_refuses_a_budget_of_at_most_2r():
+    # At c = 1 the table's identity alone would give T = 2r the sizes
+    # (r, r, 2r); the rule refuses it, and 2r + 1 is the least budget.
+    for t in (19, 20):
+        with pytest.raises(InfeasibleBudgetError) as exc:
+            _table(_FLAT, t, 1000, 10)
+        assert exc.value.minimal_feasible_t == 21
+    assert _table(_FLAT, 21, 1000, 10) == (10, 11, 21)
 
 
 def test_infeasible_budget_reports_minimal_t():
     with pytest.raises(InfeasibleBudgetError) as exc:
-        select_sizes(SpectrumClass(DecayKind.FLAT), 21, 1000, 10, 30.0)
-    assert exc.value.minimal_feasible_t > 21
+        _table(_FLAT, 21, 1000, 10, 30)
     least = exc.value.minimal_feasible_t
-    select_sizes(SpectrumClass(DecayKind.FLAT), least, 1000, 10, 30.0)  # resolves there
+    assert least == 330
+    _table(_FLAT, least, 1000, 10, 30)  # resolves there
+    with pytest.raises(InfeasibleBudgetError):
+        _table(_FLAT, least - 1, 1000, 10, 30)
 
 
 def test_infeasible_budget_never_names_itself():
-    # No T up to 2r + 10000 resolves at c = 2000: report inf, not T itself.
+    # No T up to T + 10000 resolves at c = 2000: report inf, not T itself.
     with pytest.raises(InfeasibleBudgetError, match="minimal feasible T is inf") as exc:
-        select_sizes(SpectrumClass(DecayKind.FLAT), 21, 1000, 10, 2000.0)
+        _table(_FLAT, 21, 1000, 10, 2000)
     assert exc.value.minimal_feasible_t == math.inf
 
 
@@ -127,33 +149,122 @@ def test_classify_flat_and_errors():
         classify_spectrum(np.concatenate([np.ones(20), [-1.0]]))
 
 
-def test_select_sizes_double_respects_budget():
+def test_double_rule_respects_budget():
     for t_hat in (40, 60, 96):
-        s, d = select_sizes_double(SpectrumClass(DecayKind.POLY, 1.0), float(t_hat), 1000, 10)
+        s, d = _double(_POLY1, float(t_hat), 1000, 10)
         assert s + d <= t_hat
         assert d >= s + 2
         assert s >= 12
 
 
-def test_select_sizes_double_keeps_s_within_n():
+def test_double_rule_keeps_s_within_n():
     # The budget lets s run to (T-hat - 2)/2 = 499, past the n + 1 entries of
     # the model spectrum; s stops at n.
-    s, d = select_sizes_double(SpectrumClass(DecayKind.POLY, 1.0), 1000.0, 100, 5)
+    s, d = _double(_POLY1, 1000.0, 100, 5)
     assert 5 + 2 <= s <= 100 and s + d <= 1000 and d >= s + 2
 
 
 def test_budget_sizes_keep_the_table_rules_where_they_fit():
-    poly = SpectrumClass(DecayKind.POLY, 1.0)
-    mixed = select_sizes(poly, 96, 1000, 10)
-    assert budget_sizes(PipelineKind.TYUC17_SPI, _MIXED, poly, 96.0, 1000, 1000, 10) == mixed == (24, 72, 96)
-    half = select_sizes(poly, 48, 1000, 10)  # binary64 entries cost twice
-    assert budget_sizes(PipelineKind.TYUC17_SPI, _DOUBLE, poly, 96.0, 1000, 1000, 10) == half
-    assert budget_sizes(PipelineKind.TYUC17, _DOUBLE, poly, 96.0, 1000, 1000, 10) == (
-        *select_sizes_double(poly, 96.0, 1000, 10), 0)
+    assert _table(_POLY1, 96, 1000, 10) == (24, 72, 96)
+    # binary64 entries cost twice: the mixed table's sizes at half the budget
+    assert budget_sizes(PipelineKind.TYUC17_SPI, _DOUBLE, _POLY1, 96.0, 1000, 1000, 10) == _table(
+        _POLY1, 48, 1000, 10) == (12, 36, 48)
+    assert budget_sizes(PipelineKind.TYUC17, _DOUBLE, _POLY1, 96.0, 1000, 1000, 10) == (28, 68, 0)
     # The variant stores no Y: same rule, s lowered to l/2.
     fast = SpectrumClass(DecayKind.EXP, 0.5)
     s, d, l = budget_sizes(PipelineKind.TYUC17_SPI_VARIANT, _MIXED, fast, 60.0, 2000, 1000, 5)
-    assert s == l // 2 < select_sizes(fast, 60, 1000, 5, 2.0)[0]
+    assert s == l // 2 < _table(fast, 60, 1000, 5, 2)[0]
+
+
+# Pinned budget_sizes results: the sizes, or the least budget an
+# InfeasibleBudgetError names.
+_PINNED = [
+    (PipelineKind.TYUC17, _DOUBLE, _POLY1, 96.0, 1000, 1000, 10, (28, 68, 0)),
+    (PipelineKind.TYUC17, _DOUBLE, _FLAT, 40.0, 300, 200, 5, (10, 25, 0)),
+    (PipelineKind.TYUC17, _DOUBLE, _EXP, 32.0, 60, 50, 4, (11, 18, 0)),
+    (PipelineKind.TYUC17, _DOUBLE, _POLY_HALF, 60.0, 400, 400, 10, (19, 41, 0)),
+    (PipelineKind.TYUC17, _DOUBLE, _POLY2, 12.0, 400, 400, 10, 26),
+    (PipelineKind.TYUC17, _MIXED, _POLY1, 96.0, 1000, 1000, 10, (41, 110, 0)),
+    (PipelineKind.TYUC17, _MIXED, _FLAT, 40.0, 300, 200, 5, (13, 41, 0)),
+    (PipelineKind.TYUC17, _MIXED, _EXP, 32.0, 60, 50, 4, (16, 25, 0)),
+    (PipelineKind.TYUC17, _MIXED, _POLY_HALF, 60.0, 400, 400, 10, (24, 72, 0)),
+    (PipelineKind.TYUC17, _MIXED, _POLY2, 12.0, 400, 400, 10, 19),
+    (PipelineKind.TYUC17_SPI, _DOUBLE, _POLY1, 96.0, 1000, 1000, 10, (12, 36, 48)),
+    (PipelineKind.TYUC17_SPI, _DOUBLE, _FLAT, 40.0, 300, 200, 5, (5, 13, 13)),
+    (PipelineKind.TYUC17_SPI, _DOUBLE, _EXP, 32.0, 60, 50, 4, (7, 8, 13)),
+    (PipelineKind.TYUC17_SPI, _DOUBLE, _POLY_HALF, 60.0, 400, 400, 10, (10, 20, 30)),
+    (PipelineKind.TYUC17_SPI, _DOUBLE, _POLY2, 12.0, 400, 400, 10, 41),
+    (PipelineKind.TYUC17_SPI, _MIXED, _POLY1, 96.0, 1000, 1000, 10, (24, 72, 96)),
+    (PipelineKind.TYUC17_SPI, _MIXED, _FLAT, 40.0, 300, 200, 5, (5, 33, 26)),
+    (PipelineKind.TYUC17_SPI, _MIXED, _EXP, 32.0, 60, 50, 4, (14, 16, 26)),
+    (PipelineKind.TYUC17_SPI, _MIXED, _POLY_HALF, 60.0, 400, 400, 10, (10, 50, 60)),
+    (PipelineKind.TYUC17_SPI, _MIXED, _POLY2, 12.0, 400, 400, 10, 21),
+    (PipelineKind.TYUC17_SPI_VARIANT, _DOUBLE, _POLY1, 96.0, 1000, 1000, 10, (12, 36, 48)),
+    (PipelineKind.TYUC17_SPI_VARIANT, _DOUBLE, _FLAT, 40.0, 300, 200, 5, (5, 13, 13)),
+    (PipelineKind.TYUC17_SPI_VARIANT, _DOUBLE, _EXP, 32.0, 60, 50, 4, (6, 8, 13)),
+    (PipelineKind.TYUC17_SPI_VARIANT, _DOUBLE, _POLY_HALF, 60.0, 400, 400, 10, (10, 20, 30)),
+    (PipelineKind.TYUC17_SPI_VARIANT, _DOUBLE, _POLY2, 12.0, 400, 400, 10, 41),
+    (PipelineKind.TYUC17_SPI_VARIANT, _MIXED, _POLY1, 96.0, 1000, 1000, 10, (24, 72, 96)),
+    (PipelineKind.TYUC17_SPI_VARIANT, _MIXED, _FLAT, 40.0, 300, 200, 5, (5, 33, 26)),
+    (PipelineKind.TYUC17_SPI_VARIANT, _MIXED, _EXP, 32.0, 60, 50, 4, (13, 16, 26)),
+    (PipelineKind.TYUC17_SPI_VARIANT, _MIXED, _POLY_HALF, 60.0, 400, 400, 10, (10, 50, 60)),
+    (PipelineKind.TYUC17_SPI_VARIANT, _MIXED, _POLY2, 12.0, 400, 400, 10, 21),
+    (PipelineKind.RSVD_ONEPASS, _DOUBLE, _POLY1, 96.0, 1000, 1000, 10, (48, 0, 0)),
+    (PipelineKind.RSVD_ONEPASS, _DOUBLE, _EXP, 32.0, 60, 50, 4, (14, 0, 0)),
+    (PipelineKind.RSVD_ONEPASS, _DOUBLE, _POLY2, 12.0, 400, 400, 10, 20),
+    (PipelineKind.RSVD_ONEPASS, _MIXED, _POLY1, 96.0, 1000, 1000, 10, (96, 0, 0)),
+    (PipelineKind.RSVD_ONEPASS, _MIXED, _EXP, 32.0, 60, 50, 4, (29, 0, 0)),
+    (PipelineKind.RSVD_ONEPASS, _MIXED, _POLY2, 12.0, 400, 400, 10, (12, 0, 0)),
+    (PipelineKind.TYUC19, _DOUBLE, _POLY1, 96.0, 1000, 1000, 10, (44, 88, 0)),
+    (PipelineKind.TYUC19, _DOUBLE, _EXP, 32.0, 60, 50, 4, (10, 20, 0)),
+    (PipelineKind.TYUC19, _DOUBLE, _POLY2, 12.0, 400, 400, 10, 21),
+    (PipelineKind.TYUC19, _MIXED, _POLY1, 96.0, 1000, 1000, 10, (74, 148, 0)),
+    (PipelineKind.TYUC19, _MIXED, _EXP, 32.0, 60, 50, 4, (14, 28, 0)),
+    (PipelineKind.TYUC19, _MIXED, _POLY2, 12.0, 400, 400, 10, (10, 20, 0)),
+    (PipelineKind.TYUC19_SPI, _DOUBLE, _POLY1, 96.0, 1000, 1000, 10, (23, 46, 46)),
+    (PipelineKind.TYUC19_SPI, _DOUBLE, _EXP, 32.0, 60, 50, 4, (6, 12, 12)),
+    (PipelineKind.TYUC19_SPI, _DOUBLE, _POLY2, 12.0, 400, 400, 10, 41),
+    (PipelineKind.TYUC19_SPI, _MIXED, _POLY1, 96.0, 1000, 1000, 10, (44, 88, 88)),
+    (PipelineKind.TYUC19_SPI, _MIXED, _EXP, 32.0, 60, 50, 4, (10, 20, 20)),
+    (PipelineKind.TYUC19_SPI, _MIXED, _POLY2, 12.0, 400, 400, 10, 21),
+]
+
+
+@pytest.mark.parametrize("kind, plan, cls, t, m, n, r, want", _PINNED)
+def test_budget_sizes_keep_their_pinned_results(kind, plan, cls, t, m, n, r, want):
+    if isinstance(want, tuple):
+        assert budget_sizes(kind, plan, cls, t, m, n, r) == want
+    else:
+        with pytest.raises(InfeasibleBudgetError) as exc:
+            budget_sizes(kind, plan, cls, t, m, n, r)
+        assert exc.value.minimal_feasible_t == want
+
+
+@pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("plan", [_DOUBLE, _MIXED], ids=lambda p: p.value)
+def test_a_larger_budget_resolves_once_a_smaller_one_does(kind, plan):
+    # Two rules reach past their domain at large budgets: the table's s past
+    # min(m, n) (poly 2) and the alpha ~ 1/2 rule past W_-1's branch point
+    # (poly 0.5).  Refused there, every larger budget would be refused too.
+    budgets = [*range(8, 200, 6), 250, 400, 600, 1000, 1500, 2000, 3000, 5000]
+    for cls in (_FLAT, _POLY_HALF, _POLY1, _POLY2, _EXP):
+        for m, n, r in ((400, 400, 10), (300, 200, 6)):
+            resolved = None
+            for t in budgets:
+                try:
+                    budget_sizes(kind, plan, cls, float(t), m, n, r)
+                except InfeasibleBudgetError as exc:
+                    assert resolved is None, (cls, m, n, t, resolved, exc.minimal_feasible_t)
+                    continue
+                resolved = resolved or t
+
+
+def test_budgets_past_the_s_cap_and_the_branch_point_resolve():
+    assert _table(_POLY2, 1000, 400, 10) == (375, 625, 1000)
+    assert _table(_POLY2, 2000, 400, 10) == (400, 1250, 2000)  # s capped at n; d and l from the table's s
+    assert budget_sizes(PipelineKind.TYUC17_SPI, _DOUBLE, _POLY_HALF, 400.0, 400, 400, 10) == (26, 174, 200)
+    assert budget_sizes(PipelineKind.TYUC17_SPI, _DOUBLE, _POLY_HALF, 2000.0, 400, 400, 10) == (400, 500, 1000)
+    assert budget_sizes(PipelineKind.TYUC17_SPI, _DOUBLE, _POLY2, 1e6, 300, 200, 6) == (200, 275000, 333333)
 
 
 @pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)

@@ -328,6 +328,20 @@ def test_matrix_market_ingestion(tmp_path):
     assert np.allclose(read_matrix(path), a, atol=1e-12)
 
 
+@pytest.mark.parametrize("sparse", [False, True], ids=["array", "coordinate"])
+def test_complex_matrix_market_is_refused_not_cut_to_its_real_part(tmp_path, sparse):
+    import scipy.io
+
+    a = _random(6, 4, 34) + 1j * _random(6, 4, 35)
+    path = tmp_path / "complex.mtx"
+    scipy.io.mmwrite(path, scipy.sparse.coo_matrix(a) if sparse else a)
+    problem = f"{path}: complex entries are not supported"
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        read_matrix(path)
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        ingest_file(path, PipelineKind.TYUC17, s=2, d=3)
+
+
 def test_spim_dimension_overflow_rejected(tmp_path):
     import numpy as np
 

@@ -10,12 +10,7 @@ import scipy.linalg as la
 
 from sketchpower import metrics, synthetic
 from sketchpower.approximators import tyuc17, tyuc17_spi, tyuc17_spi_variant, tyuc19, tyuc19_spi
-from sketchpower.guidance import (
-    DecayKind,
-    SpectrumClass,
-    select_sizes,
-    select_sizes_double,
-)
+from sketchpower.guidance import DecayKind, SpectrumClass, budget_sizes
 from sketchpower.precision_model import PrecisionPlan
 from sketchpower.spi import SpiParams
 from sketchpower.stream_ingest import LinearUpdate, PipelineKind, open_stream
@@ -51,6 +46,15 @@ def _mean_sf(algo_fn, spec, trials, make_sketch):
     return float(np.mean(vals))
 
 
+def _guided(kind, cls, t_hat, n, r):
+    """The sizes --guidance auto resolves for an n x n matrix under the kind's
+    default plan: the mixed-plan table for tyuc17_spi, the binary64 rule's
+    (s, d) for tyuc17."""
+    if kind is PipelineKind.TYUC17:
+        return budget_sizes(kind, PrecisionPlan.ALL_DOUBLE, cls, float(t_hat), n, n, r)[:2]
+    return budget_sizes(kind, PrecisionPlan.MIXED_SINGLE_DOUBLE, cls, float(t_hat), n, n, r)
+
+
 def test_plain_pipeline_error_positive_and_decreasing_in_budget():
     # Medium-noise flat data: the mean relative error stays positive and
     # shrinks as the storage budget grows.
@@ -59,7 +63,7 @@ def test_plain_pipeline_error_positive_and_decreasing_in_budget():
     spec = synthetic.SyntheticSpec(synthetic.Family.LOWRANK_NOISE, n, n, plateau=r, snr=1e-2, base_seed=500)
     means = []
     for t_hat in (30, 60):
-        s, d = select_sizes_double(cls, float(t_hat), n, r)
+        s, d = _guided(PipelineKind.TYUC17, cls, t_hat, n, r)
 
         def sketch(a, t):
             st = open_stream(PipelineKind.TYUC17, n, n, s, d, base_seed=600 + t_hat, trial=t)
@@ -75,8 +79,8 @@ def test_powered_pipeline_dominates_on_high_noise():
     r, n, t_hat, trials = 10, 400, 60, 10
     cls = SpectrumClass(DecayKind.FLAT)
     spec = synthetic.SyntheticSpec(synthetic.Family.LOWRANK_NOISE, n, n, plateau=r, snr=0.1, base_seed=700)
-    s2, d2 = select_sizes_double(cls, float(t_hat), n, r)
-    s, d, l = select_sizes(cls, float(t_hat), n, r)
+    s2, d2 = _guided(PipelineKind.TYUC17, cls, t_hat, n, r)
+    s, d, l = _guided(PipelineKind.TYUC17_SPI, cls, t_hat, n, r)
     plain, powered = [], {1: [], 2: [], 3: []}
     for t in range(trials):
         a = synthetic.generate(spec.with_trial(t))[0]
@@ -129,7 +133,7 @@ def test_fast_exp_mixed_precision_floor():
     spec = synthetic.SyntheticSpec(synthetic.Family.EXP_DECAY, n, n, plateau=r, alpha=0.5, base_seed=1000)
     a, base, factors = metrics._trial_data(spec, r)
     cls = SpectrumClass(DecayKind.EXP, 0.5)
-    s, d, l = select_sizes(cls, float(t_hat), n, r)
+    s, d, l = _guided(PipelineKind.TYUC17_SPI, cls, t_hat, n, r)
     s_v = min(s, l // 2)
     out = {}
     for plan in PrecisionPlan:
@@ -146,7 +150,7 @@ def test_fast_exp_mixed_precision_floor():
     assert mixed > 10 * 2.2e-16  # far above the binary64 accuracy floor
     assert mixed > out[PrecisionPlan.ALL_DOUBLE]
 
-    s2, d2 = select_sizes_double(cls, float(t_hat), n, r)
+    s2, d2 = _guided(PipelineKind.TYUC17, cls, t_hat, n, r)
     vals = []
     for t in range(5):
         st = open_stream(PipelineKind.TYUC17, n, n, s2, d2, base_seed=1003, trial=t)
@@ -176,7 +180,7 @@ def test_guidance_near_oracle_medium_poly():
                                    alpha=1.0, base_seed=55)
     table = metrics.oracle_sweep(spec, PipelineKind.TYUC17_SPI, 60.0, 10, q=1, trials=10)
     best = table.best()
-    guided_s = select_sizes(SpectrumClass(DecayKind.POLY, 1.0), 60.0, 400, 10)[0]
+    guided_s = _guided(PipelineKind.TYUC17_SPI, SpectrumClass(DecayKind.POLY, 1.0), 60, 400, 10)[0]
     guided = next(row for row in table.rows if row.s == guided_s)
     assert guided.mean_s_f <= 1.3 * best.mean_s_f
 

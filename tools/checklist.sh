@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Byte-identity check list: 23 sketchpower-bench commands, each writing its
+# Byte-identity check list: 47 sketchpower-bench commands, each writing its
 # CSV (NAME.csv) and stderr (NAME.err) into OUTDIR, and one exit code per
 # command into OUTDIR/status.txt.
 #
@@ -21,7 +21,9 @@
 # Gaussian, 1 trial); all six
 # algorithms on lowrank 300x200 (T=40, r=5, auto) and on exp-0.5 60x50 (T=32,
 # r=4, Gaussian); three algorithms on a 300x200 SPIM file and three on
-# noise-free lowrank (`--gamma 0`).  The file is written into OUTDIR with NumPy
+# noise-free lowrank (`--gamma 0`); and the ledgers of the sizes
+# `--guidance auto` resolves for all six algorithms under both plans on
+# 400x400 poly-2 at T=60 and T=100 (no data is made for a ledger).  The file is written into OUTDIR with NumPy
 # alone and named by a relative path, so the CSVs' param column is the same
 # in every OUTDIR and `diff -r` compares numbers only.
 #
@@ -130,4 +132,12 @@ for k in tyuc17_spi rsvd_onepass tyuc19; do
     bench "file_$k" run --algo "$k" --data file --file poly300x200.spim --budget 40 --rank 5 --guidance auto --trials 3
     bench "lowrank0_$k" run --algo "$k" --data lowrank --gamma 0 --m 300 --n 200 --budget 40 --rank 5 \
         --guidance auto --trials 3
+done
+for k in $kinds; do
+    for p in double mixed; do
+        for t in 60 100; do
+            bench "ledger_${k}_${p}_$t" ledger --algo "$k" --precision "$p" --data poly --alpha 2 --m 400 --n 400 \
+                --budget "$t" --guidance auto
+        done
+    done
 done
