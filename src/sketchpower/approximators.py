@@ -151,18 +151,18 @@ def tyuc17(sk: SketchSet, r: int) -> ApproxResult:
 
 @_one_blas_thread()
 def tyuc17_spi(sk: SketchSet, params: SpiParams, r: int) -> ApproxResult:
-    """TYUC17 with the rangefinder powered through the wide sketch Z."""
+    """TYUC17 with Y powered through Z: plainly at q = 1, re-orthonormalized at q >= 2."""
     _require(sk, r, (PipelineKind.TYUC17_SPI,), "y", "w", "z", "psi")
     flags = set()
     if params.q == 0:
         y_hat = _owned(sk.y)
-    elif params.use_stabilized:
+    elif params.q == 1:
+        y_hat = _stored(spi_plain(sk.z.data, sk.y.data, 1), sk)
+    else:
         out = spi_stabilized(sk.z.data, sk.y.data, params.q)
         if out.rank_collapse:
             flags.add("power_iteration_rank_collapse")
         y_hat = _stored(out.y_hat, sk)
-    else:
-        y_hat = _stored(spi_plain(sk.z.data, sk.y.data, params.q), sk)
     return _qb_finish(PipelineKind.TYUC17_SPI, y_hat, as_f64(sk.w.data), sk.psi, r, flags)
 
 

@@ -120,10 +120,6 @@ def _resolve_sizes(args: argparse.Namespace, kind: PipelineKind, plan: Precision
     return s, d, l
 
 
-def _spi_params(args: argparse.Namespace) -> SpiParams:
-    return SpiParams(q=args.q, stabilize={"auto": None, "on": True, "off": False}[args.stabilize])
-
-
 def _dataset_columns(args: argparse.Namespace) -> tuple[str, str, Optional[float]]:
     if args.data == "file":
         return "file", args.file or "", None
@@ -165,7 +161,7 @@ def _run_one_trial(args, kind, plan, sizes, trial, shared_a, shared_base):
         )
         sk = stream.ingest(LinearUpdate.row_block(0, a)).finalize()
         t0 = time.perf_counter()
-        result = approximate(sk, args.rank, _spi_params(args))
+        result = approximate(sk, args.rank, SpiParams(args.q))
         wall_ms = (time.perf_counter() - t0) * 1e3
         err = metrics.evaluate(a, result, args.rank, baselines=base, factors=factors)
     except Exception as exc:  # noqa: BLE001 - enumerate failing trials
@@ -328,7 +324,6 @@ _FLAGS = (
     (("--test-matrix",), dict(default="sparse_rademacher", dest="test_matrix",
                               choices=["gaussian", "sparse_rademacher", "sparse_sign", "countsketch"])),
     (("--sparsity",), dict(type=float, default=0.01)),
-    (("--stabilize",), dict(default="auto", choices=["auto", "on", "off"])),
     (("--timing",), dict(action="store_true", help="fill wall_ms (breaks byte-reproducibility of the CSV)")),
     (("--out", "-o"), dict(help="output CSV path (default: stdout)")),
 )
@@ -398,7 +393,7 @@ def main(argv=None) -> int:
         raise SystemExit(f"{sizer} resolves the sketch sizes itself and does not take {', '.join(given)}")
     _dataset_spec(args)  # a synthetic spec the generator cannot make exits here
     try:  # as do test matrices and power iterations the library refuses
-        _test_kind(args), _spi_params(args)
+        _test_kind(args), SpiParams(args.q)
     except ValueError as exc:
         raise SystemExit(f"invalid settings: {exc}")
     command = {"run": run, "sweep": run_sweep, "spectrum": emit_spectrum, "ledger": emit_ledger}

@@ -18,8 +18,9 @@ budget), and the rangefinder size s follows the decay class of the spectrum:
 where W_-1 is the lower real branch of the Lambert W function.  The
 "alpha ~ 1/2" band is fixed to |alpha - 1/2| <= 0.05; past W_-1's branch
 point, (T+c)/((c+1) n) > 1, its rule saturates at s = T/(c+1).  After
-flooring s and clamping to [r, floor(T/(c+1))], the remaining sizes follow
-the budget identity: l = floor(T/c) and d = floor(2T - c(l+s)).
+flooring s and clamping to [r, min(floor(T/(c+1)), floor(T/c) - 1)], the
+remaining sizes follow the budget identity: l = floor(T/c) and
+d = floor(2T - c(l+s)).
 """
 from __future__ import annotations
 
@@ -136,10 +137,10 @@ def _resolve(cls: SpectrumClass, t: float, n: int, c: float, r: int):
     table's stated choice, which amplifies binary32 rounding noise."""
     if t <= 2 * r:
         return None
-    upper = math.floor(t / (c + 1.0))
+    upper = min(math.floor(t / (c + 1.0)), math.floor(t / c) - 1)
     s = min(max(math.floor(_raw_s(cls, t, n, c, r)), r), upper)
     d, l = _mixed_sizes(t, c, s)
-    return (s, d, l) if upper >= r and l >= s + 1 and d >= s else None
+    return (s, d, l) if upper >= r and d >= s else None
 
 
 def _model_tail_sq(cls: SpectrumClass, n: int) -> np.ndarray:

@@ -2,12 +2,12 @@
 
 Given the rangefinder sketch Y (m x s) and a wider sketch Z (m x l), the
 plain iteration returns ``(Z Z^T)^q Y``, evaluated left-to-right as
-``Z (Z^T Z)^{q-1} Z^T Y`` so no m x m matrix is ever formed.  The stabilized
-form re-orthonormalizes the small l x s factor each iteration and spans the
-same column space whenever Z and Y have full column rank.  The reduced-storage
-variant never materializes Y at all: with a small right factor O (l x s) it
-returns ``Z (Z^T Z)^q O``, which equals the plain iteration applied to
-``Y = Z O``.
+``Z (Z^T Z)^{q-1} Z^T Y`` so no m x m matrix is ever formed.  The
+stabilized form (:func:`spi_stabilized`) re-orthonormalizes the small l x s
+factor each iteration and spans the same column space whenever Z and Y have
+full column rank.  The reduced-storage variant never materializes Y at
+all: with a small right factor O (l x s) it returns ``Z (Z^T Z)^q O``, which
+equals the plain iteration applied to ``Y = Z O``.
 
 Z and Y may be binary32, as the mixed plan stores them.  They are read in
 row chunks of about ``_CHUNK`` entries, each upcast into one reused binary64
@@ -23,6 +23,7 @@ with ``overwrite``), so its QR makes no copy of it.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,23 +35,24 @@ __all__ = ["SpiParams", "SpiOutput", "spi_plain", "spi_stabilized", "spi_variant
 
 @dataclass(frozen=True)
 class SpiParams:
-    """Number of power iterations and the stabilization switch.
+    """The number q of sketch-power steps, the iteration's one setting.
 
-    q = 0 means pass-through (the rangefinder is used as sketched).  When
-    ``stabilize`` is None the default applies: re-orthonormalize for q >= 2,
-    plain for q = 1 (a single iteration is numerically benign).
+    q = 0 uses the rangefinder Y as sketched.  ``tyuc17_spi`` takes
+    ``Z Z^T Y`` (:func:`spi_plain`) at q = 1 and re-orthonormalizes at each
+    step (:func:`spi_stabilized`) at q >= 2; the storage-reduced kinds take
+    ``Z (Z^T Z)^q O`` at every q.  q is an integer of at least 0: anything
+    ``operator.index`` takes, NumPy integers included.
     """
 
     q: int = 1
-    stabilize: bool | None = None
 
     def __post_init__(self):
-        if self.q < 0:
-            raise ValueError(f"power iteration count must be >= 0, got {self.q}")
-
-    @property
-    def use_stabilized(self) -> bool:
-        return self.q >= 2 if self.stabilize is None else self.stabilize
+        try:
+            q = operator.index(self.q)
+        except TypeError:
+            raise ValueError(f"power iteration count q must be an integer, got {self.q!r}") from None
+        if q < 0:
+            raise ValueError(f"power iteration count must be >= 0, got {q}")
 
 
 @dataclass

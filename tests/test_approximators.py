@@ -16,7 +16,7 @@ from sketchpower.approximators import (
 )
 from sketchpower.matrix_core import _CHUNK, DenseMatrix, as_f64
 from sketchpower.precision_model import PIPELINES, PrecisionPlan
-from sketchpower.spi import SpiParams
+from sketchpower.spi import SpiParams, spi_plain, spi_stabilized
 from sketchpower.stream_ingest import LinearUpdate, PipelineKind, open_stream
 from sketchpower.test_matrices import GAUSSIAN, SPARSE_RADEMACHER, SeedSpec, Stream, generate
 
@@ -93,10 +93,42 @@ def test_variant_matches_spi_on_synthesized_rangefinder():
     y = as_f64(sk.z.data) @ omt
     fake = dataclasses.replace(sk, kind=PipelineKind.TYUC17_SPI,
                                y=DenseMatrix(y), s=s)
-    res_spi = tyuc17_spi(fake, SpiParams(q=q, stabilize=False), r)
+    res_spi = tyuc17_spi(fake, SpiParams(q=q), r)
     ref = np.linalg.norm(a - res_spi.reconstruct())
     got = np.linalg.norm(a - res_var.reconstruct())
     assert abs(got - ref) <= 1e-9 * max(ref, 1.0)
+
+
+@pytest.mark.parametrize("plan", list(PrecisionPlan), ids=lambda p: p.value)
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_tyuc17_spi_powers_plainly_at_q1_and_reorthonormalizes_from_q2(plan, q):
+    # q alone picks the iteration: Z Z^T Y at q = 1, re-orthonormalized
+    # steps at q >= 2.  The finish is that iteration's Y-hat run through the
+    # shared tail, bit for bit.
+    a = _rank_r_matrix(60, 50, 6, seed=41) + 0.01 * np.random.default_rng(42).standard_normal((60, 50))
+    sk = _sketch(PipelineKind.TYUC17_SPI, a, s=7, d=16, l=14, seed=43, plan=plan)
+    got = tyuc17_spi(sk, SpiParams(q=q), 4)
+    if q == 1:
+        y_hat = spi_plain(sk.z.data, sk.y.data, q)
+    else:
+        y_hat = spi_stabilized(sk.z.data, sk.y.data, q).y_hat
+    want = approximators._qb_finish(PipelineKind.TYUC17_SPI, approximators._stored(y_hat, sk),
+                                    as_f64(sk.w.data), sk.psi, 4, set())
+    for name in ("u", "sv", "v", "q_factor", "b"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.flags == want.flags
+
+
+def test_tyuc17_spi_flags_a_rank_collapse_of_its_power_steps():
+    # A rank-one matrix gives rank-one sketches, so Z^T Y-hat collapses: the
+    # re-orthonormalized steps of q = 2 say so in the result's flags.
+    rng = np.random.default_rng(44)
+    a = np.outer(rng.standard_normal(30), rng.standard_normal(25))
+    sk = _sketch(PipelineKind.TYUC17_SPI, a, s=3, d=8, l=8, seed=45)
+    res = tyuc17_spi(sk, SpiParams(q=2), 2)
+    assert "power_iteration_rank_collapse" in res.flags
+    assert np.isfinite(res.u).all()
+    assert "power_iteration_rank_collapse" not in tyuc17_spi(sk, SpiParams(q=1), 2).flags
 
 
 def test_variant_q0_stays_inside_power_sketch_range():

@@ -271,7 +271,6 @@ def test_unwritable_out_exits_with_one_message(command, tmp_path, capsys):
     ("test_matrix", "gausian", "--test-matrix"),
     ("precision", "all_double", "--precision"),
     ("data", "polynomial", "--data"),
-    ("stabilize", "maybe", "--stabilize"),
 ])
 def test_config_values_are_checked_like_flags(tmp_path, key, value, flag, capsys):
     cfgfile = tmp_path / "cfg.json"
@@ -284,6 +283,20 @@ def test_config_values_are_checked_like_flags(tmp_path, key, value, flag, capsys
     captured = capsys.readouterr()
     assert f"argument {flag}: invalid choice: '{value}'" in captured.err
     assert captured.out == ""
+
+
+def test_q_is_the_only_power_setting(tmp_path, capsys):
+    # The iteration follows from --q alone: a --stabilize flag or config key
+    # is refused like any other unknown one.
+    with pytest.raises(SystemExit) as exc:
+        bench_cli.main(["run", "--stabilize", "on", "--algo", "tyuc17_spi", "--trials", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --stabilize on" in capsys.readouterr().err
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"stabilize": "on"}))
+    with pytest.raises(SystemExit) as exc:
+        bench_cli.main(["run", "--config", str(cfgfile), "--algo", "tyuc17_spi", "--trials", "1"])
+    assert exc.value.code == "unknown keys in config file: ['stabilize']"
 
 
 def test_config_timing_fills_wall_ms(tmp_path):

@@ -246,17 +246,22 @@ def test_a_larger_budget_resolves_once_a_smaller_one_does(kind, plan):
     # Two rules reach past their domain at large budgets: the table's s past
     # min(m, n) (poly 2) and the alpha ~ 1/2 rule past W_-1's branch point
     # (poly 0.5).  Refused there, every larger budget would be refused too.
-    budgets = [*range(8, 200, 6), 250, 400, 600, 1000, 1500, 2000, 3000, 5000]
-    for cls in (_FLAT, _POLY_HALF, _POLY1, _POLY2, _EXP):
-        for m, n, r in ((400, 400, 10), (300, 200, 6)):
-            resolved = None
-            for t in budgets:
-                try:
-                    budget_sizes(kind, plan, cls, float(t), m, n, r)
-                except InfeasibleBudgetError as exc:
-                    assert resolved is None, (cls, m, n, t, resolved, exc.minimal_feasible_t)
-                    continue
-                resolved = resolved or t
+    # At 2000x100 the table's saturated s = T/(c+1) can round to l = T/c
+    # (exp 0.2 and 0.5), where the table would refuse a budget between two
+    # that resolve.
+    budgets = [*range(8, 200, 6), 48, 72.5, 96, 150, 250, 400, 600, 1000, 1500, 2000, 3000, 5000]
+    cases = [(cls, m, n, r) for cls in (_FLAT, _POLY_HALF, _POLY1, _POLY2, _EXP)
+             for m, n, r in ((400, 400, 10), (300, 200, 6))]
+    cases += [(cls, 2000, 100, r) for cls in (_EXP, SpectrumClass(DecayKind.EXP, 0.5)) for r in (1, 4)]
+    for cls, m, n, r in cases:
+        resolved = None
+        for t in sorted(budgets):
+            try:
+                budget_sizes(kind, plan, cls, float(t), m, n, r)
+            except InfeasibleBudgetError as exc:
+                assert resolved is None, (cls, m, n, r, t, resolved, exc.minimal_feasible_t)
+                continue
+            resolved = resolved or t
 
 
 def test_budgets_past_the_s_cap_and_the_branch_point_resolve():
@@ -265,6 +270,15 @@ def test_budgets_past_the_s_cap_and_the_branch_point_resolve():
     assert budget_sizes(PipelineKind.TYUC17_SPI, _DOUBLE, _POLY_HALF, 400.0, 400, 400, 10) == (26, 174, 200)
     assert budget_sizes(PipelineKind.TYUC17_SPI, _DOUBLE, _POLY_HALF, 2000.0, 400, 400, 10) == (400, 500, 1000)
     assert budget_sizes(PipelineKind.TYUC17_SPI, _DOUBLE, _POLY2, 1e6, 300, 200, 6) == (200, 275000, 333333)
+
+
+def test_the_table_keeps_s_below_l_at_a_large_aspect_ratio():
+    # c = 20: floor(T/21) = floor(T/20) at these budgets, so the saturated s
+    # stops one short of l.
+    exp_half = SpectrumClass(DecayKind.EXP, 0.5)
+    assert _table(exp_half, 48, 100, 1, c=20) == (1, 36, 2)
+    assert _table(exp_half, 150, 100, 1, c=20) == (6, 40, 7)
+    assert _table(exp_half, 40, 100, 1, c=20) == (1, 20, 2)  # floor(40/21) < floor(40/20)
 
 
 @pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)

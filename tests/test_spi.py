@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -125,12 +126,18 @@ def test_variant_storage_contract():
 
 
 def test_spi_params_defaults():
-    assert not SpiParams(q=1).use_stabilized
-    assert SpiParams(q=2).use_stabilized
-    assert SpiParams(q=1, stabilize=True).use_stabilized
-    assert not SpiParams(q=3, stabilize=False).use_stabilized
-    with pytest.raises(ValueError):
-        SpiParams(q=-1)
+    assert SpiParams() == SpiParams(q=1)
+    assert [f.name for f in dataclasses.fields(SpiParams)] == ["q"]
+    assert SpiParams(q=0).q == 0 and SpiParams(q=np.int64(2)).q == 2  # NumPy integers too
+    for q in (-1, np.int32(-1)):
+        with pytest.raises(ValueError, match="must be >= 0, got -1"):
+            SpiParams(q=q)
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, "2", None])
+def test_spi_params_refuse_a_q_that_is_no_integer(q):
+    with pytest.raises(ValueError, match=r"count q must be an integer, got"):
+        SpiParams(q=q)
 
 
 def test_cost_shape_and_no_large_intermediates():

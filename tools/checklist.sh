@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Byte-identity check list: 47 sketchpower-bench commands, each writing its
+# Byte-identity check list: 54 sketchpower-bench commands, each writing its
 # CSV (NAME.csv) and stderr (NAME.err) into OUTDIR, and one exit code per
 # command into OUTDIR/status.txt.
 #
@@ -13,19 +13,21 @@
 #   diff -r /tmp/cl-parent /tmp/cl-change
 #
 # The commands: `run` tyuc17_spi at the paper's 1000x1000 (T=96, auto, 4
-# trials); four `sweep`s, which take each branch of the oracle sweep's
-# sharing of one ingest per trial: tyuc17_spi on 400x400 poly-2 (T=100, 3
-# trials) with Gaussian and with the default sparse_rademacher test
-# matrices, tyuc17 there with Gaussian ones (no Z, q written as 0), and
-# tyuc17_spi on a 1000x600 poly-2 matrix of several row chunks (T=50,
-# Gaussian, 1 trial); all six
+# trials), and once more at --q 2 in binary64 (2 trials); four `sweep`s,
+# which take each branch of the oracle sweep's sharing of one ingest per
+# trial: tyuc17_spi on 400x400 poly-2 (T=100, 3 trials) with Gaussian and
+# with the default sparse_rademacher test matrices, tyuc17 there with
+# Gaussian ones (no Z, q written as 0), and tyuc17_spi on a 1000x600 poly-2
+# matrix of several row chunks (T=50, Gaussian, 1 trial); all six
 # algorithms on lowrank 300x200 (T=40, r=5, auto) and on exp-0.5 60x50 (T=32,
-# r=4, Gaussian); three algorithms on a 300x200 SPIM file and three on
-# noise-free lowrank (`--gamma 0`); and the ledgers of the sizes
-# `--guidance auto` resolves for all six algorithms under both plans on
-# 400x400 poly-2 at T=60 and T=100 (no data is made for a ledger).  The file is written into OUTDIR with NumPy
-# alone and named by a relative path, so the CSVs' param column is the same
-# in every OUTDIR and `diff -r` compares numbers only.
+# r=4, Gaussian); the three powered algorithms on that lowrank case at
+# --q 2 and --q 3, where tyuc17_spi re-orthonormalizes at each step; three
+# algorithms on a 300x200 SPIM file and three on noise-free lowrank
+# (`--gamma 0`); and the ledgers of the sizes `--guidance auto` resolves
+# for all six algorithms under both plans on 400x400 poly-2 at T=60 and
+# T=100 (no data is made for a ledger).  The file is written into OUTDIR
+# with NumPy alone and named by a relative path, so the CSVs' param column
+# is the same in every OUTDIR and `diff -r` compares numbers only.
 #
 # The CLI reads files whole, so two stream paths it never takes are checked
 # apart, in OUTDIR/stream.txt (one "LABEL SKETCH SHA1" line per sketch):
@@ -116,6 +118,8 @@ PY
 
 kinds="tyuc17 tyuc17_spi tyuc17_spi_variant rsvd_onepass tyuc19 tyuc19_spi"
 bench run_paper run --algo tyuc17_spi --data poly --alpha 1 --m 1000 --n 1000 --budget 96 --guidance auto --trials 4
+bench run_paper_q2 run --algo tyuc17_spi --data poly --alpha 1 --m 1000 --n 1000 --budget 96 --guidance auto \
+    --q 2 --precision double --trials 2
 bench sweep_poly2 sweep --algo tyuc17_spi --data poly --alpha 2 --m 400 --n 400 --budget 100 --trials 3 \
     --test-matrix gaussian
 bench sweep_poly2_sparse sweep --algo tyuc17_spi --data poly --alpha 2 --m 400 --n 400 --budget 100 --trials 3
@@ -127,6 +131,12 @@ for k in $kinds; do
     bench "lowrank_$k" run --algo "$k" --data lowrank --m 300 --n 200 --budget 40 --rank 5 --guidance auto --trials 3
     bench "exp_$k" run --algo "$k" --data exp --alpha 0.5 --m 60 --n 50 --budget 32 --rank 4 --guidance auto \
         --trials 3 --test-matrix gaussian
+done
+for k in tyuc17_spi tyuc17_spi_variant tyuc19_spi; do
+    for q in 2 3; do
+        bench "lowrank_${k}_q$q" run --algo "$k" --data lowrank --m 300 --n 200 --budget 40 --rank 5 --guidance auto \
+            --q "$q" --trials 3
+    done
 done
 for k in tyuc17_spi rsvd_onepass tyuc19; do
     bench "file_$k" run --algo "$k" --data file --file poly300x200.spim --budget 40 --rank 5 --guidance auto --trials 3
