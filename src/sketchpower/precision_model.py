@@ -21,8 +21,11 @@ binary64 copy of Z (it is read one row chunk at a time, see :mod:`spi`) and
 no dense copy of a sparse test matrix, so what they add to the sketches is a
 few m x s binary64 arrays, one row chunk and the small factors.  The ledger and
 :meth:`PipelineSpec.words` count sketches only, so the budget stays the
-paper's sketch storage: the test matrices and a stream's binary64 staging
-pair of at most k(m + n) words (:mod:`stream_ingest`) sit outside both.
+paper's sketch storage: the test matrices and a stream's two binary64
+staging buffers, the rank-one pair and the column-block buffer of at most
+k(2m + n) words together (:mod:`stream_ingest`), sit outside both.  A
+binary32 sketch entry is rounded once per flush of a buffer that touches it,
+and a left-sketch column once per staged block that covers it.
 """
 from __future__ import annotations
 
@@ -292,9 +295,12 @@ def simulate_storage(
 
     The accounting follows the big-buffer convention: the large sketch
     buffers and, for the storage-reduced kinds, the l x l Gram matrices plus
-    an s-word buffer.  Test matrices, O(s^2) iterates and a stream's staging
-    pair for rank-one terms and column blocks (at most k(m + n) binary64
-    words, never more than the sketches hold) are disregarded.
+    an s-word buffer.  Test matrices, O(s^2) iterates and a stream's two
+    staging buffers, for rank-one terms and for column blocks (at most
+    k(2m + n) binary64 words together, less than twice the sketches'
+    entries; a binary32 entry is rounded once per flush that touches it, and
+    a left-sketch column once per staged block that covers it), are
+    disregarded.
     """
     spec = PIPELINES[pipeline]
     shapes = spec.shapes(m, n, s, d, l)

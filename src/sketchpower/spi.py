@@ -41,18 +41,24 @@ class SpiParams:
     ``Z Z^T Y`` (:func:`spi_plain`) at q = 1 and re-orthonormalizes at each
     step (:func:`spi_stabilized`) at q >= 2; the storage-reduced kinds take
     ``Z (Z^T Z)^q O`` at every q.  q is an integer of at least 0: anything
-    ``operator.index`` takes, NumPy integers included.
+    ``operator.index`` takes but a bool, NumPy integers included.
     """
 
     q: int = 1
 
     def __post_init__(self):
-        try:
-            q = operator.index(self.q)
-        except TypeError:
-            raise ValueError(f"power iteration count q must be an integer, got {self.q!r}") from None
-        if q < 0:
-            raise ValueError(f"power iteration count must be >= 0, got {q}")
+        if _integer_q(self.q) < 0:
+            raise ValueError(f"power iteration count must be >= 0, got {self.q}")
+
+
+def _integer_q(q) -> int:
+    """q as an int; a bool or anything ``operator.index`` refuses raises ValueError."""
+    try:
+        if isinstance(q, bool):
+            raise TypeError
+        return operator.index(q)
+    except TypeError:
+        raise ValueError(f"power iteration count q must be an integer, got {q!r}") from None
 
 
 @dataclass
@@ -116,7 +122,7 @@ def spi_plain(z, y, q: int) -> np.ndarray:
     O(m l s); beside the m x s result only l x s factors and one row chunk
     are held.
     """
-    z, y = _as_array(z), _as_array(y)
+    z, y, q = _as_array(z), _as_array(y), _integer_q(q)
     if q < 1:
         raise ValueError(f"plain iteration requires q >= 1, got {q}")
     _check_shapes(z, y)
@@ -134,7 +140,7 @@ def spi_stabilized(z, y, q: int) -> SpiOutput:
     continues with the rank-revealing Q of the deficient factor.  Only the
     last Y-hat is formed; the ones between are applied chunk by chunk.
     """
-    z, y = _as_array(z), _as_array(y)
+    z, y, q = _as_array(z), _as_array(y), _integer_q(q)
     if q < 1:
         raise ValueError(f"stabilized iteration requires q >= 1, got {q}")
     _check_shapes(z, y)
@@ -157,6 +163,7 @@ def spi_variant(z, omega_small, q: int) -> np.ndarray:
     """
     z = _as_array(z)
     o = np.asarray(omega_small, dtype=np.float64)
+    q = _integer_q(q)
     if q < 0:
         raise ValueError(f"power count must be >= 0, got {q}")
     l = z.shape[1]

@@ -15,14 +15,20 @@ that opens it once and checks each piece it reads.  After
 :meth:`SketchStream.finalize` the resulting :class:`SketchSet` is immutable
 (its arrays are read-only) and certifies ``pass_count == 1``.
 
-Rank-one terms and column blocks are staged: a stream keeps up to k of their
-columns as a binary64 pair U (m x k) and V (n x k) and folds the pending
-U V^T into every sketch with one product per sketch, when the next term
-would not fit, before a dense or row-block update and in
+Rank-one terms and column blocks are staged in two binary64 buffers of k
+columns: the pair U (m x k), V (n x k) holds rank-one terms, and H (m x k)
+holds column blocks of at most k columns with the start and width of each.
+A flush folds a buffer into every sketch with one product per sketch: U V^T
+as such, and H through the test-matrix rows or columns of the blocks'
+columns, gathered (H T[idx] for a right sketch, T H added into each block's
+own columns for a left one).  Each buffer flushes when its next term would
+not fit; both flush before a dense or row-block update, before a block wider
+than k (folded with the same kernels, as one block) and in
 :meth:`SketchStream.finalize`.  k is ``min(32, sketch entries // (m + n))``,
-so the pair never holds more entries than the sketches; it is allocated at
-the first staged term and released at finalize.  Row-only streams (those with
-a ``gram`` sketch) stage nothing.
+so the two buffers hold at most k(2m + n) binary64 words, less than twice
+the sketches' entries; each is allocated at its first staged term and
+released at finalize.  Row-only streams (those with a ``gram`` sketch) stage
+nothing.
 
 Dense updates and row blocks are folded one row chunk of about 2^18
 entries (2 MiB of binary64) at a time.  Each chunk is upcast to binary64
@@ -42,8 +48,10 @@ test matrices on the n side are small and are held dense.
 
 Sketches declared binary32 are accumulated in binary64 and rounded to
 binary32 at each fold: once per dense or row-block update (a file is one)
-and once per flush of the staging pair (about N/k roundings for N staged
-terms), bounding rounding drift independent of how the stream is blocked.
+and once per flush that touches the entry (about N/k roundings for N staged
+terms); a left-sketch column that several blocks of one flush cover is
+rounded once per such block.  This bounds rounding drift independent of how
+the stream is blocked.
 """
 from __future__ import annotations
 
@@ -71,10 +79,11 @@ __all__ = [
 ]
 
 
-# Widest staging pair, in columns.  1050 rank-one terms and 8-column blocks
+# Widest staging buffer, in columns.  1050 rank-one terms and 8-column blocks
 # into a mixed tyuc17_spi and a binary64 tyuc19 stream (1000 x 1000, sizes
-# (24, 72, 96), one BLAS thread) took about 1150 ms unstaged and 750, 480,
-# 380 and 380 ms at k = 8, 16, 32 and 64.
+# (24, 72, 96), one BLAS thread) took about 1510, 340, 260, 190 and 170 ms
+# at k = 1, 8, 16, 32 and 64; past 32 the buffers grow faster than the time
+# falls.
 _STAGE_COLS = 32
 
 
@@ -158,26 +167,34 @@ class SketchSet:
     trial: int = 0
 
 
-def _right_terms(upd: LinearUpdate, t):
-    """(region, H t) of a sketch whose rows follow the data rows, for a staged
-    U V^T (u, v: the m x p and n x p columns) or a column block H."""
-    if upd.kind == "rank_one":
-        return slice(None), upd.u @ (upd.v.T @ t)
-    return slice(None), upd.h @ t[upd.start : upd.start + upd.h.shape[1]]
+def _right_terms(h, cols, t):
+    """(region, increment) pairs of a sketch whose rows follow the data rows,
+    for staged terms H C^T: U (V^T T) for rank-one terms (h = U, cols = V),
+    H T[idx] for column blocks (cols their segments, idx their columns)."""
+    if isinstance(cols, np.ndarray):
+        return [(slice(None), h @ (cols.T @ t))]
+    return [(slice(None), h @ t[_gathered(cols)])]
 
 
-def _left_terms(upd: LinearUpdate, t):
-    """(region, t H) of a sketch whose columns follow the data columns."""
-    if upd.kind == "rank_one":
-        return slice(None), (t @ upd.u) @ upd.v.T
-    return (slice(None), slice(upd.start, upd.start + upd.h.shape[1])), t @ upd.h
+def _left_terms(h, cols, t):
+    """(region, increment) pairs of a sketch whose columns follow the data
+    columns: (T U) V^T, or T H added into each block's own columns."""
+    if isinstance(cols, np.ndarray):
+        return [(slice(None), (t @ h) @ cols.T)]
+    th = t @ h
+    return [((slice(None), slice(a, a + w)), th[:, o : o + w]) for o, a, w in cols]
 
 
-def _two_sided_terms(upd: LinearUpdate, tl, tr):
-    """(region, tl H tr^T), never materializing an m x d product."""
-    if upd.kind == "rank_one":
-        return slice(None), (tl @ upd.u) @ (tr @ upd.v).T
-    return slice(None), (tl @ upd.h) @ tr[:, upd.start : upd.start + upd.h.shape[1]].T
+def _two_sided_terms(h, cols, tl, tr):
+    """(region, tl H C^T tr^T), never materializing an m x d product."""
+    if isinstance(cols, np.ndarray):
+        return [(slice(None), (tl @ h) @ (tr @ cols).T)]
+    return [(slice(None), (tl @ h) @ tr[:, _gathered(cols)].T)]
+
+
+def _gathered(segments) -> np.ndarray:
+    """The data columns of staged column blocks, in the order of H's columns."""
+    return np.concatenate([np.arange(a, a + w) for _, a, w in segments])
 
 
 # Row-only streams (those with a gram sketch) take no rank-one term or column
@@ -266,8 +283,13 @@ class SketchStream:
         # n columns, so k >= 1 there; a row-only stream stages nothing.
         entries = sum(a.size for a in self._sk.values())
         self._stage_cols = 0 if reused else min(_STAGE_COLS, entries // (m + n))
+        # The rank-one pair (U, V) with its pending columns, and the block
+        # buffer H with the (offset in H, start, width) of each staged block.
         self._stage: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._pending = 0
+        self._blocks: Optional[np.ndarray] = None
+        self._segments: list[tuple[int, int, int]] = []
+        self._block_cols = 0
 
     def _add(self, name: str, sl, inc: np.ndarray) -> None:
         """sketch[sl] += inc: one binary64 add and, for a binary32 sketch, one
@@ -295,7 +317,10 @@ class SketchStream:
             raise ValueError(f"unknown update kind {upd.kind!r}")
 
     def _check_finite(self, upd: LinearUpdate) -> None:
-        if all(x is None or all_finite(x) for x in (upd.h, upd.u, upd.v)):
+        if upd.kind == "rank_one":
+            if np.isfinite(upd.u).all() and np.isfinite(upd.v).all():
+                return
+        elif all_finite(upd.h):
             return
         if upd.kind == "row_block":
             where = f"rows [{upd.start}, {upd.start + upd.h.shape[0]})"
@@ -309,9 +334,9 @@ class SketchStream:
         """Add one linear update to this stream.
 
         The update is checked first; a refused one leaves the stream as it
-        was.  A rank-one term or a column block of at most k columns is
-        copied into the staging pair; anything else flushes the pair and is
-        folded into every sketch at once.
+        was.  A rank-one term is copied into the staging pair and a column
+        block of at most k columns into the block buffer; anything else
+        flushes both and is folded into every sketch at once.
         """
         if self._finalized:
             raise RuntimeError("stream already finalized; the single pass is over")
@@ -319,25 +344,34 @@ class SketchStream:
         self._check_finite(upd)
         if self._rows_seen is not None:
             upd = self._whole_rows(upd)
-        width = 1 if upd.kind == "rank_one" else upd.h.shape[1] if upd.kind == "column_block" else None
-        if width is not None and width <= self._stage_cols:
-            if self._pending + width > self._stage_cols:
-                self._flush()
-            self._push(upd, width)
+        k = self._stage_cols
+        if upd.kind == "rank_one":  # a row-only stream took it as a row block
+            if self._pending == k:
+                self._flush_pair()
+            self._push_pair(upd)
+        elif upd.kind == "column_block" and upd.h.shape[1] <= k:
+            if self._block_cols + upd.h.shape[1] > k:
+                self._flush_blocks()
+            self._push_block(upd)
         else:
             self._flush()
-            self._fold(upd)
+            if upd.kind == "column_block":
+                self._fold_terms(upd.h, [(0, upd.start, upd.h.shape[1])])
+            else:
+                self._fold_rows(upd.start, (upd.h,))
         return self
 
     @_one_blas_thread()
-    def _fold(self, upd: LinearUpdate) -> None:
-        """Add an update to every sketch, in the table's order."""
-        if upd.kind in ("dense", "row_block"):
-            self._fold_rows(upd.start, (upd.h,))
-            return
+    def _fold_terms(self, h: np.ndarray, cols) -> None:
+        """Add staged terms H C^T to every sketch, in the table's order: C is
+        V (n x p) for rank-one terms, or for column blocks the (offset in H,
+        start, width) of each block, which adds H[:, o : o + w] to the data
+        columns [a, a + w)."""
         for name, update, operands, _ in self._steps:
-            self._add(name, *_TERM_KERNELS[update](upd, *(self._t[o] for o in operands)))
+            for region, inc in _TERM_KERNELS[update](h, cols, *(self._t[o] for o in operands)):
+                self._add(name, region, inc)
 
+    @_one_blas_thread()
     def _fold_rows(self, start: int, pieces: Iterable[np.ndarray]) -> None:
         """Add the rows from ``start`` on, given as consecutive pieces, as one
         update, one chunk of about ``_CHUNK`` entries at a time.
@@ -374,31 +408,43 @@ class SketchStream:
                 inc = sums[name] @ self._t[operands[1]].T if update == "two_sided" else sums[name]
                 self._add(name, slice(None), inc)
 
-    def _push(self, upd: LinearUpdate, width: int) -> None:
-        """Copy a rank-one term, or a column block H as H [e_a ... e_{a+w-1}]^T,
-        into the next columns of the staging pair."""
+    def _push_pair(self, upd: LinearUpdate) -> None:
+        """Copy a rank-one term into the next column of the staging pair."""
         if self._stage is None:
             k = self._stage_cols
             self._stage = (np.empty((self.m, k), order="F"), np.empty((self.n, k), order="F"))
         u, v = self._stage
-        p = self._pending
-        if upd.kind == "rank_one":
-            u[:, p] = upd.u
-            v[:, p] = upd.v
-        else:
-            u[:, p : p + width] = upd.h
-            v[:, p : p + width] = 0.0
-            j = np.arange(width)
-            v[upd.start + j, p + j] = 1.0
-        self._pending += width
+        u[:, self._pending] = upd.u
+        v[:, self._pending] = upd.v
+        self._pending += 1
 
-    def _flush(self) -> None:
+    def _push_block(self, upd: LinearUpdate) -> None:
+        """Copy a column block into the next columns of the block buffer."""
+        if self._blocks is None:
+            self._blocks = np.empty((self.m, self._stage_cols), order="F")
+        p, w = self._block_cols, upd.h.shape[1]
+        self._blocks[:, p : p + w] = upd.h
+        self._segments.append((p, upd.start, w))
+        self._block_cols += w
+
+    def _flush_pair(self) -> None:
         """Fold the pending U V^T into every sketch as one rank-p term."""
         if self._pending:
             u, v = self._stage
-            p = self._pending
-            self._fold(LinearUpdate("rank_one", u=u[:, :p], v=v[:, :p]))
+            self._fold_terms(u[:, : self._pending], v[:, : self._pending])
             self._pending = 0
+
+    def _flush_blocks(self) -> None:
+        """Fold the pending column blocks into every sketch with one product
+        per sketch."""
+        if self._segments:
+            self._fold_terms(self._blocks[:, : self._block_cols], self._segments)
+            self._segments, self._block_cols = [], 0
+
+    def _flush(self) -> None:
+        """Flush both staging buffers, the pair first."""
+        self._flush_pair()
+        self._flush_blocks()
 
     def _whole_rows(self, upd: LinearUpdate) -> LinearUpdate:
         """The update as a row block of rows not delivered before.
@@ -428,7 +474,7 @@ class SketchStream:
         if self._finalized:
             raise RuntimeError("stream already finalized")
         self._flush()
-        self._stage = None
+        self._stage = self._blocks = None
         self._finalized = True
         sk = {name: DenseMatrix(_frozen(arr)) for name, arr in self._sk.items()}
         tm = {name: _frozen(self._t[name], cols == "m") for name, (_, cols) in PIPELINES[self.kind.value].test_matrices}

@@ -134,10 +134,19 @@ def test_spi_params_defaults():
             SpiParams(q=q)
 
 
-@pytest.mark.parametrize("q", [1.5, 2.0, "2", None])
-def test_spi_params_refuse_a_q_that_is_no_integer(q):
+@pytest.mark.parametrize("q", [1.5, 2.0, "2", None, True])
+@pytest.mark.parametrize("entry", ["SpiParams", "spi_plain", "spi_stabilized", "spi_variant"])
+def test_every_entry_point_refuses_a_q_that_is_no_integer(entry, q):
+    z = np.random.default_rng(3).standard_normal((20, 8))
+    call = {
+        "SpiParams": lambda q: SpiParams(q=q),
+        "spi_plain": lambda q: spi_plain(z, z[:, :3], q),
+        "spi_stabilized": lambda q: spi_stabilized(z, z[:, :3], q),
+        "spi_variant": lambda q: spi_variant(z, z[:8, :3], q),
+    }[entry]
     with pytest.raises(ValueError, match=r"count q must be an integer, got"):
-        SpiParams(q=q)
+        call(q)
+    call(np.int64(2))  # NumPy integers are taken
 
 
 def test_cost_shape_and_no_large_intermediates():

@@ -641,6 +641,14 @@ def _staging_scenario(name, k, rng, m, n):
     if name == "then_row_block":
         return [_term(rng, m, n, small), _term(rng, m, n, 0), LinearUpdate.row_block(3, rng.standard_normal((4, n))),
                 _term(rng, m, n, small)]
+    if name == "overlapping_blocks":  # blocks of 2 and k - 2 columns sharing one, flushed together
+        a = int(rng.integers(0, n - k + 2))
+        return [_term(rng, m, n, 0), LinearUpdate.column_block(a, rng.standard_normal((m, 2))),
+                _term(rng, m, n, 0), _term(rng, m, n, 0),
+                LinearUpdate.column_block(a + 1, rng.standard_normal((m, k - 2))), _term(rng, m, n, 0)]
+    if name == "last_columns":
+        return [_term(rng, m, n, 0), LinearUpdate.column_block(n - small, rng.standard_normal((m, small))),
+                _term(rng, m, n, 0), LinearUpdate.column_block(n - 1, rng.standard_normal((m, 1)))]
     return [_term(rng, m, n, 0)]  # pending_at_finalize
 
 
@@ -681,7 +689,7 @@ def _assert_same_bytes(a, b):
 
 
 @pytest.mark.parametrize("scenario", ["several_flushes", "wide_block", "then_dense", "then_row_block",
-                                      "pending_at_finalize"])
+                                      "overlapping_blocks", "last_columns", "pending_at_finalize"])
 @pytest.mark.parametrize("plan", list(PrecisionPlan), ids=lambda p: p.value)
 @pytest.mark.parametrize("kind", _STAGED_KINDS, ids=lambda k: k.value)
 def test_staged_updates_match_one_shot_ingestion(kind, plan, scenario):
@@ -705,7 +713,7 @@ def test_staged_updates_with_sparse_test_matrices_match_one_shot(kind, plan, tes
     m, n = _STAGE_SIZES[:2]
     st_ = open_stream(kind, *_STAGE_SIZES, base_seed=6, plan=plan, test_kind=test_kind)
     rng = np.random.default_rng(19)
-    updates = [u for name in ("several_flushes", "wide_block", "then_row_block")
+    updates = [u for name in ("several_flushes", "wide_block", "then_row_block", "overlapping_blocks", "last_columns")
                for u in _staging_scenario(name, st_._stage_cols, rng, m, n)]
     for upd in updates:
         st_.ingest(upd)
@@ -783,32 +791,38 @@ def _retained_bytes(action):
 
 
 @pytest.mark.parametrize("kind", _STAGED_KINDS, ids=lambda k: k.value)
-def test_dense_and_row_block_streams_allocate_no_staging_pair(kind):
+def test_dense_and_row_block_streams_allocate_no_staging_buffer(kind):
     m, n, sizes = 2000, 200, (4, 10, 8)
     rng = np.random.default_rng(3)
     dense, block = LinearUpdate.dense(rng.standard_normal((m, n))), LinearUpdate.row_block(7, rng.standard_normal((90, n)))
     term = LinearUpdate.rank_one(rng.standard_normal(m), rng.standard_normal(n))
-    plain, staged = open_stream(kind, m, n, *sizes), open_stream(kind, m, n, *sizes)
-    pair_bytes = staged._stage_cols * (m + n) * 8
-    assert pair_bytes >= 4 * (m + n) * 8
-    assert _retained_bytes(lambda: plain.ingest(dense).ingest(block).ingest(dense)) < pair_bytes / 4
-    assert _retained_bytes(lambda: staged.ingest(term)) >= pair_bytes
-    assert plain._stage is None
+    columns = LinearUpdate.column_block(5, rng.standard_normal((m, 2)))
+    plain, ranked, blocked = (open_stream(kind, m, n, *sizes) for _ in range(3))
+    k = plain._stage_cols
+    pair_bytes, block_bytes = k * (m + n) * 8, k * m * 8
+    assert k >= 4
+    assert _retained_bytes(lambda: plain.ingest(dense).ingest(block).ingest(dense)) < block_bytes / 4
+    assert plain._stage is None and plain._blocks is None
+    assert pair_bytes <= _retained_bytes(lambda: ranked.ingest(term).ingest(term)) < pair_bytes + block_bytes / 4
+    assert ranked._blocks is None  # a rank-one-only stream allocates no block buffer
+    assert block_bytes <= _retained_bytes(lambda: blocked.ingest(columns).ingest(columns)) < block_bytes * 5 / 4
+    assert blocked._stage is None
 
 
 @pytest.mark.parametrize("plan", list(PrecisionPlan), ids=lambda p: p.value)
 @pytest.mark.parametrize("kind", _STAGED_KINDS, ids=lambda k: k.value)
 @pytest.mark.parametrize("m, n, s, d, l", [(12, 9, 2, 5, 4), (9, 40, 1, 2, 2), (300, 7, 3, 4, 6), (1000, 1000, 24, 72, 96)])
-def test_staging_pair_never_outgrows_the_sketches(kind, plan, m, n, s, d, l):
+def test_staging_buffers_hold_less_than_twice_the_sketches(kind, plan, m, n, s, d, l):
     st_ = open_stream(kind, m, n, s, d, l, plan=plan)
     entries = sum(a.size for a in st_._sk.values())
-    assert st_._stage_cols == min(32, entries // (m + n)) >= 1
-    st_.ingest(LinearUpdate.rank_one(np.ones(m), np.ones(n)))
+    k = st_._stage_cols
+    assert k == min(32, entries // (m + n)) >= 1
+    st_.ingest(LinearUpdate.rank_one(np.ones(m), np.ones(n))).ingest(LinearUpdate.column_block(n - 1, np.ones((m, 1))))
     u, v = st_._stage
-    assert u.shape == (m, st_._stage_cols) and v.shape == (n, st_._stage_cols)
-    assert u.size + v.size <= entries
+    assert u.shape == (m, k) and v.shape == (n, k) and st_._blocks.shape == (m, k)
+    assert u.size + v.size + st_._blocks.size <= k * (2 * m + n) < 2 * entries
     st_.finalize()
-    assert st_._stage is None  # a finalized stream holds no staging buffer
+    assert st_._stage is None and st_._blocks is None  # a finalized stream holds no staging buffer
 
 
 def test_staging_width_at_the_turnstile_sizes():

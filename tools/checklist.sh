@@ -32,9 +32,11 @@
 # The CLI reads files whole, so two stream paths it never takes are checked
 # apart, in OUTDIR/stream.txt (one "LABEL SKETCH SHA1" line per sketch):
 # ingest_file on the SPIM file and on a binary32 copy, for all six pipelines;
-# and a seeded mix of rank-one terms, 8-column blocks and one block k+1
-# columns wide (k the staging width) into every pipeline that stages, under
-# both plans.  Both test-matrix kinds are used.
+# and a seeded mix of rank-one terms, 8-column blocks (two of them sharing
+# four columns, which tyuc17_spi, at k = 17, folds in one flush, and one
+# ending at column n) and one block k+1 columns wide (k the staging width)
+# into every pipeline that stages, under both plans.  Both test-matrix kinds
+# are used.
 set -euo pipefail
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
     echo "usage: $0 OUTDIR [CHECKOUT]" >&2
@@ -109,6 +111,10 @@ for tk_name, tk in test_kinds.items():
                 else:
                     j = int(rng.integers(0, n - 8))
                     stream.ingest(LinearUpdate.column_block(j, rng.standard_normal((m, 8))))
+            j = int(rng.integers(0, n - 12))
+            stream.ingest(LinearUpdate.column_block(j, rng.standard_normal((m, 8))))
+            stream.ingest(LinearUpdate.column_block(j + 4, rng.standard_normal((m, 8))))
+            stream.ingest(LinearUpdate.column_block(n - 8, rng.standard_normal((m, 8))))
             stream.ingest(LinearUpdate.column_block(n - k - 1, rng.standard_normal((m, k + 1))))
             stream.ingest(LinearUpdate.rank_one(rng.standard_normal(m), rng.standard_normal(n)))
             record(f"staged:{kind.value}:{plan.value}:{tk_name}", stream.finalize())
