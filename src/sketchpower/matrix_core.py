@@ -273,10 +273,40 @@ def all_finite(x: np.ndarray) -> bool:
     """Whether every entry of x is finite, with no temporary larger than
     ``_CHUNK`` bytes.
 
+    A real floating array held in C or Fortran order is decided by one BLAS
+    self-dot of its flat view (:func:`_finite_vector`); any other array by
+    the exact elementwise test (:func:`_finite_entries`).  The verdict does
+    not depend on the BLAS thread count, so the check runs at whatever
+    count its caller holds: ``SketchStream.ingest`` does not take
+    :func:`_one_blas_thread` for it, which would cost a staged term more
+    than its check.
+    """
+    if x.dtype.kind == "f" and (x.flags.c_contiguous or x.flags.f_contiguous):
+        return _finite_vector(x.ravel(order="K"))
+    return _finite_entries(x)
+
+
+def _finite_vector(v: np.ndarray) -> bool:
+    """:func:`all_finite` of a real floating vector, of any stride.
+
+    The sum of squares v.v is finite only if every entry is: a NaN or an
+    infinity makes it NaN or +inf, and squares cannot cancel.  So a finite
+    sum accepts v in one pass that allocates nothing.  A non-finite sum has
+    a bad entry or an overflow (an entry past about 1.3e154 in binary64,
+    1.8e19 in binary32) behind it, and v then gets the exact test.
+    ``np.vdot`` reads a strided vector in place and, unlike ``v @ v``, warns
+    of no overflow on such valid entries.
+    """
+    return math.isfinite(np.vdot(v, v)) or _finite_entries(v)
+
+
+def _finite_entries(x: np.ndarray) -> bool:
+    """The exact elementwise test behind :func:`all_finite`.
+
     An array of more than ``_CHUNK`` entries is checked by its min and max,
     which propagate a NaN and show an infinity and allocate nothing; a
-    smaller one by ``np.isfinite``, which is faster there (a rank-one term's
-    vectors, say).
+    smaller one by ``np.isfinite``, whose boolean temporary is at most
+    ``_CHUNK`` bytes.
     """
     if x.size <= _CHUNK:
         return bool(np.isfinite(x).all())

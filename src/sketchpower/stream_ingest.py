@@ -8,12 +8,19 @@ Which sketches a stream keeps, their shapes, update rules and test matrices,
 and the size rules it must meet all come from the pipeline's entry in
 :data:`~sketchpower.precision_model.PIPELINES`.  :func:`open_stream` is the
 one way to open a stream: it checks the sizes before it draws the test
-matrices from their seeded streams, and :meth:`SketchStream.ingest` rejects
-updates of the wrong shape or with non-finite entries.  :func:`ingest_file`
+matrices from their seeded streams.  The :class:`LinearUpdate` constructors
+refuse complex payloads and a rank-one operand that is not a vector, and
+:meth:`SketchStream.ingest` rejects updates of the wrong shape, with a
+payload that is not binary32 or binary64, or with non-finite entries.
+Finiteness is decided by one BLAS self-dot per operand (a finite sum of
+squares shows every entry finite); only a non-finite sum, from a bad entry
+or an overflow, takes the exact elementwise test, which also phrases the
+refusal (:func:`~sketchpower.matrix_core.all_finite`).  :func:`ingest_file`
 and :func:`read_matrix` read a SPIM or MatrixMarket file through one reader
-that opens it once and checks each piece it reads.  After
-:meth:`SketchStream.finalize` the resulting :class:`SketchSet` is immutable
-(its arrays are read-only) and certifies ``pass_count == 1``.
+that opens it once and checks each piece it reads the same way.
+:meth:`SketchStream.finalize` refuses a sketch that the updates overflowed,
+by name; after it the resulting :class:`SketchSet` is immutable (its arrays
+are read-only) and certifies ``pass_count == 1``.
 
 Rank-one terms and column blocks are staged in two binary64 buffers of k
 columns: the pair U (m x k), V (n x k) holds rank-one terms, and H (m x k)
@@ -64,7 +71,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 import scipy.sparse
 
-from .matrix_core import _CHUNK, DenseMatrix, _one_blas_thread, _row_chunks, all_finite
+from .matrix_core import _CHUNK, DenseMatrix, Precision, _finite_vector, _one_blas_thread, _row_chunks, all_finite
 from .precision_model import PIPELINES, PrecisionPlan
 from .test_matrices import GAUSSIAN, SeedSpec, Stream, TestMatrixKind, generate
 
@@ -108,27 +115,44 @@ class LinearUpdate:
 
     @staticmethod
     def dense(h) -> "LinearUpdate":
-        return LinearUpdate("dense", h=np.asarray(h, dtype=np.float64))
+        return LinearUpdate("dense", h=_real("dense", h).astype(np.float64, copy=False))
 
     @staticmethod
     def rank_one(u, v) -> "LinearUpdate":
-        return LinearUpdate(
-            "rank_one",
-            u=np.asarray(u, dtype=np.float64).ravel(),
-            v=np.asarray(v, dtype=np.float64).ravel(),
-        )
+        """The term u v^T; each operand is a vector, or an array with one
+        axis longer than 1 ((m, 1) or (1, m), say)."""
+        return LinearUpdate("rank_one", u=_vector(u), v=_vector(v))
 
     @staticmethod
     def row_block(start_row: int, block) -> "LinearUpdate":
         """Rows starting at ``start_row``; a binary32 block is kept binary32
         and upcast one chunk at a time as it is folded."""
-        h = np.asarray(block)
+        h = _real("row_block", block)
         h = h if h.dtype == np.float32 else h.astype(np.float64, copy=False)
         return LinearUpdate("row_block", h=np.atleast_2d(h), start=start_row)
 
     @staticmethod
     def column_block(start_col: int, block) -> "LinearUpdate":
-        return LinearUpdate("column_block", h=np.atleast_2d(np.asarray(block, dtype=np.float64)), start=start_col)
+        h = _real("column_block", block).astype(np.float64, copy=False)
+        return LinearUpdate("column_block", h=np.atleast_2d(h), start=start_col)
+
+
+def _real(kind: str, x) -> np.ndarray:
+    """x as an array, refused if it is complex: casting would drop the
+    imaginary parts."""
+    a = np.asarray(x)
+    if a.dtype.kind == "c":
+        raise ValueError(f"{kind} update has complex entries; only real ones are supported")
+    return a
+
+
+def _vector(x) -> np.ndarray:
+    """A rank-one operand as a binary64 vector, refused if more than one of
+    its axes is longer than 1 (flattening would make a vector of a matrix)."""
+    a = _real("rank_one", x)
+    if sum(side > 1 for side in a.shape) > 1:
+        raise ValueError(f"rank_one update operand has shape {a.shape}; expected a vector")
+    return a.astype(np.float64, copy=False).ravel()
 
 
 @dataclass(frozen=True)
@@ -297,38 +321,43 @@ class SketchStream:
         dst = self._sk[name][sl]
         np.add(dst, inc, out=dst, casting="unsafe")
 
-    def _check_shape(self, upd: LinearUpdate) -> None:
-        m, n = self.m, self.n
-        if upd.kind == "dense":
-            if upd.h.shape != (m, n):
-                raise ValueError(f"dense update shape {upd.h.shape} != {(m, n)}")
-        elif upd.kind == "rank_one":
-            if upd.u.shape != (m,) or upd.v.shape != (n,):
+    def _check(self, upd: LinearUpdate) -> None:
+        """Refuse an update of the wrong shape, with a payload that is not
+        binary32 or binary64, or with a non-finite entry (decided by one
+        self-dot per operand, see :func:`~sketchpower.matrix_core.all_finite`)."""
+        m, n, kind = self.m, self.n, upd.kind
+        if kind == "rank_one":
+            u, v = upd.u, upd.v
+            if u.shape != (m,) or v.shape != (n,):
                 raise ValueError(
-                    f"rank-one update vectors have shapes {upd.u.shape}, {upd.v.shape}; expected ({m},), ({n},)"
+                    f"rank-one update vectors have shapes {u.shape}, {v.shape}; expected ({m},), ({n},)"
                 )
-        elif upd.kind == "row_block":
-            if upd.h.shape[1] != n or upd.start < 0 or upd.start + upd.h.shape[0] > m:
-                raise ValueError(f"row block [{upd.start}, {upd.start + upd.h.shape[0]}) x {upd.h.shape[1]} out of range for {m}x{n}")
-        elif upd.kind == "column_block":
-            if upd.h.shape[0] != m or upd.start < 0 or upd.start + upd.h.shape[1] > n:
-                raise ValueError(f"column block out of range for {m}x{n}")
-        else:
-            raise ValueError(f"unknown update kind {upd.kind!r}")
-
-    def _check_finite(self, upd: LinearUpdate) -> None:
-        if upd.kind == "rank_one":
-            if np.isfinite(upd.u).all() and np.isfinite(upd.v).all():
+            _check_dtype(kind, u, v)
+            if _finite_vector(u) and _finite_vector(v):
                 return
-        elif all_finite(upd.h):
-            return
-        if upd.kind == "row_block":
+        else:
+            h = upd.h
+            if kind == "dense":
+                if h.shape != (m, n):
+                    raise ValueError(f"dense update shape {h.shape} != {(m, n)}")
+            elif kind == "row_block":
+                if h.shape[1] != n or upd.start < 0 or upd.start + h.shape[0] > m:
+                    raise ValueError(f"row block [{upd.start}, {upd.start + h.shape[0]}) x {h.shape[1]} out of range for {m}x{n}")
+            elif kind == "column_block":
+                if h.shape[0] != m or upd.start < 0 or upd.start + h.shape[1] > n:
+                    raise ValueError(f"column block out of range for {m}x{n}")
+            else:
+                raise ValueError(f"unknown update kind {kind!r}")
+            _check_dtype(kind, h)
+            if all_finite(h):
+                return
+        if kind == "row_block":
             where = f"rows [{upd.start}, {upd.start + upd.h.shape[0]})"
-        elif upd.kind == "column_block":
+        elif kind == "column_block":
             where = f"columns [{upd.start}, {upd.start + upd.h.shape[1]})"
         else:
-            where = f"rows [0, {self.m}) x columns [0, {self.n})"
-        raise ValueError(_non_finite(upd.kind, where))
+            where = f"rows [0, {m}) x columns [0, {n})"
+        raise ValueError(_non_finite(kind, where))
 
     def ingest(self, upd: LinearUpdate) -> "SketchStream":
         """Add one linear update to this stream.
@@ -340,8 +369,7 @@ class SketchStream:
         """
         if self._finalized:
             raise RuntimeError("stream already finalized; the single pass is over")
-        self._check_shape(upd)
-        self._check_finite(upd)
+        self._check(upd)
         if self._rows_seen is not None:
             upd = self._whole_rows(upd)
         k = self._stage_cols
@@ -471,13 +499,27 @@ class SketchStream:
         return upd
 
     def finalize(self) -> SketchSet:
+        """End the pass: flush the staged terms and freeze the sketches.
+
+        Finite updates can still sum past a sketch's range; a sketch this
+        stream folded that is not finite then refuses the pass, by name.
+        """
         if self._finalized:
             raise RuntimeError("stream already finalized")
         self._flush()
         self._stage = self._blocks = None
         self._finalized = True
+        spec = PIPELINES[self.kind.value]
+        for name, *_ in self._steps:
+            if not all_finite(self._sk[name]):
+                precision = spec.precision(name, self.plan)
+                hint = "; the all_double plan holds larger values" if precision is Precision.BINARY32 else ""
+                raise ValueError(
+                    f"{self.kind.value} sketch {name} ({precision.value}, {self.plan.value} plan) has "
+                    f"non-finite entries: the updates overflowed it{hint}"
+                )
         sk = {name: DenseMatrix(_frozen(arr)) for name, arr in self._sk.items()}
-        tm = {name: _frozen(self._t[name], cols == "m") for name, (_, cols) in PIPELINES[self.kind.value].test_matrices}
+        tm = {name: _frozen(self._t[name], cols == "m") for name, (_, cols) in spec.test_matrices}
         return SketchSet(
             kind=self.kind,
             m=self.m,
@@ -500,6 +542,12 @@ class SketchStream:
             base_seed=self.base_seed,
             trial=self.trial,
         )
+
+
+def _check_dtype(kind: str, *payload: np.ndarray) -> None:
+    for x in payload:
+        if x.dtype.char not in "fd":  # binary32, binary64
+            raise ValueError(f"{kind} update has {x.dtype} entries; only binary32 and binary64 are supported")
 
 
 def _non_finite(kind: str, where: str) -> str:

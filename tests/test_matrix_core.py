@@ -7,6 +7,8 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg as la
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sketchpower import matrix_core
 from sketchpower.matrix_core import (
@@ -294,6 +296,57 @@ def test_all_finite_is_exact_and_makes_no_large_temporary(dtype, rows):
         tracemalloc.stop()
     # np.isfinite(x).all() takes x.size bytes: 300,000 for the large case.
     assert peak < (4096 if x.size > matrix_core._CHUNK else x.size + 4096)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("dtype, huge", [(np.float32, 1e30), (np.float64, 1e200)], ids=["binary32", "binary64"])
+def test_all_finite_fallback_makes_no_large_temporary(dtype, huge, layout):
+    # Squares of these entries overflow, so the self-dot is +inf and every
+    # array takes the exact test; a strided one takes it at once.
+    import tracemalloc
+
+    x = np.full((1000, 600 if layout == "strided" else 300), huge, dtype=dtype)
+    x = {"C": x, "F": np.asfortranarray(x), "strided": x[:, ::2]}[layout]
+    assert x.size > matrix_core._CHUNK and all_finite(x)
+    tracemalloc.start()
+    try:
+        all_finite(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
+
+
+@st.composite
+def _finite_case(draw):
+    """An array of 0-3000 entries, binary32 or binary64, in C, F or strided
+    layout, of ordinary, huge, subnormal and signed-zero entries with a few
+    NaN or infinities planted at random positions."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    layout = draw(st.sampled_from(["vector", "C", "F", "strided", "strided_vector"]))
+    rows, cols = draw(st.integers(0, 60)), draw(st.integers(0, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    huge = 1e30 if dtype is np.float32 else 1e200
+    pool = np.array([huge, -huge, np.finfo(dtype).smallest_subnormal, 0.0, -0.0], dtype=dtype)
+    full = rng.standard_normal((rows, 2 * cols)).astype(dtype)
+    special = rng.random(full.shape) < draw(st.sampled_from([0.0, 0.01, 0.5, 1.0]))
+    full[special] = pool[rng.integers(0, pool.size, int(special.sum()))]
+    x = {
+        "vector": full[:, :cols].reshape(-1),
+        "strided_vector": full.reshape(-1)[::2],
+        "C": full[:, :cols].copy(),
+        "F": np.asfortranarray(full[:, :cols]),
+        "strided": full[:, ::2],
+    }[layout]
+    for _ in range(draw(st.integers(0, 3)) if x.size else 0):
+        x.flat[rng.integers(0, x.size)] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return x
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(x=_finite_case())
+def test_all_finite_agrees_with_the_elementwise_test(x):
+    assert all_finite(x) == bool(np.isfinite(x).all())
 
 
 # -- one BLAS thread and a helper thread ----------------------------------------

@@ -1,5 +1,6 @@
 import contextlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -666,7 +667,10 @@ def _total(updates, m, n):
     return total
 
 
-def _assert_matches_one_shot(got, kind, sizes, seed, plan, total, count, want=None, test_kind=GAUSSIAN):
+def _assert_matches_one_shot(got, kind, sizes, seed, plan, total, count, want=None, test_kind=GAUSSIAN, scale=1.0):
+    """Staged sketches ``got`` within count * eps of one-shot ingestion, both
+    compared times ``scale`` (a power of two, so that the norms of huge
+    sketches do not overflow)."""
     if want is None:
         want = open_stream(kind, *sizes, base_seed=seed, plan=plan, test_kind=test_kind)
         want = want.ingest(LinearUpdate.dense(total)).finalize()
@@ -677,9 +681,9 @@ def _assert_matches_one_shot(got, kind, sizes, seed, plan, total, count, want=No
             continue
         assert g.data.dtype == w.data.dtype, name
         eps = float(np.finfo(w.data.dtype).eps)
-        ref = w.data.astype(np.float64)
+        ref = w.data.astype(np.float64) * scale
         tol = (count * eps + 1e3 * np.finfo(np.float64).eps) * max(np.linalg.norm(ref), 1e-300)
-        assert np.linalg.norm(g.data.astype(np.float64) - ref) <= tol, name
+        assert np.linalg.norm(g.data.astype(np.float64) * scale - ref) <= tol, name
 
 
 def _assert_same_bytes(a, b):
@@ -744,14 +748,23 @@ def test_refused_update_leaves_pending_terms_alone(kind, plan):
     tail = [_term(rng, m, n, 0), LinearUpdate.dense(rng.standard_normal((m, n))), _term(rng, m, n, 1)]
     nan_h = rng.standard_normal((m, n))
     nan_h[3, 4] = np.nan
+    whole = f"rows [0, {m}) x columns [0, {n})"
     refused = [
-        LinearUpdate.rank_one(nan_h[:, 4], rng.standard_normal(n)),
-        LinearUpdate.column_block(2, nan_h[:, 2:5]),
-        LinearUpdate.dense(nan_h),
-        LinearUpdate.row_block(3, nan_h[3:5]),
-        LinearUpdate.dense(np.ones((m, n + 1))),
-        LinearUpdate.rank_one(np.ones(m + 1), np.ones(n)),
-        LinearUpdate.column_block(n - 1, np.ones((m, 2))),
+        (LinearUpdate.rank_one(nan_h[:, 4], rng.standard_normal(n)), f"non-finite entries in rank_one update of {whole}"),
+        (LinearUpdate.column_block(2, nan_h[:, 2:5]), "non-finite entries in column_block update of columns [2, 5)"),
+        (LinearUpdate.dense(nan_h), f"non-finite entries in dense update of {whole}"),
+        (LinearUpdate.row_block(3, nan_h[3:5]), "non-finite entries in row_block update of rows [3, 5)"),
+        (LinearUpdate.dense(np.ones((m, n + 1))), f"dense update shape ({m}, {n + 1}) != ({m}, {n})"),
+        (LinearUpdate.rank_one(np.ones(m + 1), np.ones(n)),
+         f"rank-one update vectors have shapes ({m + 1},), ({n},); expected ({m},), ({n},)"),
+        (LinearUpdate.column_block(n - 1, np.ones((m, 2))), f"column block out of range for {m}x{n}"),
+        # an infinity in the right vector; a NaN among entries whose squares
+        # overflow, which the exact fallback finds and phrases
+        (LinearUpdate.rank_one(np.ones(m), np.where(np.arange(n) == 5, np.inf, 1.0)),
+         f"non-finite entries in rank_one update of {whole}"),
+        (LinearUpdate.rank_one(1e200 * nan_h[:, 4], np.ones(n)), f"non-finite entries in rank_one update of {whole}"),
+        (LinearUpdate("rank_one", u=np.ones(m, dtype=complex), v=np.ones(n)),
+         "rank_one update has complex128 entries; only binary32 and binary64 are supported"),
     ]
 
     def stream():
@@ -760,19 +773,127 @@ def test_refused_update_leaves_pending_terms_alone(kind, plan):
             st_.ingest(upd)
         return st_
 
+    def staged(st_):
+        u, v = st_._stage
+        p, c = st_._pending, st_._block_cols
+        return (p, list(st_._segments), u[:, :p].tobytes(), v[:, :p].tobytes(), st_._blocks[:, :c].tobytes(),
+                [a.tobytes() for a in st_._sk.values()])
+
     clean = stream()
     for upd in tail:
         clean.ingest(upd)
     clean = clean.finalize()
-    for bad in refused:
+    for bad, message in refused:
         st_ = stream()
-        with pytest.raises(ValueError):
+        before = staged(st_)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             st_.ingest(bad)
+        assert staged(st_) == before
         for upd in tail:
             st_.ingest(upd)
         _assert_same_bytes(st_.finalize(), clean)
     _assert_matches_one_shot(clean, kind, _STAGE_SIZES, 8, plan, _total(head + tail, m, n), len(head + tail))
 
+
+@pytest.mark.parametrize("kind", _STAGED_KINDS, ids=lambda k: k.value)
+def test_terms_whose_squares_overflow_are_staged(kind):
+    # Entries near 1.4e160 pass the finiteness check only through its exact
+    # fallback (their squares overflow); no sketch entry overflows, since the
+    # rank-one term's right vector is ordinary.
+    m, n = _STAGE_SIZES[:2]
+    huge = 2.0**532
+    rng = np.random.default_rng(37)
+    updates = [_term(rng, m, n, 0), LinearUpdate.rank_one(huge * rng.standard_normal(m), rng.standard_normal(n)),
+               _term(rng, m, n, 1), LinearUpdate.column_block(3, huge * rng.standard_normal((m, 2))),
+               _term(rng, m, n, 0)]
+    st_ = open_stream(kind, *_STAGE_SIZES, base_seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the self-dot's overflow is no warning
+        for upd in updates:
+            st_.ingest(upd)
+        assert st_._pending == 3 and st_._block_cols == 3  # staged, not folded at once
+        got = st_.finalize()
+    _assert_matches_one_shot(got, kind, _STAGE_SIZES, 5, PrecisionPlan.ALL_DOUBLE, _total(updates, m, n),
+                             len(updates), scale=2.0**-532)
+
+
+@pytest.mark.parametrize("kind, make", [
+    ("dense", lambda z: LinearUpdate.dense(z)),
+    ("rank_one", lambda z: LinearUpdate.rank_one(z[:, 0], np.ones(3))),
+    ("rank_one", lambda z: LinearUpdate.rank_one(np.ones(4), z[0])),
+    ("row_block", lambda z: LinearUpdate.row_block(0, z[:2])),
+    ("column_block", lambda z: LinearUpdate.column_block(0, z[:, :2])),
+], ids=["dense", "rank_one_u", "rank_one_v", "row_block", "column_block"])
+def test_complex_updates_are_refused_not_cut_to_their_real_parts(kind, make):
+    z = np.ones((4, 3), dtype=complex)
+    z[0, 0] = 1 + 5j
+    with pytest.raises(ValueError, match=f"^{kind} update has complex entries; only real ones are supported$"):
+        make(z)
+
+
+@pytest.mark.parametrize("upd", [
+    LinearUpdate("dense", h=np.ones((4, 3), dtype=complex)),
+    LinearUpdate("rank_one", u=np.ones(4, dtype=np.int64), v=np.ones(3)),
+    LinearUpdate("rank_one", u=np.ones(4), v=np.ones(3, dtype=np.complex64)),
+    LinearUpdate("row_block", h=np.ones((1, 3), dtype=np.float16)),
+    LinearUpdate("column_block", h=np.ones((4, 1), dtype=np.longdouble)),
+], ids=["dense_complex", "rank_one_int", "rank_one_complex", "row_block_float16", "column_block_longdouble"])
+def test_ingest_refuses_payloads_other_than_binary32_and_binary64(upd):
+    st_ = open_stream(PipelineKind.TYUC17, 4, 3, 1, 2)
+    with pytest.raises(ValueError, match=f"^{upd.kind} update has .* entries; only binary32 and binary64 are supported$"):
+        st_.ingest(upd)
+    assert st_._stage is None and st_._blocks is None and not any(a.any() for a in st_._sk.values())
+
+
+def test_binary32_payloads_built_directly_are_taken():
+    rng = np.random.default_rng(47)
+    u, v, h = (rng.standard_normal(shape).astype(np.float32) for shape in (12, 9, (12, 2)))
+    direct = open_stream(PipelineKind.TYUC17_SPI, *_STAGE_SIZES, base_seed=4)
+    direct.ingest(LinearUpdate("rank_one", u=u, v=v)).ingest(LinearUpdate("column_block", h=h, start=3))
+    upcast = open_stream(PipelineKind.TYUC17_SPI, *_STAGE_SIZES, base_seed=4)
+    upcast.ingest(LinearUpdate.rank_one(u, v)).ingest(LinearUpdate.column_block(3, h))
+    _assert_same_bytes(direct.finalize(), upcast.finalize())
+
+
+def test_rank_one_operands_must_be_vectors():
+    for u, v in [(np.ones((2, 2)), np.ones(3)), (np.ones(4), np.ones((3, 1, 2)))]:
+        shape = (u if u.ndim > 1 else v).shape
+        with pytest.raises(ValueError, match=f"^{re.escape(f'rank_one update operand has shape {shape}; expected a vector')}$"):
+            LinearUpdate.rank_one(u, v)
+    rng = np.random.default_rng(53)
+    u, v = rng.standard_normal(4), rng.standard_normal(3)
+    for a, b in [(u[:, None], v[None, :]), (u[None, :], v[:, None]), (u[None, :, None], v)]:
+        upd = LinearUpdate.rank_one(a, b)
+        assert upd.u.tobytes() == u.tobytes() and upd.v.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("staged", [False, True], ids=["dense", "staged"])
+@pytest.mark.parametrize("plan", list(PrecisionPlan), ids=lambda p: p.value)
+def test_finalize_names_a_sketch_the_updates_overflowed(plan, staged):
+    mixed = plan is PrecisionPlan.MIXED_SINGLE_DOUBLE
+    value = 1e38 if mixed else 1e308  # finite, with sums past binary32 and binary64
+
+    def stream(plan):
+        st_ = open_stream(PipelineKind.TYUC17_SPI, 30, 20, 3, 7, 12, plan=plan)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if staged:
+                st_.ingest(LinearUpdate.rank_one(np.full(30, np.sqrt(value)), np.full(20, np.sqrt(value))))
+            else:
+                st_.ingest(LinearUpdate.dense(np.full((30, 20), value)))
+            return st_
+
+    precision = "binary32" if mixed else "binary64"
+    hint = "; the all_double plan holds larger values" if mixed else ""
+    message = (f"tyuc17_spi sketch y ({precision}, {plan.value} plan) has non-finite entries: "
+               f"the updates overflowed it{hint}")
+    st_ = stream(plan)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            st_.finalize()
+    with pytest.raises(RuntimeError, match="finalized"):
+        st_.finalize()
+    if mixed:  # the same updates fit the all-double plan
+        assert np.isfinite(stream(PrecisionPlan.ALL_DOUBLE).finalize().y.data).all()
 
 # -- staging memory ---------------------------------------------------------------
 

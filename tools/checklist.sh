@@ -35,8 +35,11 @@
 # and a seeded mix of rank-one terms, 8-column blocks (two of them sharing
 # four columns, which tyuc17_spi, at k = 17, folds in one flush, and one
 # ending at column n) and one block k+1 columns wide (k the staging width)
-# into every pipeline that stages, under both plans.  Both test-matrix kinds
-# are used.
+# into every pipeline that stages, under both plans; under the all-double
+# plan the mix ends with a rank-one term whose left vector has entries near
+# 1e160 and an 8-column block of such entries, whose squares overflow, so the
+# finiteness check's exact fallback takes them.  Both test-matrix kinds are
+# used.
 set -euo pipefail
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
     echo "usage: $0 OUTDIR [CHECKOUT]" >&2
@@ -117,6 +120,10 @@ for tk_name, tk in test_kinds.items():
             stream.ingest(LinearUpdate.column_block(n - 8, rng.standard_normal((m, 8))))
             stream.ingest(LinearUpdate.column_block(n - k - 1, rng.standard_normal((m, k + 1))))
             stream.ingest(LinearUpdate.rank_one(rng.standard_normal(m), rng.standard_normal(n)))
+            if plan is PrecisionPlan.ALL_DOUBLE:  # squares overflow: the exact fallback accepts them
+                stream.ingest(LinearUpdate.rank_one(1e160 * rng.standard_normal(m), rng.standard_normal(n)))
+                j = int(rng.integers(0, n - 8))
+                stream.ingest(LinearUpdate.column_block(j, 1e160 * rng.standard_normal((m, 8))))
             record(f"staged:{kind.value}:{plan.value}:{tk_name}", stream.finalize())
 with open("stream.txt", "w") as fh:
     fh.write("\n".join(lines) + "\n")
