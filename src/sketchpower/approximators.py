@@ -7,8 +7,8 @@ Sketches stored in binary32 are upcast to binary64 at the entry of the
 factorization stage (the cast points of the precision model); all numerical
 kernels run in binary64.  The power sketch Z and the rangefinder Y it powers
 are handed to :mod:`spi` as stored, which reads them one upcast row chunk at
-a time; a sparse test matrix with m columns is applied as the CSC array the
-sketch set holds, one column of Q at a time.
+a time; a sparse test matrix with m columns, which the sketch set holds as
+a CSC array, is applied in CSR form one column of Q at a time.
 
 The arrays of a sketch set are never written.  Every finisher factors Y-hat
 in place: a powered Y-hat is the finisher's own Fortran-ordered array, an
@@ -107,11 +107,13 @@ def _owned(y: DenseMatrix) -> np.ndarray:
 
 
 def _apply(t, q: np.ndarray) -> np.ndarray:
-    """t @ q.  A CSC t is applied one column of q at a time: each entry is
-    summed as in scipy's product of the whole q, which would first copy a
-    Fortran-ordered q into C order."""
+    """t @ q.  A CSC t is applied in CSR form, one column of q at a time: a
+    CSC product walks all of t's column pointers per column, and a product
+    of the whole q would copy it into C order.  Each entry is summed over
+    ascending columns of t either way."""
     if isinstance(t, np.ndarray):
         return t @ q
+    t = t.tocsr()
     return np.column_stack([t @ q[:, j] for j in range(q.shape[1])])
 
 

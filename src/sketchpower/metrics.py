@@ -214,9 +214,7 @@ def _range_residual_norms(a: np.ndarray, u: np.ndarray, factors: Optional[synthe
 def _extra_norms(a: np.ndarray, result: ApproxResult) -> tuple[float, float]:
     """Norms of ``U U-tilde^T (Q^T A - (Psi Q)^+ Psi A)``, taken of the r x n
     matrix ``R_U M`` (U = Q_U R_U, M the core), which has the norms of ``U M``
-    whether or not U is orthonormal; exactly zero for ``rsvd_onepass``."""
-    if result.kind is PipelineKind.RSVD_ONEPASS:
-        return 0.0, 0.0
+    whether or not U is orthonormal."""
     psi = result.psi
     fitted = lstsq(psi @ result.q_factor, psi @ a).x
     core = result.u_tilde.T @ (result.q_factor.T @ a - fitted)
@@ -225,9 +223,12 @@ def _extra_norms(a: np.ndarray, result: ApproxResult) -> tuple[float, float]:
 
 
 def _errors(a, result: ApproxResult, r: int, baselines, factors, split: bool) -> Errors:
-    """:func:`evaluate`, with the RangeError/ExtraError split only if ``split``."""
-    split = split and result.kind not in (PipelineKind.TYUC19, PipelineKind.TYUC19_SPI)
-    if split and result.kind is not PipelineKind.RSVD_ONEPASS and result.psi is None:
+    """:func:`evaluate`, with the RangeError/ExtraError split only if ``split``
+    and the kind has no ``two_sided`` sketch; ExtraError is 0 if it has a
+    ``gram`` sketch."""
+    updates = {sk.update for sk in PIPELINES[result.kind.value].sketches}
+    split = split and "two_sided" not in updates
+    if split and "gram" not in updates and result.psi is None:
         raise ValueError("result lacks the corange test matrix needed for ExtraError")
     a = as_f64(a)
     xu = None if factors is None else _in_basis(factors.u, result.u)
@@ -244,7 +245,7 @@ def _errors(a, result: ApproxResult, r: int, baselines, factors, split: bool) ->
     if not split:
         return Errors(s_f, s_inf, flags=flags)
     range_f, range_s = _range_residual_norms(a, result.u, factors, xu)
-    extra_f, extra_s = _extra_norms(a, result)
+    extra_f, extra_s = (0.0, 0.0) if "gram" in updates else _extra_norms(a, result)
     if not zero_baseline:
         range_f, range_s = range_f / base_f - 1.0, range_s / base_s - 1.0
         extra_f, extra_s = extra_f / base_f, extra_s / base_s
@@ -285,11 +286,11 @@ def evaluate(
     RangeError is the orthogonal-projection error ``||A - U U^T A|| /
     ||A - [A]_r|| - 1``; ExtraError is the sketch-and-solve remainder
     ``||U U-tilde^T (Q^T A - (Psi Q)^+ Psi A)|| / ||A - [A]_r||`` (no
-    subtraction of one), exactly zero for the orthogonal-projection
-    pipeline, which has no second source.  Under ``zero_baseline`` both are
-    absolute.  The split is undefined for the two-sided pipelines: their
-    four fields are None.  A one-sided result without ``psi`` is refused
-    (ValueError).
+    subtraction of one), exactly zero for a kind with a ``gram`` sketch
+    (the orthogonal-projection pipeline), which has no second source.  Under
+    ``zero_baseline`` both are absolute.  The split is undefined for a kind
+    with a ``two_sided`` sketch: its four fields are None.  Any other result
+    without ``psi`` is refused (ValueError).
 
     Spectral norms of the residuals are Lanczos estimates that match a dense
     SVD to roundoff.  Given A's SVD ``factors`` (:func:`synthetic.generate`),
@@ -537,28 +538,29 @@ def oracle_sweep(
 
     For each s from r up, d and l follow the budget by the pipeline's
     budget rule (:func:`guidance.budget_sizes` with s given) until the sizes
-    no longer fit; the best row is the oracle error at that budget.
-    Supports the plain two-sketch pipeline and its powered version with q
-    power iterations (q is 0 for the plain one), under either plan.
+    no longer fit; the best row is the oracle error at that budget.  Every
+    kind sweeps, under either plan; q applies to the kinds with a power
+    sketch (size l) and is 0 for the others.
 
-    A is ingested once a trial, by the stream of the first point, which has
-    the grid's largest d (every point has the same l; a grid that breaks
-    either rule is refused).  The other points take its Z and Phi as they
-    are (Phi is drawn at the same shape from the same seed, and sketches
-    are linear in A) and, with Gaussian test matrices, the first d rows of
-    its Psi and their Omega from one draw a trial (a Gaussian matrix is
-    drawn row-major).  Each folds only Y and W, through a stream's own
-    kernel, so every point has the bits of a fresh stream: the rows of a
-    BLAS product need not keep their bits when the row count changes, so
-    W is not shared.  The grid points of a trial are shared out between
-    this process and a forked copy of it
+    A is ingested once a trial, by the stream of the first point.  From the
+    pipeline table, each other point takes the first stream's test matrices
+    that have the same shape at both points, and its finalized sketches that
+    have the same shape and whose operands it all takes (sketches are linear
+    in A); a sketch that a folded ``gram`` sketch names is folded too, since
+    the gram sketch reads its increment.  A Gaussian test matrix of another
+    shape is the first r·c entries of its stream (draws are row-major): of
+    the first stream's matrix when it holds that many, else of one flat
+    draw a trial sized to the grid's largest shape.  The point's own stream
+    draws the rest and folds A into the sketches it did not take, so every
+    point has the bits of a fresh stream.  No sketch is cut to a prefix:
+    the rows of a BLAS product need not keep their bits when the row count
+    changes.  The grid points of a trial are shared out between this
+    process and a forked copy of it
     (:func:`~sketchpower.matrix_core._in_two_processes`): a point is mostly
     interpreter work on small arrays, which two threads would take in turns.
     Their errors are summed in grid order, so the means do not depend on
     the processes.
     """
-    if algo not in (PipelineKind.TYUC17, PipelineKind.TYUC17_SPI):
-        raise ValueError(f"oracle sweep supports the two-sketch pipelines, not {algo.value}")
     if trials < 1:
         raise ValueError(f"oracle sweep needs at least one trial, got {trials}")
     pipeline = PIPELINES[algo.value]
@@ -573,38 +575,45 @@ def oracle_sweep(
             if not grid:
                 raise
             break
-    if len({l for _, _, l in grid}) > 1 or max(d for _, d, _ in grid) > grid[0][1]:
-        raise ValueError(f"oracle sweep needs one l and the largest d at the first point; grid (s, d, l): {grid}")
 
     m, n, seed = data_spec.m, data_spec.n, data_spec.base_seed
+    gaussian = test_kind.variant == "gaussian"
+    shapes = [pipeline.shapes(m, n, *sizes) for sizes in grid]
+    largest = {name: max(math.prod(sh[name]) for sh in shapes) for name, _ in pipeline.test_matrices}
 
-    def point(a, factors, base, first, omegas, s, d, l):
-        sk = first
-        if s != first.s:
-            taken = {"z": first.z.data, "phi": first.phi} if l else {}
-            if omegas is not None:  # Gaussian: Omega and Psi are prefixes of one draw each
-                taken |= {"omega": omegas[: n * s].reshape(n, s), "psi": first.psi[:d]}
-            stream = SketchStream(algo, m, n, s, d, l, base_seed=seed, trial=first.trial, test_kind=test_kind,
+    def shared(sh) -> set:
+        """What a point of these shapes takes of the first stream as it is, by name."""
+        same = {name for name, _ in pipeline.test_matrices if sh[name] == shapes[0][name]}
+        for sk in pipeline.sketches:  # in table order: a gram sketch follows the sketch it names
+            if sh[sk.name] == shapes[0][sk.name] and same.issuperset(sk.operands):
+                same.add(sk.name)
+        return same - {o for sk in pipeline.sketches if sk.update == "gram" and sk.name not in same
+                       for o in sk.operands}
+
+    def point(a, factors, base, t, sk0, draws, sizes, sh, same):
+        sk = sk0
+        if sizes != grid[0]:
+            taken = {name: t[name] if name in t else getattr(sk0, name).data for name in same}
+            for name in t.keys() - same if gaussian else ():
+                size = math.prod(sh[name])
+                taken[name] = (t[name] if size <= t[name].size else draws[name]).ravel()[:size].reshape(sh[name])
+            stream = SketchStream(algo, m, n, *sizes, base_seed=seed, trial=sk0.trial, test_kind=test_kind,
                                   plan=plan, _taken=taken)
             sk = stream.ingest(LinearUpdate.row_block(0, a)).finalize()
         return relative_error(a, approximate(sk, r, SpiParams(q=q)), r, baselines=base, factors=factors)
 
+    points = [(sizes, sh, shared(sh)) for sizes, sh in zip(grid, shapes)]
+
     def trial_errors(trial):
         a, base, factors = _trial_data(data_spec.with_trial(trial), r)
         first = open_stream(algo, m, n, *grid[0], base_seed=seed, trial=trial, test_kind=test_kind, plan=plan)
-        first = first.ingest(LinearUpdate.row_block(0, a)).finalize()
-        omegas = None
-        if test_kind.variant == "gaussian":
-            omegas = generate(test_kind, 1, n * grid[-1][0], _test_matrix_seed("omega", seed, trial))[0]
-        return _in_two_processes([functools.partial(point, a, factors, base, first, omegas, *sizes) for sizes in grid])
+        sk0 = first.ingest(LinearUpdate.row_block(0, a)).finalize()
+        t = first._t  # as the stream holds them: a sparse one in CSC form
+        draws = {name: generate(test_kind, 1, size, _test_matrix_seed(name, seed, trial))[0]
+                 for name, size in largest.items() if gaussian and size > t[name].size}
+        return _in_two_processes([functools.partial(point, a, factors, base, t, sk0, draws, *p) for p in points])
 
-    sums = {s: np.zeros(2) for (s, _, _) in grid}
+    sums = np.zeros((len(grid), 2))
     for trial in range(trials):
-        for (s, _, _), rel in zip(grid, trial_errors(trial)):
-            sums[s] += (rel.s_f, rel.s_inf)
-
-    table = SweepTable()
-    for s, d, l in grid:
-        acc = sums[s] / trials
-        table.rows.append(SweepRow(s=s, d=d, l=l, q=q, mean_s_f=float(acc[0]), mean_s_inf=float(acc[1])))
-    return table
+        sums += [(rel.s_f, rel.s_inf) for rel in trial_errors(trial)]
+    return SweepTable([SweepRow(s, d, l, q, float(f), float(i)) for (s, d, l), (f, i) in zip(grid, sums / trials)])

@@ -49,9 +49,10 @@ not the file, and the sketches get the bytes of the whole file.  The sparse
 test-matrix kinds are held as CSC arrays and applied with sparse products.
 The finalized :class:`SketchSet` keeps a sparse test matrix with m columns
 (the corange Psi of the ``tyuc17`` kinds, Phi and Gamma of the two-sided
-kinds) in that CSC form, so its storage grows with its nonzeros, not with
-m; the finishers and the metrics apply it as they would a dense array.  The
-test matrices on the n side are small and are held dense.
+kinds) in that CSC form, which stores its nonzeros and m + 1 column
+pointers, not d·m entries; the finishers and the metrics apply it as they
+would a dense array.  The test matrices on the n side are small and are
+held dense.
 
 Sketches declared binary32 are accumulated in binary64 and rounded to
 binary32 at each fold: once per dense or row-block update (a file is one)
@@ -521,26 +522,10 @@ class SketchStream:
         sk = {name: DenseMatrix(_frozen(arr)) for name, arr in self._sk.items()}
         tm = {name: _frozen(self._t[name], cols == "m") for name, (_, cols) in spec.test_matrices}
         return SketchSet(
-            kind=self.kind,
-            m=self.m,
-            n=self.n,
-            s=self.s,
-            d=self.d,
-            l=self.l,
-            plan=self.plan,
-            y=sk.get("y"),
-            w=sk.get("w"),
-            z=sk.get("z"),
-            x=sk.get("x"),
-            k=sk.get("k"),
-            omega=tm.get("omega"),
-            psi=tm.get("psi"),
-            phi=tm.get("phi"),
-            gamma=tm.get("gamma"),
-            test_kind=self.test_kind,
-            pass_count=1,
-            base_seed=self.base_seed,
-            trial=self.trial,
+            kind=self.kind, m=self.m, n=self.n, s=self.s, d=self.d, l=self.l, plan=self.plan,
+            **{name: sk.get(name) for name in ("y", "w", "z", "x", "k")},
+            **{name: tm.get(name) for name in ("omega", "psi", "phi", "gamma")},
+            test_kind=self.test_kind, pass_count=1, base_seed=self.base_seed, trial=self.trial,
         )
 
 

@@ -18,7 +18,7 @@ from sketchpower.matrix_core import _CHUNK, DenseMatrix, as_f64
 from sketchpower.precision_model import PIPELINES, PrecisionPlan
 from sketchpower.spi import SpiParams, spi_plain, spi_stabilized
 from sketchpower.stream_ingest import LinearUpdate, PipelineKind, open_stream
-from sketchpower.test_matrices import GAUSSIAN, SPARSE_RADEMACHER, SeedSpec, Stream, generate
+from sketchpower.test_matrices import GAUSSIAN, SPARSE_RADEMACHER, SeedSpec, Stream, TestMatrixKind, generate
 
 
 def _rank_r_matrix(m, n, r, seed, svals=None):
@@ -350,3 +350,14 @@ def test_tall_finish_factors_y_hat_in_place(kind, plan, q, test_kind):
     assert peak <= 8 * (m * s + m * r + _CHUNK)
     assert res.u.shape == (m, r) and np.isfinite(res.u).all()
     assert _array_bytes(sk) == before
+
+
+@pytest.mark.parametrize("variant", ["sparse_rademacher", "sparse_sign", "countsketch"])
+@pytest.mark.parametrize("rows, cols, k", [(12, 300, 5), (40, 2000, 24), (7, 7, 1)])
+def test_sparse_test_matrix_is_applied_with_the_bytes_of_column_wise_csc_products(variant, rows, cols, k):
+    """A sparse test matrix applied in CSR form gives the bytes of its CSC
+    form applied to each column of a Fortran-ordered Q."""
+    t = generate(TestMatrixKind(variant, 0.05), rows, cols, SeedSpec(3, Stream.PSI, rows))
+    q = np.asfortranarray(np.random.default_rng(cols).standard_normal((cols, k)))
+    want = np.column_stack([t @ q[:, j] for j in range(k)])
+    assert t.format == "csc" and approximators._apply(t, q).tobytes() == want.tobytes()

@@ -704,12 +704,20 @@ def test_a_failing_trial_is_reported_and_the_others_written(gate, tmp_path, monk
 
 @pytest.mark.parametrize("argv, problem", [
     (["--algo", "tyuc17_spi", "--budget", "5"], "minimal feasible T is 6"),
-    (["--algo", "rsvd_onepass", "--budget", "30"], "not rsvd_onepass"),
 ])
 def test_sweep_refuses_what_the_oracle_sweep_cannot_run(argv, problem, capsys):
     with pytest.raises(SystemExit, match=f"sweep: .*{problem}"):
         bench_cli.main(["sweep", *argv, "--m", "60", "--n", "60", "--rank", "3"])
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("algo", ["tyuc17_spi_variant", "rsvd_onepass", "tyuc19", "tyuc19_spi"])
+def test_sweep_of_every_kind_writes_one_oracle_and_one_guided_row(algo, tmp_path):
+    rc, out = _run_cli(["sweep", "--algo", algo, "--budget", "30", "--m", "60", "--n", "60", "--rank", "3",
+                        "--trials", "2"], tmp_path / "s.csv")
+    rows = list(csv.DictReader(out.decode().splitlines()))
+    assert rc == 0 and len(rows) > 2
+    assert [r["is_oracle"] for r in rows].count("1") == 1 and [r["is_guided"] for r in rows].count("1") == 1
 
 
 def test_sweep_without_a_guided_row_writes_the_table_and_fails_with_runs_message(tmp_path, capsys):

@@ -349,25 +349,3 @@ def test_budget_sizes_with_s_given_derive_d_and_l():
     assert budget_sizes(PipelineKind.TYUC17_SPI, _DOUBLE, None, 30.0, 80, 80, 5, s=7) == (7, 8, 15)
     with pytest.raises(InfeasibleBudgetError):
         budget_sizes(PipelineKind.TYUC17_SPI, _DOUBLE, None, 30.0, 80, 80, 5, s=8)  # d < s
-
-
-@pytest.mark.parametrize("kind", [PipelineKind.TYUC17, PipelineKind.TYUC17_SPI])
-@pytest.mark.parametrize("plan", [_DOUBLE, _MIXED])
-@pytest.mark.parametrize("m, n", [(400, 400), (500, 300), (300, 500), (1000, 600), (203, 157)])
-def test_oracle_sweep_grids_have_one_l_and_their_largest_d_first(kind, plan, m, n):
-    """The oracle sweep shares the first point's sketches with the rest of
-    its grid (s = r, r+1, ... while the sizes fit), which needs these two."""
-    grids = 0
-    for t in (12, 20, 30, 40, 50, 60, 80, 100, 150):
-        for r in (2, 5, 10):
-            grid = []
-            for s in range(r, min(m, n) + 1):
-                try:
-                    grid.append(budget_sizes(kind, plan, None, t, m, n, r, s=s))
-                except InfeasibleBudgetError:
-                    break
-            if grid:
-                grids += 1
-                assert len({l for _, _, l in grid}) == 1, grid
-                assert max(d for _, d, _ in grid) == grid[0][1], grid
-    assert grids >= 20

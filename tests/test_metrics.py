@@ -27,7 +27,7 @@ from sketchpower.metrics import (
     relative_error,
     tail_energy,
 )
-from sketchpower.precision_model import PrecisionPlan
+from sketchpower.precision_model import PIPELINES, PrecisionPlan
 from sketchpower.spi import SpiParams
 from sketchpower.stream_ingest import LinearUpdate, PipelineKind, SketchStream, open_stream
 from sketchpower.synthetic import Family, SyntheticSpec, generate, prescribed_spectrum
@@ -331,7 +331,7 @@ def _bits(x):
     return kind, x.dtype.str, x.shape, np.ascontiguousarray(x).tobytes()
 
 
-_SWEEP_CASES = [(algo, variant, plan) for algo in (PipelineKind.TYUC17, PipelineKind.TYUC17_SPI)
+_SWEEP_CASES = [(algo, variant, plan) for algo in PipelineKind
                 for variant in ("gaussian", "sparse_rademacher") for plan in PrecisionPlan]
 
 
@@ -341,60 +341,67 @@ def test_oracle_sweep_points_have_the_sketches_of_fresh_streams(algo, variant, p
     """Every point's sketches and test matrices have the bits of a fresh
     stream at its sizes (checked in whichever process makes the point: a
     child's failed check is made again here).  A is folded once a trial
-    into all sketches, by the first point's stream; the other points fold
-    Y and W only."""
+    into all sketches, by the first point's stream; each other point folds
+    exactly the sketches whose shape differs from the first point's, which
+    the table rule does not let it take."""
     monkeypatch.setattr(matrix_core, "_TWO_CPUS", concurrent)
     test_kind = TestMatrixKind(variant, 0.2)
+    spec = PIPELINES[algo.value]
     checked, folds, real_approximate, real_fold = [], [], metrics.approximate, SketchStream._fold_rows
 
     def check(sk, r, params):
         sweep_folds = len(folds)
         fresh = _fresh_sketches(_SWEEP_SPEC, algo, sk.s, sk.d, sk.l, sk.trial, test_kind, plan)
         del folds[sweep_folds:]
-        for name in ("y", "w", "z", "omega", "psi", "phi"):
+        for name in ("y", "w", "z", "x", "k", "omega", "psi", "phi", "gamma"):
             assert _bits(getattr(sk, name)) == _bits(getattr(fresh, name)), (sk.s, sk.d, sk.l, name)
         checked.append(sk.s)
         return real_approximate(sk, r, params)
 
     def fold(stream, start, pieces):
-        folds.append(tuple(name for name, *_ in stream._steps))
+        folds.append(((stream.s, stream.d, stream.l), tuple(name for name, *_ in stream._steps)))
         return real_fold(stream, start, pieces)
 
     monkeypatch.setattr(metrics, "approximate", check)
     monkeypatch.setattr(SketchStream, "_fold_rows", fold)
-    table = oracle_sweep(_SWEEP_SPEC, algo, budget_t=36.0, r=4, trials=2, test_kind=test_kind, plan=plan)
+    table = oracle_sweep(_SWEEP_SPEC, algo, budget_t=40.0, r=4, trials=2, test_kind=test_kind, plan=plan)
     assert len(table.rows) > 3 and len(checked) == 2 * len(table.rows[:: 1 + concurrent])
     # Each trial folds once into the first point's stream, which the first
-    # point takes as it is; Z is folded there only.
-    assert len(folds) == len(checked)
-    if algo is PipelineKind.TYUC17_SPI:
-        assert folds.count(("y", "w", "z")) == 2 and set(folds) == {("y", "w", "z"), ("y", "w")}
-    else:
-        assert set(folds) == {("y", "w")}
+    # point takes as it is.
+    grid = [(row.s, row.d, row.l) for row in table.rows]
+    shapes = {sizes: spec.shapes(_SWEEP_SPEC.m, _SWEEP_SPEC.n, *sizes) for sizes in grid}
+    assert len(folds) == len(checked) and [sizes for sizes, _ in folds].count(grid[0]) == 2
+    for sizes, folded in folds:
+        assert folded == tuple(sk.name for sk in spec.sketches
+                               if sizes == grid[0] or shapes[sizes][sk.name] != shapes[grid[0]][sk.name]), sizes
 
 
-@pytest.mark.parametrize("algo, variant, plan", _SWEEP_CASES)
-def test_oracle_sweep_has_the_bytes_of_fresh_streams_at_every_point(algo, variant, plan):
-    """The table has the bytes of a loop in which each point of each trial
-    opens its own stream, ingests A and is evaluated (the points of one
-    trial shared out between two processes where the host allows it)."""
-    test_kind = TestMatrixKind(variant, 0.2)
-    table = oracle_sweep(_SWEEP_SPEC, algo, budget_t=36.0, r=4, q=2, trials=2, test_kind=test_kind, plan=plan)
+def _fresh_stream_table(table, algo, test_kind, plan, q, trials):
+    """The table of a loop in which each point of each trial opens its own
+    stream, ingests A and is evaluated."""
     sums = {}
-    for trial in range(2):
+    for trial in range(trials):
         spec = _SWEEP_SPEC.with_trial(trial)
         a, factors = generate(spec)
         base = metrics.baselines_from_spectrum(prescribed_spectrum(spec), 4)
         for row in table.rows:
             sk = _fresh_sketches(_SWEEP_SPEC, algo, row.s, row.d, row.l, trial, test_kind, plan)
-            rel = relative_error(a, approximate(sk, 4, SpiParams(q=2)), 4, baselines=base, factors=factors)
+            rel = relative_error(a, approximate(sk, 4, SpiParams(q=q)), 4, baselines=base, factors=factors)
             sums[row.s] = sums.get(row.s, np.zeros(2)) + (rel.s_f, rel.s_inf)
-    want = metrics.SweepTable([
-        metrics.SweepRow(row.s, row.d, row.l, row.q, float(sums[row.s][0] / 2), float(sums[row.s][1] / 2))
+    return metrics.SweepTable([
+        metrics.SweepRow(row.s, row.d, row.l, row.q, float(sums[row.s][0] / trials), float(sums[row.s][1] / trials))
         for row in table.rows
     ])
-    assert {row.q for row in table.rows} == {2 if algo is PipelineKind.TYUC17_SPI else 0}
-    assert _sweep_bytes(table) == _sweep_bytes(want)
+
+
+@pytest.mark.parametrize("algo, variant, plan", _SWEEP_CASES)
+def test_oracle_sweep_has_the_bytes_of_fresh_streams_at_every_point(algo, variant, plan):
+    """The table has the bytes of the fresh-stream loop (the points of one
+    trial shared out between two processes where the host allows it)."""
+    test_kind = TestMatrixKind(variant, 0.2)
+    table = oracle_sweep(_SWEEP_SPEC, algo, budget_t=40.0, r=4, q=2, trials=2, test_kind=test_kind, plan=plan)
+    assert {row.q for row in table.rows} == {2 if PIPELINES[algo.value].uses("l") else 0}
+    assert _sweep_bytes(table) == _sweep_bytes(_fresh_stream_table(table, algo, test_kind, plan, 2, 2))
 
 
 @pytest.mark.parametrize("fail", [False, True])
@@ -430,20 +437,23 @@ def test_oracle_sweep_drops_the_sketches_of_a_trial_when_it_ends(fail, concurren
     assert all(ref() is None for refs in made for ref in refs)
 
 
-def test_oracle_sweep_refuses_a_grid_whose_sketches_it_cannot_share(monkeypatch):
+@pytest.mark.parametrize("variant", ["gaussian", "sparse_rademacher"])
+@pytest.mark.parametrize("grid", [
+    [(4, 20, 12), (5, 21, 12), (6, 18, 12)],  # the first point lacks the largest d
+    [(4, 16, 12), (5, 15, 13), (6, 14, 14)],  # l varies
+])
+def test_oracle_sweep_of_an_irregular_grid_has_the_bytes_of_fresh_streams(grid, variant, monkeypatch):
     def budget_sizes(kind, plan, cls, t, m, n, r, s):
         if s > r + 2:
             raise guidance.InfeasibleBudgetError(t, t + 1)
-        return {4: (4, 20, 12), 5: (5, 21, 12), 6: (6, 18, 12)}[s]
+        return grid[s - r]
 
     monkeypatch.setattr(guidance, "budget_sizes", budget_sizes)
-    with pytest.raises(ValueError, match=r"largest d at the first point; grid \(s, d, l\): "
-                                         r"\[\(4, 20, 12\), \(5, 21, 12\), \(6, 18, 12\)\]"):
-        oracle_sweep(_SWEEP_SPEC, PipelineKind.TYUC17_SPI, budget_t=24.0, r=4, trials=1)
-    monkeypatch.setattr(guidance, "budget_sizes", lambda kind, plan, cls, t, m, n, r, s: (
-        budget_sizes(kind, plan, cls, t, m, n, r, s)[0], 20 - s, 8 + s))
-    with pytest.raises(ValueError, match=r"one l .* \[\(4, 16, 12\), \(5, 15, 13\), \(6, 14, 14\)\]"):
-        oracle_sweep(_SWEEP_SPEC, PipelineKind.TYUC17_SPI, budget_t=24.0, r=4, trials=1)
+    test_kind = TestMatrixKind(variant, 0.2)
+    table = oracle_sweep(_SWEEP_SPEC, PipelineKind.TYUC17_SPI, budget_t=24.0, r=4, trials=2, test_kind=test_kind)
+    assert [(row.s, row.d, row.l) for row in table.rows] == grid
+    want = _fresh_stream_table(table, PipelineKind.TYUC17_SPI, test_kind, PrecisionPlan.MIXED_SINGLE_DOUBLE, 1, 2)
+    assert _sweep_bytes(table) == _sweep_bytes(want)
 
 
 @pytest.mark.parametrize("trials", [0, -1])
