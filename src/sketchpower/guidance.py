@@ -70,36 +70,20 @@ class InfeasibleBudgetError(ValueError):
         )
 
 
-_BRANCH_POINT = -1.0 / math.e
-
-
 def lambert_w_minus1(a: float) -> float:
     """The W_-1 branch: the solution w <= -1 of w e^w = a for -1/e <= a < 0.
 
-    Halley iteration from a bracketed initial guess (branch-point series near
-    -1/e, log-log asymptote near 0); converges to |w e^w - a| <= 1e-13 |a|.
+    SciPy's ``lambertw``, imported here so that importing the package does
+    not load :mod:`scipy.special`; -1 within 1e-12 relative of the branch
+    point -1/e, where SciPy returns NaN.
     """
-    if a >= 0 or a < _BRANCH_POINT * (1 + 1e-15):
+    if not -1.0 / math.e * (1 + 1e-15) <= a < 0:
         raise ValueError(f"lambert_w_minus1 requires -1/e <= a < 0, got {a}")
-    if a <= _BRANCH_POINT * (1 - 1e-12):
+    if a <= -1.0 / math.e * (1 - 1e-12):
         return -1.0
-    if a > -0.27:
-        log_neg = math.log(-a)
-        w = log_neg - math.log(-log_neg)
-    else:
-        p = math.sqrt(2.0 * (1.0 + math.e * a))
-        w = -1.0 - p - p * p / 3.0
-    for _ in range(100):
-        ew = math.exp(w)
-        f = w * ew - a
-        if abs(f) <= 1e-13 * abs(a):
-            break
-        fp = ew * (w + 1.0)
-        fpp = ew * (w + 2.0)
-        w -= f / (fp - f * fpp / (2.0 * fp))
-        if w > -1.0:
-            w = -1.0 - 1e-12  # stay on the lower branch; fp = 0 at w = -1
-    return w
+    from scipy.special import lambertw
+
+    return float(lambertw(a, -1).real)
 
 
 def _raw_s(cls: SpectrumClass, t: float, n: int, c: float, r: int) -> float:
@@ -286,19 +270,30 @@ def budget_sizes(kind: PipelineKind, plan: PrecisionPlan, cls: SpectrumClass | N
     the largest s that fits with d = l = 2s.  With ``s`` given only d and l
     are derived (the oracle sweep's grid) and ``cls`` is not read.  Sizes a
     kind does not use are 0.  Raises ValueError unless
-    1 <= r <= min(m, n), and :class:`InfeasibleBudgetError`, naming the
-    least integer budget of the next 10,000 that resolves (else inf), when
-    no sizes with s >= r meet the budget and the pipeline's size rules, or
-    when the sizes a budget gives overflow a float.
+    1 <= r <= min(m, n), and :class:`InfeasibleBudgetError` when no sizes
+    with s >= r meet the budget and the pipeline's size rules.  It names
+    the least integer budget that resolves, found exactly by doubling and
+    bisection (every budget above one that resolves resolves too), or inf
+    when the sizes pass a float's range first.
     """
     if not 1 <= r <= min(m, n):
         raise ValueError(f"target rank must satisfy 1 <= r <= min(m, n), got r={r}, m={m}, n={n}")
+
+    def fits(b):
+        return _fit(kind, plan, cls, b, m, n, r, s)
+
     try:
-        sizes = _fit(kind, plan, cls, t, m, n, r, s)
+        sizes = fits(t)
+        if sizes is not None:
+            return sizes
+        base, step = math.floor(t), 1  # refused, as T is
+        while not fits(float(base + step)):  # float() overflows past a float's range
+            step *= 2
+        lo, hi = base + step // 2, base + step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if fits(float(mid)) else (mid, hi)
+        least = hi
     except OverflowError:  # sizes past a float's range, as are those of every larger budget
-        raise InfeasibleBudgetError(t, math.inf) from None
-    if sizes is None:
-        start = math.floor(t) + 1
-        least = next((b for b in range(start, start + 10000) if _fit(kind, plan, cls, b, m, n, r, s)), math.inf)
-        raise InfeasibleBudgetError(t, least)
-    return sizes
+        least = math.inf
+    raise InfeasibleBudgetError(t, least)

@@ -340,6 +340,28 @@ def test_infeasible_budget_diagnostic():
                         "--budget", "15", "--guidance", "auto", "--m", "40", "--n", "40"])
 
 
+@pytest.mark.parametrize("kind", [k.value for k in PipelineKind])
+def test_ledger_names_the_finite_least_budget_of_a_tall_matrix(kind, tmp_path, capsys):
+    # No budget near T = 21 fits r = 10 at 2,000,000 x 1000; the refusal
+    # names the least that does, and no data is made for a ledger.
+    args = ["ledger", "--algo", kind, "--m", "2000000", "--n", "1000", "--guidance", "auto"]
+    with pytest.raises(SystemExit, match="minimal feasible T is [0-9]+$") as exc:
+        bench_cli.main(args + ["--budget", "21", "--out", str(tmp_path / "refused.csv")])
+    assert not (tmp_path / "refused.csv").exists() and capsys.readouterr().out == ""
+    least = re.search("T is ([0-9]+)$", str(exc.value)).group(1)
+    assert _run_cli(args + ["--budget", least], tmp_path / "least.csv")[0] == 0
+
+
+def test_importing_the_cli_leaves_scipy_special_unloaded():
+    # guidance.lambert_w_minus1 imports it on first use: loading it costs
+    # every CLI process about 35 ms.
+    src = str(Path(bench_cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, sketchpower.bench_cli; print('scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 def test_auto_guidance_resolves_every_budget_above_one_that_resolves(tmp_path):
     # At T=400 the table's s is 150, past min(m, n) = 60, and is capped there.
     for budget, s in (("100", "38"), ("400", "60")):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sketchpower import guidance
 from sketchpower.guidance import (
     budget_sizes,
     DecayKind,
@@ -102,11 +103,44 @@ def test_infeasible_budget_reports_minimal_t():
         _table(_FLAT, least - 1, 1000, 10, 30)
 
 
-def test_infeasible_budget_never_names_itself():
-    # No T up to T + 10000 resolves at c = 2000: report inf, not T itself.
-    with pytest.raises(InfeasibleBudgetError, match="minimal feasible T is inf") as exc:
-        _table(_FLAT, 21, 1000, 10, 2000)
-    assert exc.value.minimal_feasible_t == math.inf
+def _counting_fit(monkeypatch):
+    """Patch guidance._fit to count its calls; returns the one-entry count."""
+    calls, fit = [0], guidance._fit
+
+    def counted(*args):
+        calls[0] += 1
+        return fit(*args)
+
+    monkeypatch.setattr(guidance, "_fit", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("cls", [_FLAT, _POLY1], ids=["flat", "poly1"])
+def test_the_least_budget_at_a_large_aspect_ratio_is_exact(kind, cls, monkeypatch):
+    # At 2,000,000 x 1000 no budget below about 20,000 fits r = 10: the least
+    # budget is named exactly, in O(log T) fits, and it is finite.
+    plan = PIPELINES[kind.value].default_plan
+    calls = _counting_fit(monkeypatch)
+    with pytest.raises(InfeasibleBudgetError) as exc:
+        budget_sizes(kind, plan, cls, 21.0, 2_000_000, 1000, 10)
+    least = exc.value.minimal_feasible_t
+    assert calls[0] <= 64 and math.isfinite(least) and least > 21
+    budget_sizes(kind, plan, cls, float(least), 2_000_000, 1000, 10)  # resolves there
+    with pytest.raises(InfeasibleBudgetError):
+        budget_sizes(kind, plan, cls, float(least - 1), 2_000_000, 1000, 10)
+
+
+@pytest.mark.parametrize("plan", [_DOUBLE, _MIXED], ids=lambda p: p.value)
+def test_a_budget_no_sizes_fit_at_all_names_inf(plan, monkeypatch):
+    # tyuc17 needs s >= r + 2, which s <= min(m, n) = r + 1 cannot give; a
+    # given s below r fails every budget.  The doubling stops at a float's range.
+    calls = _counting_fit(monkeypatch)
+    for kind, r, s in ((PipelineKind.TYUC17, 49, None), (PipelineKind.TYUC19, 10, 5)):
+        calls[0] = 0
+        with pytest.raises(InfeasibleBudgetError, match="minimal feasible T is inf"):
+            budget_sizes(kind, plan, _POLY1, 21.0, 60, 50, r, s=s)
+        assert calls[0] < 1100
 
 
 def test_lambert_branch_point_and_residuals():
@@ -253,9 +287,12 @@ def test_a_larger_budget_resolves_once_a_smaller_one_does(kind, plan):
     cases = [(cls, m, n, r) for cls in (_FLAT, _POLY_HALF, _POLY1, _POLY2, _EXP)
              for m, n, r in ((400, 400, 10), (300, 200, 6))]
     cases += [(cls, 2000, 100, r) for cls in (_EXP, SpectrumClass(DecayKind.EXP, 0.5)) for r in (1, 4)]
-    for cls, m, n, r in cases:
+    # The least-budget search bisects on this at large aspect ratios too.
+    tall = [(cls, c * 100, 100, r) for cls in (_FLAT, _POLY_HALF, _EXP) for c in (500, 2000) for r in (1, 4)]
+    tall_budgets = [*budgets, *np.geomspace(5000, 2e5, 40).round()]
+    for cls, m, n, r in cases + tall:
         resolved = None
-        for t in sorted(budgets):
+        for t in sorted(tall_budgets if m >= 500 * n else budgets):
             try:
                 budget_sizes(kind, plan, cls, float(t), m, n, r)
             except InfeasibleBudgetError as exc:

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Byte-identity check list: 62 sketchpower-bench commands, each writing its
+# Byte-identity check list: 68 sketchpower-bench commands, each writing its
 # CSV (NAME.csv) and stderr (NAME.err) into OUTDIR, and one exit code per
 # command into OUTDIR/status.txt.
 #
@@ -27,7 +27,9 @@
 # algorithms on a 300x200 SPIM file and three on noise-free lowrank
 # (`--gamma 0`); and the ledgers of the sizes `--guidance auto` resolves
 # for all six algorithms under both plans on 400x400 poly-2 at T=60 and
-# T=100 (no data is made for a ledger).  The file is written into OUTDIR
+# T=100, and the `--guidance auto` ledger refusal of each of the six at
+# 2,000,000x1000 and T=21, which names the least budget that resolves (no
+# data is made for a ledger).  The file is written into OUTDIR
 # with NumPy alone and named by a relative path, so the CSVs' param column
 # is the same in every OUTDIR and `diff -r` compares numbers only.
 #
@@ -171,4 +173,7 @@ for k in $kinds; do
                 --budget "$t" --guidance auto
         done
     done
+done
+for k in $kinds; do
+    bench "ledger_tall_$k" ledger --algo "$k" --m 2000000 --n 1000 --budget 21 --guidance auto
 done
