@@ -35,7 +35,7 @@ from .matrix_core import _in_two_processes, _one_blas_thread
 from .precision_model import PIPELINES, LedgerError, PrecisionPlan, simulate_storage
 from .spi import SpiParams
 from .stream_ingest import LinearUpdate, PipelineKind, open_stream, read_matrix
-from .test_matrices import GAUSSIAN, SeedSpec, Stream, TestMatrixKind, stream_seed
+from .test_matrices import SeedSpec, Stream, TestMatrixKind, stream_seed
 
 CSV_HEADER = [
     "algo", "dataset", "param", "alpha_or_gamma", "budget_T", "r", "s", "d", "l", "q",
@@ -61,8 +61,6 @@ def _plan_of(args: argparse.Namespace, kind: PipelineKind) -> PrecisionPlan:
 
 
 def _test_kind(args: argparse.Namespace) -> TestMatrixKind:
-    if args.test_matrix == "gaussian":
-        return GAUSSIAN
     return TestMatrixKind(args.test_matrix, args.sparsity)
 
 
@@ -323,7 +321,7 @@ _FLAGS = (
                            help="auto: sizes from --budget; manual: --s/--d/--l (default: manual when --s is given)")),
     (("--test-matrix",), dict(default="sparse_rademacher", dest="test_matrix",
                               choices=["gaussian", "sparse_rademacher", "sparse_sign", "countsketch"])),
-    (("--sparsity",), dict(type=float, default=0.01)),
+    (("--sparsity",), dict(type=float, default=0.01, help="nonzero fraction; only sparse_rademacher reads it")),
     (("--timing",), dict(action="store_true", help="fill wall_ms (breaks byte-reproducibility of the CSV)")),
     (("--out", "-o"), dict(help="output CSV path (default: stdout)")),
 )

@@ -42,6 +42,7 @@ import ctypes
 import enum
 import glob
 import math
+import operator
 import os
 import pickle
 import signal
@@ -345,6 +346,14 @@ def _row_chunks(
                 ct[...] = c.T
             yield offset + i, c, ct
         offset += h.shape[0]
+
+
+def _integer(x, what: str) -> int:
+    """x as an int if ``operator.index`` takes it and it is not a bool (a NumPy integer is taken)."""
+    try:
+        return operator.index(None if isinstance(x, bool) else x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
 
 
 def as_f64(m) -> np.ndarray:

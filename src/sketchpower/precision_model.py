@@ -33,7 +33,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .matrix_core import Precision
+from .matrix_core import Precision, _integer
 
 __all__ = [
     "PrecisionPlan",
@@ -137,10 +137,12 @@ class PipelineSpec:
         return sum(math.prod(shapes[sk.name]) * self.precision(sk.name, plan).words_per_entry for sk in self.sketches)
 
     def check_sizes(self, m: int, n: int, s: int, d: int = 0, l: int = 0) -> None:
-        """Raise ValueError naming the kind, the rule and the values if a size rule fails."""
+        """Raise ValueError naming the kind, the size or rule and the values if a size is not an integer or a rule fails."""
+        size = {"m": m, "n": n, "s": s, "d": d, "l": l}
+        for name, value in size.items():
+            _integer(value, f"{self.kind}: size {name}")
         if not 1 <= s <= min(m, n):
             raise ValueError(f"{self.kind}: size rule 1 <= s <= min(m, n) fails with s={s}, m={m}, n={n}")
-        size = {"d": d, "l": l}
         for rule in self.rules:
             lhs, op, rhs = rule.split()
             bound = int(rhs[:-1] or 1) * s

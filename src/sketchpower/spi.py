@@ -23,12 +23,11 @@ with ``overwrite``), so its QR makes no copy of it.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import _CHUNK, _row_chunks, qr_economy
+from .matrix_core import _CHUNK, _integer, _row_chunks, qr_economy
 
 __all__ = ["SpiParams", "SpiOutput", "spi_plain", "spi_stabilized", "spi_variant"]
 
@@ -47,18 +46,8 @@ class SpiParams:
     q: int = 1
 
     def __post_init__(self):
-        if _integer_q(self.q) < 0:
+        if _integer(self.q, "power iteration count q") < 0:
             raise ValueError(f"power iteration count must be >= 0, got {self.q}")
-
-
-def _integer_q(q) -> int:
-    """q as an int; a bool or anything ``operator.index`` refuses raises ValueError."""
-    try:
-        if isinstance(q, bool):
-            raise TypeError
-        return operator.index(q)
-    except TypeError:
-        raise ValueError(f"power iteration count q must be an integer, got {q!r}") from None
 
 
 @dataclass
@@ -122,7 +111,7 @@ def spi_plain(z, y, q: int) -> np.ndarray:
     O(m l s); beside the m x s result only l x s factors and one row chunk
     are held.
     """
-    z, y, q = _as_array(z), _as_array(y), _integer_q(q)
+    z, y, q = _as_array(z), _as_array(y), _integer(q, "power iteration count q")
     if q < 1:
         raise ValueError(f"plain iteration requires q >= 1, got {q}")
     _check_shapes(z, y)
@@ -140,7 +129,7 @@ def spi_stabilized(z, y, q: int) -> SpiOutput:
     continues with the rank-revealing Q of the deficient factor.  Only the
     last Y-hat is formed; the ones between are applied chunk by chunk.
     """
-    z, y, q = _as_array(z), _as_array(y), _integer_q(q)
+    z, y, q = _as_array(z), _as_array(y), _integer(q, "power iteration count q")
     if q < 1:
         raise ValueError(f"stabilized iteration requires q >= 1, got {q}")
     _check_shapes(z, y)
@@ -163,7 +152,7 @@ def spi_variant(z, omega_small, q: int) -> np.ndarray:
     """
     z = _as_array(z)
     o = np.asarray(omega_small, dtype=np.float64)
-    q = _integer_q(q)
+    q = _integer(q, "power iteration count q")
     if q < 0:
         raise ValueError(f"power count must be >= 0, got {q}")
     l = z.shape[1]

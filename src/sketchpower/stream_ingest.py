@@ -72,7 +72,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 import scipy.sparse
 
-from .matrix_core import _CHUNK, DenseMatrix, Precision, _finite_vector, _one_blas_thread, _row_chunks, all_finite
+from .matrix_core import _CHUNK, DenseMatrix, Precision, _finite_vector, _integer, _one_blas_thread, _row_chunks, all_finite
 from .precision_model import PIPELINES, PrecisionPlan
 from .test_matrices import GAUSSIAN, SeedSpec, Stream, TestMatrixKind, generate
 
@@ -323,10 +323,11 @@ class SketchStream:
         np.add(dst, inc, out=dst, casting="unsafe")
 
     def _check(self, upd: LinearUpdate) -> None:
-        """Refuse an update of the wrong shape, with a payload that is not
-        binary32 or binary64, or with a non-finite entry (decided by one
+        """Refuse an update of the wrong shape or start, with a payload that is
+        not binary32 or binary64, or with a non-finite entry (decided by one
         self-dot per operand, see :func:`~sketchpower.matrix_core.all_finite`)."""
         m, n, kind = self.m, self.n, upd.kind
+        where = None  # a block names its rows or columns; other updates cover the matrix
         if kind == "rank_one":
             u, v = upd.u, upd.v
             if u.shape != (m,) or v.shape != (n,):
@@ -341,24 +342,24 @@ class SketchStream:
             if kind == "dense":
                 if h.shape != (m, n):
                     raise ValueError(f"dense update shape {h.shape} != {(m, n)}")
-            elif kind == "row_block":
-                if h.shape[1] != n or upd.start < 0 or upd.start + h.shape[0] > m:
-                    raise ValueError(f"row block [{upd.start}, {upd.start + h.shape[0]}) x {h.shape[1]} out of range for {m}x{n}")
-            elif kind == "column_block":
-                if h.shape[0] != m or upd.start < 0 or upd.start + h.shape[1] > n:
-                    raise ValueError(f"column block out of range for {m}x{n}")
-            else:
+            elif kind not in ("row_block", "column_block"):
                 raise ValueError(f"unknown update kind {kind!r}")
+            elif h.ndim != 2:
+                raise ValueError(f"{kind} update has shape {h.shape}; expected two axes")
+            elif kind == "row_block":
+                start = _integer(upd.start, "row block start")
+                if h.shape[1] != n or start < 0 or start + h.shape[0] > m:
+                    raise ValueError(f"row block [{start}, {start + h.shape[0]}) x {h.shape[1]} out of range for {m}x{n}")
+                where = f"rows [{start}, {start + h.shape[0]})"
+            else:
+                start = _integer(upd.start, "column block start")
+                if h.shape[0] != m or start < 0 or start + h.shape[1] > n:
+                    raise ValueError(f"column block out of range for {m}x{n}")
+                where = f"columns [{start}, {start + h.shape[1]})"
             _check_dtype(kind, h)
             if all_finite(h):
                 return
-        if kind == "row_block":
-            where = f"rows [{upd.start}, {upd.start + upd.h.shape[0]})"
-        elif kind == "column_block":
-            where = f"columns [{upd.start}, {upd.start + upd.h.shape[1]})"
-        else:
-            where = f"rows [0, {m}) x columns [0, {n})"
-        raise ValueError(_non_finite(kind, where))
+        raise ValueError(_non_finite(kind, where or f"rows [0, {m}) x columns [0, {n})"))
 
     def ingest(self, upd: LinearUpdate) -> "SketchStream":
         """Add one linear update to this stream.

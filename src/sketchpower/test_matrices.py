@@ -91,23 +91,21 @@ class TestMatrixKind:
         ``gaussian``          i.i.d. standard normal entries.
         ``sparse_rademacher`` exactly round(rows*cols*sparsity) nonzeros placed
                               uniformly without replacement, each +-1.
-        ``sparse_sign``       each entry independently +1 w.p. sparsity/2,
-                              -1 w.p. sparsity/2, 0 otherwise; a draw with
-                              no nonzero is refused.
-        ``countsketch``       one +-1 per column at a uniform random row.
+        ``sparse_sign``       exactly min(rows, 8) nonzeros in each column,
+                              each +-1, at distinct uniformly drawn rows.
+        ``countsketch``       the same with one nonzero in each column.
     """
 
     __test__ = False  # not a test case, despite the name
 
     variant: str = "gaussian"
-    sparsity: float = 0.01
+    sparsity: float = 0.01  # read by sparse_rademacher only
 
     def __post_init__(self):
         if self.variant not in ("gaussian", "sparse_rademacher", "sparse_sign", "countsketch"):
             raise ValueError(f"unknown test-matrix variant {self.variant!r}")
-        if self.variant in ("sparse_rademacher", "sparse_sign"):
-            if not (0.0 < self.sparsity <= 1.0):
-                raise ValueError(f"sparsity must be in (0, 1], got {self.sparsity}")
+        if self.variant == "sparse_rademacher" and not (0.0 < self.sparsity <= 1.0):
+            raise ValueError(f"sparsity must be in (0, 1], got {self.sparsity}")
 
 
 GAUSSIAN = TestMatrixKind("gaussian")
@@ -117,11 +115,13 @@ def generate(kind: TestMatrixKind, rows: int, cols: int, seed: SeedSpec) -> np.n
     """Draw a rows x cols test matrix of the given kind, deterministically.
 
     A Gaussian kind is returned as a C-ordered binary64 ndarray.  A sparse
-    kind is sampled as a coordinate list and returned as a
-    ``scipy.sparse.csc_array`` built from it, without materializing the
-    dense matrix.  Stream ingestion applies that form with sparse products,
-    and the finalized sketch set keeps it for a test matrix with m columns;
-    the storage ledger counts no test matrix.
+    kind is returned as a ``scipy.sparse.csc_array``, sampled without
+    materializing the dense matrix: ``sparse_rademacher`` as a coordinate
+    list, and a per-column kind directly in CSC form, in memory
+    proportional to its nonzeros (a peak of at most 64 bytes each).
+    Stream ingestion applies that form with sparse products, and the
+    finalized sketch set keeps it for a test matrix with m columns; the
+    storage ledger counts no test matrix.
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"test matrix dimensions must be >= 1, got {rows}x{cols}")
@@ -138,17 +138,15 @@ def generate(kind: TestMatrixKind, rows: int, cols: int, seed: SeedSpec) -> np.n
         flat_idx = rng.choice(total, size=nnz, replace=False)
         vals = rng.integers(0, 2, size=nnz) * 2.0 - 1.0
         i, j = np.divmod(flat_idx, cols)
-    elif kind.variant == "sparse_sign":
-        u = rng.random((rows, cols))
-        signs = rng.integers(0, 2, size=(rows, cols)) * 2.0 - 1.0
-        i, j = np.nonzero(u < kind.sparsity)
-        if i.size == 0:
-            raise ValueError(
-                f"sparsity {kind.sparsity} drew zero nonzeros for a {rows}x{cols} sparse_sign matrix"
-            )
-        vals = signs[i, j]
-    else:  # countsketch
-        i = rng.integers(0, rows, size=cols)
-        vals = rng.integers(0, 2, size=cols) * 2.0 - 1.0
-        j = np.arange(cols)
-    return scipy.sparse.csc_array((vals, (i, j)), shape=(rows, cols))
+        return scipy.sparse.csc_array((vals, (i, j)), shape=(rows, cols))
+    # Floyd's algorithm for all columns at once: for top = rows - zeta, ...,
+    # rows - 1, each column draws r in [0, top] and takes top if it already has
+    # r, so it ends with zeta distinct uniform rows.  Then one draw of signs.
+    zeta = min(rows, 8 if kind.variant == "sparse_sign" else 1)
+    picks = np.empty((cols, zeta), dtype=np.int64)
+    for t, top in enumerate(range(rows - zeta, rows)):
+        r = rng.integers(0, top + 1, size=cols)
+        picks[:, t] = np.where((picks[:, :t] == r[:, None]).any(axis=1), top, r)
+    picks.sort(axis=1)
+    vals = rng.integers(0, 2, size=zeta * cols) * 2.0 - 1.0
+    return scipy.sparse.csc_array((vals, picks.ravel(), np.arange(0, zeta * cols + 1, zeta)), shape=(rows, cols))

@@ -323,15 +323,19 @@ def test_failing_trials_set_exit_code(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "trial 0 failed: made to fail\ntrial 1 failed: made to fail\n"
 
 
-def test_all_zero_sparse_sign_trials_fail_with_the_draws_message(tmp_path, capsys):
-    # A sketch of zero test matrices is zero, so S_F would be A_hat = 0's error.
-    args = ["run", "--m", "60", "--n", "50", "--s", "5", "--d", "12", "--l", "12", "--rank", "3",
-            "--test-matrix", "sparse_sign", "--sparsity", "1e-9", "--trials", "2"]
-    rc, out = _run_cli(args, tmp_path / "zero.csv")
-    assert rc == 1
-    assert out.decode().splitlines() == [",".join(bench_cli.CSV_HEADER)]
-    problem = "sparsity 1e-09 drew zero nonzeros for a 50x5 sparse_sign matrix"
-    assert capsys.readouterr().err == f"trial 0 failed: {problem}\ntrial 1 failed: {problem}\n"
+@pytest.mark.parametrize("algo", ["tyuc17_spi", "tyuc17", "tyuc19"])
+def test_sparse_sign_trials_are_as_accurate_as_gaussian_ones(algo, tmp_path):
+    """At 400x400 poly-1, T = 60 guided, 8 trials, the mean S_F with
+    sparse_sign test matrices is within 25% of the mean with Gaussian ones."""
+    means = {}
+    for tm in ("gaussian", "sparse_sign"):
+        args = ["run", "--algo", algo, "--data", "poly", "--alpha", "1", "--m", "400", "--n", "400",
+                "--budget", "60", "--guidance", "auto", "--trials", "8", "--base-seed", "5", "--test-matrix", tm]
+        rc, out = _run_cli(args, tmp_path / f"{tm}.csv")
+        assert rc == 0
+        rows = list(csv.DictReader(out.decode().splitlines()))
+        means[tm] = float(next(row for row in rows if row["trial"] == "mean")["S_F"])
+    assert abs(means["sparse_sign"] / means["gaussian"] - 1) <= 0.25, means
 
 
 def test_infeasible_budget_diagnostic():
@@ -409,7 +413,8 @@ def test_trials_must_be_at_least_one(command, trials, capsys):
 
 _BAD_SETTINGS = [
     (["--sparsity", "2"], r"invalid settings: sparsity must be in \(0, 1\], got 2.0"),
-    (["--test-matrix", "sparse_sign", "--sparsity", "0"], r"invalid settings: sparsity must be in \(0, 1\], got 0.0"),
+    (["--test-matrix", "sparse_rademacher", "--sparsity", "0"],
+     r"invalid settings: sparsity must be in \(0, 1\], got 0.0"),
     (["--q", "-1"], "invalid settings: power iteration count must be >= 0, got -1"),
 ]
 # Manual sizes and ranks the pipeline refuses; the sweep takes neither.

@@ -369,6 +369,12 @@ def test_sketch_set_provenance():
     ("tyuc17_spi", (20, 10, 6, 8, 6), "tyuc17_spi: size rule l > s fails with l=6, s=6"),
     ("tyuc17_spi_variant", (20, 10, 6, 8, 11), "tyuc17_spi_variant: size rule l >= 2s fails with l=11, s=6"),
     ("tyuc19_spi", (20, 10, 6, 8, 11), "tyuc19_spi: size rule l >= 2s fails with l=11, s=6"),
+    ("tyuc17", (30, 20, 3.0, 6, 0), "tyuc17: size s must be an integer, got 3.0"),
+    ("tyuc17", (30, 20, True, 6, 0), "tyuc17: size s must be an integer, got True"),
+    ("rsvd_onepass", (30.0, 20, 3, 0, 0), "rsvd_onepass: size m must be an integer, got 30.0"),
+    ("tyuc19", (30, np.float64(20), 3, 6, 0), "tyuc19: size n must be an integer, got np.float64(20.0)"),
+    ("tyuc17", (30, 20, 3, 6.5, 0), "tyuc17: size d must be an integer, got 6.5"),
+    ("tyuc17_spi", (30, 20, 3, 6, "8"), "tyuc17_spi: size l must be an integer, got '8'"),
 ])
 def test_open_stream_rejects_sizes_before_drawing(kind, sizes, message, monkeypatch):
     from sketchpower import stream_ingest
@@ -379,6 +385,11 @@ def test_open_stream_rejects_sizes_before_drawing(kind, sizes, message, monkeypa
     monkeypatch.setattr(stream_ingest, "generate", no_draw)
     with pytest.raises(ValueError, match=re.escape(message)):
         open_stream(PipelineKind(kind), *sizes)
+
+
+def test_numpy_integer_sizes_are_taken():
+    sk = open_stream(PipelineKind.TYUC17_SPI, np.int64(30), np.int32(20), np.int64(3), np.uint8(6), np.int16(8))
+    assert sk.finalize().z.data.shape == (30, 8)
 
 
 def test_sizes_a_kind_does_not_use_are_ignored():
@@ -793,6 +804,38 @@ def test_refused_update_leaves_pending_terms_alone(kind, plan):
             st_.ingest(upd)
         _assert_same_bytes(st_.finalize(), clean)
     _assert_matches_one_shot(clean, kind, _STAGE_SIZES, 8, plan, _total(head + tail, m, n), len(head + tail))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: LinearUpdate.row_block(0, np.ones((1, 2, 20))), "row_block update has shape (1, 2, 20); expected two axes"),
+    (lambda: LinearUpdate.column_block(0, np.ones((30, 1, 1))),
+     "column_block update has shape (30, 1, 1); expected two axes"),
+    (lambda: LinearUpdate("row_block", h=np.ones(20)), "row_block update has shape (20,); expected two axes"),
+    (lambda: LinearUpdate.row_block(1.0, np.ones((2, 20))), "row block start must be an integer, got 1.0"),
+    (lambda: LinearUpdate.row_block(True, np.ones((2, 20))), "row block start must be an integer, got True"),
+    (lambda: LinearUpdate.column_block(2.0, np.ones((30, 3))), "column block start must be an integer, got 2.0"),
+    (lambda: LinearUpdate.column_block(True, np.ones((30, 3))), "column block start must be an integer, got True"),
+    (lambda: LinearUpdate("column_block", h=np.ones((30, 3)), start=np.float64(4)),
+     "column block start must be an integer, got np.float64(4.0)"),
+], ids=["row_block_3d", "column_block_3d", "row_block_1d_direct", "row_start_float", "row_start_bool",
+        "column_start_float", "column_start_bool", "column_start_float_direct"])
+def test_malformed_blocks_are_refused_by_name_and_change_nothing(make, message):
+    st_ = open_stream(PipelineKind.TYUC17_SPI, 30, 20, 3, 6, 8, base_seed=2)
+    st_.ingest(LinearUpdate.column_block(1, np.ones((30, 2))))
+    before = (st_._block_cols, list(st_._segments), [a.tobytes() for a in st_._sk.values()])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        st_.ingest(make())
+    assert (st_._block_cols, list(st_._segments), [a.tobytes() for a in st_._sk.values()]) == before
+
+
+def test_numpy_integer_starts_are_taken():
+    rng = np.random.default_rng(59)
+    rows, cols = rng.standard_normal((2, 20)), rng.standard_normal((30, 3))
+    by_int = open_stream(PipelineKind.TYUC17_SPI, 30, 20, 3, 6, 8, base_seed=2)
+    by_int.ingest(LinearUpdate.row_block(4, rows)).ingest(LinearUpdate.column_block(5, cols))
+    by_numpy = open_stream(PipelineKind.TYUC17_SPI, 30, 20, 3, 6, 8, base_seed=2)
+    by_numpy.ingest(LinearUpdate.row_block(np.int64(4), rows)).ingest(LinearUpdate.column_block(np.uint16(5), cols))
+    _assert_same_bytes(by_int.finalize(), by_numpy.finalize())
 
 
 @pytest.mark.parametrize("kind", _STAGED_KINDS, ids=lambda k: k.value)

@@ -74,15 +74,74 @@ def test_countsketch_structure():
 
 
 def test_sparse_sign_rate():
-    kind = TestMatrixKind("sparse_sign", 0.1)
-    m = generate(kind, 400, 100, SeedSpec(3, Stream.PHI, 0)).toarray()
-    rate = np.count_nonzero(m) / m.size
-    assert abs(rate - 0.1) < 0.01
+    """Exactly eight nonzeros in every column, whatever the sparsity says."""
+    m = generate(TestMatrixKind("sparse_sign", 0.1), 400, 100, SeedSpec(3, Stream.PHI, 0)).toarray()
+    assert np.all(np.count_nonzero(m, axis=0) == 8)
 
 
-def test_sparse_sign_draw_without_nonzeros_rejected():
-    with pytest.raises(ValueError, match="sparsity 1e-09 drew zero nonzeros for a 50x5 sparse_sign matrix"):
-        generate(TestMatrixKind("sparse_sign", 1e-9), 50, 5, SeedSpec(0, Stream.PSI, 0))
+@pytest.mark.parametrize("rows", [1, 5, 8, 72, 1000])
+def test_sparse_sign_columns_hold_min_rows_8_distinct_signed_entries(rows):
+    a = generate(TestMatrixKind("sparse_sign"), rows, 300, SeedSpec(6, Stream.PSI, rows))
+    zeta = min(rows, 8)
+    assert a.nnz == zeta * 300 and np.array_equal(a.indptr, np.arange(0, zeta * 300 + 1, zeta))
+    cols = a.indices.reshape(300, zeta)
+    assert np.all(np.diff(cols, axis=1) > 0)  # distinct rows, sorted
+    assert cols.min() >= 0 and cols.max() < rows
+    assert np.all(np.abs(a.data) == 1.0)
+
+
+def test_sparse_sign_rows_are_uniform_and_signs_balanced():
+    """The row marginal of 160,000 nonzeros over 50 rows passes a chi-square
+    test at p = 1e-6, and the sign mean is within 5 standard errors of 0."""
+    from scipy.special import chdtrc
+
+    a = generate(TestMatrixKind("sparse_sign"), 50, 20000, SeedSpec(8, Stream.OMEGA, 3))
+    counts = np.bincount(a.indices, minlength=50)
+    expected = a.nnz / 50
+    assert chdtrc(49, np.sum((counts - expected) ** 2) / expected) > 1e-6
+    assert abs(a.data.mean()) <= 5 / np.sqrt(a.nnz)
+
+
+# sha256 prefixes of the dtypes and bytes of a countsketch's CSC data,
+# indices and indptr, recorded from the coordinate-list sampler it had
+# before it shared the per-column one with sparse_sign.
+_COUNTSKETCH_CSC = [
+    ((1, 7), SeedSpec(0, Stream.PSI, 0), "1b3b6ed82e79cb37"),
+    ((1, 1), SeedSpec(3, Stream.OMEGA, 1), "617fc22beed49bd0"),
+    ((10, 5), SeedSpec(2, Stream.PSI, 0), "c735d89d00f9f277"),
+    ((30, 20), SeedSpec(9, Stream.PSI, 2), "735bcf80e5ca5d0d"),
+    ((200, 30), SeedSpec(4, Stream.PHI, 1), "664690e5002e112b"),
+    ((72, 131072), SeedSpec(5, Stream.PSI, 0), "6349b96fbb26ddae"),
+    ((1000, 3), SeedSpec(11, Stream.GAMMA, 7), "698a966fe3979ee5"),
+]
+
+
+@pytest.mark.parametrize("shape, seed, digest", _COUNTSKETCH_CSC)
+def test_countsketch_csc_arrays_are_unchanged(shape, seed, digest):
+    import hashlib
+
+    a = generate(TestMatrixKind("countsketch"), *shape, seed)
+    h = hashlib.sha256()
+    for x in (a.data, a.indices, a.indptr):
+        h.update(str(x.dtype).encode())
+        h.update(x.tobytes())
+    assert h.hexdigest()[:16] == digest
+
+
+def test_sparse_sign_draw_memory_is_proportional_to_its_nonzeros():
+    """The tall stream's Psi (72 x 131,072) peaks at most 64 bytes per
+    nonzero under tracemalloc; an entrywise draw of two dense 72 x 131,072
+    arrays peaks at about 2,400."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        a = generate(TestMatrixKind("sparse_sign"), 72, 131072, SeedSpec(5, Stream.PSI, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.nnz == 8 * 131072
+    assert peak <= 64 * a.nnz
 
 
 def test_cross_stream_independence():
@@ -98,20 +157,22 @@ def test_cross_stream_independence():
 def test_bad_variant_and_dims():
     with pytest.raises(ValueError):
         TestMatrixKind("fourier")
-    with pytest.raises(ValueError):
-        TestMatrixKind("sparse_sign", 0.0)
+    with pytest.raises(ValueError, match=r"sparsity must be in \(0, 1\], got 0.0"):
+        TestMatrixKind("sparse_rademacher", 0.0)
+    TestMatrixKind("sparse_sign", 0.0)  # only sparse_rademacher reads the sparsity
     with pytest.raises(ValueError):
         generate(GAUSSIAN, 0, 4, SeedSpec(0, Stream.OMEGA, 0))
 
 
 # sha256 prefixes of the entries of generate(TestMatrixKind(variant, 0.1), 30, 20,
-# SeedSpec(9, Stream.PSI, 2)) (``toarray()`` of a sparse kind), recorded from the
-# dense-only generator (numpy 2.4 PCG64 streams): the sparse form must not
-# change a draw.
+# SeedSpec(9, Stream.PSI, 2)) (``toarray()`` of a sparse kind), numpy 2.4 PCG64
+# streams.  All but sparse_sign were recorded from the dense-only generator, so
+# the sparse form did not change a draw; sparse_sign's was recorded when it
+# became the per-column sampler (eight nonzeros in each column).
 _DRAW_DIGESTS = {
     "gaussian": "a67a759bbc491799",
     "sparse_rademacher": "223ab79d78134f00",
-    "sparse_sign": "c882dca9c5b23e34",
+    "sparse_sign": "bdbfb900b4cfbadd",
     "countsketch": "c2fbd7af23ea215d",
 }
 

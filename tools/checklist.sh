@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Byte-identity check list: 68 sketchpower-bench commands, each writing its
+# Byte-identity check list: 74 sketchpower-bench commands, each writing its
 # CSV (NAME.csv) and stderr (NAME.err) into OUTDIR, and one exit code per
 # command into OUTDIR/status.txt.
 #
@@ -29,7 +29,9 @@
 # for all six algorithms under both plans on 400x400 poly-2 at T=60 and
 # T=100, and the `--guidance auto` ledger refusal of each of the six at
 # 2,000,000x1000 and T=21, which names the least budget that resolves (no
-# data is made for a ledger).  The file is written into OUTDIR
+# data is made for a ledger); and each per-column test-matrix kind,
+# sparse_sign and countsketch, in a `run` of tyuc17_spi and of tyuc19 on that
+# lowrank case and in a `sweep` of tyuc17_spi on 120x100 poly-2.  The file is written into OUTDIR
 # with NumPy alone and named by a relative path, so the CSVs' param column
 # is the same in every OUTDIR and `diff -r` compares numbers only.
 #
@@ -176,4 +178,12 @@ for k in $kinds; do
 done
 for k in $kinds; do
     bench "ledger_tall_$k" ledger --algo "$k" --m 2000000 --n 1000 --budget 21 --guidance auto
+done
+for tm in sparse_sign countsketch; do
+    for k in tyuc17_spi tyuc19; do
+        bench "lowrank_${k}_$tm" run --algo "$k" --data lowrank --m 300 --n 200 --budget 40 --rank 5 --guidance auto \
+            --trials 3 --test-matrix "$tm"
+    done
+    bench "sweep_tyuc17_spi_$tm" sweep --algo tyuc17_spi --data poly --alpha 2 --m 120 --n 100 --budget 30 --rank 4 \
+        --trials 2 --test-matrix "$tm"
 done
