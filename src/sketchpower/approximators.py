@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse
 
-from .matrix_core import DenseMatrix, _one_blas_thread, as_f64, lstsq, qr_economy, svd_truncated
+from .matrix_core import DenseMatrix, _integer, _one_blas_thread, as_f64, lstsq, qr_economy, svd_truncated
 from .precision_model import PIPELINES, PrecisionPlan
 from .spi import SpiParams, spi_plain, spi_stabilized, spi_variant
 from .stream_ingest import PipelineKind, SketchSet
@@ -78,7 +78,7 @@ def _require(sk: SketchSet, r: int, kinds, *names) -> None:
     if sk.kind not in kinds:
         raise ValueError(f"sketch set of kind {sk.kind.value} not usable here")
     PIPELINES[sk.kind.value].check_sizes(sk.m, sk.n, sk.s, sk.d, sk.l)
-    if not 1 <= r <= sk.s:
+    if not 1 <= _integer(r, "target rank") <= sk.s:
         raise ValueError(f"target rank must satisfy 1 <= r <= s, got r={r}, s={sk.s}")
     for name in names:
         if getattr(sk, name) is None:

@@ -17,6 +17,7 @@ process made each trial.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -34,7 +35,7 @@ from .approximators import approximate
 from .matrix_core import _in_two_processes, _one_blas_thread
 from .precision_model import PIPELINES, LedgerError, PrecisionPlan, simulate_storage
 from .spi import SpiParams
-from .stream_ingest import LinearUpdate, PipelineKind, open_stream, read_matrix
+from .stream_ingest import LinearUpdate, PipelineKind, _row_pieces, open_stream, read_matrix
 from .test_matrices import SeedSpec, Stream, TestMatrixKind, stream_seed
 
 CSV_HEADER = [
@@ -125,34 +126,41 @@ def _dataset_columns(args: argparse.Namespace) -> tuple[str, str, Optional[float
 
 
 @_one_blas_thread()
-def _load_file(args: argparse.Namespace) -> tuple[argparse.Namespace, np.ndarray, np.ndarray]:
-    """A copy of args sized to the file, the file's matrix and its singular values.
+def _load_file(args: argparse.Namespace, whole: bool = True):
+    """A copy of args sized to the file, the file's matrix and its singular
+    values, which serve both the baselines and the guidance.
 
-    One SVD of the file serves both the baselines and the guidance.  A file
-    the reader refuses (missing, unreadable, not SPIM or MatrixMarket,
-    complex, with non-finite entries) exits with the reason.
+    Unless ``whole``, the file is read through piece by piece, checked as
+    the reader checks it and dropped, and the matrix and values are None.
+    A file the reader refuses (missing, unreadable, not SPIM or
+    MatrixMarket, complex, with non-finite entries) exits with the reason.
     """
     if not args.file:
         raise SystemExit("--data file requires --file PATH")
+    a = None
     try:
-        a = read_matrix(args.file)
+        if whole:
+            a = read_matrix(args.file)
+            shape = a.shape
+        else:
+            with contextlib.closing(_row_pieces(args.file)) as pieces:
+                shape = next(pieces)
+                for _ in pieces:
+                    pass
     except (OSError, ValueError) as exc:
         raise SystemExit(f"--file: {exc}")
-    args = argparse.Namespace(**{**vars(args), "m": a.shape[0], "n": a.shape[1]})
-    return args, a, la.svdvals(a, check_finite=False)
+    args = argparse.Namespace(**{**vars(args), "m": shape[0], "n": shape[1]})
+    return args, a, None if a is None else la.svdvals(a, check_finite=False)
 
 
-def _run_one_trial(args, kind, plan, sizes, trial, shared_a, shared_base):
+def _run_one_trial(args, kind, plan, sizes, trial, file_a, file_sv):
     """One trial's CSV values from the trial column on, or the message of the
     exception it raised (a message pickles, so a trial a forked child made
-    reports it too)."""
+    reports it too).  ``file_a`` and ``file_sv`` are a file's matrix and
+    singular values, or None for synthetic data."""
     try:
         s, d, l = sizes
-        if shared_a is None:
-            spec = _dataset_spec(args).with_trial(trial)
-            a, base, factors = metrics._trial_data(spec, args.rank)
-        else:
-            a, base, factors = shared_a, shared_base, None
+        a, factors = synthetic.generate(_dataset_spec(args).with_trial(trial)) if file_a is None else (file_a, None)
         stream = open_stream(
             kind, a.shape[0], a.shape[1], s, d, l,
             base_seed=args.base_seed, trial=trial, test_kind=_test_kind(args), plan=plan,
@@ -161,7 +169,7 @@ def _run_one_trial(args, kind, plan, sizes, trial, shared_a, shared_base):
         t0 = time.perf_counter()
         result = approximate(sk, args.rank, SpiParams(args.q))
         wall_ms = (time.perf_counter() - t0) * 1e3
-        err = metrics.evaluate(a, result, args.rank, baselines=base, factors=factors)
+        err = metrics.evaluate(a, result, spectrum=file_sv, factors=factors)
     except Exception as exc:  # noqa: BLE001 - enumerate failing trials
         return str(exc)
     return [trial, stream_seed(SeedSpec(args.base_seed, Stream.OMEGA, trial)), err.s_f, err.s_inf,
@@ -176,9 +184,9 @@ def run(args: argparse.Namespace) -> int:
     kind = PipelineKind(args.algo)
     plan = _plan_of(args, kind)
 
-    shared_a = shared_base = file_sv = None
+    file_a = file_sv = None
     if args.data == "file":
-        args, shared_a, file_sv = _load_file(args)
+        args, file_a, file_sv = _load_file(args)
 
     sizes = _resolve_sizes(args, kind, plan, file_sv)
     try:
@@ -187,13 +195,11 @@ def run(args: argparse.Namespace) -> int:
             raise ValueError(f"target rank must satisfy 1 <= r <= s, got r={args.rank}, s={sizes[0]}")
     except ValueError as exc:
         raise SystemExit(f"invalid settings: {exc}")
-    if file_sv is not None:
-        shared_base = metrics.baselines_from_spectrum(file_sv, args.rank)
     dataset, param, alpha_or_gamma = _dataset_columns(args)
     prefix = [args.algo, dataset, param, alpha_or_gamma, args.budget, args.rank,
               sizes[0], sizes[1] or None, sizes[2] or None, PIPELINES[kind.value].applied_q(args.q)]
     outcomes = _in_two_processes([
-        functools.partial(_run_one_trial, args, kind, plan, sizes, t, shared_a, shared_base)
+        functools.partial(_run_one_trial, args, kind, plan, sizes, t, file_a, file_sv)
         for t in range(args.trials)
     ])
     rows = [row for row in outcomes if isinstance(row, list)]
@@ -267,8 +273,8 @@ def emit_ledger(args: argparse.Namespace) -> int:
     kind = PipelineKind(args.algo)
     plan = _plan_of(args, kind)
     file_sv = None
-    if args.data == "file":
-        args, _, file_sv = _load_file(args)
+    if args.data == "file":  # only the guidance reads the file's spectrum
+        args, _, file_sv = _load_file(args, whole=args.guidance_mode == "auto")
     sizes = _resolve_sizes(args, kind, plan, file_sv)
     try:
         PIPELINES[kind.value].check_sizes(args.m, args.n, *sizes)

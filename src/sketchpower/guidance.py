@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matrix_core import _integer
 from .precision_model import PIPELINES, PrecisionPlan
 from .stream_ingest import PipelineKind
 
@@ -276,7 +277,7 @@ def budget_sizes(kind: PipelineKind, plan: PrecisionPlan, cls: SpectrumClass | N
     bisection (every budget above one that resolves resolves too), or inf
     when the sizes pass a float's range first.
     """
-    if not 1 <= r <= min(m, n):
+    if not 1 <= _integer(r, "target rank") <= min(m, n):
         raise ValueError(f"target rank must satisfy 1 <= r <= min(m, n), got r={r}, m={m}, n={n}")
 
     def fits(b):

@@ -3,19 +3,22 @@ subspace angles, tail energies, oracle sweeps, and computable evaluators for
 the probabilistic error bounds.
 
 All evaluators here take the data matrix whole; they are meant for
-desk-scale validation, not for the streaming path.  Per-trial evaluation
-takes no full SVD of an m x n matrix.  The spectral norm of a residual comes
-from a k=1 Lanczos solve (ARPACK on a Gram operator, fixed start vector and
-restart seed), the ExtraError norms from an r x n reduction, and the
-best-rank-r baselines of noise-free synthetic data from the spectrum the
-generator prescribes (:func:`_trial_data`).  The values match a dense SVD
-to roundoff.
+desk-scale validation, not for the streaming path.  :func:`evaluate` and
+:func:`relative_error` take A and a rank-r result, and read r as the
+result's number of singular values.  The best-rank-r baselines come from one
+set of A's singular values: the generator's ``factors.sv`` for noise-free
+synthetic data (:func:`synthetic.generate`), else a ``spectrum`` the caller
+took once (a file's, or a noisy trial's shared by the oracle sweep's
+points), else ``la.svdvals(A)``.  Per-trial evaluation takes no full SVD of
+an m x n matrix.  The spectral norm of a residual comes from a k=1 Lanczos
+solve (ARPACK on a Gram operator, fixed start vector and restart seed), the
+ExtraError norms from an r x n reduction.  The values match a dense SVD to
+roundoff.
 
-Noise-free synthetic data comes with the generator's factors ``U0 diag(sigma)
-V0^T`` (:func:`synthetic.generate`, through :func:`_trial_data`); its residuals
-are then written in their basis, widened by the approximation's factors, as
-matrices of at most (k+r) x (k+r) that are applied from r-column factors and
-never formed, so no m x n array is made.  Files and noisy low-rank data have
+Given the generator's factors ``U0 diag(sigma) V0^T``, the residuals are
+written in their basis, widened by the approximation's factors, as matrices
+of at most (k+r) x (k+r) that are applied from r-column factors and never
+formed, so no m x n array is made.  Files and noisy low-rank data have
 dense m x n residuals, each made and overwritten in turn, so an evaluation
 holds one m x n array at its peak.
 """
@@ -78,28 +81,12 @@ class Errors:
 
 def baselines_from_spectrum(singular_values, r: int) -> tuple[float, float]:
     """(Frobenius, spectral) distance to the best rank-r approximation of a
-    matrix with the given singular values (descending); 0 beyond the end."""
+    matrix with the given singular values (descending); 0 beyond the end.
+    A value that is negative or not finite is refused (ValueError)."""
     sv = np.asarray(singular_values, dtype=np.float64).ravel()
+    if not (np.all(np.isfinite(sv)) and np.all(sv >= 0.0)):
+        raise ValueError("singular values must be finite and non-negative")
     return tail_energy(sv, r + 1), float(sv[r]) if r < sv.size else 0.0
-
-
-def _baselines(a: np.ndarray, r: int) -> tuple[float, float]:
-    """(Frobenius, spectral) distance of A to its best rank-r approximation."""
-    return baselines_from_spectrum(la.svdvals(a, check_finite=False), r)
-
-
-@_one_blas_thread()
-def _trial_data(spec: synthetic.SyntheticSpec, r: int):
-    """``(a, baselines, factors)`` of one synthetic trial: the data matrix,
-    its best-rank-r baselines, and the generator's factors (None for noisy
-    data), which :func:`evaluate` and :func:`relative_error` take.
-    Without noise A's spectrum is the prescribed one (to roundoff), so no SVD
-    is taken; both paths share :func:`baselines_from_spectrum`, so zero
-    baselines are detected alike."""
-    a, factors = synthetic.generate(spec)
-    if factors is None:
-        return a, _baselines(a, r), None
-    return a, baselines_from_spectrum(synthetic.prescribed_spectrum(spec), r), factors
 
 
 def _fro_and_spectral(e: int, fro: float, k: int, matvec, rmatvec) -> tuple[float, float]:
@@ -222,18 +209,24 @@ def _extra_norms(a: np.ndarray, result: ApproxResult) -> tuple[float, float]:
     return fro_norm(e), float(la.svdvals(e, check_finite=False)[0])
 
 
-def _errors(a, result: ApproxResult, r: int, baselines, factors, split: bool) -> Errors:
+def _errors(a, result: ApproxResult, spectrum, factors, split: bool) -> Errors:
     """:func:`evaluate`, with the RangeError/ExtraError split only if ``split``
     and the kind has no ``two_sided`` sketch; ExtraError is 0 if it has a
     ``gram`` sketch."""
+    if spectrum is not None and factors is not None:
+        raise ValueError("give A's spectrum or its factors, not both")
     updates = {sk.update for sk in PIPELINES[result.kind.value].sketches}
     split = split and "two_sided" not in updates
     if split and "gram" not in updates and result.psi is None:
         raise ValueError("result lacks the corange test matrix needed for ExtraError")
     a = as_f64(a)
+    if factors is not None:
+        spectrum = factors.sv
+    elif spectrum is None:
+        spectrum = la.svdvals(a, check_finite=False)
+    base_f, base_s = baselines_from_spectrum(spectrum, result.sv.size)
     xu = None if factors is None else _in_basis(factors.u, result.u)
     num_f, num_s = _residual_norms(a, result, factors, xu)
-    base_f, base_s = baselines if baselines is not None else _baselines(a, r)
     scale = fro_norm(a if factors is None else factors.sv)
     zero_baseline = base_f <= _ZERO_BASELINE_RTOL * max(scale, 1e-300)
     if zero_baseline:
@@ -253,35 +246,28 @@ def _errors(a, result: ApproxResult, r: int, baselines, factors, split: bool) ->
 
 
 @_one_blas_thread()
-def relative_error(
-    a,
-    result: ApproxResult,
-    r: int,
-    baselines: Optional[tuple[float, float]] = None,
-    factors: Optional[synthetic.Factors] = None,
-) -> Errors:
+def relative_error(a, result: ApproxResult, *, spectrum=None, factors: Optional[synthetic.Factors] = None) -> Errors:
     """Reconstruction error relative to the best rank-r approximation:
     :func:`evaluate` without the RangeError/ExtraError split, whose four
     fields are None."""
-    return _errors(a, result, r, baselines, factors, split=False)
+    return _errors(a, result, spectrum, factors, split=False)
 
 
 @_one_blas_thread()
-def evaluate(
-    a,
-    result: ApproxResult,
-    r: int,
-    baselines: Optional[tuple[float, float]] = None,
-    factors: Optional[synthetic.Factors] = None,
-) -> Errors:
+def evaluate(a, result: ApproxResult, *, spectrum=None, factors: Optional[synthetic.Factors] = None) -> Errors:
     """A trial's errors: the relative error and its split into two sources.
 
-    ``S = ||A - A_hat|| / ||A - [A]_r|| - 1`` in Frobenius and spectral norm.
+    ``S = ||A - A_hat|| / ||A - [A]_r|| - 1`` in Frobenius and spectral norm,
+    with r the result's rank (``result.sv.size``).  The baselines
+    ``||A - [A]_r||`` come from one set of A's singular values: ``factors.sv``
+    given A's SVD ``factors`` (noise-free :func:`synthetic.generate` data),
+    else the given ``spectrum`` (say a file's, taken once for many results),
+    else ``la.svdvals(A)``.  Giving both ``spectrum`` and ``factors``, or a
+    spectrum with a negative or non-finite value, is refused (ValueError).
     If A is itself (numerically) rank <= r the ratio is undefined: absolute
     errors are returned with a ``zero_baseline`` flag.  A reconstruction that
     fits A to roundoff while the baseline is positive is reported as zero
-    error with an ``exact_fit`` flag.  Without ``baselines`` they are
-    computed from a dense SVD of A.
+    error with an ``exact_fit`` flag.
 
     RangeError is the orthogonal-projection error ``||A - U U^T A|| /
     ||A - [A]_r|| - 1``; ExtraError is the sketch-and-solve remainder
@@ -293,14 +279,13 @@ def evaluate(
     without ``psi`` is refused (ValueError).
 
     Spectral norms of the residuals are Lanczos estimates that match a dense
-    SVD to roundoff.  Given A's SVD ``factors`` (:func:`synthetic.generate`),
-    no m x n array is made, ``_in_basis(U0, U)`` is computed once for both
-    residuals, and the flags' scale ``||A||_F`` is taken as ``||sigma||``;
-    otherwise each residual is written over the array it is made from, and
-    the first is dropped before the second is made.  ExtraError multiplies A
-    in either case.
+    SVD to roundoff.  Given ``factors``, no m x n array is made,
+    ``_in_basis(U0, U)`` is computed once for both residuals, and the flags'
+    scale ``||A||_F`` is taken as ``||sigma||``; otherwise each residual is
+    written over the array it is made from, and the first is dropped before
+    the second is made.  ExtraError multiplies A in either case.
     """
-    return _errors(a, result, r, baselines, factors, split=True)
+    return _errors(a, result, spectrum, factors, split=True)
 
 
 def _orthonormalized(u: np.ndarray, name: str) -> np.ndarray:
@@ -552,7 +537,8 @@ def oracle_sweep(
     the first stream's matrix when it holds that many, else of one flat
     draw a trial sized to the grid's largest shape.  The point's own stream
     draws the rest and folds A into the sketches it did not take, so every
-    point has the bits of a fresh stream.  No sketch is cut to a prefix:
+    point has the bits of a fresh stream.  Noisy data's singular values are
+    taken once a trial and serve the baselines of every point.  No sketch is cut to a prefix:
     the rows of a BLAS product need not keep their bits when the row count
     changes.  The grid points of a trial are shared out between this
     process and a forked copy of it
@@ -590,7 +576,7 @@ def oracle_sweep(
         return same - {o for sk in pipeline.sketches if sk.update == "gram" and sk.name not in same
                        for o in sk.operands}
 
-    def point(a, factors, base, t, sk0, draws, sizes, sh, same):
+    def point(a, factors, spectrum, t, sk0, draws, sizes, sh, same):
         sk = sk0
         if sizes != grid[0]:
             taken = {name: t[name] if name in t else getattr(sk0, name).data for name in same}
@@ -600,18 +586,19 @@ def oracle_sweep(
             stream = SketchStream(algo, m, n, *sizes, base_seed=seed, trial=sk0.trial, test_kind=test_kind,
                                   plan=plan, _taken=taken)
             sk = stream.ingest(LinearUpdate.row_block(0, a)).finalize()
-        return relative_error(a, approximate(sk, r, SpiParams(q=q)), r, baselines=base, factors=factors)
+        return relative_error(a, approximate(sk, r, SpiParams(q=q)), spectrum=spectrum, factors=factors)
 
     points = [(sizes, sh, shared(sh)) for sizes, sh in zip(grid, shapes)]
 
     def trial_errors(trial):
-        a, base, factors = _trial_data(data_spec.with_trial(trial), r)
+        a, factors = synthetic.generate(data_spec.with_trial(trial))
+        spectrum = None if factors is not None else la.svdvals(a, check_finite=False)  # once for every point
         first = open_stream(algo, m, n, *grid[0], base_seed=seed, trial=trial, test_kind=test_kind, plan=plan)
         sk0 = first.ingest(LinearUpdate.row_block(0, a)).finalize()
         t = first._t  # as the stream holds them: a sparse one in CSC form
         draws = {name: generate(test_kind, 1, size, _test_matrix_seed(name, seed, trial))[0]
                  for name, size in largest.items() if gaussian and size > t[name].size}
-        return _in_two_processes([functools.partial(point, a, factors, base, t, sk0, draws, *p) for p in points])
+        return _in_two_processes([functools.partial(point, a, factors, spectrum, t, sk0, draws, *p) for p in points])
 
     sums = np.zeros((len(grid), 2))
     for trial in range(trials):

@@ -116,7 +116,9 @@ class LinearUpdate:
 
     @staticmethod
     def dense(h) -> "LinearUpdate":
-        return LinearUpdate("dense", h=_real("dense", h).astype(np.float64, copy=False))
+        """The whole matrix; a binary32 one is kept binary32 and upcast one
+        chunk at a time as it is folded."""
+        return LinearUpdate("dense", h=_real("dense", h))
 
     @staticmethod
     def rank_one(u, v) -> "LinearUpdate":
@@ -128,9 +130,7 @@ class LinearUpdate:
     def row_block(start_row: int, block) -> "LinearUpdate":
         """Rows starting at ``start_row``; a binary32 block is kept binary32
         and upcast one chunk at a time as it is folded."""
-        h = _real("row_block", block)
-        h = h if h.dtype == np.float32 else h.astype(np.float64, copy=False)
-        return LinearUpdate("row_block", h=np.atleast_2d(h), start=start_row)
+        return LinearUpdate("row_block", h=np.atleast_2d(_real("row_block", block)), start=start_row)
 
     @staticmethod
     def column_block(start_col: int, block) -> "LinearUpdate":
@@ -139,12 +139,12 @@ class LinearUpdate:
 
 
 def _real(kind: str, x) -> np.ndarray:
-    """x as an array, refused if it is complex: casting would drop the
-    imaginary parts."""
+    """x as a binary32 array if it is one, else as binary64; refused if it is
+    complex: casting would drop the imaginary parts."""
     a = np.asarray(x)
     if a.dtype.kind == "c":
         raise ValueError(f"{kind} update has complex entries; only real ones are supported")
-    return a
+    return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
 
 
 def _vector(x) -> np.ndarray:

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dorgqr
 
-from .matrix_core import Precision, _concurrently, _one_blas_thread
+from .matrix_core import Precision, _concurrently, _integer, _one_blas_thread
 from .test_matrices import SeedSpec, Stream, rng_for
 
 __all__ = [
@@ -58,6 +58,8 @@ class SyntheticSpec:
     trial: int = 0
 
     def __post_init__(self):
+        for name in ("m", "n", "plateau", "base_seed", "trial"):
+            _integer(getattr(self, name), name)
         for name, value in (("m", self.m), ("n", self.n)):
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")

@@ -136,15 +136,15 @@ def test_criterion_04_powered_pipeline_beats_plain_at_every_budget():
         spec = synthetic.SyntheticSpec(
             synthetic.Family.POLY_DECAY, m, n, plateau=10, alpha=1.0, base_seed=100, trial=trial
         )
-        a, base, factors = metrics._trial_data(spec, r)
+        a, factors = synthetic.generate(spec)
         for t_hat, ((s, d, l), (s2, d2)) in sizes.items():
             st = open_stream(PipelineKind.TYUC17_SPI, m, n, s, d, l,
                              base_seed=200 + t_hat, trial=trial, plan=PrecisionPlan.MIXED_SINGLE_DOUBLE)
             res = tyuc17_spi(st.ingest(LinearUpdate.dense(a)).finalize(), SpiParams(q=1), r)
-            sf[t_hat]["spi"].append(metrics.relative_error(a, res, r, baselines=base, factors=factors).s_f)
+            sf[t_hat]["spi"].append(metrics.relative_error(a, res, factors=factors).s_f)
             st = open_stream(PipelineKind.TYUC17, m, n, s2, d2, base_seed=300 + t_hat, trial=trial)
             res = tyuc17(st.ingest(LinearUpdate.dense(a)).finalize(), r)
-            sf[t_hat]["plain"].append(metrics.relative_error(a, res, r, baselines=base, factors=factors).s_f)
+            sf[t_hat]["plain"].append(metrics.relative_error(a, res, factors=factors).s_f)
     summary = []
     for t_hat in budgets:
         mean_spi, mean_plain = np.mean(sf[t_hat]["spi"]), np.mean(sf[t_hat]["plain"])
@@ -163,7 +163,7 @@ def test_criterion_05_more_power_iterations_reduce_error_and_spread():
     spec = synthetic.SyntheticSpec(
         synthetic.Family.POLY_DECAY, m, n, plateau=10, alpha=0.5, base_seed=77, trial=0
     )
-    a, base, factors = metrics._trial_data(spec, r)
+    a, factors = synthetic.generate(spec)
     s_inf = {1: [], 2: [], 3: []}
     for trial in range(50):
         st = open_stream(PipelineKind.TYUC17_SPI, m, n, 20, 40, 60, base_seed=3, trial=trial,
@@ -171,7 +171,7 @@ def test_criterion_05_more_power_iterations_reduce_error_and_spread():
         sk = st.ingest(LinearUpdate.dense(a)).finalize()
         for q in s_inf:
             res = tyuc17_spi(sk, SpiParams(q=q), r)
-            s_inf[q].append(metrics.relative_error(a, res, r, baselines=base, factors=factors).s_inf)
+            s_inf[q].append(metrics.relative_error(a, res, factors=factors).s_inf)
     means = {q: float(np.mean(v)) for q, v in s_inf.items()}
     cvs = {q: float(np.std(v) / np.mean(v)) for q, v in s_inf.items()}
     assert means[3] <= 1.05 * means[1]

@@ -37,6 +37,15 @@ def _sketch(kind, a, s, d=0, l=0, seed=0, plan=PrecisionPlan.ALL_DOUBLE):
     return st.ingest(upd).finalize()
 
 
+@pytest.mark.parametrize("r", [True, 2.5, 2.0, "2", None], ids=repr)
+@pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)
+def test_a_rank_that_is_not_an_integer_is_refused_by_name(kind, r):
+    sk = _sketch(kind, _rank_r_matrix(40, 30, 3, seed=5), 6, 14, 14, plan=PIPELINES[kind.value].default_plan)
+    with pytest.raises(ValueError, match=f"^target rank must be an integer, got {r!r}$"):
+        approximate(sk, r)
+    assert approximate(sk, np.int64(2)).sv.size == 2
+
+
 def _sines(u, w):
     qu = np.linalg.qr(u)[0]
     qw = np.linalg.qr(w)[0]

@@ -14,6 +14,7 @@ import pytest
 
 import sketchpower
 from sketchpower import bench_cli, matrix_core, synthetic
+from sketchpower.matrix_core import Precision
 from sketchpower.precision_model import PIPELINES, PrecisionPlan, simulate_storage
 from sketchpower.stream_ingest import PipelineKind
 from sketchpower.synthetic import Family, SyntheticSpec, generate, prescribed_spectrum, write_spim
@@ -538,6 +539,29 @@ def test_ledger_on_a_file_resolves_the_sizes_run_resolves(tmp_path):
     ledger = list(csv.reader((tmp_path / "ledger.csv").read_text().splitlines()))
     plan = PIPELINES["tyuc17_spi"].default_plan
     expected = simulate_storage("tyuc17_spi", plan, 60, 45, int(row["s"]), int(row["d"]), int(row["l"]))
+    assert [r[:3] for r in ledger[1:-1]] == [[str(x) for x in r[:3]] for r in expected.csv_rows()]
+
+
+@pytest.mark.parametrize("precision", [None, Precision.BINARY32])
+def test_manual_ledger_of_a_file_reads_no_spectrum(precision, tmp_path, monkeypatch):
+    # Manual sizes need only the file's shape: the file is walked and
+    # checked, and no SVD is taken.
+    import scipy.linalg
+
+    path = tmp_path / "d.spim"
+    write_spim(path, np.random.default_rng(9).standard_normal((60, 45)), precision)
+    argv = ["ledger", "--data", "file", "--file", str(path), "--algo", "tyuc17_spi", "--s", "6", "--d", "14",
+            "--l", "20"]
+    rc, want = _run_cli(argv, tmp_path / "want.csv")
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("svdvals called")
+
+    monkeypatch.setattr(scipy.linalg, "svdvals", no_svd)
+    assert rc == 0 and _run_cli(argv, tmp_path / "got.csv") == (0, want)
+    plan = PIPELINES["tyuc17_spi"].default_plan
+    expected = simulate_storage("tyuc17_spi", plan, 60, 45, 6, 14, 20)
+    ledger = list(csv.reader(want.decode().splitlines()))
     assert [r[:3] for r in ledger[1:-1]] == [[str(x) for x in r[:3]] for r in expected.csv_rows()]
 
 

@@ -77,7 +77,8 @@ def test_poly_monotone_in_budget():
 
 
 def test_bad_rank_is_not_an_infeasible_budget():
-    for r, m, n in ((0, 1000, 1000), (-1, 1000, 1000), (11, 10, 1000), (11, 1000, 10)):
+    for r, m, n in ((0, 1000, 1000), (-1, 1000, 1000), (11, 10, 1000), (11, 1000, 10), (2.5, 1000, 1000),
+                    (True, 1000, 1000)):
         with pytest.raises(ValueError, match="target rank") as exc:
             budget_sizes(PipelineKind.TYUC17_SPI, _MIXED, _FLAT, 100, m, n, r)
         assert not isinstance(exc.value, InfeasibleBudgetError)

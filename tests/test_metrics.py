@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import gc
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -51,7 +52,7 @@ def test_relative_error_of_best_rank_r_is_zero():
     u, sv, vt = np.linalg.svd(a, full_matrices=False)
     res = _run_tyuc17(a, 8, 18, 4)
     res.u, res.sv, res.v = u[:, :4], sv[:4], vt[:4].T
-    rel = relative_error(a, res, 4)
+    rel = relative_error(a, res)
     assert abs(rel.s_f) <= 1e-10
     assert abs(rel.s_inf) <= 1e-10
 
@@ -62,25 +63,39 @@ def test_relative_error_zero_baseline_flag():
     v = np.linalg.qr(rng.standard_normal((20, 3)))[0]
     a = (u * [3.0, 2.0, 1.0]) @ v.T  # exact rank 3
     res = _run_tyuc17(a, 6, 14, 3, seed=2)
-    rel = relative_error(a, res, 3)
+    rel = relative_error(a, res)
     assert "zero_baseline" in rel.flags
     assert rel.s_f <= 1e-10  # absolute residual reported
 
 
-def test_relative_error_exact_fit_beyond_rank():
+def test_relative_error_of_a_result_that_fits_a_is_a_zero_baseline():
+    # The rank is the result's: a rank-5 result that reconstructs a rank-5 A
+    # is judged against A's rank-5 baseline, which is zero.
     a = _noisy_lowrank(25, 20, 5, seed=3, noise=0.0)
     res = _run_tyuc17(a, 8, 16, 3, seed=4)
     u, sv, vt = np.linalg.svd(a, full_matrices=False)
     res.u, res.sv, res.v = u[:, :5], sv[:5], vt[:5].T  # reconstructs A exactly
-    rel = relative_error(a, res, 3)
-    assert "exact_fit" in rel.flags
+    rel = relative_error(a, res)
+    assert rel.flags == frozenset({"zero_baseline"})
+    assert rel.s_f <= 1e-10  # absolute residual reported
+
+
+def test_relative_error_exact_fit_against_a_positive_baseline():
+    # exact_fit needs a baseline that is not zero, which a spectrum given for
+    # a matrix the result fits exactly can still have.
+    a = _noisy_lowrank(25, 20, 5, seed=3, noise=0.0)
+    res = _run_tyuc17(a, 8, 16, 3, seed=4)
+    u, sv, vt = np.linalg.svd(a, full_matrices=False)
+    res.u, res.sv, res.v = u[:, :3], sv[:3], vt[:3].T
+    rel = relative_error((u[:, :3] * sv[:3]) @ vt[:3], res, spectrum=sv)
+    assert rel.flags == frozenset({"exact_fit"})
     assert rel.s_f == 0.0
 
 
 def test_range_extra_pythagoras():
     a = _noisy_lowrank(100, 80, 6, seed=5)
     res = _run_tyuc17(a, 10, 24, 6, seed=6)
-    err = evaluate(a, res, 6)
+    err = evaluate(a, res)
     base = np.linalg.norm(a - _best_rank(a, 6))
     lhs = (base * (1 + err.s_f)) ** 2
     rhs = (base * (1 + err.range_f)) ** 2 + (base * err.extra_f) ** 2
@@ -96,7 +111,7 @@ def test_rsvd_extra_error_is_exactly_zero():
     a = _noisy_lowrank(50, 40, 4, seed=7)
     st = open_stream(PipelineKind.RSVD_ONEPASS, 50, 40, 10, base_seed=8)
     res = rsvd_onepass(st.ingest(LinearUpdate.row_block(0, a)).finalize(), 4)
-    err = evaluate(a, res, 4)
+    err = evaluate(a, res)
     assert err.extra_f == 0.0 and err.extra_s == 0.0
 
 
@@ -105,7 +120,7 @@ def test_perfect_range_gives_zero_range_error():
     res = _run_tyuc17(a, 8, 18, 4, seed=10)
     u, _, _ = np.linalg.svd(a, full_matrices=False)
     res.u = u[:, :4]
-    err = evaluate(a, res, 4)
+    err = evaluate(a, res)
     assert abs(err.range_f) <= 1e-9
 
 
@@ -113,17 +128,17 @@ def test_range_extra_left_none_for_two_sided():
     a = _noisy_lowrank(40, 30, 4, seed=11)
     st = open_stream(PipelineKind.TYUC19, 40, 30, 8, 17, base_seed=12)
     res = tyuc19(st.ingest(LinearUpdate.dense(a)).finalize(), 4)
-    err = evaluate(a, res, 4)
+    err = evaluate(a, res)
     assert (err.range_f, err.range_s, err.extra_f, err.extra_s) == (None, None, None, None)
-    assert err == relative_error(a, res, 4)
+    assert err == relative_error(a, res)
 
 
 def test_extra_error_needs_the_corange_test_matrix():
     a = _noisy_lowrank(40, 30, 4, seed=11)
     res = dataclasses.replace(_run_tyuc17(a, 8, 18, 4), psi=None)
     with pytest.raises(ValueError, match="result lacks the corange test matrix needed for ExtraError"):
-        evaluate(a, res, 4)
-    assert relative_error(a, res, 4) == relative_error(a, _run_tyuc17(a, 8, 18, 4), 4)
+        evaluate(a, res)
+    assert relative_error(a, res) == relative_error(a, _run_tyuc17(a, 8, 18, 4))
 
 
 def test_canonical_angles_identity_and_complement():
@@ -262,12 +277,12 @@ def test_metrics_invariant_under_rotation():
     rng = np.random.default_rng(18)
     a = _noisy_lowrank(35, 28, 4, seed=19)
     res = _run_tyuc17(a, 8, 16, 4, seed=20)
-    rel = relative_error(a, res, 4)
+    rel = relative_error(a, res)
     rot = np.linalg.qr(rng.standard_normal((35, 35)))[0]
     res_rot = _run_tyuc17(a, 8, 16, 4, seed=20)
     res_rot.u = rot @ res.u
     res_rot.q_factor = rot @ res.q_factor
-    rel_rot = relative_error(rot @ a, res_rot, 4)
+    rel_rot = relative_error(rot @ a, res_rot)
     assert rel_rot.s_f == pytest.approx(rel.s_f, abs=1e-9)
     assert rel_rot.s_inf == pytest.approx(rel.s_inf, abs=1e-9)
 
@@ -294,12 +309,11 @@ def test_oracle_sweep_means_are_the_serial_sums_of_dense_ingests(concurrent, mon
     sums = {}
     for trial in range(3):
         a, factors = generate(spec.with_trial(trial))
-        base = metrics.baselines_from_spectrum(prescribed_spectrum(spec.with_trial(trial)), 4)
         for row in table.rows:
             st = open_stream(PipelineKind.TYUC17_SPI, 90, 70, row.s, row.d, row.l, base_seed=12, trial=trial,
                              plan=PrecisionPlan.MIXED_SINGLE_DOUBLE)
             res = approximate(st.ingest(LinearUpdate.dense(a)).finalize(), 4, SpiParams(q=row.q))
-            rel = relative_error(a, res, 4, baselines=base, factors=factors)
+            rel = relative_error(a, res, factors=factors)
             sums[(row.s, row.q)] = sums.get((row.s, row.q), np.zeros(2)) + (rel.s_f, rel.s_inf)
     assert len(table.rows) > 4
     for row in table.rows:
@@ -383,10 +397,9 @@ def _fresh_stream_table(table, algo, test_kind, plan, q, trials):
     for trial in range(trials):
         spec = _SWEEP_SPEC.with_trial(trial)
         a, factors = generate(spec)
-        base = metrics.baselines_from_spectrum(prescribed_spectrum(spec), 4)
         for row in table.rows:
             sk = _fresh_sketches(_SWEEP_SPEC, algo, row.s, row.d, row.l, trial, test_kind, plan)
-            rel = relative_error(a, approximate(sk, 4, SpiParams(q=q)), 4, baselines=base, factors=factors)
+            rel = relative_error(a, approximate(sk, 4, SpiParams(q=q)), factors=factors)
             sums[row.s] = sums.get(row.s, np.zeros(2)) + (rel.s_f, rel.s_inf)
     return metrics.SweepTable([
         metrics.SweepRow(row.s, row.d, row.l, row.q, float(sums[row.s][0] / trials), float(sums[row.s][1] / trials))
@@ -410,24 +423,24 @@ def test_oracle_sweep_drops_the_sketches_of_a_trial_when_it_ends(fail, concurren
     """No sketch set of a trial, the shared one included, is alive when the
     next trial starts, nor after the sweep, also when a point raises."""
     monkeypatch.setattr(matrix_core, "_TWO_CPUS", concurrent)
-    made, alive_at_start, real_finalize, real_trial_data = [], [], SketchStream.finalize, metrics._trial_data
+    made, alive_at_start, real_finalize, real_generate = [], [], SketchStream.finalize, synthetic.generate
 
     def finalize(stream):
         sk = real_finalize(stream)
         made.append((weakref.ref(sk), weakref.ref(sk.y.data), weakref.ref(sk.w.data), weakref.ref(sk.z.data)))
         return sk
 
-    def trial_data(spec, r):
+    def generate_trial(spec):
         alive_at_start.append(sum(ref() is not None for refs in made for ref in refs))
-        return real_trial_data(spec, r)
+        return real_generate(spec)
 
-    def fail_in_the_second_trial(a, result, r, **kwargs):
+    def fail_in_the_second_trial(a, result, **kwargs):
         if len(alive_at_start) == 2:
             raise RuntimeError("made to fail")
-        return relative_error(a, result, r, **kwargs)
+        return relative_error(a, result, **kwargs)
 
     monkeypatch.setattr(SketchStream, "finalize", finalize)
-    monkeypatch.setattr(metrics, "_trial_data", trial_data)
+    monkeypatch.setattr(synthetic, "generate", generate_trial)
     if fail:
         monkeypatch.setattr(metrics, "relative_error", fail_in_the_second_trial)
     with pytest.raises(RuntimeError, match="made to fail") if fail else contextlib.nullcontext():
@@ -454,6 +467,13 @@ def test_oracle_sweep_of_an_irregular_grid_has_the_bytes_of_fresh_streams(grid, 
     assert [(row.s, row.d, row.l) for row in table.rows] == grid
     want = _fresh_stream_table(table, PipelineKind.TYUC17_SPI, test_kind, PrecisionPlan.MIXED_SINGLE_DOUBLE, 1, 2)
     assert _sweep_bytes(table) == _sweep_bytes(want)
+
+
+@pytest.mark.parametrize("r", [True, 2.5, 2.0], ids=repr)
+def test_oracle_sweep_refuses_a_rank_that_is_not_an_integer(r):
+    # 2.5 used to sweep nothing and report "minimal feasible T is inf".
+    with pytest.raises(ValueError, match=f"^target rank must be an integer, got {r!r}$"):
+        oracle_sweep(_SWEEP_SPEC, PipelineKind.TYUC17_SPI, budget_t=24.0, r=r, trials=1)
 
 
 @pytest.mark.parametrize("trials", [0, -1])
@@ -525,11 +545,11 @@ def test_evaluators_hold_one_residual_and_leave_a_alone():
     a = generate(SyntheticSpec(Family.POLY_DECAY, m=m, n=n, base_seed=5))[0]
     before = a.copy()
     res = _run_tyuc17(a, 24, 48, 10)
-    base = metrics.baselines_from_spectrum(la.svdvals(a), 10)
+    spectrum = la.svdvals(a)
     for evaluator in (relative_error, evaluate):
         tracemalloc.start()
         try:
-            evaluator(a, res, 10, baselines=base)
+            evaluator(a, res, spectrum=spectrum)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -541,55 +561,12 @@ def test_extra_error_reduction_matches_dense_product():
     a = _noisy_lowrank(60, 45, 4, seed=36)
     res = _run_tyuc17(a, 8, 19, 4, seed=37)
     res.u = res.u @ np.random.default_rng(38).standard_normal((4, 4))  # not orthonormal
-    base_f, base_s = metrics._baselines(a, 4)
-    err = evaluate(a, res, 4)
+    base_f, base_s = metrics.baselines_from_spectrum(la.svdvals(a), 4)
+    err = evaluate(a, res)
     fitted = lstsq(res.psi @ res.q_factor, res.psi @ a).x
     e = res.u @ (res.u_tilde.T @ (res.q_factor.T @ a - fitted))
     assert err.extra_f * base_f == pytest.approx(np.linalg.norm(e), rel=1e-12)
     assert err.extra_s * base_s == pytest.approx(la.svdvals(e)[0], rel=1e-12)
-
-
-@pytest.mark.parametrize(
-    "spec, r",
-    [
-        (SyntheticSpec(Family.POLY_DECAY, m=90, n=70, plateau=5, alpha=1.0, base_seed=40), 5),
-        (SyntheticSpec(Family.POLY_DECAY, m=70, n=90, plateau=5, alpha=2.0, base_seed=41), 8),
-        (SyntheticSpec(Family.EXP_DECAY, m=80, n=80, plateau=5, alpha=0.5, base_seed=42), 6),
-        (SyntheticSpec(Family.LOWRANK_NOISE, m=80, n=60, plateau=6, snr=0.0, base_seed=43), 4),
-    ],
-    ids=["poly", "poly-wide", "exp", "lowrank-noise-free"],
-)
-def test_trial_data_baselines_match_computed(spec, r, monkeypatch):
-    a = generate(spec)[0]
-    want = metrics._baselines(a, r)
-    calls = []
-    monkeypatch.setattr(metrics, "_baselines", lambda *args: calls.append(args))
-    got = metrics._trial_data(spec, r)[1]
-    assert calls == []  # no SVD taken
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_trial_data_zero_baseline_semantics_kept():
-    spec = SyntheticSpec(Family.LOWRANK_NOISE, m=50, n=40, plateau=5, snr=0.0, base_seed=44)
-    a, base, _ = metrics._trial_data(spec, 5)
-    assert base == (0.0, 0.0)
-    res = _run_tyuc17(a, 9, 20, 5, seed=45)
-    exact = relative_error(a, res, 5, baselines=base)
-    computed = relative_error(a, res, 5)
-    assert exact.flags == computed.flags == frozenset({"zero_baseline"})
-    assert exact.s_f == computed.s_f
-
-
-def test_trial_data_noisy_lowrank_takes_computed_path(monkeypatch):
-    spec = SyntheticSpec(Family.LOWRANK_NOISE, m=50, n=40, plateau=5, snr=1e-2, base_seed=46)
-    a = generate(spec)[0]
-    want = metrics._baselines(a, 5)
-    calls = []
-    real = metrics._baselines
-    monkeypatch.setattr(metrics, "_baselines", lambda *args: calls.append(args) or real(*args))
-    got_a, got, factors = metrics._trial_data(spec, 5)
-    assert got == want and factors is None and got_a.tobytes() == a.tobytes()
-    assert len(calls) == 1
 
 
 def test_tiny_data_keeps_its_relative_errors():
@@ -599,7 +576,7 @@ def test_tiny_data_keeps_its_relative_errors():
     res = _run_tyuc17(a, 8, 18, 4, seed=41)
     tiny = 1e-200 * a
     res_tiny = _run_tyuc17(tiny, 8, 18, 4, seed=41)
-    err, err_tiny = evaluate(a, res, 4), evaluate(tiny, res_tiny, 4)
+    err, err_tiny = evaluate(a, res), evaluate(tiny, res_tiny)
     assert not err_tiny.flags
     assert err_tiny.s_f == pytest.approx(err.s_f, rel=1e-12)
     assert err_tiny.range_f == pytest.approx(err.range_f, rel=1e-12)
@@ -613,11 +590,11 @@ def test_rangefinder_is_judged_alike_at_every_scale(scale):
     # at 1e-200 and inf (with an overflow warning) at 1e200, so a healthy
     # rangefinder came back flagged rangefinder_rank_deficient.
     a = _noisy_lowrank(60, 50, 3, seed=42)
-    want = relative_error(a, _run_tyuc17(a, 6, 14, 3, seed=43), 3).s_f
+    want = relative_error(a, _run_tyuc17(a, 6, 14, 3, seed=43)).s_f
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = _run_tyuc17(scale * a, 6, 14, 3, seed=43)
-        rel = relative_error(scale * a, res, 3)
+        rel = relative_error(scale * a, res)
     assert not res.flags and not rel.flags
     assert rel.s_f == pytest.approx(want, rel=1e-12)
 
@@ -661,8 +638,7 @@ def test_factored_residual_norms_match_the_dense_residual(data, m, n, plan, kind
     tol = 1e3 * np.finfo(np.float64).eps * np.linalg.norm(a)
     for dense, factored in _norm_pairs(a, factors, res):
         assert np.abs(np.subtract(dense, factored)).max() <= tol, (dense, factored)
-    base = metrics.baselines_from_spectrum(factors.sv, 8)
-    factored, dense = evaluate(a, res, 8, base, factors), evaluate(a, res, 8, base)
+    factored, dense = evaluate(a, res, factors=factors), evaluate(a, res, spectrum=factors.sv)
     assert factored.flags == dense.flags
     assert (factored.range_f is None) == (dense.range_f is None) == (kind in _TWO_SIDED)
 
@@ -680,13 +656,12 @@ def test_factored_frobenius_norm_sums_every_row_chunk():
 @pytest.mark.parametrize("exponent", [-600, 600])
 def test_factored_errors_are_unchanged_at_extreme_scales(exponent):
     a, factors, res = _factored_case("poly", 70, 50, PrecisionPlan.ALL_DOUBLE, PipelineKind.TYUC17)
-    r = 8
     scaled = synthetic.Factors(factors.u, np.ldexp(factors.sv, exponent), factors.v)
     res_scaled = dataclasses.replace(res, sv=np.ldexp(res.sv, exponent))
-    want = evaluate(a, res, r, metrics.baselines_from_spectrum(factors.sv, r), factors)
+    want = evaluate(a, res, factors=factors)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = evaluate(np.ldexp(a, exponent), res_scaled, r, metrics.baselines_from_spectrum(scaled.sv, r), scaled)
+        got = evaluate(np.ldexp(a, exponent), res_scaled, factors=scaled)
     assert not got.flags
     assert (got.s_f, got.s_inf) == (want.s_f, want.s_inf)
     assert (got.range_f, got.range_s) == (want.range_f, want.range_s)
@@ -701,11 +676,10 @@ def test_factored_evaluators_make_no_m_by_n_array():
     m = n = 1000
     a, factors = generate(SyntheticSpec(Family.POLY_DECAY, m=m, n=n, base_seed=5))
     res = _run_tyuc17(a, 24, 48, 10)
-    base = metrics.baselines_from_spectrum(factors.sv, 10)
     for evaluator in (relative_error, evaluate):
         tracemalloc.start()
         try:
-            evaluator(a, res, 10, baselines=base, factors=factors)
+            evaluator(a, res, factors=factors)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -732,17 +706,18 @@ def test_factored_norms_of_zero_data_are_zero():
 def test_evaluate_keeps_the_bits_of_relative_error(kind, data):
     a, factors, res = _factored_case("lowrank" if data == "zero_baseline" else "poly", 70, 50,
                                      PrecisionPlan.ALL_DOUBLE, kind)  # lowrank: rank 6 < r = 8
-    base = metrics.baselines_from_spectrum(factors.sv, 8)
+    spectrum = None
     if data == "noisy":  # the dense path, baselines from an SVD
         a = a + 1e-3 * np.random.default_rng(72).standard_normal(a.shape)
-        base = factors = None
-    elif data == "exact_fit":  # the generator's own rank-8 truncation, fitted by its factors
+        factors = None
+    elif data == "exact_fit":  # the generator's own rank-8 truncation, judged by the whole spectrum
         sv = factors.sv.copy()
         sv[8:] = 0.0
-        factors = synthetic.Factors(factors.u, sv, factors.v)
         a = (factors.u * sv) @ factors.v.T
         res = dataclasses.replace(res, u=factors.u[:, :8], sv=sv[:8], v=factors.v[:, :8])
-    rel, err = relative_error(a, res, 8, base, factors), evaluate(a, res, 8, base, factors)
+        spectrum, factors = factors.sv, None
+    rel = relative_error(a, res, spectrum=spectrum, factors=factors)
+    err = evaluate(a, res, spectrum=spectrum, factors=factors)
     assert (err.s_f.hex(), err.s_inf.hex(), err.flags) == (rel.s_f.hex(), rel.s_inf.hex(), rel.flags)
     assert (rel.range_f, rel.range_s, rel.extra_f, rel.extra_s) == (None, None, None, None)
     split = (err.range_f, err.range_s, err.extra_f, err.extra_s)
@@ -756,5 +731,63 @@ def test_factored_evaluate_forms_the_generator_basis_product_once(monkeypatch):
     calls = []
     real = metrics._in_basis
     monkeypatch.setattr(metrics, "_in_basis", lambda b, q: calls.append((b, q)) or real(b, q))
-    evaluate(a, res, 8, metrics.baselines_from_spectrum(factors.sv, 8), factors)
+    evaluate(a, res, factors=factors)
     assert [q is res.u for b, q in calls if b is factors.u] == [True]
+
+
+# -- where the baselines come from -------------------------------------------
+
+@pytest.mark.parametrize("family", [Family.POLY_DECAY, Family.EXP_DECAY, Family.LOWRANK_NOISE], ids=lambda f: f.value)
+@pytest.mark.parametrize("m, n", [(60, 50), (50, 60), (45, 45)], ids=["tall", "wide", "square"])
+def test_generator_spectrum_gives_the_baselines_of_the_prescribed_one(family, m, n):
+    # The factors hold the prescribed spectrum's first k values (k = plateau
+    # for low-rank data); the zeros it has beyond them move no baseline bit.
+    for plateau, alpha in itertools.product((0, 4, 10), (0.5, 1.0, 2.0)):
+        spec = SyntheticSpec(family, m=m, n=n, plateau=plateau, alpha=alpha, snr=0.0, base_seed=40)
+        sv, prescribed = synthetic._factors(spec).sv, prescribed_spectrum(spec)
+        for r in range(1, 41):
+            got, want = metrics.baselines_from_spectrum(sv, r), metrics.baselines_from_spectrum(prescribed, r)
+            assert (got[0].hex(), got[1].hex()) == (want[0].hex(), want[1].hex()), (plateau, alpha, r)
+
+
+def _fields(err):
+    return [x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(err)]
+
+
+@pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("data", list(_FACTORED_SPECS))
+def test_factors_and_the_prescribed_spectrum_give_the_same_errors(data, kind, monkeypatch):
+    # Both take their baselines from baselines_from_spectrum, bit for bit.
+    # The factored residual norms agree with the dense ones to roundoff (see
+    # test_factored_residual_norms_match_the_dense_residual), so the errors
+    # agree to roundoff and their flags exactly.
+    spec = SyntheticSpec(m=70, n=50, base_seed=60, **_FACTORED_SPECS[data])
+    a, factors, res = _factored_case(data, 70, 50, PrecisionPlan.ALL_DOUBLE, kind)
+    seen, real = [], metrics.baselines_from_spectrum
+    monkeypatch.setattr(metrics, "baselines_from_spectrum", lambda sv, r: seen.append(real(sv, r)) or seen[-1])
+    by_factors = evaluate(a, res, factors=factors)
+    by_spectrum = evaluate(a, res, spectrum=prescribed_spectrum(spec))
+    assert len(seen) == 2 and [x.hex() for x in seen[0]] == [x.hex() for x in seen[1]]
+    assert by_factors.flags == by_spectrum.flags == (frozenset({"zero_baseline"}) if data == "lowrank" else frozenset())
+    tol = 1e3 * np.finfo(np.float64).eps * np.linalg.norm(a) / (min(seen[0]) or 1.0)  # absolute at a zero baseline
+    for got, want in zip(dataclasses.astuple(by_spectrum)[:6], dataclasses.astuple(by_factors)[:6]):
+        assert (got is None and want is None) or abs(got - want) <= tol, (got, want)
+
+
+def test_a_noisy_trial_spectrum_gives_the_bits_of_none():
+    a, factors = generate(SyntheticSpec(Family.LOWRANK_NOISE, m=50, n=40, plateau=5, snr=1e-2, base_seed=46))
+    assert factors is None
+    st = open_stream(PipelineKind.TYUC17_SPI, 50, 40, 8, 18, 20, base_seed=47)
+    res = approximate(st.ingest(LinearUpdate.row_block(0, a)).finalize(), 5)
+    for evaluator in (relative_error, evaluate):
+        assert _fields(evaluator(a, res, spectrum=la.svdvals(a))) == _fields(evaluator(a, res))
+
+
+@pytest.mark.parametrize("bad", [[1.0, np.nan], [1.0, np.inf], [1.0, -1e-300]], ids=["nan", "inf", "negative"])
+def test_evaluators_refuse_a_bad_spectrum_and_a_spectrum_beside_factors(bad):
+    a, factors, res = _factored_case("poly", 70, 50, PrecisionPlan.ALL_DOUBLE, PipelineKind.TYUC17)
+    for evaluator in (relative_error, evaluate):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            evaluator(a, res, spectrum=bad)
+        with pytest.raises(ValueError, match="not both"):
+            evaluator(a, res, spectrum=factors.sv, factors=factors)

@@ -1,5 +1,6 @@
 import contextlib
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -1071,20 +1072,38 @@ def test_binary32_sketches_are_rounded_once_per_update(kind, test_kind, monkeypa
             assert got.data.tobytes() == getattr(double, name).data.astype(got.data.dtype).tobytes(), name
 
 
+@pytest.mark.parametrize("whole", [False, True], ids=["row_blocks", "dense"])
 @pytest.mark.parametrize("test_kind", _TEST_KINDS, ids=lambda k: k.variant)
 @pytest.mark.parametrize("plan", list(PrecisionPlan), ids=lambda p: p.value)
 @pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)
-def test_binary32_row_block_gives_the_bytes_of_its_upcast(kind, plan, test_kind, monkeypatch):
+def test_binary32_row_block_gives_the_bytes_of_its_upcast(kind, plan, test_kind, whole, monkeypatch):
+    # Three row blocks, or the whole matrix as one dense update (a row block
+    # for a row-only stream).
     m, n = _CHUNK_SIZES[:2]
     monkeypatch.setattr(stream_ingest, "_CHUNK", _CHUNK_ROWS * n)
     a = np.random.default_rng(13).standard_normal((m, n)).astype(np.float32)
-    kept = LinearUpdate.row_block(3, a[3:31])
-    assert kept.h.dtype == np.float32
-    got = _ingested(kind, plan, test_kind, [LinearUpdate.row_block(0, a[:3]), kept, LinearUpdate.row_block(31, a[31:])])
-    want = _ingested(kind, plan, test_kind, [LinearUpdate.row_block(0, a[:3].astype(np.float64)),
-                                             LinearUpdate.row_block(3, a[3:31].astype(np.float64)),
-                                             LinearUpdate.row_block(31, a[31:].astype(np.float64))])
-    _assert_same_bytes(got, want)
+
+    def updates(x):
+        if whole:
+            return _row_updates(kind, x, 0)
+        return [LinearUpdate.row_block(i, x[i:j]) for i, j in ((0, 3), (3, 31), (31, m))]
+
+    kept = updates(a)
+    assert all(upd.h.dtype == np.float32 for upd in kept)
+    _assert_same_bytes(_ingested(kind, plan, test_kind, kept),
+                       _ingested(kind, plan, test_kind, updates(a.astype(np.float64))))
+
+
+def test_binary32_dense_update_is_not_copied_to_binary64():
+    m, n = 500, 400
+    a = np.random.default_rng(15).standard_normal((m, n)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        upd = LinearUpdate.dense(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert upd.h.dtype == np.float32 and peak < m * n * 8, peak
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=str)

@@ -258,6 +258,13 @@ def test_plateau_exceeding_dims_rejected():
     ("m", -5, "m must be at least 1, got -5"),
     ("m", 0, "m must be at least 1, got 0"),
     ("n", 0, "n must be at least 1, got 0"),
+    ("m", 40.5, "m must be an integer, got 40.5"),
+    ("m", True, "m must be an integer, got True"),
+    ("n", "50", "n must be an integer, got '50'"),
+    ("plateau", 2.5, "plateau must be an integer, got 2.5"),
+    ("base_seed", 1.5, "base_seed must be an integer, got 1.5"),
+    ("trial", True, "trial must be an integer, got True"),
+    ("trial", None, "trial must be an integer, got None"),
 ])
 @pytest.mark.parametrize("family", list(Family))
 def test_impossible_specs_rejected_naming_the_field(family, field, value, problem):

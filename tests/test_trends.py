@@ -40,9 +40,8 @@ def _mean_sf(algo_fn, spec, trials, make_sketch):
     vals = []
     for t in range(trials):
         a = synthetic.generate(spec.with_trial(t))[0]
-        base = metrics._baselines(a, spec.plateau)
         res = algo_fn(make_sketch(a, t), t)
-        vals.append(metrics.relative_error(a, res, spec.plateau, baselines=base).s_f)
+        vals.append(metrics.relative_error(a, res).s_f)
     return float(np.mean(vals))
 
 
@@ -84,16 +83,16 @@ def test_powered_pipeline_dominates_on_high_noise():
     plain, powered = [], {1: [], 2: [], 3: []}
     for t in range(trials):
         a = synthetic.generate(spec.with_trial(t))[0]
-        base = metrics._baselines(a, r)
+        spectrum = la.svdvals(a, check_finite=False)
         st = open_stream(PipelineKind.TYUC17, n, n, s2, d2, base_seed=800, trial=t)
         res = tyuc17(st.ingest(LinearUpdate.dense(a)).finalize(), r)
-        plain.append(metrics.relative_error(a, res, r, baselines=base).s_f)
+        plain.append(metrics.relative_error(a, res, spectrum=spectrum).s_f)
         st = open_stream(PipelineKind.TYUC17_SPI, n, n, s, d, l,
                          base_seed=801, trial=t, plan=PrecisionPlan.MIXED_SINGLE_DOUBLE)
         sk = st.ingest(LinearUpdate.dense(a)).finalize()
         for q in powered:
             res = tyuc17_spi(sk, SpiParams(q=q), r)
-            powered[q].append(metrics.relative_error(a, res, r, baselines=base).s_f)
+            powered[q].append(metrics.relative_error(a, res, spectrum=spectrum).s_f)
     best_powered = min(float(np.mean(v)) for v in powered.values())
     assert best_powered < float(np.mean(plain))
 
@@ -109,16 +108,16 @@ def test_two_sided_powered_pipeline_improves_on_two_sided():
     for t in range(trials):
         spec = synthetic.SyntheticSpec(synthetic.Family.POLY_DECAY, n, n, plateau=r, alpha=1.0,
                                        base_seed=900, trial=t)
-        a, base, factors = metrics._trial_data(spec, r)
+        a, factors = synthetic.generate(spec)
         st = open_stream(PipelineKind.TYUC19, n, n, s, 2 * s, base_seed=901, trial=t)
         res = tyuc19(st.ingest(LinearUpdate.dense(a)).finalize(), r)
-        f19.append(metrics.relative_error(a, res, r, baselines=base, factors=factors).s_f)
+        f19.append(metrics.relative_error(a, res, factors=factors).s_f)
         l = d = 2 * s
         st = open_stream(PipelineKind.TYUC19_SPI, n, n, s, d, l, base_seed=902, trial=t,
                          plan=PrecisionPlan.MIXED_SINGLE_DOUBLE)
         sk = st.ingest(LinearUpdate.dense(a)).finalize()
         res = tyuc19_spi(sk, SpiParams(q=1), r)
-        f19s.append(metrics.relative_error(a, res, r, baselines=base, factors=factors).s_f)
+        f19s.append(metrics.relative_error(a, res, factors=factors).s_f)
     assert float(np.mean(f19s)) <= float(np.mean(f19))
 
 
@@ -131,7 +130,7 @@ def test_fast_exp_mixed_precision_floor():
     # isolates the precision floor.
     r, n, t_hat = 10, 500, 200
     spec = synthetic.SyntheticSpec(synthetic.Family.EXP_DECAY, n, n, plateau=r, alpha=0.5, base_seed=1000)
-    a, base, factors = metrics._trial_data(spec, r)
+    a, factors = synthetic.generate(spec)
     cls = SpectrumClass(DecayKind.EXP, 0.5)
     s, d, l = _guided(PipelineKind.TYUC17_SPI, cls, t_hat, n, r)
     s_v = min(s, l // 2)
@@ -143,7 +142,7 @@ def test_fast_exp_mixed_precision_floor():
                              base_seed=1001, trial=t, plan=plan)
             sk = st.ingest(LinearUpdate.dense(a)).finalize()
             res = tyuc17_spi_variant(sk, SpiParams(q=1), r)
-            vals.append(metrics.relative_error(a, res, r, baselines=base, factors=factors).s_f)
+            vals.append(metrics.relative_error(a, res, factors=factors).s_f)
         out[plan] = float(np.mean(vals))
     mixed = out[PrecisionPlan.MIXED_SINGLE_DOUBLE]
     assert 1e-7 <= mixed <= 1e-3  # binary32 noise-floor band
@@ -155,7 +154,7 @@ def test_fast_exp_mixed_precision_floor():
     for t in range(5):
         st = open_stream(PipelineKind.TYUC17, n, n, s2, d2, base_seed=1003, trial=t)
         res = tyuc17(st.ingest(LinearUpdate.dense(a)).finalize(), r)
-        vals.append(metrics.relative_error(a, res, r, baselines=base, factors=factors).s_f)
+        vals.append(metrics.relative_error(a, res, factors=factors).s_f)
     assert mixed >= float(np.mean(vals))  # binary64 wins this regime
 
 

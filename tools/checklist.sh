@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Byte-identity check list: 74 sketchpower-bench commands, each writing its
+# Byte-identity check list: 81 sketchpower-bench commands, each writing its
 # CSV (NAME.csv) and stderr (NAME.err) into OUTDIR, and one exit code per
 # command into OUTDIR/status.txt.
 #
@@ -31,7 +31,15 @@
 # 2,000,000x1000 and T=21, which names the least budget that resolves (no
 # data is made for a ledger); and each per-column test-matrix kind,
 # sparse_sign and countsketch, in a `run` of tyuc17_spi and of tyuc19 on that
-# lowrank case and in a `sweep` of tyuc17_spi on 120x100 poly-2.  The file is written into OUTDIR
+# lowrank case and in a `sweep` of tyuc17_spi on 120x100 poly-2; two `sweep`s
+# of tyuc17_spi on noisy lowrank 120x100 data (T=30, r=4, 2 trials), with
+# Gaussian and with the default test matrices, where each trial's spectrum is
+# taken once and serves every grid point; the ledger of tyuc17_spi at manual
+# sizes (6, 14, 20) on the binary64 and binary32 SPIM files, which are walked,
+# not loaded, and on a missing file (refused); and the ledgers of tyuc17_spi
+# (refused by its storage rule) and tyuc19 on the SPIM file at the sizes
+# `--guidance auto` resolves at T=40 from the file's spectrum.
+# The file is written into OUTDIR
 # with NumPy alone and named by a relative path, so the CSVs' param column
 # is the same in every OUTDIR and `diff -r` compares numbers only.
 #
@@ -186,4 +194,14 @@ for tm in sparse_sign countsketch; do
     done
     bench "sweep_tyuc17_spi_$tm" sweep --algo tyuc17_spi --data poly --alpha 2 --m 120 --n 100 --budget 30 --rank 4 \
         --trials 2 --test-matrix "$tm"
+done
+for tm in gaussian sparse_rademacher; do
+    bench "sweep_lowrank_$tm" sweep --algo tyuc17_spi --data lowrank --m 120 --n 100 --budget 30 --rank 4 \
+        --trials 2 --test-matrix "$tm"
+done
+for f in poly300x200 poly300x200_f32 missing; do
+    bench "ledger_file_$f" ledger --algo tyuc17_spi --data file --file "$f.spim" --s 6 --d 14 --l 20
+done
+for k in tyuc17_spi tyuc19; do
+    bench "ledger_file_auto_$k" ledger --algo "$k" --data file --file poly300x200.spim --budget 40 --guidance auto
 done
