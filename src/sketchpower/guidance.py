@@ -170,11 +170,13 @@ def classify_spectrum(singular_values) -> SpectrumClass:
     """Fit log sigma_i against {-alpha log i} and {-alpha i}; best fit wins.
 
     Returns flat when both fitted rates fall below 0.05 (or come out
-    non-positive).  Requires at least 10 positive values.
+    non-positive).  Requires at least 10 finite positive values.
     """
     sv = np.asarray(singular_values, dtype=np.float64).ravel()
     if sv.size < 10:
         raise ValueError(f"need at least 10 singular values, got {sv.size}")
+    if not np.all(np.isfinite(sv)):
+        raise ValueError("singular values must be finite to classify decay")
     if np.any(sv <= 0):
         raise ValueError("singular values must be positive to classify decay")
     y = np.log(sv)
@@ -194,8 +196,6 @@ def classify_spectrum(singular_values) -> SpectrumClass:
         for (kind, (alpha, sse)) in fits.items()
         if alpha >= HALF_BAND
     ]
-    if not candidates:
-        return SpectrumClass(DecayKind.FLAT)
     _, kind, alpha = min(candidates, key=lambda c: c[0])
     return SpectrumClass(kind, alpha)
 

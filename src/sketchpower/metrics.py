@@ -63,6 +63,9 @@ __all__ = [
 
 _ZERO_BASELINE_RTOL = 1e-12
 _EXACT_FIT_RTOL = 1e-12
+# A given spectrum whose 2-norm is not ||A||_F to this relative tolerance is
+# not A's; singular values taken in binary64 meet it to about sqrt(min(m, n)) eps.
+_SPECTRUM_RTOL = 1e-10
 
 
 @dataclass
@@ -225,9 +228,12 @@ def _errors(a, result: ApproxResult, spectrum, factors, split: bool) -> Errors:
     elif spectrum is None:
         spectrum = la.svdvals(a, check_finite=False)
     base_f, base_s = baselines_from_spectrum(spectrum, result.sv.size)
+    scale = fro_norm(a if factors is None else factors.sv)
+    norm = fro_norm(np.asarray(spectrum, dtype=np.float64))
+    if factors is None and abs(norm - scale) > _SPECTRUM_RTOL * scale:
+        raise ValueError(f"spectrum is not A's: its 2-norm is {norm:.17g} but ||A||_F is {scale:.17g}")
     xu = None if factors is None else _in_basis(factors.u, result.u)
     num_f, num_s = _residual_norms(a, result, factors, xu)
-    scale = fro_norm(a if factors is None else factors.sv)
     zero_baseline = base_f <= _ZERO_BASELINE_RTOL * max(scale, 1e-300)
     if zero_baseline:
         s_f, s_inf, flags = num_f, num_s, frozenset({"zero_baseline"})
@@ -263,7 +269,8 @@ def evaluate(a, result: ApproxResult, *, spectrum=None, factors: Optional[synthe
     given A's SVD ``factors`` (noise-free :func:`synthetic.generate` data),
     else the given ``spectrum`` (say a file's, taken once for many results),
     else ``la.svdvals(A)``.  Giving both ``spectrum`` and ``factors``, or a
-    spectrum with a negative or non-finite value, is refused (ValueError).
+    spectrum with a negative or non-finite value or whose 2-norm is not
+    ||A||_F (to a relative 1e-10), is refused (ValueError).
     If A is itself (numerically) rank <= r the ratio is undefined: absolute
     errors are returned with a ``zero_baseline`` flag.  A reconstruction that
     fits A to roundoff while the baseline is positive is reported as zero
@@ -359,9 +366,7 @@ def bound_frobenius_q1(inp: BoundInputsFro) -> float:
     inp.validate()
     p, l, s, d = inp.varrho, inp.l, inp.s, inp.d
     sv = np.asarray(inp.singular_values, dtype=np.float64).ravel()
-    den = (s - p) ** 2 * (l - p) * (l - p - 1) * (l - p - 3)
-    if den <= 0 or (d - s - 1) <= 0 or (l - p - 1) <= 0:
-        raise ValueError("bound denominators must be positive; hypotheses violated")
+    den = (s - p) ** 2 * (l - p) * (l - p - 1) * (l - p - 3)  # positive, as validate() gives l > s >= p + 4
     eps = 2.0 * p / (l - p - 1)
     e2 = math.e**2
     delta = e2 * (s + p) * p * (l - 1) * (l**2 + 2 * l) / den
@@ -528,24 +533,21 @@ def oracle_sweep(
     sketch (size l) and is 0 for the others.
 
     A is ingested once a trial, by the stream of the first point.  From the
-    pipeline table, each other point takes the first stream's test matrices
-    that have the same shape at both points, and its finalized sketches that
-    have the same shape and whose operands it all takes (sketches are linear
-    in A); a sketch that a folded ``gram`` sketch names is folded too, since
-    the gram sketch reads its increment.  A Gaussian test matrix of another
-    shape is the first r·c entries of its stream (draws are row-major): of
-    the first stream's matrix when it holds that many, else of one flat
-    draw a trial sized to the grid's largest shape.  The point's own stream
-    draws the rest and folds A into the sketches it did not take, so every
-    point has the bits of a fresh stream.  Noisy data's singular values are
-    taken once a trial and serve the baselines of every point.  No sketch is cut to a prefix:
-    the rows of a BLAS product need not keep their bits when the row count
-    changes.  The grid points of a trial are shared out between this
-    process and a forked copy of it
+    pipeline table, each other point takes the first stream's test matrices and
+    finalized sketches that have the same shape at both points, a sketch only
+    if it takes all its operands (sketches are linear in A).  A Gaussian test
+    matrix of another shape is the first r·c entries of one flat draw of its
+    stream a trial, sized to the grid's largest shape (draws are row-major).
+    The point's own stream draws the rest and folds A into the sketches it did
+    not take, so every point has the bits of a fresh stream.  Noisy data's
+    singular values are taken once a trial and serve the baselines of every
+    point.  No sketch is cut to a prefix: the rows of a BLAS product need not
+    keep their bits when the row count changes.  The grid points of a trial are
+    shared out between this process and a forked copy of it
     (:func:`~sketchpower.matrix_core._in_two_processes`): a point is mostly
     interpreter work on small arrays, which two threads would take in turns.
-    Their errors are summed in grid order, so the means do not depend on
-    the processes.
+    Their errors are summed in grid order, so the means do not depend on the
+    processes.
     """
     if trials < 1:
         raise ValueError(f"oracle sweep needs at least one trial, got {trials}")
@@ -565,24 +567,22 @@ def oracle_sweep(
     m, n, seed = data_spec.m, data_spec.n, data_spec.base_seed
     gaussian = test_kind.variant == "gaussian"
     shapes = [pipeline.shapes(m, n, *sizes) for sizes in grid]
-    largest = {name: max(math.prod(sh[name]) for sh in shapes) for name, _ in pipeline.test_matrices}
+    # The Gaussian test matrices whose shape varies over the grid, with their largest size.
+    largest = {name: max(math.prod(sh[name]) for sh in shapes) for name, _ in pipeline.test_matrices
+               if gaussian and any(sh[name] != shapes[0][name] for sh in shapes)}
 
     def shared(sh) -> set:
         """What a point of these shapes takes of the first stream as it is, by name."""
         same = {name for name, _ in pipeline.test_matrices if sh[name] == shapes[0][name]}
-        for sk in pipeline.sketches:  # in table order: a gram sketch follows the sketch it names
-            if sh[sk.name] == shapes[0][sk.name] and same.issuperset(sk.operands):
-                same.add(sk.name)
-        return same - {o for sk in pipeline.sketches if sk.update == "gram" and sk.name not in same
-                       for o in sk.operands}
+        return same | {sk.name for sk in pipeline.sketches
+                       if sh[sk.name] == shapes[0][sk.name] and same.issuperset(sk.operands)}
 
     def point(a, factors, spectrum, t, sk0, draws, sizes, sh, same):
         sk = sk0
         if sizes != grid[0]:
             taken = {name: t[name] if name in t else getattr(sk0, name).data for name in same}
-            for name in t.keys() - same if gaussian else ():
-                size = math.prod(sh[name])
-                taken[name] = (t[name] if size <= t[name].size else draws[name]).ravel()[:size].reshape(sh[name])
+            for name in largest.keys() - same:
+                taken[name] = draws[name][: math.prod(sh[name])].reshape(sh[name])
             stream = SketchStream(algo, m, n, *sizes, base_seed=seed, trial=sk0.trial, test_kind=test_kind,
                                   plan=plan, _taken=taken)
             sk = stream.ingest(LinearUpdate.row_block(0, a)).finalize()
@@ -597,7 +597,7 @@ def oracle_sweep(
         sk0 = first.ingest(LinearUpdate.row_block(0, a)).finalize()
         t = first._t  # as the stream holds them: a sparse one in CSC form
         draws = {name: generate(test_kind, 1, size, _test_matrix_seed(name, seed, trial))[0]
-                 for name, size in largest.items() if gaussian and size > t[name].size}
+                 for name, size in largest.items()}
         return _in_two_processes([functools.partial(point, a, factors, spectrum, t, sk0, draws, *p) for p in points])
 
     sums = np.zeros((len(grid), 2))

@@ -75,10 +75,9 @@ class Sketch:
 
     ``update`` names the ingestion kernel: ``right`` (sketch += H T),
     ``left`` (sketch += T H), ``two_sided`` (sketch += T1 H T2^T) or
-    ``gram`` (sketch += H^T dY for a row block, dY the same update's
-    increment of the right sketch it names; with Y = A Omega this
-    accumulates A^T A Omega).  ``operands`` are the test matrices the rule
-    reads, in kernel order, or for ``gram`` the right sketch.
+    ``gram`` (sketch += H^T (H T) for a row block, which accumulates
+    A^T A T).  For every rule, ``operands`` are the test matrices the rule
+    reads, in kernel order.
     """
 
     name: str
@@ -184,7 +183,7 @@ PIPELINES: dict[str, PipelineSpec] = {
               ("w", "z"), ("d >= s", "l > s", "l >= 2s"),
               _SPI_GRAM + ("free z", "new y m s binary32", "up y"), _MIXED),
         _spec("rsvd_onepass",
-              [("y", ("m", "s"), "right", ("omega",)), ("w", ("n", "s"), "gram", ("y",))],
+              [("y", ("m", "s"), "right", ("omega",)), ("w", ("n", "s"), "gram", ("omega",))],
               (("omega", ("n", "s")),),
               ("y", "w"), (), ("up y", "up w"), _DOUBLE),
         _spec("tyuc19",

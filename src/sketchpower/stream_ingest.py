@@ -17,7 +17,7 @@ squares shows every entry finite); only a non-finite sum, from a bad entry
 or an overflow, takes the exact elementwise test, which also phrases the
 refusal (:func:`~sketchpower.matrix_core.all_finite`).  :func:`ingest_file`
 and :func:`read_matrix` read a SPIM or MatrixMarket file through one reader
-that opens it once and checks each piece it reads the same way.
+that checks each piece it reads the same way.
 :meth:`SketchStream.finalize` refuses a sketch that the updates overflowed,
 by name; after it the resulting :class:`SketchSet` is immutable (its arrays
 are read-only) and certifies ``pass_count == 1``.
@@ -34,18 +34,22 @@ than k (folded with the same kernels, as one block) and in
 :meth:`SketchStream.finalize`.  k is ``min(32, sketch entries // (m + n))``,
 so the two buffers hold at most k(2m + n) binary64 words, less than twice
 the sketches' entries; each is allocated at its first staged term and
-released at finalize.  Row-only streams (those with a ``gram`` sketch) stage
-nothing.
+released at finalize; a binary32 column block stays binary32 until it is
+copied into H or folded.  A row-only stream (of a pipeline with a ``gram``
+sketch) stages nothing: it takes each row once, in a dense update (rows
+[0, m)), a row block or a one-row rank-one term, and refuses column blocks.
 
 Dense updates and row blocks are folded one row chunk of about 2^18
 entries (2 MiB of binary64) at a time.  Each chunk is upcast to binary64
-once and read by every sketch while it is in cache: a right sketch gets the
-chunk's rows directly, and the increments of the other sketches are summed
-in binary64 over the chunks and added once.  A binary32 row block (the
-rows of a binary32 SPIM file, say) stays binary32 until its chunks are
-upcast.  A file is one row-block update, but a SPIM file is read in pieces
-of a few whole chunks into one reused buffer, so the read holds one piece,
-not the file, and the sketches get the bytes of the whole file.  The sparse
+once and read by every sketch while it is in cache.  Its product H T with
+a test matrix is taken once, for every right and gram sketch that reads
+it: a right sketch gets its rows directly, and the increments of the other
+sketches (H^T (H T) for a gram one) are summed in binary64 over the chunks
+and added once.  A binary32 row block (the rows of a binary32 SPIM file,
+say) stays binary32 until its chunks are upcast.  A file is one row-block
+update, but a SPIM file is read in pieces of a few whole chunks into one
+reused buffer, so the read holds one piece, not the file, and the sketches
+get the bytes of the whole file.  The sparse
 test-matrix kinds are held as CSC arrays and applied with sparse products.
 The finalized :class:`SketchSet` keeps a sparse test matrix with m columns
 (the corange Psi of the ``tyuc17`` kinds, Phi and Gamma of the two-sided
@@ -134,8 +138,8 @@ class LinearUpdate:
 
     @staticmethod
     def column_block(start_col: int, block) -> "LinearUpdate":
-        h = _real("column_block", block).astype(np.float64, copy=False)
-        return LinearUpdate("column_block", h=np.atleast_2d(h), start=start_col)
+        """Columns starting at ``start_col``; a binary32 block is kept binary32."""
+        return LinearUpdate("column_block", h=np.atleast_2d(_real("column_block", block)), start=start_col)
 
 
 def _real(kind: str, x) -> np.ndarray:
@@ -293,21 +297,19 @@ class SketchStream:
             for sk in spec.sketches
         }
         folded = [sk for sk in spec.sketches if sk.name not in taken]
-        # A gram sketch reuses the increment of the sketch it names, so that
-        # increment is kept for the rest of the update; the others are not.
-        reused = {o for sk in folded if sk.update == "gram" for o in sk.operands}
-        self._steps = [(sk.name, sk.update, sk.operands, sk.name in reused) for sk in folded]
-        # A sparse right product T^T H^T reads a row chunk by columns, so it
-        # takes T^T in CSR form and a transposed copy of the chunk, made once
-        # for all of them.
-        right = [o for sk in folded if sk.update == "right" for o in sk.operands]
-        self._right_csr = {o: self._t[o].T for o in right if not isinstance(self._t[o], np.ndarray)}
+        self._steps = [(sk.name, sk.update, sk.operands) for sk in folded]
+        # A chunk's product H T with a test matrix that a right or gram sketch
+        # reads is taken once; a sparse T as (T^T H^T)^T, T^T in CSR form
+        # reading a transposed copy of the chunk made once for all of them.
+        self._right = {o for sk in folded if sk.update in ("right", "gram") for o in sk.operands}
+        self._right_csr = {o: self._t[o].T for o in self._right if not isinstance(self._t[o], np.ndarray)}
         # A gram sketch is quadratic in the data, so its stream takes whole rows.
-        self._rows_seen = np.zeros(m, dtype=bool) if reused else None
+        rows_only = any(sk.update == "gram" for sk in spec.sketches)
+        self._rows_seen = np.zeros(m, dtype=bool) if rows_only else None
         # Every other pipeline has a right sketch of m rows and a left one of
         # n columns, so k >= 1 there; a row-only stream stages nothing.
         entries = sum(a.size for a in self._sk.values())
-        self._stage_cols = 0 if reused else min(_STAGE_COLS, entries // (m + n))
+        self._stage_cols = 0 if rows_only else min(_STAGE_COLS, entries // (m + n))
         # The rank-one pair (U, V) with its pending columns, and the block
         # buffer H with the (offset in H, start, width) of each staged block.
         self._stage: Optional[tuple[np.ndarray, np.ndarray]] = None
@@ -397,7 +399,7 @@ class SketchStream:
         V (n x p) for rank-one terms, or for column blocks the (offset in H,
         start, width) of each block, which adds H[:, o : o + w] to the data
         columns [a, a + w)."""
-        for name, update, operands, _ in self._steps:
+        for name, update, operands in self._steps:
             for region, inc in _TERM_KERNELS[update](h, cols, *(self._t[o] for o in operands)):
                 self._add(name, region, inc)
 
@@ -409,31 +411,28 @@ class SketchStream:
         An update held in memory is one piece; ``ingest_file`` reads a file
         in pieces of whole chunks, so the chunks are the ones of the whole
         file.  Each chunk is upcast to binary64 once and read by every
-        sketch while it is in cache.  A right sketch gets the chunk's rows
-        directly; the increments of the other sketches are summed in binary64
-        over the chunks of every piece and added once, so each sketch entry
-        is rounded once per update.  An update of one chunk is folded
-        directly, without a copy if it is binary64 and the test matrices are
-        dense.
+        sketch while it is in cache, and its product with a test matrix is
+        taken once for every right and gram sketch that reads it.  A right
+        sketch gets the product's rows directly; the increments of the other
+        sketches are summed in binary64 over the chunks of every piece and
+        added once, so each sketch entry is rounded once per update.  An
+        update of one chunk is folded directly, without a copy if it is
+        binary64 and the test matrices are dense.
         """
         sums = {}
         for i, c, ct in _row_chunks(pieces, max(1, _CHUNK // self.n), bool(self._right_csr)):
             a, b = start + i, start + i + c.shape[0]
-            done = {}
-            for name, update, operands, reused in self._steps:
+            right = {o: (self._right_csr[o] @ ct).T if o in self._right_csr else c @ self._t[o] for o in self._right}
+            for name, update, operands in self._steps:
                 if update == "right":
-                    o = operands[0]
-                    inc = (self._right_csr[o] @ ct).T if o in self._right_csr else c @ self._t[o]
-                    self._add(name, slice(a, b), inc)
+                    self._add(name, slice(a, b), right[operands[0]])
                 else:  # left, the left factor of two_sided, or gram
-                    inc = ct @ done[operands[0]] if update == "gram" else _columns(self._t[operands[0]], a, b) @ c
+                    inc = ct @ right[operands[0]] if update == "gram" else _columns(self._t[operands[0]], a, b) @ c
                     if name in sums:
                         sums[name] += inc
                     else:
                         sums[name] = inc
-                if reused:
-                    done[name] = inc
-        for name, update, operands, _ in self._steps:
+        for name, update, operands in self._steps:
             if name in sums:
                 inc = sums[name] @ self._t[operands[1]].T if update == "two_sided" else sums[name]
                 self._add(name, slice(None), inc)
@@ -477,11 +476,11 @@ class SketchStream:
         self._flush_blocks()
 
     def _whole_rows(self, upd: LinearUpdate) -> LinearUpdate:
-        """The update as a row block of rows not delivered before.
+        """The update as a dense update or row block of rows not delivered before.
 
         A gram sketch is a sum of per-row outer products, so each row must
-        arrive once and whole: in a row block, or as a rank-one term whose
-        left vector has exactly one nonzero entry.
+        arrive once and whole: in a dense update (rows [0, m)), a row block,
+        or a rank-one term whose left vector has exactly one nonzero entry.
         """
         if upd.kind == "rank_one":
             rows = np.flatnonzero(upd.u)
@@ -492,8 +491,8 @@ class SketchStream:
                 )
             i = int(rows[0])
             upd = LinearUpdate.row_block(i, upd.u[i] * upd.v)
-        elif upd.kind != "row_block":
-            raise ValueError("row-wise sketching accepts only row_block or rank_one updates")
+        elif upd.kind == "column_block":
+            raise ValueError("row-wise sketching accepts only dense, row_block or rank_one updates")
         a, b = upd.start, upd.start + upd.h.shape[0]
         if self._rows_seen[a:b].any():
             raise ValueError("row-wise stream delivered some row twice")
@@ -512,7 +511,7 @@ class SketchStream:
         self._stage = self._blocks = None
         self._finalized = True
         spec = PIPELINES[self.kind.value]
-        for name, *_ in self._steps:
+        for name, _, _ in self._steps:
             if not all_finite(self._sk[name]):
                 precision = spec.precision(name, self.plan)
                 hint = "; the all_double plan holds larger values" if precision is Precision.BINARY32 else ""
@@ -609,11 +608,11 @@ def _row_pieces(path) -> Iterator:
     rows in consecutive pieces of :data:`_PIECE_CHUNKS` row chunks, each
     checked for finiteness (a refusal names the piece's rows).
 
-    The file is opened once.  A SPIM header is read once and the payload is
-    read, in the file's precision, one piece at a time into the same buffer,
-    so a piece is valid only until the next one.  A MatrixMarket file is
-    loaded once as binary64 (a complex one is refused) and its pieces are
-    slices of it.  Close the generator to close the file before it is spent.
+    A SPIM header is read once and the payload is read, in the file's
+    precision, one piece at a time into the same buffer, so a piece is valid
+    only until the next one.  A MatrixMarket file's size is read from its
+    header, then it is loaded once as binary64 (a complex one is refused) and
+    its pieces are slices of it.  Close the generator to close the file early.
     """
     with open(path, "rb") as fh:
         head = fh.read(_SPIM_HEADER_BYTES)
@@ -625,14 +624,15 @@ def _row_pieces(path) -> Iterator:
         elif head.startswith(b"%%MatrixMarket"):
             import scipy.io
 
+            # By name: mminfo aborts on an open file, mmread on an array of no rows.
+            rows, cols = scipy.io.mminfo(path)[:2]
+            if rows < 1 or cols < 1:
+                raise ValueError(f"{path}: invalid dimensions {rows}x{cols}")
             fh.seek(0)
             full = scipy.io.mmread(fh)
             if np.iscomplexobj(full):
                 raise ValueError(f"{path}: complex entries are not supported")
             full = np.asarray(full.toarray() if scipy.sparse.issparse(full) else full, dtype=np.float64)
-            rows, cols = full.shape
-            if rows < 1 or cols < 1:
-                raise ValueError(f"{path}: invalid dimensions {rows}x{cols}")
         else:
             raise ValueError(f"{path}: unrecognized format (expected SPIM or MatrixMarket)")
         yield rows, cols

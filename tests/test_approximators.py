@@ -33,8 +33,7 @@ def _rank_r_matrix(m, n, r, seed, svals=None):
 def _sketch(kind, a, s, d=0, l=0, seed=0, plan=PrecisionPlan.ALL_DOUBLE):
     m, n = a.shape
     st = open_stream(kind, m, n, s, d, l, base_seed=seed, plan=plan)
-    upd = LinearUpdate.row_block(0, a) if kind is PipelineKind.RSVD_ONEPASS else LinearUpdate.dense(a)
-    return st.ingest(upd).finalize()
+    return st.ingest(LinearUpdate.dense(a)).finalize()
 
 
 @pytest.mark.parametrize("r", [True, 2.5, 2.0, "2", None], ids=repr)
@@ -44,6 +43,14 @@ def test_a_rank_that_is_not_an_integer_is_refused_by_name(kind, r):
     with pytest.raises(ValueError, match=f"^target rank must be an integer, got {r!r}$"):
         approximate(sk, r)
     assert approximate(sk, np.int64(2)).sv.size == 2
+
+
+@pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)
+def test_a_sketch_set_without_a_sketch_of_its_kind_is_refused(kind):
+    sk = _sketch(kind, _rank_r_matrix(40, 30, 3, seed=5), 6, 14, 14, plan=PIPELINES[kind.value].default_plan)
+    for name in (s.name for s in PIPELINES[kind.value].sketches):
+        with pytest.raises(ValueError, match=f"^sketch set lacks required sketch {name!r}$"):
+            approximate(dataclasses.replace(sk, **{name: None}), 2)
 
 
 def _sines(u, w):

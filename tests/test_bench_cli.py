@@ -186,6 +186,29 @@ def test_unreadable_file_prints_no_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("form, size, shape", [("array", "0 0", "0x0"), ("array", "0 5", "0x5"),
+                                              ("coordinate", "0 0 0", "0x0")])
+def test_matrix_market_file_with_no_rows_is_refused(tmp_path, form, size, shape):
+    # scipy.io.mmread dies with SIGFPE on an array file with no rows, so each
+    # reader runs in a child process.
+    path = tmp_path / "z.mtx"
+    path.write_text(f"%%MatrixMarket matrix {form} real general\n{size}\n")
+    src = str(Path(bench_cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys\nfrom sketchpower.stream_ingest import PipelineKind, ingest_file, read_matrix\n"
+            "for call in (read_matrix, lambda p: ingest_file(p, PipelineKind.TYUC17, 1, 2)):\n"
+            "    try:\n        call(sys.argv[1])\n    except ValueError as exc:\n        print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True, timeout=120,
+                          env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{path}: invalid dimensions {shape}\n" * 2, "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sketchpower.bench_cli", "run", "--data", "file", "--file", str(path),
+         "--s", "2", "--d", "4", "--l", "6"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"--file: {path}: invalid dimensions {shape}\n")
+
+
 def test_file_dataset_run(tmp_path):
     spec = SyntheticSpec(Family.POLY_DECAY, m=60, n=45, plateau=5, alpha=1.0, base_seed=8)
     path = tmp_path / "d.spim"
@@ -410,6 +433,28 @@ def test_trials_must_be_at_least_one(command, trials, capsys):
         bench_cli.main([command, "--algo", "tyuc17_spi", "--budget", "30", "--guidance", "auto",
                         "--m", "40", "--n", "40", "--rank", "3", "--trials", trials])
     assert capsys.readouterr().out == ""
+
+
+# Exits taken before any data is made, each for a missing or misplaced flag.
+_MISSING_FLAGS = [
+    (["run", "--guidance", "auto"], "--guidance auto requires --budget"),
+    (["run", "--guidance", "manual", "--budget", "30"], "manual guidance requires --s (and --d/--l as the algorithm needs)"),
+    (["run", "--algo", "tyuc17", "--s", "5"], "tyuc17 requires --d"),
+    (["run", "--algo", "tyuc17_spi", "--s", "5", "--d", "12"], "tyuc17_spi requires --l"),
+    (["run", "--data", "file", "--s", "5", "--d", "12", "--l", "14"], "--data file requires --file PATH"),
+    (["sweep"], "sweep requires --budget"),
+    (["sweep", "--data", "file", "--budget", "30"], "sweep runs on synthetic dataset specs"),
+]
+
+
+@pytest.mark.parametrize("argv, problem", _MISSING_FLAGS)
+def test_a_missing_flag_exits_before_any_data_is_made(argv, problem, monkeypatch, capsys):
+    made = []
+    monkeypatch.setattr(synthetic, "generate", lambda spec: made.append(spec))
+    with pytest.raises(SystemExit) as exit_:
+        bench_cli.main(argv + ["--m", "60", "--n", "50", "--rank", "3", "--trials", "1"])
+    assert exit_.value.code == problem
+    assert capsys.readouterr() == ("", "") and made == []
 
 
 _BAD_SETTINGS = [

@@ -184,6 +184,19 @@ def test_classify_flat_and_errors():
         classify_spectrum(np.concatenate([np.ones(20), [-1.0]]))
 
 
+@pytest.mark.parametrize("sv", [[np.nan] * 12, [np.inf] + [1 / i for i in range(2, 13)]], ids=["nan", "inf"])
+def test_classify_refuses_non_finite_values(sv):
+    # Both used to come back FLAT, and --guidance auto sized sketches from that.
+    with pytest.raises(ValueError, match="must be finite"):
+        classify_spectrum(sv)
+
+
+@pytest.mark.parametrize("kind, alpha", [(DecayKind.POLY, 0.0), (DecayKind.EXP, -0.5), (DecayKind.POLY, None)])
+def test_a_decaying_spectrum_class_needs_a_positive_rate(kind, alpha):
+    with pytest.raises(ValueError, match=f"^{kind.value} decay requires alpha > 0, got {alpha}$"):
+        SpectrumClass(kind, alpha)
+
+
 def test_double_rule_respects_budget():
     for t_hat in (40, 60, 96):
         s, d = _double(_POLY1, float(t_hat), 1000, 10)

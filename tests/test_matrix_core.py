@@ -1,5 +1,6 @@
 import functools
 import os
+import re
 import sys
 import threading
 import time
@@ -133,6 +134,11 @@ def test_svd_orthonormality_invariant():
     assert np.linalg.norm(res.v.T @ res.v - np.eye(4)) <= 1e-12 * 2
     assert np.all(np.diff(res.s) <= 1e-15)
     assert np.all(res.s >= 0)
+
+
+def test_lstsq_refuses_a_wide_matrix():
+    with pytest.raises(ValueError, match=re.escape("lstsq expects rows >= cols, got (2, 3)")):
+        lstsq(np.ones((2, 3)), np.ones((2, 1)))
 
 
 def test_lstsq_identity():

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -82,12 +83,13 @@ def test_relative_error_of_a_result_that_fits_a_is_a_zero_baseline():
 
 def test_relative_error_exact_fit_against_a_positive_baseline():
     # exact_fit needs a baseline that is not zero, which a spectrum given for
-    # a matrix the result fits exactly can still have.
+    # a matrix the result fits exactly can still have: one whose 2-norm is
+    # A's to the evaluators' tolerance, here with a tail 1e-6 of A's.
     a = _noisy_lowrank(25, 20, 5, seed=3, noise=0.0)
     res = _run_tyuc17(a, 8, 16, 3, seed=4)
     u, sv, vt = np.linalg.svd(a, full_matrices=False)
     res.u, res.sv, res.v = u[:, :3], sv[:3], vt[:3].T
-    rel = relative_error((u[:, :3] * sv[:3]) @ vt[:3], res, spectrum=sv)
+    rel = relative_error((u[:, :3] * sv[:3]) @ vt[:3], res, spectrum=np.concatenate([sv[:3], 1e-6 * sv[3:]]))
     assert rel.flags == frozenset({"exact_fit"})
     assert rel.s_f == 0.0
 
@@ -260,6 +262,18 @@ def test_spectral_bound_failure_probability_formula():
     out = bound_spectral_general_q(inp)
     want = 3 * math.exp(-4.5) + 2 * 2.0 ** -(30 - 10) + 2 * 2.0 ** -(24 - 16) + 2 * 2.0 ** -(10 - 4) + math.exp(-4.5)
     assert out.failure_probability == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("change, problem", [
+    (dict(k=4), "hypotheses need varrho < k <= l-4, got varrho=4, k=4, l=24"),
+    (dict(s=7), "hypotheses need varrho <= s-4, got varrho=4, s=7"),
+    (dict(d=13), "hypotheses need d >= s+4, got d=13, s=10"),
+    (dict(q=0), "need q >= 1, t >= 1, u > 0, beta > 0"),
+], ids=["k", "s", "d", "q"])
+def test_spectral_bound_refuses_inputs_outside_its_hypotheses(change, problem):
+    inp = dict(varrho=4, k=16, l=24, s=10, d=30, q=2, u=3.0, t=2.0, beta=3.0, singular_values=np.linspace(2, 0.1, 60))
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        bound_spectral_general_q(BoundInputsSpec(**{**inp, **change}))
 
 
 def test_event_statistic_identity_case():
@@ -710,12 +724,12 @@ def test_evaluate_keeps_the_bits_of_relative_error(kind, data):
     if data == "noisy":  # the dense path, baselines from an SVD
         a = a + 1e-3 * np.random.default_rng(72).standard_normal(a.shape)
         factors = None
-    elif data == "exact_fit":  # the generator's own rank-8 truncation, judged by the whole spectrum
+    elif data == "exact_fit":  # the generator's own rank-8 truncation, judged by a spectrum with a tail
         sv = factors.sv.copy()
         sv[8:] = 0.0
         a = (factors.u * sv) @ factors.v.T
         res = dataclasses.replace(res, u=factors.u[:, :8], sv=sv[:8], v=factors.v[:, :8])
-        spectrum, factors = factors.sv, None
+        spectrum, factors = sv + 1e-6 * factors.sv * (sv == 0.0), None  # 2-norm A's to the tolerance
     rel = relative_error(a, res, spectrum=spectrum, factors=factors)
     err = evaluate(a, res, spectrum=spectrum, factors=factors)
     assert (err.s_f.hex(), err.s_inf.hex(), err.flags) == (rel.s_f.hex(), rel.s_inf.hex(), rel.flags)
@@ -781,6 +795,24 @@ def test_a_noisy_trial_spectrum_gives_the_bits_of_none():
     res = approximate(st.ingest(LinearUpdate.row_block(0, a)).finalize(), 5)
     for evaluator in (relative_error, evaluate):
         assert _fields(evaluator(a, res, spectrum=la.svdvals(a))) == _fields(evaluator(a, res))
+
+
+def test_evaluators_refuse_a_spectrum_that_is_not_a_s():
+    # Before the refusal: S_F -0.343 and range_F -0.481 unflagged for twice
+    # A's spectrum, and S_F 64.4 under zero_baseline for its first three values.
+    a = np.random.default_rng(1).standard_normal((60, 50))
+    res = approximate(open_stream(PipelineKind.TYUC17_SPI, 60, 50, 6, 14, 14, base_seed=1)
+                      .ingest(LinearUpdate.dense(a)).finalize(), 3)
+    sv = la.svdvals(a)
+    scale = np.linalg.norm(a)
+    for spectrum, norm in ((2 * sv, 2 * scale), (sv[:3], np.linalg.norm(sv[:3]))):
+        for evaluator in (relative_error, evaluate):
+            with pytest.raises(ValueError, match="spectrum is not A's") as info:
+                evaluator(a, res, spectrum=spectrum)
+            got = [float(x) for x in re.findall(r"is ([0-9.e+-]+)", str(info.value))]
+            assert got == pytest.approx([norm, scale], rel=1e-12)
+    # Within the tolerance, a spectrum is taken as A's.
+    assert evaluate(a, res, spectrum=sv * (1 + 0.5 * metrics._SPECTRUM_RTOL)).flags == frozenset()
 
 
 @pytest.mark.parametrize("bad", [[1.0, np.nan], [1.0, np.inf], [1.0, -1e-300]], ids=["nan", "inf", "negative"])

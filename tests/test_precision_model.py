@@ -82,6 +82,16 @@ def test_ledger_tracks_peak_and_free():
         led.alloc("a", 1, 1, Precision.BINARY64)
 
 
+def test_ledger_converts_only_a_live_buffer():
+    led = StorageLedger()
+    with pytest.raises(LedgerError, match="^buffer 'a' is not live$"):
+        led.convert("a", Precision.BINARY64)
+    led.alloc("a", 2, 2, Precision.BINARY32)
+    led.free("a")
+    with pytest.raises(LedgerError, match="^buffer 'a' is not live$"):
+        led.convert("a", Precision.BINARY64)
+
+
 def test_sketch_precisions_table():
     def precisions(kind, plan):
         spec = PIPELINES[kind]
@@ -176,3 +186,12 @@ def test_pipeline_table_is_complete_and_consistent():
                 assert label in live, step
                 if op == "free":
                     live.remove(label)
+
+
+@pytest.mark.parametrize("kind", sorted(PIPELINES))
+def test_every_sketch_reads_test_matrices_of_its_pipeline(kind):
+    """No sketch is folded from another sketch: every operand is a test matrix."""
+    spec = PIPELINES[kind]
+    names = {name for name, _ in spec.test_matrices}
+    for sk in spec.sketches:
+        assert sk.operands and names.issuperset(sk.operands), (sk.name, sk.operands)

@@ -125,6 +125,14 @@ def test_variant_storage_contract():
     spi_variant(z, np.zeros((6, 3)), 1)  # s = l/2 is inside the contract
 
 
+def test_variant_refuses_a_negative_q_and_a_factor_of_other_rows():
+    z = np.zeros((10, 6))
+    with pytest.raises(ValueError, match="^power count must be >= 0, got -1$"):
+        spi_variant(z, np.zeros((6, 3)), -1)
+    with pytest.raises(ValueError, match="^right factor must have 6 rows, got 5$"):
+        spi_variant(z, np.zeros((5, 3)), 1)
+
+
 def test_spi_params_defaults():
     assert SpiParams() == SpiParams(q=1)
     assert [f.name for f in dataclasses.fields(SpiParams)] == ["q"]

@@ -131,13 +131,28 @@ def test_rowwise_zero_and_single_row():
 
 def test_rowwise_restrictions():
     st = open_stream(PipelineKind.RSVD_ONEPASS, 10, 5, s=2, base_seed=2)
-    with pytest.raises(ValueError):
-        st.ingest(LinearUpdate.dense(np.zeros((10, 5))))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="accepts only dense, row_block or rank_one updates"):
         st.ingest(LinearUpdate.column_block(0, np.zeros((10, 2))))
     st.ingest(LinearUpdate.row_block(0, np.zeros((4, 5))))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="twice"):
         st.ingest(LinearUpdate.row_block(3, np.zeros((2, 5))))  # row 3 delivered twice
+    with pytest.raises(ValueError, match="twice"):
+        st.ingest(LinearUpdate.dense(np.zeros((10, 5))))  # rows [0, 4) delivered twice
+
+
+@pytest.mark.parametrize("test_kind", [GAUSSIAN, TestMatrixKind("sparse_rademacher", 0.3)], ids=lambda k: k.variant)
+def test_rowwise_dense_update_is_rows_zero_to_m(test_kind):
+    a = _random(10, 5, 7)
+    dense = open_stream(PipelineKind.RSVD_ONEPASS, 10, 5, s=2, base_seed=2, test_kind=test_kind)
+    dense.ingest(LinearUpdate.dense(a))
+    for later in (LinearUpdate.row_block(9, a[9:]), LinearUpdate.rank_one(np.eye(10)[0], a[0]),
+                  LinearUpdate.dense(a)):
+        with pytest.raises(ValueError, match="twice"):
+            dense.ingest(later)
+    with pytest.raises(ValueError, match="accepts only dense, row_block or rank_one updates"):
+        dense.ingest(LinearUpdate.column_block(0, a[:, :2]))
+    rows = open_stream(PipelineKind.RSVD_ONEPASS, 10, 5, s=2, base_seed=2, test_kind=test_kind)
+    _assert_same_bytes(dense.finalize(), rows.ingest(LinearUpdate.row_block(0, a)).finalize())
 
 
 def test_rowwise_rejects_rank_one_spanning_several_rows():
@@ -355,6 +370,29 @@ def test_spim_dimension_overflow_rejected(tmp_path):
         ingest_file(path, PipelineKind.TYUC17, s=2, d=4)
 
 
+_SPIM_V1 = b"SPIM" + np.array([1], dtype="<u2").tobytes()
+
+
+@pytest.mark.parametrize("head, problem", [
+    (_SPIM_V1 + bytes([0, 0]) + bytes(8), "not a SPIM file (bad magic or truncated header)"),
+    (b"SPIM" + np.array([2], dtype="<u2").tobytes() + bytes([0, 0]) + bytes(16), "unsupported SPIM version 2"),
+    (_SPIM_V1 + bytes([7, 0]) + np.array([2, 2], dtype="<u8").tobytes(), "unknown element code 7"),
+    (_SPIM_V1 + bytes([0, 0]) + np.array([0, 5], dtype="<u8").tobytes(), "invalid dimensions 0x5"),
+], ids=["truncated_header", "version", "element_code", "zero_dimension"])
+def test_spim_header_refusals(tmp_path, head, problem):
+    path = tmp_path / "bad.spim"
+    path.write_bytes(head)
+    for read in (read_matrix, lambda p: ingest_file(p, PipelineKind.TYUC17, s=2, d=4)):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {problem}")):
+            read(path)
+
+
+def test_unknown_update_kind_is_refused():
+    st_ = open_stream(PipelineKind.TYUC17, 4, 3, 1, 2)
+    with pytest.raises(ValueError, match="^unknown update kind 'bogus'$"):
+        st_.ingest(LinearUpdate("bogus", h=np.ones((4, 3))))
+
+
 def test_sketch_set_provenance():
     st = open_stream(PipelineKind.TYUC17, 10, 8, s=2, d=4, base_seed=77, trial=5)
     sk = st.ingest(LinearUpdate.dense(np.zeros((10, 8)))).finalize()
@@ -418,7 +456,7 @@ def test_ingest_rejects_nonfinite_updates(kind, make, where):
         st.ingest(make(h))
     # Nothing was folded in: the stream still gives the sketches of a clean pass.
     clean = _random(12, 9, 42)
-    upd = LinearUpdate.row_block(0, clean) if kind is PipelineKind.RSVD_ONEPASS else LinearUpdate.dense(clean)
+    upd = LinearUpdate.dense(clean)
     sk = st.ingest(upd).finalize()
     ref = open_stream(kind, 12, 9, s=2, d=5, l=4, base_seed=41).ingest(upd).finalize()
     for name in _SKETCH_NAMES:
@@ -512,7 +550,7 @@ def test_any_split_matches_one_shot_ingestion(kind, plan, data):
         split.ingest(upd)
     got = split.finalize()
     one = open_stream(kind, *sizes, base_seed=seed, plan=plan)
-    want = one.ingest(LinearUpdate.row_block(0, total) if rowwise else LinearUpdate.dense(total)).finalize()
+    want = one.ingest(LinearUpdate.dense(total)).finalize()
     for name in _SKETCH_NAMES:
         g, w = getattr(got, name), getattr(want, name)
         assert (g is None) == (w is None), name
@@ -1019,7 +1057,7 @@ def _row_updates(kind, a, split):
     stream) or, if ``split``, as row blocks [0, split) and [split, m)."""
     if split:
         return [LinearUpdate.row_block(0, a[:split]), LinearUpdate.row_block(split, a[split:])]
-    return [LinearUpdate.row_block(0, a) if kind is PipelineKind.RSVD_ONEPASS else LinearUpdate.dense(a)]
+    return [LinearUpdate.dense(a)]
 
 
 def _ingested(kind, plan, test_kind, updates, seed=3):
@@ -1057,6 +1095,22 @@ def test_multi_chunk_updates_match_one_shot_ingestion(kind, plan, test_kind, mon
 
 
 @pytest.mark.parametrize("test_kind", _TEST_KINDS, ids=lambda k: k.variant)
+@pytest.mark.parametrize("plan", list(PrecisionPlan), ids=lambda p: p.value)
+def test_gram_sketch_folded_alone_has_the_bytes_of_a_fresh_stream(plan, test_kind, monkeypatch):
+    """W reads Omega, not Y: a stream that takes Omega and Y and folds only W
+    gives W the bytes of a fresh stream, over several row chunks."""
+    m, n = _CHUNK_SIZES[:2]
+    monkeypatch.setattr(stream_ingest, "_CHUNK", _CHUNK_ROWS * n)
+    a = np.random.default_rng(15).standard_normal((m, n))
+    first = open_stream(PipelineKind.RSVD_ONEPASS, *_CHUNK_SIZES, base_seed=3, plan=plan, test_kind=test_kind)
+    fresh = first.ingest(LinearUpdate.dense(a)).finalize()
+    alone = stream_ingest.SketchStream(PipelineKind.RSVD_ONEPASS, *_CHUNK_SIZES, base_seed=3, plan=plan,
+                                       test_kind=test_kind, _taken={"omega": first._t["omega"], "y": fresh.y.data})
+    assert [name for name, *_ in alone._steps] == ["w"]
+    _assert_same_bytes(alone.ingest(LinearUpdate.dense(a)).finalize(), fresh)
+
+
+@pytest.mark.parametrize("test_kind", _TEST_KINDS, ids=lambda k: k.variant)
 @pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)
 def test_binary32_sketches_are_rounded_once_per_update(kind, test_kind, monkeypatch):
     """A fresh mixed-plan stream holds the binary64 increments of the same
@@ -1077,8 +1131,7 @@ def test_binary32_sketches_are_rounded_once_per_update(kind, test_kind, monkeypa
 @pytest.mark.parametrize("plan", list(PrecisionPlan), ids=lambda p: p.value)
 @pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)
 def test_binary32_row_block_gives_the_bytes_of_its_upcast(kind, plan, test_kind, whole, monkeypatch):
-    # Three row blocks, or the whole matrix as one dense update (a row block
-    # for a row-only stream).
+    # Three row blocks, or the whole matrix as one dense update.
     m, n = _CHUNK_SIZES[:2]
     monkeypatch.setattr(stream_ingest, "_CHUNK", _CHUNK_ROWS * n)
     a = np.random.default_rng(13).standard_normal((m, n)).astype(np.float32)
@@ -1094,12 +1147,33 @@ def test_binary32_row_block_gives_the_bytes_of_its_upcast(kind, plan, test_kind,
                        _ingested(kind, plan, test_kind, updates(a.astype(np.float64))))
 
 
-def test_binary32_dense_update_is_not_copied_to_binary64():
+@pytest.mark.parametrize("test_kind", _TEST_KINDS, ids=lambda k: k.variant)
+@pytest.mark.parametrize("plan", list(PrecisionPlan), ids=lambda p: p.value)
+@pytest.mark.parametrize("kind", _STAGED_KINDS, ids=lambda k: k.value)
+def test_binary32_column_blocks_give_the_bytes_of_their_upcast(kind, plan, test_kind):
+    # Two one-column blocks, staged, and one wider than the staging width k,
+    # folded directly.
+    m, n = _CHUNK_SIZES[:2]
+    a = np.random.default_rng(16).standard_normal((m, n)).astype(np.float32)
+
+    def updates(x):
+        return [LinearUpdate.column_block(c, x[:, c:e]) for c, e in ((0, 1), (1, 2), (2, n))]
+
+    kept = updates(a)
+    assert all(upd.h.dtype == np.float32 for upd in kept)
+    assert n - 2 > open_stream(kind, *_CHUNK_SIZES)._stage_cols >= 1
+    _assert_same_bytes(_ingested(kind, plan, test_kind, kept),
+                       _ingested(kind, plan, test_kind, updates(a.astype(np.float64))))
+
+
+@pytest.mark.parametrize("make", [LinearUpdate.dense, lambda a: LinearUpdate.column_block(0, a)],
+                         ids=["dense", "column_block"])
+def test_binary32_dense_update_is_not_copied_to_binary64(make):
     m, n = 500, 400
     a = np.random.default_rng(15).standard_normal((m, n)).astype(np.float32)
     tracemalloc.start()
     try:
-        upd = LinearUpdate.dense(a)
+        upd = make(a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

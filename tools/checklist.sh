@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Byte-identity check list: 81 sketchpower-bench commands, each writing its
+# Byte-identity check list: 83 sketchpower-bench commands, each writing its
 # CSV (NAME.csv) and stderr (NAME.err) into OUTDIR, and one exit code per
 # command into OUTDIR/status.txt.
 #
@@ -13,14 +13,16 @@
 #   diff -r /tmp/cl-parent /tmp/cl-change
 #
 # The commands: `run` tyuc17_spi at the paper's 1000x1000 (T=96, auto, 4
-# trials), and once more at --q 2 in binary64 (2 trials); twelve `sweep`s,
+# trials), and once more at --q 2 in binary64 (2 trials); fourteen `sweep`s,
 # which take each branch of the oracle sweep's sharing of one ingest per
 # trial: tyuc17_spi on 400x400 poly-2 (T=100, 3 trials) with Gaussian and
 # with the default sparse_rademacher test matrices, tyuc17 there with
 # Gaussian ones (no Z, q written as 0), tyuc17_spi on a 1000x600 poly-2
-# matrix of several row chunks (T=50, Gaussian, 1 trial), and each other
-# kind on 120x100 poly-2 (T=30, r=4, 2 trials) with Gaussian and with the
-# default sparse_rademacher test matrices; all six
+# matrix of several row chunks (T=50, Gaussian, 1 trial), rsvd_onepass
+# there with Gaussian and with the default test matrices (its gram sketch
+# folded over several row chunks), and each other kind on 120x100 poly-2
+# (T=30, r=4, 2 trials) with Gaussian and with the default
+# sparse_rademacher test matrices; all six
 # algorithms on lowrank 300x200 (T=40, r=5, auto) and on exp-0.5 60x50 (T=32,
 # r=4, Gaussian); the three powered algorithms on that lowrank case at
 # --q 2 and --q 3, where tyuc17_spi re-orthonormalizes at each step; three
@@ -154,6 +156,10 @@ bench sweep_poly2_tyuc17 sweep --algo tyuc17 --data poly --alpha 2 --m 400 --n 4
     --test-matrix gaussian
 bench sweep_chunks sweep --algo tyuc17_spi --data poly --alpha 2 --m 1000 --n 600 --budget 50 --trials 1 \
     --test-matrix gaussian
+bench sweep_chunks_rsvd_onepass sweep --algo rsvd_onepass --data poly --alpha 2 --m 1000 --n 600 --budget 50 \
+    --trials 1 --test-matrix gaussian
+bench sweep_chunks_rsvd_onepass_sparse sweep --algo rsvd_onepass --data poly --alpha 2 --m 1000 --n 600 --budget 50 \
+    --trials 1
 for k in tyuc17_spi_variant rsvd_onepass tyuc19 tyuc19_spi; do
     for tm in gaussian sparse_rademacher; do
         bench "sweep_${k}_$tm" sweep --algo "$k" --data poly --alpha 2 --m 120 --n 100 --budget 30 --rank 4 \
