@@ -223,15 +223,18 @@ def _errors(a, result: ApproxResult, spectrum, factors, split: bool) -> Errors:
     if split and "gram" not in updates and result.psi is None:
         raise ValueError("result lacks the corange test matrix needed for ExtraError")
     a = as_f64(a)
+    given = spectrum is not None
     if factors is not None:
         spectrum = factors.sv
     elif spectrum is None:
         spectrum = la.svdvals(a, check_finite=False)
     base_f, base_s = baselines_from_spectrum(spectrum, result.sv.size)
     scale = fro_norm(a if factors is None else factors.sv)
-    norm = fro_norm(np.asarray(spectrum, dtype=np.float64))
-    if factors is None and abs(norm - scale) > _SPECTRUM_RTOL * scale:
-        raise ValueError(f"spectrum is not A's: its 2-norm is {norm:.17g} but ||A||_F is {scale:.17g}")
+    if given:
+        norm = fro_norm(np.asarray(spectrum, dtype=np.float64))
+        if np.size(spectrum) != min(a.shape) or abs(norm - scale) > _SPECTRUM_RTOL * scale:
+            raise ValueError(f"spectrum is not A's: it has {np.size(spectrum)} values and 2-norm {norm:.17g}, "
+                             f"but A has {min(a.shape)} and ||A||_F {scale:.17g}")
     xu = None if factors is None else _in_basis(factors.u, result.u)
     num_f, num_s = _residual_norms(a, result, factors, xu)
     zero_baseline = base_f <= _ZERO_BASELINE_RTOL * max(scale, 1e-300)
@@ -269,8 +272,9 @@ def evaluate(a, result: ApproxResult, *, spectrum=None, factors: Optional[synthe
     given A's SVD ``factors`` (noise-free :func:`synthetic.generate` data),
     else the given ``spectrum`` (say a file's, taken once for many results),
     else ``la.svdvals(A)``.  Giving both ``spectrum`` and ``factors``, or a
-    spectrum with a negative or non-finite value or whose 2-norm is not
-    ||A||_F (to a relative 1e-10), is refused (ValueError).
+    spectrum with a negative or non-finite value, with other than min(m, n)
+    values or whose 2-norm is not ||A||_F (to a relative 1e-10), is refused
+    (ValueError).
     If A is itself (numerically) rank <= r the ratio is undefined: absolute
     errors are returned with a ``zero_baseline`` flag.  A reconstruction that
     fits A to roundoff while the baseline is positive is reported as zero

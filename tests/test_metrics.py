@@ -82,9 +82,11 @@ def test_relative_error_of_a_result_that_fits_a_is_a_zero_baseline():
 
 
 def test_relative_error_exact_fit_against_a_positive_baseline():
-    # exact_fit needs a baseline that is not zero, which a spectrum given for
-    # a matrix the result fits exactly can still have: one whose 2-norm is
-    # A's to the evaluators' tolerance, here with a tail 1e-6 of A's.
+    # A rank-r result leaves at least A's rank-r baseline, so A's own spectrum
+    # reaches exact_fit only by roundoff.  The flag is reached here with a
+    # spectrum that is not A's but is taken as A's: A's leading values with a
+    # tail 1e-6 of the generator's in place of A's zero one, which moves the
+    # 2-norm by about 1e-12 relative, inside _SPECTRUM_RTOL.
     a = _noisy_lowrank(25, 20, 5, seed=3, noise=0.0)
     res = _run_tyuc17(a, 8, 16, 3, seed=4)
     u, sv, vt = np.linalg.svd(a, full_matrices=False)
@@ -652,7 +654,8 @@ def test_factored_residual_norms_match_the_dense_residual(data, m, n, plan, kind
     tol = 1e3 * np.finfo(np.float64).eps * np.linalg.norm(a)
     for dense, factored in _norm_pairs(a, factors, res):
         assert np.abs(np.subtract(dense, factored)).max() <= tol, (dense, factored)
-    factored, dense = evaluate(a, res, factors=factors), evaluate(a, res, spectrum=factors.sv)
+    spectrum = np.pad(factors.sv, (0, min(m, n) - factors.sv.size))  # lowrank's factors omit its zeros
+    factored, dense = evaluate(a, res, factors=factors), evaluate(a, res, spectrum=spectrum)
     assert factored.flags == dense.flags
     assert (factored.range_f is None) == (dense.range_f is None) == (kind in _TWO_SIDED)
 
@@ -729,7 +732,9 @@ def test_evaluate_keeps_the_bits_of_relative_error(kind, data):
         sv[8:] = 0.0
         a = (factors.u * sv) @ factors.v.T
         res = dataclasses.replace(res, u=factors.u[:, :8], sv=sv[:8], v=factors.v[:, :8])
-        spectrum, factors = sv + 1e-6 * factors.sv * (sv == 0.0), None  # 2-norm A's to the tolerance
+        # Not A's spectrum (A's tail is zero), but taken as A's: see
+        # test_relative_error_exact_fit_against_a_positive_baseline.
+        spectrum, factors = sv + 1e-6 * factors.sv * (sv == 0.0), None
     rel = relative_error(a, res, spectrum=spectrum, factors=factors)
     err = evaluate(a, res, spectrum=spectrum, factors=factors)
     assert (err.s_f.hex(), err.s_inf.hex(), err.flags) == (rel.s_f.hex(), rel.s_inf.hex(), rel.flags)
@@ -804,13 +809,23 @@ def test_evaluators_refuse_a_spectrum_that_is_not_a_s():
     res = approximate(open_stream(PipelineKind.TYUC17_SPI, 60, 50, 6, 14, 14, base_seed=1)
                       .ingest(LinearUpdate.dense(a)).finalize(), 3)
     sv = la.svdvals(a)
-    scale = np.linalg.norm(a)
-    for spectrum, norm in ((2 * sv, 2 * scale), (sv[:3], np.linalg.norm(sv[:3]))):
-        for evaluator in (relative_error, evaluate):
+    # A truncated or padded spectrum is refused by its size, however small
+    # its tail: a wrong tail of norm t moves the 2-norm by about t^2 / (2 ||A||_F),
+    # which for the first 15 values of exp-decay A (t about 1e-6) is 1e-13.
+    u, _, vt = np.linalg.svd(a, full_matrices=False)
+    a_exp = (u * (sv * np.exp(-np.arange(50.0)))) @ vt
+    sv_exp = la.svdvals(a_exp)
+    assert abs(np.linalg.norm(sv_exp[:15]) / np.linalg.norm(a_exp) - 1) < metrics._SPECTRUM_RTOL
+    cases = ((a, 2 * sv, 50), (a, sv[:3], 3), (a, np.append(sv, 0.0), 51), (a_exp, sv_exp[:15], 15))
+    for evaluator in (relative_error, evaluate):
+        for mat, spectrum, size in cases:
             with pytest.raises(ValueError, match="spectrum is not A's") as info:
-                evaluator(a, res, spectrum=spectrum)
-            got = [float(x) for x in re.findall(r"is ([0-9.e+-]+)", str(info.value))]
-            assert got == pytest.approx([norm, scale], rel=1e-12)
+                evaluator(mat, res, spectrum=spectrum)
+            got = re.fullmatch(r"spectrum is not A's: it has (\d+) values and 2-norm (\S+), "
+                               r"but A has (\d+) and \|\|A\|\|_F (\S+)", str(info.value)).groups()
+            assert [int(got[0]), int(got[2])] == [size, 50]
+            assert [float(got[1]), float(got[3])] == pytest.approx([np.linalg.norm(spectrum), np.linalg.norm(mat)],
+                                                                   rel=1e-12)
     # Within the tolerance, a spectrum is taken as A's.
     assert evaluate(a, res, spectrum=sv * (1 + 0.5 * metrics._SPECTRUM_RTOL)).flags == frozenset()
 
