@@ -117,6 +117,13 @@ def _apply(t, q: np.ndarray) -> np.ndarray:
     return np.column_stack([t @ q[:, j] for j in range(q.shape[1])])
 
 
+def _truncated(kind, q, b, r, flags, psi=None) -> ApproxResult:
+    """The rank-r truncation of A ~ Q B: B's leading triplets, with u = Q U-tilde."""
+    trunc = svd_truncated(b, r)
+    return ApproxResult(kind=kind, u=q @ trunc.u, sv=trunc.s, v=trunc.v, q_factor=q, u_tilde=trunc.u, b=b,
+                        psi=psi, flags=frozenset(flags))
+
+
 def _qb_finish(kind, y_hat, w, psi, r, flags) -> ApproxResult:
     """Shared tail of the oblique pipelines: QR, corange solve, truncation.
 
@@ -130,18 +137,7 @@ def _qb_finish(kind, y_hat, w, psi, r, flags) -> ApproxResult:
     solve = lstsq(_apply(psi, qres.q), w)
     if solve.ill_conditioned:
         flags.add("corange_solve_ill_conditioned")
-    trunc = svd_truncated(solve.x, r)
-    return ApproxResult(
-        kind=kind,
-        u=qres.q @ trunc.u,
-        sv=trunc.s,
-        v=trunc.v,
-        q_factor=qres.q,
-        u_tilde=trunc.u,
-        b=solve.x,
-        psi=psi,
-        flags=frozenset(flags),
-    )
+    return _truncated(kind, qres.q, solve.x, r, flags, psi)
 
 
 @_one_blas_thread()
@@ -203,17 +199,7 @@ def rsvd_onepass(sk: SketchSet, r: int) -> ApproxResult:
         b, *_ = np.linalg.lstsq(qres.r.T, wt, rcond=tol)
     else:
         b = la.solve_triangular(qres.r, wt, trans="T", lower=False, check_finite=False)
-    trunc = svd_truncated(b, r)
-    return ApproxResult(
-        kind=PipelineKind.RSVD_ONEPASS,
-        u=qres.q @ trunc.u,
-        sv=trunc.s,
-        v=trunc.v,
-        q_factor=qres.q,
-        u_tilde=trunc.u,
-        b=b,
-        flags=frozenset(flags),
-    )
+    return _truncated(PipelineKind.RSVD_ONEPASS, qres.q, b, r, flags)
 
 
 def _two_sided_finish(kind, y_hat, x_hat, k, phi, psi, r, flags) -> ApproxResult:

@@ -27,13 +27,14 @@ written into one output, which has the same bits on one thread or two), and
 most of their time in the interpreter (the CLI's trials, the oracle sweep's
 grid points) out between the process and a forked copy of it, when
 :data:`_TWO_CPUS` allows it: a spare CPU and a managed BLAS, held at one
-thread.  A one-thread BLAS gives each call the bits it has alone, so
-results do not depend on the thread or process that ran them, nor on the
-thread count the environment sets.  The helper thread runs only private
-code, NumPy/SciPy kernels and the package's leaf helpers (the norms and
-exponents here, the seeds of ``test_matrices``): no public function that
-calls others is open on two threads at once, so a profiler that wraps them
-sees nested calls.
+thread.  Both split the calls by one rule: the helper thread or the forked
+child makes the calls at odd positions, the caller the others.  A
+one-thread BLAS gives each call the bits it has alone, so results do not
+depend on the thread or process that ran them, nor on the thread count the
+environment sets.  The helper thread runs only private code, NumPy/SciPy
+kernels and the package's leaf helpers (the norms and exponents here, the
+seeds of ``test_matrices``): no public function that calls others is open on
+two threads at once, so a profiler that wraps them sees nested calls.
 """
 from __future__ import annotations
 
@@ -146,32 +147,26 @@ _TWO_CPUS = _CPUS >= 2 and bool(_BLAS)
 def _concurrently(calls: Sequence[Callable[[], _T]]) -> list[_T]:
     """The results of independent calls, in input order.
 
-    If :data:`_TWO_CPUS` allows it, the caller's thread and one helper
-    thread take the calls one at a time in input order; otherwise the caller
-    makes them one after another.  If calls raise, the exception of the
-    first of them in input order is raised, once both threads are done.
+    If :data:`_TWO_CPUS` allows it, a helper thread makes the calls at odd
+    positions and the caller's thread the others, as in
+    :func:`_in_two_processes`; otherwise the caller makes them all.  If
+    calls raise, the first in input order raises, once both threads are done.
     """
     if len(calls) < 2 or not _TWO_CPUS:
         return [call() for call in calls]
     results: list = [None] * len(calls)
     errors: dict[int, BaseException] = {}
-    todo = iter(range(len(calls)))
-    lock = threading.Lock()
 
-    def drain():
-        while not errors:
-            with lock:
-                i = next(todo, None)
-            if i is None:
-                return
+    def make(first):
+        for i in range(first, len(calls), 2):
             try:
                 results[i] = calls[i]()
             except BaseException as exc:  # noqa: BLE001 - re-raised by the caller
                 errors[i] = exc
 
-    helper = threading.Thread(target=drain, daemon=True)
+    helper = threading.Thread(target=make, args=(1,), daemon=True)
     helper.start()
-    drain()
+    make(0)
     helper.join()
     if errors:
         raise errors[min(errors)]
@@ -402,9 +397,6 @@ class TruncatedSvd:
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.v.T
 
 
 @dataclass

@@ -9,23 +9,25 @@ table; each kind's finisher is the function of its name in
 :mod:`approximators`.
 
 Storage is counted in double-precision words (a binary32 entry costs half a
-word).  Under the mixed plan the large sketches are held in binary32, which
-doubles the affordable sketch sizes under a fixed word budget; they are
-upcast to binary64 right before orthonormalization and the solves, reusing
-the space of the sketch that is no longer needed.  Each kind declares that
-finish as steps (``new``, ``free``, ``up``), and :func:`simulate_storage`
-replays them, checking each reuse against a pool of freed words.  The ledger
-proves the space reuse is feasible.  The finishers do not alias bytes: they
-leave the finalized sketches intact and allocate fresh buffers, but no
-binary64 copy of Z (it is read one row chunk at a time, see :mod:`spi`) and
-no dense copy of a sparse test matrix, so what they add to the sketches is a
-few m x s binary64 arrays, one row chunk and the small factors.  The ledger and
-:meth:`PipelineSpec.words` count sketches only, so the budget stays the
-paper's sketch storage: the test matrices and a stream's two binary64
-staging buffers, the rank-one pair and the column-block buffer of at most
-k(2m + n) words together (:mod:`stream_ingest`), sit outside both.  A
-binary32 sketch entry is rounded once per flush of a buffer that touches it,
-and a left-sketch column once per staged block that covers it.
+word), which the ledger keeps as binary64 floats: every sum of half-words
+below 2^52 words is exact.  Under the mixed plan the large sketches are held
+in binary32, which doubles the affordable sketch sizes under a fixed word
+budget; they are upcast to binary64 right before orthonormalization and the
+solves, reusing the space of the sketch that is no longer needed.  Each kind
+declares that finish as steps (``new``, ``free``, ``up``), and
+:func:`simulate_storage` replays them, checking each reuse against a pool of
+freed words.  The ledger proves the space reuse is feasible.  The finishers
+do not alias bytes: they leave the finalized sketches intact and allocate
+fresh buffers, but no binary64 copy of Z (it is read one row chunk at a
+time, see :mod:`spi`) and no dense copy of a sparse test matrix, so what
+they add to the sketches is a few m x s binary64 arrays, one row chunk and
+the small factors.  The ledger and :meth:`PipelineSpec.words` count sketches
+only, so the budget stays the paper's sketch storage: the test matrices and
+a stream's two binary64 staging buffers, the rank-one pair and the
+column-block buffer of at most k(2m + n) words together
+(:mod:`stream_ingest`), sit outside both.  A binary32 sketch entry is
+rounded once per flush of a buffer that touches it, and a left-sketch column
+once per staged block that covers it.
 """
 from __future__ import annotations
 
@@ -218,15 +220,15 @@ class LedgerEntry:
 class StorageLedger:
     """Exact storage accounting in double-precision words.
 
-    ``entries`` logs every allocation (freed or not); ``peak_words`` is the
-    running maximum of live words.  Internally counts half-words so binary32
-    buffers stay exact.
+    ``entries`` logs every allocation (freed or not); ``current_words`` is
+    the live words and ``peak_words`` their running maximum, binary64 sums
+    of half-words, exact below 2^52 words.
     """
 
     entries: list[LedgerEntry] = field(default_factory=list)
+    current_words: float = field(default=0.0, init=False)
+    peak_words: float = field(default=0.0, init=False)
     _live: dict = field(default_factory=dict)
-    _current2: int = 0
-    _peak2: int = 0
 
     def alloc(self, label: str, rows: int, cols: int, precision: Precision) -> None:
         if label in self._live:
@@ -234,14 +236,14 @@ class StorageLedger:
         e = LedgerEntry(label, rows, cols, precision)
         self.entries.append(e)
         self._live[label] = e
-        self._current2 += self._half_words(e)
-        self._peak2 = max(self._peak2, self._current2)
+        self.current_words += e.words
+        self.peak_words = max(self.peak_words, self.current_words)
 
     def free(self, label: str) -> float:
         e = self._live.pop(label, None)
         if e is None:
             raise LedgerError(f"buffer {label!r} is not live")
-        self._current2 -= self._half_words(e)
+        self.current_words -= e.words
         return e.words
 
     def convert(self, label: str, to: Precision) -> float:
@@ -250,23 +252,11 @@ class StorageLedger:
         if e is None:
             raise LedgerError(f"buffer {label!r} is not live")
         new = LedgerEntry(e.label, e.rows, e.cols, to)
-        self._current2 += self._half_words(new) - self._half_words(e)
-        self._peak2 = max(self._peak2, self._current2)
+        self.current_words += new.words - e.words
+        self.peak_words = max(self.peak_words, self.current_words)
         self._live[label] = new
         self.entries.append(new)
         return new.words - e.words
-
-    @staticmethod
-    def _half_words(e: LedgerEntry) -> int:
-        return int(round(2 * e.words))
-
-    @property
-    def current_words(self) -> float:
-        return self._current2 / 2
-
-    @property
-    def peak_words(self) -> float:
-        return self._peak2 / 2
 
     def csv_rows(self) -> list[tuple]:
         return [(e.label, e.rows, e.cols, e.precision.value, e.words) for e in self.entries]

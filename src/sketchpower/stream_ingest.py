@@ -17,7 +17,8 @@ squares shows every entry finite); only a non-finite sum, from a bad entry
 or an overflow, takes the exact elementwise test, which also phrases the
 refusal (:func:`~sketchpower.matrix_core.all_finite`).  :func:`ingest_file`
 and :func:`read_matrix` read a SPIM or MatrixMarket file through one reader
-that checks each piece it reads the same way.
+that checks each piece it reads the same way; :func:`write_spim` writes a
+SPIM file in the header format that reader unpacks.
 :meth:`SketchStream.finalize` refuses a sketch that the updates overflowed,
 by name; after it the resulting :class:`SketchSet` is immutable (its arrays
 are read-only) and certifies ``pass_count == 1``.
@@ -70,6 +71,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import os
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -88,6 +90,7 @@ __all__ = [
     "open_stream",
     "ingest_file",
     "read_matrix",
+    "write_spim",
 ]
 
 
@@ -575,27 +578,47 @@ _PIECE_CHUNKS = 8
 
 # -- file ingestion ---------------------------------------------------------
 
-_SPIM_MAGIC = b"SPIM"
-_SPIM_HEADER_BYTES = 24
+# The SPIM header, little-endian: magic "SPIM", version u16 (= 1), element
+# code u8 (0 = binary64, 1 = binary32), a reserved byte, rows u64, cols u64;
+# the row-major payload follows.
+_SPIM = struct.Struct("<4sHBxQQ")
+_SPIM_DTYPES = (np.dtype("<f8"), np.dtype("<f4"))
+
+
+def write_spim(path, a, precision: Precision | None = None) -> None:
+    """Write the 2-D array ``a`` (both dimensions >= 1) as a SPIM file, in
+    ``precision`` if given, else binary32 for a binary32 array and binary64
+    for any other (a non-float array is cast to binary64 first)."""
+    a = np.asarray(a)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-d array, got ndim={a.ndim}")
+    if a.shape[0] < 1 or a.shape[1] < 1:
+        raise ValueError(f"matrix dimensions must be >= 1, got {a.shape}")
+    if a.dtype != np.float32:
+        a = a.astype(np.float64, copy=False)
+    if precision is not None:
+        a = a.astype(precision.dtype, copy=False)
+    code = 1 if a.dtype == np.float32 else 0
+    with open(path, "wb") as fh:
+        fh.write(_SPIM.pack(b"SPIM", 1, code, *a.shape))
+        fh.write(np.ascontiguousarray(a, dtype=_SPIM_DTYPES[code]).tobytes())
 
 
 def _spim_header(head: bytes, size: int, path) -> tuple[int, int, np.dtype]:
     """(rows, cols, element dtype) from a SPIM file's first bytes and its size."""
-    if len(head) < _SPIM_HEADER_BYTES or head[:4] != _SPIM_MAGIC:
+    if len(head) < _SPIM.size or head[:4] != b"SPIM":
         raise ValueError(f"{path}: not a SPIM file (bad magic or truncated header)")
-    version = int(np.frombuffer(head[4:6], dtype="<u2")[0])
+    _, version, elem, rows, cols = _SPIM.unpack(head)
     if version != 1:
         raise ValueError(f"{path}: unsupported SPIM version {version}")
-    elem = head[6]
     if elem not in (0, 1):
         raise ValueError(f"{path}: unknown element code {elem}")
-    rows, cols = (int(x) for x in np.frombuffer(head[8:24], dtype="<u8"))
     if rows < 1 or cols < 1:
         raise ValueError(f"{path}: invalid dimensions {rows}x{cols}")
     if rows * cols > (1 << 48):
         raise ValueError(f"{path}: dimension overflow ({rows}x{cols})")
-    dtype = np.dtype("<f8" if elem == 0 else "<f4")
-    expected = _SPIM_HEADER_BYTES + rows * cols * dtype.itemsize
+    dtype = _SPIM_DTYPES[elem]
+    expected = _SPIM.size + rows * cols * dtype.itemsize
     if size != expected:
         raise ValueError(
             f"{path}: header says {rows}x{cols} ({expected} bytes) but file has {size} bytes"
@@ -615,10 +638,10 @@ def _row_pieces(path) -> Iterator:
     its pieces are slices of it.  Close the generator to close the file early.
     """
     with open(path, "rb") as fh:
-        head = fh.read(_SPIM_HEADER_BYTES)
+        head = fh.read(_SPIM.size)
         if len(head) == 0:
             raise ValueError(f"{path}: empty file")
-        if head[:4] == _SPIM_MAGIC:
+        if head[:4] == b"SPIM":
             rows, cols, dtype = _spim_header(head, os.fstat(fh.fileno()).st_size, path)
             full = None
         elif head.startswith(b"%%MatrixMarket"):

@@ -13,8 +13,10 @@ factorization is made:
 * exponential decay: sigma = (1 x plateau, e^-alpha, e^-2 alpha, ...).
 
 Generators are pure functions of their :class:`SyntheticSpec`; the same spec
-always yields the same matrix, a C-ordered binary64 ndarray.  A noise-free matrix comes with the factors
-it was built from (:class:`Factors`), which are its SVD to roundoff.
+always yields the same matrix, a C-ordered binary64 ndarray.  A noise-free
+matrix comes with the factors it was built from (:class:`Factors`), which
+are its SVD to roundoff.  SPIM files are written by
+:func:`sketchpower.stream_ingest.write_spim`.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dorgqr
 
-from .matrix_core import Precision, _concurrently, _integer, _one_blas_thread
+from .matrix_core import _concurrently, _integer, _one_blas_thread
 from .test_matrices import SeedSpec, Stream, rng_for
 
 __all__ = [
@@ -36,7 +38,6 @@ __all__ = [
     "Factors",
     "prescribed_spectrum",
     "generate",
-    "write_spim",
 ]
 
 
@@ -156,32 +157,3 @@ def generate(spec: SyntheticSpec) -> tuple[np.ndarray, Optional[Factors]]:
         a += (spec.snr * spec.plateau / spec.n**2) * noise.standard_normal((spec.m, spec.n))
         factors = None
     return a, factors
-
-
-# Raw binary export: magic "SPIM", version u16 LE, element code u8
-# (0 = binary64, 1 = binary32), reserved u8, rows u64 LE, cols u64 LE,
-# payload row-major.
-SPIM_MAGIC = b"SPIM"
-SPIM_VERSION = 1
-
-
-def write_spim(path, a, precision: Precision | None = None) -> None:
-    """Write the 2-D array ``a`` (both dimensions >= 1) as a SPIM file, in
-    ``precision`` if given, else binary32 for a binary32 array and binary64
-    for any other (a non-float array is cast to binary64 first)."""
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got ndim={a.ndim}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"matrix dimensions must be >= 1, got {a.shape}")
-    if a.dtype != np.float32:
-        a = a.astype(np.float64, copy=False)
-    if precision is not None:
-        a = a.astype(precision.dtype, copy=False)
-    code = 1 if a.dtype == np.float32 else 0
-    header = SPIM_MAGIC + np.array([SPIM_VERSION], dtype="<u2").tobytes()
-    header += bytes([code, 0])
-    header += np.array(a.shape, dtype="<u8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(a, dtype="<f4" if code == 1 else "<f8").tobytes())

@@ -109,7 +109,7 @@ class TestMatrixKind:
 
 
 GAUSSIAN = TestMatrixKind("gaussian")
-SPARSE_RADEMACHER = TestMatrixKind("sparse_rademacher", 0.01)
+
 
 def generate(kind: TestMatrixKind, rows: int, cols: int, seed: SeedSpec) -> np.ndarray | scipy.sparse.csc_array:
     """Draw a rows x cols test matrix of the given kind, deterministically.

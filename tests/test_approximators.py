@@ -18,7 +18,9 @@ from sketchpower.matrix_core import _CHUNK, DenseMatrix, as_f64
 from sketchpower.precision_model import PIPELINES, PrecisionPlan
 from sketchpower.spi import SpiParams, spi_plain, spi_stabilized
 from sketchpower.stream_ingest import LinearUpdate, PipelineKind, open_stream
-from sketchpower.test_matrices import GAUSSIAN, SPARSE_RADEMACHER, SeedSpec, Stream, TestMatrixKind, generate
+from sketchpower.test_matrices import GAUSSIAN, SeedSpec, Stream, TestMatrixKind, generate
+
+SPARSE_RADEMACHER = TestMatrixKind("sparse_rademacher", 0.01)
 
 
 def _rank_r_matrix(m, n, r, seed, svals=None):

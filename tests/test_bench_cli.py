@@ -16,8 +16,8 @@ import sketchpower
 from sketchpower import bench_cli, matrix_core, synthetic
 from sketchpower.matrix_core import Precision
 from sketchpower.precision_model import PIPELINES, PrecisionPlan, simulate_storage
-from sketchpower.stream_ingest import PipelineKind
-from sketchpower.synthetic import Family, SyntheticSpec, generate, prescribed_spectrum, write_spim
+from sketchpower.stream_ingest import PipelineKind, write_spim
+from sketchpower.synthetic import Family, SyntheticSpec, generate, prescribed_spectrum
 
 
 def _run_cli(args, out_path):

@@ -18,12 +18,14 @@ from sketchpower.stream_ingest import (
     ingest_file,
     open_stream,
     read_matrix,
+    write_spim,
 )
-from sketchpower.synthetic import Family, SyntheticSpec, generate as gen_data, write_spim
-from sketchpower.test_matrices import GAUSSIAN, SPARSE_RADEMACHER, SeedSpec, Stream, TestMatrixKind, generate
+from sketchpower.synthetic import Family, SyntheticSpec, generate as gen_data
+from sketchpower.test_matrices import GAUSSIAN, SeedSpec, Stream, TestMatrixKind, generate
 
 
 _SKETCH_NAMES = ("y", "w", "z", "x", "k")
+SPARSE_RADEMACHER = TestMatrixKind("sparse_rademacher", 0.01)
 
 
 def _random(m, n, seed=0):
@@ -650,19 +652,67 @@ def test_invalid_update_raises_at_ingest_and_changes_nothing(kind, plan, data):
     with pytest.raises(ValueError):
         st_.ingest(bad)
     # The refused update left no trace: the rest of the pass gives the bytes
-    # of a pass without it, and those match one-shot ingestion.
+    # of a pass without it, and those meet the rounding model.
     got = st_.ingest(tail).finalize()
-    one = open_stream(kind, *sizes, base_seed=seed, plan=plan)
-    want = one.ingest(LinearUpdate.row_block(0, a) if rowwise else LinearUpdate.dense(a)).finalize()
     for name in _SKETCH_NAMES:
-        g, c, w = getattr(got, name), getattr(clean, name), getattr(want, name)
+        if getattr(got, name) is not None:
+            assert np.array_equal(getattr(got, name).data, getattr(clean, name).data), name
+    _assert_two_part_pass(got, kind, plan, sizes, seed, a, k)
+
+
+def _assert_two_part_pass(got, kind, plan, sizes, seed, a, k):
+    """``got``, the sketches of a pass of rows [0, k) then rows [k, m) of
+    ``a``, against the rounding model and against one-shot ingestion.
+
+    Each row block is summed in binary64 and rounded to the sketch's dtype
+    once, so each sketch is exactly the head-only sketch as binary64 plus
+    the tail-only sketch of an all-double stream of the same seed (whose
+    test matrices are the same), cast to the sketch's dtype.  One-shot
+    ingestion rounds once, after binary64 sums in another order.  With
+    ``eps`` the sketch dtype's epsilon, to first order the head's rounding
+    moves the pass by at most eps/2 ||head||, the two final roundings by at
+    most eps/2 ||whole|| each, and the binary64 sums by a few eps64 times
+    the entries' magnitudes; so the gap is within (2 eps + 1e3 eps64) times
+    the larger of the head-only and the whole sketch's norms.  The head's norm
+    matters when the tail cancels part of the head's increment.
+    """
+    def alone(start, rows, p):
+        return open_stream(kind, *sizes, base_seed=seed, plan=p).ingest(LinearUpdate.row_block(start, rows)).finalize()
+
+    head, tail = alone(0, a[:k], plan), alone(k, a[k:], PrecisionPlan.ALL_DOUBLE)
+    whole = LinearUpdate.row_block(0, a) if kind is PipelineKind.RSVD_ONEPASS else LinearUpdate.dense(a)
+    want = open_stream(kind, *sizes, base_seed=seed, plan=plan).ingest(whole).finalize()
+    for name in _SKETCH_NAMES:
+        g, w = getattr(got, name), getattr(want, name)
         if w is None:
             continue
-        assert np.array_equal(g.data, c.data), name
+        h = getattr(head, name).data.astype(np.float64)
+        assert np.array_equal(g.data, (h + getattr(tail, name).data).astype(g.data.dtype)), name
         eps = float(np.finfo(w.data.dtype).eps)
         ref = w.data.astype(np.float64)
-        tol = (2 * eps + 1e3 * np.finfo(np.float64).eps) * max(np.linalg.norm(ref), 1e-300)
-        assert np.linalg.norm(g.data.astype(np.float64) - ref) <= tol, name
+        scale = max(np.linalg.norm(h), np.linalg.norm(ref), 1e-300)
+        gap = np.linalg.norm(g.data.astype(np.float64) - ref)
+        assert gap <= (2 * eps + 1e3 * np.finfo(np.float64).eps) * scale, (name, gap)
+
+
+@pytest.mark.parametrize("plan", list(PrecisionPlan), ids=lambda p: p.value)
+@pytest.mark.parametrize("kind", [k for k in PipelineKind if k is not PipelineKind.RSVD_ONEPASS],
+                         ids=lambda k: k.value)
+def test_two_part_pass_whose_tail_cancels_the_head(kind, plan):
+    # The tail undoes the head's increment of every sketch with a left test
+    # matrix (one with m columns), up to noise of 1e-4: T_tail tail = -T_head
+    # A_head for T those test matrices stacked, so those sketches are small
+    # beside the head-only ones.
+    m, n, k, sizes, seed = 40, 30, 10, (3, 7, 8), 5
+    sk = open_stream(kind, m, n, *sizes, base_seed=seed).finalize()
+    t = np.vstack([getattr(sk, name) for name, shape in PIPELINES[kind.value].test_matrices if shape[1] == "m"])
+    rng = np.random.default_rng(6)
+    head = rng.standard_normal((k, n))
+    tail = -np.linalg.pinv(t[:, k:]) @ (t[:, :k] @ head) + 1e-4 * rng.standard_normal((m - k, n))
+    a = np.vstack([head, tail])
+    st_ = open_stream(kind, m, n, *sizes, base_seed=seed, plan=plan)
+    got = st_.ingest(LinearUpdate.row_block(0, head)).ingest(LinearUpdate.row_block(k, tail)).finalize()
+    _assert_two_part_pass(got, kind, plan, (m, n, *sizes), seed, a, k)
 
 
 # -- staged rank-one terms and column blocks ------------------------------------

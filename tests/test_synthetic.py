@@ -8,14 +8,13 @@ import scipy.linalg
 
 from sketchpower import matrix_core, metrics, synthetic
 from sketchpower.matrix_core import Precision
-from sketchpower.stream_ingest import PipelineKind, read_matrix
+from sketchpower.stream_ingest import PipelineKind, read_matrix, write_spim
 from sketchpower.test_matrices import SeedSpec, Stream
 from sketchpower.synthetic import (
     Family,
     SyntheticSpec,
     generate,
     prescribed_spectrum,
-    write_spim,
 )
 
 

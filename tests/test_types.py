@@ -15,7 +15,7 @@ import scipy.sparse
 from sketchpower import synthetic, test_matrices
 from sketchpower.matrix_core import DenseMatrix, Precision
 from sketchpower.precision_model import PIPELINES, PrecisionPlan
-from sketchpower.stream_ingest import LinearUpdate, PipelineKind, open_stream, read_matrix
+from sketchpower.stream_ingest import LinearUpdate, PipelineKind, open_stream, read_matrix, write_spim
 from sketchpower.test_matrices import GAUSSIAN, SeedSpec, Stream, TestMatrixKind
 
 # The five sketches stay records only because perfbench/tracer.py
@@ -67,7 +67,7 @@ def test_data_files_and_test_matrices_are_ndarrays(tmp_path):
     assert _is_plain(noisy) and none is None
 
     spim, mtx = tmp_path / "a.spim", tmp_path / "a.mtx"
-    synthetic.write_spim(spim, a, Precision.BINARY32)
+    write_spim(spim, a, Precision.BINARY32)
     scipy.io.mmwrite(mtx, a)
     for path in (spim, mtx):
         assert _is_plain(read_matrix(path)), path
@@ -89,7 +89,7 @@ def test_data_files_and_test_matrices_are_ndarrays(tmp_path):
 def test_write_spim_refuses_what_is_not_a_matrix(tmp_path, bad, problem):
     path = tmp_path / "bad.spim"
     with pytest.raises(ValueError, match=problem):
-        synthetic.write_spim(path, bad)
+        write_spim(path, bad)
     assert not path.exists()
 
 
@@ -113,5 +113,5 @@ def test_write_spim_writes_the_bytes_it_always_has(tmp_path, dtype, precision):
     a64 = np.random.default_rng(7).standard_normal((5, 3))
     a = {"binary64": a64, "binary32": a64.astype(np.float32), "int": np.arange(15).reshape(5, 3)}[dtype]
     path = tmp_path / "a.spim"
-    synthetic.write_spim(path, a, precision)
+    write_spim(path, a, precision)
     assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == _SPIM_DIGESTS[(dtype, precision)]

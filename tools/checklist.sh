@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Byte-identity check list: 83 sketchpower-bench commands, each writing its
+# Byte-identity check list: 84 sketchpower-bench commands, each writing its
 # CSV (NAME.csv) and stderr (NAME.err) into OUTDIR, and one exit code per
 # command into OUTDIR/status.txt.
 #
@@ -40,7 +40,9 @@
 # sizes (6, 14, 20) on the binary64 and binary32 SPIM files, which are walked,
 # not loaded, and on a missing file (refused); and the ledgers of tyuc17_spi
 # (refused by its storage rule) and tyuc19 on the SPIM file at the sizes
-# `--guidance auto` resolves at T=40 from the file's spectrum.
+# `--guidance auto` resolves at T=40 from the file's spectrum; and the
+# `--guidance auto` ledger of tyuc17_spi at the paper's 1000x1000 poly-1 and
+# T=96.5, whose resolved sizes (24, 73, 96) its storage rule refuses.
 # The file is written into OUTDIR
 # with NumPy alone and named by a relative path, so the CSVs' param column
 # is the same in every OUTDIR and `diff -r` compares numbers only.
@@ -211,3 +213,4 @@ done
 for k in tyuc17_spi tyuc19; do
     bench "ledger_file_auto_$k" ledger --algo "$k" --data file --file poly300x200.spim --budget 40 --guidance auto
 done
+bench ledger_paper_auto ledger --algo tyuc17_spi --data poly --m 1000 --n 1000 --budget 96.5 --guidance auto
